@@ -95,9 +95,6 @@ class Var:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -191,17 +188,6 @@ def div(a, b):
     return Var(av / bv, "div", tuple(x for x in (a, b) if is_var(x)), vjp)
 
 
-def pow_const(a, exponent):
-    """``a ** c`` for a constant (non-Var) exponent."""
-    if is_var(exponent):
-        raise ContractViolationError("pow exponent must be a constant")
-    c = float(exponent)
-    if not is_var(a):
-        return value_of(a) ** c
-    av = a.value
-    return Var(av**c, "pow", (a,), lambda g: (g * c * av ** (c - 1.0),))
-
-
 def square(a):
     if not is_var(a):
         v = value_of(a)
@@ -229,12 +215,6 @@ def log(a):
 
 def log1p(a):
     return _unary(a, "log1p", np.log1p, lambda x, out: 1.0 / (1.0 + x))
-
-def cosh(a):
-    return _unary(a, "cosh", np.cosh, lambda x, out: np.sinh(x))
-
-def sinh(a):
-    return _unary(a, "sinh", np.sinh, lambda x, out: np.cosh(x))
 
 def sqrt(a):
     def dfd(x, out):

@@ -100,18 +100,25 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _env_seed(default: int) -> int:
+    """The ``UNCHA_SEED`` environment variable, or ``default`` when it is
+    unset or empty."""
+    raw = os.environ.get("UNCHA_SEED")
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ContractViolationError(f"UNCHA_SEED is not an integer: {raw!r}") from None
+
+
 def build_train_config(file_values: dict, flag_values: dict) -> TrainConfig:
     """Defaults < config file < flags; seed additionally falls back to the
     UNCHA_SEED environment variable."""
     merged = dict(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
-    if "seed" not in merged and os.environ.get("UNCHA_SEED"):
-        try:
-            merged["seed"] = int(os.environ["UNCHA_SEED"])
-        except ValueError:
-            raise ContractViolationError(
-                f"UNCHA_SEED is not an integer: {os.environ['UNCHA_SEED']!r}"
-            ) from None
+    if "seed" not in merged:
+        merged["seed"] = _env_seed(TrainConfig.seed)
     sections = {"train": {}, "temps": {}, "cone": {}, "loss": {}}
     for key, value in merged.items():
         section, field, _ = CONFIG_SCHEMA[key]
@@ -173,16 +180,6 @@ def _build_parser() -> _Parser:
     ex.add_argument("--corpus", required=True)
     ex.add_argument("--out", required=True)
     return parser
-
-
-def _env_seed(default: int) -> int:
-    raw = os.environ.get("UNCHA_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ContractViolationError(f"UNCHA_SEED is not an integer: {raw!r}") from None
 
 
 def _log_config(command: str, payload: dict) -> None:

@@ -58,10 +58,10 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1
     """
     inner = lorentz_inner(p, q)
     beta = ad.mul(m.kappa, inner)
-    beta_sq_m1 = value_of(ad.sub(ad.square(beta), 1.0))
+    beta_sq_m1 = ad.sub(ad.square(beta), 1.0)
     # beta = -1 exactly at q = p; float drift there can land either side of
     # zero, so treat anything this close as coincident
-    if np.min(beta_sq_m1) <= 1e-9:
+    if np.min(value_of(beta_sq_m1)) <= 1e-9:
         raise ContractViolationError(
             "exterior angle undefined for coincident points"
         )
@@ -69,7 +69,7 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1
     if np.min(value_of(p_norm)) <= 0.0:
         raise ContractViolationError("exterior angle undefined at the origin")
     num = ad.add(q.time, ad.mul(p.time, beta))
-    den = ad.mul(p_norm, ad.sqrt(ad.sub(ad.square(beta), 1.0)))
+    den = ad.mul(p_norm, ad.sqrt(beta_sq_m1))
     return ad.acos_clamped(ad.div(num, den), tol=tol)
 
 

@@ -11,6 +11,13 @@ scaled cone aperture, with a leaky angular term that keeps a gradient
 inside the cone; the calibration term re-weights the (stop-gradient)
 entailment violation by ``exp(-u)`` and regularizes the batch uncertainty
 profile with an entropy term.
+
+The batch objective builds one graph: each group is lifted once, the global
+and local terms read one distance matrix along both axes, each part group's
+uncertainty feeds both its temperatures and its calibration, and
+calibration re-weights the intra-modal leaks the entailment block already
+holds.  The per-term functions build their own inputs, for direct use and
+gradient checking.
 """
 
 from __future__ import annotations
@@ -103,10 +110,6 @@ class Batch:
             raise ContractViolationError("part_of must map parts onto [0, B)")
         object.__setattr__(self, "part_of", part_of)
 
-    @property
-    def size(self) -> int:
-        return value_of(self.whole_image).shape[0]
-
 
 @dataclass
 class LossReport:
@@ -127,6 +130,27 @@ class LossReport:
         return out
 
 
+def _uncertainty(x, m: Manifold, use_radius: bool):
+    return uncertainty_from_radius(x, m) if use_radius else uncertainty(x)
+
+
+def _info_nce(dists, tau, include_positive: bool):
+    """Contrastive loss over a ``(B, B)`` distance matrix whose diagonal
+    holds the positive pairs."""
+    b = value_of(dists).shape[0]
+    if value_of(tau).ndim == 1:
+        tau = ad.reshape(tau, (b, 1))
+    logits = ad.div(ad.neg(dists), tau)
+    positives = ad.diag_part(logits)
+    if include_positive:
+        denom = ad.logsumexp(logits, axis=1)
+    else:
+        mask = np.zeros((b, b))
+        np.fill_diagonal(mask, -np.inf)
+        denom = ad.logsumexp(ad.add(logits, mask), axis=1)
+    return ad.reduce_sum(ad.sub(denom, positives))
+
+
 def contrastive(anchors, targets, tau, m: Manifold, *, include_positive: bool = False):
     """InfoNCE-style loss with geodesic-distance similarity.
 
@@ -141,19 +165,11 @@ def contrastive(anchors, targets, tau, m: Manifold, *, include_positive: bool = 
     if b < 2 or value_of(targets).shape[0] != b:
         raise ContractViolationError("contrastive needs aligned batches of size >= 2")
     dists = pairwise_distance(lift(anchors, m), lift(targets, m), m)
-    tau_v = value_of(tau)
-    if tau_v.ndim == 1:
-        logits = ad.div(ad.neg(dists), ad.reshape(tau, (b, 1)))
-    else:
-        logits = ad.div(ad.neg(dists), tau)
-    positives = ad.diag_part(logits)
-    if include_positive:
-        denom = ad.logsumexp(logits, axis=1)
-    else:
-        mask = np.zeros((b, b))
-        np.fill_diagonal(mask, -np.inf)
-        denom = ad.logsumexp(ad.add(logits, mask), axis=1)
-    return ad.reduce_sum(ad.sub(denom, positives))
+    return _info_nce(dists, tau, include_positive)
+
+
+def _tempered(u, tau_global_local):
+    return ad.mul(ad.exp(ad.div(u, 2.0)), tau_global_local)
 
 
 def adaptive_temperatures(parts, tau_global_local, *, m: Manifold = None,
@@ -163,70 +179,18 @@ def adaptive_temperatures(parts, tau_global_local, *, m: Manifold = None,
     Uncertainty lies in (0, ln 2], so every entry falls in
     ``[tau_gl, sqrt(2) tau_gl]``: uncertain parts get softer logits.
     """
-    if use_radius:
-        u = uncertainty_from_radius(parts, m)
-    else:
-        u = uncertainty(parts)
-    return ad.mul(ad.exp(ad.div(u, 2.0)), tau_global_local)
+    return _tempered(_uncertainty(parts, m, use_radius), tau_global_local)
 
 
-def _contrastive_components(batch: Batch, temps: TemperatureSet, m: Manifold,
-                            *, include_positive: bool = False,
-                            use_radius: bool = False) -> dict:
-    whole_image_al = ad.take_rows(batch.whole_image, batch.part_of)
-    whole_text_al = ad.take_rows(batch.whole_text, batch.part_of)
-    tau_img = adaptive_temperatures(
-        batch.part_image, temps.tau_global_local, m=m, use_radius=use_radius
-    )
-    tau_txt = adaptive_temperatures(
-        batch.part_text, temps.tau_global_local, m=m, use_radius=use_radius
-    )
-    globloc = ad.add(
-        contrastive(batch.part_image, whole_text_al, tau_img, m,
-                    include_positive=include_positive),
-        contrastive(batch.part_text, whole_image_al, tau_txt, m,
-                    include_positive=include_positive),
-    )
-    glob = ad.add(
-        contrastive(batch.whole_image, batch.whole_text, temps.tau_global, m,
-                    include_positive=include_positive),
-        contrastive(batch.whole_text, batch.whole_image, temps.tau_global, m,
-                    include_positive=include_positive),
-    )
-    loc = ad.add(
-        contrastive(batch.part_image, batch.part_text, temps.tau_local, m,
-                    include_positive=include_positive),
-        contrastive(batch.part_text, batch.part_image, temps.tau_local, m,
-                    include_positive=include_positive),
-    )
-    return {
-        "contrastive_globallocal": globloc,
-        "contrastive_global": glob,
-        "contrastive_local": loc,
-    }
-
-
-def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold,
-                      *, include_positive: bool = False,
-                      use_radius: bool = False):
-    """Sum of the six contrastive terms: uncertainty-tempered global-local,
-    plain global, and plain local pairs."""
-    comps = _contrastive_components(
-        batch, temps, m, include_positive=include_positive, use_radius=use_radius
-    )
-    return ad.add(
-        ad.add(comps["contrastive_globallocal"], comps["contrastive_global"]),
-        comps["contrastive_local"],
-    )
+def _hinge(phi, omega, eta: float):
+    return ad.relu(ad.sub(phi, ad.mul(float(eta), omega)))
 
 
 def entail_hinge(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
                  m: Manifold):
     """``max(0, phi(p, q) - eta * aperture(p))`` per pair; zero exactly when
     ``q`` lies inside ``p``'s scaled cone."""
-    phi = exterior_angle(p, q, m)
-    omega = aperture(p, cp.aperture_k, m)
-    return ad.relu(ad.sub(phi, ad.mul(float(eta), omega)))
+    return _hinge(exterior_angle(p, q, m), aperture(p, cp.aperture_k, m), eta)
 
 
 def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
@@ -234,9 +198,16 @@ def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
     """Hinge plus a leaky angular term ``alpha * phi`` that keeps pulling
     ``q`` toward ``p``'s axis even inside the cone."""
     phi = exterior_angle(p, q, m)
-    omega = aperture(p, cp.aperture_k, m)
-    hinge = ad.relu(ad.sub(phi, ad.mul(float(eta), omega)))
+    hinge = _hinge(phi, aperture(p, cp.aperture_k, m), eta)
     return ad.add(hinge, ad.mul(float(alpha), phi))
+
+
+def _calibrate(u, leak, entropy_sign: float):
+    core = ad.reduce_sum(
+        ad.add(ad.mul(ad.stop_gradient(leak), ad.exp(ad.neg(u))), u)
+    )
+    ent = entropy(normalize_uncertainty(u))
+    return ad.add(core, ad.mul(float(entropy_sign), ent))
 
 
 def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
@@ -251,81 +222,127 @@ def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
     uncertainty update but receives none itself.  The softmax normalizing
     the entropy term runs over this part group.
     """
-    if use_radius:
-        u = uncertainty_from_radius(p_parts, m)
-    else:
-        u = uncertainty(p_parts)
+    u = _uncertainty(p_parts, m, use_radius)
     leak = entail_leaky(lift(p_parts, m), lift(q_wholes, m), eta, cp, alpha, m)
-    core = ad.reduce_sum(
-        ad.add(ad.mul(ad.stop_gradient(leak), ad.exp(ad.neg(u))), u)
+    return _calibrate(u, leak, entropy_sign)
+
+
+# ---------------------------------------------------------------------------
+# the batch objective: one lifted state shared by every term
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Lifted:
+    """A batch's four groups lifted once each, the wholes also gathered into
+    part order, and each part group's uncertainty."""
+
+    whole_image: LorentzPoint
+    whole_text: LorentzPoint
+    part_image: LorentzPoint
+    part_text: LorentzPoint
+    whole_image_al: LorentzPoint
+    whole_text_al: LorentzPoint
+    u_image: object
+    u_text: object
+
+
+def _take_points(p: LorentzPoint, idx) -> LorentzPoint:
+    return LorentzPoint(time=ad.take_rows(p.time, idx), space=ad.take_rows(p.space, idx))
+
+
+def _lift_batch(batch: Batch, m: Manifold, use_radius: bool) -> _Lifted:
+    whole_image, whole_text = lift(batch.whole_image, m), lift(batch.whole_text, m)
+    return _Lifted(
+        whole_image=whole_image,
+        whole_text=whole_text,
+        part_image=lift(batch.part_image, m),
+        part_text=lift(batch.part_text, m),
+        whole_image_al=_take_points(whole_image, batch.part_of),
+        whole_text_al=_take_points(whole_text, batch.part_of),
+        u_image=_uncertainty(batch.part_image, m, use_radius),
+        u_text=_uncertainty(batch.part_text, m, use_radius),
     )
-    ent = entropy(normalize_uncertainty(u))
-    return ad.add(core, ad.mul(float(entropy_sign), ent))
 
 
-def _entailment_components(batch: Batch, cfg: LossConfig, m: Manifold) -> dict:
-    whole_image_al = ad.take_rows(batch.whole_image, batch.part_of)
-    whole_text_al = ad.take_rows(batch.whole_text, batch.part_of)
-    p_pi = lift(batch.part_image, m)
-    p_pt = lift(batch.part_text, m)
-    p_wi = lift(batch.whole_image, m)
-    p_wt = lift(batch.whole_text, m)
-    p_wi_al = lift(whole_image_al, m)
-    p_wt_al = lift(whole_text_al, m)
-    cone, eta_inter, eta_intra = cfg.cone, cfg.cone.eta_inter, cfg.cone.eta_intra
+def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
+                       include_positive: bool) -> dict:
+    """Global-local terms with uncertainty-tempered rows; the global and
+    local terms read one distance matrix along both axes."""
+
+    def nce(dists, tau):
+        return _info_nce(dists, tau, include_positive)
+
+    d_glob = pairwise_distance(s.whole_image, s.whole_text, m)
+    d_loc = pairwise_distance(s.part_image, s.part_text, m)
+    gl = temps.tau_global_local
+    return {
+        "contrastive_globallocal": ad.add(
+            nce(pairwise_distance(s.part_image, s.whole_text_al, m),
+                _tempered(s.u_image, gl)),
+            nce(pairwise_distance(s.part_text, s.whole_image_al, m),
+                _tempered(s.u_text, gl)),
+        ),
+        "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
+                                     nce(ad.transpose(d_glob), temps.tau_global)),
+        "contrastive_local": ad.add(nce(d_loc, temps.tau_local),
+                                    nce(ad.transpose(d_loc), temps.tau_local)),
+    }
+
+
+def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
+    """Inter and intra leaky entailment; calibration re-weights the intra
+    leaks it is handed (under a stop-gradient) rather than rebuilding them."""
+    cone = cfg.cone
+
+    def leaky(apex, member, eta):
+        return entail_leaky(apex, member, eta, cone, cfg.alpha, m)
 
     # text entails image; part entails whole -- the apex goes first
-    inter = ad.add(
-        ad.reduce_sum(entail_leaky(p_pt, p_pi, eta_inter, cone, cfg.alpha, m)),
-        ad.reduce_sum(entail_leaky(p_wt, p_wi, eta_inter, cone, cfg.alpha, m)),
-    )
-    intra = ad.add(
-        ad.reduce_sum(entail_leaky(p_pt, p_wt_al, eta_intra, cone, cfg.alpha, m)),
-        ad.reduce_sum(entail_leaky(p_pi, p_wi_al, eta_intra, cone, cfg.alpha, m)),
-    )
-    cal = ad.add(
-        calibration(batch.part_text, whole_text_al, eta_intra, cone, cfg.alpha,
-                    m, entropy_sign=cfg.entropy_sign,
-                    use_radius=cfg.uncertainty_from_radius),
-        calibration(batch.part_image, whole_image_al, eta_intra, cone, cfg.alpha,
-                    m, entropy_sign=cfg.entropy_sign,
-                    use_radius=cfg.uncertainty_from_radius),
-    )
-    return {"entail_inter": inter, "entail_intra": intra, "calibration": cal}
+    leak_text = leaky(s.part_text, s.whole_text_al, cone.eta_intra)
+    leak_image = leaky(s.part_image, s.whole_image_al, cone.eta_intra)
+    return {
+        "entail_inter": ad.add(
+            ad.reduce_sum(leaky(s.part_text, s.part_image, cone.eta_inter)),
+            ad.reduce_sum(leaky(s.whole_text, s.whole_image, cone.eta_inter)),
+        ),
+        "entail_intra": ad.add(ad.reduce_sum(leak_text), ad.reduce_sum(leak_image)),
+        "calibration": ad.add(_calibrate(s.u_text, leak_text, cfg.entropy_sign),
+                              _calibrate(s.u_image, leak_image, cfg.entropy_sign)),
+    }
+
+
+def _contrastive_sum(c: dict):
+    return ad.add(ad.add(c["contrastive_globallocal"], c["contrastive_global"]),
+                  c["contrastive_local"])
+
+
+def _entailment_sum(e: dict, cfg: LossConfig):
+    return ad.add(e["entail_inter"],
+                  ad.add(ad.mul(cfg.lambda_intra, e["entail_intra"]),
+                         ad.mul(cfg.lambda_cal, e["calibration"])))
+
+
+def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold,
+                      *, include_positive: bool = False,
+                      use_radius: bool = False):
+    """Sum of the six contrastive terms: uncertainty-tempered global-local,
+    plain global, and plain local pairs."""
+    s = _lift_batch(batch, m, use_radius)
+    return _contrastive_sum(_contrastive_terms(s, temps, m, include_positive))
 
 
 def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold):
     """Inter-modal entailment plus weighted intra-modal entailment and
     calibration, summed over batch rows."""
-    comps = _entailment_components(batch, cfg, m)
-    return ad.add(
-        comps["entail_inter"],
-        ad.add(
-            ad.mul(cfg.lambda_intra, comps["entail_intra"]),
-            ad.mul(cfg.lambda_cal, comps["calibration"]),
-        ),
-    )
+    s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
+    return _entailment_sum(_entailment_terms(s, cfg, m), cfg)
 
 
 def total_loss(batch: Batch, cfg: LossConfig, m: Manifold) -> LossReport:
     """Full objective: contrastive block plus ``lambda_ent`` times the
     entailment block, with the component decomposition attached."""
-    con = _contrastive_components(
-        batch, cfg.temps, m,
-        include_positive=cfg.include_positive,
-        use_radius=cfg.uncertainty_from_radius,
-    )
-    ent = _entailment_components(batch, cfg, m)
-    con_sum = ad.add(
-        ad.add(con["contrastive_globallocal"], con["contrastive_global"]),
-        con["contrastive_local"],
-    )
-    ent_sum = ad.add(
-        ent["entail_inter"],
-        ad.add(
-            ad.mul(cfg.lambda_intra, ent["entail_intra"]),
-            ad.mul(cfg.lambda_cal, ent["calibration"]),
-        ),
-    )
-    total = ad.add(con_sum, ad.mul(cfg.lambda_ent, ent_sum))
+    s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
+    con = _contrastive_terms(s, cfg.temps, m, cfg.include_positive)
+    ent = _entailment_terms(s, cfg, m)
+    total = ad.add(_contrastive_sum(con), ad.mul(cfg.lambda_ent, _entailment_sum(ent, cfg)))
     return LossReport(total=total, components={**con, **ent})

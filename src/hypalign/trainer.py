@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, value_of
-from .errors import ContractViolationError, NumericalConsistencyError
+from .errors import ContractViolationError, HypalignError, NumericalConsistencyError
 from .losses import Batch, LossConfig, LossReport, TemperatureSet, total_loss
 from .manifold import KAPPA_MAX, KAPPA_MIN, Manifold, hyperbolic_radius
 from .evalmetrics import distribution_distances, scaled_tables
@@ -344,7 +344,7 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
             lr = learning_rate(step, cfg)
             try:
                 train_step(store, opt, batch, cfg, lr)
-            except NumericalConsistencyError:
+            except HypalignError:
                 dump = {
                     "step": step,
                     "scene_rows": batch_idx.scene_rows.tolist(),

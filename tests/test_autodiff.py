@@ -39,8 +39,8 @@ class TestPrimitives:
         (ad.log1p, (-0.5, 3)),
         (ad.sqrt, (0.2, 4)),
         (ad.square, (-2, 2)),
-        (ad.cosh, (-3, 3)),
-        (ad.sinh, (-3, 3)),
+        (ad.acosh_clamped, (1.5, 4)),
+        (ad.acos_clamped, (-0.9, 0.9)),
         (ad.relu, (0.3, 2)),
         (ad.cosh_sqrt, (1e-9, 9)),
         (ad.sinhc_sqrt, (1e-9, 9)),
@@ -165,7 +165,7 @@ class TestBackward:
     def test_repeated_backward_bit_identical(self):
         rng = np.random.default_rng(11)
         v = Var(rng.normal(size=6))
-        out = ad.reduce_sum(ad.exp(ad.mul(v, ad.cosh(v))))
+        out = ad.reduce_sum(ad.exp(ad.mul(v, ad.square(v))))
         g1 = ad.gradients(out, {"v": v})["v"]
         g2 = ad.gradients(out, {"v": v})["v"]
         assert np.array_equal(g1, g2)

@@ -26,6 +26,14 @@ class TestGenerate:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_empty_env_seed_means_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("UNCHA_SEED", "")
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        args = ["generate", "--scenes", "8", "--parts", "2"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--seed", "7", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_infeasible_parameters_exit_1(self, tmp_path, capsys):
         code = main(["generate", "--scenes", "64", "--parts", "1",
                      "--min-separation", "1.4",
@@ -83,6 +91,9 @@ class TestConfigFile:
         # explicit settings win over the environment
         assert build_train_config({"seed": 5}, {}).seed == 5
         assert build_train_config({}, {"seed": 9}).seed == 9
+        # an empty value counts as unset, as it does for generate and check-grads
+        monkeypatch.setenv("UNCHA_SEED", "")
+        assert build_train_config({}, {}).seed == 7
         monkeypatch.setenv("UNCHA_SEED", "not-int")
         from hypalign.errors import ContractViolationError
         with pytest.raises(ContractViolationError):

@@ -488,6 +488,53 @@ class TestTotalLoss:
                   part_image=np.zeros((2, 3)), part_text=np.zeros((2, 3)))
 
 
+def tape_census(root):
+    """Op-name counts of every node reachable from ``root``; parameters
+    count as ``leaf``."""
+    counts, seen, stack = {}, {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        op = node.name if node._parents or node.name == "stop_gradient" else "leaf"
+        counts[op] = counts.get(op, 0) + 1
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return counts
+
+
+class TestGraphBudget:
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        groups = {name: Var(rng.normal(size=(32, 16)) * 0.3, name=name)
+                  for name in ("whole_image", "whole_text", "part_image", "part_text")}
+        self.batch = Batch(**groups)
+        self.m = Manifold(Var(1.0, name="kappa"), 16)
+        self.cfg = LossConfig(temps=TemperatureSet(
+            tau_global=Var(0.07, name="tau_g"), tau_local=Var(0.07, name="tau_l"),
+            tau_global_local=Var(0.06, name="tau_gl"),
+        ))
+
+    def test_one_lift_per_group(self):
+        counts = tape_census(total_loss(self.batch, self.cfg, self.m).total)
+        assert counts["cosh_sqrt"] == 4
+        assert counts["acosh"] == 4       # global and local matrices read twice
+        assert counts["acos"] == 4        # calibration reuses the intra angles
+        assert counts["stop_gradient"] == 2
+        assert sum(counts.values()) <= 320
+
+    def test_block_totals_are_the_report_sums(self):
+        c = {k: value_of(v) for k, v in
+             total_loss(self.batch, self.cfg, self.m).components.items()}
+        con = value_of(contrastive_total(self.batch, self.cfg.temps, self.m))
+        ent = value_of(entailment_total(self.batch, self.cfg, self.m))
+        assert con == (c["contrastive_globallocal"] + c["contrastive_global"]) \
+            + c["contrastive_local"]
+        assert ent == c["entail_inter"] + (
+            self.cfg.lambda_intra * c["entail_intra"]
+            + self.cfg.lambda_cal * c["calibration"])
+
+
 class TestLossGradients:
     @pytest.mark.parametrize("b,n,seed", [(2, 3, 101), (4, 16, 103), (8, 16, 105)])
     def test_total_loss_gradients_match_fd(self, b, n, seed):

@@ -242,22 +242,45 @@ class TestTrainLoop:
             assert np.array_equal(opt.v[name], opt2.v[name])
         assert opt2.t == opt.t
 
-    def test_nonfinite_loss_writes_diagnostic_dump(self, small_corpus, tmp_path):
-        # resume from a checkpoint with a poisoned table row: the overflowing
-        # forward aborts the run and leaves a failure dump behind
+    def _resume_poisoned(self, corpus, tmp_path, poison, expected):
+        # resume from a poisoned checkpoint: the failing forward aborts the
+        # run, keeps its error kind, and leaves a failure dump behind
         cfg = small_config(steps=12, checkpoint_interval=6)
-        train(small_corpus, cfg, tmp_path / "ok")
+        train(corpus, cfg, tmp_path / "ok")
         ckpt_path = tmp_path / "ok" / "checkpoint_000006.json"
         payload = json.loads(ckpt_path.read_text())
-        payload["params"]["table_scene_img"]["data"][0] = 1e200
+        poison(payload["params"])
         poisoned = tmp_path / "poisoned.json"
         poisoned.write_text(json.dumps(payload))
-        from hypalign.errors import NumericalConsistencyError
-        with pytest.raises(NumericalConsistencyError):
+        with pytest.raises(expected):
             with np.errstate(over="ignore", invalid="ignore"):
-                train(small_corpus, cfg, tmp_path / "boom", resume=poisoned)
+                train(corpus, cfg, tmp_path / "boom", resume=poisoned)
         dump = json.loads((tmp_path / "boom" / "failure_dump.json").read_text())
         assert "step" in dump and "scene_rows" in dump
+
+    def test_nonfinite_loss_writes_diagnostic_dump(self, small_corpus, tmp_path):
+        # one table row at 1e200 overflows the forward pass
+        from hypalign.errors import NumericalConsistencyError
+
+        def poison(params):
+            params["table_scene_img"]["data"][0] = 1e200
+
+        self._resume_poisoned(small_corpus, tmp_path, poison,
+                              NumericalConsistencyError)
+
+    def test_contract_error_writes_diagnostic_dump(self, small_corpus, tmp_path):
+        # every part's text row on its scene's: each intra text pair coincides
+        scene_row = small_corpus.scene_index()
+
+        def poison(params):
+            dim = params["table_scene_txt"]["shape"][1]
+            scenes = np.reshape(params["table_scene_txt"]["data"], (-1, dim))
+            params["table_part_txt"]["data"] = np.concatenate(
+                [scenes[scene_row[p.parent]] for p in small_corpus.parts]
+            ).tolist()
+
+        self._resume_poisoned(small_corpus, tmp_path, poison,
+                              ContractViolationError)
 
     def test_config_hash_sensitivity(self):
         assert config_hash(small_config()) != config_hash(small_config(lr=1e-3))
