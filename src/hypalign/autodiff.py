@@ -1,12 +1,14 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine covers exactly the operation vocabulary this package needs
-(arithmetic, reductions, matmul, hyperbolic/inverse-trig functions,
-log-sum-exp, softmax, gather, stop-gradient) rather than being a general
-autodiff framework.  Every operation dispatches on its inputs: if no
-argument is a :class:`Var`, the plain numpy result is returned, so the same
-numeric code serves both the differentiable training path and fast
-tape-free evaluation.
+(arithmetic, reductions, matmul, acosh and the sqrt-composites, log-sum-exp,
+softmax, gather, stop-gradient) rather than being a general autodiff
+framework.  A closed-form op with a hand-derived vector-Jacobian product
+becomes one node through :func:`fused`; the geometry modules build the lift,
+the distance matrix, the cone angles and the uncertainty that way.  Every
+operation dispatches on its inputs: if no argument is a :class:`Var`, the
+plain numpy result is returned, so the same numeric code serves both the
+differentiable training path and fast tape-free evaluation.
 
 Conventions
 -----------
@@ -125,6 +127,26 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     return grad.reshape(shape)
 
 
+def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], tuple]) -> Var:
+    """One tape node for a closed-form op over several inputs.
+
+    ``vjp(g)`` returns one adjoint per entry of ``inputs``, each shaped like
+    the op's broadcast value; the node keeps only the adjoints of inputs
+    that are :class:`Var` and sums each down to its input's shape.  With no
+    :class:`Var` among the inputs the plain ``value`` is returned.
+    """
+    live = tuple(i for i, x in enumerate(inputs) if is_var(x))
+    if not live:
+        return value
+    shapes = tuple(inputs[i].value.shape for i in live)
+
+    def node_vjp(g):
+        adj = vjp(g)
+        return tuple(_unbroadcast(adj[i], sh) for i, sh in zip(live, shapes))
+
+    return Var(value, name, tuple(inputs[i] for i in live), node_vjp)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
@@ -230,6 +252,23 @@ def relu(a):
     )
 
 
+def _acosh_clamp(xv: Array, tol: float) -> Array:
+    """``xv`` clamped to [1, inf); drift below ``1 - tol`` raises."""
+    low = np.min(xv) if xv.size else 1.0
+    if low < 1.0 - tol:
+        raise NumericalConsistencyError(
+            f"acosh argument {low!r} below 1 by more than {tol}"
+        )
+    return np.maximum(xv, 1.0)
+
+
+def _acosh_deriv(xc: Array) -> Array:
+    """acosh' at clamped arguments; the subgradient 0 at 1."""
+    denom_sq = xc * xc - 1.0
+    safe = denom_sq > 0.0
+    return np.where(safe, 1.0 / np.sqrt(np.where(safe, denom_sq, 1.0)), 0.0)
+
+
 def acosh_clamped(a, tol: float = 1e-6):
     """acosh with the argument clamped to [1, inf).
 
@@ -237,68 +276,11 @@ def acosh_clamped(a, tol: float = 1e-6):
     [1 - tol, 1) are treated as floating-point drift at a coincident-point
     kink, where the subgradient 0 is used.
     """
-    xv = value_of(a)
-    low = np.min(xv) if xv.size else 1.0
-    if low < 1.0 - tol:
-        raise NumericalConsistencyError(
-            f"acosh argument {low!r} below 1 by more than {tol}"
-        )
-    xc = np.maximum(xv, 1.0)
+    xc = _acosh_clamp(value_of(a), tol)
     out_val = np.arccosh(xc)
     if not is_var(a):
         return out_val
-
-    def vjp(g):
-        denom_sq = xc * xc - 1.0
-        safe = denom_sq > 0.0
-        d = np.where(safe, 1.0 / np.sqrt(np.where(safe, denom_sq, 1.0)), 0.0)
-        return (g * d,)
-
-    return Var(out_val, "acosh", (a,), vjp)
-
-
-def asin_saturating(a):
-    """asin with the argument clamped to [0, 1].
-
-    Arguments above 1 are legitimate (cone-aperture saturation at pi/2);
-    the clamp acts as a projection with zero gradient on the plateau.
-    """
-    xv = value_of(a)
-    xc = np.clip(xv, 0.0, 1.0)
-    out_val = np.arcsin(xc)
-    if not is_var(a):
-        return out_val
-
-    def vjp(g):
-        interior = (xv > 0.0) & (xv < 1.0)
-        d = np.where(interior, 1.0 / np.sqrt(np.where(interior, 1.0 - xc * xc, 1.0)), 0.0)
-        return (g * d,)
-
-    return Var(out_val, "asin", (a,), vjp)
-
-
-def acos_clamped(a, tol: float = 1e-6):
-    """acos with the argument clamped to [-1, 1]; |x| > 1 + tol raises."""
-    xv = value_of(a)
-    if xv.size:
-        worst = np.max(np.abs(xv))
-        if worst > 1.0 + tol:
-            raise NumericalConsistencyError(
-                f"acos argument magnitude {worst!r} above 1 by more than {tol}"
-            )
-    xc = np.clip(xv, -1.0, 1.0)
-    out_val = np.arccos(xc)
-    if not is_var(a):
-        return out_val
-
-    def vjp(g):
-        interior = np.abs(xv) < 1.0
-        d = np.where(
-            interior, -1.0 / np.sqrt(np.where(interior, 1.0 - xc * xc, 1.0)), 0.0
-        )
-        return (g * d,)
-
-    return Var(out_val, "acos", (a,), vjp)
+    return Var(out_val, "acosh", (a,), lambda g: (g * _acosh_deriv(xc),))
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +314,14 @@ def _asinhc_sqrt_val(y: Array) -> Array:
     return np.where(small, series, direct)
 
 
-def cosh_sqrt(a):
-    """cosh(sqrt(y)) as an entire function of y >= 0."""
-
-    def dfd(y, out):
-        return 0.5 * _sinhc_sqrt_val(y)
-
-    return _unary(a, "cosh_sqrt", _cosh_sqrt_val, dfd)
-
-
-def sinhc_sqrt(a):
-    """sinh(sqrt(y))/sqrt(y) as an entire function of y >= 0."""
-
-    def dfd(y, out):
-        small = y < _SERIES_CUTOFF
-        ys = np.where(small, y, 0.0)
-        series = 1.0 / 6.0 + ys / 60.0 + ys**2 / 1680.0
-        ysafe = np.where(small, 1.0, y)
-        direct = (_cosh_sqrt_val(ysafe) - out) / (2.0 * ysafe)
-        return np.where(small, series, direct)
-
-    return _unary(a, "sinhc_sqrt", _sinhc_sqrt_val, dfd)
+def _sinhc_sqrt_deriv(y: Array, out: Array) -> Array:
+    """d/dy of ``sinh(sqrt(y))/sqrt(y)``, given ``out`` = its value at ``y``."""
+    small = y < _SERIES_CUTOFF
+    ys = np.where(small, y, 0.0)
+    series = 1.0 / 6.0 + ys / 60.0 + ys**2 / 1680.0
+    ysafe = np.where(small, 1.0, y)
+    direct = (_cosh_sqrt_val(ysafe) - out) / (2.0 * ysafe)
+    return np.where(small, series, direct)
 
 
 def asinhc_sqrt(a):
@@ -391,21 +360,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False):
     return Var(out_val, "sum", (a,), vjp)
 
 
-def l2norm(a, axis=-1):
-    """Euclidean norm along ``axis``; subgradient 0 at the zero vector."""
-    if not is_var(a):
-        return np.linalg.norm(value_of(a), axis=axis)
-    out_val = np.linalg.norm(a.value, axis=axis)
-
-    def vjp(g):
-        n = np.expand_dims(out_val, axis)
-        safe = n > 0.0
-        unit = np.where(safe, a.value / np.where(safe, n, 1.0), 0.0)
-        return (np.expand_dims(g, axis) * unit,)
-
-    return Var(out_val, "l2norm", (a,), vjp)
-
-
 def matmul(a, b):
     if not _any_var(a, b):
         return value_of(a) @ value_of(b)
@@ -437,23 +391,6 @@ def reshape(a, shape):
     return Var(
         a.value.reshape(shape), "reshape", (a,), lambda g: (g.reshape(in_shape),)
     )
-
-
-def outer(a, b):
-    """Outer product of two 1-D vectors."""
-    if not _any_var(a, b):
-        return np.outer(value_of(a), value_of(b))
-    av, bv = value_of(a), value_of(b)
-
-    def vjp(g):
-        out = []
-        if is_var(a):
-            out.append(g @ bv)
-        if is_var(b):
-            out.append(av @ g)
-        return tuple(out)
-
-    return Var(np.outer(av, bv), "outer", tuple(x for x in (a, b) if is_var(x)), vjp)
 
 
 def take_rows(a, idx):
@@ -629,28 +566,21 @@ def _toposort(root: Var) -> list[Var]:
     return order
 
 
-def backward(root: Var) -> dict[int, Array]:
-    """Reverse-mode sweep from a scalar root.
-
-    Returns adjoints keyed by node ``id``.  Raises if any accumulated
-    adjoint turns non-finite, naming the offending node.
-    """
-    if not is_var(root):
-        raise ContractViolationError("backward requires a Var root")
-    if root.value.size != 1:
-        raise ContractViolationError("backward root must be scalar")
-    order = _toposort(root)
+def _sweep(order: list[Var], root: Var, check: bool) -> dict[int, Array]:
+    """Accumulate adjoints in reverse topological order; with ``check``,
+    raise at the first non-finite adjoint, naming the node it flows into or
+    comes out of."""
     grads: dict[int, Array] = {id(root): np.ones_like(root.value)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node._vjp is None:
             continue
-        if not np.all(np.isfinite(g)):
+        if check and not np.all(np.isfinite(g)):
             raise NumericalConsistencyError(
                 f"non-finite gradient flowing into node '{node.name}'"
             )
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if not np.all(np.isfinite(pg)):
+            if check and not np.all(np.isfinite(pg)):
                 raise NumericalConsistencyError(
                     f"non-finite gradient produced by node '{node.name}'"
                 )
@@ -659,21 +589,43 @@ def backward(root: Var) -> dict[int, Array]:
     return grads
 
 
+def backward(root: Var) -> dict[int, Array]:
+    """Reverse-mode sweep from a scalar root.
+
+    Returns adjoints keyed by node ``id``.  Raises if any adjoint turns
+    non-finite, naming the offending node.  A non-finite adjoint reaches
+    some parentless node, so one check of those after the sweep covers the
+    graph; only when it fails is the sweep re-run with a check at every node
+    to find the first offender.
+    """
+    if not is_var(root):
+        raise ContractViolationError("backward requires a Var root")
+    if root.value.size != 1:
+        raise ContractViolationError("backward root must be scalar")
+    order = _toposort(root)
+    with np.errstate(all="ignore"):
+        grads = _sweep(order, root, check=False)
+    for node in order:
+        if node._parents:
+            continue
+        g = grads.get(id(node))
+        if g is not None and not np.all(np.isfinite(g)):
+            _sweep(order, root, check=True)
+            # finite adjoints whose sum overflowed at this leaf
+            raise NumericalConsistencyError(
+                f"non-finite gradient accumulated at leaf '{node.name}'"
+            )
+    return grads
+
+
 def gradients(root: Var, params: Mapping[str, Var]) -> dict[str, Array]:
     """Adjoints of ``root`` w.r.t. named leaves; unreached leaves get exact
     zeros."""
     grads = backward(root)
-    out: dict[str, Array] = {}
-    for name, var in params.items():
-        g = grads.get(id(var))
-        if g is None:
-            g = np.zeros_like(var.value)
-        elif not np.all(np.isfinite(g)):
-            raise NumericalConsistencyError(
-                f"non-finite gradient for parameter '{name}'"
-            )
-        out[name] = g
-    return out
+    return {
+        name: grads[id(var)] if id(var) in grads else np.zeros_like(var.value)
+        for name, var in params.items()
+    }
 
 
 # ---------------------------------------------------------------------------

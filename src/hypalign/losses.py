@@ -193,13 +193,15 @@ def entail_hinge(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
     return _hinge(exterior_angle(p, q, m), aperture(p, cp.aperture_k, m), eta)
 
 
+def _leaky(phi, omega, eta: float, alpha: float):
+    return ad.add(_hinge(phi, omega, eta), ad.mul(float(alpha), phi))
+
+
 def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
                  alpha: float, m: Manifold):
     """Hinge plus a leaky angular term ``alpha * phi`` that keeps pulling
     ``q`` toward ``p``'s axis even inside the cone."""
-    phi = exterior_angle(p, q, m)
-    hinge = _hinge(phi, aperture(p, cp.aperture_k, m), eta)
-    return ad.add(hinge, ad.mul(float(alpha), phi))
+    return _leaky(exterior_angle(p, q, m), aperture(p, cp.aperture_k, m), eta, alpha)
 
 
 def _calibrate(u, leak, entropy_sign: float):
@@ -292,19 +294,23 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
 def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
     """Inter and intra leaky entailment; calibration re-weights the intra
     leaks it is handed (under a stop-gradient) rather than rebuilding them."""
-    cone = cfg.cone
+    cone, alpha = cfg.cone, cfg.alpha
 
-    def leaky(apex, member, eta):
-        return entail_leaky(apex, member, eta, cone, cfg.alpha, m)
+    def angle_and_aperture(apex, member):
+        return exterior_angle(apex, member, m), aperture(apex, cone.aperture_k, m)
 
-    # text entails image; part entails whole -- the apex goes first
-    leak_text = leaky(s.part_text, s.whole_text_al, cone.eta_intra)
-    leak_image = leaky(s.part_image, s.whole_image_al, cone.eta_intra)
+    # text entails image; part entails whole -- the apex goes first.  The
+    # part-text apex heads an intra and an inter term: one aperture serves both.
+    phi_text, omega_text = angle_and_aperture(s.part_text, s.whole_text_al)
+    leak_text = _leaky(phi_text, omega_text, cone.eta_intra, alpha)
+    leak_image = _leaky(*angle_and_aperture(s.part_image, s.whole_image_al),
+                        cone.eta_intra, alpha)
+    inter_parts = _leaky(exterior_angle(s.part_text, s.part_image, m), omega_text,
+                         cone.eta_inter, alpha)
+    inter_wholes = _leaky(*angle_and_aperture(s.whole_text, s.whole_image),
+                          cone.eta_inter, alpha)
     return {
-        "entail_inter": ad.add(
-            ad.reduce_sum(leaky(s.part_text, s.part_image, cone.eta_inter)),
-            ad.reduce_sum(leaky(s.whole_text, s.whole_image, cone.eta_inter)),
-        ),
+        "entail_inter": ad.add(ad.reduce_sum(inter_parts), ad.reduce_sum(inter_wholes)),
         "entail_intra": ad.add(ad.reduce_sum(leak_text), ad.reduce_sum(leak_image)),
         "calibration": ad.add(_calibrate(s.u_text, leak_text, cfg.entropy_sign),
                               _calibrate(s.u_image, leak_image, cfg.entropy_sign)),

@@ -92,27 +92,36 @@ def lorentz_inner(p, q):
     return ad.sub(ad.reduce_sum(ad.mul(ps, qs), axis=-1), ad.mul(pt, qt))
 
 
-def pairwise_lorentz_inner(p: LorentzPoint, q: LorentzPoint):
-    """All-pairs inner products between two point batches: ``(Bp, Bq)``."""
-    return ad.sub(
-        ad.matmul(p.space, ad.transpose(q.space)), ad.outer(p.time, q.time)
-    )
-
-
 def lift(v, m: Manifold) -> LorentzPoint:
     """Origin exponential map of a space-only tangent vector.
 
     ``exp_o(v) = cosh(sqrt(kappa)|v|) o + sinh(sqrt(kappa)|v|)/(sqrt(kappa)|v|) v``,
-    written in terms of ``kappa |v|^2`` so the zero vector maps exactly to
-    the origin with smooth gradients.
+    written in terms of ``y = kappa |v|^2`` so the zero vector maps exactly
+    to the origin with smooth gradients.  On the tape the time and space
+    components are one node each, with adjoints for ``v`` and ``kappa``.
     """
-    s = ad.reduce_sum(ad.square(v), axis=-1)
-    y = ad.mul(m.kappa, s)
-    time = ad.div(ad.cosh_sqrt(y), ad.sqrt(m.kappa))
-    scale = ad.sinhc_sqrt(y)
-    if value_of(v).ndim == 2:
-        scale = ad.reshape(scale, (-1, 1))
-    return LorentzPoint(time=time, space=ad.mul(scale, v))
+    vv, kv = value_of(v), value_of(m.kappa)
+    s = np.sum(vv * vv, axis=-1)
+    y = kv * s
+    sqrt_k = np.sqrt(kv)
+    time = ad._cosh_sqrt_val(y) / sqrt_k
+    sinhc_y = ad._sinhc_sqrt_val(y)
+    scale = sinhc_y.reshape(-1, 1) if vv.ndim == 2 else sinhc_y
+    space = scale * vv
+
+    def time_vjp(g):
+        # d cosh(sqrt(y))/dy = sinhc(sqrt(y)) / 2
+        return (np.expand_dims(g * sqrt_k * sinhc_y, -1) * vv,
+                g * (sinhc_y * s / (2.0 * sqrt_k) - time / (2.0 * kv)))
+
+    def space_vjp(g):
+        d_scale = np.sum(g * vv, axis=-1) * ad._sinhc_sqrt_deriv(y, sinhc_y)
+        return (scale * g + np.expand_dims(2.0 * kv * d_scale, -1) * vv,
+                d_scale * s)
+
+    inputs = (v, m.kappa)
+    return LorentzPoint(time=ad.fused(time, "lift_time", inputs, time_vjp),
+                        space=ad.fused(space, "lift_space", inputs, space_vjp))
 
 
 def log_origin(p: LorentzPoint, m: Manifold):
@@ -141,9 +150,28 @@ def geodesic_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float 
 
 
 def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1e-6):
-    """All-pairs geodesic distance matrix of shape ``(Bp, Bq)``."""
-    z = ad.neg(ad.mul(m.kappa, pairwise_lorentz_inner(p, q)))
-    return ad.div(ad.acosh_clamped(z, tol=tol), ad.sqrt(m.kappa))
+    """All-pairs geodesic distance matrix of shape ``(Bp, Bq)``.
+
+    One matmul and one outer product give the inner products; the acosh
+    argument follows :func:`geodesic_distance`'s clamp.  On the tape this is
+    one node, with adjoints for both point batches and ``kappa``.
+    """
+    inputs = (p.time, p.space, q.time, q.space, m.kappa)
+    pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
+    if any(ad.is_var(x) for x in inputs) and (ps.ndim != 2 or qs.ndim != 2):
+        raise ContractViolationError("pairwise_distance takes 2-D point batches")
+    inner = ps @ qs.T - np.outer(pt, qt)
+    zc = ad._acosh_clamp(-(kv * inner), tol)
+    sqrt_k = np.sqrt(kv)
+    dist = np.arccosh(zc) / sqrt_k
+
+    def vjp(g):
+        d_z = g * ad._acosh_deriv(zc) / sqrt_k
+        d_inner = -kv * d_z
+        return (-(d_inner @ qt), d_inner @ qs, -(d_inner.T @ pt), d_inner.T @ ps,
+                -g * dist / (2.0 * kv) - d_z * inner)
+
+    return ad.fused(dist, "pairwise_distance", inputs, vjp)
 
 
 def hyperbolic_radius(x, m: Manifold):

@@ -27,8 +27,19 @@ def uncertainty(x):
 
     The argument of softplus is never positive, so ``log1p(exp(.))`` is the
     numerically stable form (no overflow up to arbitrarily large norms).
+    One tape node; the gradient at the zero vector is the subgradient 0.
     """
-    return ad.log1p(ad.exp(ad.neg(ad.l2norm(x, axis=-1))))
+    xv = value_of(x)
+    norm = np.linalg.norm(xv, axis=-1)
+    decay = np.exp(-norm)
+    u = np.log1p(decay)
+
+    def vjp(g):
+        safe = np.expand_dims(norm > 0.0, -1)
+        unit = np.where(safe, xv / np.where(safe, np.expand_dims(norm, -1), 1.0), 0.0)
+        return (np.expand_dims(-g * decay / (1.0 + decay), -1) * unit,)
+
+    return ad.fused(u, "uncertainty", (x,), vjp)
 
 
 def uncertainty_from_radius(x, m: Manifold):

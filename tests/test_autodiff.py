@@ -1,12 +1,16 @@
 """Engine-level checks: every primitive against finite differences, the
-backward pass contracts, and stop-gradient semantics."""
+backward pass contracts, and stop-gradient semantics.  The fused geometry
+nodes have their own file, ``test_fused_ops.py``; the lift's two nodes also
+run through the primitive finite-difference check here."""
 
 import numpy as np
 import pytest
 
 import hypalign.autodiff as ad
 from hypalign.autodiff import ParameterStore, Var, value_of
+from hypalign.entailment import aperture, exterior_angle
 from hypalign.errors import ContractViolationError, NumericalConsistencyError
+from hypalign.manifold import LorentzPoint, Manifold, lift, pairwise_distance
 
 
 def fd_grad(f, x, h=1e-6):
@@ -32,6 +36,36 @@ def tape_grad(op, x):
     return ad.gradients(out, {"x": v})["x"]
 
 
+def per_node_sweep(root):
+    """Reverse sweep that checks every adjoint as it is produced: the
+    reference for which node a non-finite gradient is blamed on."""
+    grads = {id(root): np.ones_like(root.value)}
+    for node in reversed(ad._toposort(root)):
+        g = grads.get(id(node))
+        if g is None or node._vjp is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise NumericalConsistencyError(
+                f"non-finite gradient flowing into node '{node.name}'")
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if not np.all(np.isfinite(pg)):
+                raise NumericalConsistencyError(
+                    f"non-finite gradient produced by node '{node.name}'")
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return grads
+
+
+def lift_time(x):
+    """Time components of the lifts of ``len(x)`` one-dimensional tangents."""
+    return lift(ad.reshape(x, (-1, 1)), Manifold(1.0, 1)).time
+
+
+def lift_space(x):
+    """Space components of the same lifts, flattened."""
+    return ad.reshape(lift(ad.reshape(x, (-1, 1)), Manifold(1.0, 1)).space, (-1,))
+
+
 class TestPrimitives:
     @pytest.mark.parametrize("op,domain", [
         (ad.exp, (-2, 2)),
@@ -40,10 +74,10 @@ class TestPrimitives:
         (ad.sqrt, (0.2, 4)),
         (ad.square, (-2, 2)),
         (ad.acosh_clamped, (1.5, 4)),
-        (ad.acos_clamped, (-0.9, 0.9)),
+        (ad.neg, (-2, 2)),
         (ad.relu, (0.3, 2)),
-        (ad.cosh_sqrt, (1e-9, 9)),
-        (ad.sinhc_sqrt, (1e-9, 9)),
+        (lift_time, (-3, 3)),
+        (lift_space, (-3, 3)),
         (ad.asinhc_sqrt, (1e-9, 9)),
         (ad.softmax, (-2, 2)),
     ])
@@ -56,12 +90,16 @@ class TestPrimitives:
 
     def test_series_branch_continuity(self):
         # values and derivatives agree across the series/direct switch
-        for op in (ad.cosh_sqrt, ad.sinhc_sqrt, ad.asinhc_sqrt):
-            lo, hi = value_of(op(1e-4 - 1e-12)), value_of(op(1e-4 + 1e-12))
-            assert abs(lo - hi) < 1e-12
-            g_lo = tape_grad(op, np.array([1e-4 - 1e-12]))
-            g_hi = tape_grad(op, np.array([1e-4 + 1e-12]))
-            np.testing.assert_allclose(g_lo, g_hi, rtol=1e-8)
+        lo, hi = 1e-4 - 1e-12, 1e-4 + 1e-12
+        op = ad.asinhc_sqrt
+        assert abs(value_of(op(lo)) - value_of(op(hi))) < 1e-12
+        np.testing.assert_allclose(tape_grad(op, np.array([lo])),
+                                   tape_grad(op, np.array([hi])), rtol=1e-8)
+        # the lift reads kappa |v|^2 through the same switch
+        for op in (lift_time, lift_space):
+            x_lo, x_hi = np.array([1e-2 - 1e-13]), np.array([1e-2 + 1e-13])
+            assert abs(value_of(op(x_lo)) - value_of(op(x_hi)))[0] < 1e-12
+            np.testing.assert_allclose(tape_grad(op, x_lo), tape_grad(op, x_hi), rtol=1e-8)
 
     def test_binary_broadcasting_gradients(self):
         rng = np.random.default_rng(5)
@@ -88,26 +126,20 @@ class TestPrimitives:
         grads = ad.gradients(out, {"a": a, "b": b})
         fd_a = fd_grad(lambda x: float(np.sum((x @ b.value) ** 2)), a.value.copy())
         np.testing.assert_allclose(grads["a"], fd_a, rtol=1e-6)
+        # an outer product as the matmul of a column and a row
         u = Var(rng.normal(size=5))
         v = Var(rng.normal(size=4))
-        out2 = ad.reduce_sum(ad.mul(ad.outer(u, v), rng.normal(size=(5, 4))))
+        w = rng.normal(size=(5, 4))
+        out2 = ad.reduce_sum(ad.mul(
+            ad.matmul(ad.reshape(u, (5, 1)), ad.reshape(v, (1, 4))), w))
         g2 = ad.gradients(out2, {"u": u, "v": v})
-        assert g2["u"].shape == (5,) and g2["v"].shape == (4,)
+        np.testing.assert_allclose(g2["u"], w @ v.value, rtol=1e-12)
+        np.testing.assert_allclose(g2["v"], u.value @ w, rtol=1e-12)
         c = Var(rng.normal(size=(2, 6)))
         out3 = ad.reduce_sum(ad.square(ad.reshape(ad.transpose(c), (3, 4))))
         np.testing.assert_allclose(
             ad.gradients(out3, {"c": c})["c"], 2 * c.value, rtol=1e-12
         )
-
-    def test_l2norm_gradient_and_zero_convention(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(4, 3))
-        g = tape_grad(lambda v: ad.l2norm(v, axis=-1), x)
-        fd = fd_grad(lambda a: float(np.sum(np.linalg.norm(a, axis=-1))), x.copy())
-        np.testing.assert_allclose(g, fd, rtol=1e-6)
-        z = Var(np.zeros(3))
-        gz = ad.gradients(ad.l2norm(z, axis=-1), {"z": z})["z"]
-        assert np.all(gz == 0.0)
 
     def test_take_rows_accumulates_duplicates(self):
         t = Var(np.arange(12, dtype=float).reshape(4, 3))
@@ -137,15 +169,23 @@ class TestPrimitives:
         assert np.all(np.diagonal(g) == 0.0)
 
     def test_clamped_ops_raise_beyond_budget(self):
+        m = Manifold(1.0, 1)
         with pytest.raises(NumericalConsistencyError):
             ad.acosh_clamped(np.array([0.5]))
-        with pytest.raises(NumericalConsistencyError):
-            ad.acos_clamped(np.array([1.2]))
+        with pytest.raises(NumericalConsistencyError):   # acos argument 10 / sqrt(80)
+            exterior_angle(LorentzPoint(1.0, np.array([1.0])),
+                           LorentzPoint(1.0, np.array([10.0])), m)
         # inside the budget: silent clamp
         assert ad.acosh_clamped(np.array([1.0 - 1e-9]))[0] == 0.0
-        assert ad.acos_clamped(np.array([1.0 + 1e-9]))[0] == 0.0
+        near = LorentzPoint(np.array([1.0 - 1e-9]), np.zeros((1, 1)))
+        origin = LorentzPoint(np.array([1.0]), np.zeros((1, 1)))
+        assert pairwise_distance(near, origin, m)[0, 0] == 0.0
+        # acos argument 1 / sqrt(1 - 2e-7), above 1 by about 1e-7
+        assert float(exterior_angle(LorentzPoint(1.0, np.array([1.0])),
+                                    LorentzPoint(1.0, np.array([1e7])), m)) == 0.0
         # aperture saturation is always silent
-        assert ad.asin_saturating(np.array([3.0]))[0] == pytest.approx(np.pi / 2)
+        assert float(aperture(LorentzPoint(1.0, np.array([1e-3])), 0.1, m)) \
+            == pytest.approx(np.pi / 2)
 
 
 class TestBackward:
@@ -183,6 +223,51 @@ class TestBackward:
             out = ad.reduce_sum(ad.mul(ad.log(v), 0.5))  # derivative 1/0 -> inf
             with pytest.raises(NumericalConsistencyError, match="log"):
                 ad.gradients(out, {"v": v})
+
+    def test_deep_nonfinite_named_as_by_per_node_sweep(self):
+        # 1/x at x = 1e-200 is finite, its derivative -1/x^2 is not; the
+        # offending branch runs beside a finite one into a shared root
+        rng = np.random.default_rng(12)
+        a = Var(rng.normal(size=4), name="a")
+        x = Var(np.array([1e-200, 1.0]), name="x")
+        deep = ad.reduce_sum(ad.relu(ad.exp(ad.neg(ad.div(1.0, ad.mul(x, 3.0))))))
+        finite = ad.reduce_sum(ad.square(ad.mul(a, 2.0)))
+        root = ad.add(ad.mul(finite, 0.5), ad.mul(deep, 1e-3))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalConsistencyError) as per_node:
+                per_node_sweep(root)
+            with pytest.raises(NumericalConsistencyError) as one_pass:
+                ad.gradients(root, {"a": a, "x": x})
+        assert str(one_pass.value) == str(per_node.value)
+        assert "'div'" in str(one_pass.value)
+
+    def test_nonfinite_reaching_only_a_non_parameter_leaf_raises(self):
+        v = Var(np.array([1.0, 2.0]), name="v")
+        c = Var(np.array([1e-200]), name="c")      # not among the parameters
+        root = ad.reduce_sum(ad.add(ad.square(v), ad.div(1.0, c)))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalConsistencyError, match="'div'"):
+                ad.gradients(root, {"v": v})
+
+    def test_overflowing_accumulation_at_a_leaf_raises(self):
+        # each adjoint is finite; their sum at the leaf is not
+        x = Var(np.array([1.0]), name="x")
+        with np.errstate(over="ignore"):
+            root = ad.reduce_sum(ad.add(ad.mul(x, 1e308), ad.mul(x, 1e308)))
+            with pytest.raises(NumericalConsistencyError, match="leaf 'x'"):
+                ad.gradients(root, {"x": x})
+
+    def test_repeated_backward_over_fused_ops_bit_identical(self):
+        rng = np.random.default_rng(13)
+        kappa = Var(1.2, name="kappa")
+        m = Manifold(kappa, 4)
+        a, b = Var(rng.normal(size=(3, 4)), name="a"), Var(rng.normal(size=(3, 4)), name="b")
+        p, q = lift(a, m), lift(b, m)
+        root = ad.add(ad.reduce_sum(pairwise_distance(p, q, m)),
+                      ad.reduce_sum(ad.add(exterior_angle(p, q, m), aperture(p, 0.1, m))))
+        params = {"a": a, "b": b, "kappa": kappa}
+        g1, g2 = ad.gradients(root, params), ad.gradients(root, params)
+        assert all(np.array_equal(g1[k], g2[k]) for k in params)
 
     def test_non_scalar_root_rejected(self):
         v = Var(np.ones(3))

@@ -517,11 +517,15 @@ class TestGraphBudget:
 
     def test_one_lift_per_group(self):
         counts = tape_census(total_loss(self.batch, self.cfg, self.m).total)
-        assert counts["cosh_sqrt"] == 4
-        assert counts["acosh"] == 4       # global and local matrices read twice
-        assert counts["acos"] == 4        # calibration reuses the intra angles
+        assert counts["lift_time"] == counts["lift_space"] == 4
+        assert counts["pairwise_distance"] == 4   # global and local matrices read twice
+        assert counts["exterior_angle"] == 4      # calibration reuses the intra angles
+        assert counts["aperture"] == 3            # the part-text apex's serves two terms
+        assert counts["uncertainty"] == 2
         assert counts["stop_gradient"] == 2
-        assert sum(counts.values()) <= 320
+        # the geometry runs inside the fused nodes
+        assert not {"sqrt", "acosh", "acos", "asin", "cosh_sqrt"} & set(counts)
+        assert sum(counts.values()) <= 170
 
     def test_block_totals_are_the_report_sums(self):
         c = {k: value_of(v) for k, v in
