@@ -1,7 +1,7 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine covers exactly the operation vocabulary this package needs
-(arithmetic, reductions, matmul, acosh and the sqrt-composites, log-sum-exp,
+(arithmetic, reductions, acosh and the sqrt-composites, log-sum-exp,
 softmax, gather, stop-gradient) rather than being a general autodiff
 framework.  A closed-form op with a hand-derived vector-Jacobian product
 becomes one node through :func:`fused`; the geometry modules build the lift,
@@ -96,9 +96,6 @@ class Var:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def is_var(x) -> bool:
@@ -339,7 +336,7 @@ def asinhc_sqrt(a):
 
 
 # ---------------------------------------------------------------------------
-# shape / reduction / linear algebra
+# shape / reduction
 # ---------------------------------------------------------------------------
 
 def reduce_sum(a, axis=None, keepdims: bool = False):
@@ -358,24 +355,6 @@ def reduce_sum(a, axis=None, keepdims: bool = False):
         return (np.broadcast_to(gg, in_shape).copy(),)
 
     return Var(out_val, "sum", (a,), vjp)
-
-
-def matmul(a, b):
-    if not _any_var(a, b):
-        return value_of(a) @ value_of(b)
-    av, bv = value_of(a), value_of(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ContractViolationError("matmul supports 2-D operands only")
-
-    def vjp(g):
-        out = []
-        if is_var(a):
-            out.append(g @ bv.T)
-        if is_var(b):
-            out.append(av.T @ g)
-        return tuple(out)
-
-    return Var(av @ bv, "matmul", tuple(x for x in (a, b) if is_var(x)), vjp)
 
 
 def transpose(a):

@@ -158,8 +158,10 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float 
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
-    if any(ad.is_var(x) for x in inputs) and (ps.ndim != 2 or qs.ndim != 2):
+    if (ad.is_var(p.space) or ad.is_var(q.space)) and (ps.ndim != 2 or qs.ndim != 2):
         raise ContractViolationError("pairwise_distance takes 2-D point batches")
+    # a single point is a batch of one; the adjoints sum back to its shape
+    pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
     inner = ps @ qs.T - np.outer(pt, qt)
     zc = ad._acosh_clamp(-(kv * inner), tol)
     sqrt_k = np.sqrt(kv)

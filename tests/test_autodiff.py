@@ -12,6 +12,8 @@ from hypalign.entailment import aperture, exterior_angle
 from hypalign.errors import ContractViolationError, NumericalConsistencyError
 from hypalign.manifold import LorentzPoint, Manifold, lift, pairwise_distance
 
+from test_fused_ops import _cosh_sqrt, _matmul, _sinhc_sqrt
+
 
 def fd_grad(f, x, h=1e-6):
     """Central-difference gradient of scalar f at array x."""
@@ -89,12 +91,14 @@ class TestPrimitives:
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
     def test_series_branch_continuity(self):
-        # values and derivatives agree across the series/direct switch
+        # values and derivatives agree across the series/direct switch; the
+        # cosh/sinhc wrappers run the value and derivative helpers the fused
+        # lift reads
         lo, hi = 1e-4 - 1e-12, 1e-4 + 1e-12
-        op = ad.asinhc_sqrt
-        assert abs(value_of(op(lo)) - value_of(op(hi))) < 1e-12
-        np.testing.assert_allclose(tape_grad(op, np.array([lo])),
-                                   tape_grad(op, np.array([hi])), rtol=1e-8)
+        for op in (_cosh_sqrt, _sinhc_sqrt, ad.asinhc_sqrt):
+            assert abs(value_of(op(lo)) - value_of(op(hi))) < 1e-12
+            np.testing.assert_allclose(tape_grad(op, np.array([lo])),
+                                       tape_grad(op, np.array([hi])), rtol=1e-8)
         # the lift reads kappa |v|^2 through the same switch
         for op in (lift_time, lift_space):
             x_lo, x_hi = np.array([1e-2 - 1e-13]), np.array([1e-2 + 1e-13])
@@ -122,7 +126,7 @@ class TestPrimitives:
         rng = np.random.default_rng(6)
         a = Var(rng.normal(size=(3, 4)))
         b = Var(rng.normal(size=(4, 2)))
-        out = ad.reduce_sum(ad.square(ad.matmul(a, b)))
+        out = ad.reduce_sum(ad.square(_matmul(a, b)))
         grads = ad.gradients(out, {"a": a, "b": b})
         fd_a = fd_grad(lambda x: float(np.sum((x @ b.value) ** 2)), a.value.copy())
         np.testing.assert_allclose(grads["a"], fd_a, rtol=1e-6)
@@ -131,7 +135,7 @@ class TestPrimitives:
         v = Var(rng.normal(size=4))
         w = rng.normal(size=(5, 4))
         out2 = ad.reduce_sum(ad.mul(
-            ad.matmul(ad.reshape(u, (5, 1)), ad.reshape(v, (1, 4))), w))
+            _matmul(ad.reshape(u, (5, 1)), ad.reshape(v, (1, 4))), w))
         g2 = ad.gradients(out2, {"u": u, "v": v})
         np.testing.assert_allclose(g2["u"], w @ v.value, rtol=1e-12)
         np.testing.assert_allclose(g2["v"], u.value @ w, rtol=1e-12)

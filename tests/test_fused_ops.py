@@ -56,8 +56,15 @@ def _l2norm(a):
     return Var(n, "l2norm", (a,), vjp)
 
 
+def _matmul(a, b):
+    av, bv = value_of(a), value_of(b)
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ContractViolationError("matmul supports 2-D operands only")
+    return ad.fused(av @ bv, "matmul", (a, b), lambda g: (g @ bv.T, av.T @ g))
+
+
 def _outer(a, b):
-    return ad.matmul(ad.reshape(a, (-1, 1)), ad.reshape(b, (1, -1)))
+    return _matmul(ad.reshape(a, (-1, 1)), ad.reshape(b, (1, -1)))
 
 
 def _asin_saturating(a):
@@ -91,7 +98,7 @@ def unfused_lift(v, m):
 
 
 def unfused_pairwise_distance(p, q, m):
-    inner = ad.sub(ad.matmul(p.space, ad.transpose(q.space)), _outer(p.time, q.time))
+    inner = ad.sub(_matmul(p.space, ad.transpose(q.space)), _outer(p.time, q.time))
     z = ad.neg(ad.mul(m.kappa, inner))
     return ad.div(ad.acosh_clamped(z), ad.sqrt(m.kappa))
 
@@ -408,6 +415,17 @@ class TestFusedGuards:
         p = lift(Var(np.array([0.3, 0.1])), m)
         with pytest.raises(ContractViolationError):
             pairwise_distance(p, p, m)
+        # single plain points with a taped kappa: a (1, 1) matrix whose
+        # kappa adjoint matches central differences
+        p, q = lift(np.array([0.3, 0.1]), m), lift(np.array([-0.2, 0.4]), m)
+        kappa = Var(np.array(1.0))
+        d = pairwise_distance(p, q, Manifold(kappa, 2))
+        assert value_of(d).shape == (1, 1)
+        grad = ad.gradients(ad.reduce_sum(d), {"k": kappa})["k"]
+        h = 1e-6
+        fd = (value_of(pairwise_distance(p, q, Manifold(1.0 + h, 2)))
+              - value_of(pairwise_distance(p, q, Manifold(1.0 - h, 2)))) / (2 * h)
+        np.testing.assert_allclose(grad, fd[0, 0], rtol=1e-6)
 
 
 def _checked_unfused_exterior_angle(p, q, m):
