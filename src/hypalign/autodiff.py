@@ -3,12 +3,13 @@
 The engine covers exactly the operation vocabulary this package needs
 (arithmetic, reductions, acosh and the sqrt-composites, log-sum-exp,
 softmax, gather, stop-gradient) rather than being a general autodiff
-framework.  A closed-form op with a hand-derived vector-Jacobian product
-becomes one node through :func:`fused`; the geometry modules build the lift,
-the distance matrix, the cone angles and the uncertainty that way.  Every
-operation dispatches on its inputs: if no argument is a :class:`Var`, the
-plain numpy result is returned, so the same numeric code serves both the
-differentiable training path and fast tape-free evaluation.
+framework.  Every op computes its numpy value and a hand-derived
+vector-Jacobian product and becomes one node through :func:`fused`; the
+geometry modules build the lift, the distance matrix, the cone angles and
+the uncertainty the same way.  :func:`fused` dispatches on the inputs: if no
+argument is a :class:`Var`, the plain numpy result is returned, so the same
+numeric code serves both the differentiable training path and fast
+tape-free evaluation.
 
 Conventions
 -----------
@@ -22,7 +23,7 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class Var:
         value,
         name: str = "leaf",
         _parents: tuple["Var", ...] = (),
-        _vjp: Callable[[Array], tuple] | None = None,
+        _vjp: Callable[[Array], Sequence[Array]] | None = None,
     ):
         self.value = np.asarray(value, dtype=np.float64)
         self.name = name
@@ -64,9 +65,6 @@ class Var:
     @property
     def ndim(self):
         return self.value.ndim
-
-    def item(self) -> float:
-        return float(self.value)
 
     def __repr__(self):
         return f"Var({self.name}, shape={self.value.shape})"
@@ -107,14 +105,8 @@ def value_of(x) -> Array:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _any_var(*xs) -> bool:
-    return any(isinstance(x, Var) for x in xs)
-
-
 def _unbroadcast(grad: Array, shape: tuple) -> Array:
     """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -124,24 +116,38 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
     return grad.reshape(shape)
 
 
-def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], tuple]) -> Var:
-    """One tape node for a closed-form op over several inputs.
+def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> Var:
+    """One tape node for an op over ``inputs``; every op of the engine is
+    built here.
 
-    ``vjp(g)`` returns one adjoint per entry of ``inputs``, each shaped like
-    the op's broadcast value; the node keeps only the adjoints of inputs
-    that are :class:`Var` and sums each down to its input's shape.  With no
-    :class:`Var` among the inputs the plain ``value`` is returned.
+    ``value`` is the op's numpy result.  ``vjp(g)`` returns one adjoint per
+    entry of ``inputs``, each shaped like ``value`` or like its input; the
+    node keeps only the adjoints of inputs that are :class:`Var` and sums
+    each down to its input's shape.  With no :class:`Var` among the inputs
+    the plain ``value`` is returned.  The tape is bound by per-node
+    overhead, so the checks below are a plain loop.
     """
-    live = tuple(i for i, x in enumerate(inputs) if is_var(x))
+    live, aligned = False, True
+    for x in inputs:
+        if isinstance(x, Var):
+            live = True
+            aligned = aligned and x.value.shape == value.shape
+        else:
+            aligned = False
     if not live:
         return value
-    shapes = tuple(inputs[i].value.shape for i in live)
+    if aligned:
+        # every input is live and shaped like the value: the adjoints are
+        # the node's as they come
+        return Var(value, name, inputs, vjp)
+    picks = [(i, x.value.shape) for i, x in enumerate(inputs) if isinstance(x, Var)]
 
     def node_vjp(g):
         adj = vjp(g)
-        return tuple(_unbroadcast(adj[i], sh) for i, sh in zip(live, shapes))
+        return [adj[i] if adj[i].shape == sh else _unbroadcast(adj[i], sh)
+                for i, sh in picks]
 
-    return Var(value, name, tuple(inputs[i] for i in live), node_vjp)
+    return Var(value, name, tuple([inputs[i] for i, _ in picks]), node_vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -149,69 +155,30 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], tuple]) -> Var
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    if not _any_var(a, b):
-        return value_of(a) + value_of(b)
-    av, bv = value_of(a), value_of(b)
-    ash, bsh = av.shape, bv.shape
-    return Var(
-        av + bv,
-        "add",
-        tuple(x for x in (a, b) if is_var(x)),
-        lambda g: tuple(
-            _unbroadcast(g, sh) for x, sh in ((a, ash), (b, bsh)) if is_var(x)
-        ),
-    )
+    return fused(value_of(a) + value_of(b), "add", (a, b), lambda g: (g, g))
 
 
 def neg(a):
-    if not is_var(a):
-        return -value_of(a)
-    return Var(-a.value, "neg", (a,), lambda g: (-g,))
+    return fused(-value_of(a), "neg", (a,), lambda g: (-g,))
 
 
 def sub(a, b):
-    return add(a, neg(b)) if _any_var(a, b) else value_of(a) - value_of(b)
+    return fused(value_of(a) - value_of(b), "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
-    if not _any_var(a, b):
-        return value_of(a) * value_of(b)
     av, bv = value_of(a), value_of(b)
-    ash, bsh = av.shape, bv.shape
-
-    def vjp(g):
-        out = []
-        if is_var(a):
-            out.append(_unbroadcast(g * bv, ash))
-        if is_var(b):
-            out.append(_unbroadcast(g * av, bsh))
-        return tuple(out)
-
-    return Var(av * bv, "mul", tuple(x for x in (a, b) if is_var(x)), vjp)
+    return fused(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
 
 
 def div(a, b):
-    if not _any_var(a, b):
-        return value_of(a) / value_of(b)
     av, bv = value_of(a), value_of(b)
-    ash, bsh = av.shape, bv.shape
-
-    def vjp(g):
-        out = []
-        if is_var(a):
-            out.append(_unbroadcast(g / bv, ash))
-        if is_var(b):
-            out.append(_unbroadcast(-g * av / (bv * bv), bsh))
-        return tuple(out)
-
-    return Var(av / bv, "div", tuple(x for x in (a, b) if is_var(x)), vjp)
+    return fused(av / bv, "div", (a, b), lambda g: (g / bv, -g * av / (bv * bv)))
 
 
 def square(a):
-    if not is_var(a):
-        v = value_of(a)
-        return v * v
-    return Var(a.value * a.value, "square", (a,), lambda g: (2.0 * g * a.value,))
+    av = value_of(a)
+    return fused(av * av, "square", (a,), lambda g: (2.0 * g * av,))
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +187,9 @@ def square(a):
 
 def _unary(a, name, fwd, dfd):
     """Unary elementwise op; ``dfd(x, out)`` is the local derivative."""
-    if not is_var(a):
-        return fwd(value_of(a))
-    out_val = fwd(a.value)
-    return Var(out_val, name, (a,), lambda g: (g * dfd(a.value, out_val),))
+    x = value_of(a)
+    out = fwd(x)
+    return fused(out, name, (a,), lambda g: (g * dfd(x, out),))
 
 
 def exp(a):
@@ -274,10 +240,7 @@ def acosh_clamped(a, tol: float = 1e-6):
     kink, where the subgradient 0 is used.
     """
     xc = _acosh_clamp(value_of(a), tol)
-    out_val = np.arccosh(xc)
-    if not is_var(a):
-        return out_val
-    return Var(out_val, "acosh", (a,), lambda g: (g * _acosh_deriv(xc),))
+    return fused(np.arccosh(xc), "acosh", (a,), lambda g: (g * _acosh_deriv(xc),))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +303,8 @@ def asinhc_sqrt(a):
 # ---------------------------------------------------------------------------
 
 def reduce_sum(a, axis=None, keepdims: bool = False):
-    if not is_var(a):
-        return np.sum(value_of(a), axis=axis, keepdims=keepdims)
-    in_shape = a.value.shape
-    out_val = np.sum(a.value, axis=axis, keepdims=keepdims)
+    av = value_of(a)
+    in_shape = av.shape
 
     def vjp(g):
         if axis is None or keepdims:
@@ -354,51 +315,42 @@ def reduce_sum(a, axis=None, keepdims: bool = False):
             gg = np.expand_dims(g, axes)
         return (np.broadcast_to(gg, in_shape).copy(),)
 
-    return Var(out_val, "sum", (a,), vjp)
+    return fused(np.sum(av, axis=axis, keepdims=keepdims), "sum", (a,), vjp)
 
 
 def transpose(a):
-    if not is_var(a):
-        return value_of(a).T
-    return Var(a.value.T, "transpose", (a,), lambda g: (g.T,))
+    return fused(value_of(a).T, "transpose", (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
-    if not is_var(a):
-        return value_of(a).reshape(shape)
-    in_shape = a.value.shape
-    return Var(
-        a.value.reshape(shape), "reshape", (a,), lambda g: (g.reshape(in_shape),)
-    )
+    av = value_of(a)
+    return fused(av.reshape(shape), "reshape", (a,), lambda g: (g.reshape(av.shape),))
 
 
 def take_rows(a, idx):
     """Row gather ``a[idx]``; the adjoint scatter-adds duplicate rows."""
     idx = np.asarray(idx, dtype=np.intp)
-    if not is_var(a):
-        return value_of(a)[idx]
-    in_shape = a.value.shape
+    av = value_of(a)
 
     def vjp(g):
-        acc = np.zeros(in_shape)
+        acc = np.zeros(av.shape)
         np.add.at(acc, idx, g)
         return (acc,)
 
-    return Var(a.value[idx], "take_rows", (a,), vjp)
+    return fused(av[idx], "take_rows", (a,), vjp)
 
 
 def diag_part(a):
     """Diagonal of a square matrix."""
-    if not is_var(a):
-        return np.diagonal(value_of(a)).copy()
-    n = a.value.shape[0]
+    av = value_of(a)
 
     def vjp(g):
-        acc = np.zeros(a.value.shape)
+        acc = np.zeros(av.shape)
+        n = av.shape[0]
         acc[np.arange(n), np.arange(n)] = g
         return (acc,)
 
-    return Var(np.diagonal(a.value).copy(), "diag_part", (a,), vjp)
+    return fused(np.diagonal(av).copy(), "diag_part", (a,), vjp)
 
 
 def _softmax_val(x: Array, axis) -> Array:
@@ -414,41 +366,22 @@ def logsumexp(a, axis=-1):
     out_val = np.squeeze(m, axis=axis) + np.log(
         np.sum(np.exp(xv - m), axis=axis)
     )
-    if not is_var(a):
-        return out_val
-
-    def vjp(g):
-        return (np.expand_dims(g, axis) * _softmax_val(xv, axis),)
-
-    return Var(out_val, "logsumexp", (a,), vjp)
+    return fused(out_val, "logsumexp", (a,),
+                 lambda g: (np.expand_dims(g, axis) * _softmax_val(xv, axis),))
 
 
 def softmax(a, axis=-1):
     """Stable softmax (max-subtracted)."""
-    if not is_var(a):
-        return _softmax_val(value_of(a), axis)
-    s = _softmax_val(a.value, axis)
+    s = _softmax_val(value_of(a), axis)
 
     def vjp(g):
         dot = np.sum(g * s, axis=axis, keepdims=True)
         return (s * (g - dot),)
 
-    return Var(s, "softmax", (a,), vjp)
+    return fused(s, "softmax", (a,), vjp)
 
 
-class _StopReplay:
-    """Record/replay state for stop-gradient values (see
-    :func:`record_stop_gradients`)."""
-
-    __slots__ = ("mode", "values", "cursor")
-
-    def __init__(self, mode: str, values: list):
-        self.mode = mode
-        self.values = values
-        self.cursor = 0
-
-
-_stop_replay: _StopReplay | None = None
+_active_stops = None    # the record/replay context currently entered, if any
 
 
 class record_stop_gradients:
@@ -459,64 +392,59 @@ class record_stop_gradients:
     finite-difference harness evaluate the *surrogate* objective whose
     gradient the tape actually computes: re-running the forward pass under
     replay pins all stopped factors at their recorded base values.
+    Neither context nests inside itself or the other.
     """
 
     def __init__(self):
         self.values: list[Array] = []
 
     def __enter__(self):
-        global _stop_replay
-        if _stop_replay is not None:
+        global _active_stops
+        if _active_stops is not None:
             raise ContractViolationError("stop-gradient record/replay cannot nest")
-        _stop_replay = _StopReplay("record", self.values)
+        _active_stops = self
         return self
 
     def __exit__(self, *exc):
-        global _stop_replay
-        _stop_replay = None
+        global _active_stops
+        _active_stops = None
         return False
 
+    def _stopped(self, val: Array) -> Array:
+        self.values.append(val.copy())
+        return val
 
-class replay_stop_gradients:
+
+class replay_stop_gradients(record_stop_gradients):
     """Context manager substituting previously recorded values for every
-    stop-gradient encountered, in call order."""
+    stop-gradient encountered, in call order; leaving it with values
+    unconsumed raises."""
 
     def __init__(self, values: list):
         self.values = values
-
-    def __enter__(self):
-        global _stop_replay
-        if _stop_replay is not None:
-            raise ContractViolationError("stop-gradient record/replay cannot nest")
-        _stop_replay = _StopReplay("replay", self.values)
-        return self
+        self.cursor = 0
 
     def __exit__(self, *exc):
-        global _stop_replay
-        replay = _stop_replay
-        _stop_replay = None
-        if exc[0] is None and replay.cursor != len(replay.values):
+        super().__exit__(*exc)
+        if exc[0] is None and self.cursor != len(self.values):
             raise ContractViolationError(
                 "stop-gradient replay consumed "
-                f"{replay.cursor}/{len(replay.values)} recorded values"
+                f"{self.cursor}/{len(self.values)} recorded values"
             )
         return False
+
+    def _stopped(self, val: Array) -> Array:
+        if self.cursor >= len(self.values):
+            raise ContractViolationError("stop-gradient replay ran out of recorded values")
+        self.cursor += 1
+        return self.values[self.cursor - 1]
 
 
 def stop_gradient(a):
     """Forward the value, block the adjoint."""
-    global _stop_replay
     val = value_of(a)
-    if _stop_replay is not None:
-        if _stop_replay.mode == "record":
-            _stop_replay.values.append(val.copy())
-        else:
-            if _stop_replay.cursor >= len(_stop_replay.values):
-                raise ContractViolationError(
-                    "stop-gradient replay ran out of recorded values"
-                )
-            val = _stop_replay.values[_stop_replay.cursor]
-            _stop_replay.cursor += 1
+    if _active_stops is not None:
+        val = _active_stops._stopped(val)
     if not is_var(a):
         return val
     return Var(val, "stop_gradient")

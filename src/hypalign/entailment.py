@@ -78,8 +78,10 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1
     test suite).  Zero when ``q`` continues the ray from the origin through
     ``p``; pi when ``q`` lies between ``p`` and the origin.  The acos
     argument is clamped to [-1, 1] (gradient 0 at the ends); beyond
-    ``1 + tol`` it raises.  One tape node, with adjoints for both points
-    and ``kappa``.
+    ``1 + tol`` it raises.  A coincident pair (``q = p``, where the angle is
+    undefined) takes the subgradient-0 convention: ``phi = 0`` with a zero
+    adjoint, so its hinge and leak vanish.  One tape node, with adjoints for
+    both points and ``kappa``.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
@@ -88,14 +90,11 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1
     beta_sq_m1 = beta * beta - 1.0
     # beta = -1 exactly at q = p; float drift there can land either side of
     # zero, so treat anything this close as coincident
-    if np.min(beta_sq_m1) <= 1e-9:
-        raise ContractViolationError(
-            "exterior angle undefined for coincident points"
-        )
+    coincident = beta_sq_m1 <= 1e-9
     p_norm = _nonzero_norm(ps, "exterior angle undefined at the origin")
-    root = np.sqrt(beta_sq_m1)
+    root = np.sqrt(np.where(coincident, 1.0, beta_sq_m1))
     den = p_norm * root
-    cos_phi = (qt + pt * beta) / den
+    cos_phi = np.where(coincident, 1.0, (qt + pt * beta) / den)
     if cos_phi.size:
         worst = np.max(np.abs(cos_phi))
         if worst > 1.0 + tol:

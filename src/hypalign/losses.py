@@ -77,17 +77,13 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class Batch:
-    """Aligned quadruple of tangent-embedding groups, ``(B, n)`` each.
-
-    ``part_of`` maps part rows to their whole rows; at desk scale it is the
-    identity (one part per whole per step) but any permutation is accepted.
-    """
+    """Aligned quadruple of tangent-embedding groups, ``(B, n)`` each; row
+    ``i`` of the parts belongs to row ``i`` of the wholes."""
 
     whole_image: object
     whole_text: object
     part_image: object
     part_text: object
-    part_of: np.ndarray = None
 
     def __post_init__(self):
         shapes = {
@@ -102,13 +98,6 @@ class Batch:
         for name in shapes:
             if not np.all(np.isfinite(value_of(getattr(self, name)))):
                 raise ContractViolationError(f"non-finite entries in {name}")
-        part_of = self.part_of
-        if part_of is None:
-            part_of = np.arange(b)
-        part_of = np.asarray(part_of, dtype=np.intp)
-        if not np.array_equal(np.sort(part_of), np.arange(b)):
-            raise ContractViolationError("part_of must map parts onto [0, B)")
-        object.__setattr__(self, "part_of", part_of)
 
 
 @dataclass
@@ -235,32 +224,23 @@ def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
 
 @dataclass(frozen=True)
 class _Lifted:
-    """A batch's four groups lifted once each, the wholes also gathered into
-    part order, and each part group's uncertainty."""
+    """A batch's four groups lifted once each, and each part group's
+    uncertainty."""
 
     whole_image: LorentzPoint
     whole_text: LorentzPoint
     part_image: LorentzPoint
     part_text: LorentzPoint
-    whole_image_al: LorentzPoint
-    whole_text_al: LorentzPoint
     u_image: object
     u_text: object
 
 
-def _take_points(p: LorentzPoint, idx) -> LorentzPoint:
-    return LorentzPoint(time=ad.take_rows(p.time, idx), space=ad.take_rows(p.space, idx))
-
-
 def _lift_batch(batch: Batch, m: Manifold, use_radius: bool) -> _Lifted:
-    whole_image, whole_text = lift(batch.whole_image, m), lift(batch.whole_text, m)
     return _Lifted(
-        whole_image=whole_image,
-        whole_text=whole_text,
+        whole_image=lift(batch.whole_image, m),
+        whole_text=lift(batch.whole_text, m),
         part_image=lift(batch.part_image, m),
         part_text=lift(batch.part_text, m),
-        whole_image_al=_take_points(whole_image, batch.part_of),
-        whole_text_al=_take_points(whole_text, batch.part_of),
         u_image=_uncertainty(batch.part_image, m, use_radius),
         u_text=_uncertainty(batch.part_text, m, use_radius),
     )
@@ -279,9 +259,9 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
     gl = temps.tau_global_local
     return {
         "contrastive_globallocal": ad.add(
-            nce(pairwise_distance(s.part_image, s.whole_text_al, m),
+            nce(pairwise_distance(s.part_image, s.whole_text, m),
                 _tempered(s.u_image, gl)),
-            nce(pairwise_distance(s.part_text, s.whole_image_al, m),
+            nce(pairwise_distance(s.part_text, s.whole_image, m),
                 _tempered(s.u_text, gl)),
         ),
         "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
@@ -301,9 +281,9 @@ def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
 
     # text entails image; part entails whole -- the apex goes first.  The
     # part-text apex heads an intra and an inter term: one aperture serves both.
-    phi_text, omega_text = angle_and_aperture(s.part_text, s.whole_text_al)
+    phi_text, omega_text = angle_and_aperture(s.part_text, s.whole_text)
     leak_text = _leaky(phi_text, omega_text, cone.eta_intra, alpha)
-    leak_image = _leaky(*angle_and_aperture(s.part_image, s.whole_image_al),
+    leak_image = _leaky(*angle_and_aperture(s.part_image, s.whole_image),
                         cone.eta_intra, alpha)
     inter_parts = _leaky(exterior_angle(s.part_text, s.part_image, m), omega_text,
                          cone.eta_inter, alpha)

@@ -307,6 +307,24 @@ class TestStopGradient:
             with ad.replay_stop_gradients([]):
                 ad.stop_gradient(v)
 
+    def test_unconsumed_replay_detected(self):
+        v = Var(np.array([1.0]))
+        with pytest.raises(ContractViolationError, match="consumed 1/2"):
+            with ad.replay_stop_gradients([np.array([2.0]), np.array([3.0])]):
+                ad.stop_gradient(v)
+
+    @pytest.mark.parametrize("outer", ("record", "replay"))
+    @pytest.mark.parametrize("inner", ("record", "replay"))
+    def test_record_replay_do_not_nest(self, outer, inner):
+        make = {"record": ad.record_stop_gradients,
+                "replay": lambda: ad.replay_stop_gradients([])}
+        with pytest.raises(ContractViolationError, match="cannot nest"):
+            with make[outer]():
+                with make[inner]():
+                    pass
+        # the failed entry leaves no context active
+        assert float(value_of(ad.stop_gradient(np.array(5.0)))) == 5.0
+
 
 class TestParameterStore:
     def test_duplicate_name_rejected(self):

@@ -113,11 +113,22 @@ class TestExteriorAngle:
             ))
             assert phi == pytest.approx(target, abs=1e-9)
 
-    def test_coincident_points_rejected(self):
+    def test_coincident_points_take_zero_angle(self):
+        # the angle is undefined at q = p: phi = 0 with the subgradient 0,
+        # row by row
         m = Manifold(1.0, 3)
-        p = lift(np.array([0.5, 0.1, -0.2]), m)
-        with pytest.raises(ContractViolationError):
-            exterior_angle(p, p, m)
+        assert float(ad.value_of(exterior_angle(
+            lift(np.array([0.5, 0.1, -0.2]), m), lift(np.array([0.5, 0.1, -0.2]), m), m
+        ))) == 0.0
+        v = ad.Var(np.array([[0.5, 0.1, -0.2], [0.3, 0.4, 0.1]]))
+        apex = lift(v, m)
+        member = lift(np.array([[0.5, 0.1, -0.2], [-0.6, 0.2, 0.3]]), m)
+        phi = ad.value_of(exterior_angle(apex, member, m))
+        assert phi[0] == 0.0
+        assert phi[1] == float(ad.value_of(exterior_angle(
+            lift(np.array([0.3, 0.4, 0.1]), m), lift(np.array([-0.6, 0.2, 0.3]), m), m)))
+        g = ad.gradients(ad.reduce_sum(exterior_angle(apex, member, m)), {"v": v})["v"]
+        assert np.all(g[0] == 0.0) and np.any(g[1] != 0.0)
 
 
 class TestInCone:

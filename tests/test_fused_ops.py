@@ -354,10 +354,18 @@ class TestFusedAdjoints:
         d = pairwise_distance(p, p, m)
         g = ad.gradients(ad.reduce_sum(ad.mul(d, np.eye(2))), {"v": v})
         assert np.all(g["v"] == 0.0)
+        # a coincident pair in the exterior angle: phi = 0, no adjoint for
+        # either point or kappa
+        kappa = Var(1.0)
+        w = Var(np.array([[0.5, 0.1], [0.2, -0.3]]))
+        p = lift(w, Manifold(kappa, 2))
+        phi = exterior_angle(p, p, Manifold(kappa, 2))
+        assert np.all(value_of(phi) == 0.0)
+        g = ad.gradients(ad.reduce_sum(phi), {"w": w, "kappa": kappa})
+        assert np.all(g["w"] == 0.0) and g["kappa"] == 0.0
 
 
 GUARDS = [
-    ("coincident", ContractViolationError, "exterior angle undefined for coincident points"),
     ("exterior_origin", ContractViolationError, "exterior angle undefined at the origin"),
     ("aperture_origin", ContractViolationError, "cone aperture undefined at the origin"),
     ("acos_budget", NumericalConsistencyError,
@@ -371,8 +379,6 @@ def _guard_call(which, impls, wrap):
     m = Manifold(1.0, 2)
     p = lift(wrap(np.array([[0.5, 0.1], [0.2, -0.3]])), m)
     at_origin = lift(wrap(np.array([[0.0, 0.0], [0.9, 0.4]])), m)
-    if which == "coincident":
-        return impls["exterior_angle"](p, p, m)
     if which == "exterior_origin":
         return impls["exterior_angle"](at_origin, p, m)
     if which == "aperture_origin":
@@ -431,8 +437,6 @@ class TestFusedGuards:
 def _checked_unfused_exterior_angle(p, q, m):
     # the guards the unfused composition ran, in its order
     beta = value_of(m.kappa) * value_of(lorentz_inner(p, q))
-    if np.min(beta * beta - 1.0) <= 1e-9:
-        raise ContractViolationError("exterior angle undefined for coincident points")
     if np.min(np.linalg.norm(value_of(p.space), axis=-1)) <= 0.0:
         raise ContractViolationError("exterior angle undefined at the origin")
     cos_phi = value_of(ad.div(ad.add(q.time, ad.mul(p.time, beta)),

@@ -242,7 +242,7 @@ class TestTrainLoop:
             assert np.array_equal(opt.v[name], opt2.v[name])
         assert opt2.t == opt.t
 
-    def _resume_poisoned(self, corpus, tmp_path, poison, expected):
+    def _resume_poisoned(self, corpus, tmp_path, poison, expected, match=None):
         # resume from a poisoned checkpoint: the failing forward aborts the
         # run, keeps its error kind, and leaves a failure dump behind
         cfg = small_config(steps=12, checkpoint_interval=6)
@@ -252,7 +252,7 @@ class TestTrainLoop:
         poison(payload["params"])
         poisoned = tmp_path / "poisoned.json"
         poisoned.write_text(json.dumps(payload))
-        with pytest.raises(expected):
+        with pytest.raises(expected, match=match):
             with np.errstate(over="ignore", invalid="ignore"):
                 train(corpus, cfg, tmp_path / "boom", resume=poisoned)
         dump = json.loads((tmp_path / "boom" / "failure_dump.json").read_text())
@@ -269,18 +269,20 @@ class TestTrainLoop:
                               NumericalConsistencyError)
 
     def test_contract_error_writes_diagnostic_dump(self, small_corpus, tmp_path):
-        # every part's text row on its scene's: each intra text pair coincides
-        scene_row = small_corpus.scene_index()
-
+        # every part's text row at the origin, where its cone is undefined
         def poison(params):
-            dim = params["table_scene_txt"]["shape"][1]
-            scenes = np.reshape(params["table_scene_txt"]["data"], (-1, dim))
-            params["table_part_txt"]["data"] = np.concatenate(
-                [scenes[scene_row[p.parent]] for p in small_corpus.parts]
-            ).tolist()
+            params["table_part_txt"]["data"] = [0.0] * len(params["table_part_txt"]["data"])
 
-        self._resume_poisoned(small_corpus, tmp_path, poison,
-                              ContractViolationError)
+        self._resume_poisoned(small_corpus, tmp_path, poison, ContractViolationError,
+                              match="exterior angle undefined at the origin")
+
+    def test_coincident_pair_reached_by_training_completes(self, tmp_path):
+        # the contrastive and inter-entailment terms pull a whole pair
+        # together until it coincides (update 289 of this schedule); the
+        # pair then takes phi = 0 instead of aborting the run
+        summary = train(generate(), TrainConfig(seed=7, steps=300), tmp_path)
+        assert summary["final_record"]["step"] == 300
+        assert math.isfinite(summary["final_record"]["loss_total"])
 
     def test_config_hash_sensitivity(self):
         assert config_hash(small_config()) != config_hash(small_config(lr=1e-3))
