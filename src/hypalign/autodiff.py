@@ -35,6 +35,10 @@ Array = np.ndarray
 # more accurate than the direct formulas (cancellation in the derivatives).
 _SERIES_CUTOFF = 1e-4
 
+# How far past its domain edge an acosh or acos argument may drift (float
+# error at a kink, clamped) before it counts as an upstream bug and raises.
+DRIFT_TOL = 1e-6
+
 
 class Var:
     """A node of the computation graph: a float64 array plus the recipe for
@@ -215,12 +219,12 @@ def relu(a):
     )
 
 
-def _acosh_clamp(xv: Array, tol: float) -> Array:
-    """``xv`` clamped to [1, inf); drift below ``1 - tol`` raises."""
+def _acosh_clamp(xv: Array) -> Array:
+    """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises."""
     low = np.min(xv) if xv.size else 1.0
-    if low < 1.0 - tol:
+    if low < 1.0 - DRIFT_TOL:
         raise NumericalConsistencyError(
-            f"acosh argument {low!r} below 1 by more than {tol}"
+            f"acosh argument {low!r} below 1 by more than {DRIFT_TOL}"
         )
     return np.maximum(xv, 1.0)
 
@@ -232,14 +236,14 @@ def _acosh_deriv(xc: Array) -> Array:
     return np.where(safe, 1.0 / np.sqrt(np.where(safe, denom_sq, 1.0)), 0.0)
 
 
-def acosh_clamped(a, tol: float = 1e-6):
+def acosh_clamped(a):
     """acosh with the argument clamped to [1, inf).
 
-    Values below ``1 - tol`` indicate a bug upstream and raise; values in
-    [1 - tol, 1) are treated as floating-point drift at a coincident-point
-    kink, where the subgradient 0 is used.
+    Values below ``1 - DRIFT_TOL`` indicate a bug upstream and raise; values
+    in [1 - DRIFT_TOL, 1) are treated as floating-point drift at a
+    coincident-point kink, where the subgradient 0 is used.
     """
-    xc = _acosh_clamp(value_of(a), tol)
+    xc = _acosh_clamp(value_of(a))
     return fused(np.arccosh(xc), "acosh", (a,), lambda g: (g * _acosh_deriv(xc),))
 
 
@@ -302,12 +306,12 @@ def asinhc_sqrt(a):
 # shape / reduction
 # ---------------------------------------------------------------------------
 
-def reduce_sum(a, axis=None, keepdims: bool = False):
+def reduce_sum(a, axis=None):
     av = value_of(a)
     in_shape = av.shape
 
     def vjp(g):
-        if axis is None or keepdims:
+        if axis is None:
             gg = g
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
@@ -315,7 +319,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False):
             gg = np.expand_dims(g, axes)
         return (np.broadcast_to(gg, in_shape).copy(),)
 
-    return fused(np.sum(av, axis=axis, keepdims=keepdims), "sum", (a,), vjp)
+    return fused(np.sum(av, axis=axis), "sum", (a,), vjp)
 
 
 def transpose(a):
@@ -562,9 +566,6 @@ class ParameterStore:
             return self._params[name]
         except KeyError:
             raise ContractViolationError(f"unknown parameter '{name}'") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def names(self) -> list[str]:
         return list(self._params)

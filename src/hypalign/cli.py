@@ -224,7 +224,7 @@ def _cmd_eval(args) -> int:
     store = store_from_payload(payload)
     corpus = load_corpus(args.corpus)
     taxonomy = Taxonomy.from_file(args.taxonomy) if args.taxonomy else None
-    m = Manifold(float(value_of(store["kappa"])), payload["config"]["table_dim"])
+    m = Manifold(float(value_of(store["kappa"])))
     report = evaluate(corpus, store, m, taxonomy)
     report["checkpoint_step"] = payload["step"]
     with open(args.out, "w") as fh:
@@ -252,7 +252,7 @@ def _cmd_export(args) -> int:
     payload = load_checkpoint(args.checkpoint)
     store = store_from_payload(payload)
     corpus = load_corpus(args.corpus)
-    m = Manifold(float(value_of(store["kappa"])), payload["config"]["table_dim"])
+    m = Manifold(float(value_of(store["kappa"])))
     tables = scaled_tables(store)
     dim = tables["whole_image"].shape[1]
     with open(args.out, "w", newline="") as fh:

@@ -67,7 +67,18 @@ def aperture(p: LorentzPoint, k: float, m: Manifold):
     return ad.fused(omega, "aperture", (p.space, m.kappa), vjp)
 
 
-def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1e-6):
+def _cos_angle(num, beta_sq_m1, p_norm):
+    """Coincidence mask, ``sqrt(beta^2 - 1)``, the denominator and the
+    cosine of the exterior angle."""
+    # beta = -1 exactly at q = p; float drift there can land either side of
+    # zero, so treat anything this close as coincident
+    coincident = beta_sq_m1 <= 1e-9
+    root = np.sqrt(np.where(coincident, 1.0, beta_sq_m1))
+    den = p_norm * root
+    return coincident, root, den, np.where(coincident, 1.0, num / den)
+
+
+def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     """Exterior angle at ``p`` between the outward radial direction and the
     geodesic toward ``q``.
 
@@ -77,30 +88,41 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1
     Riemannian metric at ``p`` (cross-checked against that oracle in the
     test suite).  Zero when ``q`` continues the ray from the origin through
     ``p``; pi when ``q`` lies between ``p`` and the origin.  The acos
-    argument is clamped to [-1, 1] (gradient 0 at the ends); beyond
-    ``1 + tol`` it raises.  A coincident pair (``q = p``, where the angle is
-    undefined) takes the subgradient-0 convention: ``phi = 0`` with a zero
-    adjoint, so its hinge and leak vanish.  One tape node, with adjoints for
+    argument is clamped to [-1, 1] (gradient 0 at the ends).  A pair whose
+    argument lands beyond ``1 + autodiff.DRIFT_TOL`` is recomputed in a
+    cancellation-free form, and raises only if it stays there.  A coincident
+    pair (``q = p``, where the angle is undefined) takes the subgradient-0
+    convention: ``phi = 0`` with a zero adjoint, so its hinge and leak
+    vanish.  One tape node, with adjoints for
     both points and ``kappa``.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
+    p_norm = _nonzero_norm(ps, "exterior angle undefined at the origin")
     inner = np.sum(ps * qs, axis=-1) - pt * qt
     beta = kv * inner
-    beta_sq_m1 = beta * beta - 1.0
-    # beta = -1 exactly at q = p; float drift there can land either side of
-    # zero, so treat anything this close as coincident
-    coincident = beta_sq_m1 <= 1e-9
-    p_norm = _nonzero_norm(ps, "exterior angle undefined at the origin")
-    root = np.sqrt(np.where(coincident, 1.0, beta_sq_m1))
-    den = p_norm * root
-    cos_phi = np.where(coincident, 1.0, (qt + pt * beta) / den)
-    if cos_phi.size:
-        worst = np.max(np.abs(cos_phi))
-        if worst > 1.0 + tol:
+    coincident, root, den, cos_phi = _cos_angle(qt + pt * beta, beta * beta - 1.0, p_norm)
+    worst = np.max(np.abs(cos_phi)) if cos_phi.size else 0.0
+    if worst > 1.0 + ad.DRIFT_TOL:
+        # Near q = p, beta^2 - 1 and the numerator are differences of terms
+        # of size t^2 and lose most of their digits.  Redo the drifted pairs
+        # from the chord: on the hyperboloid -beta - 1 = (kappa/2) <p-q, p-q>_L
+        # and p_t - q_t = (|p_s|^2 - |q_s|^2) / (p_t + q_t), both of which
+        # keep their relative accuracy as the points meet.  Points off the
+        # hyperboloid stay beyond the budget and raise.
+        drift = np.abs(cos_phi) > 1.0 + ad.DRIFT_TOL
+        dt = np.sum((ps - qs) * (ps + qs), axis=-1) / (pt + qt)
+        chord = 0.5 * kv * (np.sum((ps - qs) ** 2, axis=-1) - dt * dt)
+        beta = np.where(drift, -1.0 - chord, beta)
+        redone = _cos_angle(np.where(drift, -dt - pt * chord, qt + pt * beta),
+                            np.where(drift, chord * (chord + 2.0), beta * beta - 1.0),
+                            p_norm)
+        if np.max(np.abs(redone[3])) > 1.0 + ad.DRIFT_TOL:
             raise NumericalConsistencyError(
-                f"acos argument magnitude {worst!r} above 1 by more than {tol}"
+                f"acos argument magnitude {worst!r} above 1 by more than {ad.DRIFT_TOL}"
             )
+        coincident, root, den, cos_phi = redone
+        inner = np.where(drift, beta / kv, inner)
     clipped = np.clip(cos_phi, -1.0, 1.0)
     phi = np.arccos(clipped)
     def vjp(g):

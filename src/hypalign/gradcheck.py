@@ -119,9 +119,11 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
 # the seeded check problem
 # ---------------------------------------------------------------------------
 
-def build_check_problem(seed: int = 1, batch_size: int = 6, dim: int = 8):
-    """Seeded store, batch indices and loss config for gradient checking;
-    raises if the configuration lands within the kink guard band."""
+def build_check_problem(seed: int = 1):
+    """Seeded store, batch indices and loss config for gradient checking
+    (6 rows of dimension 8); raises if the configuration lands within the
+    kink guard band."""
+    batch_size, dim = 6, 8
     rng = np.random.default_rng([seed, 0xC4EC])
     store = ParameterStore()
     for name in ("table_scene_img", "table_scene_txt",
@@ -143,8 +145,7 @@ def build_check_problem(seed: int = 1, batch_size: int = 6, dim: int = 8):
 def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
                          cfg: LossConfig) -> None:
     kappa = float(value_of(store["kappa"]))
-    dim = value_of(store["table_scene_img"]).shape[1]
-    manifold = Manifold(kappa, dim)
+    manifold = Manifold(kappa)
     batch = materialize_batch(store, idx)
     points = {
         name: lift(value_of(getattr(batch, name)), manifold)
@@ -184,12 +185,8 @@ def _loss_functions(idx: BatchIndices, cfg: LossConfig) -> dict:
     """Scalar loss builders keyed by name, each a function of the store,
     with the parameters expected to be blocked by stop-gradient."""
 
-    def man(store):
-        return Manifold(store["kappa"], value_of(store["table_scene_img"]).shape[1])
-
     def pair(store):
-        batch = materialize_batch(store, idx)
-        return batch, man(store)
+        return materialize_batch(store, idx), Manifold(store["kappa"])
 
     def f_contrastive(store):
         batch, m = pair(store)

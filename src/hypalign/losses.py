@@ -161,14 +161,13 @@ def _tempered(u, tau_global_local):
     return ad.mul(ad.exp(ad.div(u, 2.0)), tau_global_local)
 
 
-def adaptive_temperatures(parts, tau_global_local, *, m: Manifold = None,
-                          use_radius: bool = False):
+def adaptive_temperatures(parts, tau_global_local):
     """Per-row temperatures ``exp(u(part_i)/2) * tau_gl``.
 
     Uncertainty lies in (0, ln 2], so every entry falls in
     ``[tau_gl, sqrt(2) tau_gl]``: uncertain parts get softer logits.
     """
-    return _tempered(_uncertainty(parts, m, use_radius), tau_global_local)
+    return _tempered(uncertainty(parts), tau_global_local)
 
 
 def _hinge(phi, omega, eta: float):
@@ -202,8 +201,7 @@ def _calibrate(u, leak, entropy_sign: float):
 
 
 def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
-                m: Manifold, *, entropy_sign: float = 1.0,
-                use_radius: bool = False):
+                m: Manifold, *, entropy_sign: float = 1.0):
     """Uncertainty-calibration loss over aligned part/whole rows.
 
     ``sum_i [ sg(leaky(p_i, q_i)) exp(-u(p_i)) + u(p_i) ]
@@ -213,7 +211,7 @@ def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
     uncertainty update but receives none itself.  The softmax normalizing
     the entropy term runs over this part group.
     """
-    u = _uncertainty(p_parts, m, use_radius)
+    u = uncertainty(p_parts)
     leak = entail_leaky(lift(p_parts, m), lift(q_wholes, m), eta, cp, alpha, m)
     return _calibrate(u, leak, entropy_sign)
 
@@ -308,13 +306,11 @@ def _entailment_sum(e: dict, cfg: LossConfig):
                          ad.mul(cfg.lambda_cal, e["calibration"])))
 
 
-def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold,
-                      *, include_positive: bool = False,
-                      use_radius: bool = False):
+def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold):
     """Sum of the six contrastive terms: uncertainty-tempered global-local,
     plain global, and plain local pairs."""
-    s = _lift_batch(batch, m, use_radius)
-    return _contrastive_sum(_contrastive_terms(s, temps, m, include_positive))
+    s = _lift_batch(batch, m, use_radius=False)
+    return _contrastive_sum(_contrastive_terms(s, temps, m, include_positive=False))
 
 
 def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold):

@@ -34,14 +34,13 @@ KAPPA_MAX = 10.0
 
 @dataclass(frozen=True)
 class Manifold:
-    """Curvature parameter and dimension; immutable once constructed.
+    """Curvature parameter; immutable once constructed.
 
     ``kappa`` may be a plain float or a learnable ``Var``; its value must lie
     in [0.1, 10] (the trainer re-projects after every update).
     """
 
     kappa: float | Var
-    dim: int
 
     def __post_init__(self):
         k = float(value_of(self.kappa))
@@ -49,12 +48,6 @@ class Manifold:
             raise ContractViolationError(
                 f"curvature {k} outside [{KAPPA_MIN}, {KAPPA_MAX}]"
             )
-        if self.dim < 1:
-            raise ContractViolationError("manifold dimension must be >= 1")
-
-    def origin(self) -> "LorentzPoint":
-        time = 1.0 / ad.sqrt(self.kappa)
-        return LorentzPoint(time=time, space=np.zeros(self.dim))
 
 
 @dataclass(frozen=True)
@@ -66,30 +59,13 @@ class LorentzPoint:
     time: object
     space: object
 
-    @property
-    def batched(self) -> bool:
-        return value_of(self.space).ndim == 2
 
-
-def _split_raw(p):
-    """Time/space split of a raw ``(..., n+1)`` Minkowski vector."""
-    if isinstance(p, LorentzPoint):
-        return p.time, p.space
-    arr = value_of(p)
-    return arr[..., 0], arr[..., 1:]
-
-
-def lorentz_inner(p, q):
-    """Lorentzian inner product ``-p_t q_t + <p_s, q_s>``.
-
-    Accepts ``LorentzPoint`` or raw ``(..., n+1)`` vectors; aligned batches
-    combine elementwise.
-    """
-    pt, ps = _split_raw(p)
-    qt, qs = _split_raw(q)
-    if value_of(ps).shape[-1] != value_of(qs).shape[-1]:
+def lorentz_inner(p: LorentzPoint, q: LorentzPoint):
+    """Lorentzian inner product ``-p_t q_t + <p_s, q_s>``; aligned batches
+    combine elementwise."""
+    if value_of(p.space).shape[-1] != value_of(q.space).shape[-1]:
         raise ContractViolationError("lorentz_inner: dimension mismatch")
-    return ad.sub(ad.reduce_sum(ad.mul(ps, qs), axis=-1), ad.mul(pt, qt))
+    return ad.sub(ad.reduce_sum(ad.mul(p.space, q.space), axis=-1), ad.mul(p.time, q.time))
 
 
 def lift(v, m: Manifold) -> LorentzPoint:
@@ -139,17 +115,17 @@ def log_origin(p: LorentzPoint, m: Manifold):
     return ad.mul(factor, p.space)
 
 
-def geodesic_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1e-6):
+def geodesic_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     """Geodesic distance ``sqrt(1/kappa) acosh(-kappa <p,q>_L)``.
 
-    The acosh argument is clamped to [1, inf); drift below 1 beyond ``tol``
-    raises a numerical-consistency error.
+    The acosh argument is clamped to [1, inf); drift below 1 beyond
+    ``autodiff.DRIFT_TOL`` raises a numerical-consistency error.
     """
     z = ad.neg(ad.mul(m.kappa, lorentz_inner(p, q)))
-    return ad.div(ad.acosh_clamped(z, tol=tol), ad.sqrt(m.kappa))
+    return ad.div(ad.acosh_clamped(z), ad.sqrt(m.kappa))
 
 
-def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float = 1e-6):
+def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     """All-pairs geodesic distance matrix of shape ``(Bp, Bq)``.
 
     One matmul and one outer product give the inner products; the acosh
@@ -163,7 +139,7 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold, tol: float 
     # a single point is a batch of one; the adjoints sum back to its shape
     pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
     inner = ps @ qs.T - np.outer(pt, qt)
-    zc = ad._acosh_clamp(-(kv * inner), tol)
+    zc = ad._acosh_clamp(-(kv * inner))
     sqrt_k = np.sqrt(kv)
     dist = np.arccosh(zc) / sqrt_k
 
@@ -209,16 +185,3 @@ def hyperboloid_residual(p: LorentzPoint, m: Manifold):
     k = float(value_of(m.kappa))
     raw = np.abs(s2 - t * t + 1.0 / k)
     return raw / np.maximum(1.0, t * t + s2)
-
-
-def check_on_manifold(p: LorentzPoint, m: Manifold, tol: float = 1e-9) -> None:
-    """Raise if the scaled constraint residual exceeds ``tol`` or the point
-    is on the lower sheet."""
-    res = hyperboloid_residual(p, m)
-    err = float(np.max(res)) if res.size else 0.0
-    if err > tol:
-        raise ContractViolationError(
-            f"point off the hyperboloid: constraint error {err:.3e} > {tol:.1e}"
-        )
-    if np.min(value_of(p.time)) <= 0.0:
-        raise ContractViolationError("point on the lower hyperboloid sheet")

@@ -71,9 +71,6 @@ class Corpus:
     def scene_index(self) -> dict[str, int]:
         return {s.id: i for i, s in enumerate(self.scenes)}
 
-    def part_index(self) -> dict[str, int]:
-        return {p.id: i for i, p in enumerate(self.parts)}
-
 
 @dataclass(frozen=True)
 class BatchIndices:

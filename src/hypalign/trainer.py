@@ -199,7 +199,7 @@ def train_step(store: ParameterStore, opt: AdamW, batch: Batch, cfg: TrainConfig
     temperature is restored before it can poison the forward pass.
     """
     project_parameters(store)
-    manifold = Manifold(store["kappa"], cfg.table_dim)
+    manifold = Manifold(store["kappa"])
     report = total_loss(batch, loss_config_with_vars(cfg.loss, store), manifold)
     total = float(value_of(report.total))
     if not math.isfinite(total):
@@ -212,11 +212,11 @@ def train_step(store: ParameterStore, opt: AdamW, batch: Batch, cfg: TrainConfig
 
 def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
                    step: int) -> dict:
-    """One metrics record: losses on the fixed eval batch plus corpus-wide
-    radius/uncertainty statistics and part-vs-whole radius distribution
-    distances (per modality)."""
+    """One metrics record: losses on the fixed eval batch at the learned
+    temperatures, plus corpus-wide radius/uncertainty statistics and
+    part-vs-whole radius distribution distances (per modality)."""
     kappa = float(value_of(store["kappa"]))
-    manifold = Manifold(kappa, cfg.table_dim)
+    manifold = Manifold(kappa)
     eval_idx = sample_batch(corpus, cfg.batch_size, [cfg.seed, _EVAL_STREAM_TAG])
     tables = scaled_tables(store)
     eval_batch = Batch(
@@ -225,7 +225,7 @@ def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
         part_image=tables["part_image"][eval_idx.part_rows],
         part_text=tables["part_text"][eval_idx.part_rows],
     )
-    report = total_loss(eval_batch, cfg.loss, manifold)
+    report = total_loss(eval_batch, loss_config_with_vars(cfg.loss, store), manifold)
 
     record = {"step": step, "lr": learning_rate(step, cfg)}
     record.update({f"loss_{k}": v for k, v in report.to_floats().items()})

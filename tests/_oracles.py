@@ -152,6 +152,34 @@ def total_loss_scalar(wi, wt, pi, pt, *, tau_g, tau_l, tau_gl, eta_inter,
 
 
 # ---------------------------------------------------------------------------
+# distribution distances
+# ---------------------------------------------------------------------------
+
+def mmd_scalar(a, b):
+    """Unbiased Gaussian-kernel MMD of two 1-D samples, with the bandwidth
+    the median pairwise distance of the pooled sample (1.0 if that is 0)."""
+    pooled = list(a) + list(b)
+    gaps = sorted(abs(pooled[i] - pooled[j])
+                  for i in range(len(pooled)) for j in range(i + 1, len(pooled)))
+    half = len(gaps) // 2
+    sigma = gaps[half] if len(gaps) % 2 else (gaps[half - 1] + gaps[half]) / 2.0
+    if sigma <= 0.0:
+        sigma = 1.0
+
+    def k(x, y):
+        return math.exp(-((x - y) ** 2) / (2.0 * sigma * sigma))
+
+    def within(xs):
+        n = len(xs)
+        if n < 2:
+            return 0.0
+        return sum(k(xs[i], xs[j]) for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
+
+    cross = sum(k(x, y) for x in a for y in b) / (len(a) * len(b))
+    return math.sqrt(max(0.0, within(list(a)) + within(list(b)) - 2.0 * cross))
+
+
+# ---------------------------------------------------------------------------
 # general-base-point maps (numpy; geometry oracles and pair construction)
 # ---------------------------------------------------------------------------
 

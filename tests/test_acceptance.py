@@ -98,7 +98,7 @@ class TestCriterion01GeometrySuite:
         worst = {"residual": 0.0, "roundtrip": 0.0, "triangle": 0.0,
                  "symmetry": 0.0, "radius_equiv": 0.0}
         for kappa in (0.1, 1.0, 10.0):
-            m = Manifold(kappa, 8)
+            m = Manifold(kappa)
             v = rng.normal(size=(10_000, 8))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             v *= rng.uniform(0.0, 5.0, size=(10_000, 1))
@@ -137,7 +137,7 @@ class TestCriterion01GeometrySuite:
 
 class TestCriterion02RadiusAsymptotics:
     def test_radius_asymptotics(self):
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         x_small = np.zeros(4)
         x_small[0] = 1e-3
         r_small = float(value_of(hyperbolic_radius(x_small, m)))
@@ -157,7 +157,7 @@ class TestCriterion03ExteriorAngle:
         rng = np.random.default_rng(300)
         worst = 0.0
         for kappa in (0.1, 1.0):
-            m = Manifold(kappa, 6)
+            m = Manifold(kappa)
 
             def sample(count):
                 v = rng.normal(size=(count, 6))
@@ -171,7 +171,7 @@ class TestCriterion03ExteriorAngle:
                                               orc.point_to_vec(q), kappa)
             worst = max(worst, float(np.max(np.abs(phi - phi_o))))
         # cross-module consistency: hinge is zero exactly on in-cone pairs
-        m = Manifold(1.0, 6)
+        m = Manifold(1.0)
         cp = ConeParams()
         rng2 = np.random.default_rng(301)
         v = rng2.normal(size=(5000, 6))
@@ -207,7 +207,7 @@ class TestCriterion05TranscriptionOracles:
         rng = np.random.default_rng(500)
         cfg = LossConfig()
         kappa = 1.0
-        m = Manifold(kappa, 3)
+        m = Manifold(kappa)
         worst = 0.0
         for _ in range(5):
             groups = rng.normal(size=(4, 2, 3)) * 1.2
@@ -288,7 +288,7 @@ class TestCriterion08UncertaintyCorrelation:
         for seed in SEEDS:
             payload = load_checkpoint(trained_runs[seed]["summary"]["checkpoint"])
             store = store_from_payload(payload)
-            m = Manifold(float(value_of(store["kappa"])), 16)
+            m = Manifold(float(value_of(store["kappa"])))
             rep = uncertainty_correlation(default_corpus, store, m, "image")
             values.append(rep.pearson_similarity)
             passes += rep.pearson_similarity < -0.3 and not rep.degenerate
@@ -307,7 +307,7 @@ class TestCriterion08UncertaintyCorrelation:
         for seed in SEEDS:
             payload = load_checkpoint(trained_runs[seed]["summary"]["checkpoint"])
             store = store_from_payload(payload)
-            m = Manifold(float(value_of(store["kappa"])), 16)
+            m = Manifold(float(value_of(store["kappa"])))
             rep = uncertainty_correlation(default_corpus, store, m, "image")
             values.append(rep.spearman_ground_truth)
             passes += rep.spearman_ground_truth > 0.3
@@ -398,7 +398,7 @@ class TestCriterion11MetricOracles:
 
         # recall@k vs exhaustive sort
         recall_ok = True
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         from hypalign.manifold import pairwise_distance
         for _ in range(3):
             queries = rng.normal(size=(8, 4))

@@ -60,12 +60,12 @@ def per_node_sweep(root):
 
 def lift_time(x):
     """Time components of the lifts of ``len(x)`` one-dimensional tangents."""
-    return lift(ad.reshape(x, (-1, 1)), Manifold(1.0, 1)).time
+    return lift(ad.reshape(x, (-1, 1)), Manifold(1.0)).time
 
 
 def lift_space(x):
     """Space components of the same lifts, flattened."""
-    return ad.reshape(lift(ad.reshape(x, (-1, 1)), Manifold(1.0, 1)).space, (-1,))
+    return ad.reshape(lift(ad.reshape(x, (-1, 1)), Manifold(1.0)).space, (-1,))
 
 
 class TestPrimitives:
@@ -173,7 +173,7 @@ class TestPrimitives:
         assert np.all(np.diagonal(g) == 0.0)
 
     def test_clamped_ops_raise_beyond_budget(self):
-        m = Manifold(1.0, 1)
+        m = Manifold(1.0)
         with pytest.raises(NumericalConsistencyError):
             ad.acosh_clamped(np.array([0.5]))
         with pytest.raises(NumericalConsistencyError):   # acos argument 10 / sqrt(80)
@@ -264,7 +264,7 @@ class TestBackward:
     def test_repeated_backward_over_fused_ops_bit_identical(self):
         rng = np.random.default_rng(13)
         kappa = Var(1.2, name="kappa")
-        m = Manifold(kappa, 4)
+        m = Manifold(kappa)
         a, b = Var(rng.normal(size=(3, 4)), name="a"), Var(rng.normal(size=(3, 4)), name="b")
         p, q = lift(a, m), lift(b, m)
         root = ad.add(ad.reduce_sum(pairwise_distance(p, q, m)),

@@ -49,7 +49,7 @@ def test_installed_tracer_counts_and_uninstalls(tracer):
     kappa = ad.Var(1.0, name="kappa")
     originals = (ad.Var.__init__, ad.gradients)
     with tracer.Tracer() as t:
-        root = total_loss(Batch(**groups), LossConfig(), Manifold(kappa, 3)).total
+        root = total_loss(Batch(**groups), LossConfig(), Manifold(kappa)).total
         ad.gradients(root, {"kappa": kappa, **groups})
     assert (ad.Var.__init__, ad.gradients) == originals
     assert t.built["sub"] > 0 and t.built["lift_time"] == 4

@@ -24,6 +24,8 @@ from hypalign.manifold import Manifold, lift, pairwise_distance
 from hypalign.synthdata import generate
 from hypalign.trainer import TrainConfig, init_parameters
 
+import _oracles as orc
+
 
 def random_tree(rng, n_nodes):
     parent = {"n0": None}
@@ -47,6 +49,8 @@ class TestTaxonomy:
             Taxonomy({"a": None, "b": None})
         with pytest.raises(ContractViolationError):
             Taxonomy({"a": "b", "b": "a"})
+        with pytest.raises(ContractViolationError):
+            Taxonomy({"r": None, "a": "b", "b": "a"})
         with pytest.raises(ContractViolationError):
             Taxonomy({"a": None, "b": "missing"})
 
@@ -144,21 +148,21 @@ class TestRecallAtK:
 
     def test_full_gallery_recall_one(self):
         rng = np.random.default_rng(3)
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         queries, gallery = self._setup(rng, 5, 7)
         truth = {i: {i % 7} for i in range(5)}
         assert recall_at_k(queries, gallery, truth, 7, m) == 1.0
 
     def test_identical_embeddings_r1(self):
         rng = np.random.default_rng(4)
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         queries, _ = self._setup(rng, 6, 6)
         truth = {i: {i} for i in range(6)}
         assert recall_at_k(queries, queries, truth, 1, m) == 1.0
 
     def test_matches_exhaustive_sort_oracle(self):
         rng = np.random.default_rng(5)
-        m = Manifold(1.0, 3)
+        m = Manifold(1.0)
         queries, gallery = self._setup(rng, 10, 8, n=3)
         truth = {i: set(rng.choice(8, size=2, replace=False).tolist())
                  for i in range(10)}
@@ -176,14 +180,14 @@ class TestRecallAtK:
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(6)
-        m = Manifold(1.0, 3)
+        m = Manifold(1.0)
         queries, gallery = self._setup(rng, 12, 9, n=3)
         truth = {i: {int(rng.integers(9))} for i in range(12)}
         values = [recall_at_k(queries, gallery, truth, k, m) for k in range(1, 10)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_empty_gallery_rejected(self):
-        m = Manifold(1.0, 3)
+        m = Manifold(1.0)
         with pytest.raises(ContractViolationError):
             recall_at_k(np.zeros((2, 3)), np.zeros((0, 3)), {}, 1, m)
 
@@ -238,6 +242,21 @@ class TestDistributionDistances:
         with pytest.raises(ContractViolationError):
             distribution_distances(np.array([]), np.zeros(3))
 
+    def test_mmd_matches_double_loop_transcription(self):
+        rng = np.random.default_rng(12)
+        cases = [
+            (rng.normal(size=37), rng.normal(size=23) * 1.4 + 0.2),      # unequal sizes
+            (np.round(rng.normal(size=30), 1), np.round(rng.normal(size=12) + 0.5, 1)),  # ties
+            (rng.normal(size=1), rng.normal(size=9)),                    # a single point
+            # most pooled pairs tie, so the median distance is 0 and sigma falls back to 1
+            (np.array([0.0] * 6 + [2.0]), np.array([0.0] * 4 + [1.5])),
+            (np.full(5, 0.3), np.full(8, 0.3)),                          # all equal
+        ]
+        for a, b in cases:
+            _, _, mmd = distribution_distances(a, b)
+            assert mmd == pytest.approx(orc.mmd_scalar(a.tolist(), b.tolist()),
+                                        rel=1e-12, abs=1e-12)
+
 
 class TestUncertaintyCorrelation:
     def _trained_like_store(self, corpus, spread_uncertainty):
@@ -267,7 +286,7 @@ class TestUncertaintyCorrelation:
         for name, v in (("tau_g", .07), ("tau_l", .07), ("tau_gl", .06),
                         ("c_img", 0.25), ("c_txt", 0.25)):
             store.register(name, v)
-        rep = uncertainty_correlation(corpus, store, Manifold(1.0, n))
+        rep = uncertainty_correlation(corpus, store, Manifold(1.0))
         assert rep.pearson_similarity < -0.8
         assert not rep.degenerate
 
@@ -286,7 +305,7 @@ class TestUncertaintyCorrelation:
         for name, v in (("tau_g", .07), ("tau_l", .07), ("tau_gl", .06),
                         ("c_img", 0.25), ("c_txt", 0.25)):
             store.register(name, v)
-        rep = uncertainty_correlation(corpus, store, Manifold(1.0, n))
+        rep = uncertainty_correlation(corpus, store, Manifold(1.0))
         assert rep.degenerate
         assert rep.pearson_similarity == 0.0
 
@@ -295,7 +314,7 @@ class TestUncertaintyCorrelation:
         cfg = TrainConfig(batch_size=2, table_dim=16)
         store = init_parameters(corpus, cfg)
         with pytest.raises(ContractViolationError):
-            uncertainty_correlation(corpus, store, Manifold(1.0, 16))
+            uncertainty_correlation(corpus, store, Manifold(1.0))
 
 
 class TestEvaluate:
@@ -303,7 +322,7 @@ class TestEvaluate:
         corpus = generate(num_scenes=6, parts_per_scene=2, seed=15)
         cfg = TrainConfig(batch_size=4, table_dim=16)
         store = init_parameters(corpus, cfg)
-        report = evaluate(corpus, store, Manifold(1.0, 16))
+        report = evaluate(corpus, store, Manifold(1.0))
         assert set(report) == {"classification", "retrieval",
                                "radius_distributions", "uncertainty_correlation"}
         assert 0.0 <= report["retrieval"]["image_to_text_r1"] <= 1.0

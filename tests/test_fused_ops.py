@@ -130,11 +130,11 @@ def _outputs(op, impl, a):
     """Outputs of ``impl`` (the fused op or its unfused reference) on the
     named inputs ``a``, as a tuple."""
     if op == "lift":
-        p = impl(a["v"], Manifold(a["kappa"], _dim(a["v"])))
+        p = impl(a["v"], Manifold(a["kappa"]))
         return p.time, p.space
     if op == "uncertainty":
         return (impl(a["x"]),)
-    m = Manifold(a["kappa"], _dim(a["ps"]))
+    m = Manifold(a["kappa"])
     p = _point(a["pt"], a["ps"])
     if op == "aperture":
         return (impl(p, K_CONST, m),)
@@ -149,15 +149,11 @@ UNFUSED = {"lift": unfused_lift, "pairwise_distance": unfused_pairwise_distance,
            "uncertainty": unfused_uncertainty}
 
 
-def _dim(x):
-    return value_of(x).shape[-1]
-
-
 def _lifted(rng, shape, kappa, radii=(0.4, 2.0)):
     """Time and space arrays of lifted random tangents of norm in ``radii``."""
     v = rng.normal(size=shape)
     v *= rng.uniform(*radii, size=shape[:-1] + (1,)) / np.linalg.norm(v, axis=-1, keepdims=True)
-    p = lift(v, Manifold(kappa, shape[-1]))
+    p = lift(v, Manifold(kappa))
     return np.asarray(p.time, dtype=float), p.space
 
 
@@ -260,7 +256,7 @@ class TestFusedValues:
     def test_one_node_each(self):
         rng = np.random.default_rng(2)
         kappa = Var(0.8)
-        m = Manifold(kappa, 4)
+        m = Manifold(kappa)
         p = lift(Var(rng.normal(size=(3, 4))), m)
         q = lift(Var(rng.normal(size=(3, 4))), m)
         assert (p.time.name, p.space.name) == ("lift_time", "lift_space")
@@ -275,7 +271,7 @@ class TestFusedValues:
     @pytest.mark.parametrize("kappa", (0.1, 1.0, 10.0))
     def test_match_scalar_oracles(self, kappa):
         rng = np.random.default_rng(3)
-        m = Manifold(kappa, 4)
+        m = Manifold(kappa)
         v = rng.normal(size=(6, 4)) * 0.7
         p, q = lift(v, m), lift(rng.normal(size=(6, 4)) * 0.7, m)
         pts = [(float(t), list(s)) for t, s in zip(value_of(p.time), value_of(p.space))]
@@ -340,7 +336,7 @@ class TestFusedAdjoints:
             np.testing.assert_allclose(fused[k], fd[k], rtol=1e-6, atol=1e-7)
 
     def test_kinks_take_subgradient_zero(self):
-        m = Manifold(Var(1.0), 2)
+        m = Manifold(Var(1.0))
         # the zero vector: uncertainty's norm kink
         x = Var(np.zeros((2, 2)))
         assert np.all(ad.gradients(ad.reduce_sum(uncertainty(x)), {"x": x})["x"] == 0.0)
@@ -358,8 +354,8 @@ class TestFusedAdjoints:
         # either point or kappa
         kappa = Var(1.0)
         w = Var(np.array([[0.5, 0.1], [0.2, -0.3]]))
-        p = lift(w, Manifold(kappa, 2))
-        phi = exterior_angle(p, p, Manifold(kappa, 2))
+        p = lift(w, Manifold(kappa))
+        phi = exterior_angle(p, p, Manifold(kappa))
         assert np.all(value_of(phi) == 0.0)
         g = ad.gradients(ad.reduce_sum(phi), {"w": w, "kappa": kappa})
         assert np.all(g["w"] == 0.0) and g["kappa"] == 0.0
@@ -376,7 +372,7 @@ GUARDS = [
 
 
 def _guard_call(which, impls, wrap):
-    m = Manifold(1.0, 2)
+    m = Manifold(1.0)
     p = lift(wrap(np.array([[0.5, 0.1], [0.2, -0.3]])), m)
     at_origin = lift(wrap(np.array([[0.0, 0.0], [0.9, 0.4]])), m)
     if which == "exterior_origin":
@@ -408,7 +404,7 @@ class TestFusedGuards:
         assert str(fused_error.value) == str(unfused_error.value)
 
     def test_inside_budget_clamps_silently(self):
-        m = Manifold(1.0, 1)
+        m = Manifold(1.0)
         # cos phi = 1 / sqrt(1 - 2e-7): above 1 by about 1e-7
         apex = _point(np.array(1.0), np.array([1.0]))
         member = _point(np.array(1.0), np.array([1e7]))
@@ -417,7 +413,7 @@ class TestFusedGuards:
         assert pairwise_distance(near, _point(np.array([1.0]), np.array([[0.0]])), m)[0, 0] == 0.0
 
     def test_distance_matrix_needs_batches_on_the_tape(self):
-        m = Manifold(1.0, 2)
+        m = Manifold(1.0)
         p = lift(Var(np.array([0.3, 0.1])), m)
         with pytest.raises(ContractViolationError):
             pairwise_distance(p, p, m)
@@ -425,12 +421,12 @@ class TestFusedGuards:
         # kappa adjoint matches central differences
         p, q = lift(np.array([0.3, 0.1]), m), lift(np.array([-0.2, 0.4]), m)
         kappa = Var(np.array(1.0))
-        d = pairwise_distance(p, q, Manifold(kappa, 2))
+        d = pairwise_distance(p, q, Manifold(kappa))
         assert value_of(d).shape == (1, 1)
         grad = ad.gradients(ad.reduce_sum(d), {"k": kappa})["k"]
         h = 1e-6
-        fd = (value_of(pairwise_distance(p, q, Manifold(1.0 + h, 2)))
-              - value_of(pairwise_distance(p, q, Manifold(1.0 - h, 2)))) / (2 * h)
+        fd = (value_of(pairwise_distance(p, q, Manifold(1.0 + h)))
+              - value_of(pairwise_distance(p, q, Manifold(1.0 - h)))) / (2 * h)
         np.testing.assert_allclose(grad, fd[0, 0], rtol=1e-6)
 
 

@@ -76,7 +76,7 @@ class TestFiniteDiffCheck:
     def test_geodesic_kink_guard(self):
         # the check configuration builder rejects coincident-point setups
         store, idx, cfg = build_check_problem(seed=1)
-        m = Manifold(float(value_of(store["kappa"])), 8)
+        m = Manifold(float(value_of(store["kappa"])))
         a = lift(np.array([0.5] * 8), m)
         b = lift(np.array([0.5] * 8) + 5e-4, m)
         # within the documented 1e-3 guard band the distance derivative blows

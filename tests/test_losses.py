@@ -49,7 +49,7 @@ class TestContrastive:
     def test_symmetric_two_pairs_zero(self):
         # all four anchor-target distances equal: each row reduces to
         # log(exp(-c/tau)/exp(-c/tau)) = 0 with the single off-diagonal term
-        m = Manifold(1.0, 2)
+        m = Manifold(1.0)
         anchors = np.array([[1.0, 0.0], [-1.0, 0.0]])
         targets = np.array([[0.0, 1.0], [0.0, -1.0]])
         val = contrastive(anchors, targets, 0.07, m)
@@ -57,7 +57,7 @@ class TestContrastive:
 
     def test_well_separated_hand_value(self):
         # d_pos = 0.1 both rows, d_neg = 5 both cross pairs: loss = -140
-        m = Manifold(1.0, 1)
+        m = Manifold(1.0)
         anchors = np.array([[0.0], [5.1]])
         targets = np.array([[0.1], [5.0]])
         val = float(value_of(contrastive(anchors, targets, 0.07, m)))
@@ -65,21 +65,21 @@ class TestContrastive:
 
     def test_vector_tau_matches_scalar_bitwise(self):
         rng = np.random.default_rng(3)
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         anchors, targets = rng.normal(size=(2, 5, 4))
         scalar = value_of(contrastive(anchors, targets, 0.06, m))
         vector = value_of(contrastive(anchors, targets, np.full(5, 0.06), m))
         assert np.array_equal(scalar, vector)
 
     def test_batch_too_small(self):
-        m = Manifold(1.0, 2)
+        m = Manifold(1.0)
         with pytest.raises(ContractViolationError):
             contrastive(np.zeros((1, 2)), np.zeros((1, 2)), 0.07, m)
 
     def test_denominator_excludes_positive_literally(self):
         # with B = 2 the denominator has exactly the one off-diagonal term
         rng = np.random.default_rng(4)
-        m = Manifold(1.0, 3)
+        m = Manifold(1.0)
         anchors, targets = rng.normal(size=(2, 2, 3))
         val = float(value_of(contrastive(anchors, targets, 0.07, m)))
         la, lt = lift(anchors, m), lift(targets, m)
@@ -92,7 +92,7 @@ class TestContrastive:
 
     def test_include_positive_flag(self):
         rng = np.random.default_rng(5)
-        m = Manifold(1.0, 3)
+        m = Manifold(1.0)
         anchors, targets = rng.normal(size=(2, 4, 3))
         with_pos = float(value_of(
             contrastive(anchors, targets, 0.07, m, include_positive=True)
@@ -108,7 +108,7 @@ class TestContrastive:
 
     def test_matches_transcription_on_random_batches(self):
         rng = np.random.default_rng(6)
-        m = Manifold(0.7, 4)
+        m = Manifold(0.7)
         anchors, targets = rng.normal(size=(2, 6, 4))
         val = float(value_of(contrastive(anchors, targets, 0.09, m)))
         expected = orc.contrastive_scalar(
@@ -146,7 +146,7 @@ class TestAdaptiveTemperatures:
 class TestContrastiveTotal:
     def test_constant_uncertainty_reduces_to_scaled_tau(self):
         rng = np.random.default_rng(8)
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         b = 5
         # all parts at identical norm -> identical uncertainty u0
         directions = rng.normal(size=(2, b, 4))
@@ -173,7 +173,7 @@ class TestContrastiveTotal:
 
     def test_two_row_transcription(self):
         rng = np.random.default_rng(9)
-        m = Manifold(1.3, 3)
+        m = Manifold(1.3)
         batch = random_batch(rng, 2, 3)
         temps = TemperatureSet()
         wi, wt, pi, pt = batch_lists(batch)
@@ -186,7 +186,7 @@ class TestContrastiveTotal:
 
     def test_joint_permutation_invariance(self):
         rng = np.random.default_rng(10)
-        m = Manifold(1.0, 5)
+        m = Manifold(1.0)
         batch = random_batch(rng, 6, 5)
         perm = rng.permutation(6)
         permuted = Batch(
@@ -202,7 +202,7 @@ class TestContrastiveTotal:
 
     def test_entailment_and_total_permutation_invariance(self):
         rng = np.random.default_rng(22)
-        m = Manifold(1.0, 5)
+        m = Manifold(1.0)
         batch = random_batch(rng, 6, 5)
         perm = rng.permutation(6)
         permuted = Batch(
@@ -223,7 +223,7 @@ class TestContrastiveTotal:
 class TestEntailmentPieces:
     def setup_method(self):
         self.kappa = 1.0
-        self.m = Manifold(self.kappa, 5)
+        self.m = Manifold(self.kappa)
         self.cp = ConeParams()
         self.v_apex = np.array([0.8, -0.2, 0.4, 0.0, 0.3])
         self.p = lift(self.v_apex, self.m)
@@ -270,7 +270,7 @@ class TestEntailmentPieces:
 
     def test_leaky_lower_bound(self):
         rng = np.random.default_rng(12)
-        m = Manifold(1.0, 5)
+        m = Manifold(1.0)
         va = rng.normal(size=(200, 5))
         vb = rng.normal(size=(200, 5))
         p, q = lift(va, m), lift(vb, m)
@@ -287,7 +287,7 @@ class TestCalibration:
         # parts at one radius, wholes on their outward rays: leak ~ 0, so the
         # loss is B*u0 + sign*ln(B)
         rng = np.random.default_rng(13)
-        m = Manifold(1.0, 6)
+        m = Manifold(1.0)
         cp = ConeParams()
         b = 8
         parts = rng.normal(size=(b, 6))
@@ -303,7 +303,7 @@ class TestCalibration:
 
     def test_stop_gradient_blocks_wholes_exactly(self):
         rng = np.random.default_rng(14)
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         cp = ConeParams()
         parts = Var(rng.normal(size=(4, 4)), name="parts")
         wholes = Var(rng.normal(size=(4, 4)), name="wholes")
@@ -314,7 +314,7 @@ class TestCalibration:
 
     def test_two_row_transcription(self):
         rng = np.random.default_rng(15)
-        m = Manifold(0.9, 3)
+        m = Manifold(0.9)
         cp = ConeParams()
         parts = rng.normal(size=(2, 3)) * 1.5
         wholes = rng.normal(size=(2, 3)) * 1.5
@@ -329,7 +329,7 @@ class TestCalibration:
 class TestEntailmentTotal:
     def test_lambda_zero_reduction(self):
         rng = np.random.default_rng(16)
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         batch = random_batch(rng, 4, 4)
         cfg = LossConfig(lambda_intra=0.0, lambda_cal=0.0)
         total = float(value_of(entailment_total(batch, cfg, m)))
@@ -343,7 +343,7 @@ class TestEntailmentTotal:
 
     def test_two_row_transcription(self):
         rng = np.random.default_rng(17)
-        m = Manifold(1.1, 3)
+        m = Manifold(1.1)
         batch = random_batch(rng, 2, 3)
         cfg = LossConfig()
         wi, wt, pi, pt = batch_lists(batch)
@@ -358,7 +358,7 @@ class TestEntailmentTotal:
         # every pair radially aligned: hinges and leaks vanish, leaving
         # lambda_cal * (sum of u + entropy) per modality
         rng = np.random.default_rng(18)
-        m = Manifold(1.0, 5)
+        m = Manifold(1.0)
         b = 4
         pt = rng.normal(size=(b, 5))
         pi = pt * 1.001  # parts near each other on their own rays
@@ -394,7 +394,7 @@ class TestEntailmentTotal:
             store.register(name, rng.normal(size=(4, 5)) * 0.8)
         store["whole_text"].value[1] = store["whole_image"].value[1]
         store.register("kappa", 1.0)
-        m = Manifold(store["kappa"], 5)
+        m = Manifold(store["kappa"])
         batch = Batch(whole_image=store["whole_image"], whole_text=store["whole_text"],
                       part_image=store["part_image"], part_text=store["part_text"])
         cfg = LossConfig()
@@ -413,7 +413,7 @@ class TestEntailmentTotal:
 class TestTotalLoss:
     def test_lambda_ent_zero(self):
         rng = np.random.default_rng(19)
-        m = Manifold(1.0, 4)
+        m = Manifold(1.0)
         batch = random_batch(rng, 4, 4)
         cfg = LossConfig(lambda_ent=0.0)
         rep = total_loss(batch, cfg, m)
@@ -422,7 +422,7 @@ class TestTotalLoss:
 
     def test_components_recombine(self):
         rng = np.random.default_rng(20)
-        m = Manifold(1.0, 6)
+        m = Manifold(1.0)
         batch = random_batch(rng, 6, 6)
         cfg = LossConfig()
         rep = total_loss(batch, cfg, m)
@@ -438,7 +438,7 @@ class TestTotalLoss:
 
     def test_two_row_transcription(self):
         rng = np.random.default_rng(21)
-        m = Manifold(1.0, 3)
+        m = Manifold(1.0)
         batch = random_batch(rng, 2, 3)
         cfg = LossConfig()
         wi, wt, pi, pt = batch_lists(batch)
@@ -459,7 +459,7 @@ class TestTotalLoss:
         # frozen after verification against the straight-line transcription;
         # guards against silent drift in any composite
         rng = np.random.default_rng(2024)
-        m = Manifold(1.0, 8)
+        m = Manifold(1.0)
         batch = random_batch(rng, 4, 8)
         val = float(value_of(total_loss(batch, LossConfig(), m).total))
         wi, wt, pi, pt = batch_lists(batch)
@@ -511,7 +511,7 @@ class TestGraphBudget:
         groups = {name: Var(rng.normal(size=(32, 16)) * 0.3, name=name)
                   for name in ("whole_image", "whole_text", "part_image", "part_text")}
         self.batch = Batch(**groups)
-        self.m = Manifold(Var(1.0, name="kappa"), 16)
+        self.m = Manifold(Var(1.0, name="kappa"))
         self.cfg = LossConfig(temps=TemperatureSet(
             tau_global=Var(0.07, name="tau_g"), tau_local=Var(0.07, name="tau_l"),
             tau_global_local=Var(0.06, name="tau_gl"),
@@ -564,7 +564,7 @@ class TestLossGradients:
             ))
             batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
                           part_image=s["part_image"], part_text=s["part_text"])
-            return total_loss(batch, cfg, Manifold(s["kappa"], n)).total
+            return total_loss(batch, cfg, Manifold(s["kappa"])).total
 
         results = finite_diff_check(f, store, max_coords=12, seed=seed)
         worst = max(r.max_rel_err for r in results)
@@ -584,7 +584,7 @@ class TestLossGradients:
                              include_positive=True)
             batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
                           part_image=s["part_image"], part_text=s["part_text"])
-            return total_loss(batch, cfg, Manifold(s["kappa"], 6)).total
+            return total_loss(batch, cfg, Manifold(s["kappa"])).total
 
         results = finite_diff_check(f, store, max_coords=10, seed=107)
         worst = max(r.max_rel_err for r in results)

@@ -3,15 +3,19 @@ clamps, determinism, and checkpoint resume."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hypalign.autodiff import value_of
 from hypalign.errors import ContractViolationError
-from hypalign.losses import LossConfig
+from hypalign.evalmetrics import scaled_tables
+from hypalign.losses import Batch, LossConfig, TemperatureSet, total_loss
+from hypalign.manifold import Manifold
 from hypalign.synthdata import generate, sample_batch
 from hypalign.trainer import (
+    _EVAL_STREAM_TAG,
     AdamW,
     TrainConfig,
     config_hash,
@@ -109,7 +113,7 @@ class TestScheduleAndOptimizer:
 
             def loss_now():
                 batch = materialize_batch(store, idx)
-                m = Manifold(store["kappa"], cfg.table_dim)
+                m = Manifold(store["kappa"])
                 return float(value_of(
                     total_loss(batch, loss_config_with_vars(cfg.loss, store), m).total
                 ))
@@ -140,7 +144,7 @@ class TestScheduleAndOptimizer:
         from hypalign.manifold import Manifold
         from hypalign.trainer import loss_config_with_vars
         rep = total_loss(batch, loss_config_with_vars(cfg.loss, store),
-                         Manifold(store["kappa"], cfg.table_dim))
+                         Manifold(store["kappa"]))
         grads = ad.gradients(rep.total, store.as_dict())
         before = store.snapshot()
         opt.step(grads, lr=1e-3)
@@ -222,6 +226,23 @@ class TestTrainLoop:
                     "radius_mmd_image", "kappa", "tau_g", "tau_l", "tau_gl",
                     "c_img", "c_txt"):
             assert key in rec, key
+
+    def test_metrics_losses_at_learned_temperatures(self, small_corpus, tmp_path):
+        cfg = small_config()
+        out = train(small_corpus, cfg, tmp_path / "temps")
+        store, rec = out["store"], out["final_record"]
+        temps = TemperatureSet(*(float(value_of(store[n])) for n in ("tau_g", "tau_l", "tau_gl")))
+        assert temps != cfg.loss.temps   # the temperatures were trained
+        tables = scaled_tables(store)
+        idx = sample_batch(small_corpus, cfg.batch_size, [cfg.seed, _EVAL_STREAM_TAG])
+        batch = Batch(whole_image=tables["whole_image"][idx.scene_rows],
+                      whole_text=tables["whole_text"][idx.scene_rows],
+                      part_image=tables["part_image"][idx.part_rows],
+                      part_text=tables["part_text"][idx.part_rows])
+        report = total_loss(batch, replace(cfg.loss, temps=temps),
+                            Manifold(float(value_of(store["kappa"]))))
+        for name, value in report.to_floats().items():
+            assert rec[f"loss_{name}"] == value, name
 
     def test_checkpoint_roundtrip_bitwise(self, small_corpus, tmp_path):
         cfg = small_config(steps=4)

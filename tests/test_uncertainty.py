@@ -47,7 +47,7 @@ class TestUncertainty:
 
     def test_decreasing_in_hyperbolic_radius(self):
         rng = np.random.default_rng(1)
-        m = Manifold(1.7, 6)
+        m = Manifold(1.7)
         x = rng.normal(size=(2000, 6)) * rng.uniform(0.01, 3, size=(2000, 1))
         radius = ad.value_of(hyperbolic_radius(x, m))
         u = ad.value_of(uncertainty(x))
@@ -61,7 +61,7 @@ class TestUncertainty:
         assert np.isfinite(u) and u >= 0.0
 
     def test_radius_variant_differs_and_stays_monotone(self):
-        m = Manifold(1.0, 3)
+        m = Manifold(1.0)
         x = np.array([[2.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         u_norm = ad.value_of(uncertainty(x))
         u_rad = ad.value_of(uncertainty_from_radius(x, m))
