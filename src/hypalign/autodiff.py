@@ -46,8 +46,9 @@ class Var:
 
     __slots__ = ("value", "name", "_parents", "_vjp")
 
-    # Make numpy defer mixed ndarray-Var arithmetic to the reflected
-    # operators below instead of building object arrays.
+    # Var has no arithmetic operators (ops are the functions below), and
+    # this makes numpy refuse mixed ndarray-Var arithmetic with a TypeError
+    # instead of building object arrays.
     __array_ufunc__ = None
 
     def __init__(
@@ -72,32 +73,6 @@ class Var:
 
     def __repr__(self):
         return f"Var({self.name}, shape={self.value.shape})"
-
-    # arithmetic sugar -----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
 
 def is_var(x) -> bool:

@@ -17,6 +17,8 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 from .autodiff import value_of
 from .entailment import ConeParams
@@ -25,8 +27,9 @@ from .evalmetrics import Taxonomy, evaluate, scaled_tables
 from .gradcheck import format_results, run_check_grads
 from .losses import LossConfig, TemperatureSet
 from .manifold import Manifold, hyperbolic_radius
-from .synthdata import generate, load as load_corpus, save as save_corpus
+from .synthdata import GeneratorParams, generate, load as load_corpus, save as save_corpus
 from .trainer import (
+    TEMPERATURE_PARAMS,
     TrainConfig,
     config_to_dict,
     load_checkpoint,
@@ -45,34 +48,23 @@ def _bool(text: str) -> bool:
     raise ContractViolationError(f"not a boolean: {text!r}")
 
 
-# flat config-file schema: key -> (section, field, caster)
+_CASTERS = {int: int, float: float, bool: _bool}
+
+
+def _scalar_keys(section: str, cls) -> dict:
+    """Schema entries for the int/float/bool fields of dataclass ``cls``,
+    each keyed by its field name."""
+    return {name: (section, name, _CASTERS[hint])
+            for name, hint in get_type_hints(cls).items() if hint in _CASTERS}
+
+
+# flat config-file schema: key -> (section, field, caster); the temperatures
+# take their parameter names as keys
 CONFIG_SCHEMA = {
-    "steps": ("train", "steps", int),
-    "batch_size": ("train", "batch_size", int),
-    "lr": ("train", "lr", float),
-    "warmup_steps": ("train", "warmup_steps", int),
-    "weight_decay": ("train", "weight_decay", float),
-    "beta1": ("train", "beta1", float),
-    "beta2": ("train", "beta2", float),
-    "adam_eps": ("train", "adam_eps", float),
-    "eval_interval": ("train", "eval_interval", int),
-    "checkpoint_interval": ("train", "checkpoint_interval", int),
-    "seed": ("train", "seed", int),
-    "table_dim": ("train", "table_dim", int),
-    "init_scale": ("train", "init_scale", float),
-    "tau_g": ("temps", "tau_global", float),
-    "tau_l": ("temps", "tau_local", float),
-    "tau_gl": ("temps", "tau_global_local", float),
-    "aperture_k": ("cone", "aperture_k", float),
-    "eta_inter": ("cone", "eta_inter", float),
-    "eta_intra": ("cone", "eta_intra", float),
-    "alpha": ("loss", "alpha", float),
-    "lambda_intra": ("loss", "lambda_intra", float),
-    "lambda_cal": ("loss", "lambda_cal", float),
-    "lambda_ent": ("loss", "lambda_ent", float),
-    "entropy_sign": ("loss", "entropy_sign", float),
-    "include_positive": ("loss", "include_positive", _bool),
-    "uncertainty_from_radius": ("loss", "uncertainty_from_radius", _bool),
+    **_scalar_keys("train", TrainConfig),
+    **{key: ("temps", name, float) for name, key in TEMPERATURE_PARAMS.items()},
+    **_scalar_keys("cone", ConeParams),
+    **_scalar_keys("loss", LossConfig),
 }
 
 
@@ -143,23 +135,25 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic part-whole corpus")
-    gen.add_argument("--scenes", type=int, default=64)
-    gen.add_argument("--parts", type=int, default=4)
-    gen.add_argument("--latent-dim", type=int, default=16)
-    gen.add_argument("--noise-scale", type=float, default=0.05)
-    gen.add_argument("--spread", type=float, default=1.0)
-    gen.add_argument("--min-separation", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=None)
+    # settings flags are None unless given; dest names the GeneratorParams field
+    gen.add_argument("--scenes", dest="num_scenes", type=int)
+    gen.add_argument("--parts", dest="parts_per_scene", type=int)
+    gen.add_argument("--latent-dim", type=int)
+    gen.add_argument("--noise-scale", type=float)
+    gen.add_argument("--spread", type=float)
+    gen.add_argument("--min-separation", type=float)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
 
     tr = sub.add_parser("train", help="run the optimization loop")
     tr.add_argument("--corpus", required=True)
     tr.add_argument("--out", required=True)
-    tr.add_argument("--steps", type=int, default=None)
-    tr.add_argument("--batch-size", type=int, default=None)
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--warmup", type=int, default=None)
-    tr.add_argument("--seed", type=int, default=None)
+    # settings flags are None unless given; dest names the config-file key
+    tr.add_argument("--steps", type=int)
+    tr.add_argument("--batch-size", type=int)
+    tr.add_argument("--lr", type=float)
+    tr.add_argument("--warmup", dest="warmup_steps", type=int)
+    tr.add_argument("--seed", type=int)
     tr.add_argument("--config", default=None)
     tr.add_argument("--resume", default=None)
 
@@ -188,27 +182,18 @@ def _log_config(command: str, payload: dict) -> None:
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed(7)
-    _log_config("generate", {
-        "scenes": args.scenes, "parts": args.parts, "latent_dim": args.latent_dim,
-        "noise_scale": args.noise_scale, "spread": args.spread,
-        "min_separation": args.min_separation, "seed": seed, "out": args.out,
-    })
-    corpus = generate(
-        num_scenes=args.scenes, parts_per_scene=args.parts,
-        latent_dim=args.latent_dim, noise_scale=args.noise_scale,
-        seed=seed, spread=args.spread, min_separation=args.min_separation,
-    )
-    save_corpus(corpus, args.out)
+    settings = {f.name: getattr(args, f.name) for f in fields(GeneratorParams)
+                if getattr(args, f.name) is not None}
+    settings.setdefault("seed", _env_seed(GeneratorParams.seed))
+    params = GeneratorParams(**settings)
+    _log_config("generate", {**asdict(params), "out": args.out})
+    save_corpus(generate(**asdict(params)), args.out)
     return 0
 
 
 def _cmd_train(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = {
-        "steps": args.steps, "batch_size": args.batch_size,
-        "lr": args.lr, "warmup_steps": args.warmup, "seed": args.seed,
-    }
+    flag_values = {k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA}
     cfg = build_train_config(file_values, flag_values)
     _log_config("train", {**config_to_dict(cfg), "corpus": args.corpus,
                           "out": args.out, "resume": args.resume})

@@ -135,6 +135,8 @@ def recall_at_k(query_embs, gallery_embs, truth_map: dict[int, set[int]],
     queries = value_of(query_embs)
     if gallery.shape[0] == 0:
         raise ContractViolationError("empty gallery")
+    if queries.shape[0] == 0:
+        raise ContractViolationError("empty query set")
     if k < 1:
         raise ContractViolationError("k must be >= 1")
     sims = -value_of(pairwise_distance(lift(queries, m), lift(gallery, m), m))
@@ -177,14 +179,18 @@ def distribution_distances(a, b) -> tuple[float, float, float]:
     if sigma <= 0.0:
         sigma = 1.0
 
-    def kernel(x, y):
-        d = x[:, None] - y[None, :]
-        return np.exp(-(d * d) / (2.0 * sigma * sigma))
+    def kernel_sum(x, y):
+        # one buffer, overwritten in place: d -> d^2 -> -d^2/(2 sigma^2) -> exp
+        d = np.subtract.outer(x, y)
+        d *= d
+        d /= -2.0 * sigma * sigma
+        np.exp(d, out=d)
+        return d.sum()
 
-    kaa, kbb, kab = kernel(a, a), kernel(b, b), kernel(a, b)
-    term_a = (kaa.sum() - np.trace(kaa)) / (m_n * (m_n - 1)) if m_n > 1 else 0.0
-    term_b = (kbb.sum() - np.trace(kbb)) / (n_n * (n_n - 1)) if n_n > 1 else 0.0
-    mmd_sq = term_a + term_b - 2.0 * kab.mean()
+    # a self-kernel's diagonal is exp(0) = 1, so it sums to the sample size
+    term_a = (kernel_sum(a, a) - m_n) / (m_n * (m_n - 1)) if m_n > 1 else 0.0
+    term_b = (kernel_sum(b, b) - n_n) / (n_n * (n_n - 1)) if n_n > 1 else 0.0
+    mmd_sq = term_a + term_b - 2.0 * kernel_sum(a, b) / (m_n * n_n)
     return w1, w2, float(np.sqrt(max(0.0, mmd_sq)))
 
 

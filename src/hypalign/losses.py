@@ -22,7 +22,7 @@ gradient checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,9 +49,9 @@ class TemperatureSet:
     tau_global_local: object = 0.06
 
     def __post_init__(self):
-        for name in ("tau_global", "tau_local", "tau_global_local"):
-            if float(value_of(getattr(self, name))) < 0.01:
-                raise ContractViolationError(f"{name} below the 0.01 floor")
+        for f in fields(self):
+            if float(value_of(getattr(self, f.name))) < 0.01:
+                raise ContractViolationError(f"{f.name} below the 0.01 floor")
 
 
 @dataclass(frozen=True)

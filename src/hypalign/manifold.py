@@ -14,8 +14,12 @@ smooth (and exactly correct) at the origin.
 
 Every function accepts either plain numpy arrays or autodiff ``Var`` nodes;
 single points use shape ``(n,)`` and batches ``(B, n)``.  Double precision
-keeps the cosh/acosh chains accurate to ~1e-9 for radii up to ~45, which is
-the usable radius limit of this implementation.
+keeps the exp/log round trip accurate to ~1e-9 for radii up to ~45.  The
+distance is not: ``acosh(-kappa <p,q>_L)`` of a near-coincident pair reads
+an argument that is mostly rounding, so its relative error reaches ~1e3
+below radius ``sqrt(kappa)|v|`` 5 and ~6e4 from 5 to 10, and from radius
+~11.7 :func:`pairwise_distance` can raise its drift error on valid near
+pairs.  Generic pairs stay accurate.
 """
 
 from __future__ import annotations

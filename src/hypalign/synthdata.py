@@ -17,7 +17,7 @@ byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -81,10 +81,10 @@ class BatchIndices:
     part_rows: np.ndarray
 
 
-def generate(num_scenes: int = 64, parts_per_scene: int = 4, latent_dim: int = 16,
-             noise_scale: float = 0.05, seed: int = 7, *, spread: float = 1.0,
-             min_separation: float = 0.5) -> Corpus:
-    """Build a corpus; same arguments reproduce it bit for bit.
+def generate(**settings) -> Corpus:
+    """Build a corpus from :class:`GeneratorParams` settings given by
+    keyword (the rest keep their defaults); the same settings reproduce it
+    bit for bit.
 
     Scene latents are unit vectors kept at least ``min_separation`` apart by
     rejection (generation fails if 10^4 consecutive rejections occur).  Each
@@ -92,34 +92,36 @@ def generate(num_scenes: int = 64, parts_per_scene: int = 4, latent_dim: int = 1
     ``(1 - representativeness) * spread``, so the part-to-scene cosine is a
     strictly decreasing function of the displacement before view noise.
     """
-    if num_scenes < 2 or parts_per_scene < 1:
+    p = GeneratorParams(**settings)
+    if p.num_scenes < 2 or p.parts_per_scene < 1:
         raise ContractViolationError("need num_scenes >= 2 and parts_per_scene >= 1")
-    if noise_scale < 0:
+    if p.noise_scale < 0:
         raise ContractViolationError("noise_scale must be >= 0")
-    params = GeneratorParams(num_scenes, parts_per_scene, latent_dim,
-                             noise_scale, spread, min_separation, seed)
-    rng = np.random.default_rng(seed)
+    if p.latent_dim < 2:
+        # a part moves off its scene along a direction orthogonal to it
+        raise ContractViolationError("latent_dim must be >= 2")
+    rng = np.random.default_rng(p.seed)
 
     scene_latents = []
     rejects = 0
-    while len(scene_latents) < num_scenes:
-        cand = rng.normal(size=latent_dim)
+    while len(scene_latents) < p.num_scenes:
+        cand = rng.normal(size=p.latent_dim)
         cand /= np.linalg.norm(cand)
         if scene_latents:
             dmin = min(np.linalg.norm(cand - z) for z in scene_latents)
-            if dmin < min_separation:
+            if dmin < p.min_separation:
                 rejects += 1
                 if rejects > _MAX_REJECTS:
                     raise GenerationError(
-                        f"could not place {num_scenes} scenes at separation "
-                        f">= {min_separation} after {_MAX_REJECTS} rejections"
+                        f"could not place {p.num_scenes} scenes at separation "
+                        f">= {p.min_separation} after {_MAX_REJECTS} rejections"
                     )
                 continue
         scene_latents.append(cand)
 
     def views(latent):
-        img = latent + noise_scale * rng.normal(size=latent_dim)
-        txt = latent + noise_scale * rng.normal(size=latent_dim)
+        img = latent + p.noise_scale * rng.normal(size=p.latent_dim)
+        txt = latent + p.noise_scale * rng.normal(size=p.latent_dim)
         return img, txt
 
     scenes, parts = [], []
@@ -128,17 +130,17 @@ def generate(num_scenes: int = 64, parts_per_scene: int = 4, latent_dim: int = 1
         img, txt = views(z)
         scenes.append(Concept(id=sid, level="scene", latent=z,
                               image_view=img, text_view=txt))
-        for pi in range(parts_per_scene):
+        for pi in range(p.parts_per_scene):
             rep = float(rng.uniform(0.2, 1.0))
-            direction = rng.normal(size=latent_dim)
+            direction = rng.normal(size=p.latent_dim)
             direction -= (direction @ z) * z      # orthogonal to the scene
             direction /= np.linalg.norm(direction)
-            latent = z + (1.0 - rep) * spread * direction
+            latent = z + (1.0 - rep) * p.spread * direction
             img, txt = views(latent)
             parts.append(Concept(id=f"{sid}.p{pi}", level="part", latent=latent,
                                  image_view=img, text_view=txt, parent=sid,
                                  representativeness=rep))
-    return Corpus(params=params, scenes=scenes, parts=parts)
+    return Corpus(params=p, scenes=scenes, parts=parts)
 
 
 def sample_batch(corpus: Corpus, batch_size: int, seed_stream) -> BatchIndices:
@@ -173,17 +175,7 @@ def _vec(a: np.ndarray) -> list[float]:
 def save(corpus: Corpus, path) -> None:
     """Write the JSONL corpus file (header line, then one line per concept,
     scenes first)."""
-    p = corpus.params
-    lines = [json.dumps({
-        "format": _FORMAT,
-        "num_scenes": p.num_scenes,
-        "parts_per_scene": p.parts_per_scene,
-        "latent_dim": p.latent_dim,
-        "noise_scale": p.noise_scale,
-        "spread": p.spread,
-        "min_separation": p.min_separation,
-        "seed": p.seed,
-    })]
+    lines = [json.dumps({"format": _FORMAT, **asdict(corpus.params)})]
     for c in corpus.scenes:
         lines.append(json.dumps({
             "kind": "scene", "id": c.id, "latent": _vec(c.latent),
@@ -210,12 +202,11 @@ def load(path) -> Corpus:
         raise ContractViolationError(
             f"unrecognized corpus format {header.get('format')!r}"
         )
-    params = GeneratorParams(
-        num_scenes=header["num_scenes"], parts_per_scene=header["parts_per_scene"],
-        latent_dim=header["latent_dim"], noise_scale=header["noise_scale"],
-        spread=header["spread"], min_separation=header["min_separation"],
-        seed=header["seed"],
-    )
+    names = [f.name for f in fields(GeneratorParams)]
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ContractViolationError(f"corpus header lacks generator field(s) {missing}")
+    params = GeneratorParams(**{name: header[name] for name in names})
     scenes, parts = [], []
     for line in lines[1:]:
         rec = json.loads(line)

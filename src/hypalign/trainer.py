@@ -34,7 +34,10 @@ from .uncertainty import uncertainty
 
 CHECKPOINT_FORMAT_VERSION = 1
 TAU_FLOOR = 0.01
-DECAY_EXCLUDE = ("kappa", "tau_g", "tau_l", "tau_gl", "c_img", "c_txt")
+# learnable temperatures: TemperatureSet field -> parameter name
+TEMPERATURE_PARAMS = {"tau_global": "tau_g", "tau_local": "tau_l",
+                      "tau_global_local": "tau_gl"}
+DECAY_EXCLUDE = ("kappa", *TEMPERATURE_PARAMS.values(), "c_img", "c_txt")
 _EVAL_STREAM_TAG = 2**31 - 1   # batch-stream tag reserved for the eval batch
 
 
@@ -113,9 +116,8 @@ def init_parameters(corpus: Corpus, cfg: TrainConfig) -> ParameterStore:
     ):
         store.register(name, cfg.init_scale * project(_view_matrix(corpus, level, view)))
     store.register("kappa", 1.0)
-    store.register("tau_g", float(value_of(cfg.loss.temps.tau_global)))
-    store.register("tau_l", float(value_of(cfg.loss.temps.tau_local)))
-    store.register("tau_gl", float(value_of(cfg.loss.temps.tau_global_local)))
+    for field_name, name in TEMPERATURE_PARAMS.items():
+        store.register(name, float(value_of(getattr(cfg.loss.temps, field_name))))
     store.register("c_img", 1.0 / math.sqrt(n))
     store.register("c_txt", 1.0 / math.sqrt(n))
     return store
@@ -133,11 +135,7 @@ def materialize_batch(store: ParameterStore, idx: BatchIndices) -> Batch:
 
 def loss_config_with_vars(cfg: LossConfig, store: ParameterStore) -> LossConfig:
     """Loss config whose temperatures are the live learnable Vars."""
-    temps = TemperatureSet(
-        tau_global=store["tau_g"],
-        tau_local=store["tau_l"],
-        tau_global_local=store["tau_gl"],
-    )
+    temps = TemperatureSet(**{f: store[name] for f, name in TEMPERATURE_PARAMS.items()})
     return replace(cfg, temps=temps)
 
 
@@ -174,7 +172,7 @@ def project_parameters(store: ParameterStore) -> None:
     """Clamp curvature and temperatures back into their valid ranges
     (projected-gradient semantics: gradients are taken pre-clamp)."""
     store["kappa"].value = np.clip(store["kappa"].value, KAPPA_MIN, KAPPA_MAX)
-    for name in ("tau_g", "tau_l", "tau_gl"):
+    for name in TEMPERATURE_PARAMS.values():
         store[name].value = np.maximum(store[name].value, TAU_FLOOR)
 
 
@@ -295,10 +293,7 @@ def restore(payload: dict, store: ParameterStore, opt: AdamW,
         raise ContractViolationError(
             "checkpoint was produced with a different configuration"
         )
-    values = {}
-    for name, rec in payload["params"].items():
-        values[name] = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-    store.load(values)
+    store.load(store_from_payload(payload).snapshot())
     for name in opt.m:
         shape = store[name].value.shape
         opt.m[name] = np.asarray(payload["opt_m"][name], dtype=np.float64).reshape(shape)

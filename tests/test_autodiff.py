@@ -349,3 +349,12 @@ class TestParameterStore:
         assert not isinstance(ad.exp(np.zeros(2)), Var)
         assert not isinstance(ad.add(1.0, 2.0), Var)
         assert float(ad.add(1.0, 2.0)) == 3.0
+
+    @pytest.mark.parametrize("combine", [
+        lambda x, v: x + v, lambda x, v: v * x, lambda x, v: x - v, lambda x, v: v / x,
+    ])
+    def test_operator_arithmetic_rejected(self, combine):
+        # ops go through the functions; mixed ndarray-Var arithmetic raises
+        # instead of building an object array off the tape
+        with pytest.raises(TypeError):
+            combine(np.ones(2), Var(np.ones(2)))

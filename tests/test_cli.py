@@ -3,11 +3,19 @@ codes, and machine-parsable errors."""
 
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from hypalign.cli import build_train_config, main, parse_config_file
+from hypalign.cli import CONFIG_SCHEMA, build_train_config, main, parse_config_file
+from hypalign.synthdata import GeneratorParams, generate, load, save
+from hypalign.trainer import TrainConfig, config_to_dict
+
+
+def _resolved_config(err: str) -> dict:
+    line, = [ln for ln in err.splitlines() if ln.startswith("resolved-config ")]
+    return json.loads(line.partition(" ")[2])
 
 
 @pytest.fixture()
@@ -33,6 +41,31 @@ class TestGenerate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--seed", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_no_flags_write_the_default_corpus(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("UNCHA_SEED", raising=False)
+        cli_path, lib_path = tmp_path / "cli.txt", tmp_path / "lib.txt"
+        assert main(["generate", "--out", str(cli_path)]) == 0
+        save(generate(), lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
+        # the resolved-config line carries the corpus header's field names
+        assert _resolved_config(capsys.readouterr().err) == {
+            "command": "generate", **asdict(GeneratorParams()), "out": str(cli_path)}
+
+    def test_every_flag_reaches_the_generator(self, tmp_path):
+        settings = {"num_scenes": 9, "parts_per_scene": 3, "latent_dim": 12,
+                    "noise_scale": 0.07, "spread": 0.8, "min_separation": 0.4,
+                    "seed": 11}
+        assert set(settings) == {f.name for f in fields(GeneratorParams)}
+        assert all(v != getattr(GeneratorParams, k) for k, v in settings.items())
+        cli_path, lib_path = tmp_path / "cli.txt", tmp_path / "lib.txt"
+        assert main(["generate", "--scenes", "9", "--parts", "3", "--latent-dim", "12",
+                     "--noise-scale", "0.07", "--spread", "0.8",
+                     "--min-separation", "0.4", "--seed", "11",
+                     "--out", str(cli_path)]) == 0
+        save(generate(**settings), lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes()
+        assert load(cli_path).params == GeneratorParams(**settings)
 
     def test_infeasible_parameters_exit_1(self, tmp_path, capsys):
         code = main(["generate", "--scenes", "64", "--parts", "1",
@@ -70,6 +103,55 @@ class TestConfigFile:
         with pytest.raises(ContractViolationError):
             parse_config_file(path)
 
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        # each key and where it lands in config_to_dict(cfg)
+        paths = {
+            **{k: (k,) for k in (
+                "steps", "batch_size", "lr", "warmup_steps", "weight_decay",
+                "beta1", "beta2", "adam_eps", "eval_interval",
+                "checkpoint_interval", "seed", "table_dim", "init_scale")},
+            "tau_g": ("loss", "temps", "tau_global"),
+            "tau_l": ("loss", "temps", "tau_local"),
+            "tau_gl": ("loss", "temps", "tau_global_local"),
+            **{k: ("loss", "cone", k) for k in ("aperture_k", "eta_inter", "eta_intra")},
+            **{k: ("loss", k) for k in (
+                "alpha", "lambda_intra", "lambda_cal", "lambda_ent", "entropy_sign",
+                "include_positive", "uncertainty_from_radius")},
+        }
+        assert set(paths) == set(CONFIG_SCHEMA)
+
+        def lookup(d, path):
+            for name in path:
+                d = d[name]
+            return d
+
+        defaults = config_to_dict(TrainConfig())
+        wanted = {}
+        for key, path in paths.items():
+            default = lookup(defaults, path)
+            if isinstance(default, bool):
+                wanted[key] = not default
+            elif isinstance(default, int):
+                wanted[key] = default + 1
+            else:
+                wanted[key] = -default if key == "entropy_sign" else default * 0.5
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("".join(
+            f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n"
+            for k, v in wanted.items()))
+        resolved = config_to_dict(build_train_config(parse_config_file(cfg_path), {}))
+        for key, path in paths.items():
+            got = lookup(resolved, path)
+            assert got == wanted[key] and type(got) is type(wanted[key]), key
+
+    def test_train_flags_land_in_their_keys(self, corpus_path, tmp_path, capsys):
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "r"),
+                     "--steps", "0", "--batch-size", "4", "--lr", "0.002",
+                     "--warmup", "3", "--seed", "9"]) == 0
+        resolved = _resolved_config(capsys.readouterr().err)
+        assert {k: resolved[k] for k in ("steps", "batch_size", "lr", "warmup_steps", "seed")} \
+            == {"steps": 0, "batch_size": 4, "lr": 0.002, "warmup_steps": 3, "seed": 9}
+
     def test_flags_override_file(self):
         cfg = build_train_config({"steps": 10, "lr": 1e-3}, {"steps": 20})
         assert cfg.steps == 20
@@ -105,9 +187,8 @@ class TestTrainEvalExport:
         out = tmp_path / "run"
         assert main(["train", "--corpus", str(corpus_path), "--out", str(out),
                      "--steps", "0", "--batch-size", "4"]) == 0
-        from hypalign.synthdata import load
-        from hypalign.trainer import (TrainConfig, init_parameters,
-                                      load_checkpoint, store_from_payload)
+        from hypalign.trainer import (init_parameters, load_checkpoint,
+                                      store_from_payload)
         from hypalign.autodiff import value_of
         payload = load_checkpoint(out / "checkpoint_final.json")
         fresh = init_parameters(load(corpus_path),
@@ -174,7 +255,6 @@ class TestTrainEvalExport:
         out = tmp_path / "run"
         main(["train", "--corpus", str(corpus_path), "--out", str(out),
               "--steps", "2", "--batch-size", "4", "--seed", "7"])
-        from hypalign.synthdata import load
         corpus = load(corpus_path)
         parent = {"root": None}
         for s in corpus.scenes:
@@ -187,6 +267,16 @@ class TestTrainEvalExport:
         assert main(["eval", "--checkpoint", str(out / "checkpoint_final.json"),
                      "--corpus", str(corpus_path), "--taxonomy", str(tax_path),
                      "--out", str(report_path)]) == 0
+
+    def test_corpus_header_without_seed_exit_1(self, corpus_path, tmp_path, capsys):
+        header, *records = corpus_path.read_text().splitlines()
+        header = json.loads(header)
+        del header["seed"]
+        corpus_path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        code = main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        error_line = capsys.readouterr().err.splitlines()[-1]
+        assert error_line.startswith("error kind=contract") and "'seed'" in error_line
 
     def test_missing_corpus_exit_1(self, tmp_path, capsys):
         code = main(["train", "--corpus", str(tmp_path / "nope.txt"),

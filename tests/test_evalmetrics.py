@@ -186,10 +186,14 @@ class TestRecallAtK:
         values = [recall_at_k(queries, gallery, truth, k, m) for k in range(1, 10)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_empty_gallery_rejected(self):
+    @pytest.mark.parametrize("n_queries, n_gallery, message", [
+        (2, 0, "empty gallery"),
+        (0, 2, "empty query set"),
+    ])
+    def test_empty_gallery_rejected(self, n_queries, n_gallery, message):
         m = Manifold(1.0)
-        with pytest.raises(ContractViolationError):
-            recall_at_k(np.zeros((2, 3)), np.zeros((0, 3)), {}, 1, m)
+        with pytest.raises(ContractViolationError, match=message):
+            recall_at_k(np.zeros((n_queries, 3)), np.zeros((n_gallery, 3)), {}, 1, m)
 
 
 class TestDistributionDistances:

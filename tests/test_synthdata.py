@@ -1,12 +1,15 @@
 """Synthetic-corpus generator: determinism, ground-truth structure, and
 batch sampling."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from hypalign.errors import ContractViolationError, GenerationError
-from hypalign.synthdata import generate, load, sample_batch, save
+from hypalign.synthdata import GeneratorParams, generate, load, sample_batch, save
 
 
 class TestGenerate:
@@ -68,6 +71,8 @@ class TestGenerate:
             generate(num_scenes=4, parts_per_scene=0)
         with pytest.raises(ContractViolationError):
             generate(num_scenes=4, parts_per_scene=1, noise_scale=-0.1)
+        with pytest.raises(ContractViolationError, match="latent_dim"):
+            generate(num_scenes=2, parts_per_scene=1, latent_dim=1)
 
     def test_representativeness_range(self):
         corpus = generate(num_scenes=32, parts_per_scene=4, seed=11)
@@ -99,6 +104,17 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text('{"format": "nope"}\n')
         with pytest.raises(ContractViolationError):
+            load(path)
+
+    @pytest.mark.parametrize("missing", [f.name for f in fields(GeneratorParams)])
+    def test_missing_header_field_rejected(self, tmp_path, missing):
+        path = tmp_path / "c.txt"
+        save(generate(num_scenes=3, parts_per_scene=1, seed=2), path)
+        header, *records = path.read_text().splitlines()
+        header = json.loads(header)
+        del header[missing]
+        path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        with pytest.raises(ContractViolationError, match=f"'{missing}'"):
             load(path)
 
 
