@@ -1,21 +1,22 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine covers exactly the operation vocabulary this package needs
-(arithmetic, reductions, acosh and the sqrt-composites, log-sum-exp,
-softmax, gather, stop-gradient) rather than being a general autodiff
+(arithmetic, sum, reshape, the transcendentals, acosh, the asinhc
+composite, softmax, stop-gradient) rather than being a general autodiff
 framework.  Every op computes its numpy value and a hand-derived
 vector-Jacobian product and becomes one node through :func:`fused`; the
 geometry modules build the lift, the distance matrix, the cone angles and
-the uncertainty the same way.  :func:`fused` dispatches on the inputs: if no
-argument is a :class:`Var`, the plain numpy result is returned, so the same
-numeric code serves both the differentiable training path and fast
-tape-free evaluation.
+the uncertainty the same way, and the losses and the trainer build each
+loss block and the batch gather as one node too.  :func:`fused` dispatches
+on the inputs: if no argument is a :class:`Var`, the plain numpy result is
+returned, so the same numeric code serves both the differentiable training
+path and fast tape-free evaluation.
 
 Conventions
 -----------
 * double precision everywhere;
 * at non-differentiable kinks (``acosh`` at 1, ``asin``/``acos`` at +-1,
-  ``relu`` at 0, norms at 0) the subgradient 0 is used;
+  the hinge at 0, norms at 0) the subgradient 0 is used;
 * a forward graph is rebuilt for every evaluation; graphs are never reused
   across parameter updates.  Repeated :func:`backward` calls on the same
   graph are bit-identical.
@@ -187,13 +188,6 @@ def sqrt(a):
     return _unary(a, "sqrt", np.sqrt, dfd)
 
 
-def relu(a):
-    """max(0, x); subgradient 0 at the hinge point."""
-    return _unary(
-        a, "relu", lambda x: np.maximum(x, 0.0), lambda x, out: (x > 0.0).astype(float)
-    )
-
-
 def _acosh_clamp(xv: Array) -> Array:
     """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises."""
     low = np.min(xv) if xv.size else 1.0
@@ -297,56 +291,15 @@ def reduce_sum(a, axis=None):
     return fused(np.sum(av, axis=axis), "sum", (a,), vjp)
 
 
-def transpose(a):
-    return fused(value_of(a).T, "transpose", (a,), lambda g: (g.T,))
-
-
 def reshape(a, shape):
     av = value_of(a)
     return fused(av.reshape(shape), "reshape", (a,), lambda g: (g.reshape(av.shape),))
-
-
-def take_rows(a, idx):
-    """Row gather ``a[idx]``; the adjoint scatter-adds duplicate rows."""
-    idx = np.asarray(idx, dtype=np.intp)
-    av = value_of(a)
-
-    def vjp(g):
-        acc = np.zeros(av.shape)
-        np.add.at(acc, idx, g)
-        return (acc,)
-
-    return fused(av[idx], "take_rows", (a,), vjp)
-
-
-def diag_part(a):
-    """Diagonal of a square matrix."""
-    av = value_of(a)
-
-    def vjp(g):
-        acc = np.zeros(av.shape)
-        n = av.shape[0]
-        acc[np.arange(n), np.arange(n)] = g
-        return (acc,)
-
-    return fused(np.diagonal(av).copy(), "diag_part", (a,), vjp)
 
 
 def _softmax_val(x: Array, axis) -> Array:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def logsumexp(a, axis=-1):
-    """Stable log-sum-exp; -inf entries are treated as absent terms."""
-    xv = value_of(a)
-    m = np.max(xv, axis=axis, keepdims=True)
-    out_val = np.squeeze(m, axis=axis) + np.log(
-        np.sum(np.exp(xv - m), axis=axis)
-    )
-    return fused(out_val, "logsumexp", (a,),
-                 lambda g: (np.expand_dims(g, axis) * _softmax_val(xv, axis),))
 
 
 def softmax(a, axis=-1):

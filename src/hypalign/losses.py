@@ -18,6 +18,19 @@ uncertainty feeds both its temperatures and its calibration, and
 calibration re-weights the intra-modal leaks the entailment block already
 holds.  The per-term functions build their own inputs, for direct use and
 gradient checking.
+
+Each loss block is one tape node with a hand-derived vector-Jacobian
+product, built through ``autodiff.fused`` on top of the fused geometry:
+``info_nce`` (one contrastive direction, reading its distance matrix along
+either axis), ``tempered`` (the per-row temperatures), ``leaky`` (one
+entailment term's per-row leak), ``sum_pair`` (a block's two row sums),
+``calibration`` (one part group, behind its own ``stop_gradient`` node) and
+``weighted_total``.  Each node keeps the arithmetic of the op-by-op
+composition it replaced, forward and backward, and lists its inputs in the
+order that composition's graph reached them, so the backward sweep adds up
+every shared adjoint in the same order: losses, gradients and the training
+trajectory are bit-identical to the composition's (kept in
+``tests/test_fused_loss_ops.py`` as the reference).
 """
 
 from __future__ import annotations
@@ -123,21 +136,45 @@ def _uncertainty(x, m: Manifold, use_radius: bool):
     return uncertainty_from_radius(x, m) if use_radius else uncertainty(x)
 
 
-def _info_nce(dists, tau, include_positive: bool):
+def _info_nce(dists, tau, include_positive: bool, transposed: bool = False):
     """Contrastive loss over a ``(B, B)`` distance matrix whose diagonal
-    holds the positive pairs."""
-    b = value_of(dists).shape[0]
-    if value_of(tau).ndim == 1:
-        tau = ad.reshape(tau, (b, 1))
-    logits = ad.div(ad.neg(dists), tau)
-    positives = ad.diag_part(logits)
+    holds the positive pairs, as one tape node; ``transposed`` reads the
+    matrix's columns as the anchor rows.
+
+    ``tau`` is a scalar or a per-anchor-row vector.  Per row, the adjoint of
+    the logits ``-d/tau`` is the softmax over its denominator minus the
+    one-hot of its positive; the distances' adjoint is that over ``-tau``.
+    """
+    dv, tv = value_of(dists), value_of(tau)
+    d = dv.T if transposed else dv
+    b = d.shape[0]
+    t = tv.reshape(b, 1) if tv.ndim == 1 else tv
+    neg_d = -d
+    logits = neg_d / t
+    positives = np.diagonal(logits)
     if include_positive:
-        denom = ad.logsumexp(logits, axis=1)
+        x = logits
     else:
         mask = np.zeros((b, b))
         np.fill_diagonal(mask, -np.inf)
-        denom = ad.logsumexp(ad.add(logits, mask), axis=1)
-    return ad.reduce_sum(ad.sub(denom, positives))
+        x = logits + mask
+    top = np.max(x, axis=1, keepdims=True)
+    e = np.exp(x - top)
+    total = np.sum(e, axis=1, keepdims=True)
+    denom = np.squeeze(top, axis=1) + np.log(np.squeeze(total, axis=1))
+
+    def vjp(g):
+        rows = np.arange(b)
+        g_rows = np.full(b, g)
+        one_hot = np.zeros((b, b))
+        one_hot[rows, rows] = -g_rows
+        g_logits = g_rows[:, None] * (e / total) + one_hot    # softmax - one-hot
+        g_t = -g_logits * neg_d / (t * t)
+        d_adj = -(g_logits / t)
+        return (d_adj.T if transposed else d_adj,
+                g_t.sum(axis=1) if tv.ndim else g_t.sum(axis=(0, 1)))
+
+    return ad.fused(np.sum(denom - positives), "info_nce", (dists, tau), vjp)
 
 
 def contrastive(anchors, targets, tau, m: Manifold, *, include_positive: bool = False):
@@ -158,7 +195,12 @@ def contrastive(anchors, targets, tau, m: Manifold, *, include_positive: bool = 
 
 
 def _tempered(u, tau_global_local):
-    return ad.mul(ad.exp(ad.div(u, 2.0)), tau_global_local)
+    """``exp(u/2) * tau_gl`` per row, one tape node."""
+    half = np.exp(value_of(u) / 2.0)
+    tau = value_of(tau_global_local)
+    out = half * tau
+    return ad.fused(out, "tempered", (u, tau_global_local),
+                    lambda g: (g * tau * half / 2.0, np.sum(g * half)))
 
 
 def adaptive_temperatures(parts, tau_global_local):
@@ -170,19 +212,27 @@ def adaptive_temperatures(parts, tau_global_local):
     return _tempered(uncertainty(parts), tau_global_local)
 
 
-def _hinge(phi, omega, eta: float):
-    return ad.relu(ad.sub(phi, ad.mul(float(eta), omega)))
-
-
 def entail_hinge(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
                  m: Manifold):
     """``max(0, phi(p, q) - eta * aperture(p))`` per pair; zero exactly when
     ``q`` lies inside ``p``'s scaled cone."""
-    return _hinge(exterior_angle(p, q, m), aperture(p, cp.aperture_k, m), eta)
+    return _leaky(exterior_angle(p, q, m), aperture(p, cp.aperture_k, m), eta, 0.0)
 
 
 def _leaky(phi, omega, eta: float, alpha: float):
-    return ad.add(_hinge(phi, omega, eta), ad.mul(float(alpha), phi))
+    """``max(0, phi - eta * omega) + alpha * phi`` per row, one tape node;
+    the hinge takes the subgradient 0 at its boundary."""
+    eta, alpha = float(eta), float(alpha)
+    pv = value_of(phi)
+    excess = pv - eta * value_of(omega)
+
+    def vjp(g):
+        active = g * (excess > 0.0)
+        return (-eta * active, active + alpha * g)
+
+    # listed so that the sweep reaches phi's graph before omega's, as the
+    # op-by-op composition did
+    return ad.fused(np.maximum(excess, 0.0) + alpha * pv, "leaky", (omega, phi), vjp)
 
 
 def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
@@ -193,11 +243,28 @@ def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
 
 
 def _calibrate(u, leak, entropy_sign: float):
-    core = ad.reduce_sum(
-        ad.add(ad.mul(ad.stop_gradient(leak), ad.exp(ad.neg(u))), u)
-    )
-    ent = entropy(normalize_uncertainty(u))
-    return ad.add(core, ad.mul(float(entropy_sign), ent))
+    """``sum_i [sg(leak_i) exp(-u_i) + u_i] + sign * H(softmax(u))`` as one
+    tape node over ``u`` and the stopped leak; the stop-gradient stays its
+    own node, so record/replay sees it."""
+    stopped = ad.stop_gradient(leak)
+    uv, lv = value_of(u), value_of(stopped)
+    sign = float(entropy_sign)
+    decay = np.exp(-uv)
+    w = normalize_uncertainty(uv)
+    ent = entropy(w)
+
+    def vjp(g):
+        g_rows = np.full(uv.shape, g)
+        # the entropy's adjoint reaches w through w and through log(w)
+        g_ent = np.full(uv.shape, -(g * sign))
+        g_w = g_ent * np.log(w) + g_ent * w * (1.0 / w)
+        g_soft = w * (g_w - np.sum(g_w * w, axis=-1, keepdims=True))
+        return (g_rows * decay, g_rows, -(g_rows * lv * decay), g_soft)
+
+    # u's three adjoint terms (the core's two and the entropy's) go to the
+    # sweep one at a time, which adds them to u's adjoint in that order
+    return ad.fused(np.sum(lv * decay + uv) + sign * ent, "calibration",
+                    (stopped, u, u, u), vjp)
 
 
 def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
@@ -249,8 +316,8 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
     """Global-local terms with uncertainty-tempered rows; the global and
     local terms read one distance matrix along both axes."""
 
-    def nce(dists, tau):
-        return _info_nce(dists, tau, include_positive)
+    def nce(dists, tau, transposed=False):
+        return _info_nce(dists, tau, include_positive, transposed)
 
     d_glob = pairwise_distance(s.whole_image, s.whole_text, m)
     d_loc = pairwise_distance(s.part_image, s.part_text, m)
@@ -263,10 +330,17 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
                 _tempered(s.u_text, gl)),
         ),
         "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
-                                     nce(ad.transpose(d_glob), temps.tau_global)),
+                                     nce(d_glob, temps.tau_global, transposed=True)),
         "contrastive_local": ad.add(nce(d_loc, temps.tau_local),
-                                    nce(ad.transpose(d_loc), temps.tau_local)),
+                                    nce(d_loc, temps.tau_local, transposed=True)),
     }
+
+
+def _sum_pair(a, b):
+    """``sum(a) + sum(b)``, one tape node."""
+    av, bv = value_of(a), value_of(b)
+    return ad.fused(np.sum(av) + np.sum(bv), "sum_pair", (a, b),
+                    lambda g: (np.full(av.shape, g), np.full(bv.shape, g)))
 
 
 def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
@@ -288,8 +362,8 @@ def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
     inter_wholes = _leaky(*angle_and_aperture(s.whole_text, s.whole_image),
                           cone.eta_inter, alpha)
     return {
-        "entail_inter": ad.add(ad.reduce_sum(inter_parts), ad.reduce_sum(inter_wholes)),
-        "entail_intra": ad.add(ad.reduce_sum(leak_text), ad.reduce_sum(leak_image)),
+        "entail_inter": _sum_pair(inter_parts, inter_wholes),
+        "entail_intra": _sum_pair(leak_text, leak_image),
         "calibration": ad.add(_calibrate(s.u_text, leak_text, cfg.entropy_sign),
                               _calibrate(s.u_image, leak_image, cfg.entropy_sign)),
     }
@@ -300,10 +374,29 @@ def _contrastive_sum(c: dict):
                   c["contrastive_local"])
 
 
-def _entailment_sum(e: dict, cfg: LossConfig):
+def _entailment_sum(e: dict, lambda_intra, lambda_cal):
     return ad.add(e["entail_inter"],
-                  ad.add(ad.mul(cfg.lambda_intra, e["entail_intra"]),
-                         ad.mul(cfg.lambda_cal, e["calibration"])))
+                  ad.add(ad.mul(lambda_intra, e["entail_intra"]),
+                         ad.mul(lambda_cal, e["calibration"])))
+
+
+def _weighted_total(c: dict, lambda_intra, lambda_cal, lambda_ent):
+    """``contrastive sum + lambda_ent * entailment sum`` of the report's
+    components, as one tape node over the six components and the three
+    weights; the sums are the block totals' own, taken on values."""
+    v = {name: value_of(x) for name, x in c.items()}
+    li, lc, le = value_of(lambda_intra), value_of(lambda_cal), value_of(lambda_ent)
+    ent = _entailment_sum(v, li, lc)
+
+    def vjp(g):
+        ge = g * le
+        return (g, g, g, ge, ge * li, ge * lc,
+                ge * v["entail_intra"], ge * v["calibration"], g * ent)
+
+    return ad.fused(_contrastive_sum(v) + le * ent, "weighted_total",
+                    (c["contrastive_globallocal"], c["contrastive_global"],
+                     c["contrastive_local"], c["entail_inter"], c["entail_intra"],
+                     c["calibration"], lambda_intra, lambda_cal, lambda_ent), vjp)
 
 
 def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold):
@@ -317,7 +410,7 @@ def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold):
     """Inter-modal entailment plus weighted intra-modal entailment and
     calibration, summed over batch rows."""
     s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
-    return _entailment_sum(_entailment_terms(s, cfg, m), cfg)
+    return _entailment_sum(_entailment_terms(s, cfg, m), cfg.lambda_intra, cfg.lambda_cal)
 
 
 def total_loss(batch: Batch, cfg: LossConfig, m: Manifold) -> LossReport:
@@ -326,5 +419,6 @@ def total_loss(batch: Batch, cfg: LossConfig, m: Manifold) -> LossReport:
     s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
     con = _contrastive_terms(s, cfg.temps, m, cfg.include_positive)
     ent = _entailment_terms(s, cfg, m)
-    total = ad.add(_contrastive_sum(con), ad.mul(cfg.lambda_ent, _entailment_sum(ent, cfg)))
-    return LossReport(total=total, components={**con, **ent})
+    components = {**con, **ent}
+    total = _weighted_total(components, cfg.lambda_intra, cfg.lambda_cal, cfg.lambda_ent)
+    return LossReport(total=total, components=components)

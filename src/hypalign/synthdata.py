@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -61,12 +62,14 @@ class Corpus:
     def num_scenes(self) -> int:
         return len(self.scenes)
 
-    @property
-    def parts_by_scene(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {s.id: [] for s in self.scenes}
-        for i, part in enumerate(self.parts):
-            out[part.parent].append(i)
-        return out
+    @cached_property
+    def _part_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Part rows grouped by scene (corpus order within a scene), and per
+        scene its group's start in that order and its part count."""
+        scene = self.scene_index()
+        owner = np.array([scene[p.parent] for p in self.parts], dtype=np.intp)
+        counts = np.bincount(owner, minlength=self.num_scenes)
+        return np.argsort(owner, kind="stable"), np.cumsum(counts) - counts, counts
 
     def scene_index(self) -> dict[str, int]:
         return {s.id: i for i, s in enumerate(self.scenes)}
@@ -155,11 +158,8 @@ def sample_batch(corpus: Corpus, batch_size: int, seed_stream) -> BatchIndices:
         )
     rng = np.random.default_rng(seed_stream)
     scene_rows = rng.choice(corpus.num_scenes, size=batch_size, replace=False)
-    by_scene = corpus.parts_by_scene
-    part_rows = np.array([
-        by_scene[corpus.scenes[s].id][rng.integers(len(by_scene[corpus.scenes[s].id]))]
-        for s in scene_rows
-    ], dtype=np.intp)
+    order, starts, counts = corpus._part_groups
+    part_rows = order[starts[scene_rows] + rng.integers(counts[scene_rows])]
     return BatchIndices(scene_rows=np.asarray(scene_rows, dtype=np.intp),
                         part_rows=part_rows)
 

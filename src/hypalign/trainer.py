@@ -123,13 +123,27 @@ def init_parameters(corpus: Corpus, cfg: TrainConfig) -> ParameterStore:
     return store
 
 
+def _gather_scaled(table, rows, scale):
+    """``scale * table[rows]`` as one tape node; the table's adjoint
+    scatter-adds duplicate rows."""
+    tv, cv = value_of(table), value_of(scale)
+    picked = tv[rows]
+
+    def vjp(g):
+        acc = np.zeros(tv.shape)
+        np.add.at(acc, rows, g * cv)
+        return (acc, np.sum(g * picked))
+
+    return ad.fused(cv * picked, "gather_scale", (table, scale), vjp)
+
+
 def materialize_batch(store: ParameterStore, idx: BatchIndices) -> Batch:
     """Scaled tangent embeddings for the four groups of a sampled batch."""
     return Batch(
-        whole_image=ad.mul(store["c_img"], ad.take_rows(store["table_scene_img"], idx.scene_rows)),
-        whole_text=ad.mul(store["c_txt"], ad.take_rows(store["table_scene_txt"], idx.scene_rows)),
-        part_image=ad.mul(store["c_img"], ad.take_rows(store["table_part_img"], idx.part_rows)),
-        part_text=ad.mul(store["c_txt"], ad.take_rows(store["table_part_txt"], idx.part_rows)),
+        whole_image=_gather_scaled(store["table_scene_img"], idx.scene_rows, store["c_img"]),
+        whole_text=_gather_scaled(store["table_scene_txt"], idx.scene_rows, store["c_txt"]),
+        part_image=_gather_scaled(store["table_part_img"], idx.part_rows, store["c_img"]),
+        part_text=_gather_scaled(store["table_part_txt"], idx.part_rows, store["c_txt"]),
     )
 
 

@@ -1,0 +1,439 @@
+"""The fused loss-block tape ops -- the contrastive row sum (``info_nce``),
+the per-row temperatures (``tempered``), the leaky entailment term
+(``leaky``), the sum of two terms' rows (``sum_pair``), calibration
+(``calibration``), the batch gather (``gather_scale``) and the weighted
+total (``weighted_total``) -- each one tape node with a hand-derived
+vector-Jacobian product.
+
+Two references: central finite differences for every input, and the
+op-by-op composition the fused nodes replaced, rebuilt below from
+single-purpose tape nodes.  The fused nodes keep the composition's
+arithmetic in both directions, and list their inputs so that the backward
+sweep reaches and accumulates every shared adjoint in the composition's
+order; values and adjoints must agree bit for bit, for each node and for a
+whole training step's graph.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import hypalign.autodiff as ad
+from hypalign.autodiff import Var, value_of
+from hypalign.entailment import aperture, exterior_angle
+from hypalign.gradcheck import build_check_problem
+from hypalign.losses import (
+    Batch,
+    LossConfig,
+    _calibrate,
+    _info_nce,
+    _leaky,
+    _lift_batch,
+    _sum_pair,
+    _tempered,
+    _weighted_total,
+    total_loss,
+)
+from hypalign.manifold import Manifold, pairwise_distance
+from hypalign.trainer import _gather_scaled, loss_config_with_vars, materialize_batch
+
+from test_fused_ops import _transpose
+
+ETA, ALPHA = 1.2, 0.1
+ROWS = np.array([0, 2, 2, 4, 1])          # a gather with a duplicate row
+COMPONENTS = ("contrastive_globallocal", "contrastive_global", "contrastive_local",
+              "entail_inter", "entail_intra", "calibration")
+WEIGHTS = ("lambda_intra", "lambda_cal", "lambda_ent")
+
+
+# ---------------------------------------------------------------------------
+# the unfused composition: one tape node per elementary op
+# ---------------------------------------------------------------------------
+
+def _relu(a):
+    return ad._unary(a, "relu", lambda x: np.maximum(x, 0.0),
+                     lambda x, out: (x > 0.0).astype(float))
+
+
+def _take_rows(a, idx):
+    idx = np.asarray(idx, dtype=np.intp)
+    av = value_of(a)
+
+    def vjp(g):
+        acc = np.zeros(av.shape)
+        np.add.at(acc, idx, g)
+        return (acc,)
+
+    return ad.fused(av[idx], "take_rows", (a,), vjp)
+
+
+def _diag_part(a):
+    av = value_of(a)
+
+    def vjp(g):
+        acc = np.zeros(av.shape)
+        n = av.shape[0]
+        acc[np.arange(n), np.arange(n)] = g
+        return (acc,)
+
+    return ad.fused(np.diagonal(av).copy(), "diag_part", (a,), vjp)
+
+
+def _logsumexp(a, axis=-1):
+    xv = value_of(a)
+    m = np.max(xv, axis=axis, keepdims=True)
+    out = np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(xv - m), axis=axis))
+    return ad.fused(out, "logsumexp", (a,),
+                    lambda g: (np.expand_dims(g, axis) * ad._softmax_val(xv, axis),))
+
+
+def unfused_info_nce(dists, tau, include_positive, transposed):
+    if transposed:
+        dists = _transpose(dists)
+    b = value_of(dists).shape[0]
+    if value_of(tau).ndim == 1:
+        tau = ad.reshape(tau, (b, 1))
+    logits = ad.div(ad.neg(dists), tau)
+    positives = _diag_part(logits)
+    if include_positive:
+        denom = _logsumexp(logits, axis=1)
+    else:
+        mask = np.zeros((b, b))
+        np.fill_diagonal(mask, -np.inf)
+        denom = _logsumexp(ad.add(logits, mask), axis=1)
+    return ad.reduce_sum(ad.sub(denom, positives))
+
+
+def unfused_tempered(u, tau):
+    return ad.mul(ad.exp(ad.div(u, 2.0)), tau)
+
+
+def unfused_leaky(phi, omega, eta, alpha):
+    hinge = _relu(ad.sub(phi, ad.mul(float(eta), omega)))
+    return ad.add(hinge, ad.mul(float(alpha), phi))
+
+
+def unfused_sum_pair(a, b):
+    return ad.add(ad.reduce_sum(a), ad.reduce_sum(b))
+
+
+def unfused_calibrate(u, leak, sign):
+    core = ad.reduce_sum(ad.add(ad.mul(ad.stop_gradient(leak), ad.exp(ad.neg(u))), u))
+    w = ad.softmax(u, axis=-1)
+    ent = ad.neg(ad.reduce_sum(ad.mul(w, ad.log(w))))
+    return ad.add(core, ad.mul(float(sign), ent))
+
+
+def unfused_gather_scaled(table, rows, scale):
+    return ad.mul(scale, _take_rows(table, rows))
+
+
+def unfused_weighted_total(c, lambda_intra, lambda_cal, lambda_ent):
+    con = ad.add(ad.add(c["contrastive_globallocal"], c["contrastive_global"]),
+                 c["contrastive_local"])
+    ent = ad.add(c["entail_inter"], ad.add(ad.mul(lambda_intra, c["entail_intra"]),
+                                           ad.mul(lambda_cal, c["calibration"])))
+    return ad.add(con, ad.mul(lambda_ent, ent))
+
+
+def unfused_materialize_batch(store, idx):
+    def group(table, rows, scale):
+        return unfused_gather_scaled(store[table], rows, store[scale])
+
+    return Batch(whole_image=group("table_scene_img", idx.scene_rows, "c_img"),
+                 whole_text=group("table_scene_txt", idx.scene_rows, "c_txt"),
+                 part_image=group("table_part_img", idx.part_rows, "c_img"),
+                 part_text=group("table_part_txt", idx.part_rows, "c_txt"))
+
+
+def unfused_total_loss(batch, cfg, m):
+    """The objective over the unfused loss arithmetic, on the same fused
+    geometry and in the same graph layout as ``total_loss``."""
+    s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
+    temps, cone, alpha = cfg.temps, cfg.cone, cfg.alpha
+
+    def nce(d, tau, transposed=False):
+        return unfused_info_nce(d, tau, cfg.include_positive, transposed)
+
+    def leaky(apex, member, eta, omega=None):
+        omega = aperture(apex, cone.aperture_k, m) if omega is None else omega
+        return unfused_leaky(exterior_angle(apex, member, m), omega, eta, alpha), omega
+
+    d_glob = pairwise_distance(s.whole_image, s.whole_text, m)
+    d_loc = pairwise_distance(s.part_image, s.part_text, m)
+    gl = temps.tau_global_local
+    leak_text, omega_text = leaky(s.part_text, s.whole_text, cone.eta_intra)
+    leak_image, _ = leaky(s.part_image, s.whole_image, cone.eta_intra)
+    inter_parts, _ = leaky(s.part_text, s.part_image, cone.eta_inter, omega_text)
+    inter_wholes, _ = leaky(s.whole_text, s.whole_image, cone.eta_inter)
+    components = {
+        "contrastive_globallocal": ad.add(
+            nce(pairwise_distance(s.part_image, s.whole_text, m),
+                unfused_tempered(s.u_image, gl)),
+            nce(pairwise_distance(s.part_text, s.whole_image, m),
+                unfused_tempered(s.u_text, gl))),
+        "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
+                                     nce(d_glob, temps.tau_global, True)),
+        "contrastive_local": ad.add(nce(d_loc, temps.tau_local),
+                                    nce(d_loc, temps.tau_local, True)),
+        "entail_inter": unfused_sum_pair(inter_parts, inter_wholes),
+        "entail_intra": unfused_sum_pair(leak_text, leak_image),
+        "calibration": ad.add(unfused_calibrate(s.u_text, leak_text, cfg.entropy_sign),
+                              unfused_calibrate(s.u_image, leak_image, cfg.entropy_sign)),
+    }
+    return unfused_weighted_total(components, cfg.lambda_intra, cfg.lambda_cal,
+                                  cfg.lambda_ent)
+
+
+# ---------------------------------------------------------------------------
+# each op as a function of named arrays, fused and unfused
+# ---------------------------------------------------------------------------
+
+def _impls(nce, tempered, leaky, sum_pair, calibrate, gather, total):
+    return {
+        "info_nce": lambda a, v: nce(a["d"], a["tau"], v["include_positive"],
+                                     v["transposed"]),
+        "tempered": lambda a, v: tempered(a["u"], a["tau"]),
+        "leaky": lambda a, v: leaky(a["phi"], a["omega"], ETA, v["alpha"]),
+        "sum_pair": lambda a, v: sum_pair(a["a"], a["b"]),
+        "calibration": lambda a, v: calibrate(a["u"], a["leak"], v["sign"]),
+        "gather_scale": lambda a, v: gather(a["table"], ROWS, a["scale"]),
+        "weighted_total": lambda a, v: total({k: a[k] for k in COMPONENTS},
+                                             *(a[k] for k in WEIGHTS)),
+    }
+
+
+FUSED = _impls(_info_nce, _tempered, _leaky, _sum_pair, _calibrate, _gather_scaled,
+               _weighted_total)
+UNFUSED = _impls(unfused_info_nce, unfused_tempered, unfused_leaky, unfused_sum_pair,
+                 unfused_calibrate, unfused_gather_scaled, unfused_weighted_total)
+
+CASES = (
+    [("info_nce", {"include_positive": pos, "transposed": tr, "tau": tau})
+     for pos in (False, True) for tr in (False, True) for tau in ("scalar", "rows")]
+    + [("tempered", {}), ("leaky", {"alpha": ALPHA}), ("leaky", {"alpha": 0.0}),
+       ("sum_pair", {}), ("calibration", {"sign": 1.0}), ("calibration", {"sign": -1.0}),
+       ("gather_scale", {}), ("weighted_total", {})]
+)
+
+
+def _case_id(case):
+    op, variant = case
+    return "-".join([op] + [f"{k}_{v}" for k, v in variant.items()])
+
+
+def make_inputs(op, variant, seed=0):
+    rng = np.random.default_rng(seed)
+    b = 5
+    if op == "info_nce":
+        tau = (np.array(0.07) if variant["tau"] == "scalar"
+               else rng.uniform(0.06, 0.085, size=b))
+        return {"d": rng.uniform(0.05, 0.6, size=(b, b)), "tau": tau}
+    if op == "tempered":
+        return {"u": rng.uniform(0.05, np.log(2.0), size=b), "tau": np.array(0.06)}
+    if op == "leaky":
+        omega = rng.uniform(0.2, 1.2, size=b)
+        # hinge excesses of both signs, at least 0.05 from the boundary
+        excess = rng.uniform(0.05, 0.4, size=b) * np.array([1, -1, 1, -1, 1])
+        return {"phi": ETA * omega + excess, "omega": omega}
+    if op == "sum_pair":
+        return {"a": rng.uniform(0.0, 2.0, size=b), "b": rng.uniform(0.0, 2.0, size=b)}
+    if op == "calibration":
+        return {"u": rng.uniform(0.05, np.log(2.0), size=b),
+                "leak": rng.uniform(0.0, 2.0, size=b)}
+    if op == "gather_scale":
+        return {"table": rng.normal(size=(b, 3)), "scale": np.array(0.25)}
+    arrays = {k: np.array(rng.normal() * 50.0) for k in COMPONENTS}
+    arrays.update(lambda_intra=np.array(0.5), lambda_cal=np.array(10.0),
+                  lambda_ent=np.array(0.2))
+    return arrays
+
+
+def _live(op, arrays):
+    """Inputs whose adjoint matches central differences: every input but
+    calibration's stopped leak."""
+    return [k for k in arrays if not (op == "calibration" and k == "leak")]
+
+
+def _weights(op, variant, arrays, seed=1):
+    shape = value_of(FUSED[op](arrays, variant)).shape
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+def tape_adjoints(op, variant, impl, arrays, live, weights):
+    """Adjoints of ``<w, out>`` for the ``live`` inputs."""
+    inputs = {k: Var(np.array(v, dtype=float), name=k) if k in live else v
+              for k, v in arrays.items()}
+    root = ad.reduce_sum(ad.mul(impl(inputs, variant), weights))
+    return ad.gradients(root, {k: inputs[k] for k in live})
+
+
+def fd_adjoints(op, variant, arrays, live, weights, h=1e-6):
+    def f(vals):
+        return float(np.sum(value_of(FUSED[op](vals, variant)) * weights))
+
+    out = {}
+    for k in live:
+        x = np.array(arrays[k], dtype=float)
+        g = np.zeros_like(x)
+        for i in np.ndindex(x.shape):
+            vals = dict(arrays)
+            for sign in (1.0, -1.0):
+                xs = x.copy()
+                xs[i] += sign * h
+                vals[k] = xs
+                g[i] += sign * f(vals) / (2.0 * h)
+        out[k] = g
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+class TestFusedLossValues:
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_bitwise_equal_to_unfused(self, case):
+        op, variant = case
+        arrays = make_inputs(op, variant)
+        fused_plain = FUSED[op](arrays, variant)
+        assert not ad.is_var(fused_plain)          # the plain-numpy fast path
+        assert np.array_equal(fused_plain, value_of(UNFUSED[op](arrays, variant)))
+        taped = FUSED[op]({k: Var(np.array(v, dtype=float)) for k, v in arrays.items()},
+                          variant)
+        assert ad.is_var(taped) and taped.name == op
+        assert np.array_equal(value_of(taped), fused_plain)
+
+    def test_transposed_reads_the_other_axis(self):
+        arrays = make_inputs("info_nce", {"tau": "scalar"})
+        for pos in (False, True):
+            t = _info_nce(arrays["d"], arrays["tau"], pos, transposed=True)
+            assert t == pytest.approx(_info_nce(arrays["d"].T.copy(), arrays["tau"], pos),
+                                      rel=1e-14)
+
+    def test_calibration_keeps_the_stop_gradient_node(self):
+        u, leak = Var(np.array([0.2, 0.4])), Var(np.array([0.3, 0.0]))
+        node = _calibrate(u, leak, 1.0)
+        stopped, *us = node._parents
+        assert stopped.name == "stop_gradient" and stopped._parents == ()
+        # u's three adjoint terms reach the sweep one by one
+        assert all(x is u for x in us) and len(us) == 3
+
+    def test_stop_gradient_recorded_and_replayed(self):
+        u, leak = np.array([0.2, 0.4, 0.1]), np.array([0.3, 0.0, 1.5])
+        with ad.record_stop_gradients() as rec:
+            base = _calibrate(u, leak, 1.0)
+        with ad.replay_stop_gradients(rec.values):
+            pinned = _calibrate(u, leak * 3.0, 1.0)
+        assert pinned == base
+
+
+class TestFusedLossAdjoints:
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_matches_finite_differences(self, case):
+        op, variant = case
+        arrays = make_inputs(op, variant)
+        live = _live(op, arrays)
+        weights = _weights(op, variant, arrays)
+        tape = tape_adjoints(op, variant, FUSED[op], arrays, live, weights)
+        fd = fd_adjoints(op, variant, arrays, live, weights)
+        for k in live:
+            assert np.shape(tape[k]) == np.shape(arrays[k]), k
+            np.testing.assert_allclose(tape[k], fd[k], rtol=1e-6, atol=1e-7, err_msg=k)
+
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_matches_unfused_composition(self, case):
+        op, variant = case
+        arrays = make_inputs(op, variant, seed=4)
+        live = list(arrays)
+        weights = _weights(op, variant, arrays)
+        fused = tape_adjoints(op, variant, FUSED[op], arrays, live, weights)
+        unfused = tape_adjoints(op, variant, UNFUSED[op], arrays, live, weights)
+        for k in live:
+            np.testing.assert_array_equal(fused[k], unfused[k], err_msg=k)
+
+    @pytest.mark.parametrize("flags", [{}, {"include_positive": True},
+                                       {"entropy_sign": -1.0, "uncertainty_from_radius": True}],
+                             ids=("default", "include_positive", "radius_flipped_entropy"))
+    def test_step_gradients_bitwise_equal_to_unfused(self, flags):
+        store, idx, cfg = build_check_problem(3)
+        cfg = loss_config_with_vars(LossConfig(**flags), store)
+        params = store.as_dict()
+        m = Manifold(store["kappa"])
+        fused = total_loss(materialize_batch(store, idx), cfg, m)
+        unfused = unfused_total_loss(unfused_materialize_batch(store, idx), cfg, m)
+        assert value_of(fused.total) == value_of(unfused)
+        g_fused, g_unfused = ad.gradients(fused.total, params), ad.gradients(unfused, params)
+        for name in params:
+            np.testing.assert_array_equal(g_fused[name], g_unfused[name], err_msg=name)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_shared_uncertainty_adjoint_summed_in_composition_order(self, seed):
+        # as in a training step, u feeds the tempered temperatures and
+        # calibration, and the temperatures' adjoint reaches u first; the
+        # three calibration terms must follow it one at a time
+        rng = np.random.default_rng(seed)
+        u0, leak = rng.uniform(0.05, np.log(2.0), size=32), rng.uniform(0.0, 2.0, size=32)
+        weights = rng.normal(size=32)
+        grads = []
+        for tempered, calibrate in ((_tempered, _calibrate),
+                                    (unfused_tempered, unfused_calibrate)):
+            u = Var(u0.copy(), name="u")
+            root = ad.add(ad.reduce_sum(ad.mul(tempered(u, 0.06), weights)),
+                          calibrate(u, leak, 1.0))
+            grads.append(ad.gradients(root, {"u": u})["u"])
+        np.testing.assert_array_equal(*grads)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_no_adjoint_reaches_the_stopped_leak(self, sign):
+        arrays = make_inputs("calibration", {"sign": sign})
+        phi = Var(arrays["leak"], name="phi")
+        omega = Var(np.full(5, 0.4), name="omega")
+        u = Var(arrays["u"], name="u")
+        root = _calibrate(u, _leaky(phi, omega, ETA, ALPHA), sign)
+        g = ad.gradients(root, {"phi": phi, "omega": omega, "u": u})
+        assert np.all(g["phi"] == 0.0) and np.all(g["omega"] == 0.0)
+        assert np.max(np.abs(g["u"])) > 0.0
+
+    def test_gather_accumulates_duplicates(self):
+        t = Var(np.arange(12, dtype=float).reshape(4, 3))
+        scale = Var(np.array(2.0))
+        out = ad.reduce_sum(_gather_scaled(t, np.array([0, 2, 2, 2]), scale))
+        g = ad.gradients(out, {"t": t, "scale": scale})
+        np.testing.assert_array_equal(g["t"][:, 0], [2.0, 0.0, 6.0, 0.0])
+        assert g["scale"] == np.sum(t.value[[0, 2, 2, 2]])
+
+    @pytest.mark.parametrize("alpha", (ALPHA, 0.0))
+    def test_hinge_boundary_takes_subgradient_zero(self, alpha):
+        omega = Var(np.array([0.3, 0.5, 0.9]), name="omega")
+        phi = Var(ETA * omega.value, name="phi")     # excess exactly 0
+        leak = _leaky(phi, omega, ETA, alpha)
+        np.testing.assert_array_equal(value_of(leak), alpha * phi.value)
+        g = ad.gradients(ad.reduce_sum(leak), {"phi": phi, "omega": omega})
+        np.testing.assert_array_equal(g["phi"], np.full(3, alpha))
+        np.testing.assert_array_equal(g["omega"], np.zeros(3))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
+    eta=st.sampled_from((0.7, 1.2)),
+    alpha=st.floats(0.0, 0.5),
+    delta=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)),
+)
+def test_leaky_within_1e6_of_the_hinge(seed, rows, eta, alpha, delta):
+    """Within 1e-6 of the hinge boundary the fused leaky term matches the
+    composition bit for bit and takes the one-sided derivative of the side
+    its computed excess lies on, the subgradient 0 at the boundary."""
+    omega = np.random.default_rng(seed).uniform(0.05, 1.5, size=rows)
+    phi = eta * omega + delta
+    excess = phi - eta * omega
+    assert np.all(np.abs(excess) <= 1e-6 + 1e-15)
+    pv, ov = Var(phi, name="phi"), Var(omega, name="omega")
+    leak = _leaky(pv, ov, eta, alpha)
+    assert np.array_equal(value_of(leak), value_of(unfused_leaky(phi, omega, eta, alpha)))
+    assert np.array_equal(value_of(leak), np.maximum(excess, 0.0) + alpha * phi)
+    g = ad.gradients(ad.reduce_sum(leak), {"phi": pv, "omega": ov})
+    active = (excess > 0.0).astype(float)
+    np.testing.assert_array_equal(g["phi"], active + alpha)
+    np.testing.assert_array_equal(g["omega"], -eta * active)

@@ -63,6 +63,10 @@ def _matmul(a, b):
     return ad.fused(av @ bv, "matmul", (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
+def _transpose(a):
+    return ad.fused(value_of(a).T, "transpose", (a,), lambda g: (g.T,))
+
+
 def _outer(a, b):
     return _matmul(ad.reshape(a, (-1, 1)), ad.reshape(b, (1, -1)))
 
@@ -98,7 +102,7 @@ def unfused_lift(v, m):
 
 
 def unfused_pairwise_distance(p, q, m):
-    inner = ad.sub(_matmul(p.space, ad.transpose(q.space)), _outer(p.time, q.time))
+    inner = ad.sub(_matmul(p.space, _transpose(q.space)), _outer(p.time, q.time))
     z = ad.neg(ad.mul(m.kappa, inner))
     return ad.div(ad.acosh_clamped(z), ad.sqrt(m.kappa))
 

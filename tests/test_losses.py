@@ -525,13 +525,20 @@ class TestGraphBudget:
         assert counts["aperture"] == 3            # the part-text apex's serves two terms
         assert counts["uncertainty"] == 2
         assert counts["stop_gradient"] == 2
-        # each subtraction is one node; the rows are aligned, so no gather
-        assert counts["sub"] == 10
-        assert counts["neg"] == 10
-        assert "take_rows" not in counts
-        # the geometry runs inside the fused nodes
-        assert not {"sqrt", "acosh", "acos", "asin", "cosh_sqrt"} & set(counts)
-        assert sum(counts.values()) <= 145
+        # each loss block is one node per call; the global and local terms
+        # read their matrix along both axes inside the node
+        assert counts["info_nce"] == 6
+        assert counts["tempered"] == 2
+        assert counts["leaky"] == 4
+        assert counts["sum_pair"] == 2
+        assert counts["calibration"] == 2
+        assert counts["weighted_total"] == 1
+        # the rows are aligned, so no gather
+        assert "gather_scale" not in counts
+        # the geometry and the loss arithmetic run inside the fused nodes
+        assert not {"sqrt", "acosh", "acos", "asin", "cosh_sqrt", "sub", "neg",
+                    "exp", "softmax", "relu", "sum"} & set(counts)
+        assert sum(counts.values()) <= 60
 
     def test_block_totals_are_the_report_sums(self):
         c = {k: value_of(v) for k, v in
