@@ -318,7 +318,8 @@ _active_stops = None    # the record/replay context currently entered, if any
 
 class record_stop_gradients:
     """Context manager capturing every stop-gradient value (in call order)
-    into ``self.values``.
+    into ``self.values``, and each stop-gradient node with the Var it stops
+    into ``self.stops``.
 
     Together with :class:`replay_stop_gradients` this lets a
     finite-difference harness evaluate the *surrogate* objective whose
@@ -329,6 +330,7 @@ class record_stop_gradients:
 
     def __init__(self):
         self.values: list[Array] = []
+        self.stops: list[tuple[Var, Var]] = []
 
     def __enter__(self):
         global _active_stops
@@ -346,6 +348,18 @@ class record_stop_gradients:
         self.values.append(val.copy())
         return val
 
+    def behind_stops(self, root: Var) -> set[int]:
+        """Ids of the nodes that reach ``root`` only through a stop-gradient
+        recorded here: the root's value moves with them, its tape gradient
+        does not."""
+        live = {id(node) for node in _toposort(root)}
+        reached = set(live)
+        # a stop-gradient inside another one's input was recorded before it
+        for node, source in reversed(self.stops):
+            if id(node) in reached:
+                reached.update(id(n) for n in _toposort(source))
+        return reached - live
+
 
 class replay_stop_gradients(record_stop_gradients):
     """Context manager substituting previously recorded values for every
@@ -353,6 +367,7 @@ class replay_stop_gradients(record_stop_gradients):
     unconsumed raises."""
 
     def __init__(self, values: list):
+        super().__init__()
         self.values = values
         self.cursor = 0
 
@@ -379,7 +394,10 @@ def stop_gradient(a):
         val = _active_stops._stopped(val)
     if not is_var(a):
         return val
-    return Var(val, "stop_gradient")
+    node = Var(val, "stop_gradient")
+    if _active_stops is not None:
+        _active_stops.stops.append((node, a))
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
-"""Finite-difference verification of the gradient engine.
+"""Finite-difference verification of the gradient engine, on the graph that
+trains.
 
-Central differences are compared against tape gradients for every loss and
-every parameter class, on a seeded configuration verified to sit away from
-the documented kinks (coincident points for acosh, the hinge boundary, and
-aperture saturation) by a 1e-3 guard band.  Paths that flow only through a
-stop-gradient are asserted the other way around: the tape gradient must be
-exactly zero while the finite difference is not.
+``run_check_grads`` builds the training objective (``total_loss``) once per
+evaluation and checks each component of its report, and the total, as a
+root of that one graph: central differences are compared against the tape
+gradient of every root for every parameter class, on a seeded
+configuration verified to sit away from the documented kinks (coincident
+points for acosh, the hinge boundary, and aperture saturation) by a 1e-3
+guard band.  A parameter that reaches a root only through a stop-gradient
+is asserted the other way around: the tape gradient must be exactly zero
+while the finite difference is not.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, value_of
 from .entailment import aperture, exterior_angle
-from .errors import NumericalConsistencyError
+from .errors import ContractViolationError, NumericalConsistencyError
+# beside LossConfig and total_loss, the per-term builders are imported only
+# for the benchmark tracer (perfbench/tracer.py), which patches them here by name
 from .losses import (
     LossConfig,
     calibration,
@@ -50,68 +57,87 @@ class CheckResult:
 
 def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
                       tolerance: float = 1e-4, max_coords: int = 200,
-                      seed: int = 0, zero_tape_params: tuple = (),
-                      loss_name: str = "loss") -> list[CheckResult]:
-    """Compare tape gradients of the scalar ``f(store)`` against central
-    finite differences, sub-sampling at most ``max_coords`` coordinates per
-    parameter.
+                      seed: int = 0) -> list[CheckResult]:
+    """Compare the tape gradients of the named scalar roots ``f(store)``
+    returns (a mapping of name to root) against central finite differences,
+    sub-sampling at most ``max_coords`` coordinates per parameter; one
+    result per root and parameter.
 
-    The differences are taken on the surrogate objective whose gradient the
-    tape computes: stop-gradient values are recorded at the base point and
-    replayed during the perturbed evaluations, so a stopped factor
-    contributes its value but no derivative (exactly the tape semantics).
-    Relative error uses the floor ``max(|fd|, |tape|, 1e-6)`` so agreeing
-    near-zero gradients pass.  Parameters in ``zero_tape_params`` are
-    reached only through a stop-gradient: they additionally assert an
-    exactly-zero tape gradient alongside a nonzero *unfrozen* finite
-    difference (the value does move, the gradient must not).
+    One recorded forward gives every root's tape gradient.  The differences
+    are taken on the surrogate objective whose gradient the tape computes:
+    stop-gradient values are recorded at the base point and replayed during
+    the perturbed evaluations, so a stopped factor contributes its value but
+    no derivative (exactly the tape semantics); each evaluation gives every
+    root.  Relative error uses the floor ``max(|fd|, |tape|, 1e-6)`` so
+    agreeing near-zero gradients pass.  A parameter that reaches a root only
+    through a stop-gradient is checked the other way around for that root:
+    an exactly-zero tape gradient alongside a nonzero *unfrozen* finite
+    difference (the value does move, the gradient must not), which costs
+    that parameter one more evaluation per perturbation.
     """
     if not (1e-7 <= step <= 1e-3):
-        raise NumericalConsistencyError(f"finite-difference step {step} out of range")
+        raise ContractViolationError(f"finite-difference step {step} out of range")
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        raise ContractViolationError(f"tolerance {tolerance} must be positive and finite")
+    if max_coords < 1:
+        raise ContractViolationError(f"max_coords {max_coords} must be at least 1")
+    params = store.as_dict()
     with ad.record_stop_gradients() as rec:
-        tape = ad.gradients(f(store), store.as_dict())
+        roots = f(store)
+    names = list(roots)
+    tapes = {r: ad.gradients(roots[r], params) for r in names}
+    zero_tape = set()
+    for r in names:
+        behind = rec.behind_stops(roots[r])
+        zero_tape.update((r, p) for p, var in params.items() if id(var) in behind)
     rng = np.random.default_rng(seed)
 
-    def eval_frozen() -> float:
-        with ad.replay_stop_gradients(rec.values):
-            return float(value_of(f(store)))
+    def evaluate(frozen: bool) -> np.ndarray:
+        with ad.replay_stop_gradients(rec.values) if frozen else nullcontext():
+            out = f(store)
+        return np.array([float(value_of(out[r])) for r in names])
 
-    def eval_raw() -> float:
-        return float(value_of(f(store)))
+    def central(flat: np.ndarray, c, frozen: bool) -> np.ndarray:
+        original = flat[c]
+        flat[c] = original + step
+        f_plus = evaluate(frozen)
+        flat[c] = original - step
+        f_minus = evaluate(frozen)
+        flat[c] = original
+        return (f_plus - f_minus) / (2.0 * step)
 
-    results = []
-    for name, var in store.items():
+    sweeps = {}
+    for name, var in params.items():
         flat = var.value.ravel()
         size = flat.size
         if size <= max_coords:
             coords = np.arange(size)
         else:
             coords = rng.choice(size, size=max_coords, replace=False)
-        tape_flat = tape[name].ravel()
-        zero_mode = name in zero_tape_params
-        fd_eval = eval_raw if zero_mode else eval_frozen
-        max_rel = 0.0
-        max_fd = 0.0
-        for c in coords:
-            original = flat[c]
-            flat[c] = original + step
-            f_plus = fd_eval()
-            flat[c] = original - step
-            f_minus = fd_eval()
-            flat[c] = original
-            fd = (f_plus - f_minus) / (2.0 * step)
-            max_fd = max(max_fd, abs(fd))
-            rel = abs(fd - tape_flat[c]) / max(abs(fd), abs(tape_flat[c]), _REL_FLOOR)
-            max_rel = max(max_rel, rel)
-        max_tape = float(np.max(np.abs(tape_flat))) if size else 0.0
-        if zero_mode:
-            passed = max_tape == 0.0 and max_fd > 1e-8
-            results.append(CheckResult(loss_name, name, "zero_tape", float("nan"),
-                                       max_tape, max_fd, len(coords), passed))
-        else:
-            results.append(CheckResult(loss_name, name, "match", max_rel,
-                                       max_tape, max_fd, len(coords),
-                                       max_rel < tolerance))
+        shape = (len(coords), len(names))
+        frozen = np.array([central(flat, c, True) for c in coords]).reshape(shape)
+        raw = (np.array([central(flat, c, False) for c in coords]).reshape(shape)
+               if any((r, name) in zero_tape for r in names) else None)
+        sweeps[name] = (coords, frozen, raw)
+
+    results = []
+    for j, root in enumerate(names):
+        for name, (coords, frozen, raw) in sweeps.items():
+            tape_flat = tapes[root][name].ravel()
+            max_tape = float(np.max(np.abs(tape_flat), initial=0.0))
+            if (root, name) in zero_tape:
+                max_fd = float(np.max(np.abs(raw[:, j]), initial=0.0))
+                results.append(CheckResult(root, name, "zero_tape", float("nan"),
+                                           max_tape, max_fd, len(coords),
+                                           max_tape == 0.0 and max_fd > 1e-8))
+                continue
+            fd, tape = frozen[:, j], tape_flat[coords]
+            rel = np.abs(fd - tape) / np.maximum(np.maximum(np.abs(fd), np.abs(tape)),
+                                                 _REL_FLOOR)
+            max_rel = float(np.max(rel, initial=0.0))
+            results.append(CheckResult(root, name, "match", max_rel, max_tape,
+                                       float(np.max(np.abs(fd), initial=0.0)),
+                                       len(coords), max_rel < tolerance))
     return results
 
 
@@ -181,82 +207,31 @@ def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
         )
 
 
-def _loss_functions(idx: BatchIndices, cfg: LossConfig) -> dict:
-    """Scalar loss builders keyed by name, each a function of the store,
-    with the parameters expected to be blocked by stop-gradient."""
-
-    def pair(store):
-        return materialize_batch(store, idx), Manifold(store["kappa"])
-
-    def f_contrastive(store):
-        batch, m = pair(store)
-        return contrastive(batch.whole_image, batch.whole_text, store["tau_g"], m)
-
-    def f_contrastive_total(store):
-        batch, m = pair(store)
-        live = loss_config_with_vars(cfg, store)
-        return contrastive_total(batch, live.temps, m)
-
-    def f_hinge(store):
-        batch, m = pair(store)
-        return ad.reduce_sum(entail_hinge(
-            lift(batch.part_text, m), lift(batch.whole_text, m),
-            cfg.cone.eta_intra, cfg.cone, m))
-
-    def f_leaky(store):
-        batch, m = pair(store)
-        return ad.reduce_sum(entail_leaky(
-            lift(batch.part_text, m), lift(batch.whole_text, m),
-            cfg.cone.eta_intra, cfg.cone, cfg.alpha, m))
-
-    def f_calibration(store):
-        batch, m = pair(store)
-        return calibration(batch.part_text, batch.whole_text,
-                           cfg.cone.eta_intra, cfg.cone, cfg.alpha, m,
-                           entropy_sign=cfg.entropy_sign)
-
-    def f_entailment_total(store):
-        batch, m = pair(store)
-        return entailment_total(batch, loss_config_with_vars(cfg, store), m)
-
-    def f_total(store):
-        batch, m = pair(store)
-        return total_loss(batch, loss_config_with_vars(cfg, store), m).total
-
-    return {
-        "contrastive": (f_contrastive, ()),
-        "contrastive_total": (f_contrastive_total, ()),
-        "entail_hinge": (f_hinge, ()),
-        "entail_leaky": (f_leaky, ()),
-        # whole-text rows and curvature reach the calibration value only
-        # through the stopped entailment factor
-        "calibration": (f_calibration, ("table_scene_txt", "kappa")),
-        "entailment_total": (f_entailment_total, ()),
-        "total_loss": (f_total, ()),
-    }
-
-
 def run_check_grads(seed: int = 1, *, step: float = 1e-5,
                     tolerance: float = 1e-4, max_coords: int = 200):
-    """Run the full per-loss, per-parameter check; returns (results,
-    all_passed)."""
+    """Check every component of the ``total_loss`` report, and the total,
+    for every parameter, as roots of the one graph training differentiates;
+    returns (results, all_passed)."""
     store, idx, cfg = build_check_problem(seed)
-    results: list[CheckResult] = []
-    for name, (fn, zero_params) in _loss_functions(idx, cfg).items():
-        results.extend(finite_diff_check(
-            fn, store, step=step, tolerance=tolerance, max_coords=max_coords,
-            seed=seed, zero_tape_params=zero_params, loss_name=name,
-        ))
+
+    def roots(s: ParameterStore) -> dict:
+        report = total_loss(materialize_batch(s, idx), loss_config_with_vars(cfg, s),
+                            Manifold(s["kappa"]))
+        return {**report.components, "total_loss": report.total}
+
+    results = finite_diff_check(roots, store, step=step, tolerance=tolerance,
+                                max_coords=max_coords, seed=seed)
     return results, all(r.passed for r in results)
 
 
 def format_results(results: list[CheckResult]) -> str:
-    lines = [f"{'loss':<20}{'param':<18}{'mode':<10}{'max_rel_err':<14}"
+    width = max([len("loss"), *(len(r.loss) for r in results)]) + 2
+    lines = [f"{'loss':<{width}}{'param':<18}{'mode':<10}{'max_rel_err':<14}"
              f"{'tape_max':<12}{'fd_max':<12}{'coords':<8}{'result'}"]
     for r in results:
         rel = "-" if np.isnan(r.max_rel_err) else f"{r.max_rel_err:.3e}"
         lines.append(
-            f"{r.loss:<20}{r.param:<18}{r.mode:<10}{rel:<14}"
+            f"{r.loss:<{width}}{r.param:<18}{r.mode:<10}{rel:<14}"
             f"{r.max_tape_abs:<12.3e}{r.max_fd_abs:<12.3e}{r.n_coords:<8}"
             f"{'ok' if r.passed else 'FAIL'}"
         )

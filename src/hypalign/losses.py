@@ -16,8 +16,10 @@ The batch objective builds one graph: each group is lifted once, the global
 and local terms read one distance matrix along both axes, each part group's
 uncertainty feeds both its temperatures and its calibration, and
 calibration re-weights the intra-modal leaks the entailment block already
-holds.  The per-term functions build their own inputs, for direct use and
-gradient checking.
+holds.  The per-term functions build their own inputs, for direct use;
+gradient checking (``gradcheck``) verifies the report's components and total
+as roots of the one graph ``total_loss`` builds, the graph training
+differentiates.
 
 Each loss block is one tape node with a hand-derived vector-Jacobian
 product, built through ``autodiff.fused`` on top of the fused geometry:

@@ -55,19 +55,13 @@ def normalize_uncertainty(u):
     return ad.softmax(u, axis=-1)
 
 
-def entropy(w):
-    """Shannon entropy ``-sum w_i log w_i`` with ``0 log 0 := 0``.
-
-    Plain-array inputs are validated as normalized weights; graph inputs
-    come from :func:`normalize_uncertainty` and are positive by
-    construction.
-    """
-    if not ad.is_var(w):
-        wv = np.asarray(w, dtype=np.float64)
-        if wv.size == 0:
-            raise ContractViolationError("entropy of an empty weight vector")
-        if np.any(wv < 0.0) or abs(float(np.sum(wv)) - 1.0) > 1e-9:
-            raise ContractViolationError("entropy input is not a normalized weight vector")
-        pos = wv > 0.0
-        return float(-np.sum(wv[pos] * np.log(wv[pos])))
-    return ad.neg(ad.reduce_sum(ad.mul(w, ad.log(w))))
+def entropy(w) -> float:
+    """Shannon entropy ``-sum w_i log w_i`` with ``0 log 0 := 0`` of a plain
+    weight vector, validated as normalized."""
+    wv = np.asarray(w, dtype=np.float64)
+    if wv.size == 0:
+        raise ContractViolationError("entropy of an empty weight vector")
+    if np.any(wv < 0.0) or abs(float(np.sum(wv)) - 1.0) > 1e-9:
+        raise ContractViolationError("entropy input is not a normalized weight vector")
+    pos = wv > 0.0
+    return float(-np.sum(wv[pos] * np.log(wv[pos])))

@@ -298,6 +298,21 @@ class TestStopGradient:
         assert base == pytest.approx(4.0 * 2.0)
         assert frozen == pytest.approx(4.0 * 3.0)  # stopped factor stays 4
 
+    def test_record_finds_leaves_behind_stops(self):
+        live, stopped, nested, mixed, unused = (
+            Var(np.array([1.0 + i]), name=n)
+            for i, n in enumerate(("live", "stopped", "nested", "mixed", "unused")))
+        with ad.record_stop_gradients() as rec:
+            inner = ad.stop_gradient(ad.mul(nested, mixed))
+            outer = ad.stop_gradient(ad.mul(inner, stopped))
+            root = ad.reduce_sum(ad.mul(ad.mul(outer, live), mixed))
+            other = ad.reduce_sum(ad.square(unused))
+        behind = rec.behind_stops(root)
+        # reached only through one or two stop-gradients; not live or unused
+        assert {id(stopped), id(nested)} <= behind
+        assert not {id(live), id(mixed), id(unused)} & behind
+        assert rec.behind_stops(other) == set()
+
     def test_replay_exhaustion_detected(self):
         v = Var(np.array([1.0]))
         with pytest.raises(ContractViolationError):

@@ -297,3 +297,25 @@ class TestCheckGrads:
                      "--tolerance", "1e-13"])
         assert code == 3
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_coords", ["0", "-1"])
+    def test_max_coords_below_one_exit_1(self, max_coords, capsys):
+        code = main(["check-grads", "--seed", "1", "--max-coords", max_coords])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error_line = captured.err.splitlines()[-1]
+        assert error_line.startswith("error kind=contract") and "max_coords" in error_line
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1e-4", "nan", "inf"])
+    def test_tolerance_not_positive_and_finite_exit_1(self, tolerance, capsys):
+        code = main(["check-grads", "--seed", "1", "--max-coords", "2",
+                     "--tolerance", tolerance])
+        assert code == 1
+        error_line = capsys.readouterr().err.splitlines()[-1]
+        assert error_line.startswith("error kind=contract") and "tolerance" in error_line
+
+    def test_step_out_of_range_exit_1(self, capsys):
+        code = main(["check-grads", "--seed", "1", "--max-coords", "2", "--step", "1e-2"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error kind=contract")

@@ -571,7 +571,7 @@ class TestLossGradients:
             ))
             batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
                           part_image=s["part_image"], part_text=s["part_text"])
-            return total_loss(batch, cfg, Manifold(s["kappa"])).total
+            return {"loss": total_loss(batch, cfg, Manifold(s["kappa"])).total}
 
         results = finite_diff_check(f, store, max_coords=12, seed=seed)
         worst = max(r.max_rel_err for r in results)
@@ -591,7 +591,7 @@ class TestLossGradients:
                              include_positive=True)
             batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
                           part_image=s["part_image"], part_text=s["part_text"])
-            return total_loss(batch, cfg, Manifold(s["kappa"])).total
+            return {"loss": total_loss(batch, cfg, Manifold(s["kappa"])).total}
 
         results = finite_diff_check(f, store, max_coords=10, seed=107)
         worst = max(r.max_rel_err for r in results)

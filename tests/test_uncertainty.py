@@ -111,10 +111,3 @@ class TestEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractViolationError):
             entropy(np.array([0.3, 0.3]))
-
-    def test_graph_path_matches_plain(self):
-        u = np.array([0.1, 0.5, 0.2])
-        w_plain = ad.value_of(normalize_uncertainty(u))
-        h_plain = entropy(w_plain)
-        h_graph = float(ad.value_of(entropy(normalize_uncertainty(ad.Var(u)))))
-        assert h_graph == pytest.approx(h_plain, rel=1e-14)
