@@ -1,7 +1,7 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine covers exactly the operation vocabulary this package needs
-(arithmetic, sum, reshape, the transcendentals, acosh, the asinhc
+(arithmetic, sum, reshape, stack, the transcendentals, acosh, the asinhc
 composite, softmax, stop-gradient) rather than being a general autodiff
 framework.  Every op computes its numpy value and a hand-derived
 vector-Jacobian product and becomes one node through :func:`fused`; the
@@ -10,7 +10,9 @@ the uncertainty the same way, and the losses and the trainer build each
 loss block and the batch gather as one node too.  :func:`fused` dispatches
 on the inputs: if no argument is a :class:`Var`, the plain numpy result is
 returned, so the same numeric code serves both the differentiable training
-path and fast tape-free evaluation.
+path and fast tape-free evaluation.  An op may read groups of a stacked
+Var's leading axis through :func:`pick`, which builds no node of its own:
+the op's node adds the adjoint into the picked groups of the stack.
 
 Conventions
 -----------
@@ -76,13 +78,43 @@ class Var:
         return f"Var({self.name}, shape={self.value.shape})"
 
 
+class Pick:
+    """Groups ``index`` (one group, or a tuple of them) of a :class:`Var`'s
+    leading axis, as an input of a fused op; see :func:`pick`."""
+
+    __slots__ = ("base", "index", "value")
+    __array_ufunc__ = None
+
+    def __init__(self, base: Var, index):
+        self.base = base
+        self.index = index
+        self.value = base.value[index if isinstance(index, int) else list(index)]
+
+
+def pick(x, index):
+    """Groups ``index`` of ``x``'s leading axis: a plain array, or for a Var
+    a :class:`Pick`, which builds no tape node: the node of the op reading it
+    takes the Var as its parent and adds the adjoint into the picked
+    groups."""
+    if isinstance(x, Var):
+        return Pick(x, index)
+    return np.asarray(x, dtype=np.float64)[index if isinstance(index, int) else list(index)]
+
+
 def is_var(x) -> bool:
-    return isinstance(x, Var)
+    """Whether ``x`` is on the tape: a :class:`Var` or a :class:`Pick` of one."""
+    return isinstance(x, (Var, Pick))
 
 
 def value_of(x) -> Array:
-    """Raw float64 array behind ``x`` (Var or array-like)."""
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+    """Raw float64 array behind ``x`` (Var, Pick or array-like)."""
+    return x.value if isinstance(x, (Var, Pick)) else np.asarray(x, dtype=np.float64)
+
+
+def sum_all(a: Array) -> Array:
+    """Sum over every axis; an op's VJP sums the adjoint of a scalar input
+    (``kappa``) with it, the reduction :func:`_unbroadcast` would apply."""
+    return a.sum(axis=tuple(range(a.ndim)))
 
 
 def _unbroadcast(grad: Array, shape: tuple) -> Array:
@@ -102,10 +134,13 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
 
     ``value`` is the op's numpy result.  ``vjp(g)`` returns one adjoint per
     entry of ``inputs``, each shaped like ``value`` or like its input; the
-    node keeps only the adjoints of inputs that are :class:`Var` and sums
-    each down to its input's shape.  With no :class:`Var` among the inputs
-    the plain ``value`` is returned.  The tape is bound by per-node
-    overhead, so the checks below are a plain loop.
+    node keeps only the adjoints of inputs that are on the tape.  A
+    :class:`Var` input is a parent of the node and its adjoint is summed
+    down to the Var's shape if needed; the :class:`Pick` inputs of one base
+    Var share one parent entry, whose adjoint adds each pick's adjoint into
+    its groups.  With nothing on the tape among the inputs the plain
+    ``value`` is returned.  The tape is bound by per-node overhead, so the
+    checks below are a plain loop.
     """
     live, aligned = False, True
     for x in inputs:
@@ -114,20 +149,52 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
             aligned = aligned and x.value.shape == value.shape
         else:
             aligned = False
+            live = live or isinstance(x, Pick)
     if not live:
         return value
     if aligned:
         # every input is live and shaped like the value: the adjoints are
         # the node's as they come
         return Var(value, name, inputs, vjp)
-    picks = [(i, x.value.shape) for i, x in enumerate(inputs) if isinstance(x, Var)]
+    parents: list[Var] = []
+    routes = []             # (input position, parent position, pick index or None)
+    bases: dict[int, int] = {}
+    for i, x in enumerate(inputs):
+        if isinstance(x, Var):
+            routes.append((i, len(parents), None))
+            parents.append(x)
+        elif isinstance(x, Pick):
+            k = bases.get(id(x.base))
+            if k is None:
+                k = bases[id(x.base)] = len(parents)
+                parents.append(x.base)
+            routes.append((i, k, x.index))
+    shapes = [p.value.shape for p in parents]
 
     def node_vjp(g):
         adj = vjp(g)
-        return [adj[i] if adj[i].shape == sh else _unbroadcast(adj[i], sh)
-                for i, sh in picks]
+        out = [None] * len(parents)
+        for i, k, index in routes:
+            a = adj[i]
+            if index is None:
+                out[k] = a if a.shape == shapes[k] else _unbroadcast(a, shapes[k])
+                continue
+            acc = out[k]
+            if acc is None:
+                acc = out[k] = np.zeros(shapes[k])
+            if isinstance(index, int):
+                acc[index] += a
+            else:
+                for j, group in enumerate(index):
+                    acc[group] += a[j]
+        return out
 
-    return Var(value, name, tuple([inputs[i] for i, _ in picks]), node_vjp)
+    return Var(value, name, tuple(parents), node_vjp)
+
+
+def stack(xs: Sequence):
+    """Equally shaped arrays stacked along a new leading (group) axis."""
+    return fused(np.stack([value_of(x) for x in xs]), "stack", tuple(xs), lambda g: tuple(g))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +463,7 @@ def stop_gradient(a):
         return val
     node = Var(val, "stop_gradient")
     if _active_stops is not None:
-        _active_stops.stops.append((node, a))
+        _active_stops.stops.append((node, a.base if isinstance(a, Pick) else a))
     return node
 
 
@@ -455,7 +522,7 @@ def backward(root: Var) -> dict[int, Array]:
     graph; only when it fails is the sweep re-run with a check at every node
     to find the first offender.
     """
-    if not is_var(root):
+    if not isinstance(root, Var):
         raise ContractViolationError("backward requires a Var root")
     if root.value.size != 1:
         raise ContractViolationError("backward root must be scalar")

@@ -5,6 +5,11 @@ point ``q`` is entailed by ``p`` when the exterior angle at ``p`` (between
 the continuation of the radial geodesic through ``p`` and the geodesic
 ``p -> q``) fits inside a scaled aperture.  Cones narrow as ``p`` moves
 outward, so abstract concepts near the origin entail wide regions.
+
+The ops work row by row over any leading axes: one apex/member pair of
+batches ``(B, n)``, or a stack of ``G`` such pairs ``(G, B, n)`` (read out
+of one lifted stack with ``LorentzPoint.groups``), which the training
+objective evaluates as one tape node per op.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def aperture(p: LorentzPoint, k: float, m: Manifold):
             interior, 1.0 / np.sqrt(np.where(interior, 1.0 - clipped * clipped, 1.0)), 0.0
         )
         return (np.expand_dims(-d_arg * arg / (norm * norm), -1) * ps,
-                -d_arg * arg / (2.0 * kv))
+                ad.sum_all(-d_arg * arg / (2.0 * kv)))
 
     return ad.fused(omega, "aperture", (p.space, m.kappa), vjp)
 
@@ -139,7 +144,7 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
                 np.expand_dims(d_den * root / p_norm, -1) * ps + d_inner_col * qs,
                 d_num - d_inner * pt,
                 d_inner_col * ps,
-                d_beta * inner)
+                ad.sum_all(d_beta * inner))
 
     return ad.fused(phi, "exterior_angle", inputs, vjp)
 

@@ -12,27 +12,33 @@ inside the cone; the calibration term re-weights the (stop-gradient)
 entailment violation by ``exp(-u)`` and regularizes the batch uncertainty
 profile with an entropy term.
 
-The batch objective builds one graph: each group is lifted once, the global
-and local terms read one distance matrix along both axes, each part group's
-uncertainty feeds both its temperatures and its calibration, and
-calibration re-weights the intra-modal leaks the entailment block already
-holds.  The per-term functions build their own inputs, for direct use;
-gradient checking (``gradcheck``) verifies the report's components and total
-as roots of the one graph ``total_loss`` builds, the graph training
+The batch objective builds one graph over stacked groups.  The four groups
+are stacked along a leading group axis and lifted once, as one stack; the
+two part groups are stacked once more for their uncertainty, which feeds
+both their temperatures and their calibration.  The four entailment terms
+form one stack of apex/member pairs read out of the lifted stack, so the
+exterior angle, the aperture and the leaky term are one node each over all
+four terms, and calibration re-weights the intra-modal leaks that stack
+already holds.  Each distance matrix reads its two groups out of the lifted
+stack and stays its own node, and the global and local terms read their
+matrix along both axes; the ``(B, B)`` matrices and their adjoints are
+never stacked, which keeps them in cache at large batch sizes.  The
+per-term functions build their own inputs, for direct use; gradient
+checking (``gradcheck``) verifies the report's components and total as
+roots of the one graph ``total_loss`` builds, the graph training
 differentiates.
 
 Each loss block is one tape node with a hand-derived vector-Jacobian
 product, built through ``autodiff.fused`` on top of the fused geometry:
 ``info_nce`` (one contrastive direction, reading its distance matrix along
-either axis), ``tempered`` (the per-row temperatures), ``leaky`` (one
-entailment term's per-row leak), ``sum_pair`` (a block's two row sums),
-``calibration`` (one part group, behind its own ``stop_gradient`` node) and
-``weighted_total``.  Each node keeps the arithmetic of the op-by-op
-composition it replaced, forward and backward, and lists its inputs in the
-order that composition's graph reached them, so the backward sweep adds up
-every shared adjoint in the same order: losses, gradients and the training
-trajectory are bit-identical to the composition's (kept in
-``tests/test_fused_loss_ops.py`` as the reference).
+either axis), ``tempered`` (the per-row temperatures of both part groups),
+``leaky`` (the per-row leaks of all four entailment terms), ``sum_pair`` (a
+block's two row sums), ``calibration`` (one part group, behind its own
+``stop_gradient`` node) and ``weighted_total``.  Each node keeps the
+arithmetic of the op-by-op composition it replaced, so the forward values
+are bit-identical to the composition's (kept in
+``tests/test_fused_loss_ops.py`` as the reference); the stacked nodes sum
+shared adjoints in their own order, so gradients agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -90,6 +96,10 @@ class LossConfig:
             raise ContractViolationError("alpha must be nonnegative")
 
 
+# a batch's groups, in the order they are stacked and lifted
+GROUPS = ("whole_image", "whole_text", "part_image", "part_text")
+
+
 @dataclass(frozen=True)
 class Batch:
     """Aligned quadruple of tangent-embedding groups, ``(B, n)`` each; row
@@ -101,10 +111,7 @@ class Batch:
     part_text: object
 
     def __post_init__(self):
-        shapes = {
-            name: value_of(getattr(self, name)).shape
-            for name in ("whole_image", "whole_text", "part_image", "part_text")
-        }
+        shapes = {name: value_of(getattr(self, name)).shape for name in GROUPS}
         if len(set(shapes.values())) != 1:
             raise ContractViolationError(f"batch group shapes differ: {shapes}")
         b = shapes["whole_image"][0]
@@ -197,7 +204,8 @@ def contrastive(anchors, targets, tau, m: Manifold, *, include_positive: bool = 
 
 
 def _tempered(u, tau_global_local):
-    """``exp(u/2) * tau_gl`` per row, one tape node."""
+    """``exp(u/2) * tau_gl`` per row (of one group or a stack), one tape
+    node."""
     half = np.exp(value_of(u) / 2.0)
     tau = value_of(tau_global_local)
     out = half * tau
@@ -221,10 +229,12 @@ def entail_hinge(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
     return _leaky(exterior_angle(p, q, m), aperture(p, cp.aperture_k, m), eta, 0.0)
 
 
-def _leaky(phi, omega, eta: float, alpha: float):
+def _leaky(phi, omega, eta, alpha: float):
     """``max(0, phi - eta * omega) + alpha * phi`` per row, one tape node;
-    the hinge takes the subgradient 0 at its boundary."""
-    eta, alpha = float(eta), float(alpha)
+    the hinge takes the subgradient 0 at its boundary.  ``eta`` is a scalar,
+    or for a stack of terms ``(G, B)`` a column ``(G, 1)`` of one scaling
+    per term."""
+    eta, alpha = np.asarray(eta, dtype=np.float64), float(alpha)
     pv = value_of(phi)
     excess = pv - eta * value_of(omega)
 
@@ -289,28 +299,31 @@ def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
 # the batch objective: one lifted state shared by every term
 # ---------------------------------------------------------------------------
 
+# the four groups' positions in the lifted stack (``GROUPS`` order), and the
+# part groups' in the uncertainty stack
+WHOLE_IMAGE, WHOLE_TEXT, PART_IMAGE, PART_TEXT = range(4)
+U_IMAGE, U_TEXT = range(2)
+# the entailment terms, text entailing image and part entailing whole (the
+# apex goes first): intra text, intra image, inter parts, inter wholes
+APEXES = (PART_TEXT, PART_IMAGE, PART_TEXT, WHOLE_TEXT)
+MEMBERS = (WHOLE_TEXT, WHOLE_IMAGE, PART_IMAGE, WHOLE_IMAGE)
+INTRA_TEXT, INTRA_IMAGE, INTER_PARTS, INTER_WHOLES = range(4)
+
+
 @dataclass(frozen=True)
 class _Lifted:
-    """A batch's four groups lifted once each, and each part group's
-    uncertainty."""
+    """A batch's four groups lifted once, as one stack along a leading group
+    axis (``GROUPS`` order), and the part groups' uncertainty stack
+    ``(2, B)`` (image, text)."""
 
-    whole_image: LorentzPoint
-    whole_text: LorentzPoint
-    part_image: LorentzPoint
-    part_text: LorentzPoint
-    u_image: object
-    u_text: object
+    points: LorentzPoint
+    u: object
 
 
 def _lift_batch(batch: Batch, m: Manifold, use_radius: bool) -> _Lifted:
-    return _Lifted(
-        whole_image=lift(batch.whole_image, m),
-        whole_text=lift(batch.whole_text, m),
-        part_image=lift(batch.part_image, m),
-        part_text=lift(batch.part_text, m),
-        u_image=_uncertainty(batch.part_image, m, use_radius),
-        u_text=_uncertainty(batch.part_text, m, use_radius),
-    )
+    points = lift(ad.stack([getattr(batch, g) for g in GROUPS]), m)
+    parts = ad.stack([batch.part_image, batch.part_text])
+    return _Lifted(points=points, u=_uncertainty(parts, m, use_radius))
 
 
 def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
@@ -321,15 +334,16 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
     def nce(dists, tau, transposed=False):
         return _info_nce(dists, tau, include_positive, transposed)
 
-    d_glob = pairwise_distance(s.whole_image, s.whole_text, m)
-    d_loc = pairwise_distance(s.part_image, s.part_text, m)
-    gl = temps.tau_global_local
+    def dist(a, b):
+        return pairwise_distance(s.points.groups(a), s.points.groups(b), m)
+
+    d_glob = dist(WHOLE_IMAGE, WHOLE_TEXT)
+    d_loc = dist(PART_IMAGE, PART_TEXT)
+    tau_rows = _tempered(s.u, temps.tau_global_local)
     return {
         "contrastive_globallocal": ad.add(
-            nce(pairwise_distance(s.part_image, s.whole_text, m),
-                _tempered(s.u_image, gl)),
-            nce(pairwise_distance(s.part_text, s.whole_image, m),
-                _tempered(s.u_text, gl)),
+            nce(dist(PART_IMAGE, WHOLE_TEXT), ad.pick(tau_rows, U_IMAGE)),
+            nce(dist(PART_TEXT, WHOLE_IMAGE), ad.pick(tau_rows, U_TEXT)),
         ),
         "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
                                      nce(d_glob, temps.tau_global, transposed=True)),
@@ -346,28 +360,28 @@ def _sum_pair(a, b):
 
 
 def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
-    """Inter and intra leaky entailment; calibration re-weights the intra
-    leaks it is handed (under a stop-gradient) rather than rebuilding them."""
-    cone, alpha = cfg.cone, cfg.alpha
+    """Inter and intra leaky entailment over the stack of the four terms;
+    calibration re-weights the intra leaks it is handed (under a
+    stop-gradient) rather than rebuilding them."""
+    cone = cfg.cone
+    apex = s.points.groups(APEXES)
+    # the angle first: its origin guard fires before the aperture's
+    phi = exterior_angle(apex, s.points.groups(MEMBERS), m)
+    omega = aperture(apex, cone.aperture_k, m)
+    eta = np.array([[cone.eta_intra], [cone.eta_intra], [cone.eta_inter], [cone.eta_inter]])
+    leak = _leaky(phi, omega, eta, cfg.alpha)
 
-    def angle_and_aperture(apex, member):
-        return exterior_angle(apex, member, m), aperture(apex, cone.aperture_k, m)
+    def term(k):
+        return ad.pick(leak, k)
 
-    # text entails image; part entails whole -- the apex goes first.  The
-    # part-text apex heads an intra and an inter term: one aperture serves both.
-    phi_text, omega_text = angle_and_aperture(s.part_text, s.whole_text)
-    leak_text = _leaky(phi_text, omega_text, cone.eta_intra, alpha)
-    leak_image = _leaky(*angle_and_aperture(s.part_image, s.whole_image),
-                        cone.eta_intra, alpha)
-    inter_parts = _leaky(exterior_angle(s.part_text, s.part_image, m), omega_text,
-                         cone.eta_inter, alpha)
-    inter_wholes = _leaky(*angle_and_aperture(s.whole_text, s.whole_image),
-                          cone.eta_inter, alpha)
+    def calibrate(u, k):
+        return _calibrate(ad.pick(s.u, u), term(k), cfg.entropy_sign)
+
     return {
-        "entail_inter": _sum_pair(inter_parts, inter_wholes),
-        "entail_intra": _sum_pair(leak_text, leak_image),
-        "calibration": ad.add(_calibrate(s.u_text, leak_text, cfg.entropy_sign),
-                              _calibrate(s.u_image, leak_image, cfg.entropy_sign)),
+        "entail_inter": _sum_pair(term(INTER_PARTS), term(INTER_WHOLES)),
+        "entail_intra": _sum_pair(term(INTRA_TEXT), term(INTRA_IMAGE)),
+        "calibration": ad.add(calibrate(U_TEXT, INTRA_TEXT),
+                              calibrate(U_IMAGE, INTRA_IMAGE)),
     }
 
 

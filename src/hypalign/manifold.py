@@ -13,7 +13,11 @@ are evaluated through functions of the *squared* tangent norm, so they stay
 smooth (and exactly correct) at the origin.
 
 Every function accepts either plain numpy arrays or autodiff ``Var`` nodes;
-single points use shape ``(n,)`` and batches ``(B, n)``.  Double precision
+single points use shape ``(n,)`` and batches ``(B, n)``.  :func:`lift` also
+takes a stack of groups ``(G, B, n)`` along a leading group axis, and
+:meth:`LorentzPoint.groups` reads groups back out of the lifted stack for
+the ops that take points (the entailment ops run over the same stack;
+:func:`pairwise_distance` reads one group per side).  Double precision
 keeps the exp/log round trip accurate to ~1e-9 for radii up to ~45.  The
 distance is not: ``acosh(-kappa <p,q>_L)`` of a near-coincident pair reads
 an argument that is mostly rounding, so its relative error reaches ~1e3
@@ -63,6 +67,12 @@ class LorentzPoint:
     time: object
     space: object
 
+    def groups(self, index) -> "LorentzPoint":
+        """Group ``index`` (or a tuple of groups) of a stack lifted along a
+        leading group axis, read without a tape node of its own (an
+        ``autodiff.Pick`` of each component)."""
+        return LorentzPoint(time=ad.pick(self.time, index), space=ad.pick(self.space, index))
+
 
 def lorentz_inner(p: LorentzPoint, q: LorentzPoint):
     """Lorentzian inner product ``-p_t q_t + <p_s, q_s>``; aligned batches
@@ -77,8 +87,10 @@ def lift(v, m: Manifold) -> LorentzPoint:
 
     ``exp_o(v) = cosh(sqrt(kappa)|v|) o + sinh(sqrt(kappa)|v|)/(sqrt(kappa)|v|) v``,
     written in terms of ``y = kappa |v|^2`` so the zero vector maps exactly
-    to the origin with smooth gradients.  On the tape the time and space
-    components are one node each, with adjoints for ``v`` and ``kappa``.
+    to the origin with smooth gradients.  ``v`` is one point ``(n,)``, a
+    batch ``(B, n)`` or a stack of groups ``(G, B, n)``; each row is lifted
+    on its own.  On the tape the time and space components are one node
+    each, with adjoints for ``v`` and ``kappa``.
     """
     vv, kv = value_of(v), value_of(m.kappa)
     s = np.sum(vv * vv, axis=-1)
@@ -86,18 +98,18 @@ def lift(v, m: Manifold) -> LorentzPoint:
     sqrt_k = np.sqrt(kv)
     time = ad._cosh_sqrt_val(y) / sqrt_k
     sinhc_y = ad._sinhc_sqrt_val(y)
-    scale = sinhc_y.reshape(-1, 1) if vv.ndim == 2 else sinhc_y
+    scale = np.expand_dims(sinhc_y, -1)
     space = scale * vv
 
     def time_vjp(g):
         # d cosh(sqrt(y))/dy = sinhc(sqrt(y)) / 2
         return (np.expand_dims(g * sqrt_k * sinhc_y, -1) * vv,
-                g * (sinhc_y * s / (2.0 * sqrt_k) - time / (2.0 * kv)))
+                ad.sum_all(g * (sinhc_y * s / (2.0 * sqrt_k) - time / (2.0 * kv))))
 
     def space_vjp(g):
         d_scale = np.sum(g * vv, axis=-1) * ad._sinhc_sqrt_deriv(y, sinhc_y)
         return (scale * g + np.expand_dims(2.0 * kv * d_scale, -1) * vv,
-                d_scale * s)
+                ad.sum_all(d_scale * s))
 
     inputs = (v, m.kappa)
     return LorentzPoint(time=ad.fused(time, "lift_time", inputs, time_vjp),
@@ -134,7 +146,10 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
 
     One matmul and one outer product give the inner products; the acosh
     argument follows :func:`geodesic_distance`'s clamp.  On the tape this is
-    one node, with adjoints for both point batches and ``kappa``.
+    one node, with adjoints for both point batches and ``kappa``.  Each side
+    is one batch, which may be one group of a lifted stack
+    (:meth:`LorentzPoint.groups`): the matrices of different pairs are never
+    stacked, so each ``(Bp, Bq)`` array stays small enough for the cache.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
@@ -151,7 +166,7 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
         d_z = g * ad._acosh_deriv(zc) / sqrt_k
         d_inner = -kv * d_z
         return (-(d_inner @ qt), d_inner @ qs, -(d_inner.T @ pt), d_inner.T @ ps,
-                -g * dist / (2.0 * kv) - d_z * inner)
+                ad.sum_all(-g * dist / (2.0 * kv) - d_z * inner))
 
     return ad.fused(dist, "pairwise_distance", inputs, vjp)
 

@@ -222,6 +222,11 @@ def train_step(store: ParameterStore, opt: AdamW, batch: Batch, cfg: TrainConfig
     return report
 
 
+def _eval_indices(corpus: Corpus, cfg: TrainConfig) -> BatchIndices:
+    """The fixed eval batch's rows."""
+    return sample_batch(corpus, cfg.batch_size, [cfg.seed, _EVAL_STREAM_TAG])
+
+
 def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
                    step: int) -> dict:
     """One metrics record: losses on the fixed eval batch at the learned
@@ -229,7 +234,7 @@ def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
     part-vs-whole radius distribution distances (per modality)."""
     kappa = float(value_of(store["kappa"]))
     manifold = Manifold(kappa)
-    eval_idx = sample_batch(corpus, cfg.batch_size, [cfg.seed, _EVAL_STREAM_TAG])
+    eval_idx = _eval_indices(corpus, cfg)
     tables = scaled_tables(store)
     eval_batch = Batch(
         whole_image=tables["whole_image"][eval_idx.scene_rows],
@@ -320,6 +325,35 @@ def restore(payload: dict, store: ParameterStore, opt: AdamW,
 # full loop
 # ---------------------------------------------------------------------------
 
+def _write_failure_dump(out_dir, step: int, batch: str, idx: BatchIndices,
+                        store: ParameterStore, err: HypalignError) -> None:
+    """``failure_dump.json``: the error, the step, which batch (``train`` or
+    ``eval``) and its rows, and the small parameters."""
+    dump = {
+        "step": step,
+        "kind": err.kind,
+        "message": str(err),
+        "batch": batch,
+        "scene_rows": idx.scene_rows.tolist(),
+        "part_rows": idx.part_rows.tolist(),
+        "params": {n: value_of(v).ravel().tolist()
+                   for n, v in store.items() if value_of(v).size <= 4},
+    }
+    with open(os.path.join(out_dir, "failure_dump.json"), "w") as fh:
+        json.dump(dump, fh, indent=2)
+
+
+def _checked_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
+                     step: int, out_dir) -> dict:
+    """:func:`corpus_metrics`, leaving a failure dump with the eval batch's
+    rows if it raises."""
+    try:
+        return corpus_metrics(store, corpus, cfg, step)
+    except HypalignError as err:
+        _write_failure_dump(out_dir, step, "eval", _eval_indices(corpus, cfg), store, err)
+        raise
+
+
 def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     """Run the loop, writing ``metrics.jsonl`` and checkpoints under
     ``out_dir``; returns a summary with final paths and metrics.
@@ -327,7 +361,8 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     A metrics record at step ``k`` describes the state after ``k`` completed
     updates; records are written at every eval interval and always at the
     final step.  Checkpoints land at every checkpoint interval and at the
-    end (``checkpoint_final.json``).
+    end (``checkpoint_final.json``).  A package error in a training step or
+    in the metrics leaves ``failure_dump.json`` behind before it propagates.
     """
     os.makedirs(out_dir, exist_ok=True)
     store = init_parameters(corpus, cfg)
@@ -346,23 +381,15 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     try:
         for step in range(start, cfg.steps):
             if step % cfg.eval_interval == 0:
-                last_record = corpus_metrics(store, corpus, cfg, step)
+                last_record = _checked_metrics(store, corpus, cfg, step, out_dir)
                 metrics_fh.write(json.dumps(last_record) + "\n")
             batch_idx = sample_batch(corpus, cfg.batch_size, [cfg.seed, step])
             batch = materialize_batch(store, batch_idx)
             lr = learning_rate(step, cfg)
             try:
                 train_step(store, opt, batch, cfg, lr)
-            except HypalignError:
-                dump = {
-                    "step": step,
-                    "scene_rows": batch_idx.scene_rows.tolist(),
-                    "part_rows": batch_idx.part_rows.tolist(),
-                    "params": {n: value_of(v).ravel().tolist()
-                               for n, v in store.items() if value_of(v).size <= 4},
-                }
-                with open(os.path.join(out_dir, "failure_dump.json"), "w") as fh:
-                    json.dump(dump, fh, indent=2)
+            except HypalignError as err:
+                _write_failure_dump(out_dir, step, "train", batch_idx, store, err)
                 raise
             done = step + 1
             if done % cfg.checkpoint_interval == 0 and done < cfg.steps:
@@ -370,7 +397,7 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
                     os.path.join(out_dir, f"checkpoint_{done:06d}.json"),
                     done, store, opt, cfg,
                 )
-        last_record = corpus_metrics(store, corpus, cfg, cfg.steps)
+        last_record = _checked_metrics(store, corpus, cfg, cfg.steps, out_dir)
         metrics_fh.write(json.dumps(last_record) + "\n")
     finally:
         metrics_fh.close()

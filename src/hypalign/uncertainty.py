@@ -6,6 +6,8 @@ hyperbolic radius is itself strictly increasing in the Euclidean norm of
 the tangent parameterization, this is a smooth, strictly decreasing
 function of the radius.  An explicit-radius variant (softplus of the
 negative hyperbolic radius) is available for the ablation comparison.
+Both work row by row over any leading axes, so one call serves a batch
+``(B, n)`` or a stack of groups ``(G, B, n)``.
 """
 
 from __future__ import annotations

@@ -276,6 +276,43 @@ class TestBackward:
             ad.backward(ad.square(v))
 
 
+class TestGroupStacks:
+    def test_stack_and_pick_plain_path(self):
+        a, b = np.arange(6.0).reshape(2, 3), -np.arange(6.0).reshape(2, 3)
+        stacked = ad.stack([a, b])
+        assert not ad.is_var(stacked) and stacked.shape == (2, 2, 3)
+        assert np.array_equal(ad.pick(stacked, 1), b)
+        assert np.array_equal(ad.pick(stacked, (1, 0, 1)), np.stack([b, a, b]))
+
+    def test_picks_of_one_base_share_a_parent(self):
+        # a node reading groups (1, 0, 1) and group 1 of one stack: one
+        # parent entry, whose adjoint adds every pick into its groups
+        x = Var(np.random.default_rng(0).normal(size=(3, 2)), name="x")
+        many, one = ad.pick(x, (1, 0, 1)), ad.pick(x, 1)
+        assert ad.is_var(many) and np.array_equal(value_of(many), x.value[[1, 0, 1]])
+        w = np.arange(6.0).reshape(3, 2)
+        node = ad.fused(np.sum(value_of(many) * w) + np.sum(value_of(one)), "probe",
+                        (many, one), lambda g: (g * w, np.full(2, g)))
+        assert node._parents == (x,)
+        g = ad.gradients(node, {"x": x})["x"]
+        np.testing.assert_array_equal(g, [w[1], w[0] + w[2] + 1.0, [0.0, 0.0]])
+
+    def test_stack_gradient_splits_by_group(self):
+        a, b = Var(np.array([1.0, 2.0])), Var(np.array([3.0, -1.0]))
+        out = ad.reduce_sum(ad.mul(ad.stack([a, b]), np.array([[1.0, 2.0], [3.0, 4.0]])))
+        g = ad.gradients(out, {"a": a, "b": b})
+        np.testing.assert_array_equal(g["a"], [1.0, 2.0])
+        np.testing.assert_array_equal(g["b"], [3.0, 4.0])
+
+    def test_stop_gradient_of_a_pick_records_its_base(self):
+        x = Var(np.array([[1.0, 2.0], [3.0, 4.0]]), name="x")
+        with ad.record_stop_gradients() as rec:
+            root = ad.reduce_sum(ad.stop_gradient(ad.pick(ad.square(x), 1)))
+        assert value_of(root) == 25.0
+        assert id(x) in rec.behind_stops(root)
+        assert np.all(ad.gradients(root, {"x": x})["x"] == 0.0)
+
+
 class TestStopGradient:
     def test_blocks_flow_but_passes_value(self):
         v = Var(np.array([1.5, -0.5]))

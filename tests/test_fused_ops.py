@@ -3,10 +3,13 @@
 (two for ``lift``) with a hand-derived vector-Jacobian product.
 
 Three references: the straight-line oracles in ``_oracles.py``, central
-finite differences for every input (``kappa`` both live and constant,
-batched and single points), and the op-by-op composition the fused nodes
-replaced, rebuilt below from single-purpose tape nodes.  The fused forward
-keeps the composition's arithmetic, so values must agree bit for bit.
+finite differences for every input (``kappa`` both live and constant;
+batched and single points, and stacks of groups read through
+``LorentzPoint.groups`` as the training objective reads them), and the
+op-by-op composition the fused nodes replaced, rebuilt below from
+single-purpose tape nodes.  The fused forward keeps the composition's
+arithmetic, so values must agree bit for bit, and each group of a stacked
+call must equal the call on that group alone.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ import hypalign.autodiff as ad
 from hypalign.autodiff import Var, value_of
 from hypalign.entailment import aperture, exterior_angle
 from hypalign.errors import ContractViolationError, NumericalConsistencyError
+from hypalign.losses import Batch, LossConfig, total_loss
 from hypalign.manifold import (
     LorentzPoint,
     Manifold,
@@ -44,16 +48,15 @@ def _sinhc_sqrt(a):
 
 
 def _l2norm(a):
-    if not ad.is_var(a):
-        return np.linalg.norm(value_of(a), axis=-1)
-    n = np.linalg.norm(a.value, axis=-1)
+    av = value_of(a)
+    n = np.linalg.norm(av, axis=-1)
 
     def vjp(g):
         safe = np.expand_dims(n, -1) > 0.0
-        unit = np.where(safe, a.value / np.where(safe, np.expand_dims(n, -1), 1.0), 0.0)
+        unit = np.where(safe, av / np.where(safe, np.expand_dims(n, -1), 1.0), 0.0)
         return (np.expand_dims(g, -1) * unit,)
 
-    return Var(n, "l2norm", (a,), vjp)
+    return ad.fused(n, "l2norm", (a,), vjp)
 
 
 def _matmul(a, b):
@@ -95,8 +98,8 @@ def _acos_clamped(a):
 def unfused_lift(v, m):
     y = ad.mul(m.kappa, ad.reduce_sum(ad.square(v), axis=-1))
     scale = _sinhc_sqrt(y)
-    if value_of(v).ndim == 2:
-        scale = ad.reshape(scale, (-1, 1))
+    if value_of(v).ndim >= 2:
+        scale = ad.reshape(scale, value_of(y).shape + (1,))
     return LorentzPoint(time=ad.div(_cosh_sqrt(y), ad.sqrt(m.kappa)),
                         space=ad.mul(scale, v))
 
@@ -130,15 +133,31 @@ def _point(t, s):
     return LorentzPoint(time=t, space=s)
 
 
+# a stack of G_STACK groups read as the training objective reads its lifted
+# stack: the matrix reads one group per side, the cone ops a stack of
+# apex/member groups with an apex used twice
+G_STACK = 3
+PAIR = (0, 2)
+APEXES, MEMBERS = (2, 0, 2), (1, 1, 0)
+
+
 def _outputs(op, impl, a):
     """Outputs of ``impl`` (the fused op or its unfused reference) on the
-    named inputs ``a``, as a tuple."""
+    named inputs ``a``, as a tuple; a stack of lifted groups comes as ``t``
+    and ``s``."""
     if op == "lift":
         p = impl(a["v"], Manifold(a["kappa"]))
         return p.time, p.space
     if op == "uncertainty":
         return (impl(a["x"]),)
     m = Manifold(a["kappa"])
+    if "s" in a:
+        stack = _point(a["t"], a["s"])
+        if op == "pairwise_distance":
+            return (impl(stack.groups(PAIR[0]), stack.groups(PAIR[1]), m),)
+        if op == "aperture":
+            return (impl(stack.groups(APEXES), K_CONST, m),)
+        return (impl(stack.groups(APEXES), stack.groups(MEMBERS), m),)
     p = _point(a["pt"], a["ps"])
     if op == "aperture":
         return (impl(p, K_CONST, m),)
@@ -162,11 +181,20 @@ def _lifted(rng, shape, kappa, radii=(0.4, 2.0)):
 
 
 def make_inputs(op, layout, kappa, seed=0):
-    """Named input arrays for ``op``; ``layout`` is ``batched`` or
-    ``single`` (one point, or for the distance matrix one row against a
-    batch)."""
+    """Named input arrays for ``op``; ``layout`` is ``batched``, ``single``
+    (one point, or for the distance matrix one row against a batch) or
+    ``stacked`` (``G_STACK`` groups of a batch, lifted as one stack for the
+    ops that take points)."""
     rng = np.random.default_rng(seed)
     n, b = 5, 4
+    if layout == "stacked":
+        shape = (G_STACK, b, n)
+        if op == "lift":
+            return {"v": rng.normal(size=shape), "kappa": kappa}
+        if op == "uncertainty":
+            return {"x": rng.normal(size=shape)}
+        t, s = _lifted(rng, shape, kappa, radii=(0.5, 3.0) if op == "aperture" else (0.4, 2.0))
+        return {"t": t, "s": s, "kappa": kappa}
     lead = (b,) if layout == "batched" else ()
     if op == "lift":
         return {"v": rng.normal(size=lead + (n,)), "kappa": kappa}
@@ -216,7 +244,7 @@ def fd_adjoints(op, arrays, live, weights, h=1e-6):
 
 
 CASES = [(op, layout, kappa_live)
-         for op in FUSED for layout in ("batched", "single")
+         for op in FUSED for layout in ("batched", "single", "stacked")
          for kappa_live in (True, False)
          if not (op == "uncertainty" and not kappa_live)]
 
@@ -452,3 +480,92 @@ def _checked_unfused_aperture(p, k, m):
     if np.min(np.linalg.norm(value_of(p.space), axis=-1)) <= 0.0:
         raise ContractViolationError("cone aperture undefined at the origin")
     return unfused_aperture(p, k, m)
+
+
+# ---------------------------------------------------------------------------
+# stacks of groups
+# ---------------------------------------------------------------------------
+
+def _group_inputs(op, a, k):
+    """The 2-D inputs of slice ``k`` of a stacked call on ``a``."""
+    if op == "lift":
+        return {"v": a["v"][k], "kappa": a["kappa"]}
+    if op == "uncertainty":
+        return {"x": a["x"][k]}
+    apex, member = (PAIR if op == "pairwise_distance" else (APEXES[k], MEMBERS[k]))
+    return {"pt": a["t"][apex], "ps": a["s"][apex],
+            "qt": a["t"][member], "qs": a["s"][member], "kappa": a["kappa"]}
+
+
+def _slices(op):
+    """How many 2-D calls a stacked call of ``op`` stands for."""
+    return {"pairwise_distance": 1, "exterior_angle": len(APEXES),
+            "aperture": len(APEXES)}.get(op, G_STACK)
+
+
+class TestStackedGroups:
+    @pytest.mark.parametrize("op", list(FUSED))
+    @pytest.mark.parametrize("taped", (False, True), ids=("plain", "tape"))
+    def test_each_group_equals_the_2d_call(self, op, taped):
+        arrays = make_inputs(op, "stacked", 1.3, seed=6)
+        inputs = {k: Var(np.array(v, dtype=float)) if taped else v
+                  for k, v in arrays.items()}
+        stacked = _outputs(op, FUSED[op], inputs)
+        assert all(ad.is_var(o) == taped for o in stacked)
+        for k in range(_slices(op)):
+            alone = _outputs(op, FUSED[op], _group_inputs(op, arrays, k))
+            for out, ref in zip(stacked, alone):
+                got = value_of(out) if op == "pairwise_distance" else value_of(out)[k]
+                assert np.array_equal(got, ref), (op, k)
+
+    @pytest.mark.parametrize("which", ("exterior_angle", "aperture"))
+    @pytest.mark.parametrize("taped", (False, True), ids=("plain", "tape"))
+    def test_group_at_the_origin_raises_like_the_2d_call(self, which, taped):
+        arrays = make_inputs(which, "stacked", 1.0, seed=7)
+        arrays["s"][APEXES[1], 1] = 0.0           # the second term's apex, row 1
+        arrays["t"][APEXES[1], 1] = 1.0
+        inputs = {k: Var(v) if taped and k != "kappa" else v for k, v in arrays.items()}
+        with pytest.raises(ContractViolationError) as stacked_error:
+            _outputs(which, FUSED[which], inputs)
+        with pytest.raises(ContractViolationError) as alone_error:
+            _outputs(which, FUSED[which], _group_inputs(which, arrays, 1))
+        assert str(stacked_error.value) == str(alone_error.value)
+        assert "undefined at the origin" in str(stacked_error.value)
+
+    @pytest.mark.parametrize("group", ("part_text", "whole_text"))
+    def test_objective_checks_the_angle_before_the_aperture(self, group):
+        # both cone ops reject an apex at the origin; the objective builds
+        # the angle first, so its message wins, as with one call per term
+        rng = np.random.default_rng(8)
+        groups = {g: Var(rng.normal(size=(4, 3)) * 0.5)
+                  for g in ("whole_image", "whole_text", "part_image", "part_text")}
+        groups[group] = Var(np.zeros((4, 3)))
+        with pytest.raises(ContractViolationError,
+                           match="exterior angle undefined at the origin"):
+            total_loss(Batch(**groups), LossConfig(), Manifold(Var(1.0)))
+
+    @pytest.mark.parametrize("taped", (False, True), ids=("plain", "tape"))
+    def test_drifted_row_recomputed_in_its_slice_only(self, taped):
+        # an apex within 1e-6 of the origin with a member straight outward:
+        # beta^2 - 1 is about 2e-9, and the closed form reads |cos phi| past
+        # the drift budget, so that row is redone from the chord
+        m = Manifold(2.0)
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=(3, 2, 1)) * 0.6
+        v[1, 0], v[1, 1] = -7.606899512881498e-08, -2.914587881351676e-05
+        p = lift(v, m)
+        t, s = np.asarray(p.time), np.asarray(p.space)
+        beta = 2.0 * (s[1, 0, 0] * s[1, 1, 0] - t[1, 0] * t[1, 1])
+        closed = (t[1, 1] + t[1, 0] * beta) / (abs(s[1, 0, 0]) * np.sqrt(beta * beta - 1.0))
+        assert 1e-9 < beta * beta - 1.0 and abs(closed) > 1.0 + ad.DRIFT_TOL
+        # each slice pairs row 0 (apex) with row 1 (member) of its group
+        apex = _point(t[:, 0], s[:, 0])
+        member = _point(t[:, 1], s[:, 1])
+        wrap = Var if taped else np.asarray
+        phi = value_of(exterior_angle(_point(wrap(apex.time), wrap(apex.space)),
+                                      _point(wrap(member.time), wrap(member.space)), m))
+        assert phi[1] == 0.0                      # straight outward, recomputed
+        for k in range(3):
+            alone = exterior_angle(_point(t[k:k + 1, 0], s[k:k + 1, 0]),
+                                   _point(t[k:k + 1, 1], s[k:k + 1, 1]), m)
+            assert np.array_equal(phi[k:k + 1], alone), k

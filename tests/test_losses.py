@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hypalign.autodiff as ad
+import hypalign.losses as losses
 from hypalign.autodiff import ParameterStore, Var, value_of
 from hypalign.entailment import ConeParams
 from hypalign.errors import ContractViolationError
@@ -26,6 +27,9 @@ from hypalign.losses import (
     total_loss,
 )
 from hypalign.manifold import Manifold, lift
+from hypalign.synthdata import generate, sample_batch
+from hypalign.trainer import (TrainConfig, init_parameters, loss_config_with_vars,
+                              materialize_batch)
 import _oracles as orc
 
 
@@ -519,17 +523,22 @@ class TestGraphBudget:
 
     def test_one_lift_per_group(self):
         counts = tape_census(total_loss(self.batch, self.cfg, self.m).total)
-        assert counts["lift_time"] == counts["lift_space"] == 4
-        assert counts["pairwise_distance"] == 4   # global and local matrices read twice
-        assert counts["exterior_angle"] == 4      # calibration reuses the intra angles
-        assert counts["aperture"] == 3            # the part-text apex's serves two terms
-        assert counts["uncertainty"] == 2
+        # the four groups are stacked and lifted as one; the two part
+        # groups are stacked once more for their uncertainty
+        assert counts["stack"] == 2
+        assert counts["lift_time"] == counts["lift_space"] == 1
+        assert counts["uncertainty"] == 1
+        # each matrix reads its pair of groups out of the lifted stack, and
+        # the global and local matrices are read along both axes
+        assert counts["pairwise_distance"] == 4
+        # one node each over the stack of the four entailment terms;
+        # calibration reuses the intra leaks
+        assert counts["exterior_angle"] == counts["aperture"] == counts["leaky"] == 1
         assert counts["stop_gradient"] == 2
         # each loss block is one node per call; the global and local terms
         # read their matrix along both axes inside the node
         assert counts["info_nce"] == 6
-        assert counts["tempered"] == 2
-        assert counts["leaky"] == 4
+        assert counts["tempered"] == 1
         assert counts["sum_pair"] == 2
         assert counts["calibration"] == 2
         assert counts["weighted_total"] == 1
@@ -538,7 +547,39 @@ class TestGraphBudget:
         # the geometry and the loss arithmetic run inside the fused nodes
         assert not {"sqrt", "acosh", "acos", "asin", "cosh_sqrt", "sub", "neg",
                     "exp", "softmax", "relu", "sum"} & set(counts)
-        assert sum(counts.values()) <= 60
+        # 30 built nodes and the 8 leaves (the four groups, kappa, three taus)
+        assert sum(counts.values()) <= 38
+
+    def test_geometry_called_once_per_step(self, monkeypatch):
+        # counted through the names the benchmark tracer patches in losses
+        calls = {}
+        for name in ("lift", "pairwise_distance", "exterior_angle", "aperture",
+                     "uncertainty"):
+            def counted(*args, _name=name, _f=getattr(losses, name), **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kw)
+
+            monkeypatch.setattr(losses, name, counted)
+        total_loss(self.batch, self.cfg, self.m)
+        assert calls == {"lift": 1, "pairwise_distance": 4, "exterior_angle": 1,
+                         "aperture": 1, "uncertainty": 1}
+
+    def test_default_step_backward_needs_no_unbroadcast(self, monkeypatch):
+        # every node's VJP returns its adjoints in its inputs' shapes,
+        # kappa's summed to a scalar, so no adjoint takes the generic path
+        cfg = TrainConfig()
+        corpus = generate()
+        store = init_parameters(corpus, cfg)
+        batch = materialize_batch(store, sample_batch(corpus, cfg.batch_size, [cfg.seed, 0]))
+        report = total_loss(batch, loss_config_with_vars(cfg.loss, store),
+                            Manifold(store["kappa"]))
+        calls = []
+        unbroadcast = ad._unbroadcast
+        monkeypatch.setattr(ad, "_unbroadcast",
+                            lambda *a: calls.append(a[1]) or unbroadcast(*a))
+        grads = ad.gradients(report.total, store.as_dict())
+        assert calls == []
+        assert all(np.any(g != 0.0) for g in grads.values())
 
     def test_block_totals_are_the_report_sums(self):
         c = {k: value_of(v) for k, v in

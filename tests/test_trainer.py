@@ -263,21 +263,25 @@ class TestTrainLoop:
             assert np.array_equal(opt.v[name], opt2.v[name])
         assert opt2.t == opt.t
 
-    def _resume_poisoned(self, corpus, tmp_path, poison, expected, match=None):
+    def _resume_poisoned(self, corpus, tmp_path, poison, expected, match=None,
+                         checkpoint_interval=6):
         # resume from a poisoned checkpoint: the failing forward aborts the
         # run, keeps its error kind, and leaves a failure dump behind
-        cfg = small_config(steps=12, checkpoint_interval=6)
+        cfg = small_config(steps=12, checkpoint_interval=checkpoint_interval)
         train(corpus, cfg, tmp_path / "ok")
-        ckpt_path = tmp_path / "ok" / "checkpoint_000006.json"
+        ckpt_path = tmp_path / "ok" / f"checkpoint_{checkpoint_interval:06d}.json"
         payload = json.loads(ckpt_path.read_text())
         poison(payload["params"])
         poisoned = tmp_path / "poisoned.json"
         poisoned.write_text(json.dumps(payload))
-        with pytest.raises(expected, match=match):
+        with pytest.raises(expected, match=match) as err:
             with np.errstate(over="ignore", invalid="ignore"):
                 train(corpus, cfg, tmp_path / "boom", resume=poisoned)
         dump = json.loads((tmp_path / "boom" / "failure_dump.json").read_text())
         assert "step" in dump and "scene_rows" in dump
+        assert dump["kind"] == err.value.kind
+        assert dump["message"] == str(err.value)
+        return dump
 
     def test_nonfinite_loss_writes_diagnostic_dump(self, small_corpus, tmp_path):
         # one table row at 1e200 overflows the forward pass
@@ -286,16 +290,35 @@ class TestTrainLoop:
         def poison(params):
             params["table_scene_img"]["data"][0] = 1e200
 
-        self._resume_poisoned(small_corpus, tmp_path, poison,
-                              NumericalConsistencyError)
+        dump = self._resume_poisoned(small_corpus, tmp_path, poison,
+                                     NumericalConsistencyError)
+        assert dump["kind"] == "numerical" and dump["batch"] == "train"
 
     def test_contract_error_writes_diagnostic_dump(self, small_corpus, tmp_path):
         # every part's text row at the origin, where its cone is undefined
         def poison(params):
             params["table_part_txt"]["data"] = [0.0] * len(params["table_part_txt"]["data"])
 
-        self._resume_poisoned(small_corpus, tmp_path, poison, ContractViolationError,
-                              match="exterior angle undefined at the origin")
+        dump = self._resume_poisoned(small_corpus, tmp_path, poison, ContractViolationError,
+                                     match="exterior angle undefined at the origin")
+        assert dump["kind"] == "contract" and dump["batch"] == "train"
+        assert dump["step"] == 6
+
+    def test_error_in_eval_interval_writes_diagnostic_dump(self, small_corpus, tmp_path):
+        # resumed at an eval step, the poisoned state fails in the metrics'
+        # eval-batch forward before any training step: the dump names the
+        # eval batch's rows
+        def poison(params):
+            params["table_part_txt"]["data"] = [0.0] * len(params["table_part_txt"]["data"])
+
+        dump = self._resume_poisoned(small_corpus, tmp_path, poison, ContractViolationError,
+                                     match="exterior angle undefined at the origin",
+                                     checkpoint_interval=4)
+        cfg = small_config()
+        eval_idx = sample_batch(small_corpus, cfg.batch_size, [cfg.seed, _EVAL_STREAM_TAG])
+        assert dump["step"] == 4 and dump["batch"] == "eval"
+        assert dump["scene_rows"] == eval_idx.scene_rows.tolist()
+        assert dump["part_rows"] == eval_idx.part_rows.tolist()
 
     def test_coincident_pair_reached_by_training_completes(self, tmp_path):
         # the contrastive and inter-entailment terms pull a whole pair
