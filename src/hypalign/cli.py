@@ -25,17 +25,10 @@ from .entailment import ConeParams
 from .errors import ContractViolationError, HypalignError
 from .evalmetrics import Taxonomy, evaluate, scaled_tables
 from .gradcheck import format_results, run_check_grads
-from .losses import LossConfig, TemperatureSet
+from .losses import GROUPS, LAYOUT, LossConfig, TemperatureSet
 from .manifold import Manifold, hyperbolic_radius
 from .synthdata import GeneratorParams, generate, load as load_corpus, save as save_corpus
-from .trainer import (
-    TEMPERATURE_PARAMS,
-    TrainConfig,
-    config_to_dict,
-    load_checkpoint,
-    store_from_payload,
-    train,
-)
+from .trainer import TEMPERATURE_PARAMS, TrainConfig, load_checkpoint, store_from_payload, train
 from .uncertainty import uncertainty
 
 
@@ -195,7 +188,7 @@ def _cmd_train(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
     flag_values = {k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA}
     cfg = build_train_config(file_values, flag_values)
-    _log_config("train", {**config_to_dict(cfg), "corpus": args.corpus,
+    _log_config("train", {**asdict(cfg), "corpus": args.corpus,
                           "out": args.out, "resume": args.resume})
     corpus = load_corpus(args.corpus)
     train(corpus, cfg, args.out, resume=args.resume)
@@ -239,25 +232,22 @@ def _cmd_export(args) -> int:
     corpus = load_corpus(args.corpus)
     m = Manifold(float(value_of(store["kappa"])))
     tables = scaled_tables(store)
-    dim = tables["whole_image"].shape[1]
+    dim = tables[GROUPS[0]].shape[1]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "view", "level", "radius", "uncertainty"]
                         + [f"v{i}" for i in range(dim)])
-        for level, concepts, img_key, txt_key in (
-            ("scene", corpus.scenes, "whole_image", "whole_text"),
-            ("part", corpus.parts, "part_image", "part_text"),
-        ):
-            for view, key in (("image", img_key), ("text", txt_key)):
-                embs = tables[key]
-                radii = hyperbolic_radius(embs, m)
-                uncs = uncertainty(embs)
-                for row, concept in enumerate(concepts):
-                    writer.writerow(
-                        [concept.id, view, level, repr(float(radii[row])),
-                         repr(float(uncs[row]))]
-                        + [repr(float(x)) for x in embs[row]]
-                    )
+        # scene rows before part rows, image before text within each
+        for group, src in LAYOUT.items():
+            embs = tables[group]
+            radii = hyperbolic_radius(embs, m)
+            uncs = uncertainty(embs)
+            for row, concept in enumerate(corpus.concepts(src.level)):
+                writer.writerow(
+                    [concept.id, src.modality, src.level, repr(float(radii[row])),
+                     repr(float(uncs[row]))]
+                    + [repr(float(x)) for x in embs[row]]
+                )
     return 0
 
 

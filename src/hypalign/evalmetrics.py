@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist
 
 from .autodiff import ParameterStore, value_of
 from .errors import ContractViolationError
+from .losses import LAYOUT, MODALITIES
 from .manifold import Manifold, hyperbolic_radius, lift, pairwise_distance
 from .synthdata import Corpus
 from .uncertainty import uncertainty
@@ -140,14 +141,18 @@ def recall_at_k(query_embs, gallery_embs, truth_map: dict[int, set[int]],
     if k < 1:
         raise ContractViolationError("k must be >= 1")
     sims = -value_of(pairwise_distance(lift(queries, m), lift(gallery, m), m))
+    return _recalls(sims, truth_map, (k,))[0]
+
+
+def _recalls(sims: np.ndarray, truth_map: dict[int, set[int]], ks) -> list[float]:
+    """:func:`recall_at_k` at each of ``ks`` from one query-by-gallery
+    similarity matrix, read off one sort."""
     # stable argsort of -sims: descending similarity, index order on ties
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    hits = 0
-    for qi in range(queries.shape[0]):
-        truth = truth_map.get(qi, set())
-        if truth and not truth.isdisjoint(order[qi].tolist()):
-            hits += 1
-    return hits / queries.shape[0]
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :max(ks)]
+    truths = [truth_map.get(qi, set()) for qi in range(sims.shape[0])]
+    return [sum(1 for truth, top in zip(truths, order)
+                if truth and not truth.isdisjoint(top[:k].tolist())) / len(truths)
+            for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +205,8 @@ def distribution_distances(a, b) -> tuple[float, float, float]:
 
 def scaled_tables(store: ParameterStore) -> dict[str, np.ndarray]:
     """The four embedding groups as plain scaled tangent arrays."""
-    c_img = float(value_of(store["c_img"]))
-    c_txt = float(value_of(store["c_txt"]))
-    return {
-        "whole_image": c_img * value_of(store["table_scene_img"]),
-        "whole_text": c_txt * value_of(store["table_scene_txt"]),
-        "part_image": c_img * value_of(store["table_part_img"]),
-        "part_text": c_txt * value_of(store["table_part_txt"]),
-    }
+    return {group: float(value_of(store[src.scale])) * value_of(store[src.table])
+            for group, src in LAYOUT.items()}
 
 
 @dataclass(frozen=True)
@@ -233,13 +232,13 @@ def uncertainty_correlation(corpus: Corpus, store: ParameterStore, m: Manifold,
     """Correlate each part's learned uncertainty with (a) its similarity to
     its own whole (negative geodesic distance) and (b) the corpus
     ground-truth ``1 - representativeness`` (rank correlation)."""
-    if modality not in ("image", "text"):
+    if modality not in MODALITIES:
         raise ContractViolationError("modality must be 'image' or 'text'")
     if len(corpus.parts) < 3:
         raise ContractViolationError("need at least 3 parts for a correlation")
     tables = scaled_tables(store)
-    parts = tables[f"part_{'image' if modality == 'image' else 'text'}"]
-    wholes = tables[f"whole_{'image' if modality == 'image' else 'text'}"]
+    parts = tables[f"part_{modality}"]
+    wholes = tables[f"whole_{modality}"]
     scene_idx = corpus.scene_index()
     whole_rows = np.array([scene_idx[p.parent] for p in corpus.parts], dtype=np.intp)
     u = uncertainty(parts)
@@ -275,10 +274,10 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     tables = scaled_tables(store)
     out: dict = {}
 
-    # classification: whole image -> nearest scene text
-    sims = -value_of(pairwise_distance(
-        lift(tables["whole_image"], m), lift(tables["whole_text"], m), m
-    ))
+    # classification: whole image -> nearest scene text; the image-to-text
+    # retrieval below reads the same matrix
+    images, texts = lift(tables["whole_image"], m), lift(tables["whole_text"], m)
+    sims = -value_of(pairwise_distance(images, texts, m))
     pred_rows = np.argmax(sims, axis=1)
     ties, lcas, jacs, precs, recs = [], [], [], [], []
     for i, s in enumerate(corpus.scenes):
@@ -299,18 +298,18 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     }
 
     identity = {i: {i} for i in range(len(corpus.scenes))}
-    out["retrieval"] = {
-        "image_to_text_r1": recall_at_k(tables["whole_image"], tables["whole_text"], identity, 1, m),
-        "image_to_text_r5": recall_at_k(tables["whole_image"], tables["whole_text"], identity, 5, m),
-        "text_to_image_r1": recall_at_k(tables["whole_text"], tables["whole_image"], identity, 1, m),
-        "text_to_image_r5": recall_at_k(tables["whole_text"], tables["whole_image"], identity, 5, m),
+    recalls = {
+        "image_to_text": _recalls(sims, identity, (1, 5)),
+        "text_to_image": _recalls(-value_of(pairwise_distance(texts, images, m)),
+                                  identity, (1, 5)),
     }
+    out["retrieval"] = {f"{direction}_r{k}": r for direction, rs in recalls.items()
+                        for k, r in zip((1, 5), rs)}
 
     out["radius_distributions"] = {}
-    for modality, part, whole in (("image", "part_image", "whole_image"),
-                                  ("text", "part_text", "whole_text")):
-        radii_p = hyperbolic_radius(tables[part], m)
-        radii_w = hyperbolic_radius(tables[whole], m)
+    for modality in MODALITIES:
+        radii_p = hyperbolic_radius(tables[f"part_{modality}"], m)
+        radii_w = hyperbolic_radius(tables[f"whole_{modality}"], m)
         w1, w2, mmd = distribution_distances(radii_p, radii_w)
         out["radius_distributions"][modality] = {
             "mean_part_radius": float(np.mean(radii_p)),
@@ -319,7 +318,7 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
         }
 
     out["uncertainty_correlation"] = {}
-    for modality in ("image", "text"):
+    for modality in MODALITIES:
         rep = uncertainty_correlation(corpus, store, m, modality)
         out["uncertainty_correlation"][modality] = {
             "pearson_similarity": rep.pearson_similarity,

@@ -23,21 +23,15 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, value_of
 from .entailment import aperture, exterior_angle
 from .errors import ContractViolationError, NumericalConsistencyError
-# beside LossConfig and total_loss, the per-term builders are imported only
-# for the benchmark tracer (perfbench/tracer.py), which patches them here by name
-from .losses import (
-    LossConfig,
-    calibration,
-    contrastive,
-    contrastive_total,
-    entail_hinge,
-    entail_leaky,
-    entailment_total,
-    total_loss,
-)
+# beside the batch layout, LossConfig and total_loss, the per-term builders are
+# imported only for the benchmark tracer (perfbench/tracer.py), which patches
+# them here by name
+from .losses import (APEXES, DISTANCE_PAIRS, GROUPS, MEMBERS, LossConfig, calibration,
+                     contrastive, contrastive_total, entail_hinge, entail_leaky,
+                     entailment_etas, entailment_total, total_loss)
 from .manifold import Manifold, lift
 from .synthdata import BatchIndices
-from .trainer import loss_config_with_vars, materialize_batch
+from .trainer import loss_config_with_vars, materialize_batch, parameter_store
 
 GUARD_BAND = 1e-3
 _REL_FLOOR = 1e-6
@@ -151,55 +145,41 @@ def build_check_problem(seed: int = 1):
     kink guard band."""
     batch_size, dim = 6, 8
     rng = np.random.default_rng([seed, 0xC4EC])
-    store = ParameterStore()
-    for name in ("table_scene_img", "table_scene_txt",
-                 "table_part_img", "table_part_txt"):
-        store.register(name, rng.normal(size=(batch_size, dim)) * 1.2)
-    store.register("kappa", 1.3)
-    store.register("tau_g", 0.07)
-    store.register("tau_l", 0.07)
-    store.register("tau_gl", 0.06)
-    store.register("c_img", 1.0 / np.sqrt(dim))
-    store.register("c_txt", 1.0 / np.sqrt(dim))
+    cfg = LossConfig()
+    store = parameter_store({group: rng.normal(size=(batch_size, dim)) * 1.2
+                             for group in GROUPS}, 1.3, cfg.temps)
     idx = BatchIndices(scene_rows=np.arange(batch_size),
                        part_rows=np.arange(batch_size))
-    cfg = LossConfig()
     _assert_kink_margins(store, idx, cfg)
     return store, idx, cfg
 
 
 def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
                          cfg: LossConfig) -> None:
+    """Raise if the problem lies within the guard band of a kink of the
+    objective's terms: the four groups are lifted as one stack, as training
+    lifts them, and read through the objective's own entailment stack and
+    distance pairs."""
     kappa = float(value_of(store["kappa"]))
     manifold = Manifold(kappa)
     batch = materialize_batch(store, idx)
-    points = {
-        name: lift(value_of(getattr(batch, name)), manifold)
-        for name in ("whole_image", "whole_text", "part_image", "part_text")
-    }
-    margin = np.inf
-    pairs = [
-        ("part_text", "part_image", cfg.cone.eta_inter),
-        ("whole_text", "whole_image", cfg.cone.eta_inter),
-        ("part_text", "whole_text", cfg.cone.eta_intra),
-        ("part_image", "whole_image", cfg.cone.eta_intra),
-    ]
-    for apex, member, eta in pairs:
-        phi = value_of(exterior_angle(points[apex], points[member], manifold))
-        omega = value_of(aperture(points[apex], cfg.cone.aperture_k, manifold))
-        # hinge boundary, acos endpoints, aperture saturation
-        margin = min(margin, np.min(np.abs(phi - eta * omega)))
-        margin = min(margin, np.min(1.0 - np.abs(np.cos(phi))))
-        apex_norm = np.linalg.norm(value_of(points[apex].space), axis=-1)
-        asin_arg = 2.0 * cfg.cone.aperture_k / (np.sqrt(kappa) * apex_norm)
-        margin = min(margin, np.min(np.abs(1.0 - asin_arg)))
-    # coincident-point (acosh) margin for every contrastive pairing
-    for a, t in (("whole_image", "whole_text"), ("part_image", "part_text"),
-                 ("part_image", "whole_text"), ("part_text", "whole_image")):
-        pa, pt = points[a], points[t]
-        inner = (value_of(pa.space) @ value_of(pt.space).T
-                 - np.outer(value_of(pa.time), value_of(pt.time)))
-        margin = min(margin, np.min(-kappa * inner - 1.0))
+    points = lift(np.stack([value_of(getattr(batch, g)) for g in GROUPS]), manifold)
+    cone = cfg.cone
+    apex = points.groups(APEXES)
+    phi = value_of(exterior_angle(apex, points.groups(MEMBERS), manifold))
+    omega = value_of(aperture(apex, cone.aperture_k, manifold))
+    apex_norm = np.linalg.norm(value_of(apex.space), axis=-1)
+    asin_arg = 2.0 * cone.aperture_k / (np.sqrt(kappa) * apex_norm)
+    # hinge boundary, acos endpoints, aperture saturation
+    margins = [np.abs(phi - entailment_etas(cone) * omega),
+               1.0 - np.abs(np.cos(phi)), np.abs(1.0 - asin_arg)]
+    # coincident-point (acosh) margin for every distance matrix
+    for a, b in DISTANCE_PAIRS:
+        pa, pb = points.groups(a), points.groups(b)
+        inner = (value_of(pa.space) @ value_of(pb.space).T
+                 - np.outer(value_of(pa.time), value_of(pb.time)))
+        margins.append(-kappa * inner - 1.0)
+    margin = min(np.min(x) for x in margins)
     if margin < GUARD_BAND:
         raise NumericalConsistencyError(
             f"gradient-check configuration within {GUARD_BAND} of a kink "

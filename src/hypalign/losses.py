@@ -43,6 +43,7 @@ shared adjoints in their own order, so gradients agree with it to rounding.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -96,8 +97,20 @@ class LossConfig:
             raise ContractViolationError("alpha must be nonnegative")
 
 
-# a batch's groups, in the order they are stacked and lifted
-GROUPS = ("whole_image", "whole_text", "part_image", "part_text")
+# the batch layout, in the order the groups are stacked and lifted: each
+# group's embedding table and modality scale (parameter names), the level of
+# its concepts ("scene" or "part": which batch rows index the table) and
+# their modality ("image" or "text" view)
+GroupSource = namedtuple("GroupSource", "table scale level modality")
+LAYOUT = {
+    "whole_image": GroupSource("table_scene_img", "c_img", "scene", "image"),
+    "whole_text": GroupSource("table_scene_txt", "c_txt", "scene", "text"),
+    "part_image": GroupSource("table_part_img", "c_img", "part", "image"),
+    "part_text": GroupSource("table_part_txt", "c_txt", "part", "text"),
+}
+GROUPS = tuple(LAYOUT)
+SCALES = tuple(dict.fromkeys(src.scale for src in LAYOUT.values()))
+MODALITIES = tuple(dict.fromkeys(src.modality for src in LAYOUT.values()))
 
 
 @dataclass(frozen=True)
@@ -114,7 +127,7 @@ class Batch:
         shapes = {name: value_of(getattr(self, name)).shape for name in GROUPS}
         if len(set(shapes.values())) != 1:
             raise ContractViolationError(f"batch group shapes differ: {shapes}")
-        b = shapes["whole_image"][0]
+        b = shapes[GROUPS[0]][0]
         if b < 2:
             raise ContractViolationError("batch size must be >= 2")
         for name in shapes:
@@ -303,11 +316,21 @@ def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
 # part groups' in the uncertainty stack
 WHOLE_IMAGE, WHOLE_TEXT, PART_IMAGE, PART_TEXT = range(4)
 U_IMAGE, U_TEXT = range(2)
+# the four distance matrices (anchor group, target group): global, local,
+# and global-local from each part group
+DISTANCE_PAIRS = ((WHOLE_IMAGE, WHOLE_TEXT), (PART_IMAGE, PART_TEXT),
+                  (PART_IMAGE, WHOLE_TEXT), (PART_TEXT, WHOLE_IMAGE))
+GLOBAL, LOCAL, GLOBAL_LOCAL_IMAGE, GLOBAL_LOCAL_TEXT = range(4)
 # the entailment terms, text entailing image and part entailing whole (the
 # apex goes first): intra text, intra image, inter parts, inter wholes
 APEXES = (PART_TEXT, PART_IMAGE, PART_TEXT, WHOLE_TEXT)
 MEMBERS = (WHOLE_TEXT, WHOLE_IMAGE, PART_IMAGE, WHOLE_IMAGE)
 INTRA_TEXT, INTRA_IMAGE, INTER_PARTS, INTER_WHOLES = range(4)
+
+
+def entailment_etas(cone: ConeParams) -> np.ndarray:
+    """The entailment terms' aperture scalings, a column against their stack."""
+    return np.array([[cone.eta_intra], [cone.eta_intra], [cone.eta_inter], [cone.eta_inter]])
 
 
 @dataclass(frozen=True)
@@ -334,16 +357,19 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
     def nce(dists, tau, transposed=False):
         return _info_nce(dists, tau, include_positive, transposed)
 
-    def dist(a, b):
+    def dist(pair):
+        # off the tape a matrix read by one term is freed once that term is
+        # built, so at most three are alive at a time
+        a, b = DISTANCE_PAIRS[pair]
         return pairwise_distance(s.points.groups(a), s.points.groups(b), m)
 
-    d_glob = dist(WHOLE_IMAGE, WHOLE_TEXT)
-    d_loc = dist(PART_IMAGE, PART_TEXT)
+    d_glob = dist(GLOBAL)
+    d_loc = dist(LOCAL)
     tau_rows = _tempered(s.u, temps.tau_global_local)
     return {
         "contrastive_globallocal": ad.add(
-            nce(dist(PART_IMAGE, WHOLE_TEXT), ad.pick(tau_rows, U_IMAGE)),
-            nce(dist(PART_TEXT, WHOLE_IMAGE), ad.pick(tau_rows, U_TEXT)),
+            nce(dist(GLOBAL_LOCAL_IMAGE), ad.pick(tau_rows, U_IMAGE)),
+            nce(dist(GLOBAL_LOCAL_TEXT), ad.pick(tau_rows, U_TEXT)),
         ),
         "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
                                      nce(d_glob, temps.tau_global, transposed=True)),
@@ -368,8 +394,7 @@ def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
     # the angle first: its origin guard fires before the aperture's
     phi = exterior_angle(apex, s.points.groups(MEMBERS), m)
     omega = aperture(apex, cone.aperture_k, m)
-    eta = np.array([[cone.eta_intra], [cone.eta_intra], [cone.eta_inter], [cone.eta_inter]])
-    leak = _leaky(phi, omega, eta, cfg.alpha)
+    leak = _leaky(phi, omega, entailment_etas(cone), cfg.alpha)
 
     def term(k):
         return ad.pick(leak, k)

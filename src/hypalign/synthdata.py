@@ -74,6 +74,9 @@ class Corpus:
     def scene_index(self) -> dict[str, int]:
         return {s.id: i for i, s in enumerate(self.scenes)}
 
+    def concepts(self, level: str) -> list[Concept]:
+        return self.scenes if level == "scene" else self.parts
+
 
 @dataclass(frozen=True)
 class BatchIndices:
@@ -82,6 +85,9 @@ class BatchIndices:
 
     scene_rows: np.ndarray
     part_rows: np.ndarray
+
+    def rows(self, level: str) -> np.ndarray:
+        return self.scene_rows if level == "scene" else self.part_rows
 
 
 def generate(**settings) -> Corpus:
@@ -172,22 +178,22 @@ def _vec(a: np.ndarray) -> list[float]:
     return [float(x) for x in a]
 
 
+def _record(c: Concept) -> dict:
+    """One concept's corpus record; a part's adds its parent and its
+    representativeness after the id."""
+    rec = {"kind": c.level, "id": c.id}
+    if c.level == "part":
+        rec.update(parent=c.parent, representativeness=c.representativeness)
+    rec.update(latent=_vec(c.latent), image_view=_vec(c.image_view),
+               text_view=_vec(c.text_view))
+    return rec
+
+
 def save(corpus: Corpus, path) -> None:
     """Write the JSONL corpus file (header line, then one line per concept,
     scenes first)."""
     lines = [json.dumps({"format": _FORMAT, **asdict(corpus.params)})]
-    for c in corpus.scenes:
-        lines.append(json.dumps({
-            "kind": "scene", "id": c.id, "latent": _vec(c.latent),
-            "image_view": _vec(c.image_view), "text_view": _vec(c.text_view),
-        }))
-    for c in corpus.parts:
-        lines.append(json.dumps({
-            "kind": "part", "id": c.id, "parent": c.parent,
-            "representativeness": c.representativeness,
-            "latent": _vec(c.latent),
-            "image_view": _vec(c.image_view), "text_view": _vec(c.text_view),
-        }))
+    lines += [json.dumps(_record(c)) for c in (*corpus.scenes, *corpus.parts)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

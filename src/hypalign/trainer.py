@@ -26,7 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, value_of
 from .errors import ContractViolationError, HypalignError, NumericalConsistencyError
-from .losses import Batch, LossConfig, LossReport, TemperatureSet, total_loss
+from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, Batch, LossConfig, LossReport,
+                     TemperatureSet, total_loss)
 from .manifold import KAPPA_MAX, KAPPA_MIN, Manifold, hyperbolic_radius
 from .evalmetrics import distribution_distances, scaled_tables
 from .synthdata import BatchIndices, Corpus, sample_batch
@@ -37,7 +38,8 @@ TAU_FLOOR = 0.01
 # learnable temperatures: TemperatureSet field -> parameter name
 TEMPERATURE_PARAMS = {"tau_global": "tau_g", "tau_local": "tau_l",
                       "tau_global_local": "tau_gl"}
-DECAY_EXCLUDE = ("kappa", *TEMPERATURE_PARAMS.values(), "c_img", "c_txt")
+# the scalar parameters, which AdamW does not decay
+DECAY_EXCLUDE = ("kappa", *TEMPERATURE_PARAMS.values(), *SCALES)
 _EVAL_STREAM_TAG = 2**31 - 1   # batch-stream tag reserved for the eval batch
 
 
@@ -54,7 +56,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.98
     adam_eps: float = 1e-8
-    decay_exclude: tuple = DECAY_EXCLUDE
     eval_interval: int = 250
     checkpoint_interval: int = 1000
     seed: int = 7
@@ -69,25 +70,14 @@ class TrainConfig:
             raise ContractViolationError("intervals must be >= 1")
 
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["decay_exclude"] = list(cfg.decay_exclude)
-    return d
-
-
 def config_hash(cfg: TrainConfig) -> str:
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True)
+    blob = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
-
-def _view_matrix(corpus: Corpus, level: str, view: str) -> np.ndarray:
-    concepts = corpus.scenes if level == "scene" else corpus.parts
-    return np.stack([getattr(c, f"{view}_view") for c in concepts])
-
 
 def init_parameters(corpus: Corpus, cfg: TrainConfig) -> ParameterStore:
     """Fresh parameter store.
@@ -99,7 +89,6 @@ def init_parameters(corpus: Corpus, cfg: TrainConfig) -> ParameterStore:
     geometry carries the corpus semantics; a seeded random projection adapts
     dimensions when ``table_dim != latent_dim``.
     """
-    store = ParameterStore()
     n = cfg.table_dim
     latent_dim = corpus.params.latent_dim
     if latent_dim == n:
@@ -108,18 +97,26 @@ def init_parameters(corpus: Corpus, cfg: TrainConfig) -> ParameterStore:
         rng = np.random.default_rng([cfg.seed, 0x9E37])
         proj = rng.normal(size=(latent_dim, n)) / math.sqrt(n)
         project = lambda v: v @ proj
-    for level, view, name in (
-        ("scene", "image", "table_scene_img"),
-        ("scene", "text", "table_scene_txt"),
-        ("part", "image", "table_part_img"),
-        ("part", "text", "table_part_txt"),
-    ):
-        store.register(name, cfg.init_scale * project(_view_matrix(corpus, level, view)))
-    store.register("kappa", 1.0)
+    tables = {group: cfg.init_scale * project(np.stack(
+                  [getattr(c, f"{src.modality}_view") for c in corpus.concepts(src.level)]))
+              for group, src in LAYOUT.items()}
+    return parameter_store(tables, 1.0, cfg.loss.temps)
+
+
+def parameter_store(tables: dict, kappa: float, temps: TemperatureSet) -> ParameterStore:
+    """A store over each group's embedding table (``tables`` maps group
+    names to ``(rows, n)`` arrays), the curvature, the temperatures at
+    ``temps``' values and the modality scales at ``1/sqrt(n)``, registered
+    in the order every store keeps."""
+    store = ParameterStore()
+    for group, src in LAYOUT.items():
+        store.register(src.table, tables[group])
+    store.register("kappa", kappa)
     for field_name, name in TEMPERATURE_PARAMS.items():
-        store.register(name, float(value_of(getattr(cfg.loss.temps, field_name))))
-    store.register("c_img", 1.0 / math.sqrt(n))
-    store.register("c_txt", 1.0 / math.sqrt(n))
+        store.register(name, float(value_of(getattr(temps, field_name))))
+    n = tables[GROUPS[0]].shape[1]
+    for name in SCALES:
+        store.register(name, 1.0 / math.sqrt(n))
     return store
 
 
@@ -138,13 +135,12 @@ def _gather_scaled(table, rows, scale):
 
 
 def materialize_batch(store: ParameterStore, idx: BatchIndices) -> Batch:
-    """Scaled tangent embeddings for the four groups of a sampled batch."""
-    return Batch(
-        whole_image=_gather_scaled(store["table_scene_img"], idx.scene_rows, store["c_img"]),
-        whole_text=_gather_scaled(store["table_scene_txt"], idx.scene_rows, store["c_txt"]),
-        part_image=_gather_scaled(store["table_part_img"], idx.part_rows, store["c_img"]),
-        part_text=_gather_scaled(store["table_part_txt"], idx.part_rows, store["c_txt"]),
-    )
+    """Scaled tangent embeddings for the four groups of a sampled batch;
+    ``store`` maps parameter names to Vars, or to plain arrays for plain
+    embeddings."""
+    return Batch(**{group: _gather_scaled(store[src.table], idx.rows(src.level),
+                                          store[src.scale])
+                    for group, src in LAYOUT.items()})
 
 
 def loss_config_with_vars(cfg: LossConfig, store: ParameterStore) -> LossConfig:
@@ -158,7 +154,7 @@ def loss_config_with_vars(cfg: LossConfig, store: ParameterStore) -> LossConfig:
 # ---------------------------------------------------------------------------
 
 class AdamW:
-    """Adam with decoupled weight decay and a per-name exclusion list."""
+    """Adam with decoupled weight decay, skipped for ``DECAY_EXCLUDE``."""
 
     def __init__(self, store: ParameterStore, cfg: TrainConfig):
         self.store = store
@@ -177,7 +173,7 @@ class AdamW:
             self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
             self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
             update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + cfg.adam_eps)
-            if name not in cfg.decay_exclude:
+            if name not in DECAY_EXCLUDE:
                 update = update + cfg.weight_decay * var.value
             var.value = var.value - lr * update
 
@@ -236,28 +232,24 @@ def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
     manifold = Manifold(kappa)
     eval_idx = _eval_indices(corpus, cfg)
     tables = scaled_tables(store)
-    eval_batch = Batch(
-        whole_image=tables["whole_image"][eval_idx.scene_rows],
-        whole_text=tables["whole_text"][eval_idx.scene_rows],
-        part_image=tables["part_image"][eval_idx.part_rows],
-        part_text=tables["part_text"][eval_idx.part_rows],
-    )
+    eval_batch = Batch(**{group: tables[group][eval_idx.rows(src.level)]
+                          for group, src in LAYOUT.items()})
     report = total_loss(eval_batch, loss_config_with_vars(cfg.loss, store), manifold)
 
     record = {"step": step, "lr": learning_rate(step, cfg)}
     record.update({f"loss_{k}": v for k, v in report.to_floats().items()})
     radii = {name: hyperbolic_radius(emb, manifold) for name, emb in tables.items()}
-    for name in ("whole_image", "whole_text", "part_image", "part_text"):
+    for name in GROUPS:
         record[f"mean_radius_{name}"] = float(np.mean(radii[name]))
         record[f"mean_uncertainty_{name}"] = float(np.mean(uncertainty(tables[name])))
-    for modality, part, whole in (("image", "part_image", "whole_image"),
-                                  ("text", "part_text", "whole_text")):
-        w1, w2, mmd = distribution_distances(radii[part], radii[whole])
+    for modality in MODALITIES:
+        w1, w2, mmd = distribution_distances(radii[f"part_{modality}"],
+                                             radii[f"whole_{modality}"])
         record[f"radius_w1_{modality}"] = w1
         record[f"radius_w2_{modality}"] = w2
         record[f"radius_mmd_{modality}"] = mmd
     record["kappa"] = kappa
-    for name in ("tau_g", "tau_l", "tau_gl", "c_img", "c_txt"):
+    for name in (*TEMPERATURE_PARAMS.values(), *SCALES):
         record[name] = float(value_of(store[name]))
     return record
 
@@ -273,7 +265,7 @@ def save_checkpoint(path, step: int, store: ParameterStore, opt: AdamW,
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config_hash": config_hash(cfg),
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "step": step,
         "opt_t": opt.t,
         "params": {n: {"shape": list(v.value.shape), "data": v.value.ravel().tolist()}

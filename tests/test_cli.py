@@ -10,7 +10,7 @@ import pytest
 
 from hypalign.cli import CONFIG_SCHEMA, build_train_config, main, parse_config_file
 from hypalign.synthdata import GeneratorParams, generate, load, save
-from hypalign.trainer import TrainConfig, config_to_dict
+from hypalign.trainer import TrainConfig
 
 
 def _resolved_config(err: str) -> dict:
@@ -104,7 +104,7 @@ class TestConfigFile:
             parse_config_file(path)
 
     def test_every_key_lands_in_its_field(self, tmp_path):
-        # each key and where it lands in config_to_dict(cfg)
+        # each key and where it lands in asdict(cfg)
         paths = {
             **{k: (k,) for k in (
                 "steps", "batch_size", "lr", "warmup_steps", "weight_decay",
@@ -125,7 +125,7 @@ class TestConfigFile:
                 d = d[name]
             return d
 
-        defaults = config_to_dict(TrainConfig())
+        defaults = asdict(TrainConfig())
         wanted = {}
         for key, path in paths.items():
             default = lookup(defaults, path)
@@ -139,7 +139,7 @@ class TestConfigFile:
         cfg_path.write_text("".join(
             f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n"
             for k, v in wanted.items()))
-        resolved = config_to_dict(build_train_config(parse_config_file(cfg_path), {}))
+        resolved = asdict(build_train_config(parse_config_file(cfg_path), {}))
         for key, path in paths.items():
             got = lookup(resolved, path)
             assert got == wanted[key] and type(got) is type(wanted[key]), key

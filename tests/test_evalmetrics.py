@@ -17,6 +17,7 @@ from hypalign.evalmetrics import (
     hierarchical_set_metrics,
     lca_error,
     recall_at_k,
+    scaled_tables,
     tie,
     uncertainty_correlation,
 )
@@ -332,3 +333,21 @@ class TestEvaluate:
         assert 0.0 <= report["retrieval"]["image_to_text_r1"] <= 1.0
         assert report["classification"]["tie"] >= 0.0
         assert "image" in report["radius_distributions"]
+
+    def test_retrieval_equals_recall_at_k(self):
+        # evaluate reads R@1 and R@5 off one sort per direction
+        corpus = generate(num_scenes=12, parts_per_scene=2, seed=16)
+        store = init_parameters(corpus, TrainConfig(batch_size=4, table_dim=16))
+        texts = store["table_scene_txt"].value
+        texts[:6] = texts[:6][::-1].copy()    # half the scenes lose their text
+        m = Manifold(1.0)
+        retrieval = evaluate(corpus, store, m)["retrieval"]
+        tables = scaled_tables(store)
+        identity = {i: {i} for i in range(12)}
+        for direction, queries, gallery in (
+            ("image_to_text", tables["whole_image"], tables["whole_text"]),
+            ("text_to_image", tables["whole_text"], tables["whole_image"]),
+        ):
+            for k in (1, 5):
+                assert retrieval[f"{direction}_r{k}"] == recall_at_k(
+                    queries, gallery, identity, k, m), (direction, k)

@@ -9,7 +9,7 @@ import hypalign.autodiff as ad
 from hypalign.autodiff import ParameterStore, value_of
 import hypalign.gradcheck as gradcheck
 import hypalign.losses as losses
-from hypalign.errors import ContractViolationError
+from hypalign.errors import ContractViolationError, NumericalConsistencyError
 from hypalign.gradcheck import (
     CheckResult,
     build_check_problem,
@@ -129,6 +129,14 @@ class TestFiniteDiffCheck:
         # up; such pairs must never appear in the harness problem
         d = float(value_of(geodesic_distance(a, b, m)))
         assert d < 1e-2  # demonstrates the kink neighborhood exists
+
+    def test_kink_guard_refuses_a_problem_in_the_band(self):
+        # seed 96 is the one seed in 1..399 whose problem sits within the
+        # guard band of a kink
+        with pytest.raises(NumericalConsistencyError, match=r"margin 5\.06e-04"):
+            build_check_problem(96)
+        build_check_problem(95)
+        build_check_problem(97)
 
     def test_subsampling_cap(self):
         store = ParameterStore()

@@ -16,6 +16,7 @@ from hypalign.manifold import Manifold
 from hypalign.synthdata import generate, sample_batch
 from hypalign.trainer import (
     _EVAL_STREAM_TAG,
+    DECAY_EXCLUDE,
     AdamW,
     TrainConfig,
     config_hash,
@@ -147,6 +148,8 @@ class TestScheduleAndOptimizer:
                          Manifold(store["kappa"]))
         grads = ad.gradients(rep.total, store.as_dict())
         before = store.snapshot()
+        # exactly the scalar parameters are excluded from decay
+        assert set(DECAY_EXCLUDE) == {n for n in store.names() if before[n].ndim == 0}
         opt.step(grads, lr=1e-3)
         # decay-free oracle update per parameter
         for name in store.names():
@@ -154,7 +157,7 @@ class TestScheduleAndOptimizer:
             m_hat = (1 - cfg.beta1) * g / (1 - cfg.beta1)
             v_hat = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
             plain = before[name] - 1e-3 * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-            if name in cfg.decay_exclude:
+            if name in DECAY_EXCLUDE:
                 np.testing.assert_allclose(value_of(store[name]), plain, rtol=1e-12)
             else:
                 expected = plain - 1e-3 * cfg.weight_decay * before[name]
@@ -243,6 +246,21 @@ class TestTrainLoop:
                             Manifold(float(value_of(store["kappa"]))))
         for name, value in report.to_floats().items():
             assert rec[f"loss_{name}"] == value, name
+
+    def test_plain_materialized_batch_equals_scaled_table_rows(self, small_corpus):
+        # the eval batch reads scaled_tables rows; training gathers and scales
+        # per batch: over plain arrays the two agree bit for bit
+        cfg = small_config()
+        store = init_parameters(small_corpus, cfg)
+        store["c_txt"].value = np.asarray(0.3711)   # the two scales differ
+        idx = sample_batch(small_corpus, cfg.batch_size, [5, 3])
+        batch = materialize_batch({n: value_of(v) for n, v in store.items()}, idx)
+        tables = scaled_tables(store)
+        for group, rows in (("whole_image", idx.scene_rows), ("whole_text", idx.scene_rows),
+                            ("part_image", idx.part_rows), ("part_text", idx.part_rows)):
+            got = getattr(batch, group)
+            assert type(got) is np.ndarray, group
+            assert got.tobytes() == tables[group][rows].tobytes(), group
 
     def test_checkpoint_roundtrip_bitwise(self, small_corpus, tmp_path):
         cfg = small_config(steps=4)
