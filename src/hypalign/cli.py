@@ -13,12 +13,13 @@ error, 3 failed gradient check.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import asdict, fields
 from typing import get_type_hints
+
+import numpy as np
 
 from .autodiff import value_of
 from .entailment import ConeParams
@@ -224,6 +225,14 @@ def _cmd_check_grads(args) -> int:
     return 0 if passed else 3
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a field of the ``csv`` module's default dialect: quoted,
+    with doubled quotes, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_export(args) -> int:
     _log_config("export", {"checkpoint": args.checkpoint, "corpus": args.corpus,
                            "out": args.out})
@@ -233,21 +242,19 @@ def _cmd_export(args) -> int:
     m = Manifold(float(value_of(store["kappa"])))
     tables = scaled_tables(store)
     dim = tables[GROUPS[0]].shape[1]
+    # the rows csv.writer would write, joined directly: fields by ",", rows
+    # ended by "\r\n", each float as its repr
+    lines = [",".join(["id", "view", "level", "radius", "uncertainty",
+                       *(f"v{i}" for i in range(dim))])]
+    # scene rows before part rows, image before text within each
+    for group, src in LAYOUT.items():
+        embs = tables[group]
+        values = np.column_stack([hyperbolic_radius(embs, m), uncertainty(embs), embs])
+        lines += [f"{_csv_field(concept.id)},{src.modality},{src.level},"
+                  + ",".join(map(repr, row))
+                  for concept, row in zip(corpus.concepts(src.level), values.tolist())]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "view", "level", "radius", "uncertainty"]
-                        + [f"v{i}" for i in range(dim)])
-        # scene rows before part rows, image before text within each
-        for group, src in LAYOUT.items():
-            embs = tables[group]
-            radii = hyperbolic_radius(embs, m)
-            uncs = uncertainty(embs)
-            for row, concept in enumerate(corpus.concepts(src.level)):
-                writer.writerow(
-                    [concept.id, src.modality, src.level, repr(float(radii[row])),
-                     repr(float(uncs[row]))]
-                    + [repr(float(x)) for x in embs[row]]
-                )
+        fh.write("\r\n".join(lines) + "\r\n")
     return 0
 
 

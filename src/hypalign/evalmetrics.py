@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-from scipy.spatial.distance import pdist
 
 from .autodiff import ParameterStore, value_of
-from .errors import ContractViolationError
+from .errors import ContractViolationError, NumericalConsistencyError
 from .losses import LAYOUT, MODALITIES
 from .manifold import Manifold, hyperbolic_radius, lift, pairwise_distance
 from .synthdata import Corpus
@@ -63,10 +62,16 @@ class Taxonomy:
     def from_file(cls, path) -> "Taxonomy":
         """JSON file ``{"parent": {label: parent-or-null, ...}}``."""
         with open(path) as fh:
-            payload = json.load(fh)
-        if "parent" not in payload:
-            raise ContractViolationError("taxonomy file needs a 'parent' map")
-        return cls(payload["parent"])
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ContractViolationError(f"{path}: taxonomy is not JSON: {err}") from None
+        parent = payload.get("parent") if isinstance(payload, dict) else None
+        if not isinstance(parent, dict) or not all(
+                p is None or isinstance(p, str) for p in parent.values()):
+            raise ContractViolationError(
+                f"{path}: taxonomy file needs a 'parent' map of labels to labels or null")
+        return cls(parent)
 
     def _check(self, label: str) -> None:
         if label not in self.parent:
@@ -146,13 +151,28 @@ def recall_at_k(query_embs, gallery_embs, truth_map: dict[int, set[int]],
 
 def _recalls(sims: np.ndarray, truth_map: dict[int, set[int]], ks) -> list[float]:
     """:func:`recall_at_k` at each of ``ks`` from one query-by-gallery
-    similarity matrix, read off one sort."""
-    # stable argsort of -sims: descending similarity, index order on ties
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :max(ks)]
-    truths = [truth_map.get(qi, set()) for qi in range(sims.shape[0])]
-    return [sum(1 for truth, top in zip(truths, order)
-                if truth and not truth.isdisjoint(top[:k].tolist())) / len(truths)
-            for k in ks]
+    similarity matrix.
+
+    A query's best truth item is its most similar one, the lowest index on
+    ties; the query is a hit at ``k`` when fewer than ``k`` gallery items
+    rank before that item: those more similar, and those equally similar at
+    a lower index (the order of a stable sort by descending similarity).
+    """
+    n_queries, n_gallery = sims.shape
+    truths = [[t for t in truth_map.get(qi, ()) if 0 <= t < n_gallery]
+              for qi in range(n_queries)]
+    rows = np.repeat(np.arange(n_queries), [len(t) for t in truths])
+    cols = np.array([t for truth in truths for t in truth], dtype=np.intp)
+    order = np.lexsort((cols, -sims[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    best = np.unique(rows, return_index=True)[1]
+    rows, cols = rows[best], cols[best]
+    cand = sims[rows]
+    target = cand[np.arange(rows.size), cols][:, None]
+    ranks = (np.count_nonzero(cand > target, axis=1)
+             + np.count_nonzero((cand == target) & (np.arange(n_gallery) < cols[:, None]),
+                                axis=1))
+    return [np.count_nonzero(ranks < k) / n_queries for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +184,30 @@ def distribution_distances(a, b) -> tuple[float, float, float]:
 
     W1/W2 use the exact quantile coupling of the two empirical
     distributions (piecewise-constant inverse CDFs on the common
-    ``1/(m n)`` grid).  MMD uses a Gaussian kernel
-    ``exp(-d^2 / (2 sigma^2))`` with ``sigma`` the median pairwise distance
-    of the pooled sample (fallback 1.0 if that median is zero) and the
-    unbiased estimator, clamped at zero before the square root.
+    ``1/(m n)`` grid): sorted sample ``a`` with each value repeated ``n``
+    times against sorted ``b`` with each value repeated ``m`` times.  MMD
+    uses a Gaussian kernel ``exp(-d^2 / (2 sigma^2))`` and the unbiased
+    estimator, clamped at zero before the square root; ``sigma`` is the
+    median pairwise distance of the pooled sample, selected by
+    :func:`median_pairwise_gap` without listing the pairs (fallback 1.0 if
+    that median is zero).
     """
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
     if a.size == 0 or b.size == 0:
         raise ContractViolationError("distribution distance of an empty sample")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalConsistencyError("distribution distance of a non-finite sample")
     m_n, n_n = a.size, b.size
-    k = np.arange(m_n * n_n)
-    diff = a[k // n_n] - b[k // m_n]
+    diff = np.repeat(a, n_n)
+    diff -= np.repeat(b, m_n)
     w1 = float(np.mean(np.abs(diff)))
-    w2 = float(np.sqrt(np.mean(diff * diff)))
+    diff *= diff
+    w2 = float(np.sqrt(np.mean(diff)))
+    del diff          # the m*n grid goes before the kernel matrices come
 
     # the pooled sample has at least two points, so at least one pair
-    sigma = float(np.median(pdist(np.concatenate([a, b])[:, None], "cityblock")))
+    sigma = median_pairwise_gap(np.concatenate([a, b]))
     if sigma <= 0.0:
         sigma = 1.0
 
@@ -197,6 +224,64 @@ def distribution_distances(a, b) -> tuple[float, float, float]:
     term_b = (kernel_sum(b, b) - n_n) / (n_n * (n_n - 1)) if n_n > 1 else 0.0
     mmd_sq = term_a + term_b - 2.0 * kernel_sum(a, b) / (m_n * n_n)
     return w1, w2, float(np.sqrt(max(0.0, mmd_sq)))
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def median_pairwise_gap(x) -> float:
+    """``np.median`` of ``|x_i - x_j|`` over the pairs ``i < j`` of a finite
+    1-D sample of at least two points, bit for bit, in O(n) memory.
+
+    Over the sorted sample each gap is ``x[j] - x[i]`` for ``j > i``,
+    exactly ``|x_i - x_j|``, and non-decreasing along ``j``.  Bisection on
+    value with approximate pair counts (one ``searchsorted`` per trial
+    threshold) narrows a band ``[lo, hi]`` that holds the two middle order
+    statistics and about ``n`` pairs; ``margin`` bounds the rounding of
+    ``x[i] + t`` against ``x[j] - x[i]``, so every pair outside the
+    widened per-row windows lies on the known side of the band.  The gaps
+    inside the windows are computed exactly, and the middle order
+    statistics are read off a partition of the band and averaged as
+    ``np.median`` averages them.
+    """
+    x = np.sort(np.asarray(x, dtype=np.float64).ravel())
+    n = x.size
+    pairs = n * (n - 1) // 2
+    ranks = [(pairs - 1) // 2, pairs // 2]
+    first = np.arange(1, n + 1)           # row i's first partner
+    margin = 16.0 * _EPS * max(-x[0], x[-1]) + _TINY
+
+    def count(t):
+        """Pairs with x[j] <= x[i] + t, within a margin of those with gap <= t."""
+        return int(np.maximum(np.searchsorted(x, x + t, "right") - first, 0).sum())
+
+    def approach(good, bad, shift, ok):
+        """Bisect from ``good`` (``ok``) toward ``bad`` until few pairs or
+        at most two margins lie between them."""
+        c_good, c_bad = count(good + shift), count(bad + shift)
+        while abs(c_good - c_bad) > n and abs(good - bad) > 2.0 * margin:
+            mid = 0.5 * (good + bad)
+            c = count(mid + shift)
+            if ok(c):
+                good, c_good = mid, c
+            else:
+                bad, c_bad = mid, c
+        return good
+
+    span = x[-1] - x[0]
+    # at most ranks[0] gaps are <= lo, and more than ranks[1] are <= hi
+    lo = approach(-2.0 * margin, span + 2.0 * margin, margin, lambda c: c <= ranks[0])
+    hi = approach(span + 2.0 * margin, lo, -margin, lambda c: c > ranks[1])
+    left = np.maximum(np.searchsorted(x, x + (lo - margin), "left"), first)
+    right = np.maximum(np.searchsorted(x, x + (hi + margin), "right"), left)
+    sizes = right - left
+    rows = np.repeat(np.arange(n), sizes)
+    cols = np.arange(rows.size) + np.repeat(left - (np.cumsum(sizes) - sizes), sizes)
+    gaps = x[cols] - x[rows]
+    below = int((left - first).sum()) + np.count_nonzero(gaps < lo)
+    middle = [r - below for r in ranks]
+    return float(np.mean(np.partition(gaps[(gaps >= lo) & (gaps <= hi)], middle)[middle]))
 
 
 # ---------------------------------------------------------------------------

@@ -198,33 +198,84 @@ def save(corpus: Corpus, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_VIEWS = ("latent", "image_view", "text_view")
+_RECORD_FIELDS = {"scene": frozenset(("kind", "id", *_VIEWS)),
+                  "part": frozenset(("kind", "id", "parent", "representativeness", *_VIEWS))}
+
+
 def load(path) -> Corpus:
+    """Read a corpus file written by :func:`save`.
+
+    The concept records are parsed in one ``json.loads`` call, and each
+    view field becomes one ``(N, latent_dim)`` array whose rows the
+    concepts hold.  A malformed file raises ``ContractViolationError``
+    naming the file, and for a bad record its 1-based line.
+    """
     with open(path) as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        text = fh.read()
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ContractViolationError(f"empty corpus file: {path}")
-    header = json.loads(lines[0])
-    if header.get("format") != _FORMAT:
-        raise ContractViolationError(
-            f"unrecognized corpus format {header.get('format')!r}"
-        )
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as err:
+        raise ContractViolationError(f"{path}: corpus header is not JSON: {err}") from None
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != _FORMAT:
+        raise ContractViolationError(f"unrecognized corpus format {fmt!r}")
     names = [f.name for f in fields(GeneratorParams)]
     missing = [name for name in names if name not in header]
     if missing:
         raise ContractViolationError(f"corpus header lacks generator field(s) {missing}")
     params = GeneratorParams(**{name: header[name] for name in names})
+    try:
+        records = json.loads("[" + ",".join(lines[1:]) + "]")
+        kinds = [rec["kind"] for rec in records]
+        if len(records) != len(lines) - 1 or not all(
+                kind in _RECORD_FIELDS and rec.keys() >= _RECORD_FIELDS[kind]
+                for kind, rec in zip(kinds, records)):
+            raise ValueError
+        views = {name: np.array([rec[name] for rec in records], dtype=np.float64)
+                 for name in _VIEWS}
+        if any(v.shape != (len(records), params.latent_dim) for v in views.values()):
+            raise ValueError
+    except (KeyError, TypeError, ValueError):
+        _raise_bad_record(path, text, params.latent_dim)
     scenes, parts = [], []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        concept = Concept(
-            id=rec["id"], level=rec["kind"],
-            latent=np.asarray(rec["latent"], dtype=np.float64),
-            image_view=np.asarray(rec["image_view"], dtype=np.float64),
-            text_view=np.asarray(rec["text_view"], dtype=np.float64),
-            parent=rec.get("parent"),
-            representativeness=rec.get("representativeness"),
-        )
-        (scenes if rec["kind"] == "scene" else parts).append(concept)
+    for row, (kind, rec) in enumerate(zip(kinds, records)):
+        concept = Concept(id=rec["id"], level=kind,
+                          **{name: views[name][row] for name in _VIEWS},
+                          parent=rec.get("parent"),
+                          representativeness=rec.get("representativeness"))
+        (scenes if kind == "scene" else parts).append(concept)
     if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
         raise ContractViolationError("corpus file record count mismatch")
     return Corpus(params=params, scenes=scenes, parts=parts)
+
+
+def _raise_bad_record(path, text: str, dim: int):
+    """Re-read the records of a corpus file that failed the one-pass parse
+    line by line, and raise for the first bad one."""
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+             if line.strip()][1:]
+    for lineno, line in lines:
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ContractViolationError(f"{where}: corpus record is not JSON: {err}") from None
+        if not isinstance(rec, dict) or rec.get("kind") not in ("scene", "part"):
+            raise ContractViolationError(
+                f"{where}: corpus record needs a 'kind' of 'scene' or 'part'")
+        missing = sorted(_RECORD_FIELDS[rec["kind"]] - rec.keys())
+        if missing:
+            raise ContractViolationError(f"{where}: corpus record lacks field(s) {missing}")
+        for name in _VIEWS:
+            try:
+                shape = np.asarray(rec[name], dtype=np.float64).shape
+            except (ValueError, TypeError):
+                shape = None
+            if shape != (dim,):
+                raise ContractViolationError(
+                    f"{where}: corpus record's {name!r} is not {dim} numbers")
+    raise ContractViolationError(f"{path}: malformed corpus records")

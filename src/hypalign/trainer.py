@@ -278,13 +278,24 @@ def save_checkpoint(path, step: int, store: ParameterStore, opt: AdamW,
         fh.write("\n")
 
 
+# the fields eval, export and --resume read
+_CHECKPOINT_FIELDS = ("config_hash", "step", "opt_t", "params", "opt_m", "opt_v")
+
+
 def load_checkpoint(path) -> dict:
+    """Read a checkpoint file; a file that is not one raises
+    ``ContractViolationError`` naming it."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ContractViolationError(
-            f"unsupported checkpoint format {payload.get('format_version')!r}"
-        )
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ContractViolationError(f"{path}: checkpoint is not JSON: {err}") from None
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ContractViolationError(f"unsupported checkpoint format {version!r}")
+    missing = [name for name in _CHECKPOINT_FIELDS if name not in payload]
+    if missing:
+        raise ContractViolationError(f"{path}: checkpoint lacks field(s) {missing}")
     return payload
 
 
@@ -292,7 +303,12 @@ def store_from_payload(payload: dict) -> ParameterStore:
     """Standalone parameter store from a checkpoint (for eval/export)."""
     store = ParameterStore()
     for name, rec in payload["params"].items():
-        store.register(name, np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"]))
+        try:
+            value = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise ContractViolationError(
+                f"checkpoint parameter {name!r} needs 'data' numbers of its 'shape'") from None
+        store.register(name, value)
     return store
 
 

@@ -3,7 +3,9 @@
 Everything here is written directly from the loss/geometry formulas as
 plain-Python straight-line code (math module, explicit loops) so it shares
 no code path with the package implementation.  The general-base-point
-exp/log maps used by the geometry oracles are the only numpy helpers.
+exp/log maps used by the geometry oracles are numpy helpers, and so are the
+earlier formulations of rewritten evaluation code, which the package must
+still match bit for bit.
 """
 
 from __future__ import annotations
@@ -177,6 +179,65 @@ def mmd_scalar(a, b):
 
     cross = sum(k(x, y) for x in a for y in b) / (len(a) * len(b))
     return math.sqrt(max(0.0, within(list(a)) + within(list(b)) - 2.0 * cross))
+
+
+# ---------------------------------------------------------------------------
+# earlier numpy formulations, kept as bit-exact references
+# ---------------------------------------------------------------------------
+
+def median_pairwise_gap_reference(x):
+    """The MMD bandwidth as first written: the median over every pairwise
+    distance, all of them listed."""
+    from scipy.spatial.distance import pdist
+    return float(np.median(pdist(np.asarray(x, dtype=np.float64)[:, None], "cityblock")))
+
+
+def distribution_distances_reference(a, b):
+    """(W1, W2, MMD) as first written: the quantile grid by index
+    arithmetic over ``arange(m n)`` and the bandwidth over every pair."""
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    m_n, n_n = a.size, b.size
+    k = np.arange(m_n * n_n)
+    diff = a[k // n_n] - b[k // m_n]
+    w1 = float(np.mean(np.abs(diff)))
+    w2 = float(np.sqrt(np.mean(diff * diff)))
+    sigma = median_pairwise_gap_reference(np.concatenate([a, b]))
+    if sigma <= 0.0:
+        sigma = 1.0
+
+    def kernel_sum(x, y):
+        d = np.subtract.outer(x, y)
+        d *= d
+        d /= -2.0 * sigma * sigma
+        np.exp(d, out=d)
+        return d.sum()
+
+    term_a = (kernel_sum(a, a) - m_n) / (m_n * (m_n - 1)) if m_n > 1 else 0.0
+    term_b = (kernel_sum(b, b) - n_n) / (n_n * (n_n - 1)) if n_n > 1 else 0.0
+    mmd_sq = term_a + term_b - 2.0 * kernel_sum(a, b) / (m_n * n_n)
+    return w1, w2, float(np.sqrt(max(0.0, mmd_sq)))
+
+
+def recalls_reference(sims, truth_map, ks):
+    """Recall at each of ``ks`` read off a stable argsort of every row by
+    descending similarity (ties toward the lower gallery index)."""
+    order = np.argsort(-np.asarray(sims), axis=1, kind="stable")
+    truths = [truth_map.get(qi, set()) for qi in range(order.shape[0])]
+    return [sum(1 for truth, top in zip(truths, order)
+                if not set(truth).isdisjoint(top[:k].tolist())) / len(truths)
+            for k in ks]
+
+
+def export_csv_reference(path, rows):
+    """An export CSV as ``csv.writer`` writes it: a header, then per row
+    the id, view and level strings followed by the repr of each float."""
+    import csv
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, str) else repr(float(cell))
+                             for cell in row])
 
 
 # ---------------------------------------------------------------------------

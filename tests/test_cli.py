@@ -3,14 +3,21 @@ codes, and machine-parsable errors."""
 
 import csv
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
+from hypalign.autodiff import value_of
 from hypalign.cli import CONFIG_SCHEMA, build_train_config, main, parse_config_file
+from hypalign.evalmetrics import scaled_tables
+from hypalign.losses import LAYOUT
+from hypalign.manifold import Manifold, hyperbolic_radius
 from hypalign.synthdata import GeneratorParams, generate, load, save
-from hypalign.trainer import TrainConfig
+from hypalign.trainer import TrainConfig, load_checkpoint, store_from_payload
+from hypalign.uncertainty import uncertainty
+
+import _oracles as orc
 
 
 def _resolved_config(err: str) -> dict:
@@ -268,6 +275,42 @@ class TestTrainEvalExport:
                      "--corpus", str(corpus_path), "--taxonomy", str(tax_path),
                      "--out", str(report_path)]) == 0
 
+    @pytest.mark.parametrize("ids", [
+        None,                                   # the generated ids
+        ["a,b", 'q"uote', "cr\rlf", "line\nbreak", '"', ",", "", " sp ", "t\tab", "é"],
+    ])
+    def test_export_equals_csv_writer(self, corpus_path, tmp_path, ids):
+        corpus = load(corpus_path)
+        if ids is not None:
+            names = iter(ids * 3)
+            renamed = {c.id: next(names) for c in corpus.scenes}
+            scenes = [replace(c, id=renamed[c.id]) for c in corpus.scenes]
+            parts = [replace(c, id=next(names), parent=renamed[c.parent])
+                     for c in corpus.parts]
+            corpus = replace(corpus, scenes=scenes, parts=parts)
+            save(corpus, corpus_path)
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(out),
+                     "--steps", "3", "--batch-size", "4", "--seed", "7"]) == 0
+        ckpt = out / "checkpoint_final.json"
+        csv_path = tmp_path / "emb.csv"
+        assert main(["export", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
+                     "--out", str(csv_path)]) == 0
+
+        store = store_from_payload(load_checkpoint(ckpt))
+        m = Manifold(float(value_of(store["kappa"])))
+        tables = scaled_tables(store)
+        rows = [["id", "view", "level", "radius", "uncertainty"]
+                + [f"v{i}" for i in range(16)]]
+        for group, src in LAYOUT.items():
+            embs = tables[group]
+            radii, uncs = hyperbolic_radius(embs, m), uncertainty(embs)
+            rows += [[c.id, src.modality, src.level, radii[r], uncs[r], *embs[r]]
+                     for r, c in enumerate(corpus.concepts(src.level))]
+        want = tmp_path / "want.csv"
+        orc.export_csv_reference(want, rows)
+        assert csv_path.read_bytes() == want.read_bytes()
+
     def test_corpus_header_without_seed_exit_1(self, corpus_path, tmp_path, capsys):
         header, *records = corpus_path.read_text().splitlines()
         header = json.loads(header)
@@ -283,6 +326,73 @@ class TestTrainEvalExport:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "error kind=contract" in capsys.readouterr().err
+
+
+class TestMalformedInputFiles:
+    """A malformed corpus, checkpoint or taxonomy file exits 1 with one
+    ``error kind=contract`` line that names the file, not a traceback."""
+
+    @pytest.fixture()
+    def run(self, corpus_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(out),
+                     "--steps", "2", "--batch-size", "4", "--seed", "7"]) == 0
+        return {"corpus": corpus_path, "checkpoint": out / "checkpoint_final.json",
+                "report": tmp_path / "eval.json"}
+
+    def _eval(self, run, capsys, *extra):
+        code = main(["eval", "--checkpoint", str(run["checkpoint"]),
+                     "--corpus", str(run["corpus"]), "--out", str(run["report"]), *extra])
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error kind=contract message=")
+        return json.loads(errors[0].partition("message=")[2])
+
+    def test_truncated_corpus(self, run, capsys):
+        text = run["corpus"].read_text()
+        run["corpus"].write_text(text[:len(text) // 2])
+        message = self._eval(run, capsys)
+        assert message.startswith(f"{run['corpus']}:") and "not JSON" in message
+
+    def test_corpus_record_without_kind(self, run, capsys):
+        lines = run["corpus"].read_text().splitlines()
+        record = json.loads(lines[5])
+        del record["kind"]
+        lines[5] = json.dumps(record)
+        run["corpus"].write_text("\n".join(lines) + "\n")
+        assert self._eval(run, capsys).startswith(f"{run['corpus']}:6: ")
+
+    def test_truncated_checkpoint(self, run, capsys):
+        text = run["checkpoint"].read_text()
+        run["checkpoint"].write_text(text[:len(text) // 2])
+        message = self._eval(run, capsys)
+        assert message.startswith(f"{run['checkpoint']}:") and "not JSON" in message
+
+    @pytest.mark.parametrize("field", ["params", "opt_m", "step"])
+    def test_checkpoint_without_field(self, run, capsys, field):
+        payload = json.loads(run["checkpoint"].read_text())
+        del payload[field]
+        run["checkpoint"].write_text(json.dumps(payload))
+        message = self._eval(run, capsys)
+        assert message.startswith(f"{run['checkpoint']}:") and f"'{field}'" in message
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.pop("shape"),
+        lambda rec: rec.update(data=rec["data"][:-1]),
+        lambda rec: rec.update(data="kappa"),
+    ])
+    def test_malformed_parameter(self, run, capsys, edit):
+        payload = json.loads(run["checkpoint"].read_text())
+        edit(payload["params"]["table_scene_img"])
+        run["checkpoint"].write_text(json.dumps(payload))
+        assert "'table_scene_img'" in self._eval(run, capsys)
+
+    @pytest.mark.parametrize("text", ['{"parent": {"root": nu', '{"tree": {}}'])
+    def test_malformed_taxonomy(self, run, capsys, tmp_path, text):
+        tax = tmp_path / "tax.json"
+        tax.write_text(text)
+        assert self._eval(run, capsys, "--taxonomy", str(tax)).startswith(f"{tax}:")
 
 
 class TestCheckGrads:

@@ -2,20 +2,24 @@
 explicit ancestor sets, exhaustive-sort retrieval, and exact small-sample
 transport."""
 
+import tracemalloc
+
 import numpy as np
 import networkx as nx
 import pytest
 from scipy import optimize
 from scipy.stats import wasserstein_distance
 
-from hypalign.autodiff import ParameterStore
-from hypalign.errors import ContractViolationError
+from hypalign.autodiff import ParameterStore, value_of
+from hypalign.errors import ContractViolationError, NumericalConsistencyError
 from hypalign.evalmetrics import (
     Taxonomy,
+    _recalls,
     distribution_distances,
     evaluate,
     hierarchical_set_metrics,
     lca_error,
+    median_pairwise_gap,
     recall_at_k,
     scaled_tables,
     tie,
@@ -72,6 +76,19 @@ class TestTaxonomy:
         path.write_text('{"parent": {"r": null, "a": "r", "b": "a"}}')
         t = Taxonomy.from_file(path)
         assert t.depth["b"] == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"parent": {"r": null, "a": ', "taxonomy is not JSON"),
+        ('["r", "a"]', "needs a 'parent' map"),
+        ('{"parent": ["r"]}', "needs a 'parent' map"),
+        ('{"parent": {"r": null, "a": ["r"]}}', "needs a 'parent' map"),
+    ])
+    def test_malformed_file_names_it(self, tmp_path, text, message):
+        path = tmp_path / "tax.json"
+        path.write_text(text)
+        with pytest.raises(ContractViolationError, match=message) as info:
+            Taxonomy.from_file(path)
+        assert str(path) in str(info.value)
 
 
 class TestTreeMetrics:
@@ -168,9 +185,7 @@ class TestRecallAtK:
         truth = {i: set(rng.choice(8, size=2, replace=False).tolist())
                  for i in range(10)}
         sims = -np.asarray(
-            __import__("hypalign.autodiff", fromlist=["value_of"]).value_of(
-                pairwise_distance(lift(queries, m), lift(gallery, m), m)
-            )
+            value_of(pairwise_distance(lift(queries, m), lift(gallery, m), m))
         )
         for k in (1, 2, 5, 8):
             hits = 0
@@ -186,6 +201,31 @@ class TestRecallAtK:
         truth = {i: {int(rng.integers(9))} for i in range(12)}
         values = [recall_at_k(queries, gallery, truth, k, m) for k in range(1, 10)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 20])
+    def test_exact_ties_match_stable_argsort(self, k):
+        # duplicated gallery rows give exactly equal similarities
+        rng = np.random.default_rng(21)
+        m = Manifold(1.0)
+        base = rng.normal(size=(4, 3))
+        gallery = base[[0, 1, 0, 2, 3, 1, 0, 2]]
+        queries = np.concatenate([rng.normal(size=(5, 3)), base[[0, 1]]])
+        sims = -value_of(pairwise_distance(lift(queries, m), lift(gallery, m), m))
+        truth = {0: set(), 1: {0}, 2: {2}, 3: {6, 4}, 4: {1, 5, 7}, 5: {6}, 6: {5, 3}}
+        want = orc.recalls_reference(sims, truth, (k,))[0]
+        assert recall_at_k(queries, gallery, truth, k, m) == want
+
+    def test_truth_set_sizes_match_stable_argsort(self):
+        rng = np.random.default_rng(22)
+        ks = (1, 2, 3, 6, 7, 10)
+        for _ in range(200):
+            q, g = rng.integers(1, 8, size=2)
+            # rounded similarities: many exact ties
+            sims = np.round(rng.normal(size=(q, g)), 1)
+            truth = {qi: set(rng.choice(g, size=rng.integers(0, g + 1),
+                                        replace=False).tolist())
+                     for qi in range(q)}
+            assert _recalls(sims, truth, ks) == orc.recalls_reference(sims, truth, ks)
 
     @pytest.mark.parametrize("n_queries, n_gallery, message", [
         (2, 0, "empty gallery"),
@@ -247,6 +287,13 @@ class TestDistributionDistances:
         with pytest.raises(ContractViolationError):
             distribution_distances(np.array([]), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericalConsistencyError, match="non-finite"):
+            distribution_distances(np.array([1.0, bad, 2.0]), np.zeros(3))
+        with pytest.raises(NumericalConsistencyError, match="non-finite"):
+            distribution_distances(np.zeros(3), np.array([bad]))
+
     def test_mmd_matches_double_loop_transcription(self):
         rng = np.random.default_rng(12)
         cases = [
@@ -261,6 +308,72 @@ class TestDistributionDistances:
             _, _, mmd = distribution_distances(a, b)
             assert mmd == pytest.approx(orc.mmd_scalar(a.tolist(), b.tolist()),
                                         rel=1e-12, abs=1e-12)
+
+
+def _exactness_cases():
+    """Samples with ties, runs of equal values, negative values, sizes 1
+    and 2 and unequal sizes, and pooled samples whose median gap is 0."""
+    rng = np.random.default_rng(31)
+    cases = [
+        (np.array([0.5]), np.array([2.0])),
+        (np.array([-1.0, 3.0]), np.array([0.25])),
+        (np.array([1.0, 1.0]), np.array([1.0, 2.0])),
+        (np.array([0.0] * 6 + [2.0]), np.array([0.0] * 4 + [1.5])),
+        (np.full(5, -0.3), np.full(8, -0.3)),
+    ]
+    for i in range(150):
+        m, n = rng.integers(1, 120, size=2)
+        kind = i % 5
+        if kind == 0:
+            a, b = rng.normal(size=m), rng.normal(size=n) * 1.7 - 0.4
+        elif kind == 1:       # ties from rounding
+            a, b = np.round(rng.normal(size=m), 1), np.round(rng.normal(size=n), 1)
+        elif kind == 2:       # a few integers: long runs of equal values and gaps
+            a = rng.integers(-3, 4, size=m).astype(float)
+            b = rng.integers(-2, 2, size=n).astype(float)
+        elif kind == 3:       # large offset: gaps far below the values' magnitude
+            a = 1e9 + rng.normal(size=m) * 1e-3
+            b = 1e9 + rng.normal(size=n) * 1e-3
+        else:                 # most of the pooled sample one value: median gap 0
+            a = np.concatenate([np.full(m + n, 0.7), rng.normal(size=m)])
+            b = np.full(n, 0.7)
+        cases.append((a, b))
+    return cases
+
+
+class TestExactness:
+    """The rewritten metrics give the same doubles as the formulations they
+    replaced (``_oracles``), not merely close ones."""
+
+    def test_distribution_distances_bit_equal(self):
+        for a, b in _exactness_cases():
+            got = distribution_distances(a, b)
+            want = orc.distribution_distances_reference(a, b)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (a, b)
+
+    def test_median_pairwise_gap_bit_equal(self):
+        zero_gaps = 0
+        for a, b in _exactness_cases():
+            for x in (a, b, np.concatenate([a, b])):
+                if x.size < 2:
+                    continue
+                got = median_pairwise_gap(x)
+                assert got == orc.median_pairwise_gap_reference(x), x
+                zero_gaps += got == 0.0
+        # the cases reach the sigma = 1 fallback of distribution_distances
+        assert zero_gaps >= 10
+
+    def test_bandwidth_memory_below_pair_array(self):
+        # the pairwise-distance array of 2560 points holds 3.3M doubles
+        x = np.abs(np.random.default_rng(32).normal(size=2560)) + 1.0
+        pair_bytes = x.size * (x.size - 1) // 2 * 8
+        tracemalloc.start()
+        try:
+            median_pairwise_gap(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_bytes / 4
 
 
 class TestUncertaintyCorrelation:

@@ -106,6 +106,72 @@ class TestSerialization:
         with pytest.raises(ContractViolationError):
             load(path)
 
+    def test_round_trip_arrays_equal(self, tmp_path):
+        corpus = generate(num_scenes=7, parts_per_scene=3, seed=12)
+        path = tmp_path / "c.txt"
+        save(corpus, path)
+        loaded = load(path)
+        assert len(loaded.scenes) == 7 and len(loaded.parts) == 21
+        for a, b in zip(corpus.scenes + corpus.parts, loaded.scenes + loaded.parts):
+            assert (a.id, a.level, a.parent) == (b.id, b.level, b.parent)
+            assert a.representativeness == b.representativeness
+            for view in ("latent", "image_view", "text_view"):
+                got = getattr(b, view)
+                assert got.dtype == np.float64 and got.shape == (16,)
+                assert got.tobytes() == getattr(a, view).tobytes()
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "c.txt"
+        save(generate(num_scenes=3, parts_per_scene=1, seed=2), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n\n".join(lines) + "\n  \n")
+        assert [c.id for c in load(path).parts] == ["s000.p0", "s001.p0", "s002.p0"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [], "empty corpus file: {path}"),
+        (lambda lines: ['{"format": ', *lines[1:]], "{path}: corpus header is not JSON: "),
+        (lambda lines: ['{"format": "nope"}', *lines[1:]], "unrecognized corpus format 'nope'"),
+        (lambda lines: ['["x"]', *lines[1:]], "unrecognized corpus format None"),
+        (lambda lines: lines[:-1], "corpus file record count mismatch"),
+        (lambda lines: [*lines, lines[-1]], "corpus file record count mismatch"),
+    ])
+    def test_error_messages(self, tmp_path, edit, message):
+        path = tmp_path / "c.txt"
+        save(generate(num_scenes=3, parts_per_scene=1, seed=2), path)
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+        with pytest.raises(ContractViolationError) as info:
+            load(path)
+        # the header's JSON error ends with the decoder's own words
+        if message.endswith(": "):
+            assert str(info.value).startswith(message.format(path=path))
+        else:
+            assert str(info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"kind": "scene", "id": "s0", "lat', "corpus record is not JSON"),
+        ('{"kind": "scene"}{"kind": "scene"}', "corpus record is not JSON"),
+        ('["scene"]', "needs a 'kind' of 'scene' or 'part'"),
+        ('{"id": "s0"}', "needs a 'kind' of 'scene' or 'part'"),
+        ('{"kind": "tree", "id": "s0"}', "needs a 'kind' of 'scene' or 'part'"),
+        ('{"kind": ["scene"], "id": "s0"}', "needs a 'kind' of 'scene' or 'part'"),
+        ('{"kind": "part", "id": "p", "latent": [], "image_view": [], "text_view": []}',
+         "lacks field(s) ['parent', 'representativeness']"),
+        ('{"kind": "scene", "id": "s", "latent": [1.0], "image_view": [1.0], '
+         '"text_view": [1.0]}', "'latent' is not 2 numbers"),
+        ('{"kind": "scene", "id": "s", "latent": [1.0, 2.0], "image_view": [1.0, "a"], '
+         '"text_view": [1.0, 2.0]}', "'image_view' is not 2 numbers"),
+    ])
+    def test_bad_record_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "c.txt"
+        save(generate(num_scenes=3, parts_per_scene=1, seed=2, latent_dim=2), path)
+        lines = path.read_text().splitlines()
+        # a blank line first: the reported line number counts it
+        lines[2:3] = ["", line]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolationError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}:4: ") and message in str(info.value)
+
     @pytest.mark.parametrize("missing", [f.name for f in fields(GeneratorParams)])
     def test_missing_header_field_rejected(self, tmp_path, missing):
         path = tmp_path / "c.txt"
