@@ -200,7 +200,7 @@ def _cmd_eval(args) -> int:
     _log_config("eval", {"checkpoint": args.checkpoint, "corpus": args.corpus,
                          "taxonomy": args.taxonomy, "out": args.out})
     payload = load_checkpoint(args.checkpoint)
-    store = store_from_payload(payload)
+    store = store_from_payload(payload, args.checkpoint)
     corpus = load_corpus(args.corpus)
     taxonomy = Taxonomy.from_file(args.taxonomy) if args.taxonomy else None
     m = Manifold(float(value_of(store["kappa"])))
@@ -237,7 +237,7 @@ def _cmd_export(args) -> int:
     _log_config("export", {"checkpoint": args.checkpoint, "corpus": args.corpus,
                            "out": args.out})
     payload = load_checkpoint(args.checkpoint)
-    store = store_from_payload(payload)
+    store = store_from_payload(payload, args.checkpoint)
     corpus = load_corpus(args.corpus)
     m = Manifold(float(value_of(store["kappa"])))
     tables = scaled_tables(store)

@@ -228,29 +228,40 @@ def distribution_distances(a, b) -> tuple[float, float, float]:
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+_BLOCK = 1 << 14      # window pairs computed at a time
 
 
 def median_pairwise_gap(x) -> float:
     """``np.median`` of ``|x_i - x_j|`` over the pairs ``i < j`` of a finite
-    1-D sample of at least two points, bit for bit, in O(n) memory.
+    1-D sample of at least two points, bit for bit, without listing the pairs.
 
     Over the sorted sample each gap is ``x[j] - x[i]`` for ``j > i``,
     exactly ``|x_i - x_j|``, and non-decreasing along ``j``.  Bisection on
     value with approximate pair counts (one ``searchsorted`` per trial
     threshold) narrows a band ``[lo, hi]`` that holds the two middle order
-    statistics and about ``n`` pairs; ``margin`` bounds the rounding of
-    ``x[i] + t`` against ``x[j] - x[i]``, so every pair outside the
-    widened per-row windows lies on the known side of the band.  The gaps
-    inside the windows are computed exactly, and the middle order
-    statistics are read off a partition of the band and averaged as
-    ``np.median`` averages them.
+    statistics; ``margin`` bounds the rounding of ``x[i] + t`` against
+    ``x[j] - x[i]``, so every pair outside the widened per-row windows lies
+    on the known side of the band.  The gaps inside the windows are
+    computed exactly, a block of rows at a time, and only those inside the
+    band are kept; the middle order statistics are read off a partition of
+    the band and averaged as ``np.median`` averages them.
+
+    Memory is O(n) plus the band.  On distinct values the band holds about
+    ``n`` pairs; when many gaps tie with the median (a sample of few
+    distinct values) it can hold up to all ``n (n - 1) / 2`` of them, the
+    size of the pair array that ``np.median(pdist(x))`` held next to a
+    partitioned copy of it.
     """
     x = np.sort(np.asarray(x, dtype=np.float64).ravel())
     n = x.size
     pairs = n * (n - 1) // 2
-    ranks = [(pairs - 1) // 2, pairs // 2]
+    # np.median averages one middle order statistic, or the two of an even count
+    ranks = sorted({(pairs - 1) // 2, pairs // 2})
     first = np.arange(1, n + 1)           # row i's first partner
     margin = 16.0 * _EPS * max(-x[0], x[-1]) + _TINY
+    span = x[-1] - x[0]
+    if not np.isfinite(span + 2.0 * margin):
+        raise NumericalConsistencyError("pairwise gaps of the sample overflow")
 
     def count(t):
         """Pairs with x[j] <= x[i] + t, within a margin of those with gap <= t."""
@@ -261,7 +272,7 @@ def median_pairwise_gap(x) -> float:
         at most two margins lie between them."""
         c_good, c_bad = count(good + shift), count(bad + shift)
         while abs(c_good - c_bad) > n and abs(good - bad) > 2.0 * margin:
-            mid = 0.5 * (good + bad)
+            mid = 0.5 * good + 0.5 * bad        # no overflow near the float limit
             c = count(mid + shift)
             if ok(c):
                 good, c_good = mid, c
@@ -269,19 +280,35 @@ def median_pairwise_gap(x) -> float:
                 bad, c_bad = mid, c
         return good
 
-    span = x[-1] - x[0]
-    # at most ranks[0] gaps are <= lo, and more than ranks[1] are <= hi
+    # at most ranks[0] gaps are <= lo, and more than ranks[-1] are <= hi
     lo = approach(-2.0 * margin, span + 2.0 * margin, margin, lambda c: c <= ranks[0])
-    hi = approach(span + 2.0 * margin, lo, -margin, lambda c: c > ranks[1])
+    hi = approach(span + 2.0 * margin, lo, -margin, lambda c: c > ranks[-1])
     left = np.maximum(np.searchsorted(x, x + (lo - margin), "left"), first)
     right = np.maximum(np.searchsorted(x, x + (hi + margin), "right"), left)
     sizes = right - left
-    rows = np.repeat(np.arange(n), sizes)
-    cols = np.arange(rows.size) + np.repeat(left - (np.cumsum(sizes) - sizes), sizes)
-    gaps = x[cols] - x[rows]
-    below = int((left - first).sum()) + np.count_nonzero(gaps < lo)
+    ends = np.cumsum(sizes)
+    below = int((left - first).sum())     # pairs left of every window
+    band = np.empty(int(ends[-1]))
+    kept = 0
+    start = 0
+    while start < n:
+        # the rows whose windows end within _BLOCK pairs, and at least one
+        stop = max(int(np.searchsorted(ends, ends[start] - sizes[start] + _BLOCK, "right")),
+                   start + 1)
+        block = sizes[start:stop]
+        rows = np.repeat(np.arange(start, stop), block)
+        cols = np.arange(rows.size) + np.repeat(left[start:stop] - (np.cumsum(block) - block),
+                                                block)
+        gaps = x[cols] - x[rows]
+        below += np.count_nonzero(gaps < lo)
+        gaps = gaps[(gaps >= lo) & (gaps <= hi)]
+        band[kept:kept + gaps.size] = gaps
+        kept += gaps.size
+        start = stop
+    band = band[:kept]
     middle = [r - below for r in ranks]
-    return float(np.mean(np.partition(gaps[(gaps >= lo) & (gaps <= hi)], middle)[middle]))
+    band.partition(middle)
+    return float(np.mean(band[middle]))
 
 
 # ---------------------------------------------------------------------------

@@ -206,18 +206,17 @@ _RECORD_FIELDS = {"scene": frozenset(("kind", "id", *_VIEWS)),
 def load(path) -> Corpus:
     """Read a corpus file written by :func:`save`.
 
-    The concept records are parsed in one ``json.loads`` call, and each
-    view field becomes one ``(N, latent_dim)`` array whose rows the
+    Each view field becomes one ``(N, latent_dim)`` array whose rows the
     concepts hold.  A malformed file raises ``ContractViolationError``
     naming the file, and for a bad record its 1-based line.
     """
     with open(path) as fh:
-        text = fh.read()
-    lines = [line for line in text.splitlines() if line.strip()]
+        lines = [(lineno, line) for lineno, line in enumerate(fh.read().splitlines(), 1)
+                 if line.strip()]
     if not lines:
         raise ContractViolationError(f"empty corpus file: {path}")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError as err:
         raise ContractViolationError(f"{path}: corpus header is not JSON: {err}") from None
     fmt = header.get("format") if isinstance(header, dict) else None
@@ -228,37 +227,11 @@ def load(path) -> Corpus:
     if missing:
         raise ContractViolationError(f"corpus header lacks generator field(s) {missing}")
     params = GeneratorParams(**{name: header[name] for name in names})
-    try:
-        records = json.loads("[" + ",".join(lines[1:]) + "]")
-        kinds = [rec["kind"] for rec in records]
-        if len(records) != len(lines) - 1 or not all(
-                kind in _RECORD_FIELDS and rec.keys() >= _RECORD_FIELDS[kind]
-                for kind, rec in zip(kinds, records)):
-            raise ValueError
-        views = {name: np.array([rec[name] for rec in records], dtype=np.float64)
-                 for name in _VIEWS}
-        if any(v.shape != (len(records), params.latent_dim) for v in views.values()):
-            raise ValueError
-    except (KeyError, TypeError, ValueError):
-        _raise_bad_record(path, text, params.latent_dim)
-    scenes, parts = [], []
-    for row, (kind, rec) in enumerate(zip(kinds, records)):
-        concept = Concept(id=rec["id"], level=kind,
-                          **{name: views[name][row] for name in _VIEWS},
-                          parent=rec.get("parent"),
-                          representativeness=rec.get("representativeness"))
-        (scenes if kind == "scene" else parts).append(concept)
-    if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
-        raise ContractViolationError("corpus file record count mismatch")
-    return Corpus(params=params, scenes=scenes, parts=parts)
-
-
-def _raise_bad_record(path, text: str, dim: int):
-    """Re-read the records of a corpus file that failed the one-pass parse
-    line by line, and raise for the first bad one."""
-    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
-             if line.strip()][1:]
-    for lineno, line in lines:
+    dim = params.latent_dim
+    # each record's own fields, and each view's numbers in record order: the
+    # record's dict and lists go once read
+    heads, flat = [], {name: [] for name in _VIEWS}
+    for lineno, line in lines[1:]:
         where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
@@ -267,15 +240,40 @@ def _raise_bad_record(path, text: str, dim: int):
         if not isinstance(rec, dict) or rec.get("kind") not in ("scene", "part"):
             raise ContractViolationError(
                 f"{where}: corpus record needs a 'kind' of 'scene' or 'part'")
-        missing = sorted(_RECORD_FIELDS[rec["kind"]] - rec.keys())
-        if missing:
+        if not rec.keys() >= _RECORD_FIELDS[rec["kind"]]:
+            missing = sorted(_RECORD_FIELDS[rec["kind"]] - rec.keys())
             raise ContractViolationError(f"{where}: corpus record lacks field(s) {missing}")
         for name in _VIEWS:
-            try:
-                shape = np.asarray(rec[name], dtype=np.float64).shape
-            except (ValueError, TypeError):
-                shape = None
-            if shape != (dim,):
+            if not isinstance(rec[name], list) or len(rec[name]) != dim:
                 raise ContractViolationError(
                     f"{where}: corpus record's {name!r} is not {dim} numbers")
-    raise ContractViolationError(f"{path}: malformed corpus records")
+            flat[name] += rec[name]
+        heads.append((lineno, rec["kind"], rec["id"], rec.get("parent"),
+                      rec.get("representativeness")))
+    views = {}
+    for name, values in flat.items():
+        try:
+            table = np.array(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            table = None
+        if table is None or table.ndim != 1:
+            # the first value that is not a number names its record
+            bad = next(i for i, value in enumerate(values) if not _is_number(value))
+            raise ContractViolationError(
+                f"{path}:{heads[bad // dim][0]}: corpus record's {name!r} is not {dim} numbers")
+        views[name] = table.reshape(len(heads), dim)
+    scenes, parts = [], []
+    for row, (_, kind, cid, parent, representativeness) in enumerate(heads):
+        concept = Concept(id=cid, level=kind, **{name: views[name][row] for name in _VIEWS},
+                          parent=parent, representativeness=representativeness)
+        (scenes if kind == "scene" else parts).append(concept)
+    if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
+        raise ContractViolationError("corpus file record count mismatch")
+    return Corpus(params=params, scenes=scenes, parts=parts)
+
+
+def _is_number(value) -> bool:
+    try:
+        return np.asarray(value, dtype=np.float64).ndim == 0
+    except (TypeError, ValueError):
+        return False

@@ -278,8 +278,9 @@ def save_checkpoint(path, step: int, store: ParameterStore, opt: AdamW,
         fh.write("\n")
 
 
-# the fields eval, export and --resume read
-_CHECKPOINT_FIELDS = ("config_hash", "step", "opt_t", "params", "opt_m", "opt_v")
+# the fields eval, export and --resume read, with the JSON type of each
+_CHECKPOINT_FIELDS = {"config_hash": str, "step": int, "opt_t": int,
+                      "params": dict, "opt_m": dict, "opt_v": dict}
 
 
 def load_checkpoint(path) -> dict:
@@ -292,39 +293,58 @@ def load_checkpoint(path) -> dict:
             raise ContractViolationError(f"{path}: checkpoint is not JSON: {err}") from None
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ContractViolationError(f"unsupported checkpoint format {version!r}")
+        raise ContractViolationError(f"{path}: unsupported checkpoint format {version!r}")
     missing = [name for name in _CHECKPOINT_FIELDS if name not in payload]
     if missing:
         raise ContractViolationError(f"{path}: checkpoint lacks field(s) {missing}")
+    wrong = [name for name, kind in _CHECKPOINT_FIELDS.items()
+             if not isinstance(payload[name], kind)]
+    if wrong:
+        raise ContractViolationError(f"{path}: checkpoint field(s) {wrong} of the wrong type")
     return payload
 
 
-def store_from_payload(payload: dict) -> ParameterStore:
-    """Standalone parameter store from a checkpoint (for eval/export)."""
+def _as_array(data, shape):
+    """``data`` as a float64 array of ``shape``, or None if it is not one."""
+    if not (isinstance(data, list) and isinstance(shape, (list, tuple))):
+        return None
+    try:
+        return np.asarray(data, dtype=np.float64).reshape(shape)
+    except (TypeError, ValueError):
+        return None
+
+
+def store_from_payload(payload: dict, path) -> ParameterStore:
+    """Standalone parameter store from the checkpoint ``path`` was read from
+    (for eval/export); a malformed parameter raises naming both."""
     store = ParameterStore()
     for name, rec in payload["params"].items():
-        try:
-            value = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        except (KeyError, TypeError, ValueError):
+        rec = rec if isinstance(rec, dict) else {}
+        value = _as_array(rec.get("data"), rec.get("shape"))
+        if value is None:
             raise ContractViolationError(
-                f"checkpoint parameter {name!r} needs 'data' numbers of its 'shape'") from None
+                f"{path}: checkpoint parameter {name!r} needs 'data' numbers of its 'shape'")
         store.register(name, value)
     return store
 
 
-def restore(payload: dict, store: ParameterStore, opt: AdamW,
-            cfg: TrainConfig) -> int:
-    """Load a checkpoint payload into live state; returns the step to
-    resume from.  The configuration hash must match exactly."""
+def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
+    """Load the checkpoint file ``path`` into live state; returns the step
+    to resume from.  The configuration hash must match exactly."""
+    payload = load_checkpoint(path)
     if payload["config_hash"] != config_hash(cfg):
         raise ContractViolationError(
             "checkpoint was produced with a different configuration"
         )
-    store.load(store_from_payload(payload).snapshot())
+    store.load(store_from_payload(payload, path).snapshot())
     for name in opt.m:
         shape = store[name].value.shape
-        opt.m[name] = np.asarray(payload["opt_m"][name], dtype=np.float64).reshape(shape)
-        opt.v[name] = np.asarray(payload["opt_v"][name], dtype=np.float64).reshape(shape)
+        for field, moments in (("opt_m", opt.m), ("opt_v", opt.v)):
+            value = _as_array(payload[field].get(name), shape)
+            if value is None:
+                raise ContractViolationError(
+                    f"{path}: checkpoint {field}[{name!r}] needs numbers of shape {shape}")
+            moments[name] = value
     opt.t = int(payload["opt_t"])
     return int(payload["step"])
 
@@ -377,7 +397,7 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     opt = AdamW(store, cfg)
     start = 0
     if resume is not None:
-        start = restore(load_checkpoint(resume), store, opt, cfg)
+        start = restore(resume, store, opt, cfg)
         if start > cfg.steps:
             raise ContractViolationError(
                 f"checkpoint step {start} beyond configured steps {cfg.steps}"

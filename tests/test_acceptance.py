@@ -286,8 +286,8 @@ class TestCriterion08UncertaintyCorrelation:
         passes = 0
         values = []
         for seed in SEEDS:
-            payload = load_checkpoint(trained_runs[seed]["summary"]["checkpoint"])
-            store = store_from_payload(payload)
+            ckpt = trained_runs[seed]["summary"]["checkpoint"]
+            store = store_from_payload(load_checkpoint(ckpt), ckpt)
             m = Manifold(float(value_of(store["kappa"])))
             rep = uncertainty_correlation(default_corpus, store, m, "image")
             values.append(rep.pearson_similarity)
@@ -305,8 +305,8 @@ class TestCriterion08UncertaintyCorrelation:
         passes = 0
         values = []
         for seed in SEEDS:
-            payload = load_checkpoint(trained_runs[seed]["summary"]["checkpoint"])
-            store = store_from_payload(payload)
+            ckpt = trained_runs[seed]["summary"]["checkpoint"]
+            store = store_from_payload(load_checkpoint(ckpt), ckpt)
             m = Manifold(float(value_of(store["kappa"])))
             rep = uncertainty_correlation(default_corpus, store, m, "image")
             values.append(rep.spearman_ground_truth)

@@ -197,10 +197,10 @@ class TestTrainEvalExport:
         from hypalign.trainer import (init_parameters, load_checkpoint,
                                       store_from_payload)
         from hypalign.autodiff import value_of
-        payload = load_checkpoint(out / "checkpoint_final.json")
+        ckpt = out / "checkpoint_final.json"
         fresh = init_parameters(load(corpus_path),
                                 TrainConfig(steps=0, batch_size=4, seed=7))
-        loaded = store_from_payload(payload)
+        loaded = store_from_payload(load_checkpoint(ckpt), ckpt)
         for name in fresh.names():
             assert np.array_equal(value_of(fresh[name]), value_of(loaded[name]))
 
@@ -297,7 +297,7 @@ class TestTrainEvalExport:
         assert main(["export", "--checkpoint", str(ckpt), "--corpus", str(corpus_path),
                      "--out", str(csv_path)]) == 0
 
-        store = store_from_payload(load_checkpoint(ckpt))
+        store = store_from_payload(load_checkpoint(ckpt), ckpt)
         m = Manifold(float(value_of(store["kappa"])))
         tables = scaled_tables(store)
         rows = [["id", "view", "level", "radius", "uncertainty"]
@@ -377,16 +377,57 @@ class TestMalformedInputFiles:
         message = self._eval(run, capsys)
         assert message.startswith(f"{run['checkpoint']}:") and f"'{field}'" in message
 
+    @pytest.mark.parametrize("field, value", [
+        ("params", []), ("opt_v", None), ("step", "5"), ("config_hash", 3),
+    ])
+    def test_checkpoint_field_of_wrong_type(self, run, capsys, field, value):
+        payload = json.loads(run["checkpoint"].read_text())
+        payload[field] = value
+        run["checkpoint"].write_text(json.dumps(payload))
+        message = self._eval(run, capsys)
+        assert message.startswith(f"{run['checkpoint']}:") and f"'{field}'" in message
+
+    def test_unsupported_checkpoint_format(self, run, capsys):
+        payload = json.loads(run["checkpoint"].read_text())
+        payload["format_version"] = -1
+        run["checkpoint"].write_text(json.dumps(payload))
+        assert self._eval(run, capsys) == (
+            f"{run['checkpoint']}: unsupported checkpoint format -1")
+
     @pytest.mark.parametrize("edit", [
         lambda rec: rec.pop("shape"),
+        lambda rec: rec.update(shape=None),
         lambda rec: rec.update(data=rec["data"][:-1]),
         lambda rec: rec.update(data="kappa"),
+        lambda rec: rec.update(data=["x"] * len(rec["data"])),
+        lambda rec: rec.clear() or rec.update(kappa=1),
     ])
     def test_malformed_parameter(self, run, capsys, edit):
         payload = json.loads(run["checkpoint"].read_text())
         edit(payload["params"]["table_scene_img"])
         run["checkpoint"].write_text(json.dumps(payload))
-        assert "'table_scene_img'" in self._eval(run, capsys)
+        message = self._eval(run, capsys)
+        assert message.startswith(f"{run['checkpoint']}:") and "'table_scene_img'" in message
+
+    @pytest.mark.parametrize("field, value", [
+        ("opt_m", []), ("opt_v", ["x"]), ("opt_m", None),
+    ])
+    def test_resume_from_malformed_moment(self, run, corpus_path, tmp_path, capsys,
+                                          field, value):
+        payload = json.loads(run["checkpoint"].read_text())
+        if value is None:
+            del payload[field]["kappa"]
+        else:
+            payload[field]["kappa"] = value
+        run["checkpoint"].write_text(json.dumps(payload))
+        code = main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "r2"),
+                     "--steps", "2", "--batch-size", "4", "--seed", "7",
+                     "--resume", str(run["checkpoint"])])
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1 and len(errors) == 1
+        message = json.loads(errors[0].partition("message=")[2])
+        assert message.startswith(f"{run['checkpoint']}:") and f"{field}['kappa']" in message
 
     @pytest.mark.parametrize("text", ['{"parent": {"root": nu', '{"tree": {}}'])
     def test_malformed_taxonomy(self, run, capsys, tmp_path, text):

@@ -294,6 +294,15 @@ class TestDistributionDistances:
         with pytest.raises(NumericalConsistencyError, match="non-finite"):
             distribution_distances(np.zeros(3), np.array([bad]))
 
+    def test_overflowing_gaps_rejected(self):
+        # finite values whose gaps overflow to inf
+        a, b = np.full(2, -1e308), np.full(2, 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalConsistencyError, match="overflow"):
+                median_pairwise_gap(np.concatenate([a, b]))
+            with pytest.raises(NumericalConsistencyError, match="overflow"):
+                distribution_distances(a, b)
+
     def test_mmd_matches_double_loop_transcription(self):
         rng = np.random.default_rng(12)
         cases = [
@@ -363,17 +372,44 @@ class TestExactness:
         # the cases reach the sigma = 1 fallback of distribution_distances
         assert zero_gaps >= 10
 
+    @pytest.mark.parametrize("x", [
+        [-1.7e308, 0.0],                        # one pair, near the float limit
+        [-8e307, 0.0, 8e307, 8e307],
+        [1e300, -3e299, 2e300, 7e299, -1e300],
+        [5e-324, 0.0, 1e-323, 5e-324],          # subnormal gaps
+    ])
+    def test_median_pairwise_gap_extreme_magnitudes(self, x):
+        x = np.array(x)
+        with np.errstate(over="ignore"):
+            assert median_pairwise_gap(x) == orc.median_pairwise_gap_reference(x)
+
+    @staticmethod
+    def _peak_bytes(x):
+        tracemalloc.start()
+        try:
+            median_pairwise_gap(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_bandwidth_memory_below_pair_array(self):
         # the pairwise-distance array of 2560 points holds 3.3M doubles
         x = np.abs(np.random.default_rng(32).normal(size=2560)) + 1.0
         pair_bytes = x.size * (x.size - 1) // 2 * 8
-        tracemalloc.start()
-        try:
-            median_pairwise_gap(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < pair_bytes / 4
+        assert self._peak_bytes(x) < pair_bytes / 4
+
+    @pytest.mark.parametrize("kind", ["all equal", "two values", "five integers"])
+    def test_bandwidth_memory_on_ties_within_pair_array(self, kind):
+        # when most gaps tie with the median, the kept band holds most pairs:
+        # the peak stays within the pair array itself (np.median(pdist)
+        # held the array and a partitioned copy of it)
+        rng = np.random.default_rng(33)
+        x = {"all equal": np.full(2560, 0.8),
+             "two values": np.repeat([0.1, 0.1 + 1e-17], 1280),
+             "five integers": rng.integers(0, 5, size=2560).astype(float)}[kind]
+        pair_bytes = x.size * (x.size - 1) // 2 * 8
+        assert median_pairwise_gap(x) == orc.median_pairwise_gap_reference(x)
+        assert self._peak_bytes(x) < 1.1 * pair_bytes
 
 
 class TestUncertaintyCorrelation:

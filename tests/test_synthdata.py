@@ -160,6 +160,10 @@ class TestSerialization:
          '"text_view": [1.0]}', "'latent' is not 2 numbers"),
         ('{"kind": "scene", "id": "s", "latent": [1.0, 2.0], "image_view": [1.0, "a"], '
          '"text_view": [1.0, 2.0]}', "'image_view' is not 2 numbers"),
+        ('{"kind": "scene", "id": "s", "latent": [1.0, 2.0], "image_view": [1.0, 2.0], '
+         '"text_view": [[1.0], [2.0]]}', "'text_view' is not 2 numbers"),
+        ('{"kind": "scene", "id": "s", "latent": 1.0, "image_view": [1.0, 2.0], '
+         '"text_view": [1.0, 2.0]}', "'latent' is not 2 numbers"),
     ])
     def test_bad_record_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "c.txt"

@@ -181,7 +181,7 @@ class TestTrainLoop:
         payload = load_checkpoint(out["checkpoint"])
         assert payload["step"] == 0
         fresh = init_parameters(small_corpus, cfg)
-        loaded = store_from_payload(payload)
+        loaded = store_from_payload(payload, out["checkpoint"])
         for name in fresh.names():
             assert np.array_equal(value_of(fresh[name]), value_of(loaded[name]))
 
@@ -271,10 +271,9 @@ class TestTrainLoop:
                    learning_rate(1, cfg))
         path = tmp_path / "ck.json"
         save_checkpoint(path, 1, store, opt, cfg)
-        payload = load_checkpoint(path)
         store2 = init_parameters(small_corpus, cfg)
         opt2 = AdamW(store2, cfg)
-        assert restore(payload, store2, opt2, cfg) == 1
+        assert restore(path, store2, opt2, cfg) == 1
         for name in store.names():
             assert np.array_equal(value_of(store[name]), value_of(store2[name]))
             assert np.array_equal(opt.m[name], opt2.m[name])
