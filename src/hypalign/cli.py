@@ -251,8 +251,8 @@ def _cmd_export(args) -> int:
         embs = tables[group]
         values = np.column_stack([hyperbolic_radius(embs, m), uncertainty(embs), embs])
         lines += [f"{_csv_field(concept.id)},{src.modality},{src.level},"
-                  + ",".join(map(repr, row))
-                  for concept, row in zip(corpus.concepts(src.level), values.tolist())]
+                  + ",".join(map(repr, row.tolist()))
+                  for concept, row in zip(corpus.concepts(src.level), values)]
     with open(args.out, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
     return 0

@@ -159,10 +159,14 @@ def _recalls(sims: np.ndarray, truth_map: dict[int, set[int]], ks) -> list[float
     a lower index (the order of a stable sort by descending similarity).
     """
     n_queries, n_gallery = sims.shape
-    truths = [[t for t in truth_map.get(qi, ()) if 0 <= t < n_gallery]
-              for qi in range(n_queries)]
-    rows = np.repeat(np.arange(n_queries), [len(t) for t in truths])
-    cols = np.array([t for truth in truths for t in truth], dtype=np.intp)
+    # (query, truth item) pairs as two flat index lists
+    rows, cols = [], []
+    for qi in range(n_queries):
+        for t in truth_map.get(qi, ()):
+            if 0 <= t < n_gallery:
+                rows.append(qi)
+                cols.append(t)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     order = np.lexsort((cols, -sims[rows, cols], rows))
     rows, cols = rows[order], cols[order]
     best = np.unique(rows, return_index=True)[1]

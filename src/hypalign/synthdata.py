@@ -211,12 +211,15 @@ def load(path) -> Corpus:
     naming the file, and for a bad record its 1-based line.
     """
     with open(path) as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh.read().splitlines(), 1)
-                 if line.strip()]
-    if not lines:
+        text = fh.read()
+    # (line number, line) of each non-blank line, made as they are read
+    lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+             if line.strip())
+    first = next(lines, None)
+    if first is None:
         raise ContractViolationError(f"empty corpus file: {path}")
     try:
-        header = json.loads(lines[0][1])
+        header = json.loads(first[1])
     except json.JSONDecodeError as err:
         raise ContractViolationError(f"{path}: corpus header is not JSON: {err}") from None
     fmt = header.get("format") if isinstance(header, dict) else None
@@ -228,10 +231,11 @@ def load(path) -> Corpus:
         raise ContractViolationError(f"corpus header lacks generator field(s) {missing}")
     params = GeneratorParams(**{name: header[name] for name in names})
     dim = params.latent_dim
-    # each record's own fields, and each view's numbers in record order: the
-    # record's dict and lists go once read
-    heads, flat = [], {name: [] for name in _VIEWS}
-    for lineno, line in lines[1:]:
+    # each field in record order, the views' numbers flat: the record's dict
+    # and lists go once read
+    linenos, ids, kinds, parents, reps = [], [], [], [], []
+    flat = {name: [] for name in _VIEWS}
+    for lineno, line in lines:
         where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
@@ -248,8 +252,11 @@ def load(path) -> Corpus:
                 raise ContractViolationError(
                     f"{where}: corpus record's {name!r} is not {dim} numbers")
             flat[name] += rec[name]
-        heads.append((lineno, rec["kind"], rec["id"], rec.get("parent"),
-                      rec.get("representativeness")))
+        linenos.append(lineno)
+        ids.append(rec["id"])
+        kinds.append(rec["kind"])
+        parents.append(rec.get("parent"))
+        reps.append(rec.get("representativeness"))
     views = {}
     for name, values in flat.items():
         try:
@@ -260,12 +267,12 @@ def load(path) -> Corpus:
             # the first value that is not a number names its record
             bad = next(i for i, value in enumerate(values) if not _is_number(value))
             raise ContractViolationError(
-                f"{path}:{heads[bad // dim][0]}: corpus record's {name!r} is not {dim} numbers")
-        views[name] = table.reshape(len(heads), dim)
+                f"{path}:{linenos[bad // dim]}: corpus record's {name!r} is not {dim} numbers")
+        views[name] = table.reshape(len(ids), dim)
     scenes, parts = [], []
-    for row, (_, kind, cid, parent, representativeness) in enumerate(heads):
+    for row, (cid, kind, parent, rep) in enumerate(zip(ids, kinds, parents, reps)):
         concept = Concept(id=cid, level=kind, **{name: views[name][row] for name in _VIEWS},
-                          parent=parent, representativeness=representativeness)
+                          parent=parent, representativeness=rep)
         (scenes if kind == "scene" else parts).append(concept)
     if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
         raise ContractViolationError("corpus file record count mismatch")
