@@ -231,8 +231,9 @@ def load(path) -> Corpus:
         raise ContractViolationError(f"corpus header lacks generator field(s) {missing}")
     params = GeneratorParams(**{name: header[name] for name in names})
     dim = params.latent_dim
-    # each field in record order, the views' numbers flat: the record's dict
-    # and lists go once read
+    # one flat list per field, and one per view of all its numbers: no object
+    # made per record outlives its line, so the garbage collector runs no
+    # more often than it would without the records
     linenos, ids, kinds, parents, reps = [], [], [], [], []
     flat = {name: [] for name in _VIEWS}
     for lineno, line in lines:
@@ -270,9 +271,10 @@ def load(path) -> Corpus:
                 f"{path}:{linenos[bad // dim]}: corpus record's {name!r} is not {dim} numbers")
         views[name] = table.reshape(len(ids), dim)
     scenes, parts = [], []
-    for row, (cid, kind, parent, rep) in enumerate(zip(ids, kinds, parents, reps)):
-        concept = Concept(id=cid, level=kind, **{name: views[name][row] for name in _VIEWS},
-                          parent=parent, representativeness=rep)
+    for cid, kind, latent, image_view, text_view, parent, rep in zip(
+            ids, kinds, views["latent"], views["image_view"], views["text_view"], parents, reps):
+        concept = Concept(id=cid, level=kind, latent=latent, image_view=image_view,
+                          text_view=text_view, parent=parent, representativeness=rep)
         (scenes if kind == "scene" else parts).append(concept)
     if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
         raise ContractViolationError("corpus file record count mismatch")
