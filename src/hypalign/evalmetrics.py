@@ -242,7 +242,7 @@ def median_pairwise_gap(x) -> float:
     Over the sorted sample each gap is ``x[j] - x[i]`` for ``j > i``,
     exactly ``|x_i - x_j|``, and non-decreasing along ``j``.  Bisection on
     value with approximate pair counts (one ``searchsorted`` per trial
-    threshold) narrows a band ``[lo, hi]`` that holds the two middle order
+    threshold) narrows a band ``[lo, hi]`` that holds the middle order
     statistics; ``margin`` bounds the rounding of ``x[i] + t`` against
     ``x[j] - x[i]``, so every pair outside the widened per-row windows lies
     on the known side of the band.  The gaps inside the windows are
