@@ -12,7 +12,8 @@ on the inputs: if no argument is a :class:`Var`, the plain numpy result is
 returned, so the same numeric code serves both the differentiable training
 path and fast tape-free evaluation.  An op may read groups of a stacked
 Var's leading axis through :func:`pick`, which builds no node of its own:
-the op's node adds the adjoint into the picked groups of the stack.
+the op's node hands the sweep one adjoint per picked group, which the
+sweep adds into those groups of the stack's adjoint.
 
 Conventions
 -----------
@@ -94,8 +95,8 @@ class Pick:
 def pick(x, index):
     """Groups ``index`` of ``x``'s leading axis: a plain array, or for a Var
     a :class:`Pick`, which builds no tape node: the node of the op reading it
-    takes the Var as its parent and adds the adjoint into the picked
-    groups."""
+    takes the Var as its parent and hands the sweep its adjoint per picked
+    group (see :func:`fused`)."""
     if isinstance(x, Var):
         return Pick(x, index)
     return np.asarray(x, dtype=np.float64)[index if isinstance(index, int) else list(index)]
@@ -136,11 +137,14 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
     entry of ``inputs``, each shaped like ``value`` or like its input; the
     node keeps only the adjoints of inputs that are on the tape.  A
     :class:`Var` input is a parent of the node and its adjoint is summed
-    down to the Var's shape if needed; the :class:`Pick` inputs of one base
-    Var share one parent entry, whose adjoint adds each pick's adjoint into
-    its groups.  With nothing on the tape among the inputs the plain
-    ``value`` is returned.  The tape is bound by per-node overhead, so the
-    checks below are a plain loop.
+    down to the Var's shape if needed.  The :class:`Pick` inputs of one base
+    Var share one parent entry, whose adjoint is a dict from each picked
+    group to the sum of the node's adjoints for it, added in route order (a
+    group picked twice, as the apex stack picks the part-text group, is
+    summed here); :func:`_sweep` adds those sums into the base's adjoint, so
+    no node allocates an array of the whole stack.  With nothing on the
+    tape among the inputs the plain ``value`` is returned.  The tape is
+    bound by per-node overhead, so the checks below are a plain loop.
     """
     live, aligned = False, True
     for x in inputs:
@@ -179,14 +183,11 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
             if index is None:
                 out[k] = a if a.shape == shapes[k] else _unbroadcast(a, shapes[k])
                 continue
-            acc = out[k]
-            if acc is None:
-                acc = out[k] = np.zeros(shapes[k])
-            if isinstance(index, int):
-                acc[index] += a
-            else:
-                for j, group in enumerate(index):
-                    acc[group] += a[j]
+            sums = out[k]
+            if sums is None:
+                sums = out[k] = {}
+            for group, ga in ((index, a),) if isinstance(index, int) else zip(index, a):
+                sums[group] = ga if group not in sums else sums[group] + ga
         return out
 
     return Var(value, name, tuple(parents), node_vjp)
@@ -490,33 +491,72 @@ def _toposort(root: Var) -> list[Var]:
     return order
 
 
+def _finite(adjoint) -> bool:
+    """Whether an adjoint (an array, or a dict of picked groups' sums) is
+    finite everywhere."""
+    if isinstance(adjoint, dict):
+        return all(np.all(np.isfinite(a)) for a in adjoint.values())
+    return bool(np.all(np.isfinite(adjoint)))
+
+
 def _sweep(order: list[Var], root: Var, check: bool) -> dict[int, Array]:
-    """Accumulate adjoints in reverse topological order; with ``check``,
-    raise at the first non-finite adjoint, naming the node it flows into or
-    comes out of."""
+    """Accumulate adjoints in reverse topological order and return the
+    parentless nodes'; with ``check``, raise at the first non-finite
+    adjoint, naming the node it flows into or comes out of.
+
+    A node's adjoint is dropped once its VJP has run.  Contributions are
+    added in the order they arrive, in place only into arrays the sweep
+    allocated itself (``owned``), never into one a VJP returned: ``add``
+    hands both parents the same array and ``stack`` hands out views of its
+    adjoint.  A pick parent's per-group sums go into one C-ordered
+    accumulator per base.  An owned sum is C-ordered, the layout ``a + b``
+    gives whenever either operand is, so the reductions downstream see the
+    layout that out-of-place sums would give.
+    """
     grads: dict[int, Array] = {id(root): np.ones_like(root.value)}
+    owned: set[int] = set()
     for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node._vjp is None:
+        if not node._parents:
             continue
-        if check and not np.all(np.isfinite(g)):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if check and not _finite(g):
             raise NumericalConsistencyError(
                 f"non-finite gradient flowing into node '{node.name}'"
             )
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if check and not np.all(np.isfinite(pg)):
+            if check and not _finite(pg):
                 raise NumericalConsistencyError(
                     f"non-finite gradient produced by node '{node.name}'"
                 )
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            key = id(parent)
+            acc = grads.get(key)
+            if isinstance(pg, dict):
+                if acc is None:
+                    acc = np.zeros(parent.value.shape)
+                elif key not in owned:
+                    acc = acc.copy()
+                grads[key] = acc
+                owned.add(key)
+                for group, ga in pg.items():
+                    acc[group] += ga
+            elif acc is None:
+                grads[key] = pg
+            elif key in owned:
+                np.add(acc, pg, out=acc)
+            else:
+                acc = grads[key] = acc + pg
+                if isinstance(acc, np.ndarray) and acc.flags.c_contiguous:
+                    owned.add(key)
     return grads
 
 
 def backward(root: Var) -> dict[int, Array]:
     """Reverse-mode sweep from a scalar root.
 
-    Returns adjoints keyed by node ``id``.  Raises if any adjoint turns
+    Returns the adjoints of the graph's parentless nodes (the leaves and
+    the stop-gradients), keyed by node ``id``.  Raises if any adjoint turns
     non-finite, naming the offending node.  A non-finite adjoint reaches
     some parentless node, so one check of those after the sweep covers the
     graph; only when it fails is the sweep re-run with a check at every node
@@ -557,22 +597,40 @@ def gradients(root: Var, params: Mapping[str, Var]) -> dict[str, Array]:
 # ---------------------------------------------------------------------------
 
 class ParameterStore:
-    """Flat registry of named learnable arrays.
+    """Registry of named learnable arrays over one flat buffer.
 
-    Each parameter is a leaf :class:`Var`; the optimizer replaces
-    ``var.value`` between steps, so forward graphs always read the current
-    values.
+    Each parameter is a leaf :class:`Var` whose value is a view into
+    ``flat``, one contiguous float64 vector holding the parameters in
+    registration order.  Every writer (the optimizer, the trainer's
+    projection, :meth:`load`) writes into those views in place, so forward
+    graphs always read the current values and the optimizer can update the
+    whole vector at once; rebinding a ``value`` detaches it from ``flat``,
+    and the optimizer refuses such a store.
     """
 
     def __init__(self):
         self._params: dict[str, Var] = {}
+        self._layout: dict[str, tuple[slice, tuple]] = {}
+        self.flat = np.zeros(0)
 
     def register(self, name: str, value) -> Var:
+        """A new leaf holding a copy of ``value``, appended to ``flat``
+        (which is reallocated, with every value re-pointed into it)."""
         if name in self._params:
             raise ContractViolationError(f"parameter '{name}' already registered")
-        var = Var(np.asarray(value, dtype=np.float64), name=name)
-        self._params[name] = var
+        arr = np.asarray(value, dtype=np.float64)
+        start = self.flat.size
+        self.flat = np.concatenate([self.flat, arr.ravel()])
+        self._layout[name] = (slice(start, self.flat.size), arr.shape)
+        var = self._params[name] = Var(arr, name=name)
+        for key, view in self.views(self.flat).items():
+            self._params[key].value = view
         return var
+
+    def views(self, flat: Array) -> dict[str, Array]:
+        """Each parameter's view into ``flat``, a vector laid out like the
+        store's own buffer."""
+        return {name: flat[part].reshape(shape) for name, (part, shape) in self._layout.items()}
 
     def __getitem__(self, name: str) -> Var:
         try:
@@ -594,6 +652,7 @@ class ParameterStore:
         return {name: var.value.copy() for name, var in self._params.items()}
 
     def load(self, values: Mapping[str, Array]) -> None:
+        """Write ``values`` into the parameters in place."""
         if set(values) != set(self._params):
             raise ContractViolationError("parameter name mismatch on load")
         for name, value in values.items():
@@ -602,4 +661,4 @@ class ParameterStore:
                 raise ContractViolationError(
                     f"shape mismatch for parameter '{name}'"
                 )
-            self._params[name].value = arr.copy()
+            self._params[name].value[...] = arr

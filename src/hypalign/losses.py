@@ -166,34 +166,33 @@ def _info_nce(dists, tau, include_positive: bool, transposed: bool = False):
     ``tau`` is a scalar or a per-anchor-row vector.  Per row, the adjoint of
     the logits ``-d/tau`` is the softmax over its denominator minus the
     one-hot of its positive; the distances' adjoint is that over ``-tau``.
+    The logits become the exponentials in place, and the adjoint is built
+    in one array; the row sums read the masked logits C-ordered and the
+    unmasked ones in ``d``'s own order, the layouts that fix their bits.
     """
     dv, tv = value_of(dists), value_of(tau)
     d = dv.T if transposed else dv
     b = d.shape[0]
     t = tv.reshape(b, 1) if tv.ndim == 1 else tv
-    neg_d = -d
-    logits = neg_d / t
-    positives = np.diagonal(logits)
-    if include_positive:
-        x = logits
-    else:
-        mask = np.zeros((b, b))
-        np.fill_diagonal(mask, -np.inf)
-        x = logits + mask
-    top = np.max(x, axis=1, keepdims=True)
-    e = np.exp(x - top)
+    e = np.divide(d, -t, order="K" if include_positive else "C")    # the logits
+    positives = np.diagonal(e).copy()
+    if not include_positive:
+        np.fill_diagonal(e, -np.inf)
+    top = np.max(e, axis=1, keepdims=True)
+    e -= top
+    np.exp(e, out=e)
     total = np.sum(e, axis=1, keepdims=True)
     denom = np.squeeze(top, axis=1) + np.log(np.squeeze(total, axis=1))
 
     def vjp(g):
         rows = np.arange(b)
-        g_rows = np.full(b, g)
-        one_hot = np.zeros((b, b))
-        one_hot[rows, rows] = -g_rows
-        g_logits = g_rows[:, None] * (e / total) + one_hot    # softmax - one-hot
-        g_t = -g_logits * neg_d / (t * t)
-        d_adj = -(g_logits / t)
-        return (d_adj.T if transposed else d_adj,
+        g_logits = np.divide(e, total, order="C")
+        g_logits *= g
+        g_logits[rows, rows] -= g                       # softmax - one-hot
+        g_t = g_logits * d
+        g_t /= t * t
+        g_logits /= -t                                  # the distances' adjoint
+        return (g_logits.T if transposed else g_logits,
                 g_t.sum(axis=1) if tv.ndim else g_t.sum(axis=(0, 1)))
 
     return ad.fused(np.sum(denom - positives), "info_nce", (dists, tau), vjp)

@@ -224,11 +224,11 @@ def load(path) -> Corpus:
         raise ContractViolationError(f"{path}: corpus header is not JSON: {err}") from None
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != _FORMAT:
-        raise ContractViolationError(f"unrecognized corpus format {fmt!r}")
+        raise ContractViolationError(f"{path}: unrecognized corpus format {fmt!r}")
     names = [f.name for f in fields(GeneratorParams)]
     missing = [name for name in names if name not in header]
     if missing:
-        raise ContractViolationError(f"corpus header lacks generator field(s) {missing}")
+        raise ContractViolationError(f"{path}: corpus header lacks generator field(s) {missing}")
     params = GeneratorParams(**{name: header[name] for name in names})
     dim = params.latent_dim
     # one flat list per field, and one per view of all its numbers: no object
@@ -277,7 +277,7 @@ def load(path) -> Corpus:
                           text_view=text_view, parent=parent, representativeness=rep)
         (scenes if kind == "scene" else parts).append(concept)
     if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
-        raise ContractViolationError("corpus file record count mismatch")
+        raise ContractViolationError(f"{path}: corpus file record count mismatch")
     return Corpus(params=params, scenes=scenes, parts=parts)
 
 

@@ -41,6 +41,7 @@ TEMPERATURE_PARAMS = {"tau_global": "tau_g", "tau_local": "tau_l",
 # the scalar parameters, which AdamW does not decay
 DECAY_EXCLUDE = ("kappa", *TEMPERATURE_PARAMS.values(), *SCALES)
 _EVAL_STREAM_TAG = 2**31 - 1   # batch-stream tag reserved for the eval batch
+ADAMW_BLOCK = 65536            # entries per AdamW block: its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,17 @@ def parameter_store(tables: dict, kappa: float, temps: TemperatureSet) -> Parame
 
 def _gather_scaled(table, rows, scale):
     """``scale * table[rows]`` as one tape node; the table's adjoint
-    scatter-adds duplicate rows."""
+    assigns distinct rows (every training batch's) and scatter-adds
+    repeated ones."""
     tv, cv = value_of(table), value_of(scale)
     picked = tv[rows]
 
     def vjp(g):
         acc = np.zeros(tv.shape)
-        np.add.at(acc, rows, g * cv)
+        if np.unique(rows).size == len(rows):
+            acc[rows] = g * cv
+        else:
+            np.add.at(acc, rows, g * cv)
         return (acc, np.sum(g * picked))
 
     return ad.fused(cv * picked, "gather_scale", (table, scale), vjp)
@@ -154,36 +159,77 @@ def loss_config_with_vars(cfg: LossConfig, store: ParameterStore) -> LossConfig:
 # ---------------------------------------------------------------------------
 
 class AdamW:
-    """Adam with decoupled weight decay, skipped for ``DECAY_EXCLUDE``."""
+    """Adam with decoupled weight decay, skipped for ``DECAY_EXCLUDE``.
+
+    The update runs over the store's flat buffer in blocks of
+    ``ADAMW_BLOCK`` entries, each a fixed sequence of in-place ufunc calls
+    with the per-parameter formula's operation order, so every entry gets
+    the bits that formula gives.  The moments are flat too; ``m``/``v`` map
+    each parameter name to its view.  The decayed parameters must come
+    before the scalars in the store, so decay covers a prefix.
+    """
 
     def __init__(self, store: ParameterStore, cfg: TrainConfig):
         self.store = store
         self.cfg = cfg
         self.t = 0
-        self.m = {name: np.zeros_like(var.value) for name, var in store.items()}
-        self.v = {name: np.zeros_like(var.value) for name, var in store.items()}
+        names = store.names()
+        decayed = [name not in DECAY_EXCLUDE for name in names]
+        if decayed != sorted(decayed, reverse=True):
+            raise ContractViolationError("decayed parameters must precede the scalars")
+        self._decay_end = sum(store[n].value.size for n, d in zip(names, decayed) if d)
+        self._flat = store.flat
+        self._m, self._v, self._g = (np.zeros_like(store.flat) for _ in range(3))
+        self.m, self.v, self._grads = (store.views(buf) for buf in (self._m, self._v, self._g))
+        self._scratch = (np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK))
 
     def step(self, grads: dict, lr: float) -> None:
-        cfg = self.cfg
-        self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        cfg, flat = self.cfg, self._flat
         for name, var in self.store.items():
-            g = grads[name]
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + cfg.adam_eps)
-            if name not in DECAY_EXCLUDE:
-                update = update + cfg.weight_decay * var.value
-            var.value = var.value - lr * update
+            if var.value.base is not flat:
+                raise ContractViolationError(
+                    f"parameter '{name}' no longer views the store's flat buffer; "
+                    "write into its value in place")
+            self._grads[name][...] = grads[name]
+        self.t += 1
+        b1, b2 = cfg.beta1, cfg.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for lo in range(0, flat.size, ADAMW_BLOCK):
+            hi = min(lo + ADAMW_BLOCK, flat.size)
+            p, g, m, v = flat[lo:hi], self._g[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            u, w = (buf[:hi - lo] for buf in self._scratch)
+            # m = b1*m + (1-b1)*g
+            np.multiply(g, 1.0 - b1, out=w)
+            m *= b1
+            m += w
+            # v = b2*v + ((1-b2)*g)*g
+            np.multiply(g, 1.0 - b2, out=w)
+            w *= g
+            v *= b2
+            v += w
+            # u = (m/bc1) / (sqrt(v/bc2) + eps)
+            np.divide(m, bc1, out=u)
+            np.divide(v, bc2, out=w)
+            np.sqrt(w, out=w)
+            w += cfg.adam_eps
+            u /= w
+            # u += wd*p on the decayed prefix
+            k = min(hi, self._decay_end) - lo
+            if k > 0:
+                np.multiply(p[:k], cfg.weight_decay, out=w[:k])
+                u[:k] += w[:k]
+            # p = p - lr*u
+            u *= lr
+            p -= u
 
 
 def project_parameters(store: ParameterStore) -> None:
-    """Clamp curvature and temperatures back into their valid ranges
-    (projected-gradient semantics: gradients are taken pre-clamp)."""
-    store["kappa"].value = np.clip(store["kappa"].value, KAPPA_MIN, KAPPA_MAX)
+    """Clamp curvature and temperatures back into their valid ranges, in
+    place (projected-gradient semantics: gradients are taken pre-clamp)."""
+    np.clip(store["kappa"].value, KAPPA_MIN, KAPPA_MAX, out=store["kappa"].value)
     for name in TEMPERATURE_PARAMS.values():
-        store[name].value = np.maximum(store[name].value, TAU_FLOOR)
+        np.maximum(store[name].value, TAU_FLOOR, out=store[name].value)
 
 
 def learning_rate(step: int, cfg: TrainConfig) -> float:
@@ -344,7 +390,7 @@ def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
             if value is None:
                 raise ContractViolationError(
                     f"{path}: checkpoint {field}[{name!r}] needs numbers of shape {shape}")
-            moments[name] = value
+            moments[name][...] = value
     opt.t = int(payload["opt_t"])
     return int(payload["step"])
 

@@ -241,6 +241,139 @@ def export_csv_reference(path, rows):
 
 
 # ---------------------------------------------------------------------------
+# the train step as first written (per-parameter AdamW, whole-stack pick
+# adjoints, the info_nce kernel, the scatter-add gather), kept as bit-exact
+# references
+# ---------------------------------------------------------------------------
+
+def adamw_step_reference(values, m, v, t, grads, lr, cfg, decay_exclude):
+    """One AdamW update per parameter as first written, rebinding each
+    entry of the dicts ``values``, ``m`` and ``v``; ``t`` counts this
+    update."""
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for name, value in values.items():
+        g = grads[name]
+        m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+        v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.adam_eps)
+        if name not in decay_exclude:
+            update = update + cfg.weight_decay * value
+        values[name] = value - lr * update
+
+
+def fused_reference(value, name, inputs, vjp):
+    """``autodiff.fused`` as first written: a node reading picks of a base
+    returns a zero array of the whole stack with each pick added into its
+    groups."""
+    from hypalign import autodiff as ad
+
+    live, aligned = False, True
+    for x in inputs:
+        if isinstance(x, ad.Var):
+            live = True
+            aligned = aligned and x.value.shape == value.shape
+        else:
+            aligned = False
+            live = live or isinstance(x, ad.Pick)
+    if not live:
+        return value
+    if aligned:
+        return ad.Var(value, name, inputs, vjp)
+    parents, routes, bases = [], [], {}
+    for i, x in enumerate(inputs):
+        if isinstance(x, ad.Var):
+            routes.append((i, len(parents), None))
+            parents.append(x)
+        elif isinstance(x, ad.Pick):
+            k = bases.get(id(x.base))
+            if k is None:
+                k = bases[id(x.base)] = len(parents)
+                parents.append(x.base)
+            routes.append((i, k, x.index))
+    shapes = [p.value.shape for p in parents]
+
+    def node_vjp(g):
+        adj = vjp(g)
+        out = [None] * len(parents)
+        for i, k, index in routes:
+            a = adj[i]
+            if index is None:
+                out[k] = a if a.shape == shapes[k] else ad._unbroadcast(a, shapes[k])
+                continue
+            acc = out[k]
+            if acc is None:
+                acc = out[k] = np.zeros(shapes[k])
+            if isinstance(index, int):
+                acc[index] += a
+            else:
+                for j, group in enumerate(index):
+                    acc[group] += a[j]
+        return out
+
+    return ad.Var(value, name, tuple(parents), node_vjp)
+
+
+def sweep_reference(root):
+    """The reverse sweep as first written, over a graph of
+    :func:`fused_reference` nodes: every node's adjoint kept, each
+    contribution summed out of place."""
+    from hypalign import autodiff as ad
+
+    grads = {id(root): np.ones_like(root.value)}
+    for node in reversed(ad._toposort(root)):
+        g = grads.get(id(node))
+        if g is None or node._vjp is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return grads
+
+
+def info_nce_reference(dv, tv, include_positive, transposed=False):
+    """``losses._info_nce`` on plain arrays as first written: the loss and
+    its VJP ``g -> (distances' adjoint, tau's adjoint)``."""
+    d = dv.T if transposed else dv
+    b = d.shape[0]
+    t = tv.reshape(b, 1) if tv.ndim == 1 else tv
+    neg_d = -d
+    logits = neg_d / t
+    positives = np.diagonal(logits)
+    if include_positive:
+        x = logits
+    else:
+        mask = np.zeros((b, b))
+        np.fill_diagonal(mask, -np.inf)
+        x = logits + mask
+    top = np.max(x, axis=1, keepdims=True)
+    e = np.exp(x - top)
+    total = np.sum(e, axis=1, keepdims=True)
+    denom = np.squeeze(top, axis=1) + np.log(np.squeeze(total, axis=1))
+
+    def vjp(g):
+        rows = np.arange(b)
+        g_rows = np.full(b, g)
+        one_hot = np.zeros((b, b))
+        one_hot[rows, rows] = -g_rows
+        g_logits = g_rows[:, None] * (e / total) + one_hot
+        g_t = -g_logits * neg_d / (t * t)
+        d_adj = -(g_logits / t)
+        return (d_adj.T if transposed else d_adj,
+                g_t.sum(axis=1) if tv.ndim else g_t.sum(axis=(0, 1)))
+
+    return np.sum(denom - positives), vjp
+
+
+def gather_vjp_reference(tv, rows, cv, g):
+    """The adjoints of ``scale * table[rows]`` as first written: the table's
+    by scatter-add, the scale's as a sum."""
+    acc = np.zeros(tv.shape)
+    np.add.at(acc, rows, g * cv)
+    return acc, np.sum(g * tv[rows])
+
+
+# ---------------------------------------------------------------------------
 # general-base-point maps (numpy; geometry oracles and pair construction)
 # ---------------------------------------------------------------------------
 

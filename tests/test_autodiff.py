@@ -387,7 +387,7 @@ class TestParameterStore:
         store.register("a", np.arange(4.0))
         store.register("b", 3.0)
         snap = store.snapshot()
-        store["a"].value = store["a"].value * 0
+        store["a"].value[...] = 0.0
         store.load(snap)
         np.testing.assert_array_equal(store["a"].value, np.arange(4.0))
         with pytest.raises(ContractViolationError):

@@ -130,10 +130,14 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: [], "empty corpus file: {path}"),
         (lambda lines: ['{"format": ', *lines[1:]], "{path}: corpus header is not JSON: "),
-        (lambda lines: ['{"format": "nope"}', *lines[1:]], "unrecognized corpus format 'nope'"),
-        (lambda lines: ['["x"]', *lines[1:]], "unrecognized corpus format None"),
-        (lambda lines: lines[:-1], "corpus file record count mismatch"),
-        (lambda lines: [*lines, lines[-1]], "corpus file record count mismatch"),
+        (lambda lines: ['{"format": "nope"}', *lines[1:]],
+         "{path}: unrecognized corpus format 'nope'"),
+        (lambda lines: ['["x"]', *lines[1:]], "{path}: unrecognized corpus format None"),
+        (lambda lines: [json.dumps({k: v for k, v in json.loads(lines[0]).items()
+                                    if k != "seed"}), *lines[1:]],
+         "{path}: corpus header lacks generator field(s) ['seed']"),
+        (lambda lines: lines[:-1], "{path}: corpus file record count mismatch"),
+        (lambda lines: [*lines, lines[-1]], "{path}: corpus file record count mismatch"),
     ])
     def test_error_messages(self, tmp_path, edit, message):
         path = tmp_path / "c.txt"

@@ -128,12 +128,22 @@ class TestScheduleAndOptimizer:
         cfg = small_config()
         store = init_parameters(small_corpus, cfg)
         opt = AdamW(store, cfg)
-        store["kappa"].value = np.asarray(50.0)
-        store["tau_g"].value = np.asarray(1e-5)
+        store["kappa"].value[...] = 50.0
+        store["tau_g"].value[...] = 1e-5
         idx = sample_batch(small_corpus, cfg.batch_size, [5, 0])
         train_step(store, opt, materialize_batch(store, idx), cfg, lr=1e-4)
         assert float(value_of(store["kappa"])) == 10.0
         assert float(value_of(store["tau_g"])) >= 0.01
+
+    def test_rebound_parameter_rejected(self, small_corpus):
+        # a value rebound off the store's flat buffer would miss every update
+        cfg = small_config()
+        store = init_parameters(small_corpus, cfg)
+        opt = AdamW(store, cfg)
+        store["kappa"].value = np.asarray(2.0)
+        idx = sample_batch(small_corpus, cfg.batch_size, [5, 0])
+        with pytest.raises(ContractViolationError, match="'kappa'"):
+            train_step(store, opt, materialize_batch(store, idx), cfg, lr=1e-4)
 
     def test_weight_decay_exclusion_matches_decay_free_oracle(self, small_corpus):
         cfg = small_config()
@@ -252,7 +262,7 @@ class TestTrainLoop:
         # per batch: over plain arrays the two agree bit for bit
         cfg = small_config()
         store = init_parameters(small_corpus, cfg)
-        store["c_txt"].value = np.asarray(0.3711)   # the two scales differ
+        store["c_txt"].value[...] = 0.3711   # the two scales differ
         idx = sample_batch(small_corpus, cfg.batch_size, [5, 3])
         batch = materialize_batch({n: value_of(v) for n, v in store.items()}, idx)
         tables = scaled_tables(store)
