@@ -1,13 +1,15 @@
 """Reverse-mode gradient engine over numpy arrays.
 
-The engine covers exactly the operation vocabulary this package needs
-(arithmetic, sum, reshape, stack, the transcendentals, acosh, the asinhc
-composite, softmax, stop-gradient) rather than being a general autodiff
-framework.  Every op computes its numpy value and a hand-derived
-vector-Jacobian product and becomes one node through :func:`fused`; the
-geometry modules build the lift, the distance matrix, the cone angles and
-the uncertainty the same way, and the losses and the trainer build each
-loss block and the batch gather as one node too.  :func:`fused` dispatches
+The engine is the tape and no more: :class:`Var` nodes, :func:`fused`,
+:func:`pick`, :func:`stack`, :func:`add` and :func:`mul`, stop-gradient
+record and replay, the backward sweep and the parameter store.  Its node
+vocabulary is what training builds.  Every op computes its numpy value and a
+hand-derived vector-Jacobian product and becomes one node through
+:func:`fused`: the geometry modules build the lift, the distance matrix, the
+cone angle and aperture and the uncertainty that way, and the losses and the
+trainer build each loss block and the batch gather as one node too.  The
+plain-numpy kernels those nodes share (the sqrt composites with their series
+forms, the acosh clamp, softmax) sit here as well.  :func:`fused` dispatches
 on the inputs: if no argument is a :class:`Var`, the plain numpy result is
 returned, so the same numeric code serves both the differentiable training
 path and fast tape-free evaluation.  An op may read groups of a stacked
@@ -198,20 +200,8 @@ def stack(xs: Sequence):
     return fused(np.stack([value_of(x) for x in xs]), "stack", tuple(xs), lambda g: tuple(g))
 
 
-# ---------------------------------------------------------------------------
-# arithmetic
-# ---------------------------------------------------------------------------
-
 def add(a, b):
     return fused(value_of(a) + value_of(b), "add", (a, b), lambda g: (g, g))
-
-
-def neg(a):
-    return fused(-value_of(a), "neg", (a,), lambda g: (-g,))
-
-
-def sub(a, b):
-    return fused(value_of(a) - value_of(b), "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
@@ -219,45 +209,15 @@ def mul(a, b):
     return fused(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
 
 
-def div(a, b):
-    av, bv = value_of(a), value_of(b)
-    return fused(av / bv, "div", (a, b), lambda g: (g / bv, -g * av / (bv * bv)))
-
-
-def square(a):
-    av = value_of(a)
-    return fused(av * av, "square", (a,), lambda g: (2.0 * g * av,))
-
-
 # ---------------------------------------------------------------------------
-# elementwise transcendentals
+# numeric kernels the fused nodes share (plain numpy, no tape)
 # ---------------------------------------------------------------------------
-
-def _unary(a, name, fwd, dfd):
-    """Unary elementwise op; ``dfd(x, out)`` is the local derivative."""
-    x = value_of(a)
-    out = fwd(x)
-    return fused(out, name, (a,), lambda g: (g * dfd(x, out),))
-
-
-def exp(a):
-    return _unary(a, "exp", np.exp, lambda x, out: out)
-
-def log(a):
-    return _unary(a, "log", np.log, lambda x, out: 1.0 / x)
-
-def log1p(a):
-    return _unary(a, "log1p", np.log1p, lambda x, out: 1.0 / (1.0 + x))
-
-def sqrt(a):
-    def dfd(x, out):
-        return np.where(out > 0.0, 0.5 / np.where(out > 0.0, out, 1.0), 0.0)
-
-    return _unary(a, "sqrt", np.sqrt, dfd)
-
 
 def _acosh_clamp(xv: Array) -> Array:
-    """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises."""
+    """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises.
+
+    Values in [1 - DRIFT_TOL, 1) are floating-point drift at a
+    coincident-point kink, where the subgradient 0 is used."""
     low = np.min(xv) if xv.size else 1.0
     if low < 1.0 - DRIFT_TOL:
         raise NumericalConsistencyError(
@@ -273,21 +233,8 @@ def _acosh_deriv(xc: Array) -> Array:
     return np.where(safe, 1.0 / np.sqrt(np.where(safe, denom_sq, 1.0)), 0.0)
 
 
-def acosh_clamped(a):
-    """acosh with the argument clamped to [1, inf).
-
-    Values below ``1 - DRIFT_TOL`` indicate a bug upstream and raise; values
-    in [1 - DRIFT_TOL, 1) are treated as floating-point drift at a
-    coincident-point kink, where the subgradient 0 is used.
-    """
-    xc = _acosh_clamp(value_of(a))
-    return fused(np.arccosh(xc), "acosh", (a,), lambda g: (g * _acosh_deriv(xc),))
-
-
-# ---------------------------------------------------------------------------
 # smooth composites of sqrt: entire functions of y = x**2, so they stay
-# differentiable through y = 0 (used by the exp/log maps at the origin)
-# ---------------------------------------------------------------------------
+# differentiable through y = 0 (the exp/log maps and the radius at the origin)
 
 def _cosh_sqrt_val(y: Array) -> Array:
     small = y < _SERIES_CUTOFF
@@ -325,60 +272,21 @@ def _sinhc_sqrt_deriv(y: Array, out: Array) -> Array:
     return np.where(small, series, direct)
 
 
-def asinhc_sqrt(a):
-    """asinh(sqrt(y))/sqrt(y) as an entire function of y >= 0."""
-
-    def dfd(y, out):
-        small = y < _SERIES_CUTOFF
-        ys = np.where(small, y, 0.0)
-        series = -1.0 / 6.0 + 3.0 * ys / 20.0 - 15.0 * ys**2 / 112.0
-        ysafe = np.where(small, 1.0, y)
-        direct = (1.0 / np.sqrt(1.0 + ysafe) - out) / (2.0 * ysafe)
-        return np.where(small, series, direct)
-
-    return _unary(a, "asinhc_sqrt", _asinhc_sqrt_val, dfd)
-
-
-# ---------------------------------------------------------------------------
-# shape / reduction
-# ---------------------------------------------------------------------------
-
-def reduce_sum(a, axis=None):
-    av = value_of(a)
-    in_shape = av.shape
-
-    def vjp(g):
-        if axis is None:
-            gg = g
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(ax % len(in_shape) for ax in axes)
-            gg = np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, in_shape).copy(),)
-
-    return fused(np.sum(av, axis=axis), "sum", (a,), vjp)
-
-
-def reshape(a, shape):
-    av = value_of(a)
-    return fused(av.reshape(shape), "reshape", (a,), lambda g: (g.reshape(av.shape),))
+def _asinhc_sqrt_deriv(y: Array, out: Array) -> Array:
+    """d/dy of ``asinh(sqrt(y))/sqrt(y)``, given ``out`` = its value at ``y``."""
+    small = y < _SERIES_CUTOFF
+    ys = np.where(small, y, 0.0)
+    series = -1.0 / 6.0 + 3.0 * ys / 20.0 - 15.0 * ys**2 / 112.0
+    ysafe = np.where(small, 1.0, y)
+    direct = (1.0 / np.sqrt(1.0 + ysafe) - out) / (2.0 * ysafe)
+    return np.where(small, series, direct)
 
 
 def _softmax_val(x: Array, axis) -> Array:
+    """Stable softmax (max-subtracted)."""
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def softmax(a, axis=-1):
-    """Stable softmax (max-subtracted)."""
-    s = _softmax_val(value_of(a), axis)
-
-    def vjp(g):
-        dot = np.sum(g * s, axis=axis, keepdims=True)
-        return (s * (g - dot),)
-
-    return fused(s, "softmax", (a,), vjp)
 
 
 _active_stops = None    # the record/replay context currently entered, if any

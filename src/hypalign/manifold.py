@@ -12,18 +12,21 @@ via the origin exponential map; gradients flow through the lift.  The maps
 are evaluated through functions of the *squared* tangent norm, so they stay
 smooth (and exactly correct) at the origin.
 
-Every function accepts either plain numpy arrays or autodiff ``Var`` nodes;
-single points use shape ``(n,)`` and batches ``(B, n)``.  :func:`lift` also
-takes a stack of groups ``(G, B, n)`` along a leading group axis, and
-:meth:`LorentzPoint.groups` reads groups back out of the lifted stack for
-the ops that take points (the entailment ops run over the same stack;
-:func:`pairwise_distance` reads one group per side).  Double precision
-keeps the exp/log round trip accurate to ~1e-9 for radii up to ~45.  The
-distance is not: ``acosh(-kappa <p,q>_L)`` of a near-coincident pair reads
-an argument that is mostly rounding, so its relative error reaches ~1e3
-below radius ``sqrt(kappa)|v|`` 5 and ~6e4 from 5 to 10, and from radius
-~11.7 :func:`pairwise_distance` can raise its drift error on valid near
-pairs.  Generic pairs stay accurate.
+:func:`lift` and :func:`pairwise_distance` take plain arrays or autodiff
+``Var`` nodes and build one tape node per output; the point helpers are
+plain numpy (a ``Var`` point raises ``TypeError``; a learnable ``kappa`` is
+read by value).  Single points use shape ``(n,)`` and batches ``(B, n)``;
+:func:`lift` and :func:`log_origin` also take a stack of groups
+``(G, B, n)``, and :meth:`LorentzPoint.groups` reads groups back out of the
+lifted stack for the ops that take points (the entailment ops run over the
+same stack; :func:`pairwise_distance` reads one group per side).
+
+Double precision keeps the exp/log round trip accurate to ~1e-9 for radii
+up to ~45.  The distance is not: ``acosh(-kappa <p,q>_L)`` of a
+near-coincident pair reads an argument that is mostly rounding, so its
+relative error reaches ~1e3 below radius ``sqrt(kappa)|v|`` 5 and ~6e4 from
+5 to 10, and from radius ~11.7 :func:`pairwise_distance` can raise its drift
+error on valid near pairs.  Generic pairs stay accurate.
 """
 
 from __future__ import annotations
@@ -77,9 +80,10 @@ class LorentzPoint:
 def lorentz_inner(p: LorentzPoint, q: LorentzPoint):
     """Lorentzian inner product ``-p_t q_t + <p_s, q_s>``; aligned batches
     combine elementwise."""
-    if value_of(p.space).shape[-1] != value_of(q.space).shape[-1]:
+    ps, qs = np.asarray(p.space, dtype=float), np.asarray(q.space, dtype=float)
+    if ps.shape[-1] != qs.shape[-1]:
         raise ContractViolationError("lorentz_inner: dimension mismatch")
-    return ad.sub(ad.reduce_sum(ad.mul(p.space, q.space), axis=-1), ad.mul(p.time, q.time))
+    return np.sum(ps * qs, axis=-1) - np.multiply(p.time, q.time)
 
 
 def lift(v, m: Manifold) -> LorentzPoint:
@@ -118,27 +122,26 @@ def lift(v, m: Manifold) -> LorentzPoint:
 
 def log_origin(p: LorentzPoint, m: Manifold):
     """Origin logarithmic map; exact inverse of :func:`lift` on the upper
-    sheet, returning the space-only tangent vector.
+    sheet, returning the space-only tangent vector of each row.
 
     Uses ``asinh(sqrt(kappa)|p_s|)/(sqrt(kappa)|p_s|) p_s``, which is the
     origin specialization of the projection-based log map and is smooth at
     the origin (where it returns the zero vector).
     """
-    s = ad.reduce_sum(ad.square(p.space), axis=-1)
-    factor = ad.asinhc_sqrt(ad.mul(m.kappa, s))
-    if value_of(p.space).ndim == 2:
-        factor = ad.reshape(factor, (-1, 1))
-    return ad.mul(factor, p.space)
+    ps = np.asarray(p.space, dtype=float)
+    factor = ad._asinhc_sqrt_val(value_of(m.kappa) * np.sum(ps * ps, axis=-1))
+    return np.expand_dims(factor, -1) * ps
 
 
 def geodesic_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
-    """Geodesic distance ``sqrt(1/kappa) acosh(-kappa <p,q>_L)``.
+    """Geodesic distance ``sqrt(1/kappa) acosh(-kappa <p,q>_L)`` of aligned
+    points.
 
     The acosh argument is clamped to [1, inf); drift below 1 beyond
     ``autodiff.DRIFT_TOL`` raises a numerical-consistency error.
     """
-    z = ad.neg(ad.mul(m.kappa, lorentz_inner(p, q)))
-    return ad.div(ad.acosh_clamped(z), ad.sqrt(m.kappa))
+    kv = value_of(m.kappa)
+    return np.arccosh(ad._acosh_clamp(-(kv * lorentz_inner(p, q)))) / np.sqrt(kv)
 
 
 def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
@@ -173,21 +176,23 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
 
 def hyperbolic_radius(x, m: Manifold):
     """Distance from the origin of the hyperboloid point whose space
-    component is ``x``: ``(1/sqrt(kappa)) acosh(sqrt(1 + kappa |x|^2))``.
+    component is ``x``: ``(1/sqrt(kappa)) acosh(sqrt(1 + kappa |x|^2))``,
+    evaluated as ``asinhc(kappa |x|^2) |x|``.
 
     Grows like ``|x|`` for small norms and like ``log(2 sqrt(kappa) |x|) /
     sqrt(kappa)`` for large ones; strictly increasing in ``|x|``.
     """
-    s = ad.reduce_sum(ad.square(x), axis=-1)
-    return ad.mul(ad.asinhc_sqrt(ad.mul(m.kappa, s)), ad.sqrt(s))
+    xv = np.asarray(x, dtype=float)
+    s = np.sum(xv * xv, axis=-1)
+    return ad._asinhc_sqrt_val(value_of(m.kappa) * s) * np.sqrt(s)
 
 
 def from_space(x, m: Manifold) -> LorentzPoint:
     """Complete a space component to the upper hyperboloid sheet:
     ``[sqrt(|x|^2 + 1/kappa), x]``."""
-    s = ad.reduce_sum(ad.square(x), axis=-1)
-    time = ad.sqrt(ad.add(s, ad.div(1.0, m.kappa)))
-    return LorentzPoint(time=time, space=x)
+    xv = np.asarray(x, dtype=float)
+    return LorentzPoint(time=np.sqrt(np.sum(xv * xv, axis=-1) + 1.0 / value_of(m.kappa)),
+                        space=xv)
 
 
 def hyperboloid_residual(p: LorentzPoint, m: Manifold):

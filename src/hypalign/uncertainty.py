@@ -5,9 +5,11 @@ monotonically toward 0 as the embedding moves outward.  Because the
 hyperbolic radius is itself strictly increasing in the Euclidean norm of
 the tangent parameterization, this is a smooth, strictly decreasing
 function of the radius.  An explicit-radius variant (softplus of the
-negative hyperbolic radius) is available for the ablation comparison.
-Both work row by row over any leading axes, so one call serves a batch
-``(B, n)`` or a stack of groups ``(G, B, n)``.
+negative hyperbolic radius, the paper's form of the uncertainty) is kept for
+the ablation comparison.  Both are one tape node each and work row by row
+over any leading axes, so one call serves a batch ``(B, n)`` or a stack of
+groups ``(G, B, n)``.  :func:`normalize_uncertainty` and :func:`entropy`
+are plain numpy; calibration reads them inside its own node.
 """
 
 from __future__ import annotations
@@ -45,16 +47,36 @@ def uncertainty(x):
 
 
 def uncertainty_from_radius(x, m: Manifold):
-    """Ablation variant: softplus of the negative hyperbolic radius."""
-    return ad.log1p(ad.exp(ad.neg(hyperbolic_radius(x, m))))
+    """Ablation variant: ``softplus(-r)`` of the hyperbolic radius ``r =
+    asinhc(kappa |x|^2) |x|`` per row (:func:`hyperbolic_radius`); one tape
+    node, with adjoints for ``x`` and ``kappa`` (through ``asinhc``'s series
+    and direct forms) and the subgradient 0 at the zero vector."""
+    xv, kv = value_of(x), value_of(m.kappa)
+    decay = np.exp(-hyperbolic_radius(xv, m))
+    u = np.log1p(decay)
+
+    def vjp(g):
+        # dr/dy = |x| asinhc'(y) with dy/dx = 2 kappa x, and dr/d|x| = asinhc(y)
+        s = np.sum(xv * xv, axis=-1)
+        norm = np.sqrt(s)
+        y = kv * s
+        asinhc = ad._asinhc_sqrt_val(y)
+        d_r = -g * decay / (1.0 + decay)
+        d_y = d_r * norm * ad._asinhc_sqrt_deriv(y, asinhc)
+        safe = norm > 0.0
+        d_norm = np.where(safe, d_r * asinhc / np.where(safe, norm, 1.0), 0.0)
+        return (np.expand_dims(2.0 * kv * d_y + d_norm, -1) * xv, ad.sum_all(d_y * s))
+
+    return ad.fused(u, "uncertainty_from_radius", (x, m.kappa), vjp)
 
 
 def normalize_uncertainty(u):
-    """Softmax of an uncertainty vector (max-subtracted); order-preserving,
-    entries positive and summing to 1."""
-    if value_of(u).size == 0:
+    """Softmax of a plain uncertainty vector (max-subtracted);
+    order-preserving, entries positive and summing to 1."""
+    uv = np.asarray(u, dtype=np.float64)
+    if uv.size == 0:
         raise ContractViolationError("cannot normalize an empty uncertainty vector")
-    return ad.softmax(u, axis=-1)
+    return ad._softmax_val(uv, -1)
 
 
 def entropy(w) -> float:

@@ -1,0 +1,122 @@
+"""Elementary tape ops for the tests' op-by-op reference compositions.
+
+The package's tapes build only fused nodes (``hypalign.autodiff``'s module
+docstring lists them).  The tests check each fused node against the
+composition it replaced, rebuilt from the single-purpose nodes below: each
+is one node through ``autodiff.fused``, with its own hand-derived
+vector-Jacobian product, and keeps the arithmetic the fused forwards copy,
+so the compositions' values can be compared bit for bit.
+"""
+
+import numpy as np
+
+import hypalign.autodiff as ad
+from hypalign.autodiff import fused, value_of
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+# ---------------------------------------------------------------------------
+
+def neg(a):
+    return fused(-value_of(a), "neg", (a,), lambda g: (-g,))
+
+
+def sub(a, b):
+    return fused(value_of(a) - value_of(b), "sub", (a, b), lambda g: (g, -g))
+
+
+def div(a, b):
+    av, bv = value_of(a), value_of(b)
+    return fused(av / bv, "div", (a, b), lambda g: (g / bv, -g * av / (bv * bv)))
+
+
+def square(a):
+    av = value_of(a)
+    return fused(av * av, "square", (a,), lambda g: (2.0 * g * av,))
+
+
+# ---------------------------------------------------------------------------
+# elementwise transcendentals
+# ---------------------------------------------------------------------------
+
+def unary(a, name, fwd, dfd):
+    """Unary elementwise op; ``dfd(x, out)`` is the local derivative."""
+    x = value_of(a)
+    out = fwd(x)
+    return fused(out, name, (a,), lambda g: (g * dfd(x, out),))
+
+
+def exp(a):
+    return unary(a, "exp", np.exp, lambda x, out: out)
+
+
+def log(a):
+    return unary(a, "log", np.log, lambda x, out: 1.0 / x)
+
+
+def log1p(a):
+    return unary(a, "log1p", np.log1p, lambda x, out: 1.0 / (1.0 + x))
+
+
+def sqrt(a):
+    def dfd(x, out):
+        return np.where(out > 0.0, 0.5 / np.where(out > 0.0, out, 1.0), 0.0)
+
+    return unary(a, "sqrt", np.sqrt, dfd)
+
+
+def acosh_clamped(a):
+    """acosh with the argument clamped by ``autodiff._acosh_clamp``."""
+    xc = ad._acosh_clamp(value_of(a))
+    return fused(np.arccosh(xc), "acosh", (a,), lambda g: (g * ad._acosh_deriv(xc),))
+
+
+def asinhc_sqrt(a):
+    """asinh(sqrt(y))/sqrt(y) as an entire function of y >= 0."""
+
+    def dfd(y, out):
+        small = y < ad._SERIES_CUTOFF
+        ys = np.where(small, y, 0.0)
+        series = -1.0 / 6.0 + 3.0 * ys / 20.0 - 15.0 * ys**2 / 112.0
+        ysafe = np.where(small, 1.0, y)
+        direct = (1.0 / np.sqrt(1.0 + ysafe) - out) / (2.0 * ysafe)
+        return np.where(small, series, direct)
+
+    return unary(a, "asinhc_sqrt", ad._asinhc_sqrt_val, dfd)
+
+
+# ---------------------------------------------------------------------------
+# shape / reduction
+# ---------------------------------------------------------------------------
+
+def reduce_sum(a, axis=None):
+    av = value_of(a)
+    in_shape = av.shape
+
+    def vjp(g):
+        if axis is None:
+            gg = g
+        else:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            axes = tuple(ax % len(in_shape) for ax in axes)
+            gg = np.expand_dims(g, axes)
+        return (np.broadcast_to(gg, in_shape).copy(),)
+
+    return fused(np.sum(av, axis=axis), "sum", (a,), vjp)
+
+
+def reshape(a, shape):
+    av = value_of(a)
+    return fused(av.reshape(shape), "reshape", (a,), lambda g: (g.reshape(av.shape),))
+
+
+def softmax(a, axis=-1):
+    """Stable softmax (max-subtracted)."""
+    s = ad._softmax_val(value_of(a), axis)
+
+    def vjp(g):
+        dot = np.sum(g * s, axis=axis, keepdims=True)
+        return (s * (g - dot),)
+
+    return fused(s, "softmax", (a,), vjp)

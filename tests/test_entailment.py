@@ -11,6 +11,7 @@ from hypalign.losses import entail_hinge
 from hypalign.manifold import LorentzPoint, Manifold, lift, log_origin
 
 import _oracles as orc
+import _reference_ops as ref
 
 
 def lift_points(rng, count, dim, m, radii=(0.1, 5.0)):
@@ -127,7 +128,7 @@ class TestExteriorAngle:
         assert phi[0] == 0.0
         assert phi[1] == float(ad.value_of(exterior_angle(
             lift(np.array([0.3, 0.4, 0.1]), m), lift(np.array([-0.6, 0.2, 0.3]), m), m)))
-        g = ad.gradients(ad.reduce_sum(exterior_angle(apex, member, m)), {"v": v})["v"]
+        g = ad.gradients(ref.reduce_sum(exterior_angle(apex, member, m)), {"v": v})["v"]
         assert np.all(g[0] == 0.0) and np.any(g[1] != 0.0)
 
 

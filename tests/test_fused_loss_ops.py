@@ -41,6 +41,7 @@ from hypalign.losses import (
 from hypalign.manifold import Manifold, lift, pairwise_distance
 from hypalign.trainer import _gather_scaled, loss_config_with_vars, materialize_batch
 
+import _reference_ops as ref
 from test_fused_ops import _transpose
 
 ETA, ALPHA = 1.2, 0.1
@@ -57,7 +58,7 @@ WEIGHTS = ("lambda_intra", "lambda_cal", "lambda_ent")
 # ---------------------------------------------------------------------------
 
 def _relu(a):
-    return ad._unary(a, "relu", lambda x: np.maximum(x, 0.0),
+    return ref.unary(a, "relu", lambda x: np.maximum(x, 0.0),
                      lambda x, out: (x > 0.0).astype(float))
 
 
@@ -98,8 +99,8 @@ def unfused_info_nce(dists, tau, include_positive, transposed):
         dists = _transpose(dists)
     b = value_of(dists).shape[0]
     if value_of(tau).ndim == 1:
-        tau = ad.reshape(tau, (b, 1))
-    logits = ad.div(ad.neg(dists), tau)
+        tau = ref.reshape(tau, (b, 1))
+    logits = ref.div(ref.neg(dists), tau)
     positives = _diag_part(logits)
     if include_positive:
         denom = _logsumexp(logits, axis=1)
@@ -107,26 +108,26 @@ def unfused_info_nce(dists, tau, include_positive, transposed):
         mask = np.zeros((b, b))
         np.fill_diagonal(mask, -np.inf)
         denom = _logsumexp(ad.add(logits, mask), axis=1)
-    return ad.reduce_sum(ad.sub(denom, positives))
+    return ref.reduce_sum(ref.sub(denom, positives))
 
 
 def unfused_tempered(u, tau):
-    return ad.mul(ad.exp(ad.div(u, 2.0)), tau)
+    return ad.mul(ref.exp(ref.div(u, 2.0)), tau)
 
 
 def unfused_leaky(phi, omega, eta, alpha):
-    hinge = _relu(ad.sub(phi, ad.mul(np.asarray(eta, dtype=float), omega)))
+    hinge = _relu(ref.sub(phi, ad.mul(np.asarray(eta, dtype=float), omega)))
     return ad.add(hinge, ad.mul(float(alpha), phi))
 
 
 def unfused_sum_pair(a, b):
-    return ad.add(ad.reduce_sum(a), ad.reduce_sum(b))
+    return ad.add(ref.reduce_sum(a), ref.reduce_sum(b))
 
 
 def unfused_calibrate(u, leak, sign):
-    core = ad.reduce_sum(ad.add(ad.mul(ad.stop_gradient(leak), ad.exp(ad.neg(u))), u))
-    w = ad.softmax(u, axis=-1)
-    ent = ad.neg(ad.reduce_sum(ad.mul(w, ad.log(w))))
+    core = ref.reduce_sum(ad.add(ad.mul(ad.stop_gradient(leak), ref.exp(ref.neg(u))), u))
+    w = ref.softmax(u, axis=-1)
+    ent = ref.neg(ref.reduce_sum(ad.mul(w, ref.log(w))))
     return ad.add(core, ad.mul(float(sign), ent))
 
 
@@ -281,7 +282,7 @@ def tape_adjoints(op, variant, impl, arrays, live, weights):
     """Adjoints of ``<w, out>`` for the ``live`` inputs."""
     inputs = {k: Var(np.array(v, dtype=float), name=k) if k in live else v
               for k, v in arrays.items()}
-    root = ad.reduce_sum(ad.mul(impl(inputs, variant), weights))
+    root = ref.reduce_sum(ad.mul(impl(inputs, variant), weights))
     return ad.gradients(root, {k: inputs[k] for k in live})
 
 
@@ -419,7 +420,7 @@ class TestFusedLossAdjoints:
         for tempered, calibrate in ((_tempered, _calibrate),
                                     (unfused_tempered, unfused_calibrate)):
             u = Var(u0.copy(), name="u")
-            root = ad.add(ad.reduce_sum(ad.mul(tempered(u, 0.06), weights)),
+            root = ad.add(ref.reduce_sum(ad.mul(tempered(u, 0.06), weights)),
                           calibrate(u, leak, 1.0))
             grads.append(ad.gradients(root, {"u": u})["u"])
         np.testing.assert_array_equal(*grads)
@@ -438,7 +439,7 @@ class TestFusedLossAdjoints:
     def test_gather_accumulates_duplicates(self):
         t = Var(np.arange(12, dtype=float).reshape(4, 3))
         scale = Var(np.array(2.0))
-        out = ad.reduce_sum(_gather_scaled(t, np.array([0, 2, 2, 2]), scale))
+        out = ref.reduce_sum(_gather_scaled(t, np.array([0, 2, 2, 2]), scale))
         g = ad.gradients(out, {"t": t, "scale": scale})
         np.testing.assert_array_equal(g["t"][:, 0], [2.0, 0.0, 6.0, 0.0])
         assert g["scale"] == np.sum(t.value[[0, 2, 2, 2]])
@@ -449,7 +450,7 @@ class TestFusedLossAdjoints:
         phi = Var(ETA * omega.value, name="phi")     # excess exactly 0
         leak = _leaky(phi, omega, ETA, alpha)
         np.testing.assert_array_equal(value_of(leak), alpha * phi.value)
-        g = ad.gradients(ad.reduce_sum(leak), {"phi": phi, "omega": omega})
+        g = ad.gradients(ref.reduce_sum(leak), {"phi": phi, "omega": omega})
         np.testing.assert_array_equal(g["phi"], np.full(3, alpha))
         np.testing.assert_array_equal(g["omega"], np.zeros(3))
 
@@ -473,7 +474,7 @@ def test_leaky_within_1e6_of_the_hinge(seed, rows, eta, alpha, delta):
     leak = _leaky(pv, ov, eta, alpha)
     assert np.array_equal(value_of(leak), value_of(unfused_leaky(phi, omega, eta, alpha)))
     assert np.array_equal(value_of(leak), np.maximum(excess, 0.0) + alpha * phi)
-    g = ad.gradients(ad.reduce_sum(leak), {"phi": pv, "omega": ov})
+    g = ad.gradients(ref.reduce_sum(leak), {"phi": pv, "omega": ov})
     active = (excess > 0.0).astype(float)
     np.testing.assert_array_equal(g["phi"], active + alpha)
     np.testing.assert_array_equal(g["omega"], -eta * active)

@@ -1,15 +1,17 @@
 """The fused geometry tape ops -- ``lift``, ``pairwise_distance``,
-``exterior_angle``, ``aperture`` and ``uncertainty`` -- each one tape node
-(two for ``lift``) with a hand-derived vector-Jacobian product.
+``exterior_angle``, ``aperture``, ``uncertainty`` and the radius ablation's
+``uncertainty_from_radius`` -- each one tape node (two for ``lift``) with a
+hand-derived vector-Jacobian product.
 
 Three references: the straight-line oracles in ``_oracles.py``, central
 finite differences for every input (``kappa`` both live and constant;
 batched and single points, and stacks of groups read through
 ``LorentzPoint.groups`` as the training objective reads them), and the
-op-by-op composition the fused nodes replaced, rebuilt below from
-single-purpose tape nodes.  The fused forward keeps the composition's
-arithmetic, so values must agree bit for bit, and each group of a stacked
-call must equal the call on that group alone.
+op-by-op composition the fused nodes replaced, rebuilt below from the
+single-purpose tape nodes of ``_reference_ops.py`` and a few local ones.
+The fused forward keeps the composition's arithmetic, so values must agree
+bit for bit, and each group of a stacked call must equal the call on that
+group alone.
 """
 
 import numpy as np
@@ -24,12 +26,12 @@ from hypalign.manifold import (
     LorentzPoint,
     Manifold,
     lift,
-    lorentz_inner,
     pairwise_distance,
 )
-from hypalign.uncertainty import uncertainty
+from hypalign.uncertainty import uncertainty, uncertainty_from_radius
 
 import _oracles as orc
+import _reference_ops as ref
 
 K_CONST = 0.1
 
@@ -39,12 +41,12 @@ K_CONST = 0.1
 # ---------------------------------------------------------------------------
 
 def _cosh_sqrt(a):
-    return ad._unary(a, "cosh_sqrt", ad._cosh_sqrt_val,
+    return ref.unary(a, "cosh_sqrt", ad._cosh_sqrt_val,
                      lambda y, out: 0.5 * ad._sinhc_sqrt_val(y))
 
 
 def _sinhc_sqrt(a):
-    return ad._unary(a, "sinhc_sqrt", ad._sinhc_sqrt_val, ad._sinhc_sqrt_deriv)
+    return ref.unary(a, "sinhc_sqrt", ad._sinhc_sqrt_val, ad._sinhc_sqrt_deriv)
 
 
 def _l2norm(a):
@@ -71,7 +73,7 @@ def _transpose(a):
 
 
 def _outer(a, b):
-    return _matmul(ad.reshape(a, (-1, 1)), ad.reshape(b, (1, -1)))
+    return _matmul(ref.reshape(a, (-1, 1)), ref.reshape(b, (1, -1)))
 
 
 def _asin_saturating(a):
@@ -82,7 +84,7 @@ def _asin_saturating(a):
         interior = (x > 0.0) & (x < 1.0)
         return np.where(interior, 1.0 / np.sqrt(np.where(interior, 1.0 - xc * xc, 1.0)), 0.0)
 
-    return ad._unary(a, "asin", lambda x: np.arcsin(np.clip(x, 0.0, 1.0)), dfd)
+    return ref.unary(a, "asin", lambda x: np.arcsin(np.clip(x, 0.0, 1.0)), dfd)
 
 
 def _acos_clamped(a):
@@ -92,37 +94,48 @@ def _acos_clamped(a):
         interior = np.abs(x) < 1.0
         return np.where(interior, -1.0 / np.sqrt(np.where(interior, 1.0 - xc * xc, 1.0)), 0.0)
 
-    return ad._unary(a, "acos", lambda x: np.arccos(np.clip(x, -1.0, 1.0)), dfd)
+    return ref.unary(a, "acos", lambda x: np.arccos(np.clip(x, -1.0, 1.0)), dfd)
+
+
+def _lorentz_inner(p, q):
+    return ref.sub(ref.reduce_sum(ad.mul(p.space, q.space), axis=-1), ad.mul(p.time, q.time))
 
 
 def unfused_lift(v, m):
-    y = ad.mul(m.kappa, ad.reduce_sum(ad.square(v), axis=-1))
+    y = ad.mul(m.kappa, ref.reduce_sum(ref.square(v), axis=-1))
     scale = _sinhc_sqrt(y)
     if value_of(v).ndim >= 2:
-        scale = ad.reshape(scale, value_of(y).shape + (1,))
-    return LorentzPoint(time=ad.div(_cosh_sqrt(y), ad.sqrt(m.kappa)),
+        scale = ref.reshape(scale, value_of(y).shape + (1,))
+    return LorentzPoint(time=ref.div(_cosh_sqrt(y), ref.sqrt(m.kappa)),
                         space=ad.mul(scale, v))
 
 
 def unfused_pairwise_distance(p, q, m):
-    inner = ad.sub(_matmul(p.space, _transpose(q.space)), _outer(p.time, q.time))
-    z = ad.neg(ad.mul(m.kappa, inner))
-    return ad.div(ad.acosh_clamped(z), ad.sqrt(m.kappa))
+    inner = ref.sub(_matmul(p.space, _transpose(q.space)), _outer(p.time, q.time))
+    z = ref.neg(ad.mul(m.kappa, inner))
+    return ref.div(ref.acosh_clamped(z), ref.sqrt(m.kappa))
 
 
 def unfused_exterior_angle(p, q, m):
-    beta = ad.mul(m.kappa, lorentz_inner(p, q))
+    beta = ad.mul(m.kappa, _lorentz_inner(p, q))
     num = ad.add(q.time, ad.mul(p.time, beta))
-    den = ad.mul(_l2norm(p.space), ad.sqrt(ad.sub(ad.square(beta), 1.0)))
-    return _acos_clamped(ad.div(num, den))
+    den = ad.mul(_l2norm(p.space), ref.sqrt(ref.sub(ref.square(beta), 1.0)))
+    return _acos_clamped(ref.div(num, den))
 
 
 def unfused_aperture(p, k, m):
-    return _asin_saturating(ad.div(2.0 * k, ad.mul(ad.sqrt(m.kappa), _l2norm(p.space))))
+    return _asin_saturating(ref.div(2.0 * k, ad.mul(ref.sqrt(m.kappa), _l2norm(p.space))))
 
 
 def unfused_uncertainty(x):
-    return ad.log1p(ad.exp(ad.neg(_l2norm(x))))
+    return ref.log1p(ref.exp(ref.neg(_l2norm(x))))
+
+
+def unfused_uncertainty_from_radius(x, m):
+    # the radius asinhc(kappa |x|^2) |x| and its softplus: nine nodes
+    s = ref.reduce_sum(ref.square(x), axis=-1)
+    radius = ad.mul(ref.asinhc_sqrt(ad.mul(m.kappa, s)), ref.sqrt(s))
+    return ref.log1p(ref.exp(ref.neg(radius)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +164,8 @@ def _outputs(op, impl, a):
     if op == "uncertainty":
         return (impl(a["x"]),)
     m = Manifold(a["kappa"])
+    if op == "uncertainty_from_radius":
+        return (impl(a["x"], m),)
     if "s" in a:
         stack = _point(a["t"], a["s"])
         if op == "pairwise_distance":
@@ -166,10 +181,11 @@ def _outputs(op, impl, a):
 
 FUSED = {"lift": lift, "pairwise_distance": pairwise_distance,
          "exterior_angle": exterior_angle, "aperture": aperture,
-         "uncertainty": uncertainty}
+         "uncertainty": uncertainty, "uncertainty_from_radius": uncertainty_from_radius}
 UNFUSED = {"lift": unfused_lift, "pairwise_distance": unfused_pairwise_distance,
            "exterior_angle": unfused_exterior_angle, "aperture": unfused_aperture,
-           "uncertainty": unfused_uncertainty}
+           "uncertainty": unfused_uncertainty,
+           "uncertainty_from_radius": unfused_uncertainty_from_radius}
 
 
 def _lifted(rng, shape, kappa, radii=(0.4, 2.0)):
@@ -193,6 +209,8 @@ def make_inputs(op, layout, kappa, seed=0):
             return {"v": rng.normal(size=shape), "kappa": kappa}
         if op == "uncertainty":
             return {"x": rng.normal(size=shape)}
+        if op == "uncertainty_from_radius":
+            return {"x": rng.normal(size=shape), "kappa": kappa}
         t, s = _lifted(rng, shape, kappa, radii=(0.5, 3.0) if op == "aperture" else (0.4, 2.0))
         return {"t": t, "s": s, "kappa": kappa}
     lead = (b,) if layout == "batched" else ()
@@ -200,6 +218,8 @@ def make_inputs(op, layout, kappa, seed=0):
         return {"v": rng.normal(size=lead + (n,)), "kappa": kappa}
     if op == "uncertainty":
         return {"x": rng.normal(size=lead + (n,))}
+    if op == "uncertainty_from_radius":
+        return {"x": rng.normal(size=lead + (n,)), "kappa": kappa}
     if op == "aperture":
         pt, ps = _lifted(rng, lead + (n,), kappa, radii=(0.5, 3.0))
         return {"pt": pt, "ps": ps, "kappa": kappa}
@@ -217,9 +237,9 @@ def tape_adjoints(op, impl, arrays, live, weights):
     inputs = {k: Var(np.array(v, dtype=float), name=k) if k in live else v
               for k, v in arrays.items()}
     outs = _outputs(op, impl, inputs)
-    root = ad.reduce_sum(ad.mul(outs[0], weights[0]))
+    root = ref.reduce_sum(ad.mul(outs[0], weights[0]))
     for o, w in zip(outs[1:], weights[1:]):
-        root = ad.add(root, ad.reduce_sum(ad.mul(o, w)))
+        root = ad.add(root, ref.reduce_sum(ad.mul(o, w)))
     return ad.gradients(root, {k: inputs[k] for k in live})
 
 
@@ -295,7 +315,8 @@ class TestFusedValues:
         for node, name in ((pairwise_distance(p, q, m), "pairwise_distance"),
                            (exterior_angle(p, q, m), "exterior_angle"),
                            (aperture(p, K_CONST, m), "aperture"),
-                           (uncertainty(p.space), "uncertainty")):
+                           (uncertainty(p.space), "uncertainty"),
+                           (uncertainty_from_radius(p.space, m), "uncertainty_from_radius")):
             assert node.name == name
             assert all(parent.name in ("lift_time", "lift_space", "leaf")
                        for parent in node._parents)
@@ -367,20 +388,58 @@ class TestFusedAdjoints:
             np.testing.assert_allclose(fused[k], unfused[k], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(fused[k], fd[k], rtol=1e-6, atol=1e-7)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 0.3, 1.0, 3.0])
+    def test_radius_within_rounding_of_composition(self, scale):
+        # forward bits equal the nine-node composition's; each adjoint
+        # agrees to 1e-12 of its largest entry
+        rng = np.random.default_rng(10)
+        arrays = {"x": rng.normal(size=(6, 5)) * scale, "kappa": 0.9}
+        m = Manifold(arrays["kappa"])
+        assert np.array_equal(uncertainty_from_radius(arrays["x"], m),
+                              value_of(unfused_uncertainty_from_radius(arrays["x"], m)))
+        live = ["x", "kappa"]
+        weights = _weights("uncertainty_from_radius", arrays, seed=11)
+        fused = tape_adjoints("uncertainty_from_radius", uncertainty_from_radius,
+                              arrays, live, weights)
+        unfused = tape_adjoints("uncertainty_from_radius", unfused_uncertainty_from_radius,
+                                arrays, live, weights)
+        for k in live:
+            assert np.max(np.abs(fused[k] - unfused[k])) <= 1e-12 * np.max(np.abs(unfused[k]))
+
+    @pytest.mark.parametrize("y", [0.0, 1e-9, 1e-4 * (1 - 1e-3), 1e-4 * (1 + 1e-3), 0.5])
+    def test_radius_both_sides_of_series_cutoff(self, y):
+        # kappa |x|^2 = y on every row; asinhc's series form serves below
+        # the cutoff
+        kappa = 1.3
+        direction = np.array([[0.6, -0.8, 0.0], [0.0, 0.28, 0.96]])
+        arrays = {"x": direction * np.sqrt(y / kappa), "kappa": kappa}
+        live = ["x", "kappa"]
+        weights = _weights("uncertainty_from_radius", arrays, seed=12)
+        fused = tape_adjoints("uncertainty_from_radius", uncertainty_from_radius,
+                              arrays, live, weights)
+        unfused = tape_adjoints("uncertainty_from_radius", unfused_uncertainty_from_radius,
+                                arrays, live, weights)
+        # |x| curves like 1/|x|, so the difference step shrinks with it
+        fd = fd_adjoints("uncertainty_from_radius", arrays, live, weights,
+                         h=1e-7 if y > 1e-6 else 1e-9)
+        for k in live:
+            np.testing.assert_allclose(fused[k], unfused[k], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(fused[k], fd[k], rtol=1e-6, atol=1e-7)
+
     def test_kinks_take_subgradient_zero(self):
         m = Manifold(Var(1.0))
         # the zero vector: uncertainty's norm kink
         x = Var(np.zeros((2, 2)))
-        assert np.all(ad.gradients(ad.reduce_sum(uncertainty(x)), {"x": x})["x"] == 0.0)
+        assert np.all(ad.gradients(ref.reduce_sum(uncertainty(x)), {"x": x})["x"] == 0.0)
         # the aperture plateau: a saturated apex gets no gradient
         s = Var(np.array([[0.01, 0.0]]))
-        g = ad.gradients(ad.reduce_sum(aperture(_point(1.0, s), K_CONST, m)), {"s": s})
+        g = ad.gradients(ref.reduce_sum(aperture(_point(1.0, s), K_CONST, m)), {"s": s})
         assert np.all(g["s"] == 0.0)
         # a coincident pair in the distance matrix: acosh at exactly 1
         v = Var(np.zeros((2, 2)))
         p = lift(v, m)
         d = pairwise_distance(p, p, m)
-        g = ad.gradients(ad.reduce_sum(ad.mul(d, np.eye(2))), {"v": v})
+        g = ad.gradients(ref.reduce_sum(ad.mul(d, np.eye(2))), {"v": v})
         assert np.all(g["v"] == 0.0)
         # a coincident pair in the exterior angle: phi = 0, no adjoint for
         # either point or kappa
@@ -389,7 +448,7 @@ class TestFusedAdjoints:
         p = lift(w, Manifold(kappa))
         phi = exterior_angle(p, p, Manifold(kappa))
         assert np.all(value_of(phi) == 0.0)
-        g = ad.gradients(ad.reduce_sum(phi), {"w": w, "kappa": kappa})
+        g = ad.gradients(ref.reduce_sum(phi), {"w": w, "kappa": kappa})
         assert np.all(g["w"] == 0.0) and g["kappa"] == 0.0
 
 
@@ -455,7 +514,7 @@ class TestFusedGuards:
         kappa = Var(np.array(1.0))
         d = pairwise_distance(p, q, Manifold(kappa))
         assert value_of(d).shape == (1, 1)
-        grad = ad.gradients(ad.reduce_sum(d), {"k": kappa})["k"]
+        grad = ad.gradients(ref.reduce_sum(d), {"k": kappa})["k"]
         h = 1e-6
         fd = (value_of(pairwise_distance(p, q, Manifold(1.0 + h)))
               - value_of(pairwise_distance(p, q, Manifold(1.0 - h)))) / (2 * h)
@@ -464,10 +523,10 @@ class TestFusedGuards:
 
 def _checked_unfused_exterior_angle(p, q, m):
     # the guards the unfused composition ran, in its order
-    beta = value_of(m.kappa) * value_of(lorentz_inner(p, q))
+    beta = value_of(m.kappa) * value_of(_lorentz_inner(p, q))
     if np.min(np.linalg.norm(value_of(p.space), axis=-1)) <= 0.0:
         raise ContractViolationError("exterior angle undefined at the origin")
-    cos_phi = value_of(ad.div(ad.add(q.time, ad.mul(p.time, beta)),
+    cos_phi = value_of(ref.div(ad.add(q.time, ad.mul(p.time, beta)),
                               ad.mul(_l2norm(p.space), np.sqrt(beta * beta - 1.0))))
     worst = np.max(np.abs(cos_phi))
     if worst > 1.0 + 1e-6:
@@ -492,6 +551,8 @@ def _group_inputs(op, a, k):
         return {"v": a["v"][k], "kappa": a["kappa"]}
     if op == "uncertainty":
         return {"x": a["x"][k]}
+    if op == "uncertainty_from_radius":
+        return {"x": a["x"][k], "kappa": a["kappa"]}
     apex, member = (PAIR if op == "pairwise_distance" else (APEXES[k], MEMBERS[k]))
     return {"pt": a["t"][apex], "ps": a["s"][apex],
             "qt": a["t"][member], "qs": a["s"][member], "kappa": a["kappa"]}
@@ -514,9 +575,9 @@ class TestStackedGroups:
         assert all(ad.is_var(o) == taped for o in stacked)
         for k in range(_slices(op)):
             alone = _outputs(op, FUSED[op], _group_inputs(op, arrays, k))
-            for out, ref in zip(stacked, alone):
+            for out, single in zip(stacked, alone):
                 got = value_of(out) if op == "pairwise_distance" else value_of(out)[k]
-                assert np.array_equal(got, ref), (op, k)
+                assert np.array_equal(got, single), (op, k)
 
     @pytest.mark.parametrize("which", ("exterior_angle", "aperture"))
     @pytest.mark.parametrize("taped", (False, True), ids=("plain", "tape"))

@@ -4,7 +4,7 @@ Each op is driven to within 1e-6 of a kink: near-coincident pairs for the
 distance and the exterior angle (``|beta^2 - 1| <= 1e-6`` with
 ``beta = kappa <p,q>_L``), an aperture whose asin argument sits within 1e-6
 of 1, and tangent vectors within 1e-6 of the zero vector for the lift and
-the uncertainty.  Values and every adjoint, ``kappa``'s included, must be
+both uncertainties.  Values and every adjoint, ``kappa``'s included, must be
 finite, and values must match the straight-line transcriptions in
 ``_oracles.py`` up to the rounding those transcriptions themselves incur at
 the kink.
@@ -19,9 +19,10 @@ import hypalign.autodiff as ad
 from hypalign.autodiff import Var, value_of
 from hypalign.entailment import aperture, exterior_angle
 from hypalign.manifold import LorentzPoint, Manifold, lift, pairwise_distance
-from hypalign.uncertainty import uncertainty
+from hypalign.uncertainty import uncertainty, uncertainty_from_radius
 
 import _oracles as orc
+import _reference_ops as ref
 
 EPS = np.finfo(float).eps
 KAPPAS = st.floats(0.1, 10.0)
@@ -67,7 +68,7 @@ def _adjoints(op, points, kappa):
     leaves = {"kappa": k}
     for i, p in enumerate(live):
         leaves[f"t{i}"], leaves[f"s{i}"] = p.time, p.space
-    return value_of(out), ad.gradients(ad.reduce_sum(out), leaves)
+    return value_of(out), ad.gradients(ref.reduce_sum(out), leaves)
 
 
 def _all_finite(value, grads):
@@ -151,7 +152,7 @@ def test_lift_near_zero(kappa, case):
     v = _near_zero_rows(case)
     live, k = Var(v), Var(kappa)
     p = lift(live, Manifold(k))
-    root = ad.add(ad.reduce_sum(p.time), ad.reduce_sum(p.space))
+    root = ad.add(ref.reduce_sum(p.time), ref.reduce_sum(p.space))
     grads = ad.gradients(root, {"v": live, "kappa": k})
     _all_finite(np.concatenate([value_of(p.time), value_of(p.space).ravel()]), grads)
     for i in range(v.shape[0]):
@@ -167,8 +168,39 @@ def test_uncertainty_near_zero(case):
     x = _near_zero_rows(case)
     live = Var(x)
     u = uncertainty(live)
-    grads = ad.gradients(ad.reduce_sum(u), {"x": live})
+    grads = ad.gradients(ref.reduce_sum(u), {"x": live})
     _all_finite(value_of(u), grads)
     for i in range(x.shape[0]):
         expected = orc.uncertainty_scalar(list(x[i]))
         assert abs(value_of(u)[i] - expected) <= 4 * EPS * expected
+
+
+@given(KAPPAS, near_zero)
+def test_uncertainty_from_radius_near_zero(kappa, case):
+    x = _near_zero_rows(case)
+    live, k = Var(x), Var(kappa)
+    u = uncertainty_from_radius(live, Manifold(k))
+    grads = ad.gradients(ref.reduce_sum(u), {"x": live, "kappa": k})
+    _all_finite(value_of(u), grads)
+    for i in range(x.shape[0]):
+        # here the radius asinhc(kappa |x|^2) |x| is |x| to within
+        # kappa |x|^3 / 6 < 2e-18, far below the rounding of the value
+        expected = orc.uncertainty_scalar(list(x[i]))
+        assert abs(value_of(u)[i] - expected) <= 4 * EPS * expected
+    if not x.any():
+        assert np.all(grads["x"] == 0.0) and grads["kappa"] == 0.0
+
+
+def test_uncertainty_from_radius_zero_row_takes_subgradient_zero():
+    # the norm kink of the radius at a zero row: that row's adjoint is
+    # exactly 0, and kappa's adjoint is the other rows' alone
+    x = np.array([[0.3, -0.4], [0.0, 0.0], [1.2, 0.5]])
+    live, k = Var(x), Var(0.7)
+    grads = ad.gradients(ref.reduce_sum(uncertainty_from_radius(live, Manifold(k))),
+                         {"x": live, "kappa": k})
+    assert np.all(grads["x"][1] == 0.0)
+    assert np.all(grads["x"][[0, 2]] != 0.0)
+    rest, k_rest = Var(x[[0, 2]]), Var(0.7)
+    alone = ad.gradients(ref.reduce_sum(uncertainty_from_radius(rest, Manifold(k_rest))),
+                         {"kappa": k_rest})["kappa"]
+    assert grads["kappa"] == alone

@@ -31,6 +31,7 @@ from hypalign.synthdata import generate, sample_batch
 from hypalign.trainer import (TrainConfig, init_parameters, loss_config_with_vars,
                               materialize_batch)
 import _oracles as orc
+import _reference_ops as ref
 
 
 def random_batch(rng, b, n, scale=1.2):
@@ -338,9 +339,9 @@ class TestEntailmentTotal:
         cfg = LossConfig(lambda_intra=0.0, lambda_cal=0.0)
         total = float(value_of(entailment_total(batch, cfg, m)))
         cone = cfg.cone
-        inter = float(value_of(ad.reduce_sum(entail_leaky(
+        inter = float(value_of(ref.reduce_sum(entail_leaky(
             lift(batch.part_text, m), lift(batch.part_image, m),
-            cone.eta_inter, cone, cfg.alpha, m)))) + float(value_of(ad.reduce_sum(
+            cone.eta_inter, cone, cfg.alpha, m)))) + float(value_of(ref.reduce_sum(
                 entail_leaky(lift(batch.whole_text, m), lift(batch.whole_image, m),
                              cone.eta_inter, cone, cfg.alpha, m))))
         assert total == pytest.approx(inter, rel=1e-12)
@@ -381,9 +382,9 @@ class TestEntailmentTotal:
             w = [math.exp(u) / z for u in us]
             return sum(us) + -sum(x * math.log(x) for x in w)
 
-        inter = float(value_of(ad.reduce_sum(entail_leaky(
+        inter = float(value_of(ref.reduce_sum(entail_leaky(
             lift(pt, m), lift(pi, m), cfg.cone.eta_inter, cfg.cone, cfg.alpha, m)
-        ))) + float(value_of(ad.reduce_sum(entail_leaky(
+        ))) + float(value_of(ref.reduce_sum(entail_leaky(
             lift(2.0 * pt, m), lift(2.0 * pi, m), cfg.cone.eta_inter, cfg.cone,
             cfg.alpha, m))))
         expected = inter + cfg.lambda_cal * (floor(u_txt) + floor(u_img))
@@ -410,7 +411,7 @@ class TestEntailmentTotal:
                              cfg.cone.eta_inter, cfg.cone, cfg.alpha, m)
         assert value_of(inter)[1] == 0.0
         assert np.all(value_of(inter)[[0, 2, 3]] > 0.0)
-        g = ad.gradients(ad.reduce_sum(inter), store.as_dict())
+        g = ad.gradients(ref.reduce_sum(inter), store.as_dict())
         assert np.all(g["whole_text"][1] == 0.0) and np.all(g["whole_image"][1] == 0.0)
 
 
@@ -509,6 +510,22 @@ def tape_census(root):
     return counts
 
 
+# The node names the graphs below build: with the fused-op tests'
+# registries, every name a tape of the package can build
+# (``test_tape_vocabulary.py``)
+GRAPH_NODE_NAMES = {
+    "stack", "lift_time", "lift_space", "uncertainty", "uncertainty_from_radius",
+    "pairwise_distance", "exterior_angle", "aperture", "leaky", "stop_gradient",
+    "info_nce", "tempered", "sum_pair", "calibration", "weighted_total", "add", "mul",
+}
+# the elementary ops of the tests' reference compositions and the other
+# single-purpose reference nodes: the objective runs them inside fused nodes
+REFERENCE_NODE_NAMES = {
+    "neg", "sub", "div", "square", "exp", "log", "log1p", "sqrt", "acosh", "asinhc_sqrt",
+    "sum", "reshape", "softmax", "acos", "asin", "cosh_sqrt", "sinhc_sqrt", "relu",
+}
+
+
 class TestGraphBudget:
     def setup_method(self):
         rng = np.random.default_rng(31)
@@ -545,10 +562,26 @@ class TestGraphBudget:
         # the rows are aligned, so no gather
         assert "gather_scale" not in counts
         # the geometry and the loss arithmetic run inside the fused nodes
-        assert not {"sqrt", "acosh", "acos", "asin", "cosh_sqrt", "sub", "neg",
-                    "exp", "softmax", "relu", "sum"} & set(counts)
+        assert not REFERENCE_NODE_NAMES & set(counts)
         # 30 built nodes and the 8 leaves (the four groups, kappa, three taus)
         assert sum(counts.values()) <= 38
+
+    def test_radius_ablation_is_one_node(self):
+        counts = tape_census(total_loss(self.batch, LossConfig(uncertainty_from_radius=True),
+                                        self.m).total)
+        assert counts["uncertainty_from_radius"] == 1 and "uncertainty" not in counts
+        assert not REFERENCE_NODE_NAMES & set(counts)
+        # 30 built nodes and the 5 leaves (the four groups, kappa)
+        assert sum(counts.values()) <= 38
+
+    def test_graphs_build_the_listed_names(self):
+        # the objective in both uncertainty forms, and the entailment block
+        # alone, which weighs its terms with two products
+        roots = [total_loss(self.batch, self.cfg, self.m).total,
+                 total_loss(self.batch, LossConfig(uncertainty_from_radius=True), self.m).total,
+                 entailment_total(self.batch, self.cfg, self.m)]
+        names = set().union(*(tape_census(root) for root in roots)) - {"leaf"}
+        assert names == GRAPH_NODE_NAMES
 
     def test_geometry_called_once_per_step(self, monkeypatch):
         # counted through the names the benchmark tracer patches in losses

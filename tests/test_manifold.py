@@ -126,6 +126,16 @@ class TestLogOrigin:
         err = np.abs(back - v) / np.maximum(1.0, np.linalg.norm(v, axis=1))[:, None]
         assert np.max(err) < 1e-9
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)], ids=("point", "stack"))
+    def test_round_trip_point_and_stack(self, shape):
+        # lift takes one point and a stack of groups (G, B, n); log_origin
+        # inverts both, row by row
+        m = Manifold(1.7)
+        v = np.random.default_rng(22).normal(size=shape)
+        back = log_origin(lift(v, m), m)
+        assert back.shape == shape
+        np.testing.assert_allclose(back, v, rtol=1e-12, atol=1e-14)
+
     def test_round_trip_other_direction(self):
         rng = np.random.default_rng(21)
         m = Manifold(0.5)
@@ -244,19 +254,21 @@ class TestManifoldType:
             Manifold(11.0)
 
     def test_gradients_flow_through_curvature(self):
+        # the tape's distance is the matrix op; one-row batches hold the one
+        # pair, and the plain geodesic distance gives the differences
         kappa = ad.Var(1.5, name="kappa")
         m = Manifold(kappa)
-        v = ad.Var(np.array([0.4, -0.2, 0.9]))
-        w = np.array([0.1, 0.5, -0.3])
-        d = geodesic_distance(lift(v, m), lift(w, m), m)
+        v = ad.Var(np.array([[0.4, -0.2, 0.9]]))
+        w = np.array([[0.1, 0.5, -0.3]])
+        d = pairwise_distance(lift(v, m), lift(w, m), m)
         grads = ad.gradients(d, {"kappa": kappa, "v": v})
         assert abs(grads["kappa"]) > 0
         h = 1e-6
-        d_plus = float(ad.value_of(geodesic_distance(
+        d_plus = float(geodesic_distance(
             lift(v.value, Manifold(1.5 + h)), lift(w, Manifold(1.5 + h)),
-            Manifold(1.5 + h))))
-        d_minus = float(ad.value_of(geodesic_distance(
+            Manifold(1.5 + h))[0])
+        d_minus = float(geodesic_distance(
             lift(v.value, Manifold(1.5 - h)), lift(w, Manifold(1.5 - h)),
-            Manifold(1.5 - h))))
+            Manifold(1.5 - h))[0])
         fd = (d_plus - d_minus) / (2 * h)
         assert grads["kappa"] == pytest.approx(fd, rel=1e-5)
