@@ -196,12 +196,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    _log_config("eval", {"checkpoint": args.checkpoint, "corpus": args.corpus,
-                         "taxonomy": args.taxonomy, "out": args.out})
+def _load_run(args) -> tuple:
+    """The checkpoint payload, its parameter store and the corpus of an
+    eval or export; each table must have one row per corpus concept of its
+    level."""
     payload = load_checkpoint(args.checkpoint)
     store = store_from_payload(payload, args.checkpoint)
     corpus = load_corpus(args.corpus)
+    for src in LAYOUT.values():
+        rows, concepts = len(value_of(store[src.table])), len(corpus.concepts(src.level))
+        if rows != concepts:
+            raise ContractViolationError(
+                f"{args.checkpoint}: parameter {src.table!r} has {rows} rows but "
+                f"{args.corpus} holds {concepts} {src.level} concepts")
+    return payload, store, corpus
+
+
+def _cmd_eval(args) -> int:
+    _log_config("eval", {"checkpoint": args.checkpoint, "corpus": args.corpus,
+                         "taxonomy": args.taxonomy, "out": args.out})
+    payload, store, corpus = _load_run(args)
     taxonomy = Taxonomy.from_file(args.taxonomy) if args.taxonomy else None
     m = Manifold(float(value_of(store["kappa"])))
     report = evaluate(corpus, store, m, taxonomy)
@@ -236,9 +250,7 @@ def _csv_field(text: str) -> str:
 def _cmd_export(args) -> int:
     _log_config("export", {"checkpoint": args.checkpoint, "corpus": args.corpus,
                            "out": args.out})
-    payload = load_checkpoint(args.checkpoint)
-    store = store_from_payload(payload, args.checkpoint)
-    corpus = load_corpus(args.corpus)
+    _, store, corpus = _load_run(args)
     m = Manifold(float(value_of(store["kappa"])))
     tables = scaled_tables(store)
     dim = tables[GROUPS[0]].shape[1]

@@ -15,6 +15,7 @@ checkpoint replays the uninterrupted run exactly.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -33,13 +34,14 @@ from .evalmetrics import distribution_distances, scaled_tables
 from .synthdata import BatchIndices, Corpus, sample_batch
 from .uncertainty import uncertainty
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 TAU_FLOOR = 0.01
 # learnable temperatures: TemperatureSet field -> parameter name
 TEMPERATURE_PARAMS = {"tau_global": "tau_g", "tau_local": "tau_l",
                       "tau_global_local": "tau_gl"}
 # the scalar parameters, which AdamW does not decay
 DECAY_EXCLUDE = ("kappa", *TEMPERATURE_PARAMS.values(), *SCALES)
+TABLES = tuple(src.table for src in LAYOUT.values())
 _EVAL_STREAM_TAG = 2**31 - 1   # batch-stream tag reserved for the eval batch
 ADAMW_BLOCK = 65536            # entries per AdamW block: its temporaries stay in cache
 
@@ -304,20 +306,25 @@ def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _encode(a: np.ndarray) -> str:
+    """``a``'s little-endian float64 bytes in C order, as base64 text."""
+    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
+
+
 def save_checkpoint(path, step: int, store: ParameterStore, opt: AdamW,
                     cfg: TrainConfig) -> None:
-    """Single-file JSON checkpoint (format documented in the README);
-    float round-tripping is exact, so resuming is bit-identical."""
+    """Single-file JSON checkpoint (format documented in the README); every
+    array is stored as its exact float64 bytes, so resuming is bit-identical."""
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config_hash": config_hash(cfg),
         "config": asdict(cfg),
         "step": step,
         "opt_t": opt.t,
-        "params": {n: {"shape": list(v.value.shape), "data": v.value.ravel().tolist()}
+        "params": {n: {"shape": list(v.value.shape), "data": _encode(v.value)}
                    for n, v in store.items()},
-        "opt_m": {n: opt.m[n].ravel().tolist() for n in opt.m},
-        "opt_v": {n: opt.v[n].ravel().tolist() for n in opt.v},
+        "opt_m": {n: _encode(opt.m[n]) for n in opt.m},
+        "opt_v": {n: _encode(opt.v[n]) for n in opt.v},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -351,26 +358,56 @@ def load_checkpoint(path) -> dict:
 
 
 def _as_array(data, shape):
-    """``data`` as a float64 array of ``shape``, or None if it is not one."""
-    if not (isinstance(data, list) and isinstance(shape, (list, tuple))):
+    """``data``, base64 text of float64 bytes, as a writable array of
+    ``shape``, or None if it is not one."""
+    if not isinstance(data, str):
         return None
     try:
-        return np.asarray(data, dtype=np.float64).reshape(shape)
-    except (TypeError, ValueError):
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:          # not base64, or not ASCII
         return None
+    if len(raw) != 8 * math.prod(shape):
+        return None
+    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+
+
+def _valid_shape(name: str, shape, width) -> bool:
+    """Whether ``shape`` is a list of non-negative ints fit for parameter
+    ``name``: ``[rows, width]`` for a table (any width when ``width`` is
+    None), ``[]`` for a scalar."""
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        return False
+    if name not in TABLES:
+        return shape == []
+    return len(shape) == 2 and width in (None, shape[1])
 
 
 def store_from_payload(payload: dict, path) -> ParameterStore:
     """Standalone parameter store from the checkpoint ``path`` was read from
-    (for eval/export); a malformed parameter raises naming both."""
-    store = ParameterStore()
-    for name, rec in payload["params"].items():
-        rec = rec if isinstance(rec, dict) else {}
-        value = _as_array(rec.get("data"), rec.get("shape"))
+    (for eval/export), registered in the order every store keeps; a missing,
+    unknown or malformed parameter raises naming both."""
+    params, names = payload["params"], (*TABLES, *DECAY_EXCLUDE)
+    unknown = sorted(set(params).difference(names))
+    if unknown:
+        raise ContractViolationError(f"{path}: checkpoint holds unknown parameter(s) {unknown}")
+    store, width = ParameterStore(), None
+    for name in names:
+        if name not in params:
+            raise ContractViolationError(f"{path}: checkpoint lacks parameter {name!r}")
+        rec = params[name] if isinstance(params[name], dict) else {}
+        shape = rec.get("shape")
+        if not _valid_shape(name, shape, width):
+            raise ContractViolationError(
+                f"{path}: checkpoint parameter {name!r} has 'shape' {shape!r}; tables need "
+                "[rows, width] of one common width, scalars []")
+        value = _as_array(rec.get("data"), shape)
         if value is None:
             raise ContractViolationError(
-                f"{path}: checkpoint parameter {name!r} needs 'data' numbers of its 'shape'")
+                f"{path}: checkpoint parameter {name!r} needs 'data' holding the base64 "
+                f"float64 bytes of its 'shape' {shape}")
         store.register(name, value)
+        if name in TABLES:
+            width = shape[1]
     return store
 
 
@@ -380,8 +417,7 @@ def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
     payload = load_checkpoint(path)
     if payload["config_hash"] != config_hash(cfg):
         raise ContractViolationError(
-            "checkpoint was produced with a different configuration"
-        )
+            f"{path}: checkpoint was produced with a different configuration")
     store.load(store_from_payload(payload, path).snapshot())
     for name in opt.m:
         shape = store[name].value.shape
@@ -389,7 +425,8 @@ def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
             value = _as_array(payload[field].get(name), shape)
             if value is None:
                 raise ContractViolationError(
-                    f"{path}: checkpoint {field}[{name!r}] needs numbers of shape {shape}")
+                    f"{path}: checkpoint {field}[{name!r}] needs the base64 float64 "
+                    f"bytes of shape {shape}")
             moments[name][...] = value
     opt.t = int(payload["opt_t"])
     return int(payload["step"])

@@ -18,6 +18,7 @@ from hypalign.trainer import TrainConfig, load_checkpoint, store_from_payload
 from hypalign.uncertainty import uncertainty
 
 import _oracles as orc
+from _checkpoint_data import as_format_1, decode, encode, reencode_bytes
 
 
 def _resolved_config(err: str) -> dict:
@@ -397,10 +398,27 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize("edit", [
         lambda rec: rec.pop("shape"),
         lambda rec: rec.update(shape=None),
-        lambda rec: rec.update(data=rec["data"][:-1]),
+        lambda rec: rec.update(data=encode(decode(rec["data"])[:-1])),
         lambda rec: rec.update(data="kappa"),
-        lambda rec: rec.update(data=["x"] * len(rec["data"])),
+        lambda rec: rec.update(data=["x"] * decode(rec["data"]).size),
         lambda rec: rec.clear() or rec.update(kappa=1),
+        # format 1's float list in a format 2 file
+        lambda rec: rec.update(data=decode(rec["data"]).tolist()),
+        # not base64: a character outside its alphabet, a lost padding character
+        lambda rec: rec.update(data="*" + rec["data"][1:]),
+        lambda rec: rec.update(data=rec["data"][:-1]),
+        # a byte count that is not a multiple of 8
+        lambda rec: rec.update(data=reencode_bytes(rec["data"], lambda b: b[:-3])),
+        # a value count that does not match the shape
+        lambda rec: rec.update(data=encode(np.resize(decode(rec["data"]), 8 * 16 + 1))),
+        # shapes reshape would infer or accept: -1, another rank, no ints
+        lambda rec: rec.update(shape=[-1]),
+        lambda rec: rec.update(shape=[8, -1]),
+        lambda rec: rec.update(shape=[2, 8, 16]),
+        lambda rec: rec.update(shape=[2, 4, 16]),
+        lambda rec: rec.update(shape=[128]),
+        lambda rec: rec.update(shape=[8.0, 16.0]),
+        lambda rec: rec.update(shape=[True, 128]),
     ])
     def test_malformed_parameter(self, run, capsys, edit):
         payload = json.loads(run["checkpoint"].read_text())
@@ -409,8 +427,65 @@ class TestMalformedInputFiles:
         message = self._eval(run, capsys)
         assert message.startswith(f"{run['checkpoint']}:") and "'table_scene_img'" in message
 
+    @pytest.mark.parametrize("name, edit", [
+        # a scalar is shape [], not [1]
+        ("kappa", lambda rec: rec.update(shape=[1])),
+        ("kappa", lambda rec: rec.update(data=encode([1.0, 2.0]))),
+        # the same number of values as the other tables, in another width
+        ("table_part_txt", lambda rec: rec.update(shape=[32, 8])),
+        ("kappa", None),                        # missing
+        ("extra", lambda rec: None),            # unknown
+    ])
+    def test_malformed_parameter_set(self, run, capsys, name, edit):
+        payload = json.loads(run["checkpoint"].read_text())
+        params = payload["params"]
+        if edit is None:
+            del params[name]
+        else:
+            edit(params.setdefault(name, dict(params["kappa"])))
+        run["checkpoint"].write_text(json.dumps(payload))
+        message = self._eval(run, capsys)
+        assert message.startswith(f"{run['checkpoint']}:") and f"'{name}'" in message
+
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    def test_format_1_checkpoint_refused(self, run, capsys, tmp_path, command):
+        old = tmp_path / "format1.json"
+        old.write_text(json.dumps(as_format_1(json.loads(run["checkpoint"].read_text()))))
+        if command == "train":
+            argv = ["train", "--corpus", str(run["corpus"]), "--out", str(tmp_path / "r2"),
+                    "--steps", "4", "--batch-size", "4", "--seed", "7", "--resume", str(old)]
+        else:
+            argv = [command, "--checkpoint", str(old), "--corpus", str(run["corpus"]),
+                    "--out", str(tmp_path / "out")]
+        code = main(argv)
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1 and len(errors) == 1
+        assert errors[0] == ("error kind=contract message="
+                             + json.dumps(f"{old}: unsupported checkpoint format 1"))
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("scenes, parts", [(16, 2), (4, 2), (8, 3)])
+    def test_corpus_of_another_size(self, run, capsys, tmp_path, command, scenes, parts):
+        # the checkpoint was trained on 8 scenes of 2 parts
+        other = tmp_path / "other.txt"
+        assert main(["generate", "--scenes", str(scenes), "--parts", str(parts),
+                     "--seed", "7", "--latent-dim", "16", "--out", str(other)]) == 0
+        out = tmp_path / "out"
+        code = main([command, "--checkpoint", str(run["checkpoint"]),
+                     "--corpus", str(other), "--out", str(out)])
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1 and len(errors) == 1
+        assert errors[0].startswith("error kind=contract message=")
+        message = json.loads(errors[0].partition("message=")[2])
+        assert message.startswith(f"{run['checkpoint']}:") and str(other) in message
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("opt_m", []), ("opt_v", ["x"]), ("opt_m", None),
+        # format 2 text: no bytes, not base64, two values for a scalar
+        ("opt_m", ""), ("opt_v", "not base64!"), ("opt_m", encode([0.0, 0.0])),
     ])
     def test_resume_from_malformed_moment(self, run, corpus_path, tmp_path, capsys,
                                           field, value):

@@ -3,6 +3,7 @@ clamps, determinism, and checkpoint resume."""
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypalign.autodiff import value_of
 from hypalign.errors import ContractViolationError
 from hypalign.evalmetrics import scaled_tables
-from hypalign.losses import Batch, LossConfig, TemperatureSet, total_loss
+from hypalign.losses import LAYOUT, Batch, LossConfig, TemperatureSet, total_loss
 from hypalign.manifold import Manifold
 from hypalign.synthdata import generate, sample_batch
 from hypalign.trainer import (
@@ -24,6 +25,7 @@ from hypalign.trainer import (
     learning_rate,
     load_checkpoint,
     materialize_batch,
+    parameter_store,
     restore,
     save_checkpoint,
     store_from_payload,
@@ -32,6 +34,8 @@ from hypalign.trainer import (
 )
 from hypalign.uncertainty import LN2, uncertainty
 import hypalign.autodiff as ad
+
+from _checkpoint_data import decode, encode
 
 
 @pytest.fixture(scope="module")
@@ -224,9 +228,10 @@ class TestTrainLoop:
         cfg = small_config(steps=12, checkpoint_interval=6)
         train(small_corpus, cfg, tmp_path / "base")
         other = small_config(steps=12, checkpoint_interval=6, lr=9e-4)
-        with pytest.raises(ContractViolationError):
-            train(small_corpus, other, tmp_path / "bad",
-                  resume=tmp_path / "base" / "checkpoint_000006.json")
+        ckpt = tmp_path / "base" / "checkpoint_000006.json"
+        with pytest.raises(ContractViolationError, match="different configuration") as err:
+            train(small_corpus, other, tmp_path / "bad", resume=ckpt)
+        assert str(err.value).startswith(f"{ckpt}: ")
 
     def test_metrics_contain_required_fields(self, small_corpus, tmp_path):
         cfg = small_config()
@@ -290,6 +295,53 @@ class TestTrainLoop:
             assert np.array_equal(opt.v[name], opt2.v[name])
         assert opt2.t == opt.t
 
+    def test_checkpoint_roundtrip_special_values_bitwise(self, small_corpus, tmp_path):
+        # every array keeps its exact bits through save, load and restore:
+        # signed zero, subnormals, infinities, NaNs with payloads, extremes
+        cfg = small_config(steps=4)
+        store = init_parameters(small_corpus, cfg)
+        opt = AdamW(store, cfg)
+        nans = np.array([0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000,
+                         0x7FF8_0000_DEAD_BEEF, 0x7FF0_0000_0000_0001]).view(np.float64)
+        special = np.concatenate([[-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf,
+                                   1e308, -1e308, 0.1], nans])
+        for shift, views in enumerate(({n: v.value for n, v in store.items()}, opt.m, opt.v)):
+            for name, view in views.items():
+                view[...] = np.resize(np.roll(special, shift), view.shape)
+        opt.t = 3
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, 2, store, opt, cfg)
+        loaded = store_from_payload(load_checkpoint(path), path)
+        store2 = init_parameters(small_corpus, cfg)
+        opt2 = AdamW(store2, cfg)
+        assert restore(path, store2, opt2, cfg) == 2
+        for name in store.names():
+            want = store[name].value.tobytes()
+            assert loaded[name].value.tobytes() == want, name
+            assert store2[name].value.tobytes() == want, name
+            assert opt2.m[name].tobytes() == opt.m[name].tobytes(), name
+            assert opt2.v[name].tobytes() == opt.v[name].tobytes(), name
+        assert opt2.t == 3
+
+    def test_save_checkpoint_memory_bound(self, tmp_path):
+        # at the wide benchmark's shapes (512 scenes x 4 parts, table_dim 64)
+        # one save stays below twice the raw bytes of parameters and moments
+        rows = {"scene": 512, "part": 2048}
+        rng = np.random.default_rng(3)
+        tables = {group: rng.normal(size=(rows[src.level], 64))
+                  for group, src in LAYOUT.items()}
+        store = parameter_store(tables, 1.0, TemperatureSet())
+        cfg = TrainConfig(table_dim=64)
+        opt = AdamW(store, cfg)
+        raw = 3 * store.flat.nbytes
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "wide.json", 0, store, opt, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * raw, (peak, raw)
+
     def _resume_poisoned(self, corpus, tmp_path, poison, expected, match=None,
                          checkpoint_interval=6):
         # resume from a poisoned checkpoint: the failing forward aborts the
@@ -315,7 +367,9 @@ class TestTrainLoop:
         from hypalign.errors import NumericalConsistencyError
 
         def poison(params):
-            params["table_scene_img"]["data"][0] = 1e200
+            data = decode(params["table_scene_img"]["data"])
+            data[0] = 1e200
+            params["table_scene_img"]["data"] = encode(data)
 
         dump = self._resume_poisoned(small_corpus, tmp_path, poison,
                                      NumericalConsistencyError)
@@ -324,7 +378,8 @@ class TestTrainLoop:
     def test_contract_error_writes_diagnostic_dump(self, small_corpus, tmp_path):
         # every part's text row at the origin, where its cone is undefined
         def poison(params):
-            params["table_part_txt"]["data"] = [0.0] * len(params["table_part_txt"]["data"])
+            params["table_part_txt"]["data"] = encode(
+                np.zeros_like(decode(params["table_part_txt"]["data"])))
 
         dump = self._resume_poisoned(small_corpus, tmp_path, poison, ContractViolationError,
                                      match="exterior angle undefined at the origin")
@@ -336,7 +391,8 @@ class TestTrainLoop:
         # eval-batch forward before any training step: the dump names the
         # eval batch's rows
         def poison(params):
-            params["table_part_txt"]["data"] = [0.0] * len(params["table_part_txt"]["data"])
+            params["table_part_txt"]["data"] = encode(
+                np.zeros_like(decode(params["table_part_txt"]["data"])))
 
         dump = self._resume_poisoned(small_corpus, tmp_path, poison, ContractViolationError,
                                      match="exterior angle undefined at the origin",
