@@ -9,22 +9,26 @@ independent per-modality noise); these views are the stand-in for encoder
 outputs and retain the representativeness signal that evaluation correlates
 against.
 
-Serialization is JSON-lines (one header object, then one object per
-concept); regenerating with the same seed reproduces the file byte for
-byte.
+Serialization is JSON-lines (format ``hypalign-corpus-v2``): one header
+object, then one object per concept, scenes first.  Each view vector is the
+base64 text of its ``latent_dim`` little-endian float64 values (the
+encoding of :mod:`hypalign.floatbytes`), so a file loads back bit for bit
+and regenerating with the same seed reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
+from . import floatbytes
 from .errors import ContractViolationError, GenerationError
 
-_FORMAT = "hypalign-corpus-v1"
+_FORMAT = "hypalign-corpus-v2"
 _MAX_REJECTS = 10_000
 
 
@@ -174,18 +178,14 @@ def sample_batch(corpus: Corpus, batch_size: int, seed_stream) -> BatchIndices:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _vec(a: np.ndarray) -> list[float]:
-    return [float(x) for x in a]
-
-
 def _record(c: Concept) -> dict:
     """One concept's corpus record; a part's adds its parent and its
     representativeness after the id."""
     rec = {"kind": c.level, "id": c.id}
     if c.level == "part":
         rec.update(parent=c.parent, representativeness=c.representativeness)
-    rec.update(latent=_vec(c.latent), image_view=_vec(c.image_view),
-               text_view=_vec(c.text_view))
+    rec.update(latent=floatbytes.encode(c.latent), image_view=floatbytes.encode(c.image_view),
+               text_view=floatbytes.encode(c.text_view))
     return rec
 
 
@@ -208,7 +208,7 @@ def load(path) -> Corpus:
 
     Each view field becomes one ``(N, latent_dim)`` array whose rows the
     concepts hold.  A malformed file raises ``ContractViolationError``
-    naming the file, and for a bad record its 1-based line.
+    naming the file, and for a bad record its 1-based line and field.
     """
     with open(path) as fh:
         text = fh.read()
@@ -229,13 +229,20 @@ def load(path) -> Corpus:
     missing = [name for name in names if name not in header]
     if missing:
         raise ContractViolationError(f"{path}: corpus header lacks generator field(s) {missing}")
+    # the sizes the records are read and counted by
+    sizes = [name for name in ("num_scenes", "parts_per_scene", "latent_dim")
+             if type(header[name]) is not int or header[name] < 1]
+    if sizes:
+        raise ContractViolationError(
+            f"{path}: corpus header field(s) {sizes} not positive integers")
     params = GeneratorParams(**{name: header[name] for name in names})
     dim = params.latent_dim
-    # one flat list per field, and one per view of all its numbers: no object
-    # made per record outlives its line, so the garbage collector runs no
-    # more often than it would without the records
-    linenos, ids, kinds, parents, reps = [], [], [], [], []
-    flat = {name: [] for name in _VIEWS}
+    # per record: its line, parent and representativeness in flat lists, its
+    # id and kind in `kind_of`, and per view its raw bytes (which the garbage
+    # collector does not track); nothing else made per record outlives its line
+    linenos, parents, reps = [], [], []
+    chunks = {name: [] for name in _VIEWS}
+    kind_of = {}                # id -> kind, in file order
     for lineno, line in lines:
         where = f"{path}:{lineno}"
         try:
@@ -245,44 +252,53 @@ def load(path) -> Corpus:
         if not isinstance(rec, dict) or rec.get("kind") not in ("scene", "part"):
             raise ContractViolationError(
                 f"{where}: corpus record needs a 'kind' of 'scene' or 'part'")
-        if not rec.keys() >= _RECORD_FIELDS[rec["kind"]]:
-            missing = sorted(_RECORD_FIELDS[rec["kind"]] - rec.keys())
+        kind = rec["kind"]
+        if not rec.keys() >= _RECORD_FIELDS[kind]:
+            missing = sorted(_RECORD_FIELDS[kind] - rec.keys())
             raise ContractViolationError(f"{where}: corpus record lacks field(s) {missing}")
-        for name in _VIEWS:
-            if not isinstance(rec[name], list) or len(rec[name]) != dim:
-                raise ContractViolationError(
-                    f"{where}: corpus record's {name!r} is not {dim} numbers")
-            flat[name] += rec[name]
-        linenos.append(lineno)
-        ids.append(rec["id"])
-        kinds.append(rec["kind"])
-        parents.append(rec.get("parent"))
-        reps.append(rec.get("representativeness"))
-    views = {}
-    for name, values in flat.items():
-        try:
-            table = np.array(values, dtype=np.float64)
-        except (TypeError, ValueError):
-            table = None
-        if table is None or table.ndim != 1:
-            # the first value that is not a number names its record
-            bad = next(i for i, value in enumerate(values) if not _is_number(value))
+        cid = rec["id"]
+        if not isinstance(cid, str):
+            raise ContractViolationError(f"{where}: corpus record's 'id' is not a string")
+        if cid in kind_of:
             raise ContractViolationError(
-                f"{path}:{linenos[bad // dim]}: corpus record's {name!r} is not {dim} numbers")
-        views[name] = table.reshape(len(ids), dim)
+                f"{where}: corpus record's 'id' {cid!r} is not unique in the file")
+        kind_of[cid] = kind
+        parent = rep = None
+        if kind == "part":
+            parent, rep = rec["parent"], rec["representativeness"]
+            if type(rep) not in (int, float) or not math.isfinite(rep):
+                raise ContractViolationError(
+                    f"{where}: corpus record's 'representativeness' is not a finite number")
+        for name in _VIEWS:
+            raw = floatbytes.decode(rec[name], dim)
+            if raw is None:
+                raise ContractViolationError(
+                    f"{where}: corpus record's {name!r} is not the base64 bytes of "
+                    f"{dim} float64 values")
+            chunks[name].append(raw)
+        linenos.append(lineno)
+        parents.append(parent)
+        reps.append(rep)
+    for lineno, kind, parent in zip(linenos, kind_of.values(), parents):
+        if kind == "part" and not (isinstance(parent, str) and kind_of.get(parent) == "scene"):
+            raise ContractViolationError(
+                f"{path}:{lineno}: corpus record's 'parent' {parent!r} names no scene of the file")
+    views = {}
+    for name, chunk in chunks.items():
+        table = np.frombuffer(bytearray().join(chunk), "<f8").reshape(len(linenos), dim)
+        finite = np.isfinite(table).all(axis=1)
+        if not finite.all():
+            raise ContractViolationError(
+                f"{path}:{linenos[int(np.argmin(finite))]}: corpus record's {name!r} "
+                "holds a non-finite value")
+        views[name] = table
     scenes, parts = [], []
-    for cid, kind, latent, image_view, text_view, parent, rep in zip(
-            ids, kinds, views["latent"], views["image_view"], views["text_view"], parents, reps):
+    for (cid, kind), latent, image_view, text_view, parent, rep in zip(
+            kind_of.items(), views["latent"], views["image_view"], views["text_view"],
+            parents, reps):
         concept = Concept(id=cid, level=kind, latent=latent, image_view=image_view,
                           text_view=text_view, parent=parent, representativeness=rep)
         (scenes if kind == "scene" else parts).append(concept)
     if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
         raise ContractViolationError(f"{path}: corpus file record count mismatch")
     return Corpus(params=params, scenes=scenes, parts=parts)
-
-
-def _is_number(value) -> bool:
-    try:
-        return np.asarray(value, dtype=np.float64).ndim == 0
-    except (TypeError, ValueError):
-        return False

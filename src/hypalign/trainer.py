@@ -15,7 +15,6 @@ checkpoint replays the uninterrupted run exactly.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -25,6 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import floatbytes
 from .autodiff import ParameterStore, value_of
 from .errors import ContractViolationError, HypalignError, NumericalConsistencyError
 from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, Batch, LossConfig, LossReport,
@@ -306,11 +306,6 @@ def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _encode(a: np.ndarray) -> str:
-    """``a``'s little-endian float64 bytes in C order, as base64 text."""
-    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
-
-
 def save_checkpoint(path, step: int, store: ParameterStore, opt: AdamW,
                     cfg: TrainConfig) -> None:
     """Single-file JSON checkpoint (format documented in the README); every
@@ -321,10 +316,10 @@ def save_checkpoint(path, step: int, store: ParameterStore, opt: AdamW,
         "config": asdict(cfg),
         "step": step,
         "opt_t": opt.t,
-        "params": {n: {"shape": list(v.value.shape), "data": _encode(v.value)}
+        "params": {n: {"shape": list(v.value.shape), "data": floatbytes.encode(v.value)}
                    for n, v in store.items()},
-        "opt_m": {n: _encode(opt.m[n]) for n in opt.m},
-        "opt_v": {n: _encode(opt.v[n]) for n in opt.v},
+        "opt_m": {n: floatbytes.encode(opt.m[n]) for n in opt.m},
+        "opt_v": {n: floatbytes.encode(opt.v[n]) for n in opt.v},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -360,15 +355,8 @@ def load_checkpoint(path) -> dict:
 def _as_array(data, shape):
     """``data``, base64 text of float64 bytes, as a writable array of
     ``shape``, or None if it is not one."""
-    if not isinstance(data, str):
-        return None
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError:          # not base64, or not ASCII
-        return None
-    if len(raw) != 8 * math.prod(shape):
-        return None
-    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    raw = floatbytes.decode(data, math.prod(shape))
+    return None if raw is None else np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
 
 
 def _valid_shape(name: str, shape, width) -> bool:

@@ -1,9 +1,9 @@
-"""Test-side helpers for editing checkpoint arrays.
+"""Test-side helpers for editing checkpoint arrays and corpus views.
 
-A checkpoint (format 2) stores each array as the base64 text of its
-little-endian float64 bytes in C order.  ``decode``/``encode`` convert
-between that text and a flat writable array, so a test can change chosen
-entries and write the file back; ``as_format_1`` rewrites a payload the way
+A checkpoint (format 2) stores each array, and a corpus (v2) each view, as
+the base64 text of its little-endian float64 bytes in C order.
+``decode``/``encode`` convert between that text and a flat writable array,
+so a test can change chosen entries and write the file back; ``as_format_1`` rewrites a payload the way
 the replaced format 1 stored it (every array a flat list of floats).
 """
 

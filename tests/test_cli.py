@@ -41,6 +41,10 @@ class TestGenerate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        header, record = (json.loads(line) for line in a.read_text().splitlines()[:2])
+        assert header["format"] == "hypalign-corpus-v2"
+        assert decode(record["latent"]).tobytes() == generate(
+            num_scenes=8, parts_per_scene=2, seed=3).scenes[0].latent.tobytes()
 
     def test_empty_env_seed_means_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCHA_SEED", "")
@@ -283,7 +287,8 @@ class TestTrainEvalExport:
     def test_export_equals_csv_writer(self, corpus_path, tmp_path, ids):
         corpus = load(corpus_path)
         if ids is not None:
-            names = iter(ids * 3)
+            # each id verbatim once, then variants that keep ids unique
+            names = iter(ids + [f"{name}/{k}" for k, name in enumerate(ids * 2)])
             renamed = {c.id: next(names) for c in corpus.scenes}
             scenes = [replace(c, id=renamed[c.id]) for c in corpus.scenes]
             parts = [replace(c, id=next(names), parent=renamed[c.parent])
@@ -363,6 +368,64 @@ class TestMalformedInputFiles:
         lines[5] = json.dumps(record)
         run["corpus"].write_text("\n".join(lines) + "\n")
         assert self._eval(run, capsys).startswith(f"{run['corpus']}:6: ")
+
+    def _refused(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error ")]
+        assert code == 1 and "Traceback" not in err
+        assert len(errors) == 1 and errors[0].startswith("error kind=contract message=")
+        return json.loads(errors[0].partition("message=")[2])
+
+    @staticmethod
+    def _argv(run, tmp_path, command):
+        if command == "train":
+            return ["train", "--corpus", str(run["corpus"]), "--out", str(tmp_path / "r2"),
+                    "--steps", "2", "--batch-size", "4", "--seed", "7"]
+        return [command, "--checkpoint", str(run["checkpoint"]),
+                "--corpus", str(run["corpus"]), "--out", str(tmp_path / "out")]
+
+    def _edit_corpus(self, run, edit):
+        records = [json.loads(line) for line in run["corpus"].read_text().splitlines()]
+        edit(records)
+        run["corpus"].write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    def test_corpus_v1_refused(self, run, capsys, tmp_path, command):
+        def as_v1(records):
+            records[0]["format"] = "hypalign-corpus-v1"
+            for rec in records[1:]:
+                for view in ("latent", "image_view", "text_view"):
+                    rec[view] = decode(rec[view]).tolist()
+        self._edit_corpus(run, as_v1)
+        message = self._refused(self._argv(run, tmp_path, command), capsys)
+        assert message == f"{run['corpus']}: unrecognized corpus format 'hypalign-corpus-v1'"
+
+    # records[k] is line k + 1: the header, scenes s000-s007, then their parts
+    @pytest.mark.parametrize("edit, line, field", [
+        pytest.param(lambda recs: recs[3].update(latent=decode(recs[3]["latent"]).tolist()),
+                     4, "latent", id="view-not-a-string"),
+        pytest.param(lambda recs: recs[3].update(image_view="*" + recs[3]["image_view"][1:]),
+                     4, "image_view", id="view-not-base64"),
+        pytest.param(lambda recs: recs[3].update(
+            text_view=encode(decode(recs[3]["text_view"])[:-1])),
+                     4, "text_view", id="view-byte-count"),
+        pytest.param(lambda recs: recs[12].update(
+            latent=encode(np.append(decode(recs[12]["latent"])[:-1], np.nan))),
+                     13, "latent", id="view-non-finite"),
+        pytest.param(lambda recs: recs[10].update(representativeness="high"),
+                     11, "representativeness", id="representativeness-not-a-number"),
+        pytest.param(lambda recs: recs[3].update(id=7), 4, "id", id="id-not-a-string"),
+        pytest.param(lambda recs: recs[12].update(parent="s999"), 13, "parent",
+                     id="parent-names-no-scene"),
+        pytest.param(lambda recs: recs[4].update(id=recs[3]["id"]), 5, "id",
+                     id="scene-id-repeated"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    def test_malformed_corpus_record(self, run, capsys, tmp_path, command, edit, line, field):
+        self._edit_corpus(run, edit)
+        message = self._refused(self._argv(run, tmp_path, command), capsys)
+        assert message.startswith(f"{run['corpus']}:{line}: corpus record's '{field}'")
 
     def test_truncated_checkpoint(self, run, capsys):
         text = run["checkpoint"].read_text()

@@ -11,6 +11,14 @@ from scipy import stats
 from hypalign.errors import ContractViolationError, GenerationError
 from hypalign.synthdata import GeneratorParams, generate, load, sample_batch, save
 
+from _checkpoint_data import encode
+
+# the views of a 2-dimensional record: one float64 pair as corpus text (a
+# record that repeats one of these keys after them gets its own value: json
+# keeps a repeated key's last value)
+_VIEWS_2D = ', '.join(f'"{v}": "{encode([1.0, 2.0])}"'
+                      for v in ("latent", "image_view", "text_view"))
+
 
 class TestGenerate:
     def test_same_seed_reproduces_bitwise(self, tmp_path):
@@ -120,6 +128,23 @@ class TestSerialization:
                 assert got.dtype == np.float64 and got.shape == (16,)
                 assert got.tobytes() == getattr(a, view).tobytes()
 
+    def test_round_trip_special_values_bitwise(self, tmp_path):
+        corpus = generate(num_scenes=3, parts_per_scene=2, seed=5, latent_dim=6)
+        special = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1]
+        corpus.scenes[1].latent[:] = special
+        corpus.parts[4].text_view[:] = special[::-1]
+        corpus.parts[0].image_view[2] = -0.0
+        path, again = tmp_path / "c.txt", tmp_path / "again.txt"
+        save(corpus, path)
+        loaded = load(path)
+        for a, b in zip(corpus.scenes + corpus.parts, loaded.scenes + loaded.parts):
+            for view in ("latent", "image_view", "text_view"):
+                got = getattr(b, view)
+                assert got.flags.writeable
+                assert got.tobytes() == getattr(a, view).tobytes()
+        save(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "c.txt"
         save(generate(num_scenes=3, parts_per_scene=1, seed=2), path)
@@ -137,7 +162,9 @@ class TestSerialization:
                                     if k != "seed"}), *lines[1:]],
          "{path}: corpus header lacks generator field(s) ['seed']"),
         (lambda lines: lines[:-1], "{path}: corpus file record count mismatch"),
-        (lambda lines: [*lines, lines[-1]], "{path}: corpus file record count mismatch"),
+        # one part too many (under an id of its own: a repeated id is refused first)
+        (lambda lines: [*lines, lines[-1].replace('"s002.p0"', '"s002.p1"')],
+         "{path}: corpus file record count mismatch"),
     ])
     def test_error_messages(self, tmp_path, edit, message):
         path = tmp_path / "c.txt"
@@ -160,14 +187,39 @@ class TestSerialization:
         ('{"kind": ["scene"], "id": "s0"}', "needs a 'kind' of 'scene' or 'part'"),
         ('{"kind": "part", "id": "p", "latent": [], "image_view": [], "text_view": []}',
          "lacks field(s) ['parent', 'representativeness']"),
-        ('{"kind": "scene", "id": "s", "latent": [1.0], "image_view": [1.0], '
-         '"text_view": [1.0]}', "'latent' is not 2 numbers"),
-        ('{"kind": "scene", "id": "s", "latent": [1.0, 2.0], "image_view": [1.0, "a"], '
-         '"text_view": [1.0, 2.0]}', "'image_view' is not 2 numbers"),
-        ('{"kind": "scene", "id": "s", "latent": [1.0, 2.0], "image_view": [1.0, 2.0], '
-         '"text_view": [[1.0], [2.0]]}', "'text_view' is not 2 numbers"),
-        ('{"kind": "scene", "id": "s", "latent": 1.0, "image_view": [1.0, 2.0], '
-         '"text_view": [1.0, 2.0]}', "'latent' is not 2 numbers"),
+        # a short view, a non-numeric view, a nested view, a scalar view
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "latent": "{encode([1.0])}"}}',
+         "'latent' is not the base64 bytes of 2 float64 values"),
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "image_view": "1.0, a"}}',
+         "'image_view' is not the base64 bytes of 2 float64 values"),
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, '
+         f'"text_view": ["{encode([1.0])}", "{encode([2.0])}"]}}',
+         "'text_view' is not the base64 bytes of 2 float64 values"),
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "latent": 1.0}}',
+         "'latent' is not the base64 bytes of 2 float64 values"),
+        # the replaced v1 view: a list of floats
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "latent": [1.0, 2.0]}}',
+         "'latent' is not the base64 bytes of 2 float64 values"),
+        # not strict base64: a lost padding character, a non-ASCII character
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "text_view": "{encode([1.0, 2.0])[:-1]}"}}',
+         "'text_view' is not the base64 bytes of 2 float64 values"),
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "latent": "\u00e9{encode([1.0, 2.0])[1:]}"}}',
+         "'latent' is not the base64 bytes of 2 float64 values"),
+        # a byte count that is not a multiple of 8, and one value too many
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "image_view": "AAAAAAAAAAAA"}}',
+         "'image_view' is not the base64 bytes of 2 float64 values"),
+        (f'{{"kind": "scene", "id": "s", {_VIEWS_2D}, "latent": "{encode([1.0, 2.0, 3.0])}"}}',
+         "'latent' is not the base64 bytes of 2 float64 values"),
+        # record fields: the id, a part's representativeness
+        (f'{{"kind": "scene", "id": 7, {_VIEWS_2D}}}', "'id' is not a string"),
+        (f'{{"kind": "scene", "id": null, {_VIEWS_2D}}}', "'id' is not a string"),
+        (f'{{"kind": "scene", "id": "s000", {_VIEWS_2D}}}',
+         "'id' 's000' is not unique in the file"),
+        (f'{{"kind": "part", "id": "s000", "parent": "s000", "representativeness": 0.5, '
+         f'{_VIEWS_2D}}}', "'id' 's000' is not unique in the file"),
+        *[(f'{{"kind": "part", "id": "p", "parent": "s000", "representativeness": {rep}, '
+           f'{_VIEWS_2D}}}', "'representativeness' is not a finite number")
+          for rep in ('"high"', "null", "true", "[0.5]", "NaN", "Infinity")],
     ])
     def test_bad_record_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "c.txt"
@@ -179,6 +231,59 @@ class TestSerialization:
         with pytest.raises(ContractViolationError) as info:
             load(path)
         assert str(info.value).startswith(f"{path}:4: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("line, message", [
+        # a part's parent must name a scene of the file: here none, a part,
+        # or not a string
+        ('{"kind": "part", "id": "p", "parent": "nowhere", "representativeness": 0.5, VIEWS}',
+         "'parent' 'nowhere' names no scene of the file"),
+        ('{"kind": "part", "id": "p", "parent": "s002.p0", "representativeness": 0.5, VIEWS}',
+         "'parent' 's002.p0' names no scene of the file"),
+        ('{"kind": "part", "id": "p", "parent": ["s000"], "representativeness": 0.5, VIEWS}',
+         "'parent' ['s000'] names no scene of the file"),
+        # Python's json reads NaN and Infinity; the bytes may hold them too
+        ('{"kind": "scene", "id": "s001", VIEWS, "latent": "NAN"}',
+         "'latent' holds a non-finite value"),
+        ('{"kind": "scene", "id": "s001", VIEWS, "image_view": "INF"}',
+         "'image_view' holds a non-finite value"),
+        ('{"kind": "scene", "id": "s001", VIEWS, "text_view": "-INF"}',
+         "'text_view' holds a non-finite value"),
+    ])
+    def test_bad_record_found_after_reading_names_its_line(self, tmp_path, line, message):
+        """Checks that need the whole file (a part's parent) or the decoded
+        values (finiteness) still name the record's line and field."""
+        path = tmp_path / "c.txt"
+        save(generate(num_scenes=3, parts_per_scene=1, seed=2, latent_dim=2), path)
+        specials = {"NAN": [1.0, np.nan], "INF": [np.inf, 2.0], "-INF": [1.0, -np.inf]}
+        for name, values in specials.items():
+            line = line.replace(f'"{name}"', f'"{encode(values)}"')
+        lines = path.read_text().splitlines()
+        # the bad record replaces scene s001 and keeps its id, or is added
+        # as a part after a blank line
+        if '"scene"' in line:
+            lines[2:3] = ["", line.replace("VIEWS", _VIEWS_2D)]
+        else:
+            lines[2:2] = ["", line.replace("VIEWS", _VIEWS_2D)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolationError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:4: corpus record's {message}"
+
+    @pytest.mark.parametrize("field, value", [
+        ("latent_dim", 2.0), ("latent_dim", "2"), ("latent_dim", True), ("latent_dim", 0),
+        ("num_scenes", "3"), ("parts_per_scene", [1]), ("num_scenes", -3),
+    ])
+    def test_header_size_not_a_positive_integer(self, tmp_path, field, value):
+        path = tmp_path / "c.txt"
+        save(generate(num_scenes=3, parts_per_scene=1, seed=2, latent_dim=2), path)
+        header, *records = path.read_text().splitlines()
+        header = json.loads(header)
+        header[field] = value
+        path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        with pytest.raises(ContractViolationError) as info:
+            load(path)
+        assert str(info.value) == (
+            f"{path}: corpus header field(s) ['{field}'] not positive integers")
 
     @pytest.mark.parametrize("missing", [f.name for f in fields(GeneratorParams)])
     def test_missing_header_field_rejected(self, tmp_path, missing):
