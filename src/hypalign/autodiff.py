@@ -1,13 +1,14 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine is the tape and no more: :class:`Var` nodes, :func:`fused`,
-:func:`pick`, :func:`stack`, :func:`add` and :func:`mul`, stop-gradient
-record and replay, the backward sweep and the parameter store.  Its node
-vocabulary is what training builds.  Every op computes its numpy value and a
-hand-derived vector-Jacobian product and becomes one node through
-:func:`fused`: the geometry modules build the lift, the distance matrix, the
-cone angle and aperture and the uncertainty that way, and the losses and the
-trainer build each loss block and the batch gather as one node too.  The
+:func:`pick`, :func:`stack`, :func:`add` and :func:`mul`,
+:func:`stop_gradient`, the backward sweep and the parameter store; it keeps
+no module-level state.  Its node vocabulary is what training builds.  Every
+op computes its numpy value and a hand-derived vector-Jacobian product and
+becomes one node through :func:`fused`: the geometry modules build the lift,
+the distance matrix, the cone angle and aperture and the uncertainty that
+way, and the losses and the trainer build each loss block and the batch
+gather as one node too.  The
 plain-numpy kernels those nodes share (the sqrt composites with their series
 forms, the acosh clamp, softmax) sit here as well.  :func:`fused` dispatches
 on the inputs: if no argument is a :class:`Var`, the plain numpy result is
@@ -289,91 +290,10 @@ def _softmax_val(x: Array, axis) -> Array:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-_active_stops = None    # the record/replay context currently entered, if any
-
-
-class record_stop_gradients:
-    """Context manager capturing every stop-gradient value (in call order)
-    into ``self.values``, and each stop-gradient node with the Var it stops
-    into ``self.stops``.
-
-    Together with :class:`replay_stop_gradients` this lets a
-    finite-difference harness evaluate the *surrogate* objective whose
-    gradient the tape actually computes: re-running the forward pass under
-    replay pins all stopped factors at their recorded base values.
-    Neither context nests inside itself or the other.
-    """
-
-    def __init__(self):
-        self.values: list[Array] = []
-        self.stops: list[tuple[Var, Var]] = []
-
-    def __enter__(self):
-        global _active_stops
-        if _active_stops is not None:
-            raise ContractViolationError("stop-gradient record/replay cannot nest")
-        _active_stops = self
-        return self
-
-    def __exit__(self, *exc):
-        global _active_stops
-        _active_stops = None
-        return False
-
-    def _stopped(self, val: Array) -> Array:
-        self.values.append(val.copy())
-        return val
-
-    def behind_stops(self, root: Var) -> set[int]:
-        """Ids of the nodes that reach ``root`` only through a stop-gradient
-        recorded here: the root's value moves with them, its tape gradient
-        does not."""
-        live = {id(node) for node in _toposort(root)}
-        reached = set(live)
-        # a stop-gradient inside another one's input was recorded before it
-        for node, source in reversed(self.stops):
-            if id(node) in reached:
-                reached.update(id(n) for n in _toposort(source))
-        return reached - live
-
-
-class replay_stop_gradients(record_stop_gradients):
-    """Context manager substituting previously recorded values for every
-    stop-gradient encountered, in call order; leaving it with values
-    unconsumed raises."""
-
-    def __init__(self, values: list):
-        super().__init__()
-        self.values = values
-        self.cursor = 0
-
-    def __exit__(self, *exc):
-        super().__exit__(*exc)
-        if exc[0] is None and self.cursor != len(self.values):
-            raise ContractViolationError(
-                "stop-gradient replay consumed "
-                f"{self.cursor}/{len(self.values)} recorded values"
-            )
-        return False
-
-    def _stopped(self, val: Array) -> Array:
-        if self.cursor >= len(self.values):
-            raise ContractViolationError("stop-gradient replay ran out of recorded values")
-        self.cursor += 1
-        return self.values[self.cursor - 1]
-
-
 def stop_gradient(a):
-    """Forward the value, block the adjoint."""
-    val = value_of(a)
-    if _active_stops is not None:
-        val = _active_stops._stopped(val)
-    if not is_var(a):
-        return val
-    node = Var(val, "stop_gradient")
-    if _active_stops is not None:
-        _active_stops.stops.append((node, a.base if isinstance(a, Pick) else a))
-    return node
+    """Forward the value, block the adjoint: a parentless ``stop_gradient``
+    node when ``a`` is on the tape, else the plain value."""
+    return Var(a.value, "stop_gradient") if is_var(a) else value_of(a)
 
 
 # ---------------------------------------------------------------------------

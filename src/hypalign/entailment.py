@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import value_of
-from .errors import ContractViolationError, NumericalConsistencyError
+from .errors import ContractViolationError, NumericalConsistencyError, check_domains
 from .manifold import LorentzPoint, Manifold
 
 
@@ -33,8 +33,8 @@ class ConeParams:
     eta_intra: float = 1.2
 
     def __post_init__(self):
-        if self.aperture_k <= 0 or self.eta_inter <= 0 or self.eta_intra <= 0:
-            raise ContractViolationError("cone parameters must be positive")
+        check_domains(self, dict.fromkeys(("aperture_k", "eta_inter", "eta_intra"),
+                                          "(0, inf)"))
 
 
 def _nonzero_norm(space, message: str):

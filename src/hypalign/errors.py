@@ -5,6 +5,8 @@ numerical-consistency problems exit 2 (a failed gradient check exits 3 but
 is reported as data, not an exception).
 """
 
+import functools
+
 
 class HypalignError(Exception):
     """Base class for all package errors."""
@@ -33,3 +35,22 @@ class GenerationError(ContractViolationError):
     """Synthetic-corpus generation could not satisfy its constraints."""
 
     kind = "generation"
+
+
+@functools.cache
+def _bounds(interval: str) -> tuple:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return low, interval[0] == "[", high, interval[-1] == "]"
+
+
+def check_domains(config, domains: dict) -> None:
+    """Raise a :class:`ContractViolationError` naming the first field of
+    ``config`` outside its domain.  ``domains`` maps field names to
+    intervals written like ``"[0, 1)"`` or ``"(0, inf)"``; an open infinite
+    end refuses that infinity, and every bound refuses ``nan``."""
+    for name, interval in domains.items():
+        value = getattr(config, name)
+        low, closed_low, high, closed_high = _bounds(interval)
+        if not ((low <= value if closed_low else low < value)
+                and (value <= high if closed_high else value < high)):
+            raise ContractViolationError(f"{name} {value!r} outside its domain {interval}")

@@ -7,14 +7,15 @@ root of that one graph: central differences are compared against the tape
 gradient of every root for every parameter class, on a seeded
 configuration verified to sit away from the documented kinks (coincident
 points for acosh, the hinge boundary, and aperture saturation) by a 1e-3
-guard band.  A parameter that reaches a root only through a stop-gradient
-is asserted the other way around: the tape gradient must be exactly zero
-while the finite difference is not.
+guard band.  The differences are taken on the surrogate the tape
+differentiates: calibration's stopped leak is held at its base-point value,
+handed to ``total_loss`` as an explicit input.  A parameter that reaches a
+root only through that stopped leak is asserted the other way around: the
+tape gradient must be exactly zero while the finite difference is not.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,22 +53,24 @@ class CheckResult:
 def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
                       tolerance: float = 1e-4, max_coords: int = 200,
                       seed: int = 0) -> list[CheckResult]:
-    """Compare the tape gradients of the named scalar roots ``f(store)``
-    returns (a mapping of name to root) against central finite differences,
-    sub-sampling at most ``max_coords`` coordinates per parameter; one
-    result per root and parameter.
+    """Compare the tape gradients of the named scalar roots ``f`` builds
+    against central finite differences, sub-sampling at most ``max_coords``
+    coordinates per parameter; one result per root and parameter.
 
-    One recorded forward gives every root's tape gradient.  The differences
-    are taken on the surrogate objective whose gradient the tape computes:
-    stop-gradient values are recorded at the base point and replayed during
-    the perturbed evaluations, so a stopped factor contributes its value but
-    no derivative (exactly the tape semantics); each evaluation gives every
-    root.  Relative error uses the floor ``max(|fd|, |tape|, 1e-6)`` so
-    agreeing near-zero gradients pass.  A parameter that reaches a root only
-    through a stop-gradient is checked the other way around for that root:
-    an exactly-zero tape gradient alongside a nonzero *unfrozen* finite
-    difference (the value does move, the gradient must not), which costs
-    that parameter one more evaluation per perturbation.
+    ``f(store, frozen)`` returns ``(roots, stopped)``: a mapping of name to
+    root, and the Var the roots read behind a stop-gradient (or None), in
+    whose place ``f`` reads ``frozen`` when that is an array.  One forward
+    with ``frozen=None`` gives every root's tape gradient and the base
+    stopped value.  Each perturbed evaluation, of every root at once, is
+    handed that base value: the differences are those of the surrogate the
+    tape differentiates, where the stopped factor contributes its value but
+    no derivative.  Relative error uses the floor ``max(|fd|, |tape|,
+    1e-6)`` so agreeing near-zero gradients pass.  A parameter that reaches
+    a root only through the stopped value (see :func:`_behind_stop`) is
+    checked the other way around for that root: an exactly-zero tape
+    gradient alongside a nonzero raw difference (``frozen=None``: the value
+    moves, the gradient must not), which costs that parameter one more
+    evaluation per perturbation.
     """
     if not (1e-7 <= step <= 1e-3):
         raise ContractViolationError(f"finite-difference step {step} out of range")
@@ -76,22 +79,18 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
     if max_coords < 1:
         raise ContractViolationError(f"max_coords {max_coords} must be at least 1")
     params = store.as_dict()
-    with ad.record_stop_gradients() as rec:
-        roots = f(store)
+    roots, stopped = f(store, None)
     names = list(roots)
     tapes = {r: ad.gradients(roots[r], params) for r in names}
-    zero_tape = set()
-    for r in names:
-        behind = rec.behind_stops(roots[r])
-        zero_tape.update((r, p) for p, var in params.items() if id(var) in behind)
+    base = None if stopped is None else value_of(stopped).copy()
+    zero_tape = _behind_stop(roots, stopped, params)
     rng = np.random.default_rng(seed)
 
-    def evaluate(frozen: bool) -> np.ndarray:
-        with ad.replay_stop_gradients(rec.values) if frozen else nullcontext():
-            out = f(store)
+    def evaluate(frozen) -> np.ndarray:
+        out, _ = f(store, frozen)
         return np.array([float(value_of(out[r])) for r in names])
 
-    def central(flat: np.ndarray, c, frozen: bool) -> np.ndarray:
+    def central(flat: np.ndarray, c, frozen) -> np.ndarray:
         original = flat[c]
         flat[c] = original + step
         f_plus = evaluate(frozen)
@@ -109,8 +108,8 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
         else:
             coords = rng.choice(size, size=max_coords, replace=False)
         shape = (len(coords), len(names))
-        frozen = np.array([central(flat, c, True) for c in coords]).reshape(shape)
-        raw = (np.array([central(flat, c, False) for c in coords]).reshape(shape)
+        frozen = np.array([central(flat, c, base) for c in coords]).reshape(shape)
+        raw = (np.array([central(flat, c, None) for c in coords]).reshape(shape)
                if any((r, name) in zero_tape for r in names) else None)
         sweeps[name] = (coords, frozen, raw)
 
@@ -135,6 +134,23 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
     return results
 
 
+def _behind_stop(roots: dict, stopped, params: dict) -> set:
+    """The (root, parameter) pairs where the parameter reaches the root only
+    through the stopped value: the root's graph holds a ``stop_gradient``
+    node and misses the parameter, which the stopped value's graph reaches."""
+    if not isinstance(stopped, ad.Var):
+        return set()
+    behind = {id(node) for node in ad._toposort(stopped)}
+    pairs = set()
+    for r, root in roots.items():
+        graph = ad._toposort(root)
+        if any(node.name == "stop_gradient" for node in graph):
+            live = {id(node) for node in graph}
+            pairs.update((r, p) for p, var in params.items()
+                         if id(var) in behind and id(var) not in live)
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # the seeded check problem
 # ---------------------------------------------------------------------------
@@ -143,6 +159,8 @@ def build_check_problem(seed: int = 1):
     """Seeded store, batch indices and loss config for gradient checking
     (6 rows of dimension 8); raises if the configuration lands within the
     kink guard band."""
+    if seed < 0:
+        raise ContractViolationError(f"seed {seed} outside its domain [0, inf)")
     batch_size, dim = 6, 8
     rng = np.random.default_rng([seed, 0xC4EC])
     cfg = LossConfig()
@@ -194,10 +212,10 @@ def run_check_grads(seed: int = 1, *, step: float = 1e-5,
     returns (results, all_passed)."""
     store, idx, cfg = build_check_problem(seed)
 
-    def roots(s: ParameterStore) -> dict:
+    def roots(s: ParameterStore, frozen):
         report = total_loss(materialize_batch(s, idx), loss_config_with_vars(cfg, s),
-                            Manifold(s["kappa"]))
-        return {**report.components, "total_loss": report.total}
+                            Manifold(s["kappa"]), frozen_leak=frozen)
+        return {**report.components, "total_loss": report.total}, report.leak
 
     results = finite_diff_check(roots, store, step=step, tolerance=tolerance,
                                 max_coords=max_coords, seed=seed)

@@ -51,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import value_of
 from .entailment import ConeParams, aperture, exterior_angle
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_domains
 from .manifold import LorentzPoint, Manifold, lift, pairwise_distance
 from .uncertainty import (
     entropy,
@@ -93,8 +93,11 @@ class LossConfig:
     def __post_init__(self):
         if self.entropy_sign not in (1.0, -1.0):
             raise ContractViolationError("entropy_sign must be +1 or -1")
-        if self.alpha < 0:
-            raise ContractViolationError("alpha must be nonnegative")
+        check_domains(self, _LOSS_DOMAINS)
+
+
+_LOSS_DOMAINS = dict.fromkeys(("alpha", "lambda_intra", "lambda_cal", "lambda_ent"),
+                              "[0, inf)")
 
 
 # the batch layout, in the order the groups are stacked and lifted: each
@@ -137,7 +140,8 @@ class Batch:
 
 @dataclass
 class LossReport:
-    """Scalar total plus its named decomposition.
+    """Scalar total plus its named decomposition, and the live leak stack
+    whose intra rows calibration reads behind a stop-gradient.
 
     The components are stored unweighted; the total recombines them as
     ``(c_glob + c_loc + c_globloc)
@@ -146,6 +150,7 @@ class LossReport:
 
     total: object
     components: dict
+    leak: object
 
     def to_floats(self) -> dict[str, float]:
         out = {"total": float(value_of(self.total))}
@@ -269,7 +274,7 @@ def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
 def _calibrate(u, leak, entropy_sign: float):
     """``sum_i [sg(leak_i) exp(-u_i) + u_i] + sign * H(softmax(u))`` as one
     tape node over ``u`` and the stopped leak; the stop-gradient stays its
-    own node, so record/replay sees it."""
+    own parentless node, which marks the graph of a root that reads it."""
     stopped = ad.stop_gradient(leak)
     uv, lv = value_of(u), value_of(stopped)
     sign = float(entropy_sign)
@@ -384,29 +389,31 @@ def _sum_pair(a, b):
                     lambda g: (np.full(av.shape, g), np.full(bv.shape, g)))
 
 
-def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold) -> dict:
-    """Inter and intra leaky entailment over the stack of the four terms;
-    calibration re-weights the intra leaks it is handed (under a
-    stop-gradient) rather than rebuilding them."""
+def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold, frozen_leak=None):
+    """Inter and intra leaky entailment over the stack of the four terms,
+    and the leak stack; calibration re-weights the intra leaks of that
+    stack, or of ``frozen_leak`` when given (under a stop-gradient), rather
+    than rebuilding them."""
     cone = cfg.cone
     apex = s.points.groups(APEXES)
     # the angle first: its origin guard fires before the aperture's
     phi = exterior_angle(apex, s.points.groups(MEMBERS), m)
     omega = aperture(apex, cone.aperture_k, m)
     leak = _leaky(phi, omega, entailment_etas(cone), cfg.alpha)
+    stopped = leak if frozen_leak is None else frozen_leak
 
     def term(k):
         return ad.pick(leak, k)
 
     def calibrate(u, k):
-        return _calibrate(ad.pick(s.u, u), term(k), cfg.entropy_sign)
+        return _calibrate(ad.pick(s.u, u), ad.pick(stopped, k), cfg.entropy_sign)
 
     return {
         "entail_inter": _sum_pair(term(INTER_PARTS), term(INTER_WHOLES)),
         "entail_intra": _sum_pair(term(INTRA_TEXT), term(INTRA_IMAGE)),
         "calibration": ad.add(calibrate(U_TEXT, INTRA_TEXT),
                               calibrate(U_IMAGE, INTRA_IMAGE)),
-    }
+    }, leak
 
 
 def _contrastive_sum(c: dict):
@@ -450,15 +457,22 @@ def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold):
     """Inter-modal entailment plus weighted intra-modal entailment and
     calibration, summed over batch rows."""
     s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
-    return _entailment_sum(_entailment_terms(s, cfg, m), cfg.lambda_intra, cfg.lambda_cal)
+    return _entailment_sum(_entailment_terms(s, cfg, m)[0], cfg.lambda_intra, cfg.lambda_cal)
 
 
-def total_loss(batch: Batch, cfg: LossConfig, m: Manifold) -> LossReport:
+def total_loss(batch: Batch, cfg: LossConfig, m: Manifold, *,
+               frozen_leak=None) -> LossReport:
     """Full objective: contrastive block plus ``lambda_ent`` times the
-    entailment block, with the component decomposition attached."""
+    entailment block, with the component decomposition and the live leak
+    stack attached.
+
+    ``frozen_leak``, a ``(4, B)`` array, stands in for the leak stack that
+    calibration stops: given a base point's ``report.leak`` value, the
+    objective is the surrogate whose gradient the tape computes there, which
+    ``gradcheck`` differences.  Training passes nothing."""
     s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
     con = _contrastive_terms(s, cfg.temps, m, cfg.include_positive)
-    ent = _entailment_terms(s, cfg, m)
+    ent, leak = _entailment_terms(s, cfg, m, frozen_leak)
     components = {**con, **ent}
     total = _weighted_total(components, cfg.lambda_intra, cfg.lambda_cal, cfg.lambda_ent)
-    return LossReport(total=total, components=components)
+    return LossReport(total=total, components=components, leak=leak)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import floatbytes
-from .errors import ContractViolationError, GenerationError
+from .errors import ContractViolationError, GenerationError, check_domains
 
 _FORMAT = "hypalign-corpus-v2"
 _MAX_REJECTS = 10_000
@@ -94,6 +94,15 @@ class BatchIndices:
         return self.scene_rows if level == "scene" else self.part_rows
 
 
+_GENERATOR_DOMAINS = {
+    "num_scenes": "[2, inf)", "parts_per_scene": "[1, inf)",
+    # a part moves off its scene along a direction orthogonal to it
+    "latent_dim": "[2, inf)",
+    "noise_scale": "[0, inf)", "spread": "(-inf, inf)", "min_separation": "(-inf, inf)",
+    "seed": "[0, inf)",
+}
+
+
 def generate(**settings) -> Corpus:
     """Build a corpus from :class:`GeneratorParams` settings given by
     keyword (the rest keep their defaults); the same settings reproduce it
@@ -106,13 +115,7 @@ def generate(**settings) -> Corpus:
     strictly decreasing function of the displacement before view noise.
     """
     p = GeneratorParams(**settings)
-    if p.num_scenes < 2 or p.parts_per_scene < 1:
-        raise ContractViolationError("need num_scenes >= 2 and parts_per_scene >= 1")
-    if p.noise_scale < 0:
-        raise ContractViolationError("noise_scale must be >= 0")
-    if p.latent_dim < 2:
-        # a part moves off its scene along a direction orthogonal to it
-        raise ContractViolationError("latent_dim must be >= 2")
+    check_domains(p, _GENERATOR_DOMAINS)
     rng = np.random.default_rng(p.seed)
 
     scene_latents = []

@@ -26,7 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from . import floatbytes
 from .autodiff import ParameterStore, value_of
-from .errors import ContractViolationError, HypalignError, NumericalConsistencyError
+from .errors import (ContractViolationError, HypalignError, NumericalConsistencyError,
+                     check_domains)
 from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, Batch, LossConfig, LossReport,
                      TemperatureSet, total_loss)
 from .manifold import KAPPA_MAX, KAPPA_MIN, Manifold, hyperbolic_radius
@@ -67,10 +68,18 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 2:
-            raise ContractViolationError("steps must be >= 0 and batch_size >= 2")
-        if self.eval_interval < 1 or self.checkpoint_interval < 1:
-            raise ContractViolationError("intervals must be >= 1")
+        check_domains(self, _TRAIN_DOMAINS)
+        # once here: the loss config is rebuilt every step around the live
+        # temperatures, where a value training drives non-finite is numerical
+        check_domains(self.loss.temps, dict.fromkeys(TEMPERATURE_PARAMS, "(-inf, inf)"))
+
+
+_TRAIN_DOMAINS = {
+    "steps": "[0, inf)", "batch_size": "[2, inf)", "warmup_steps": "[0, inf)",
+    "eval_interval": "[1, inf)", "checkpoint_interval": "[1, inf)", "seed": "[0, inf)",
+    "table_dim": "[1, inf)", "init_scale": "(0, inf)", "lr": "(0, inf)",
+    "beta1": "[0, 1)", "beta2": "[0, 1)", "adam_eps": "(0, inf)", "weight_decay": "[0, inf)",
+}
 
 
 def config_hash(cfg: TrainConfig) -> str:

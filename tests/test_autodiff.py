@@ -306,12 +306,12 @@ class TestGroupStacks:
         np.testing.assert_array_equal(g["a"], [1.0, 2.0])
         np.testing.assert_array_equal(g["b"], [3.0, 4.0])
 
-    def test_stop_gradient_of_a_pick_records_its_base(self):
+    def test_stop_gradient_of_a_pick_is_a_parentless_node(self):
         x = Var(np.array([[1.0, 2.0], [3.0, 4.0]]), name="x")
-        with ad.record_stop_gradients() as rec:
-            root = ref.reduce_sum(ad.stop_gradient(ad.pick(ref.square(x), 1)))
+        stopped = ad.stop_gradient(ad.pick(ref.square(x), 1))
+        assert stopped.name == "stop_gradient" and stopped._parents == ()
+        root = ref.reduce_sum(stopped)
         assert value_of(root) == 25.0
-        assert id(x) in rec.behind_stops(root)
         assert np.all(ad.gradients(root, {"x": x})["x"] == 0.0)
 
 
@@ -323,57 +323,7 @@ class TestStopGradient:
         g = ad.gradients(out, {"v": v})["v"]
         np.testing.assert_allclose(g, v.value**2)  # only the live factor
 
-    def test_record_replay_pins_values(self):
-        v = Var(np.array([2.0]))
-
-        def f():
-            return ref.reduce_sum(ad.mul(ad.stop_gradient(ref.square(v)), v))
-
-        with ad.record_stop_gradients() as rec:
-            base = float(value_of(f()))
-        v.value = np.array([3.0])
-        with ad.replay_stop_gradients(rec.values):
-            frozen = float(value_of(f()))
-        assert base == pytest.approx(4.0 * 2.0)
-        assert frozen == pytest.approx(4.0 * 3.0)  # stopped factor stays 4
-
-    def test_record_finds_leaves_behind_stops(self):
-        live, stopped, nested, mixed, unused = (
-            Var(np.array([1.0 + i]), name=n)
-            for i, n in enumerate(("live", "stopped", "nested", "mixed", "unused")))
-        with ad.record_stop_gradients() as rec:
-            inner = ad.stop_gradient(ad.mul(nested, mixed))
-            outer = ad.stop_gradient(ad.mul(inner, stopped))
-            root = ref.reduce_sum(ad.mul(ad.mul(outer, live), mixed))
-            other = ref.reduce_sum(ref.square(unused))
-        behind = rec.behind_stops(root)
-        # reached only through one or two stop-gradients; not live or unused
-        assert {id(stopped), id(nested)} <= behind
-        assert not {id(live), id(mixed), id(unused)} & behind
-        assert rec.behind_stops(other) == set()
-
-    def test_replay_exhaustion_detected(self):
-        v = Var(np.array([1.0]))
-        with pytest.raises(ContractViolationError):
-            with ad.replay_stop_gradients([]):
-                ad.stop_gradient(v)
-
-    def test_unconsumed_replay_detected(self):
-        v = Var(np.array([1.0]))
-        with pytest.raises(ContractViolationError, match="consumed 1/2"):
-            with ad.replay_stop_gradients([np.array([2.0]), np.array([3.0])]):
-                ad.stop_gradient(v)
-
-    @pytest.mark.parametrize("outer", ("record", "replay"))
-    @pytest.mark.parametrize("inner", ("record", "replay"))
-    def test_record_replay_do_not_nest(self, outer, inner):
-        make = {"record": ad.record_stop_gradients,
-                "replay": lambda: ad.replay_stop_gradients([])}
-        with pytest.raises(ContractViolationError, match="cannot nest"):
-            with make[outer]():
-                with make[inner]():
-                    pass
-        # the failed entry leaves no context active
+    def test_off_the_tape_passes_the_value(self):
         assert float(value_of(ad.stop_gradient(np.array(5.0)))) == 5.0
 
 

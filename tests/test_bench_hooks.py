@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hypalign.autodiff as ad
+import hypalign.gradcheck as gradcheck
 from hypalign.losses import Batch, LossConfig, total_loss
 from hypalign.manifold import Manifold
 
@@ -56,3 +57,19 @@ def test_installed_tracer_counts_and_uninstalls(tracer):
     # every built node of this graph reaches the loss
     reached = {op: n for op, n in t.reachable.items() if op != "leaf"}
     assert reached == {op: n for op, n in t.built.items() if op != "leaf"}
+
+
+def test_traced_check_grads_spans_every_loss_evaluation(tracer):
+    # the tracer wraps finite_diff_check's first positional argument, the
+    # f(store, frozen) loss function: one span per evaluation, which is the
+    # base forward, two per coordinate, and two more per coordinate of a
+    # parameter with a zero_tape row
+    with tracer.Tracer() as t:
+        results, passed = gradcheck.run_check_grads(seed=1, max_coords=1)
+    assert passed and len(results) == 70
+    coords = {r.param: r.n_coords for r in results}
+    stopped = {r.param for r in results if r.mode == "zero_tape"}
+    evaluations = 1 + 2 * sum(coords.values()) + 2 * sum(coords[p] for p in stopped)
+    spans = [t.names[i] for i in t.name_id]
+    assert spans.count(tracer.FD_CHECK) == 1
+    assert spans.count(tracer.LOSS_EVAL) == evaluations == 27

@@ -97,6 +97,57 @@ class TestArgumentErrors:
         assert main(["frobnicate"]) == 1
 
 
+class TestValuesOutsideTheirDomain:
+    """A configuration, generator or seed value outside its domain exits 1
+    with one ``error kind=contract`` line naming the field, before any
+    output is written."""
+
+    def _refused(self, capsys, argv, field):
+        code = main(argv)
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1
+        assert len(errors) == 1 and errors[0].startswith("error kind=contract message=")
+        assert json.loads(errors[0].partition("message=")[2]).split()[0] == field
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("table_dim", "0", "table_dim"), ("table_dim", "-3", "table_dim"),
+        ("lr", "-1", "lr"), ("beta1", "2", "beta1"), ("warmup_steps", "-5", "warmup_steps"),
+        ("alpha", "nan", "alpha"), ("lambda_cal", "nan", "lambda_cal"),
+        ("eta_inter", "nan", "eta_inter"), ("tau_gl", "nan", "tau_global_local"),
+        ("lr", "nan", "lr"), ("beta2", "1", "beta2"), ("adam_eps", "0", "adam_eps"),
+        ("weight_decay", "nan", "weight_decay"),
+    ])
+    def test_train_config_value(self, corpus_path, tmp_path, capsys, key, value, field):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
+        cfg.write_text(f"{key} = {value}\nbatch_size = 4\nsteps = 3\n")
+        self._refused(capsys, ["train", "--corpus", str(corpus_path), "--out", str(out),
+                               "--config", str(cfg)], field)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--seed", "-1", "seed"), ("--noise-scale", "nan", "noise_scale"),
+        ("--spread", "inf", "spread"), ("--min-separation", "nan", "min_separation"),
+    ])
+    def test_generator_setting(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "corpus.txt"
+        self._refused(capsys, ["generate", flag, value, "--out", str(out)], field)
+        assert not out.exists()
+
+    def test_negative_train_seed(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        self._refused(capsys, ["train", "--corpus", str(corpus_path), "--out", str(out),
+                               "--seed", "-2"], "seed")
+        assert not out.exists()
+
+    def test_negative_check_grads_seed(self, capsys):
+        self._refused(capsys, ["check-grads", "--seed", "-3"], "seed")
+
+    def test_negative_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("UNCHA_SEED", "-4")
+        self._refused(capsys, ["check-grads"], "seed")
+
+
 class TestConfigFile:
     def test_parse_and_types(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -23,18 +23,24 @@ from hypalign.uncertainty import uncertainty
 import _reference_ops as ref
 
 
+def held(value, frozen):
+    """``value`` behind a stop-gradient, or the harness's ``frozen`` value in
+    its place: the stopped input of the ``f(store, frozen)`` protocol."""
+    return ad.stop_gradient(value if frozen is None else frozen)
+
+
 class TestFiniteDiffCheck:
     def test_uncertainty_analytic_derivative(self):
         # du/dx = -sigmoid(-||x||) * x/||x||, verified through the harness
         store = ParameterStore()
         x = store.register("x", np.array([0.7, -1.1, 0.4]))
 
-        def f(s):
-            return {"loss": uncertainty(s["x"])}
+        def f(s, frozen):
+            return {"loss": uncertainty(s["x"])}, None
 
         results = finite_diff_check(f, store, step=1e-5, tolerance=1e-6)
         assert all(r.passed for r in results)
-        grads = ad.gradients(f(store)["loss"], store.as_dict())
+        grads = ad.gradients(f(store, None)[0]["loss"], store.as_dict())
         norm = np.linalg.norm(x.value)
         sig = np.exp(-norm) / (1.0 + np.exp(-norm))
         analytic = -sig * x.value / norm
@@ -48,10 +54,11 @@ class TestFiniteDiffCheck:
         store.register("live", np.array([0.5, 1.0]))
         store.register("stopped", np.array([2.0, -1.0]))
 
-        def f(s):
+        def f(s, frozen):
+            stopped = ref.square(s["stopped"])
             return {"loss": ref.reduce_sum(
-                ad.mul(ad.stop_gradient(ref.square(s["stopped"])), ref.square(s["live"]))
-            )}
+                ad.mul(held(stopped, frozen), ref.square(s["live"]))
+            )}, stopped
 
         results = finite_diff_check(f, store)
         by_name = {r.param: r for r in results}
@@ -65,20 +72,21 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("x", np.array([1.3]))
 
-        def f(s):
-            return {"loss": ref.reduce_sum(ad.mul(ad.stop_gradient(s["x"]), s["x"]))}
+        def f(s, frozen):
+            return {"loss": ref.reduce_sum(ad.mul(held(s["x"], frozen), s["x"]))}, s["x"]
 
         results = finite_diff_check(f, store)
         assert results[0].mode == "match" and results[0].passed
         # raw FD would see d(x^2)/dx = 2x while the tape reports x
-        g = ad.gradients(f(store)["loss"], store.as_dict())["x"]
+        g = ad.gradients(f(store, None)[0]["loss"], store.as_dict())["x"]
         np.testing.assert_allclose(g, [1.3])
 
     def test_step_bounds_enforced(self):
         store = ParameterStore()
         store.register("x", np.ones(2))
         with pytest.raises(ContractViolationError):
-            finite_diff_check(lambda s: {"loss": ref.reduce_sum(s["x"])}, store, step=1e-2)
+            finite_diff_check(lambda s, frozen: ({"loss": ref.reduce_sum(s["x"])}, None),
+                              store, step=1e-2)
 
     @pytest.mark.parametrize("options", [
         {"max_coords": 0}, {"max_coords": -1}, {"tolerance": 0.0},
@@ -88,28 +96,28 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("x", np.ones(2))
         with pytest.raises(ContractViolationError):
-            finite_diff_check(lambda s: {"loss": ref.reduce_sum(s["x"])}, store, **options)
+            finite_diff_check(lambda s, frozen: ({"loss": ref.reduce_sum(s["x"])}, None),
+                              store, **options)
 
     @pytest.mark.parametrize("max_coords,coords", [(200, 7), (1, 3)])
     def test_one_forward_per_evaluation_for_every_root(self, max_coords, coords):
-        # one recorded forward, one replayed evaluation per perturbation for
+        # one base forward, one surrogate evaluation per perturbation for
         # both roots, and one raw evaluation more for the parameter that
-        # reaches a root only through a stop-gradient
+        # reaches a root only through the stopped value
         store = ParameterStore()
         store.register("live", np.array([0.5, 1.0]))
         store.register("stopped", np.array([2.0, -1.0]))
         store.register("other", np.array([0.3, -0.7, 1.1]))
         calls = 0
 
-        def f(s):
+        def f(s, frozen):
             nonlocal calls
             calls += 1
-            live = ref.square(s["live"])
+            live, stopped = ref.square(s["live"]), ref.square(s["stopped"])
             return {
                 "plain": ad.add(ref.reduce_sum(live), ref.reduce_sum(ref.square(s["other"]))),
-                "weighted": ref.reduce_sum(ad.mul(ad.stop_gradient(ref.square(s["stopped"])),
-                                                 live)),
-            }
+                "weighted": ref.reduce_sum(ad.mul(held(stopped, frozen), live)),
+            }, stopped
 
         results = finite_diff_check(f, store, max_coords=max_coords)
         stopped_coords = min(2, max_coords)
@@ -120,6 +128,30 @@ class TestFiniteDiffCheck:
         modes = {(r.loss, r.param): r.mode for r in results}
         assert modes.pop(("weighted", "stopped")) == "zero_tape"
         assert set(modes.values()) == {"match"}
+
+    def test_zero_tape_only_where_the_root_reads_the_stop(self):
+        # "stopped" reaches "weighted" only through the stop, "mixed" reaches
+        # it live as well, and "apart" reads no stop: the stopped value's
+        # graph reaches "stopped" and "apart"'s does not, yet that pair is an
+        # ordinary match (zero tape, zero difference)
+        store = ParameterStore()
+        store.register("live", np.array([0.5, 1.0]))
+        store.register("stopped", np.array([2.0, -1.0]))
+        store.register("mixed", np.array([1.5, 0.7]))
+
+        def f(s, frozen):
+            stopped = ad.mul(s["stopped"], s["mixed"])
+            weighted = ad.mul(ad.mul(held(stopped, frozen), s["live"]), s["mixed"])
+            return {"weighted": ref.reduce_sum(weighted),
+                    "apart": ref.reduce_sum(ref.square(s["live"]))}, stopped
+
+        results = finite_diff_check(f, store)
+        assert all(r.passed for r in results)
+        modes = {(r.loss, r.param): r.mode for r in results}
+        assert modes.pop(("weighted", "stopped")) == "zero_tape"
+        assert set(modes.values()) == {"match"}
+        apart = {r.param: r for r in results if r.loss == "apart"}["stopped"]
+        assert apart.max_tape_abs == 0.0 and apart.max_fd_abs == 0.0
 
     def test_geodesic_kink_guard(self):
         # the check configuration builder rejects coincident-point setups
@@ -144,7 +176,8 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("big", np.random.default_rng(0).normal(size=(30, 30)))
         results = finite_diff_check(
-            lambda s: {"loss": ref.reduce_sum(ref.square(s["big"]))}, store, max_coords=17
+            lambda s, frozen: ({"loss": ref.reduce_sum(ref.square(s["big"]))}, None), store,
+            max_coords=17
         )
         assert results[0].n_coords == 17
         assert results[0].passed

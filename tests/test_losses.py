@@ -441,6 +441,29 @@ class TestTotalLoss:
         )
         assert float(value_of(rep.total)) == pytest.approx(recombined, rel=1e-10)
 
+    def test_frozen_leak_pins_calibration(self):
+        # the base point's own leak changes no bit; the wholes reach
+        # calibration only through the leak, so after they move a frozen
+        # leak keeps calibration while the live one follows them, and the
+        # other components do not see the frozen leak
+        rng = np.random.default_rng(22)
+        m = Manifold(1.0)
+        batch = random_batch(rng, 5, 4)
+        cfg = LossConfig()
+        base = total_loss(batch, cfg, m)
+        frozen = value_of(base.leak).copy()
+        assert frozen.shape == (4, 5)
+        assert total_loss(batch, cfg, m, frozen_leak=frozen).to_floats() == base.to_floats()
+        moved = Batch(whole_image=1.3 * batch.whole_image, whole_text=1.3 * batch.whole_text,
+                      part_image=batch.part_image, part_text=batch.part_text)
+        live = total_loss(moved, cfg, m).to_floats()
+        pinned = total_loss(moved, cfg, m, frozen_leak=frozen).to_floats()
+        assert pinned["calibration"] == base.to_floats()["calibration"]
+        assert live["calibration"] != pinned["calibration"]
+        for name in ("calibration", "total"):
+            del live[name], pinned[name]
+        assert pinned == live
+
     def test_two_row_transcription(self):
         rng = np.random.default_rng(21)
         m = Manifold(1.0)
@@ -638,14 +661,15 @@ class TestLossGradients:
         store.register("tau_l", 0.07)
         store.register("tau_gl", 0.06)
 
-        def f(s):
+        def f(s, frozen):
             cfg = LossConfig(temps=TemperatureSet(
                 tau_global=s["tau_g"], tau_local=s["tau_l"],
                 tau_global_local=s["tau_gl"],
             ))
             batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
                           part_image=s["part_image"], part_text=s["part_text"])
-            return {"loss": total_loss(batch, cfg, Manifold(s["kappa"])).total}
+            report = total_loss(batch, cfg, Manifold(s["kappa"]), frozen_leak=frozen)
+            return {"loss": report.total}, report.leak
 
         results = finite_diff_check(f, store, max_coords=12, seed=seed)
         worst = max(r.max_rel_err for r in results)
@@ -660,12 +684,13 @@ class TestLossGradients:
             store.register(name, rng.normal(size=(4, 6)) * 1.2)
         store.register("kappa", 1.1)
 
-        def f(s):
+        def f(s, frozen):
             cfg = LossConfig(uncertainty_from_radius=True, entropy_sign=-1.0,
                              include_positive=True)
             batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
                           part_image=s["part_image"], part_text=s["part_text"])
-            return {"loss": total_loss(batch, cfg, Manifold(s["kappa"])).total}
+            report = total_loss(batch, cfg, Manifold(s["kappa"]), frozen_leak=frozen)
+            return {"loss": report.total}, report.leak
 
         results = finite_diff_check(f, store, max_coords=10, seed=107)
         worst = max(r.max_rel_err for r in results)
