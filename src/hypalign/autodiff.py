@@ -1,17 +1,17 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine is the tape and no more: :class:`Var` nodes, :func:`fused`,
-:func:`pick`, :func:`stack`, :func:`add` and :func:`mul`,
-:func:`stop_gradient`, the backward sweep and the parameter store; it keeps
-no module-level state.  Its node vocabulary is what training builds.  Every
-op computes its numpy value and a hand-derived vector-Jacobian product and
-becomes one node through :func:`fused`: the geometry modules build the lift,
-the distance matrix, the cone angle and aperture and the uncertainty that
-way, and the losses and the trainer build each loss block and the batch
-gather as one node too.  The
-plain-numpy kernels those nodes share (the sqrt composites with their series
-forms, the acosh clamp, softmax) sit here as well.  :func:`fused` dispatches
-on the inputs: if no argument is a :class:`Var`, the plain numpy result is
+:func:`pick`, :func:`stack`, :func:`stop_gradient`, the backward sweep and
+the parameter store; it keeps no module-level state.  Its node vocabulary
+is what training builds.  Every op computes its numpy value and a
+hand-derived vector-Jacobian product and becomes one node through
+:func:`fused`: the geometry modules build the lift, the distance matrix,
+the cone angle and aperture and the uncertainty that way, and the losses
+and the trainer build each report component, the temperatures, the leaks,
+the weighted total and the batch gather as one node too.  The plain-numpy
+kernels those nodes share (the sqrt composites with their series forms,
+the acosh clamp, softmax) sit here as well.  :func:`fused` dispatches on
+the inputs: if no argument is on the tape, the plain numpy result is
 returned, so the same numeric code serves both the differentiable training
 path and fast tape-free evaluation.  An op may read groups of a stacked
 Var's leading axis through :func:`pick`, which builds no node of its own:
@@ -134,35 +134,22 @@ def _unbroadcast(grad: Array, shape: tuple) -> Array:
 
 def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> Var:
     """One tape node for an op over ``inputs``; every op of the engine is
-    built here.
+    built here.  With nothing on the tape among the inputs the plain
+    ``value`` is returned.
 
     ``value`` is the op's numpy result.  ``vjp(g)`` returns one adjoint per
     entry of ``inputs``, each shaped like ``value`` or like its input; the
-    node keeps only the adjoints of inputs that are on the tape.  A
-    :class:`Var` input is a parent of the node and its adjoint is summed
-    down to the Var's shape if needed.  The :class:`Pick` inputs of one base
-    Var share one parent entry, whose adjoint is a dict from each picked
-    group to the sum of the node's adjoints for it, added in route order (a
-    group picked twice, as the apex stack picks the part-text group, is
-    summed here); :func:`_sweep` adds those sums into the base's adjoint, so
-    no node allocates an array of the whole stack.  With nothing on the
-    tape among the inputs the plain ``value`` is returned.  The tape is
-    bound by per-node overhead, so the checks below are a plain loop.
+    node keeps only the adjoints of inputs that are on the tape.  Each
+    :class:`Var` input is a parent entry of its own (a Var listed twice, as
+    ``info_nce`` lists a matrix it reads along both axes, gets two, which
+    the sweep adds), its adjoint summed down to the Var's shape if needed.
+    The :class:`Pick` inputs of one base Var share one parent entry, whose
+    adjoint is a dict from each picked group to the sum of the node's
+    adjoints for it, added in route order; :func:`_sweep` adds those sums
+    into the base's adjoint, so no node allocates an array of the stack.
     """
-    live, aligned = False, True
-    for x in inputs:
-        if isinstance(x, Var):
-            live = True
-            aligned = aligned and x.value.shape == value.shape
-        else:
-            aligned = False
-            live = live or isinstance(x, Pick)
-    if not live:
+    if not any(isinstance(x, (Var, Pick)) for x in inputs):
         return value
-    if aligned:
-        # every input is live and shaped like the value: the adjoints are
-        # the node's as they come
-        return Var(value, name, inputs, vjp)
     parents: list[Var] = []
     routes = []             # (input position, parent position, pick index or None)
     bases: dict[int, int] = {}
@@ -199,15 +186,6 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
 def stack(xs: Sequence):
     """Equally shaped arrays stacked along a new leading (group) axis."""
     return fused(np.stack([value_of(x) for x in xs]), "stack", tuple(xs), lambda g: tuple(g))
-
-
-def add(a, b):
-    return fused(value_of(a) + value_of(b), "add", (a, b), lambda g: (g, g))
-
-
-def mul(a, b):
-    av, bv = value_of(a), value_of(b)
-    return fused(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +312,12 @@ def _sweep(order: list[Var], root: Var, check: bool) -> dict[int, Array]:
 
     A node's adjoint is dropped once its VJP has run.  Contributions are
     added in the order they arrive, in place only into arrays the sweep
-    allocated itself (``owned``), never into one a VJP returned: ``add``
-    hands both parents the same array and ``stack`` hands out views of its
-    adjoint.  A pick parent's per-group sums go into one C-ordered
-    accumulator per base.  An owned sum is C-ordered, the layout ``a + b``
-    gives whenever either operand is, so the reductions downstream see the
-    layout that out-of-place sums would give.
+    allocated itself (``owned``), never into one a VJP returned:
+    ``weighted_total`` hands three parents the same array and ``stack``
+    hands out views of its adjoint.  A pick parent's per-group sums go into
+    one C-ordered accumulator per base.  An owned sum is C-ordered, the
+    layout ``a + b`` gives whenever either operand is, so the reductions
+    downstream see the layout that out-of-place sums would give.
     """
     grads: dict[int, Array] = {id(root): np.ones_like(root.value)}
     owned: set[int] = set()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import value_of
 from .entailment import ConeParams
-from .errors import ContractViolationError, HypalignError
+from .errors import ContractViolationError, DomainError, HypalignError
 from .evalmetrics import Taxonomy, evaluate, scaled_tables
 from .gradcheck import format_results, run_check_grads
 from .losses import GROUPS, LAYOUT, LossConfig, TemperatureSet
@@ -62,9 +62,11 @@ CONFIG_SCHEMA = {
 }
 
 
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` text (``#`` comments); unknown keys rejected."""
+def parse_config_file(path) -> tuple[dict, dict]:
+    """Flat ``key = value`` text (``#`` comments); unknown keys rejected.
+    Returns each key's value and each key's ``path:line``."""
     values: dict[str, object] = {}
+    where: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -83,7 +85,8 @@ def parse_config_file(path) -> dict:
                 values[key] = caster(text.strip())
             except ValueError as err:
                 raise ContractViolationError(f"{path}:{lineno}: {err}") from None
-    return values
+            where[key] = f"{path}:{lineno}"
+    return values, where
 
 
 def _env_seed(default: int) -> int:
@@ -98,23 +101,28 @@ def _env_seed(default: int) -> int:
         raise ContractViolationError(f"UNCHA_SEED is not an integer: {raw!r}") from None
 
 
-def build_train_config(file_values: dict, flag_values: dict) -> TrainConfig:
+def build_train_config(file_values: dict, flag_values: dict,
+                       where: dict | None = None) -> TrainConfig:
     """Defaults < config file < flags; seed additionally falls back to the
-    UNCHA_SEED environment variable."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
+    UNCHA_SEED environment variable.  A file value outside its domain is
+    refused naming its key and its ``path:line`` in ``where``."""
+    flags = {k: v for k, v in flag_values.items() if v is not None}
+    merged = {**file_values, **flags}
     if "seed" not in merged:
         merged["seed"] = _env_seed(TrainConfig.seed)
     sections = {"train": {}, "temps": {}, "cone": {}, "loss": {}}
     for key, value in merged.items():
         section, field, _ = CONFIG_SCHEMA[key]
         sections[section][field] = value
-    loss = LossConfig(
-        temps=TemperatureSet(**sections["temps"]),
-        cone=ConeParams(**sections["cone"]),
-        **sections["loss"],
-    )
-    return TrainConfig(loss=loss, **sections["train"])
+    try:
+        loss = LossConfig(temps=TemperatureSet(**sections["temps"]),
+                          cone=ConeParams(**sections["cone"]), **sections["loss"])
+        return TrainConfig(loss=loss, **sections["train"])
+    except DomainError as err:
+        key = next((k for k, (_, f, _) in CONFIG_SCHEMA.items() if f == err.field), None)
+        if key in (where or {}) and key not in flags:
+            raise ContractViolationError(f"{where[key]}: {key} {err.detail}") from None
+        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,9 +194,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
+    file_values, where = parse_config_file(args.config) if args.config else ({}, {})
     flag_values = {k: v for k, v in vars(args).items() if k in CONFIG_SCHEMA}
-    cfg = build_train_config(file_values, flag_values)
+    cfg = build_train_config(file_values, flag_values, where)
     _log_config("train", {**asdict(cfg), "corpus": args.corpus,
                           "out": args.out, "resume": args.resume})
     corpus = load_corpus(args.corpus)

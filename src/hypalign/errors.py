@@ -6,6 +6,7 @@ is reported as data, not an exception).
 """
 
 import functools
+import numbers
 
 
 class HypalignError(Exception):
@@ -21,6 +22,14 @@ class ContractViolationError(HypalignError):
 
     kind = "contract"
     exit_code = 1
+
+
+class DomainError(ContractViolationError):
+    """A configuration ``field`` outside its domain, as ``detail`` says."""
+
+    def __init__(self, field: str, detail: str):
+        super().__init__(f"{field} {detail}")
+        self.field, self.detail = field, detail
 
 
 class NumericalConsistencyError(HypalignError):
@@ -44,13 +53,15 @@ def _bounds(interval: str) -> tuple:
 
 
 def check_domains(config, domains: dict) -> None:
-    """Raise a :class:`ContractViolationError` naming the first field of
-    ``config`` outside its domain.  ``domains`` maps field names to
-    intervals written like ``"[0, 1)"`` or ``"(0, inf)"``; an open infinite
-    end refuses that infinity, and every bound refuses ``nan``."""
+    """Raise a :class:`DomainError` naming the first field of ``config``
+    outside its domain.  ``domains`` maps field names to intervals written
+    like ``"[0, 1)"`` or ``"(0, inf)"``; an open infinite end refuses that
+    infinity, every bound refuses ``nan``, and a value that is not a real
+    number lies outside every domain."""
     for name, interval in domains.items():
         value = getattr(config, name)
         low, closed_low, high, closed_high = _bounds(interval)
-        if not ((low <= value if closed_low else low < value)
+        if not (isinstance(value, numbers.Real)
+                and (low <= value if closed_low else low < value)
                 and (value <= high if closed_high else value < high)):
-            raise ContractViolationError(f"{name} {value!r} outside its domain {interval}")
+            raise DomainError(name, f"{value!r} outside its domain {interval}")

@@ -12,33 +12,26 @@ inside the cone; the calibration term re-weights the (stop-gradient)
 entailment violation by ``exp(-u)`` and regularizes the batch uncertainty
 profile with an entropy term.
 
-The batch objective builds one graph over stacked groups.  The four groups
-are stacked along a leading group axis and lifted once, as one stack; the
-two part groups are stacked once more for their uncertainty, which feeds
-both their temperatures and their calibration.  The four entailment terms
-form one stack of apex/member pairs read out of the lifted stack, so the
-exterior angle, the aperture and the leaky term are one node each over all
-four terms, and calibration re-weights the intra-modal leaks that stack
-already holds.  Each distance matrix reads its two groups out of the lifted
-stack and stays its own node, and the global and local terms read their
-matrix along both axes; the ``(B, B)`` matrices and their adjoints are
-never stacked, which keeps them in cache at large batch sizes.  The
-per-term functions build their own inputs, for direct use; gradient
-checking (``gradcheck``) verifies the report's components and total as
-roots of the one graph ``total_loss`` builds, the graph training
-differentiates.
+The batch objective is one graph over stacked groups.  The four groups are
+stacked and lifted once; the two part groups are stacked once more for
+their uncertainty, which feeds their temperatures and their calibration.
+The four entailment terms are one stack of apex/member pairs read out of
+the lifted stack, so the exterior angle, the aperture and the leaky term
+are one node each over all four.  Each distance matrix reads its two groups
+out of the lifted stack and stays its own node: the ``(B, B)`` matrices and
+their adjoints are never stacked, which keeps them in cache at large batch
+sizes.
 
-Each loss block is one tape node with a hand-derived vector-Jacobian
-product, built through ``autodiff.fused`` on top of the fused geometry:
-``info_nce`` (one contrastive direction, reading its distance matrix along
-either axis), ``tempered`` (the per-row temperatures of both part groups),
-``leaky`` (the per-row leaks of all four entailment terms), ``sum_pair`` (a
-block's two row sums), ``calibration`` (one part group, behind its own
-``stop_gradient`` node) and ``weighted_total``.  Each node keeps the
-arithmetic of the op-by-op composition it replaced, so the forward values
-are bit-identical to the composition's (kept in
-``tests/test_fused_loss_ops.py`` as the reference); the stacked nodes sum
-shared adjoints in their own order, so gradients agree with it to rounding.
+Each of the six report components is one tape node with a hand-derived
+vector-Jacobian product, built through ``autodiff.fused``: ``info_nce``
+(the sum of a contrastive component's two directions; the global and local
+components read their matrix along both axes), ``sum_pair`` (an entailment
+component's two row sums) and ``calibration`` (both part groups, behind one
+``stop_gradient`` node).  ``tempered`` and ``leaky`` give their per-row
+temperatures and leaks, and ``weighted_total`` weighs the six; the block
+sums are plain arithmetic.  The nodes keep the arithmetic of the op-by-op
+composition they replaced, so forward values are bit-identical to it
+(``tests/test_fused_loss_ops.py``), and gradients agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import value_of
 from .entailment import ConeParams, aperture, exterior_angle
-from .errors import ContractViolationError, check_domains
+from .errors import ContractViolationError, DomainError, check_domains
 from .manifold import LorentzPoint, Manifold, lift, pairwise_distance
 from .uncertainty import (
     entropy,
@@ -61,10 +54,13 @@ from .uncertainty import (
 )
 
 
+TAU_FLOOR = 0.01        # the trainer clamps each learned temperature back to it
+
+
 @dataclass(frozen=True)
 class TemperatureSet:
     """Logit scales for the global, local, and global-local contrastive
-    terms; each is clamped to >= 0.01 by the trainer."""
+    terms; each is clamped to >= ``TAU_FLOOR`` by the trainer."""
 
     tau_global: object = 0.07
     tau_local: object = 0.07
@@ -72,8 +68,8 @@ class TemperatureSet:
 
     def __post_init__(self):
         for f in fields(self):
-            if float(value_of(getattr(self, f.name))) < 0.01:
-                raise ContractViolationError(f"{f.name} below the 0.01 floor")
+            if float(value_of(getattr(self, f.name))) < TAU_FLOOR:
+                raise DomainError(f.name, f"below the {TAU_FLOOR} floor")
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class LossConfig:
 
     def __post_init__(self):
         if self.entropy_sign not in (1.0, -1.0):
-            raise ContractViolationError("entropy_sign must be +1 or -1")
+            raise DomainError("entropy_sign", "must be +1 or -1")
         check_domains(self, _LOSS_DOMAINS)
 
 
@@ -153,19 +149,18 @@ class LossReport:
     leak: object
 
     def to_floats(self) -> dict[str, float]:
-        out = {"total": float(value_of(self.total))}
-        for name, v in self.components.items():
-            out[name] = float(value_of(v))
-        return out
+        return {"total": float(value_of(self.total)),
+                **{name: float(value_of(v)) for name, v in self.components.items()}}
 
 
 def _uncertainty(x, m: Manifold, use_radius: bool):
     return uncertainty_from_radius(x, m) if use_radius else uncertainty(x)
 
 
-def _info_nce(dists, tau, include_positive: bool, transposed: bool = False):
-    """Contrastive loss over a ``(B, B)`` distance matrix whose diagonal
-    holds the positive pairs, as one tape node; ``transposed`` reads the
+def _nce(dists, tau, include_positive: bool, transposed: bool):
+    """One contrastive direction over a ``(B, B)`` distance matrix whose
+    diagonal holds the positive pairs, on plain arrays: the loss and its VJP
+    ``g -> (distances' adjoint, tau's adjoint)``; ``transposed`` reads the
     matrix's columns as the anchor rows.
 
     ``tau`` is a scalar or a per-anchor-row vector.  Per row, the adjoint of
@@ -200,7 +195,18 @@ def _info_nce(dists, tau, include_positive: bool, transposed: bool = False):
         return (g_logits.T if transposed else g_logits,
                 g_t.sum(axis=1) if tv.ndim else g_t.sum(axis=(0, 1)))
 
-    return ad.fused(np.sum(denom - positives), "info_nce", (dists, tau), vjp)
+    return np.sum(denom - positives), vjp
+
+
+def _info_nce(terms, include_positive: bool):
+    """The sum of contrastive directions ``(dists, tau, transposed)``
+    (:func:`_nce`), one tape node whose inputs are each term's ``(dists,
+    tau)``: a matrix read along both axes is listed twice, and the sweep
+    adds its two adjoints."""
+    kernels = [_nce(d, tau, include_positive, tr) for d, tau, tr in terms]
+    return ad.fused(sum((v for v, _ in kernels[1:]), kernels[0][0]), "info_nce",
+                    tuple(x for d, tau, _ in terms for x in (d, tau)),
+                    lambda g: [adj for _, vjp in kernels for adj in vjp(g)])
 
 
 def contrastive(anchors, targets, tau, m: Manifold, *, include_positive: bool = False):
@@ -217,7 +223,7 @@ def contrastive(anchors, targets, tau, m: Manifold, *, include_positive: bool = 
     if b < 2 or value_of(targets).shape[0] != b:
         raise ContractViolationError("contrastive needs aligned batches of size >= 2")
     dists = pairwise_distance(lift(anchors, m), lift(targets, m), m)
-    return _info_nce(dists, tau, include_positive)
+    return _info_nce(((dists, tau, False),), include_positive)
 
 
 def _tempered(u, tau_global_local):
@@ -225,8 +231,7 @@ def _tempered(u, tau_global_local):
     node."""
     half = np.exp(value_of(u) / 2.0)
     tau = value_of(tau_global_local)
-    out = half * tau
-    return ad.fused(out, "tempered", (u, tau_global_local),
+    return ad.fused(half * tau, "tempered", (u, tau_global_local),
                     lambda g: (g * tau * half / 2.0, np.sum(g * half)))
 
 
@@ -272,28 +277,29 @@ def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
 
 
 def _calibrate(u, leak, entropy_sign: float):
-    """``sum_i [sg(leak_i) exp(-u_i) + u_i] + sign * H(softmax(u))`` as one
-    tape node over ``u`` and the stopped leak; the stop-gradient stays its
-    own parentless node, which marks the graph of a root that reads it."""
+    """``sum_i [sg(leak_i) exp(-u_i) + u_i] + sign * H(softmax(u))`` summed
+    over the rows of ``u`` in order, as one tape node over ``u`` and the
+    stopped leak; the stop-gradient stays its own parentless node, which
+    marks the graph of a root that reads it."""
     stopped = ad.stop_gradient(leak)
     uv, lv = value_of(u), value_of(stopped)
     sign = float(entropy_sign)
     decay = np.exp(-uv)
     w = normalize_uncertainty(uv)
-    ent = entropy(w)
+    rows = [np.sum(core) + sign * entropy(wk)
+            for core, wk in zip(np.atleast_2d(lv * decay + uv), np.atleast_2d(w))]
 
     def vjp(g):
-        g_rows = np.full(uv.shape, g)
+        g_rows = np.full(w.shape, g)
         # the entropy's adjoint reaches w through w and through log(w)
-        g_ent = np.full(uv.shape, -(g * sign))
+        g_ent = np.full(w.shape, -(g * sign))
         g_w = g_ent * np.log(w) + g_ent * w * (1.0 / w)
         g_soft = w * (g_w - np.sum(g_w * w, axis=-1, keepdims=True))
         return (g_rows * decay, g_rows, -(g_rows * lv * decay), g_soft)
 
     # u's three adjoint terms (the core's two and the entropy's) go to the
     # sweep one at a time, which adds them to u's adjoint in that order
-    return ad.fused(np.sum(lv * decay + uv) + sign * ent, "calibration",
-                    (stopped, u, u, u), vjp)
+    return ad.fused(sum(rows[1:], rows[0]), "calibration", (stopped, u, u, u), vjp)
 
 
 def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
@@ -358,8 +364,8 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
     """Global-local terms with uncertainty-tempered rows; the global and
     local terms read one distance matrix along both axes."""
 
-    def nce(dists, tau, transposed=False):
-        return _info_nce(dists, tau, include_positive, transposed)
+    def nce(*terms):
+        return _info_nce(terms, include_positive)
 
     def dist(pair):
         # off the tape a matrix read by one term is freed once that term is
@@ -371,14 +377,13 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
     d_loc = dist(LOCAL)
     tau_rows = _tempered(s.u, temps.tau_global_local)
     return {
-        "contrastive_globallocal": ad.add(
-            nce(dist(GLOBAL_LOCAL_IMAGE), ad.pick(tau_rows, U_IMAGE)),
-            nce(dist(GLOBAL_LOCAL_TEXT), ad.pick(tau_rows, U_TEXT)),
-        ),
-        "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
-                                     nce(d_glob, temps.tau_global, transposed=True)),
-        "contrastive_local": ad.add(nce(d_loc, temps.tau_local),
-                                    nce(d_loc, temps.tau_local, transposed=True)),
+        "contrastive_globallocal": nce(
+            (dist(GLOBAL_LOCAL_IMAGE), ad.pick(tau_rows, U_IMAGE), False),
+            (dist(GLOBAL_LOCAL_TEXT), ad.pick(tau_rows, U_TEXT), False)),
+        "contrastive_global": nce((d_glob, temps.tau_global, False),
+                                  (d_glob, temps.tau_global, True)),
+        "contrastive_local": nce((d_loc, temps.tau_local, False),
+                                 (d_loc, temps.tau_local, True)),
     }
 
 
@@ -393,7 +398,7 @@ def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold, frozen_leak=None
     """Inter and intra leaky entailment over the stack of the four terms,
     and the leak stack; calibration re-weights the intra leaks of that
     stack, or of ``frozen_leak`` when given (under a stop-gradient), rather
-    than rebuilding them."""
+    than rebuilding them, as one node over both part groups, text first."""
     cone = cfg.cone
     apex = s.points.groups(APEXES)
     # the angle first: its origin guard fires before the aperture's
@@ -401,36 +406,28 @@ def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold, frozen_leak=None
     omega = aperture(apex, cone.aperture_k, m)
     leak = _leaky(phi, omega, entailment_etas(cone), cfg.alpha)
     stopped = leak if frozen_leak is None else frozen_leak
-
-    def term(k):
-        return ad.pick(leak, k)
-
-    def calibrate(u, k):
-        return _calibrate(ad.pick(s.u, u), ad.pick(stopped, k), cfg.entropy_sign)
-
     return {
-        "entail_inter": _sum_pair(term(INTER_PARTS), term(INTER_WHOLES)),
-        "entail_intra": _sum_pair(term(INTRA_TEXT), term(INTRA_IMAGE)),
-        "calibration": ad.add(calibrate(U_TEXT, INTRA_TEXT),
-                              calibrate(U_IMAGE, INTRA_IMAGE)),
+        "entail_inter": _sum_pair(ad.pick(leak, INTER_PARTS), ad.pick(leak, INTER_WHOLES)),
+        "entail_intra": _sum_pair(ad.pick(leak, INTRA_TEXT), ad.pick(leak, INTRA_IMAGE)),
+        "calibration": _calibrate(ad.pick(s.u, (U_TEXT, U_IMAGE)),
+                                  ad.pick(stopped, (INTRA_TEXT, INTRA_IMAGE)),
+                                  cfg.entropy_sign),
     }, leak
 
 
-def _contrastive_sum(c: dict):
-    return ad.add(ad.add(c["contrastive_globallocal"], c["contrastive_global"]),
-                  c["contrastive_local"])
+def _contrastive_sum(v: dict):
+    return (v["contrastive_globallocal"] + v["contrastive_global"]) + v["contrastive_local"]
 
 
-def _entailment_sum(e: dict, lambda_intra, lambda_cal):
-    return ad.add(e["entail_inter"],
-                  ad.add(ad.mul(lambda_intra, e["entail_intra"]),
-                         ad.mul(lambda_cal, e["calibration"])))
+def _entailment_sum(v: dict, lambda_intra, lambda_cal):
+    return v["entail_inter"] + (lambda_intra * v["entail_intra"]
+                                + lambda_cal * v["calibration"])
 
 
 def _weighted_total(c: dict, lambda_intra, lambda_cal, lambda_ent):
     """``contrastive sum + lambda_ent * entailment sum`` of the report's
     components, as one tape node over the six components and the three
-    weights; the sums are the block totals' own, taken on values."""
+    weights; the block sums are plain arithmetic on their values."""
     v = {name: value_of(x) for name, x in c.items()}
     li, lc, le = value_of(lambda_intra), value_of(lambda_cal), value_of(lambda_ent)
     ent = _entailment_sum(v, li, lc)
@@ -446,18 +443,19 @@ def _weighted_total(c: dict, lambda_intra, lambda_cal, lambda_ent):
                      c["calibration"], lambda_intra, lambda_cal, lambda_ent), vjp)
 
 
-def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold):
+def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold) -> float:
     """Sum of the six contrastive terms: uncertainty-tempered global-local,
     plain global, and plain local pairs."""
-    s = _lift_batch(batch, m, use_radius=False)
-    return _contrastive_sum(_contrastive_terms(s, temps, m, include_positive=False))
+    c = _contrastive_terms(_lift_batch(batch, m, use_radius=False), temps, m, False)
+    return float(_contrastive_sum({name: value_of(x) for name, x in c.items()}))
 
 
-def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold):
+def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold) -> float:
     """Inter-modal entailment plus weighted intra-modal entailment and
     calibration, summed over batch rows."""
-    s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
-    return _entailment_sum(_entailment_terms(s, cfg, m)[0], cfg.lambda_intra, cfg.lambda_cal)
+    e, _ = _entailment_terms(_lift_batch(batch, m, cfg.uncertainty_from_radius), cfg, m)
+    return float(_entailment_sum({name: value_of(x) for name, x in e.items()},
+                                 cfg.lambda_intra, cfg.lambda_cal))
 
 
 def total_loss(batch: Batch, cfg: LossConfig, m: Manifold, *,

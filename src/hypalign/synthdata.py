@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import floatbytes
-from .errors import ContractViolationError, GenerationError, check_domains
+from .errors import ContractViolationError, DomainError, GenerationError, check_domains
 
 _FORMAT = "hypalign-corpus-v2"
 _MAX_REJECTS = 10_000
@@ -54,6 +54,9 @@ class GeneratorParams:
     spread: float = 1.0            # displacement at representativeness 0
     min_separation: float = 0.5    # minimum scene-latent distance
     seed: int = 7
+
+    def __post_init__(self):
+        check_domains(self, _GENERATOR_DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,6 @@ def generate(**settings) -> Corpus:
     strictly decreasing function of the displacement before view noise.
     """
     p = GeneratorParams(**settings)
-    check_domains(p, _GENERATOR_DOMAINS)
     rng = np.random.default_rng(p.seed)
 
     scene_latents = []
@@ -238,7 +240,10 @@ def load(path) -> Corpus:
     if sizes:
         raise ContractViolationError(
             f"{path}: corpus header field(s) {sizes} not positive integers")
-    params = GeneratorParams(**{name: header[name] for name in names})
+    try:
+        params = GeneratorParams(**{name: header[name] for name in names})
+    except DomainError as err:
+        raise ContractViolationError(f"{path}: corpus header's {err}") from None
     dim = params.latent_dim
     # per record: its line, parent and representativeness in flat lists, its
     # id and kind in `kind_of`, and per view its raw bytes (which the garbage

@@ -28,15 +28,14 @@ from . import floatbytes
 from .autodiff import ParameterStore, value_of
 from .errors import (ContractViolationError, HypalignError, NumericalConsistencyError,
                      check_domains)
-from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, Batch, LossConfig, LossReport,
-                     TemperatureSet, total_loss)
+from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, TAU_FLOOR, Batch, LossConfig,
+                     LossReport, TemperatureSet, total_loss)
 from .manifold import KAPPA_MAX, KAPPA_MIN, Manifold, hyperbolic_radius
 from .evalmetrics import distribution_distances, scaled_tables
 from .synthdata import BatchIndices, Corpus, sample_batch
 from .uncertainty import uncertainty
 
 CHECKPOINT_FORMAT_VERSION = 2
-TAU_FLOOR = 0.01
 # learnable temperatures: TemperatureSet field -> parameter name
 TEMPERATURE_PARAMS = {"tau_global": "tau_g", "tau_local": "tau_l",
                       "tau_global_local": "tau_gl"}

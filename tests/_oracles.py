@@ -332,8 +332,8 @@ def sweep_reference(root):
 
 
 def info_nce_reference(dv, tv, include_positive, transposed=False):
-    """``losses._info_nce`` on plain arrays as first written: the loss and
-    its VJP ``g -> (distances' adjoint, tau's adjoint)``."""
+    """``losses._nce`` as first written: the loss and its VJP
+    ``g -> (distances' adjoint, tau's adjoint)``."""
     d = dv.T if transposed else dv
     b = d.shape[0]
     t = tv.reshape(b, 1) if tv.ndim == 1 else tv

@@ -18,6 +18,15 @@ from hypalign.autodiff import fused, value_of
 # arithmetic
 # ---------------------------------------------------------------------------
 
+def add(a, b):
+    return fused(value_of(a) + value_of(b), "add", (a, b), lambda g: (g, g))
+
+
+def mul(a, b):
+    av, bv = value_of(a), value_of(b)
+    return fused(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
+
+
 def neg(a):
     return fused(-value_of(a), "neg", (a,), lambda g: (-g,))
 

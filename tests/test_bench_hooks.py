@@ -53,7 +53,7 @@ def test_installed_tracer_counts_and_uninstalls(tracer):
         root = total_loss(Batch(**groups), LossConfig(), Manifold(kappa)).total
         ad.gradients(root, {"kappa": kappa, **groups})
     assert (ad.Var.__init__, ad.gradients) == originals
-    assert t.built["info_nce"] == 6 and t.built["lift_time"] == 1
+    assert t.built["info_nce"] == 3 and t.built["lift_time"] == 1
     # every built node of this graph reaches the loss
     reached = {op: n for op, n in t.reachable.items() if op != "leaf"}
     assert reached == {op: n for op, n in t.built.items() if op != "leaf"}

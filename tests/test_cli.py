@@ -99,8 +99,9 @@ class TestArgumentErrors:
 
 class TestValuesOutsideTheirDomain:
     """A configuration, generator or seed value outside its domain exits 1
-    with one ``error kind=contract`` line naming the field, before any
-    output is written."""
+    with one ``error kind=contract`` line naming the field (a value from a
+    ``--config`` file: its file, line and key), before any output is
+    written."""
 
     def _refused(self, capsys, argv, field):
         code = main(argv)
@@ -108,22 +109,54 @@ class TestValuesOutsideTheirDomain:
                   if ln.startswith("error ")]
         assert code == 1
         assert len(errors) == 1 and errors[0].startswith("error kind=contract message=")
-        assert json.loads(errors[0].partition("message=")[2]).split()[0] == field
+        message = json.loads(errors[0].partition("message=")[2])
+        assert message.split()[0] == field
+        return message
 
-    @pytest.mark.parametrize("key,value,field", [
-        ("table_dim", "0", "table_dim"), ("table_dim", "-3", "table_dim"),
-        ("lr", "-1", "lr"), ("beta1", "2", "beta1"), ("warmup_steps", "-5", "warmup_steps"),
-        ("alpha", "nan", "alpha"), ("lambda_cal", "nan", "lambda_cal"),
-        ("eta_inter", "nan", "eta_inter"), ("tau_gl", "nan", "tau_global_local"),
-        ("lr", "nan", "lr"), ("beta2", "1", "beta2"), ("adam_eps", "0", "adam_eps"),
-        ("weight_decay", "nan", "weight_decay"),
-    ])
-    def test_train_config_value(self, corpus_path, tmp_path, capsys, key, value, field):
+    CONFIG_CASES = [
+        ("table_dim", "0", "0 outside its domain [1, inf)"),
+        ("table_dim", "-3", "-3 outside its domain [1, inf)"),
+        ("lr", "-1", "-1.0 outside its domain (0, inf)"),
+        ("beta1", "2", "2.0 outside its domain [0, 1)"),
+        ("warmup_steps", "-5", "-5 outside its domain [0, inf)"),
+        ("alpha", "nan", "nan outside its domain [0, inf)"),
+        ("lambda_cal", "nan", "nan outside its domain [0, inf)"),
+        ("eta_inter", "nan", "nan outside its domain (0, inf)"),
+        ("tau_gl", "nan", "nan outside its domain (-inf, inf)"),
+        ("tau_gl", "0.001", "below the 0.01 floor"),
+        ("entropy_sign", "0.5", "must be +1 or -1"),
+        ("lr", "nan", "nan outside its domain (0, inf)"),
+        ("beta2", "1", "1.0 outside its domain [0, 1)"),
+        ("adam_eps", "0", "0.0 outside its domain (0, inf)"),
+        ("weight_decay", "nan", "nan outside its domain [0, inf)"),
+    ]
+
+    # each case is named by its key, its value and the field the key sets
+    @pytest.mark.parametrize("key,value,detail", CONFIG_CASES, ids=[
+        f"{key}-{value}-{'tau_global_local' if key == 'tau_gl' else key}"
+        for key, value, _ in CONFIG_CASES])
+    def test_train_config_value(self, corpus_path, tmp_path, capsys, key, value, detail):
+        # a value from the file is named by its file, line and key as written
         cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
-        cfg.write_text(f"{key} = {value}\nbatch_size = 4\nsteps = 3\n")
-        self._refused(capsys, ["train", "--corpus", str(corpus_path), "--out", str(out),
-                               "--config", str(cfg)], field)
+        cfg.write_text(f"batch_size = 4\nsteps = 3\n\n{key} = {value}\n")
+        message = self._refused(capsys, ["train", "--corpus", str(corpus_path), "--out",
+                                         str(out), "--config", str(cfg)], f"{cfg}:4:")
+        assert message == f"{cfg}:4: {key} {detail}"
         assert not out.exists()
+
+    def test_flag_value_keeps_the_field_message(self, corpus_path, tmp_path, capsys):
+        # the file's own value is valid, and the flag that overrides it is not
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
+        cfg.write_text("lr = 0.001\nbatch_size = 4\nsteps = 3\n")
+        message = self._refused(capsys, ["train", "--corpus", str(corpus_path), "--out",
+                                         str(out), "--config", str(cfg), "--lr", "-1"], "lr")
+        assert message == "lr -1.0 outside its domain (0, inf)"
+
+    def test_flag_overrides_a_bad_file_value(self, corpus_path, tmp_path):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
+        cfg.write_text("lr = -1\nbatch_size = 4\nsteps = 3\n")
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(out),
+                     "--config", str(cfg), "--lr", "0.001"]) == 0
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--seed", "-1", "seed"), ("--noise-scale", "nan", "noise_scale"),
@@ -155,9 +188,11 @@ class TestConfigFile:
             "# comment\nsteps = 10\nlr=1e-3\ninclude_positive = true\n"
             "lambda_cal = 0.0  # trailing comment\n"
         )
-        values = parse_config_file(path)
+        values, where = parse_config_file(path)
         assert values == {"steps": 10, "lr": 1e-3, "include_positive": True,
                           "lambda_cal": 0.0}
+        assert where == {"steps": f"{path}:2", "lr": f"{path}:3",
+                         "include_positive": f"{path}:4", "lambda_cal": f"{path}:5"}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -202,7 +237,8 @@ class TestConfigFile:
         cfg_path.write_text("".join(
             f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n"
             for k, v in wanted.items()))
-        resolved = asdict(build_train_config(parse_config_file(cfg_path), {}))
+        values, _ = parse_config_file(cfg_path)
+        resolved = asdict(build_train_config(values, {}))
         for key, path in paths.items():
             got = lookup(resolved, path)
             assert got == wanted[key] and type(got) is type(wanted[key]), key
@@ -451,6 +487,18 @@ class TestMalformedInputFiles:
         self._edit_corpus(run, as_v1)
         message = self._refused(self._argv(run, tmp_path, command), capsys)
         assert message == f"{run['corpus']}: unrecognized corpus format 'hypalign-corpus-v1'"
+
+    @pytest.mark.parametrize("field, value, interval", [
+        ("noise_scale", float("nan"), "[0, inf)"), ("seed", -1, "[0, inf)"),
+        ("min_separation", float("inf"), "(-inf, inf)"), ("spread", "wide", "(-inf, inf)"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    def test_corpus_header_value_outside_its_domain(self, run, capsys, tmp_path, command,
+                                                    field, value, interval):
+        self._edit_corpus(run, lambda records: records[0].update({field: value}))
+        message = self._refused(self._argv(run, tmp_path, command), capsys)
+        assert message == (f"{run['corpus']}: corpus header's {field} {value!r} "
+                           f"outside its domain {interval}")
 
     # records[k] is line k + 1: the header, scenes s000-s007, then their parts
     @pytest.mark.parametrize("edit, line, field", [

@@ -3,7 +3,7 @@
 The optimizer updates one flat buffer in blocks, a node reading picks of a
 stack hands the sweep per-group sums instead of a zero array of the whole
 stack, the gather assigns distinct rows instead of scatter-adding them, and
-``info_nce`` reuses its arrays in place.  Each must give the bits of the
+the ``info_nce`` kernel reuses its arrays in place.  Each must give the bits of the
 formulation it replaced (``_oracles``), and the backward pass must stay
 within its memory budget at the wide shapes.
 """
@@ -15,7 +15,7 @@ import pytest
 
 import hypalign.autodiff as ad
 from hypalign.autodiff import Var
-from hypalign.losses import TemperatureSet, _info_nce, total_loss
+from hypalign.losses import TemperatureSet, _nce, total_loss
 from hypalign.manifold import Manifold
 from hypalign.synthdata import BatchIndices
 from hypalign.trainer import (ADAMW_BLOCK, DECAY_EXCLUDE, AdamW, TrainConfig,
@@ -122,10 +122,10 @@ def test_info_nce_matches_first_kernel(transposed, include_positive, per_row):
         dv = rng.uniform(0.0, 3.0, size=(b, b))
         tv = rng.uniform(0.05, 0.1, size=b) if per_row else np.asarray(rng.uniform(0.05, 0.1))
         g = float(rng.uniform(0.5, 2.0))
-        node = _info_nce(Var(dv), Var(tv), include_positive, transposed)
+        value, vjp = _nce(dv, tv, include_positive, transposed)
         want, ref_vjp = orc.info_nce_reference(dv, tv, include_positive, transposed)
-        assert node.value.tobytes() == np.asarray(want).tobytes()
-        for got, ref in zip(node._vjp(g), ref_vjp(g)):
+        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+        for got, ref in zip(vjp(g), ref_vjp(g)):
             assert got.tobytes() == np.asarray(ref).tobytes()
             assert got.flags.c_contiguous == np.asarray(ref).flags.c_contiguous
 

@@ -1,9 +1,9 @@
-"""The fused loss-block tape ops -- the contrastive row sum (``info_nce``),
-the per-row temperatures (``tempered``), the leaky entailment term
-(``leaky``), the sum of two terms' rows (``sum_pair``), calibration
-(``calibration``), the batch gather (``gather_scale``) and the weighted
-total (``weighted_total``) -- each one tape node with a hand-derived
-vector-Jacobian product.
+"""The fused loss-block tape ops -- the contrastive row sums of one or two
+directions (``info_nce``), the per-row temperatures (``tempered``), the leaky
+entailment term (``leaky``), the sum of two terms' rows (``sum_pair``),
+calibration of one part group or both (``calibration``), the batch gather
+(``gather_scale``) and the weighted total (``weighted_total``) -- each one
+tape node with a hand-derived vector-Jacobian product.
 
 Two references: central finite differences for every input, and the
 op-by-op composition the fused nodes replaced, rebuilt below from
@@ -11,11 +11,14 @@ single-purpose tape nodes.  The fused nodes keep the composition's
 arithmetic in both directions, and list their inputs so that the backward
 sweep reaches and accumulates every shared adjoint in the composition's
 order; values and adjoints must agree bit for bit for each node, also over
-a stack of groups (``tempered`` over both part groups, ``leaky`` over the
-four entailment terms), where each group must equal the call on that group
-alone.  A whole training step's graph stacks its groups and sums shared
-adjoints in its own order: against the composition called once per group
-and term, its values agree bit for bit and its gradients to rounding.
+a stack of groups (``tempered`` and ``calibration`` over both part groups,
+``leaky`` over the four entailment terms, ``info_nce`` over both axes of one
+matrix), where each group must equal the call on that group alone.  A whole
+training step's graph stacks its groups and sums shared adjoints in its own
+order: against the composition called once per group and term, its values
+agree bit for bit and its gradients to rounding.  Against the step's graph
+as it was before each report component became one node, it agrees bit for
+bit in values and gradients.
 """
 
 import numpy as np
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hypalign.autodiff as ad
+import hypalign.losses as losses
 from hypalign.autodiff import Var, value_of
 from hypalign.entailment import aperture, exterior_angle
 from hypalign.gradcheck import build_check_problem
@@ -31,6 +35,7 @@ from hypalign.losses import (
     LossConfig,
     _calibrate,
     _info_nce,
+    _nce,
     _leaky,
     _sum_pair,
     _tempered,
@@ -39,9 +44,11 @@ from hypalign.losses import (
     total_loss,
 )
 from hypalign.manifold import Manifold, lift, pairwise_distance
-from hypalign.trainer import _gather_scaled, loss_config_with_vars, materialize_batch
+from hypalign.trainer import (TrainConfig, _gather_scaled, loss_config_with_vars,
+                              materialize_batch)
 
 import _reference_ops as ref
+from test_flat_step import distinct_batch, random_store
 from test_fused_ops import _transpose
 
 ETA, ALPHA = 1.2, 0.1
@@ -94,7 +101,17 @@ def _logsumexp(a, axis=-1):
                     lambda g: (np.expand_dims(g, axis) * ad._softmax_val(xv, axis),))
 
 
+def one_info_nce(dists, tau, include_positive, transposed):
+    """``info_nce`` over the directions ``transposed`` names: False, True, or
+    "both" (the matrix read along each axis, as the global term reads it)."""
+    axes = (False, True) if transposed == "both" else (transposed,)
+    return _info_nce(tuple((dists, tau, t) for t in axes), include_positive)
+
+
 def unfused_info_nce(dists, tau, include_positive, transposed):
+    if transposed == "both":
+        return ref.add(unfused_info_nce(dists, tau, include_positive, False),
+                       unfused_info_nce(dists, tau, include_positive, True))
     if transposed:
         dists = _transpose(dists)
     b = value_of(dists).shape[0]
@@ -107,40 +124,44 @@ def unfused_info_nce(dists, tau, include_positive, transposed):
     else:
         mask = np.zeros((b, b))
         np.fill_diagonal(mask, -np.inf)
-        denom = _logsumexp(ad.add(logits, mask), axis=1)
+        denom = _logsumexp(ref.add(logits, mask), axis=1)
     return ref.reduce_sum(ref.sub(denom, positives))
 
 
 def unfused_tempered(u, tau):
-    return ad.mul(ref.exp(ref.div(u, 2.0)), tau)
+    return ref.mul(ref.exp(ref.div(u, 2.0)), tau)
 
 
 def unfused_leaky(phi, omega, eta, alpha):
-    hinge = _relu(ref.sub(phi, ad.mul(np.asarray(eta, dtype=float), omega)))
-    return ad.add(hinge, ad.mul(float(alpha), phi))
+    hinge = _relu(ref.sub(phi, ref.mul(np.asarray(eta, dtype=float), omega)))
+    return ref.add(hinge, ref.mul(float(alpha), phi))
 
 
 def unfused_sum_pair(a, b):
-    return ad.add(ref.reduce_sum(a), ref.reduce_sum(b))
+    return ref.add(ref.reduce_sum(a), ref.reduce_sum(b))
 
 
 def unfused_calibrate(u, leak, sign):
-    core = ref.reduce_sum(ad.add(ad.mul(ad.stop_gradient(leak), ref.exp(ref.neg(u))), u))
+    if value_of(u).ndim == 2:
+        # a stack of part groups: one calibration per group, summed in order
+        return ref.add(unfused_calibrate(ad.pick(u, 0), ad.pick(leak, 0), sign),
+                       unfused_calibrate(ad.pick(u, 1), ad.pick(leak, 1), sign))
+    core = ref.reduce_sum(ref.add(ref.mul(ad.stop_gradient(leak), ref.exp(ref.neg(u))), u))
     w = ref.softmax(u, axis=-1)
-    ent = ref.neg(ref.reduce_sum(ad.mul(w, ref.log(w))))
-    return ad.add(core, ad.mul(float(sign), ent))
+    ent = ref.neg(ref.reduce_sum(ref.mul(w, ref.log(w))))
+    return ref.add(core, ref.mul(float(sign), ent))
 
 
 def unfused_gather_scaled(table, rows, scale):
-    return ad.mul(scale, _take_rows(table, rows))
+    return ref.mul(scale, _take_rows(table, rows))
 
 
 def unfused_weighted_total(c, lambda_intra, lambda_cal, lambda_ent):
-    con = ad.add(ad.add(c["contrastive_globallocal"], c["contrastive_global"]),
+    con = ref.add(ref.add(c["contrastive_globallocal"], c["contrastive_global"]),
                  c["contrastive_local"])
-    ent = ad.add(c["entail_inter"], ad.add(ad.mul(lambda_intra, c["entail_intra"]),
-                                           ad.mul(lambda_cal, c["calibration"])))
-    return ad.add(con, ad.mul(lambda_ent, ent))
+    ent = ref.add(c["entail_inter"], ref.add(ref.mul(lambda_intra, c["entail_intra"]),
+                                           ref.mul(lambda_cal, c["calibration"])))
+    return ref.add(con, ref.mul(lambda_ent, ent))
 
 
 def unfused_materialize_batch(store, idx):
@@ -178,22 +199,67 @@ def unfused_total_loss(batch, cfg, m):
     inter_parts, _ = leaky("part_text", "part_image", cone.eta_inter, omega_text)
     inter_wholes, _ = leaky("whole_text", "whole_image", cone.eta_inter)
     components = {
-        "contrastive_globallocal": ad.add(
+        "contrastive_globallocal": ref.add(
             nce(pairwise_distance(s["part_image"], s["whole_text"], m),
                 unfused_tempered(u_image, gl)),
             nce(pairwise_distance(s["part_text"], s["whole_image"], m),
                 unfused_tempered(u_text, gl))),
-        "contrastive_global": ad.add(nce(d_glob, temps.tau_global),
+        "contrastive_global": ref.add(nce(d_glob, temps.tau_global),
                                      nce(d_glob, temps.tau_global, True)),
-        "contrastive_local": ad.add(nce(d_loc, temps.tau_local),
+        "contrastive_local": ref.add(nce(d_loc, temps.tau_local),
                                     nce(d_loc, temps.tau_local, True)),
         "entail_inter": unfused_sum_pair(inter_parts, inter_wholes),
         "entail_intra": unfused_sum_pair(leak_text, leak_image),
-        "calibration": ad.add(unfused_calibrate(u_text, leak_text, cfg.entropy_sign),
+        "calibration": ref.add(unfused_calibrate(u_text, leak_text, cfg.entropy_sign),
                               unfused_calibrate(u_image, leak_image, cfg.entropy_sign)),
     }
     total = unfused_weighted_total(components, cfg.lambda_intra, cfg.lambda_cal,
                                    cfg.lambda_ent)
+    return total, components
+
+
+def parent_graph_total_loss(batch, cfg, m):
+    """The objective's graph as it was before each report component became
+    one node: two single-direction ``info_nce`` nodes and an ``add`` per
+    contrastive component, and one ``calibration`` node (behind its own
+    ``stop_gradient``) per part group and an ``add``, on today's stacked
+    geometry and loss nodes; returns the total and the components."""
+    s = losses._lift_batch(batch, m, cfg.uncertainty_from_radius)
+    temps, cone = cfg.temps, cfg.cone
+
+    def nce(d, tau, transposed=False):
+        return _info_nce(((d, tau, transposed),), cfg.include_positive)
+
+    def dist(pair):
+        a, b = losses.DISTANCE_PAIRS[pair]
+        return pairwise_distance(s.points.groups(a), s.points.groups(b), m)
+
+    d_glob, d_loc = dist(losses.GLOBAL), dist(losses.LOCAL)
+    tau_rows = _tempered(s.u, temps.tau_global_local)
+    apex = s.points.groups(losses.APEXES)
+    phi = exterior_angle(apex, s.points.groups(losses.MEMBERS), m)
+    omega = aperture(apex, cone.aperture_k, m)
+    leak = _leaky(phi, omega, losses.entailment_etas(cone), cfg.alpha)
+
+    def calibrate(u, k):
+        return _calibrate(ad.pick(s.u, u), ad.pick(leak, k), cfg.entropy_sign)
+
+    components = {
+        "contrastive_globallocal": ref.add(
+            nce(dist(losses.GLOBAL_LOCAL_IMAGE), ad.pick(tau_rows, losses.U_IMAGE)),
+            nce(dist(losses.GLOBAL_LOCAL_TEXT), ad.pick(tau_rows, losses.U_TEXT))),
+        "contrastive_global": ref.add(nce(d_glob, temps.tau_global),
+                                      nce(d_glob, temps.tau_global, True)),
+        "contrastive_local": ref.add(nce(d_loc, temps.tau_local),
+                                     nce(d_loc, temps.tau_local, True)),
+        "entail_inter": _sum_pair(ad.pick(leak, losses.INTER_PARTS),
+                                  ad.pick(leak, losses.INTER_WHOLES)),
+        "entail_intra": _sum_pair(ad.pick(leak, losses.INTRA_TEXT),
+                                  ad.pick(leak, losses.INTRA_IMAGE)),
+        "calibration": ref.add(calibrate(losses.U_TEXT, losses.INTRA_TEXT),
+                               calibrate(losses.U_IMAGE, losses.INTRA_IMAGE)),
+    }
+    total = _weighted_total(components, cfg.lambda_intra, cfg.lambda_cal, cfg.lambda_ent)
     return total, components
 
 
@@ -216,18 +282,20 @@ def _impls(nce, tempered, leaky, sum_pair, calibrate, gather, total):
     }
 
 
-FUSED = _impls(_info_nce, _tempered, _leaky, _sum_pair, _calibrate, _gather_scaled,
+FUSED = _impls(one_info_nce, _tempered, _leaky, _sum_pair, _calibrate, _gather_scaled,
                _weighted_total)
 UNFUSED = _impls(unfused_info_nce, unfused_tempered, unfused_leaky, unfused_sum_pair,
                  unfused_calibrate, unfused_gather_scaled, unfused_weighted_total)
 
 CASES = (
     [("info_nce", {"include_positive": pos, "transposed": tr, "tau": tau})
-     for pos in (False, True) for tr in (False, True) for tau in ("scalar", "rows")]
+     for pos in (False, True) for tr in (False, True, "both") for tau in ("scalar", "rows")]
     + [("tempered", {}), ("tempered", {"stacked": True}),
        ("leaky", {"alpha": ALPHA}), ("leaky", {"alpha": 0.0}),
        ("leaky", {"alpha": ALPHA, "stacked": True}),
        ("sum_pair", {}), ("calibration", {"sign": 1.0}), ("calibration", {"sign": -1.0}),
+       ("calibration", {"sign": 1.0, "stacked": True}),
+       ("calibration", {"sign": -1.0, "stacked": True}),
        ("gather_scale", {}), ("weighted_total", {})]
 )
 
@@ -244,7 +312,8 @@ def make_inputs(op, variant, seed=0):
         tau = (np.array(0.07) if variant["tau"] == "scalar"
                else rng.uniform(0.06, 0.085, size=b))
         return {"d": rng.uniform(0.05, 0.6, size=(b, b)), "tau": tau}
-    # a stack: the part groups' temperatures, or the four entailment terms
+    # a stack: the part groups' temperatures or calibrations, or the four
+    # entailment terms
     rows = (len(ETAS) if op == "leaky" else 2, b) if variant.get("stacked") else (b,)
     if op == "tempered":
         return {"u": rng.uniform(0.05, np.log(2.0), size=rows), "tau": np.array(0.06)}
@@ -257,8 +326,8 @@ def make_inputs(op, variant, seed=0):
     if op == "sum_pair":
         return {"a": rng.uniform(0.0, 2.0, size=b), "b": rng.uniform(0.0, 2.0, size=b)}
     if op == "calibration":
-        return {"u": rng.uniform(0.05, np.log(2.0), size=b),
-                "leak": rng.uniform(0.0, 2.0, size=b)}
+        return {"u": rng.uniform(0.05, np.log(2.0), size=rows),
+                "leak": rng.uniform(0.0, 2.0, size=rows)}
     if op == "gather_scale":
         return {"table": rng.normal(size=(b, 3)), "scale": np.array(0.25)}
     arrays = {k: np.array(rng.normal() * 50.0) for k in COMPONENTS}
@@ -282,7 +351,7 @@ def tape_adjoints(op, variant, impl, arrays, live, weights):
     """Adjoints of ``<w, out>`` for the ``live`` inputs."""
     inputs = {k: Var(np.array(v, dtype=float), name=k) if k in live else v
               for k, v in arrays.items()}
-    root = ref.reduce_sum(ad.mul(impl(inputs, variant), weights))
+    root = ref.reduce_sum(ref.mul(impl(inputs, variant), weights))
     return ad.gradients(root, {k: inputs[k] for k in live})
 
 
@@ -339,8 +408,8 @@ class TestFusedLossValues:
     def test_transposed_reads_the_other_axis(self):
         arrays = make_inputs("info_nce", {"tau": "scalar"})
         for pos in (False, True):
-            t = _info_nce(arrays["d"], arrays["tau"], pos, transposed=True)
-            assert t == pytest.approx(_info_nce(arrays["d"].T.copy(), arrays["tau"], pos),
+            t, _ = _nce(arrays["d"], arrays["tau"], pos, True)
+            assert t == pytest.approx(_nce(arrays["d"].T.copy(), arrays["tau"], pos, False)[0],
                                       rel=1e-14)
 
     def test_calibration_keeps_the_stop_gradient_node(self):
@@ -400,6 +469,30 @@ class TestFusedLossAdjoints:
             np.testing.assert_allclose(g_fused[name], g_unfused[name], rtol=0.0,
                                        atol=1e-12 * scale, err_msg=name)
 
+    @pytest.mark.parametrize("flags", [{}, {"include_positive": True},
+                                       {"entropy_sign": -1.0, "uncertainty_from_radius": True}],
+                             ids=("default", "include_positive", "radius_flipped_entropy"))
+    @pytest.mark.parametrize("b,n", [(32, 16), (256, 64)])
+    def test_step_bitwise_equal_to_parent_graph(self, b, n, flags):
+        # one node per report component gives the graph with two nodes and
+        # an add per contrastive and calibration component every bit: the
+        # total, each component, and every parameter's gradient
+        rng = np.random.default_rng(b + n)
+        store = random_store(rng, 2 * b, 4 * b, n, scale=0.3)
+        idx = distinct_batch(rng, 2 * b, 2, b)
+        cfg = loss_config_with_vars(TrainConfig(loss=LossConfig(**flags)).loss, store)
+        params = store.as_dict()
+        m = Manifold(store["kappa"])
+        report = total_loss(materialize_batch(store, idx), cfg, m)
+        total, components = parent_graph_total_loss(materialize_batch(store, idx), cfg, m)
+        np.testing.assert_array_equal(value_of(report.total), value_of(total))
+        for name in COMPONENTS:
+            np.testing.assert_array_equal(value_of(report.components[name]),
+                                          value_of(components[name]), err_msg=name)
+        got, want = ad.gradients(report.total, params), ad.gradients(total, params)
+        for name in params:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_shared_uncertainty_adjoint_summed_in_composition_order(self, seed):
         # as in a training step, u feeds the tempered temperatures and
@@ -412,7 +505,7 @@ class TestFusedLossAdjoints:
         for tempered, calibrate in ((_tempered, _calibrate),
                                     (unfused_tempered, unfused_calibrate)):
             u = Var(u0.copy(), name="u")
-            root = ad.add(ref.reduce_sum(ad.mul(tempered(u, 0.06), weights)),
+            root = ref.add(ref.reduce_sum(ref.mul(tempered(u, 0.06), weights)),
                           calibrate(u, leak, 1.0))
             grads.append(ad.gradients(root, {"u": u})["u"])
         np.testing.assert_array_equal(*grads)

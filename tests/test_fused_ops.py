@@ -98,33 +98,33 @@ def _acos_clamped(a):
 
 
 def _lorentz_inner(p, q):
-    return ref.sub(ref.reduce_sum(ad.mul(p.space, q.space), axis=-1), ad.mul(p.time, q.time))
+    return ref.sub(ref.reduce_sum(ref.mul(p.space, q.space), axis=-1), ref.mul(p.time, q.time))
 
 
 def unfused_lift(v, m):
-    y = ad.mul(m.kappa, ref.reduce_sum(ref.square(v), axis=-1))
+    y = ref.mul(m.kappa, ref.reduce_sum(ref.square(v), axis=-1))
     scale = _sinhc_sqrt(y)
     if value_of(v).ndim >= 2:
         scale = ref.reshape(scale, value_of(y).shape + (1,))
     return LorentzPoint(time=ref.div(_cosh_sqrt(y), ref.sqrt(m.kappa)),
-                        space=ad.mul(scale, v))
+                        space=ref.mul(scale, v))
 
 
 def unfused_pairwise_distance(p, q, m):
     inner = ref.sub(_matmul(p.space, _transpose(q.space)), _outer(p.time, q.time))
-    z = ref.neg(ad.mul(m.kappa, inner))
+    z = ref.neg(ref.mul(m.kappa, inner))
     return ref.div(ref.acosh_clamped(z), ref.sqrt(m.kappa))
 
 
 def unfused_exterior_angle(p, q, m):
-    beta = ad.mul(m.kappa, _lorentz_inner(p, q))
-    num = ad.add(q.time, ad.mul(p.time, beta))
-    den = ad.mul(_l2norm(p.space), ref.sqrt(ref.sub(ref.square(beta), 1.0)))
+    beta = ref.mul(m.kappa, _lorentz_inner(p, q))
+    num = ref.add(q.time, ref.mul(p.time, beta))
+    den = ref.mul(_l2norm(p.space), ref.sqrt(ref.sub(ref.square(beta), 1.0)))
     return _acos_clamped(ref.div(num, den))
 
 
 def unfused_aperture(p, k, m):
-    return _asin_saturating(ref.div(2.0 * k, ad.mul(ref.sqrt(m.kappa), _l2norm(p.space))))
+    return _asin_saturating(ref.div(2.0 * k, ref.mul(ref.sqrt(m.kappa), _l2norm(p.space))))
 
 
 def unfused_uncertainty(x):
@@ -134,7 +134,7 @@ def unfused_uncertainty(x):
 def unfused_uncertainty_from_radius(x, m):
     # the radius asinhc(kappa |x|^2) |x| and its softplus: nine nodes
     s = ref.reduce_sum(ref.square(x), axis=-1)
-    radius = ad.mul(ref.asinhc_sqrt(ad.mul(m.kappa, s)), ref.sqrt(s))
+    radius = ref.mul(ref.asinhc_sqrt(ref.mul(m.kappa, s)), ref.sqrt(s))
     return ref.log1p(ref.exp(ref.neg(radius)))
 
 
@@ -237,9 +237,9 @@ def tape_adjoints(op, impl, arrays, live, weights):
     inputs = {k: Var(np.array(v, dtype=float), name=k) if k in live else v
               for k, v in arrays.items()}
     outs = _outputs(op, impl, inputs)
-    root = ref.reduce_sum(ad.mul(outs[0], weights[0]))
+    root = ref.reduce_sum(ref.mul(outs[0], weights[0]))
     for o, w in zip(outs[1:], weights[1:]):
-        root = ad.add(root, ref.reduce_sum(ad.mul(o, w)))
+        root = ref.add(root, ref.reduce_sum(ref.mul(o, w)))
     return ad.gradients(root, {k: inputs[k] for k in live})
 
 
@@ -439,7 +439,7 @@ class TestFusedAdjoints:
         v = Var(np.zeros((2, 2)))
         p = lift(v, m)
         d = pairwise_distance(p, p, m)
-        g = ad.gradients(ref.reduce_sum(ad.mul(d, np.eye(2))), {"v": v})
+        g = ad.gradients(ref.reduce_sum(ref.mul(d, np.eye(2))), {"v": v})
         assert np.all(g["v"] == 0.0)
         # a coincident pair in the exterior angle: phi = 0, no adjoint for
         # either point or kappa
@@ -526,8 +526,8 @@ def _checked_unfused_exterior_angle(p, q, m):
     beta = value_of(m.kappa) * value_of(_lorentz_inner(p, q))
     if np.min(np.linalg.norm(value_of(p.space), axis=-1)) <= 0.0:
         raise ContractViolationError("exterior angle undefined at the origin")
-    cos_phi = value_of(ref.div(ad.add(q.time, ad.mul(p.time, beta)),
-                              ad.mul(_l2norm(p.space), np.sqrt(beta * beta - 1.0))))
+    cos_phi = value_of(ref.div(ref.add(q.time, ref.mul(p.time, beta)),
+                              ref.mul(_l2norm(p.space), np.sqrt(beta * beta - 1.0))))
     worst = np.max(np.abs(cos_phi))
     if worst > 1.0 + 1e-6:
         raise NumericalConsistencyError(

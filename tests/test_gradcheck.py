@@ -57,7 +57,7 @@ class TestFiniteDiffCheck:
         def f(s, frozen):
             stopped = ref.square(s["stopped"])
             return {"loss": ref.reduce_sum(
-                ad.mul(held(stopped, frozen), ref.square(s["live"]))
+                ref.mul(held(stopped, frozen), ref.square(s["live"]))
             )}, stopped
 
         results = finite_diff_check(f, store)
@@ -73,7 +73,7 @@ class TestFiniteDiffCheck:
         store.register("x", np.array([1.3]))
 
         def f(s, frozen):
-            return {"loss": ref.reduce_sum(ad.mul(held(s["x"], frozen), s["x"]))}, s["x"]
+            return {"loss": ref.reduce_sum(ref.mul(held(s["x"], frozen), s["x"]))}, s["x"]
 
         results = finite_diff_check(f, store)
         assert results[0].mode == "match" and results[0].passed
@@ -115,8 +115,8 @@ class TestFiniteDiffCheck:
             calls += 1
             live, stopped = ref.square(s["live"]), ref.square(s["stopped"])
             return {
-                "plain": ad.add(ref.reduce_sum(live), ref.reduce_sum(ref.square(s["other"]))),
-                "weighted": ref.reduce_sum(ad.mul(held(stopped, frozen), live)),
+                "plain": ref.add(ref.reduce_sum(live), ref.reduce_sum(ref.square(s["other"]))),
+                "weighted": ref.reduce_sum(ref.mul(held(stopped, frozen), live)),
             }, stopped
 
         results = finite_diff_check(f, store, max_coords=max_coords)
@@ -140,8 +140,8 @@ class TestFiniteDiffCheck:
         store.register("mixed", np.array([1.5, 0.7]))
 
         def f(s, frozen):
-            stopped = ad.mul(s["stopped"], s["mixed"])
-            weighted = ad.mul(ad.mul(held(stopped, frozen), s["live"]), s["mixed"])
+            stopped = ref.mul(s["stopped"], s["mixed"])
+            weighted = ref.mul(ref.mul(held(stopped, frozen), s["live"]), s["mixed"])
             return {"weighted": ref.reduce_sum(weighted),
                     "apart": ref.reduce_sum(ref.square(s["live"]))}, stopped
 

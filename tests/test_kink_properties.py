@@ -152,7 +152,7 @@ def test_lift_near_zero(kappa, case):
     v = _near_zero_rows(case)
     live, k = Var(v), Var(kappa)
     p = lift(live, Manifold(k))
-    root = ad.add(ref.reduce_sum(p.time), ref.reduce_sum(p.space))
+    root = ref.add(ref.reduce_sum(p.time), ref.reduce_sum(p.space))
     grads = ad.gradients(root, {"v": live, "kappa": k})
     _all_finite(np.concatenate([value_of(p.time), value_of(p.space).ravel()]), grads)
     for i in range(v.shape[0]):

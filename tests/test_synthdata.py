@@ -81,6 +81,11 @@ class TestGenerate:
             generate(num_scenes=4, parts_per_scene=1, noise_scale=-0.1)
         with pytest.raises(ContractViolationError, match="latent_dim"):
             generate(num_scenes=2, parts_per_scene=1, latent_dim=1)
+        # the settings are checked where they are made, for every reader
+        with pytest.raises(ContractViolationError, match="^seed -1 outside"):
+            GeneratorParams(seed=-1)
+        with pytest.raises(ContractViolationError, match="^noise_scale 'x' outside"):
+            GeneratorParams(noise_scale="x")
 
     def test_representativeness_range(self):
         corpus = generate(num_scenes=32, parts_per_scene=4, seed=11)
