@@ -192,16 +192,21 @@ def stack(xs: Sequence):
 # numeric kernels the fused nodes share (plain numpy, no tape)
 # ---------------------------------------------------------------------------
 
-def _acosh_clamp(xv: Array) -> Array:
-    """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises.
-
-    Values in [1 - DRIFT_TOL, 1) are floating-point drift at a
-    coincident-point kink, where the subgradient 0 is used."""
+def _check_acosh_drift(xv: Array) -> None:
+    """Raise when an acosh argument in ``xv`` lies below ``1 - DRIFT_TOL``."""
     low = np.min(xv) if xv.size else 1.0
     if low < 1.0 - DRIFT_TOL:
         raise NumericalConsistencyError(
             f"acosh argument {low!r} below 1 by more than {DRIFT_TOL}"
         )
+
+
+def _acosh_clamp(xv: Array) -> Array:
+    """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises.
+
+    Values in [1 - DRIFT_TOL, 1) are floating-point drift at a
+    coincident-point kink, where the subgradient 0 is used."""
+    _check_acosh_drift(xv)
     return np.maximum(xv, 1.0)
 
 

@@ -14,7 +14,8 @@ from scipy import stats
 from .autodiff import ParameterStore, value_of
 from .errors import ContractViolationError, NumericalConsistencyError
 from .losses import LAYOUT, MODALITIES
-from .manifold import Manifold, hyperbolic_radius, lift, pairwise_distance
+from .manifold import (Manifold, hyperbolic_radius, lift, pairwise_distance,
+                       pairwise_distance_at)
 from .synthdata import Corpus
 from .uncertainty import uncertainty
 
@@ -187,14 +188,23 @@ def distribution_distances(a, b) -> tuple[float, float, float]:
     """(W1, W2, MMD) between two 1-D samples.
 
     W1/W2 use the exact quantile coupling of the two empirical
-    distributions (piecewise-constant inverse CDFs on the common
-    ``1/(m n)`` grid): sorted sample ``a`` with each value repeated ``n``
-    times against sorted ``b`` with each value repeated ``m`` times.  MMD
-    uses a Gaussian kernel ``exp(-d^2 / (2 sigma^2))`` and the unbiased
-    estimator, clamped at zero before the square root; ``sigma`` is the
-    median pairwise distance of the pooled sample, selected by
-    :func:`median_pairwise_gap` without listing the pairs (fallback 1.0 if
-    that median is zero).
+    distributions: their piecewise-constant inverse CDFs on the common
+    ``1/(m n)`` grid, sorted ``a`` with each value repeated ``n`` times
+    against sorted ``b`` with each value repeated ``m`` times.  The
+    breakpoints of the two (the multiples of ``n`` and of ``m``), merged,
+    cut that grid into at most ``m + n`` segments, each holding one pair of
+    values for an integer number of grid points; the coupling is summed
+    over the segments, in O(m + n).  MMD uses a Gaussian kernel
+    ``exp(-d^2 / (2 sigma^2))`` and the unbiased estimator
+    (:func:`_kernel_means`), clamped at zero before the square root;
+    ``sigma`` is the median pairwise distance of the pooled sample,
+    selected by :func:`median_pairwise_gap` without listing the pairs
+    (fallback 1.0 if that median is zero).  No array grows with the pair
+    count.
+
+    The three values agree with the grid formulation to rounding, not bit
+    for bit: the tests hold W1, W2 and each kernel mean to 1e-12 relative
+    of exact references, and the squared MMD to 1e-12 of its terms' total.
     """
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
@@ -203,31 +213,66 @@ def distribution_distances(a, b) -> tuple[float, float, float]:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericalConsistencyError("distribution distance of a non-finite sample")
     m_n, n_n = a.size, b.size
-    diff = np.repeat(a, n_n)
-    diff -= np.repeat(b, m_n)
-    w1 = float(np.mean(np.abs(diff)))
+    # grid point k pairs a[k // n] with b[k // m]; a segment ends at each
+    # multiple of n or of m (a common one taken once, from a), and a stable
+    # sort of the two sorted runs of ends is one merge
+    a_ends = np.arange(1, m_n + 1) * n_n
+    b_ends = np.arange(1, n_n + 1) * m_n
+    ends = np.sort(np.concatenate([a_ends, b_ends[b_ends % n_n != 0]]), kind="stable")
+    starts = np.concatenate([[0], ends[:-1]])
+    diff = np.abs(a[starts // n_n] - b[starts // m_n])
+    widths = (ends - starts).astype(np.float64)
+    w1 = float(np.sum(widths * diff) / (m_n * n_n))
     diff *= diff
-    w2 = float(np.sqrt(np.mean(diff)))
-    del diff          # the m*n grid goes before the kernel matrices come
+    w2 = float(np.sqrt(np.sum(widths * diff) / (m_n * n_n)))
 
     # the pooled sample has at least two points, so at least one pair
     sigma = median_pairwise_gap(np.concatenate([a, b]))
     if sigma <= 0.0:
         sigma = 1.0
+    term_a, term_b, cross = _kernel_means(a, b, sigma)
+    mmd_sq = term_a + term_b - 2.0 * cross
+    return w1, w2, float(np.sqrt(max(0.0, mmd_sq)))
 
-    def kernel_sum(x, y):
+
+_KERNEL_BLOCK = 1 << 17      # kernel entries per block: 1 MiB of float64
+
+
+def _kernel_means(a, b, sigma: float) -> tuple[float, float, float]:
+    """The three mean kernel values ``exp(-d^2 / (2 sigma^2))`` of the
+    unbiased MMD estimate of 1-D samples ``a`` and ``b``: over the pairs
+    ``i < j`` of ``a`` (0.0 for one point), over those of ``b``, and over
+    every ``(a_i, b_j)``.
+
+    Each kernel entry is computed as the full kernel matrices compute it;
+    only the order of summation differs.  The pairs are visited in row
+    blocks of at most ``_KERNEL_BLOCK`` entries, so memory is O(m + n)
+    plus one block.
+    """
+    def block_sum(rows, cols, strict):
         # one buffer, overwritten in place: d -> d^2 -> -d^2/(2 sigma^2) -> exp
-        d = np.subtract.outer(x, y)
+        d = np.subtract.outer(rows, cols)
         d *= d
         d /= -2.0 * sigma * sigma
         np.exp(d, out=d)
-        return d.sum()
+        if strict:       # rows and columns start at one index: keep only j > i
+            k = rows.size
+            d[:, :k][np.tri(k, dtype=bool)] = 0.0
+        return float(d.sum())
 
-    # a self-kernel's diagonal is exp(0) = 1, so it sums to the sample size
-    term_a = (kernel_sum(a, a) - m_n) / (m_n * (m_n - 1)) if m_n > 1 else 0.0
-    term_b = (kernel_sum(b, b) - n_n) / (n_n * (n_n - 1)) if n_n > 1 else 0.0
-    mmd_sq = term_a + term_b - 2.0 * kernel_sum(a, b) / (m_n * n_n)
-    return w1, w2, float(np.sqrt(max(0.0, mmd_sq)))
+    def pair_mean(x):
+        n = x.size
+        total, start = 0.0, 0
+        while start < n - 1:
+            # rows start..stop-1 against columns start..n-1
+            stop = min(n - 1, start + max(1, _KERNEL_BLOCK // (n - start)))
+            total += block_sum(x[start:stop], x[start:], True)
+            start = stop
+        return total / (n * (n - 1) // 2) if n > 1 else 0.0
+
+    step = max(1, _KERNEL_BLOCK // b.size)
+    cross = sum(block_sum(a[start:start + step], b, False) for start in range(0, a.size, step))
+    return pair_mean(a), pair_mean(b), cross / (a.size * b.size)
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -347,21 +392,29 @@ def uncertainty_correlation(corpus: Corpus, store: ParameterStore, m: Manifold,
                             modality: str = "image") -> CorrelationReport:
     """Correlate each part's learned uncertainty with (a) its similarity to
     its own whole (negative geodesic distance) and (b) the corpus
-    ground-truth ``1 - representativeness`` (rank correlation)."""
+    ground-truth ``1 - representativeness`` (rank correlation).
+
+    Each part's distance is read alone (:func:`pairwise_distance_at`), with
+    the bits of its entry in the full parts-by-wholes distance matrix."""
     if modality not in MODALITIES:
         raise ContractViolationError("modality must be 'image' or 'text'")
+    tables = scaled_tables(store)
+    points = {group: lift(tables[group], m)
+              for group in (f"part_{modality}", f"whole_{modality}")}
+    return _correlation(corpus, tables, points, m, modality)
+
+
+def _correlation(corpus: Corpus, tables: dict, points: dict, m: Manifold,
+                 modality: str) -> CorrelationReport:
+    """:func:`uncertainty_correlation` from the scaled tables and their
+    lifts, keyed by group."""
     if len(corpus.parts) < 3:
         raise ContractViolationError("need at least 3 parts for a correlation")
-    tables = scaled_tables(store)
-    parts = tables[f"part_{modality}"]
-    wholes = tables[f"whole_{modality}"]
     scene_idx = corpus.scene_index()
     whole_rows = np.array([scene_idx[p.parent] for p in corpus.parts], dtype=np.intp)
-    u = uncertainty(parts)
-    dists = value_of(
-        pairwise_distance(lift(parts, m), lift(wholes, m), m)
-    )[np.arange(len(corpus.parts)), whole_rows]
-    sims = -dists
+    u = uncertainty(tables[f"part_{modality}"])
+    sims = -pairwise_distance_at(points[f"part_{modality}"], points[f"whole_{modality}"],
+                                 whole_rows, m)
     pearson, degenerate = _pearson(u, sims)
     anti_rep = np.array([1.0 - p.representativeness for p in corpus.parts])
     if _degenerate(u) or _degenerate(anti_rep):
@@ -388,11 +441,12 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     radius-distribution distances, and the uncertainty correlations."""
     taxonomy = taxonomy or Taxonomy.from_corpus(corpus)
     tables = scaled_tables(store)
+    points = {group: lift(table, m) for group, table in tables.items()}
     out: dict = {}
 
     # classification: whole image -> nearest scene text; the image-to-text
     # retrieval below reads the same matrix
-    images, texts = lift(tables["whole_image"], m), lift(tables["whole_text"], m)
+    images, texts = points["whole_image"], points["whole_text"]
     sims = -value_of(pairwise_distance(images, texts, m))
     pred_rows = np.argmax(sims, axis=1)
     ties, lcas, jacs, precs, recs = [], [], [], [], []
@@ -435,7 +489,7 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
 
     out["uncertainty_correlation"] = {}
     for modality in MODALITIES:
-        rep = uncertainty_correlation(corpus, store, m, modality)
+        rep = _correlation(corpus, tables, points, m, modality)
         out["uncertainty_correlation"][modality] = {
             "pearson_similarity": rep.pearson_similarity,
             "spearman_ground_truth": rep.spearman_ground_truth,

@@ -41,6 +41,7 @@ from .errors import ContractViolationError
 
 KAPPA_MIN = 0.1
 KAPPA_MAX = 10.0
+_ROW_BLOCK = 1 << 17     # matrix entries per block: 1 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,32 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
                 ad.sum_all(-g * dist / (2.0 * kv) - d_z * inner))
 
     return ad.fused(dist, "pairwise_distance", inputs, vjp)
+
+
+def pairwise_distance_at(p: LorentzPoint, q: LorentzPoint, cols, m: Manifold) -> np.ndarray:
+    """``pairwise_distance(p, q, m)[i, cols[i]]`` for every row ``i`` of the
+    batch ``p``, bit for bit, as a plain array.
+
+    The full inner-product matmul is still formed (a row dot can differ in
+    its last bits from the matching matmul entry), and the drift check
+    still reads every entry, so this raises where :func:`pairwise_distance`
+    raises, with the same message.  The rest of the acosh argument is
+    formed in place, in row blocks of at most ``_ROW_BLOCK`` entries; the
+    clamp and the acosh run on the read entries only.
+    """
+    pt, ps, qt, qs = (np.asarray(x, dtype=float) for x in (p.time, p.space, q.time, q.space))
+    kv = value_of(m.kappa)
+    z = ps @ qs.T
+    step = max(1, _ROW_BLOCK // max(1, z.shape[1]))
+    lows = []
+    for start in range(0, z.shape[0], step):
+        block = z[start:start + step]
+        block -= np.outer(pt[start:start + step], qt)
+        block *= -kv   # -(kv * inner): rounding to nearest is symmetric in sign
+        lows.append(block.min())
+    ad._check_acosh_drift(np.array(lows))     # the least of the block minima
+    zc = np.maximum(z[np.arange(z.shape[0]), cols], 1.0)
+    return np.arccosh(zc) / np.sqrt(kv)
 
 
 def hyperbolic_radius(x, m: Manifold):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
@@ -56,6 +57,15 @@ class GeneratorParams:
     seed: int = 7
 
     def __post_init__(self):
+        # a corpus header is JSON, where 1.5 or true can stand in any field:
+        # refuse what no generator run writes
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise DomainError(f.name, f"{value!r} is not an integer")
+            if isinstance(value, bool):
+                raise DomainError(f.name, f"{value!r} is not a real number")
         check_domains(self, _GENERATOR_DOMAINS)
 
 

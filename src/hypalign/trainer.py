@@ -15,6 +15,7 @@ checkpoint replays the uninterrupted run exactly.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -461,6 +462,37 @@ def _checked_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
         raise
 
 
+# glibc's mallopt parameters (malloc.h) and the values train() fixes them at
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20     # glibc's ceiling for its dynamic mmap threshold
+_TRIM_THRESHOLD = 64 << 20     # twice it, as glibc's dynamic rule sets it
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the rest of the process; a
+    no-op under any other C library.
+
+    glibc starts with a 128 KiB mmap threshold and raises it (and the trim
+    threshold) only when a block it had mapped is freed.  So whether the
+    wide step's MiB-sized transients reuse heap pages or are mapped afresh,
+    each page faulting on first touch, depends on what the process freed
+    before: about 3500 minor faults per step at ``train_wide``'s shapes in a
+    process that has freed no large block yet, and none after a checkpoint
+    write and read.  Fixed thresholds take that history out of the step.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):     # no confstr, or not this name
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     """Run the loop, writing ``metrics.jsonl`` and checkpoints under
     ``out_dir``; returns a summary with final paths and metrics.
@@ -470,7 +502,10 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     final step.  Checkpoints land at every checkpoint interval and at the
     end (``checkpoint_final.json``).  A package error in a training step or
     in the metrics leaves ``failure_dump.json`` behind before it propagates.
+    Under glibc it first fixes the process's malloc thresholds
+    (:func:`_pin_malloc_thresholds`).
     """
+    _pin_malloc_thresholds()
     os.makedirs(out_dir, exist_ok=True)
     store = init_parameters(corpus, cfg)
     opt = AdamW(store, cfg)

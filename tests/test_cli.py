@@ -500,6 +500,17 @@ class TestMalformedInputFiles:
         assert message == (f"{run['corpus']}: corpus header's {field} {value!r} "
                            f"outside its domain {interval}")
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("seed", 1.5, "an integer"), ("seed", True, "an integer"),
+        ("noise_scale", True, "a real number"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    def test_corpus_header_value_of_the_wrong_kind(self, run, capsys, tmp_path, command,
+                                                   field, value, kind):
+        self._edit_corpus(run, lambda records: records[0].update({field: value}))
+        message = self._refused(self._argv(run, tmp_path, command), capsys)
+        assert message == f"{run['corpus']}: corpus header's {field} {value!r} is not {kind}"
+
     # records[k] is line k + 1: the header, scenes s000-s007, then their parts
     @pytest.mark.parametrize("edit, line, field", [
         pytest.param(lambda recs: recs[3].update(latent=decode(recs[3]["latent"]).tolist()),

@@ -2,7 +2,9 @@
 explicit ancestor sets, exhaustive-sort retrieval, and exact small-sample
 transport."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import networkx as nx
@@ -14,6 +16,7 @@ from hypalign.autodiff import ParameterStore, value_of
 from hypalign.errors import ContractViolationError, NumericalConsistencyError
 from hypalign.evalmetrics import (
     Taxonomy,
+    _kernel_means,
     _recalls,
     distribution_distances,
     evaluate,
@@ -350,15 +353,112 @@ def _exactness_cases():
     return cases
 
 
-class TestExactness:
-    """The rewritten metrics give the same doubles as the formulations they
-    replaced (``_oracles``), not merely close ones."""
+def _accuracy_cases():
+    """:func:`_exactness_cases` and one sample of the 512x4 eval's sizes."""
+    rng = np.random.default_rng(34)
+    return _exactness_cases() + [(np.abs(rng.normal(size=2048)) * 0.3 + 0.1,
+                                  np.abs(rng.normal(size=512)) * 0.25 + 0.2)]
 
-    def test_distribution_distances_bit_equal(self):
-        for a, b in _exactness_cases():
-            got = distribution_distances(a, b)
-            want = orc.distribution_distances_reference(a, b)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (a, b)
+
+def _exact_coupling(a, b):
+    """(W1, W2) of the quantile coupling, summed exactly in fractions over
+    the segments of the ``1/(m n)`` grid that a two-pointer walk finds: a
+    segment ends where either sample's inverse CDF steps."""
+    a, b = sorted(a.tolist()), sorted(b.tolist())
+    m, n = len(a), len(b)
+    i = j = pos = 0
+    s1 = s2 = Fraction(0)
+    while pos < m * n:
+        end = min((i + 1) * n, (j + 1) * m)
+        d = abs(Fraction(a[i]) - Fraction(b[j]))
+        s1 += (end - pos) * d
+        s2 += (end - pos) * d * d
+        pos = end
+        i += pos == (i + 1) * n
+        j += pos == (j + 1) * m
+    return float(s1 / (m * n)), math.sqrt(s2 / (m * n))
+
+
+def _kernel_means_reference(a, b, sigma):
+    """The three MMD kernel means in ``np.longdouble``, a row at a time,
+    the rows' sums added by ``math.fsum``.  A self-kernel's pairs are half
+    of its full matrix without the diagonal, whose entries are exactly 1."""
+    a, b = np.asarray(a, np.longdouble), np.asarray(b, np.longdouble)
+    scale = np.longdouble(-2.0) * np.longdouble(sigma) ** 2
+
+    def total(x, y):
+        return math.fsum(float(np.exp((xi - y) ** 2 / scale).sum()) for xi in x)
+
+    def pair_mean(x):
+        n = x.size
+        return (total(x, x) - n) / (n * (n - 1)) if n > 1 else 0.0
+
+    return pair_mean(a), pair_mean(b), total(a, b) / (a.size * b.size)
+
+
+def _sigma(a, b):
+    sigma = median_pairwise_gap(np.concatenate([a, b]))
+    return sigma if sigma > 0.0 else 1.0
+
+
+class TestAccuracy:
+    """W1, W2 and the MMD, computed in another order than the formulations
+    they replaced, agree with exact references to 1e-12 relative; the MMD,
+    a difference of kernel means, to 1e-12 of the means' total."""
+
+    TOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(a, b, distribution_distances(a, b)) for a, b in _accuracy_cases()]
+
+    def _close(self, got, want, scale):
+        return abs(got - want) <= self.TOL * (abs(want) if want else scale)
+
+    def test_wasserstein_against_exact_segments(self, cases):
+        for a, b, (w1, w2, _) in cases:
+            scale = max(np.abs(a).max(), np.abs(b).max())
+            exact = _exact_coupling(a, b)
+            assert self._close(w1, exact[0], scale), (a, b, w1, exact[0])
+            assert self._close(w2, exact[1], scale), (a, b, w2, exact[1])
+
+    def test_kernel_means_against_longdouble(self, cases):
+        for a, b, _ in cases:
+            sigma = _sigma(a, b)
+            got = _kernel_means(np.sort(a), np.sort(b), sigma)
+            want = _kernel_means_reference(a, b, sigma)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= self.TOL * w, (a, b, got, want)
+
+    def test_mmd_against_longdouble(self, cases):
+        for a, b, (_, _, mmd) in cases:
+            term_a, term_b, cross = _kernel_means_reference(a, b, _sigma(a, b))
+            want_sq = max(0.0, term_a + term_b - 2.0 * cross)
+            assert abs(mmd * mmd - want_sq) <= self.TOL * (term_a + term_b + 2.0 * cross)
+
+    def test_against_grid_formulation(self, cases):
+        for a, b, (w1, w2, mmd) in cases:
+            scale = max(np.abs(a).max(), np.abs(b).max())
+            ref = orc.distribution_distances_reference(a, b)
+            assert self._close(w1, ref[0], scale) and self._close(w2, ref[1], scale), (a, b)
+            term_a, term_b, cross = _kernel_means_reference(a, b, _sigma(a, b))
+            assert abs(mmd * mmd - ref[2] * ref[2]) <= self.TOL * (term_a + term_b + 2.0 * cross)
+
+    def test_memory_below_an_eighth_of_the_self_kernel(self):
+        a, b = _accuracy_cases()[-1]
+        self_kernel_bytes = a.size * a.size * 8      # 32 MiB at 2048 points
+        tracemalloc.start()
+        try:
+            distribution_distances(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self_kernel_bytes / 8
+
+
+class TestExactness:
+    """The rewritten bandwidth selection gives the same doubles as the
+    formulation it replaced (``_oracles``), not merely close ones."""
 
     def test_median_pairwise_gap_bit_equal(self):
         zero_gaps = 0
@@ -462,6 +562,40 @@ class TestUncertaintyCorrelation:
         rep = uncertainty_correlation(corpus, store, Manifold(1.0))
         assert rep.degenerate
         assert rep.pearson_similarity == 0.0
+
+    def test_drift_in_an_unread_pair_raises_as_the_full_matrix(self):
+        # part 0 nearly coincides, far out, with a whole image it does not
+        # belong to; the part-whole distances read only each part's own whole
+        corpus = generate(num_scenes=3, parts_per_scene=2, seed=15)
+        rng = np.random.default_rng(3)
+        m = Manifold(1.0)
+        own = corpus.scene_index()[corpus.parts[0].parent]
+        other = (own + 1) % 3
+        scenes, parts = rng.normal(size=(3, 16)), rng.normal(size=(6, 16))
+        for _ in range(200):
+            direction = rng.normal(size=16)
+            scenes[other] = direction / np.linalg.norm(direction) * rng.uniform(11.5, 14.0)
+            parts[0] = scenes[other] + rng.normal(size=16) * 1e-9
+            try:
+                pairwise_distance(lift(parts, m), lift(scenes, m), m)
+            except NumericalConsistencyError as err:
+                want = str(err)
+                break
+        else:
+            pytest.fail("no drifting pair found")
+        store = ParameterStore()
+        store.register("table_scene_img", scenes)
+        store.register("table_part_img", parts)
+        store.register("table_scene_txt", rng.normal(size=(3, 16)))
+        store.register("table_part_txt", rng.normal(size=(6, 16)))
+        for name, v in (("kappa", 1.0), ("tau_g", .07), ("tau_l", .07), ("tau_gl", .06),
+                        ("c_img", 1.0), ("c_txt", 1.0)):
+            store.register(name, v)
+        for run in (lambda: uncertainty_correlation(corpus, store, m),
+                    lambda: evaluate(corpus, store, m)):
+            with pytest.raises(NumericalConsistencyError) as got:
+                run()
+            assert str(got.value) == want
 
     def test_too_few_parts_rejected(self):
         corpus = generate(num_scenes=2, parts_per_scene=1, seed=14)

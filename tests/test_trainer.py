@@ -3,6 +3,9 @@ clamps, determinism, and checkpoint resume."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -34,6 +37,7 @@ from hypalign.trainer import (
 )
 from hypalign.uncertainty import LN2, uncertainty
 import hypalign.autodiff as ad
+import hypalign.trainer as trainer_module
 
 from _checkpoint_data import decode, encode
 
@@ -410,6 +414,36 @@ class TestTrainLoop:
         summary = train(generate(), TrainConfig(seed=7, steps=300), tmp_path)
         assert summary["final_record"]["step"] == 300
         assert math.isfinite(summary["final_record"]["loss_total"])
+
+    @pytest.mark.skipif(not (getattr(os, "confstr", None)
+                             and os.confstr_names.get("CS_GNU_LIBC_VERSION")),
+                        reason="the malloc thresholds are glibc's")
+    def test_wide_step_takes_no_page_faults(self, tmp_path):
+        # a fresh process that has freed no large block: left to glibc's
+        # dynamic thresholds, each wide step maps its MiB-sized transients
+        # afresh (about 3500 minor faults per step)
+        script = f"""
+import json, resource
+from hypalign import synthdata, trainer
+faults, step = [], trainer.train_step
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+trainer.train_step = counted
+corpus = synthdata.generate(num_scenes=512, parts_per_scene=4, latent_dim=64, seed=7)
+trainer.train(corpus, trainer.TrainConfig(steps=8, table_dim=64, batch_size=256,
+                                          eval_interval=1000), {str(tmp_path)!r})
+print(json.dumps(faults))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(trainer_module.__file__)),
+             os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        faults = json.loads(done.stdout)
+        later = sorted(faults[1:])        # step 0 may still grow the heap
+        assert later[len(later) // 2] < 64, faults
 
     def test_config_hash_sensitivity(self):
         assert config_hash(small_config()) != config_hash(small_config(lr=1e-3))
