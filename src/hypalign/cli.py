@@ -68,24 +68,29 @@ def parse_config_file(path) -> tuple[dict, dict]:
     values: dict[str, object] = {}
     where: dict[str, str] = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractViolationError(
-                    f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
-                )
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_SCHEMA:
-                raise ContractViolationError(f"{path}:{lineno}: unknown config key {key!r}")
-            _, _, caster = CONFIG_SCHEMA[key]
-            try:
-                values[key] = caster(text.strip())
-            except ValueError as err:
-                raise ContractViolationError(f"{path}:{lineno}: {err}") from None
-            where[key] = f"{path}:{lineno}"
+        try:
+            content = fh.read()
+        except UnicodeDecodeError as err:
+            raise ContractViolationError(f"{path}: config file is not text: {err}") from None
+    # the lines a text-mode file yields: its newlines are already "\n"
+    for lineno, raw in enumerate(content.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ContractViolationError(
+                f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
+            )
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_SCHEMA:
+            raise ContractViolationError(f"{path}:{lineno}: unknown config key {key!r}")
+        _, _, caster = CONFIG_SCHEMA[key]
+        try:
+            values[key] = caster(text.strip())
+        except ValueError as err:
+            raise ContractViolationError(f"{path}:{lineno}: {err}") from None
+        where[key] = f"{path}:{lineno}"
     return values, where
 
 
@@ -224,7 +229,9 @@ def _cmd_eval(args) -> int:
     _log_config("eval", {"checkpoint": args.checkpoint, "corpus": args.corpus,
                          "taxonomy": args.taxonomy, "out": args.out})
     payload, store, corpus = _load_run(args)
-    taxonomy = Taxonomy.from_file(args.taxonomy) if args.taxonomy else None
+    # the classification reads the taxonomy at scene labels only
+    taxonomy = (Taxonomy.from_file(args.taxonomy, [s.id for s in corpus.scenes])
+                if args.taxonomy else None)
     m = Manifold(float(value_of(store["kappa"])))
     report = evaluate(corpus, store, m, taxonomy)
     report["checkpoint_step"] = payload["step"]

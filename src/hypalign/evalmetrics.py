@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .autodiff import ParameterStore, value_of
 from .errors import ContractViolationError, NumericalConsistencyError
@@ -60,19 +59,27 @@ class Taxonomy:
         return cls(parent)
 
     @classmethod
-    def from_file(cls, path) -> "Taxonomy":
-        """JSON file ``{"parent": {label: parent-or-null, ...}}``."""
+    def from_file(cls, path, labels=()) -> "Taxonomy":
+        """JSON file ``{"parent": {label: parent-or-null, ...}}`` holding
+        every one of ``labels``; a file that is not one raises naming it."""
         with open(path) as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # not JSON, or an integer past the digit limit
                 raise ContractViolationError(f"{path}: taxonomy is not JSON: {err}") from None
         parent = payload.get("parent") if isinstance(payload, dict) else None
         if not isinstance(parent, dict) or not all(
                 p is None or isinstance(p, str) for p in parent.values()):
             raise ContractViolationError(
                 f"{path}: taxonomy file needs a 'parent' map of labels to labels or null")
-        return cls(parent)
+        try:
+            tree = cls(parent)
+        except ContractViolationError as err:
+            raise ContractViolationError(f"{path}: {err}") from None
+        missing = [label for label in labels if label not in parent]
+        if missing:
+            raise ContractViolationError(f"{path}: taxonomy lacks label(s) {missing}")
+        return tree
 
     def _check(self, label: str) -> None:
         if label not in self.parent:
@@ -388,6 +395,21 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
     return float(np.corrcoef(x, y)[0, 1]), False
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, tied values sharing the mean of their
+    positions (half-integers, so exact); a NaN ranks as NaN."""
+    xs = np.sort(x)
+    ranks = 0.5 * (np.searchsorted(xs, x, "left") + np.searchsorted(xs, x, "right") + 1)
+    return np.where(np.isnan(x), np.nan, ranks)
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho as ``scipy.stats.spearmanr`` computes it, bit for bit:
+    the Pearson correlation of the average ranks, laid out as its columns."""
+    ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def uncertainty_correlation(corpus: Corpus, store: ParameterStore, m: Manifold,
                             modality: str = "image") -> CorrelationReport:
     """Correlate each part's learned uncertainty with (a) its similarity to
@@ -421,7 +443,7 @@ def _correlation(corpus: Corpus, tables: dict, points: dict, m: Manifold,
         spearman = 0.0
         degenerate = True
     else:
-        spearman = float(stats.spearmanr(u, anti_rep).statistic)
+        spearman = _spearman(u, anti_rep)
     return CorrelationReport(
         pearson_similarity=pearson,
         spearman_ground_truth=spearman,
@@ -449,19 +471,20 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     images, texts = points["whole_image"], points["whole_text"]
     sims = -value_of(pairwise_distance(images, texts, m))
     pred_rows = np.argmax(sims, axis=1)
-    ties, lcas, jacs, precs, recs = [], [], [], [], []
+    ties, jacs, precs, recs = [], [], [], []
     for i, s in enumerate(corpus.scenes):
         pred = corpus.scenes[pred_rows[i]].id
         ties.append(tie(pred, s.id, taxonomy))
-        lcas.append(lca_error(pred, s.id, taxonomy))
         j, p, r = hierarchical_set_metrics(pred, s.id, taxonomy)
         jacs.append(j)
         precs.append(p)
         recs.append(r)
+    # under the taxonomy's unit weights the LCA error is the tree error
+    tree_error = float(np.mean(ties))
     out["classification"] = {
         "accuracy": float(np.mean(pred_rows == np.arange(len(corpus.scenes)))),
-        "tie": float(np.mean(ties)),
-        "lca_error": float(np.mean(lcas)),
+        "tie": tree_error,
+        "lca_error": tree_error,
         "jaccard": float(np.mean(jacs)),
         "hierarchical_precision": float(np.mean(precs)),
         "hierarchical_recall": float(np.mean(recs)),

@@ -19,8 +19,8 @@ and regenerating with the same seed reproduces it byte for byte.
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
@@ -226,7 +226,10 @@ def load(path) -> Corpus:
     naming the file, and for a bad record its 1-based line and field.
     """
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ContractViolationError(f"{path}: corpus file is not text: {err}") from None
     # (line number, line) of each non-blank line, made as they are read
     lines = ((lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
              if line.strip())
@@ -235,7 +238,7 @@ def load(path) -> Corpus:
         raise ContractViolationError(f"empty corpus file: {path}")
     try:
         header = json.loads(first[1])
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, or an integer past the digit limit
         raise ContractViolationError(f"{path}: corpus header is not JSON: {err}") from None
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != _FORMAT:
@@ -265,7 +268,7 @@ def load(path) -> Corpus:
         where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not JSON, or an integer past the digit limit
             raise ContractViolationError(f"{where}: corpus record is not JSON: {err}") from None
         if not isinstance(rec, dict) or rec.get("kind") not in ("scene", "part"):
             raise ContractViolationError(
@@ -284,7 +287,8 @@ def load(path) -> Corpus:
         parent = rep = None
         if kind == "part":
             parent, rep = rec["parent"], rec["representativeness"]
-            if type(rep) not in (int, float) or not math.isfinite(rep):
+            # compared, not converted: an integer past float's range is refused too
+            if type(rep) not in (int, float) or not abs(rep) <= sys.float_info.max:
                 raise ContractViolationError(
                     f"{where}: corpus record's 'representativeness' is not a finite number")
         for name in _VIEWS:

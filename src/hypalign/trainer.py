@@ -346,7 +346,7 @@ def load_checkpoint(path) -> dict:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not JSON, or an integer past the digit limit
             raise ContractViolationError(f"{path}: checkpoint is not JSON: {err}") from None
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:

@@ -194,6 +194,15 @@ class TestConfigFile:
         assert where == {"steps": f"{path}:2", "lr": f"{path}:3",
                          "include_positive": f"{path}:4", "lambda_cal": f"{path}:5"}
 
+    def test_byte_not_text_rejected(self, tmp_path, capsys, corpus_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"lr = 0.001\n# caf\xff\n")
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "run"),
+                     "--config", str(path)]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error ")]
+        assert len(errors) == 1 and errors[0].startswith(
+            f'error kind=contract message="{path}: config file is not text:')
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("nonsense = 1\n")
@@ -478,6 +487,13 @@ class TestMalformedInputFiles:
         run["corpus"].write_text("".join(json.dumps(rec) + "\n" for rec in records))
 
     @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    def test_corpus_byte_not_text(self, run, capsys, tmp_path, command):
+        data = run["corpus"].read_bytes()
+        run["corpus"].write_bytes(data[:50] + b"\xff" + data[51:])
+        message = self._refused(self._argv(run, tmp_path, command), capsys)
+        assert message.startswith(f"{run['corpus']}: corpus file is not text:")
+
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
     def test_corpus_v1_refused(self, run, capsys, tmp_path, command):
         def as_v1(records):
             records[0]["format"] = "hypalign-corpus-v1"
@@ -540,6 +556,12 @@ class TestMalformedInputFiles:
     def test_truncated_checkpoint(self, run, capsys):
         text = run["checkpoint"].read_text()
         run["checkpoint"].write_text(text[:len(text) // 2])
+        message = self._eval(run, capsys)
+        assert message.startswith(f"{run['checkpoint']}:") and "not JSON" in message
+
+    def test_checkpoint_integer_past_the_digit_limit(self, run, capsys):
+        text = run["checkpoint"].read_text()
+        run["checkpoint"].write_text(text.replace('"step": ', '"step": 1' + "0" * 5000, 1))
         message = self._eval(run, capsys)
         assert message.startswith(f"{run['checkpoint']}:") and "not JSON" in message
 
@@ -682,6 +704,18 @@ class TestMalformedInputFiles:
         tax = tmp_path / "tax.json"
         tax.write_text(text)
         assert self._eval(run, capsys, "--taxonomy", str(tax)).startswith(f"{tax}:")
+
+    @pytest.mark.parametrize("text, detail", [
+        ('{"parent": {"root": 1' + "0" * 5000 + "}}", "taxonomy is not JSON"),
+        ('{"parent": {"a": null, "b": null}}', "taxonomy needs exactly one root"),
+        ('{"parent": {"r": null, "a": "b", "b": "a"}}', "taxonomy contains a cycle"),
+        ('{"parent": {"r": null, "a": "missing"}}', "unknown parent 'missing'"),
+        ('{"parent": {"root": null, "s000": "root"}}', "taxonomy lacks label(s) ['s001',"),
+    ])
+    def test_taxonomy_refused_naming_the_file(self, run, capsys, tmp_path, text, detail):
+        tax = tmp_path / "tax.json"
+        tax.write_text(text)
+        assert self._eval(run, capsys, "--taxonomy", str(tax)).startswith(f"{tax}: {detail}")
 
 
 class TestCheckGrads:

@@ -1,16 +1,17 @@
 """Evaluation metrics against independent oracles: BFS tree distances,
-explicit ancestor sets, exhaustive-sort retrieval, and exact small-sample
-transport."""
+explicit ancestor sets, exhaustive-sort retrieval, exact small-sample
+transport, and scipy's rank correlation."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import networkx as nx
 import pytest
 from scipy import optimize
-from scipy.stats import wasserstein_distance
+from scipy.stats import spearmanr, wasserstein_distance
 
 from hypalign.autodiff import ParameterStore, value_of
 from hypalign.errors import ContractViolationError, NumericalConsistencyError
@@ -18,6 +19,7 @@ from hypalign.evalmetrics import (
     Taxonomy,
     _kernel_means,
     _recalls,
+    _spearman,
     distribution_distances,
     evaluate,
     hierarchical_set_metrics,
@@ -31,6 +33,7 @@ from hypalign.evalmetrics import (
 from hypalign.manifold import Manifold, lift, pairwise_distance
 from hypalign.synthdata import generate
 from hypalign.trainer import TrainConfig, init_parameters
+from hypalign.uncertainty import uncertainty
 
 import _oracles as orc
 
@@ -512,6 +515,50 @@ class TestExactness:
         assert self._peak_bytes(x) < 1.1 * pair_bytes
 
 
+def _spearman_cases():
+    rng = np.random.default_rng(21)
+
+    def shuffled(values):
+        return rng.permutation(np.asarray(values, dtype=np.float64))
+
+    yield "n3", rng.normal(size=3), rng.normal(size=3)
+    yield "n3-tie", np.array([0.5, 0.5, 0.2]), np.array([0.1, 0.3, 0.2])
+    yield "ties-in-x", np.round(rng.normal(size=50), 1), rng.normal(size=50)
+    yield "ties-in-y", rng.normal(size=50), rng.integers(0, 4, size=50).astype(np.float64)
+    yield ("ties-in-both", rng.integers(0, 6, size=80).astype(np.float64),
+           rng.integers(0, 3, size=80).astype(np.float64))
+    yield "one-distinct-in-x", shuffled([2.0] * 30 + [7.0]), rng.normal(size=31)
+    yield "one-distinct-in-y", rng.normal(size=31), shuffled([-1.0] + [0.25] * 30)
+    yield "signed-zeros-tie", shuffled([0.0, -0.0, 1.0, -1.0, 0.0]), rng.normal(size=5)
+    yield "n2048", rng.normal(size=2048), rng.uniform(size=2048)
+    yield "n2048-ties", np.round(rng.normal(size=2048), 2), np.round(rng.uniform(size=2048), 1)
+
+
+class TestSpearman:
+    """``_spearman`` is ``scipy.stats.spearmanr``'s statistic, bit for bit."""
+
+    @pytest.mark.parametrize("x, y", [pytest.param(x, y, id=name)
+                                      for name, x, y in _spearman_cases()])
+    def test_bit_equal_to_scipy(self, x, y):
+        assert _spearman(x, y) == float(spearmanr(x, y).statistic)
+
+    def test_bit_equal_on_random_sizes_and_ties(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(3, 400))
+            x, y = rng.normal(size=n), rng.normal(size=n)
+            x = np.round(x, int(rng.integers(0, 3)))        # ties, few or many
+            y = rng.integers(0, int(rng.integers(2, n + 1)), size=n).astype(np.float64)
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                continue
+            assert _spearman(x, y) == float(spearmanr(x, y).statistic), n
+
+    def test_nan_propagates_as_scipy(self):
+        x, y = np.array([0.3, np.nan, 0.1, 0.7]), np.array([1.0, 2.0, 3.0, 4.0])
+        assert math.isnan(_spearman(x, y)) and math.isnan(spearmanr(x, y).statistic)
+        assert math.isnan(_spearman(y, x))
+
+
 class TestUncertaintyCorrelation:
     def _trained_like_store(self, corpus, spread_uncertainty):
         cfg = TrainConfig(batch_size=4, table_dim=16)
@@ -562,6 +609,26 @@ class TestUncertaintyCorrelation:
         rep = uncertainty_correlation(corpus, store, Manifold(1.0))
         assert rep.degenerate
         assert rep.pearson_similarity == 0.0
+        assert rep.spearman_ground_truth == 0.0
+
+    def test_degenerate_constant_representativeness(self):
+        corpus = generate(num_scenes=4, parts_per_scene=2, seed=13)
+        corpus = replace(corpus, parts=[replace(p, representativeness=0.5)
+                                        for p in corpus.parts])
+        store = init_parameters(corpus, TrainConfig(batch_size=4, table_dim=16))
+        rep = uncertainty_correlation(corpus, store, Manifold(1.0))
+        assert rep.degenerate
+        assert rep.spearman_ground_truth == 0.0
+
+    def test_spearman_is_scipys_on_the_corpus(self):
+        corpus = generate(num_scenes=16, parts_per_scene=4, seed=17)
+        store = init_parameters(corpus, TrainConfig(batch_size=4, table_dim=16))
+        for modality, part in (("image", "part_image"), ("text", "part_text")):
+            rep = uncertainty_correlation(corpus, store, Manifold(1.0), modality)
+            u = uncertainty(scaled_tables(store)[part])
+            anti_rep = [1.0 - p.representativeness for p in corpus.parts]
+            assert not rep.degenerate
+            assert rep.spearman_ground_truth == float(spearmanr(u, anti_rep).statistic)
 
     def test_drift_in_an_unread_pair_raises_as_the_full_matrix(self):
         # part 0 nearly coincides, far out, with a whole image it does not
@@ -616,6 +683,25 @@ class TestEvaluate:
         assert 0.0 <= report["retrieval"]["image_to_text_r1"] <= 1.0
         assert report["classification"]["tie"] >= 0.0
         assert "image" in report["radius_distributions"]
+
+    def test_lca_error_is_the_mean_of_lca_error(self):
+        # evaluate walks each scene's tree once and reports that mean twice
+        corpus = generate(num_scenes=12, parts_per_scene=2, seed=16)
+        store = init_parameters(corpus, TrainConfig(batch_size=4, table_dim=16))
+        texts = store["table_scene_txt"].value
+        texts[:6] = texts[:6][::-1].copy()    # half the scenes lose their text
+        m = Manifold(1.0)
+        taxonomy = Taxonomy({"root": None, "a": "root", "b": "a",
+                             **{s.id: ("a", "b", "root")[i % 3]
+                                for i, s in enumerate(corpus.scenes)}})
+        classification = evaluate(corpus, store, m, taxonomy)["classification"]
+        tables = scaled_tables(store)
+        sims = -value_of(pairwise_distance(lift(tables["whole_image"], m),
+                                           lift(tables["whole_text"], m), m))
+        want = np.mean([lca_error(corpus.scenes[row].id, s.id, taxonomy)
+                        for row, s in zip(np.argmax(sims, axis=1), corpus.scenes)])
+        assert want > 0.0
+        assert classification["lca_error"] == classification["tie"] == float(want)
 
     def test_retrieval_equals_recall_at_k(self):
         # evaluate reads R@1 and R@5 off one sort per direction
