@@ -1,22 +1,23 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine is the tape and no more: :class:`Var` nodes, :func:`fused`,
-:func:`pick`, :func:`stack`, :func:`stop_gradient`, the backward sweep and
-the parameter store; it keeps no module-level state.  Its node vocabulary
-is what training builds.  Every op computes its numpy value and a
-hand-derived vector-Jacobian product and becomes one node through
-:func:`fused`: the geometry modules build the lift, the distance matrix,
-the cone angle and aperture and the uncertainty that way, and the losses
-and the trainer build each report component, the temperatures, the leaks,
-the weighted total and the batch gather as one node too.  The plain-numpy
-kernels those nodes share (the sqrt composites with their series forms,
-the acosh clamp, softmax) sit here as well.  :func:`fused` dispatches on
-the inputs: if no argument is on the tape, the plain numpy result is
-returned, so the same numeric code serves both the differentiable training
-path and fast tape-free evaluation.  An op may read groups of a stacked
-Var's leading axis through :func:`pick`, which builds no node of its own:
-the op's node hands the sweep one adjoint per picked group, which the
-sweep adds into those groups of the stack's adjoint.
+:func:`pick`, :func:`stop_gradient`, the backward sweep and the parameter
+store; it keeps no module-level state.  Its node vocabulary is what
+training builds.  Every op computes its numpy value and a hand-derived
+vector-Jacobian product and becomes one node through :func:`fused`: the
+geometry modules build the lift, the distance matrix, the cone angle and
+aperture and the uncertainty that way, and the losses and the trainer
+build each report component, the temperatures, the leaks, the weighted
+total and the batch's gather (one node writing the stack of its four
+groups) as one node too.  The plain-numpy kernels those nodes share (the
+sqrt composites with their series forms, the acosh clamp, softmax) sit here
+as well.  :func:`fused` dispatches on the inputs: if no argument is on the
+tape, the plain numpy result is returned, so the same numeric code serves
+both the differentiable training path and fast tape-free evaluation.  An
+op may read groups of a stacked Var's leading axis through :func:`pick`,
+which builds no node of its own: the op's node hands the sweep one adjoint
+per picked group, which the sweep adds into those groups of the stack's
+adjoint.
 
 Conventions
 -----------
@@ -183,11 +184,6 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
     return Var(value, name, tuple(parents), node_vjp)
 
 
-def stack(xs: Sequence):
-    """Equally shaped arrays stacked along a new leading (group) axis."""
-    return fused(np.stack([value_of(x) for x in xs]), "stack", tuple(xs), lambda g: tuple(g))
-
-
 # ---------------------------------------------------------------------------
 # numeric kernels the fused nodes share (plain numpy, no tape)
 # ---------------------------------------------------------------------------
@@ -318,8 +314,8 @@ def _sweep(order: list[Var], root: Var, check: bool) -> dict[int, Array]:
     A node's adjoint is dropped once its VJP has run.  Contributions are
     added in the order they arrive, in place only into arrays the sweep
     allocated itself (``owned``), never into one a VJP returned:
-    ``weighted_total`` hands three parents the same array and ``stack``
-    hands out views of its adjoint.  A pick parent's per-group sums go into
+    ``weighted_total`` hands three parents the same array, and a VJP may
+    hand out views of its adjoint.  A pick parent's per-group sums go into
     one C-ordered accumulator per base.  An owned sum is C-ordered, the
     layout ``a + b`` gives whenever either operand is, so the reductions
     downstream see the layout that out-of-place sums would give.

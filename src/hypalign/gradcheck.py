@@ -66,11 +66,12 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
     tape differentiates, where the stopped factor contributes its value but
     no derivative.  Relative error uses the floor ``max(|fd|, |tape|,
     1e-6)`` so agreeing near-zero gradients pass.  A parameter that reaches
-    a root only through the stopped value (see :func:`_behind_stop`) is
-    checked the other way around for that root: an exactly-zero tape
-    gradient alongside a nonzero raw difference (``frozen=None``: the value
-    moves, the gradient must not), which costs that parameter one more
-    evaluation per perturbation.
+    a root only through the stopped value is checked the other way around
+    for that root: an exactly-zero tape gradient alongside a nonzero raw
+    difference (``frozen=None``: the value moves, the gradient must not),
+    which costs that parameter one more evaluation per perturbation.  Such
+    a pair is one of :func:`_behind_stop`'s whose frozen differences are
+    exactly zero at every sampled coordinate.
     """
     if not (1e-7 <= step <= 1e-3):
         raise ContractViolationError(f"finite-difference step {step} out of range")
@@ -83,7 +84,7 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
     names = list(roots)
     tapes = {r: ad.gradients(roots[r], params) for r in names}
     base = None if stopped is None else value_of(stopped).copy()
-    zero_tape = _behind_stop(roots, stopped, params)
+    candidates = _behind_stop(roots, stopped, params)
     rng = np.random.default_rng(seed)
 
     def evaluate(frozen) -> np.ndarray:
@@ -109,16 +110,18 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
             coords = rng.choice(size, size=max_coords, replace=False)
         shape = (len(coords), len(names))
         frozen = np.array([central(flat, c, base) for c in coords]).reshape(shape)
+        zero = {r for j, r in enumerate(names)
+                if (r, name) in candidates and np.all(frozen[:, j] == 0.0)}
         raw = (np.array([central(flat, c, None) for c in coords]).reshape(shape)
-               if any((r, name) in zero_tape for r in names) else None)
-        sweeps[name] = (coords, frozen, raw)
+               if zero else None)
+        sweeps[name] = (coords, frozen, raw, zero)
 
     results = []
     for j, root in enumerate(names):
-        for name, (coords, frozen, raw) in sweeps.items():
+        for name, (coords, frozen, raw, zero) in sweeps.items():
             tape_flat = tapes[root][name].ravel()
             max_tape = float(np.max(np.abs(tape_flat), initial=0.0))
-            if (root, name) in zero_tape:
+            if root in zero:
                 max_fd = float(np.max(np.abs(raw[:, j]), initial=0.0))
                 results.append(CheckResult(root, name, "zero_tape", float("nan"),
                                            max_tape, max_fd, len(coords),
@@ -135,20 +138,17 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
 
 
 def _behind_stop(roots: dict, stopped, params: dict) -> set:
-    """The (root, parameter) pairs where the parameter reaches the root only
-    through the stopped value: the root's graph holds a ``stop_gradient``
-    node and misses the parameter, which the stopped value's graph reaches."""
+    """The (root, parameter) pairs where the root's graph holds a
+    ``stop_gradient`` node and the stopped value's graph reaches the
+    parameter; the graphs cannot tell whether that is the parameter's only
+    way in, as one gather makes every table an ancestor of every group."""
     if not isinstance(stopped, ad.Var):
         return set()
     behind = {id(node) for node in ad._toposort(stopped)}
-    pairs = set()
-    for r, root in roots.items():
-        graph = ad._toposort(root)
-        if any(node.name == "stop_gradient" for node in graph):
-            live = {id(node) for node in graph}
-            pairs.update((r, p) for p, var in params.items()
-                         if id(var) in behind and id(var) not in live)
-    return pairs
+    reached = [p for p, var in params.items() if id(var) in behind]
+    return {(r, p) for r, root in roots.items()
+            if any(node.name == "stop_gradient" for node in ad._toposort(root))
+            for p in reached}
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +175,13 @@ def build_check_problem(seed: int = 1):
 def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
                          cfg: LossConfig) -> None:
     """Raise if the problem lies within the guard band of a kink of the
-    objective's terms: the four groups are lifted as one stack, as training
-    lifts them, and read through the objective's own entailment stack and
-    distance pairs."""
+    objective's terms: the batch is gathered as training gathers it, on plain
+    values, lifted as one stack and read through the objective's own
+    entailment stack and distance pairs."""
     kappa = float(value_of(store["kappa"]))
     manifold = Manifold(kappa)
-    batch = materialize_batch(store, idx)
-    points = lift(np.stack([value_of(getattr(batch, g)) for g in GROUPS]), manifold)
+    batch = materialize_batch({name: value_of(var) for name, var in store.items()}, idx)
+    points = lift(batch.groups, manifold)
     cone = cfg.cone
     apex = points.groups(APEXES)
     phi = value_of(exterior_angle(apex, points.groups(MEMBERS), manifold))

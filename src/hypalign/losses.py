@@ -12,8 +12,8 @@ inside the cone; the calibration term re-weights the (stop-gradient)
 entailment violation by ``exp(-u)`` and regularizes the batch uncertainty
 profile with an entropy term.
 
-The batch objective is one graph over stacked groups.  The four groups are
-stacked and lifted once; the two part groups are stacked once more for
+The batch objective is one graph over the batch's ``(4, B, n)`` stack of
+the groups, lifted once; its two part groups are picked out of it for
 their uncertainty, which feeds their temperatures and their calibration.
 The four entailment terms are one stack of apex/member pairs read out of
 the lifted stack, so the exterior angle, the aperture and the leaky term
@@ -114,24 +114,27 @@ MODALITIES = tuple(dict.fromkeys(src.modality for src in LAYOUT.values()))
 
 @dataclass(frozen=True)
 class Batch:
-    """Aligned quadruple of tangent-embedding groups, ``(B, n)`` each; row
-    ``i`` of the parts belongs to row ``i`` of the wholes."""
+    """Aligned quadruple of tangent-embedding groups, one ``(4, B, n)`` stack
+    in ``GROUPS`` order; row ``i`` of the parts belongs to row ``i`` of the
+    wholes."""
 
-    whole_image: object
-    whole_text: object
-    part_image: object
-    part_text: object
+    groups: object
 
     def __post_init__(self):
-        shapes = {name: value_of(getattr(self, name)).shape for name in GROUPS}
-        if len(set(shapes.values())) != 1:
-            raise ContractViolationError(f"batch group shapes differ: {shapes}")
-        b = shapes[GROUPS[0]][0]
-        if b < 2:
+        shape = value_of(self.groups).shape
+        if len(shape) != 3 or shape[0] != len(GROUPS):
+            raise ContractViolationError(f"batch groups need shape (4, B, n), not {shape}")
+        if shape[1] < 2:
             raise ContractViolationError("batch size must be >= 2")
-        for name in shapes:
-            if not np.all(np.isfinite(value_of(getattr(self, name)))):
-                raise ContractViolationError(f"non-finite entries in {name}")
+        bad = nonfinite_group(self.groups)
+        if bad is not None:
+            raise ContractViolationError(f"non-finite entries in {bad}")
+
+
+def nonfinite_group(groups):
+    """The first group of a ``(4, B, n)`` stack with a non-finite entry, or None."""
+    finite = np.isfinite(value_of(groups)).all(axis=(1, 2))
+    return None if finite.all() else GROUPS[int(np.argmin(finite))]
 
 
 @dataclass
@@ -345,18 +348,16 @@ def entailment_etas(cone: ConeParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Lifted:
-    """A batch's four groups lifted once, as one stack along a leading group
-    axis (``GROUPS`` order), and the part groups' uncertainty stack
-    ``(2, B)`` (image, text)."""
+    """A batch's stack lifted once (``GROUPS`` order), and its part groups'
+    uncertainty stack ``(2, B)`` (image, text)."""
 
     points: LorentzPoint
     u: object
 
 
 def _lift_batch(batch: Batch, m: Manifold, use_radius: bool) -> _Lifted:
-    points = lift(ad.stack([getattr(batch, g) for g in GROUPS]), m)
-    parts = ad.stack([batch.part_image, batch.part_text])
-    return _Lifted(points=points, u=_uncertainty(parts, m, use_radius))
+    parts = ad.pick(batch.groups, (PART_IMAGE, PART_TEXT))
+    return _Lifted(points=lift(batch.groups, m), u=_uncertainty(parts, m, use_radius))
 
 
 def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,

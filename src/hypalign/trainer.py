@@ -30,7 +30,7 @@ from .autodiff import ParameterStore, value_of
 from .errors import (ContractViolationError, HypalignError, NumericalConsistencyError,
                      check_domains)
 from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, TAU_FLOOR, Batch, LossConfig,
-                     LossReport, TemperatureSet, total_loss)
+                     LossReport, TemperatureSet, nonfinite_group, total_loss)
 from .manifold import KAPPA_MAX, KAPPA_MIN, Manifold, hyperbolic_radius
 from .evalmetrics import distribution_distances, scaled_tables
 from .synthdata import BatchIndices, Corpus, sample_batch
@@ -132,35 +132,46 @@ def parameter_store(tables: dict, kappa: float, temps: TemperatureSet) -> Parame
     return store
 
 
-def _gather_scaled(table, rows, scale):
-    """``scale * table[rows]`` as one tape node; the table's adjoint
-    assigns distinct rows (every training batch's) and scatter-adds
-    repeated ones."""
-    tv, cv = value_of(table), value_of(scale)
-    picked = tv[rows]
+def _gather_scaled(sources):
+    """``scale * table[rows]`` for each ``(table, rows, scale)`` of
+    ``sources``, stacked along a leading group axis, as one tape node; a
+    table's adjoint assigns distinct rows (every training batch's) and
+    scatter-adds repeated ones."""
+    values = [(value_of(t), rows, value_of(c)) for t, rows, c in sources]
+    picked = [tv[rows] for tv, rows, _ in values]
+    out = np.empty((len(picked), *picked[0].shape))
+    for (_, _, cv), p, o in zip(values, picked, out):
+        np.multiply(cv, p, out=o)
 
     def vjp(g):
-        acc = np.zeros(tv.shape)
-        if np.unique(rows).size == len(rows):
-            acc[rows] = g * cv
-        else:
-            np.add.at(acc, rows, g * cv)
-        return (acc, np.sum(g * picked))
+        adj = []
+        for (tv, rows, cv), p, gk in zip(values, picked, g):
+            acc = np.zeros(tv.shape)
+            if np.unique(rows).size == len(rows):
+                acc[rows] = gk * cv
+            else:
+                np.add.at(acc, rows, gk * cv)
+            adj += (acc, np.sum(gk * p))
+        return adj
 
-    return ad.fused(cv * picked, "gather_scale", (table, scale), vjp)
+    return ad.fused(out, "gather_scale", tuple(x for t, _, c in sources for x in (t, c)), vjp)
 
 
 def materialize_batch(store: ParameterStore, idx: BatchIndices) -> Batch:
-    """Scaled tangent embeddings for the four groups of a sampled batch;
-    ``store`` maps parameter names to Vars, or to plain arrays for plain
-    embeddings."""
-    return Batch(**{group: _gather_scaled(store[src.table], idx.rows(src.level),
-                                          store[src.scale])
-                    for group, src in LAYOUT.items()})
+    """Scaled tangent embeddings of a sampled batch's four groups, gathered
+    into the batch's stack by one node; ``store`` maps parameter names to
+    Vars, or to plain arrays for plain embeddings.  A non-finite entry read
+    from it is a state training reached: a numerical error."""
+    groups = _gather_scaled([(store[src.table], idx.rows(src.level), store[src.scale])
+                             for src in LAYOUT.values()])
+    bad = nonfinite_group(groups)
+    if bad is not None:
+        raise NumericalConsistencyError(f"non-finite entries in {bad} read from the store")
+    return Batch(groups)
 
 
 def loss_config_with_vars(cfg: LossConfig, store: ParameterStore) -> LossConfig:
-    """Loss config whose temperatures are the live learnable Vars."""
+    """Loss config whose temperatures are ``store``'s (live Vars, or values)."""
     temps = TemperatureSet(**{f: store[name] for f, name in TEMPERATURE_PARAMS.items()})
     return replace(cfg, temps=temps)
 
@@ -287,14 +298,13 @@ def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
     part-vs-whole radius distribution distances (per modality)."""
     kappa = float(value_of(store["kappa"]))
     manifold = Manifold(kappa)
-    eval_idx = _eval_indices(corpus, cfg)
-    tables = scaled_tables(store)
-    eval_batch = Batch(**{group: tables[group][eval_idx.rows(src.level)]
-                          for group, src in LAYOUT.items()})
-    report = total_loss(eval_batch, loss_config_with_vars(cfg.loss, store), manifold)
+    plain = {name: value_of(var) for name, var in store.items()}   # plain values: no tape node
+    eval_batch = materialize_batch(plain, _eval_indices(corpus, cfg))
+    report = total_loss(eval_batch, loss_config_with_vars(cfg.loss, plain), manifold)
 
     record = {"step": step, "lr": learning_rate(step, cfg)}
     record.update({f"loss_{k}": v for k, v in report.to_floats().items()})
+    tables = scaled_tables(store)
     radii = {name: hyperbolic_radius(emb, manifold) for name, emb in tables.items()}
     for name in GROUPS:
         record[f"mean_radius_{name}"] = float(np.mean(radii[name]))
@@ -382,7 +392,9 @@ def _valid_shape(name: str, shape, width) -> bool:
 def store_from_payload(payload: dict, path) -> ParameterStore:
     """Standalone parameter store from the checkpoint ``path`` was read from
     (for eval/export), registered in the order every store keeps; a missing,
-    unknown or malformed parameter raises naming both."""
+    unknown or malformed parameter raises naming both, as does a value no
+    training run leaves behind: a non-finite entry, a curvature outside
+    ``[KAPPA_MIN, KAPPA_MAX]``, or a table row whose lift overflows."""
     params, names = payload["params"], (*TABLES, *DECAY_EXCLUDE)
     unknown = sorted(set(params).difference(names))
     if unknown:
@@ -402,10 +414,39 @@ def store_from_payload(payload: dict, path) -> ParameterStore:
             raise ContractViolationError(
                 f"{path}: checkpoint parameter {name!r} needs 'data' holding the base64 "
                 f"float64 bytes of its 'shape' {shape}")
+        if not np.all(np.isfinite(value)):
+            raise ContractViolationError(
+                f"{path}: checkpoint parameter {name!r} holds a non-finite entry")
+        if name == "kappa" and not KAPPA_MIN <= value <= KAPPA_MAX:
+            raise ContractViolationError(
+                f"{path}: checkpoint parameter 'kappa' {float(value)!r} outside "
+                f"[{KAPPA_MIN}, {KAPPA_MAX}]")
         store.register(name, value)
         if name in TABLES:
             width = shape[1]
+    _check_lift_range(store, path)
     return store
+
+
+_LIFT_LIMIT = math.log(np.finfo(np.float64).max)    # cosh overflows past it
+
+
+def _check_lift_range(store: ParameterStore, path) -> None:
+    """Raise naming the table whose scaled row ``r`` lifts past the float
+    range: ``sqrt(kappa) |c r| >= log(float max)``, with ``c`` the row's
+    modality scale."""
+    sqrt_k = np.sqrt(value_of(store["kappa"]))
+    with np.errstate(over="ignore"):
+        for src in LAYOUT.values():
+            scaled = value_of(store[src.scale]) * value_of(store[src.table])
+            radius = sqrt_k * np.linalg.norm(scaled, axis=-1)
+            over = radius >= _LIFT_LIMIT
+            if over.any():
+                row = int(np.argmax(over))
+                raise ContractViolationError(
+                    f"{path}: checkpoint parameter {src.table!r} row {row} lifts past the "
+                    f"float range: sqrt(kappa)*|{src.scale}*row| = {float(radius[row])!r}, "
+                    f"not below {_LIFT_LIMIT:.2f}")
 
 
 def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
@@ -526,10 +567,9 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
                 last_record = _checked_metrics(store, corpus, cfg, step, out_dir)
                 metrics_fh.write(json.dumps(last_record) + "\n")
             batch_idx = sample_batch(corpus, cfg.batch_size, [cfg.seed, step])
-            batch = materialize_batch(store, batch_idx)
             lr = learning_rate(step, cfg)
             try:
-                train_step(store, opt, batch, cfg, lr)
+                train_step(store, opt, materialize_batch(store, batch_idx), cfg, lr)
             except HypalignError as err:
                 _write_failure_dump(out_dir, step, "train", batch_idx, store, err)
                 raise

@@ -115,6 +115,12 @@ def reduce_sum(a, axis=None):
     return fused(np.sum(av, axis=axis), "sum", (a,), vjp)
 
 
+def stack(xs):
+    """Equally shaped arrays stacked along a new leading (group) axis; the
+    batch's stack as the package built it before one gather wrote it."""
+    return fused(np.stack([value_of(x) for x in xs]), "stack", tuple(xs), lambda g: tuple(g))
+
+
 def reshape(a, shape):
     av = value_of(a)
     return fused(av.reshape(shape), "reshape", (a,), lambda g: (g.reshape(av.shape),))

@@ -211,8 +211,7 @@ class TestCriterion05TranscriptionOracles:
         worst = 0.0
         for _ in range(5):
             groups = rng.normal(size=(4, 2, 3)) * 1.2
-            batch = Batch(whole_image=groups[0], whole_text=groups[1],
-                          part_image=groups[2], part_text=groups[3])
+            batch = Batch(groups)
             wi, wt, pi, pt = (
                 [list(r) for r in g] for g in groups
             )

@@ -45,13 +45,12 @@ def test_var_init_takes_the_counted_arguments():
 
 def test_installed_tracer_counts_and_uninstalls(tracer):
     rng = np.random.default_rng(3)
-    groups = {name: ad.Var(rng.normal(size=(4, 3)) * 0.5, name=name)
-              for name in ("whole_image", "whole_text", "part_image", "part_text")}
+    groups = ad.Var(rng.normal(size=(4, 4, 3)) * 0.5, name="groups")
     kappa = ad.Var(1.0, name="kappa")
     originals = (ad.Var.__init__, ad.gradients)
     with tracer.Tracer() as t:
-        root = total_loss(Batch(**groups), LossConfig(), Manifold(kappa)).total
-        ad.gradients(root, {"kappa": kappa, **groups})
+        root = total_loss(Batch(groups), LossConfig(), Manifold(kappa)).total
+        ad.gradients(root, {"kappa": kappa, "groups": groups})
     assert (ad.Var.__init__, ad.gradients) == originals
     assert t.built["info_nce"] == 3 and t.built["lift_time"] == 1
     # every built node of this graph reaches the loss

@@ -430,6 +430,25 @@ class TestTrainEvalExport:
         assert "error kind=contract" in capsys.readouterr().err
 
 
+class TestTrainingBlowsUp:
+    def test_nonfinite_table_read_by_the_next_batch(self, tmp_path, capsys):
+        # a huge learning rate drives a table to inf in the first update; the
+        # next batch reads it from the store inside the guarded step
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "run"
+        assert main(["generate", "--scenes", "8", "--parts", "2", "--seed", "5",
+                     "--out", str(corpus)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--corpus", str(corpus), "--out", str(out), "--lr", "1e300",
+                     "--warmup", "0", "--steps", "5", "--batch-size", "4"])
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 2 and len(errors) == 1
+        assert errors[0].startswith("error kind=numerical message=")
+        dump = json.loads((out / "failure_dump.json").read_text())
+        assert dump["kind"] == "numerical" and dump["batch"] == "train"
+        assert dump["step"] == 1 and "read from the store" in dump["message"]
+
+
 class TestMalformedInputFiles:
     """A malformed corpus, checkpoint or taxonomy file exits 1 with one
     ``error kind=contract`` line that names the file, not a traceback."""
@@ -698,6 +717,38 @@ class TestMalformedInputFiles:
         assert code == 1 and len(errors) == 1
         message = json.loads(errors[0].partition("message=")[2])
         assert message.startswith(f"{run['checkpoint']}:") and f"{field}['kappa']" in message
+
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    @pytest.mark.parametrize("name, entry, value, detail", [
+        ("table_part_img", 0, np.nan, "holds a non-finite entry"),
+        ("c_txt", 0, -np.inf, "holds a non-finite entry"),
+        ("kappa", 0, 0.05, "'kappa' 0.05 outside [0.1, 10.0]"),
+        ("kappa", 0, 10.5, "'kappa' 10.5 outside [0.1, 10.0]"),
+        # finite, but cosh of the row's lift overflows: 3000 * c_txt = 750
+        ("table_scene_txt", 21, 3000.0, "'table_scene_txt' row 1 lifts past the float range"),
+    ])
+    def test_parameter_value_no_run_leaves(self, run, capsys, tmp_path, command, name,
+                                           entry, value, detail):
+        payload = json.loads(run["checkpoint"].read_text())
+        values = decode(payload["params"][name]["data"])
+        values[entry] = value
+        payload["params"][name]["data"] = encode(values)
+        run["checkpoint"].write_text(json.dumps(payload))
+        if command == "train":
+            argv = ["train", "--corpus", str(run["corpus"]), "--out", str(tmp_path / "r2"),
+                    "--steps", "2", "--batch-size", "4", "--seed", "7",
+                    "--resume", str(run["checkpoint"])]
+        else:
+            argv = [command, "--checkpoint", str(run["checkpoint"]),
+                    "--corpus", str(run["corpus"]), "--out", str(tmp_path / "out")]
+        code = main(argv)
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1 and len(errors) == 1
+        assert errors[0].startswith("error kind=contract message=")
+        message = json.loads(errors[0].partition("message=")[2])
+        assert message.startswith(f"{run['checkpoint']}: ") and detail in message
+        assert f"{name!r}" in message
 
     @pytest.mark.parametrize("text", ['{"parent": {"root": nu', '{"tree": {}}'])
     def test_malformed_taxonomy(self, run, capsys, tmp_path, text):

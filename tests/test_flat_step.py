@@ -136,8 +136,8 @@ def test_gather_matches_scatter_add(rows):
     for _ in range(3):
         tv, cv = rng.normal(size=(12, 4)), np.asarray(rng.uniform(0.1, 1.0))
         g = rng.normal(size=(len(rows), 4))
-        node = _gather_scaled(Var(tv), rows, Var(cv))
-        for got, ref in zip(node._vjp(g), orc.gather_vjp_reference(tv, rows, cv, g)):
+        node = _gather_scaled([(Var(tv), rows, Var(cv))])
+        for got, ref in zip(node._vjp(g[None]), orc.gather_vjp_reference(tv, rows, cv, g)):
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 

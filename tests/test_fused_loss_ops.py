@@ -31,6 +31,8 @@ from hypalign.autodiff import Var, value_of
 from hypalign.entailment import aperture, exterior_angle
 from hypalign.gradcheck import build_check_problem
 from hypalign.losses import (
+    GROUPS,
+    LAYOUT,
     Batch,
     LossConfig,
     _calibrate,
@@ -55,6 +57,7 @@ ETA, ALPHA = 1.2, 0.1
 # a stack of four entailment terms, one aperture scaling per term
 ETAS = np.array([[1.2], [1.2], [0.7], [0.7]])
 ROWS = np.array([0, 2, 2, 4, 1])          # a gather with a duplicate row
+ROWS_DISTINCT = np.array([3, 0, 1, 4, 2])
 COMPONENTS = ("contrastive_globallocal", "contrastive_global", "contrastive_local",
               "entail_inter", "entail_intra", "calibration")
 WEIGHTS = ("lambda_intra", "lambda_cal", "lambda_ent")
@@ -152,8 +155,9 @@ def unfused_calibrate(u, leak, sign):
     return ref.add(core, ref.mul(float(sign), ent))
 
 
-def unfused_gather_scaled(table, rows, scale):
-    return ref.mul(scale, _take_rows(table, rows))
+def unfused_gather_scaled(sources):
+    return ref.stack([ref.mul(scale, _take_rows(table, rows))
+                      for table, rows, scale in sources])
 
 
 def unfused_weighted_total(c, lambda_intra, lambda_cal, lambda_ent):
@@ -165,22 +169,19 @@ def unfused_weighted_total(c, lambda_intra, lambda_cal, lambda_ent):
 
 
 def unfused_materialize_batch(store, idx):
-    def group(table, rows, scale):
-        return unfused_gather_scaled(store[table], rows, store[scale])
-
-    return Batch(whole_image=group("table_scene_img", idx.scene_rows, "c_img"),
-                 whole_text=group("table_scene_txt", idx.scene_rows, "c_txt"),
-                 part_image=group("table_part_img", idx.part_rows, "c_img"),
-                 part_text=group("table_part_txt", idx.part_rows, "c_txt"))
+    """The batch as one gather per group (a ``take_rows`` and a ``mul``
+    each) and a ``stack`` of the four."""
+    return Batch(unfused_gather_scaled(
+        [(store[src.table], idx.rows(src.level), store[src.scale]) for src in LAYOUT.values()]))
 
 
 def unfused_total_loss(batch, cfg, m):
     """The objective over the unfused loss arithmetic, on the fused geometry
     called once per group, pair and term (the layout before the groups were
     stacked); returns the total and the components."""
-    s = {g: lift(getattr(batch, g), m)
-         for g in ("whole_image", "whole_text", "part_image", "part_text")}
-    u_image, u_text = (_uncertainty(getattr(batch, g), m, cfg.uncertainty_from_radius)
+    groups = {g: ad.pick(batch.groups, k) for k, g in enumerate(GROUPS)}
+    s = {g: lift(x, m) for g, x in groups.items()}
+    u_image, u_text = (_uncertainty(groups[g], m, cfg.uncertainty_from_radius)
                        for g in ("part_image", "part_text"))
     temps, cone, alpha = cfg.temps, cfg.cone, cfg.alpha
 
@@ -276,7 +277,9 @@ def _impls(nce, tempered, leaky, sum_pair, calibrate, gather, total):
                                     v["alpha"]),
         "sum_pair": lambda a, v: sum_pair(a["a"], a["b"]),
         "calibration": lambda a, v: calibrate(a["u"], a["leak"], v["sign"]),
-        "gather_scale": lambda a, v: gather(a["table"], ROWS, a["scale"]),
+        # two tables sharing a scale, one gather with a repeated row
+        "gather_scale": lambda a, v: gather([(a["table"], ROWS, a["scale"]),
+                                             (a["other"], ROWS_DISTINCT, a["scale"])]),
         "weighted_total": lambda a, v: total({k: a[k] for k in COMPONENTS},
                                              *(a[k] for k in WEIGHTS)),
     }
@@ -329,7 +332,8 @@ def make_inputs(op, variant, seed=0):
         return {"u": rng.uniform(0.05, np.log(2.0), size=rows),
                 "leak": rng.uniform(0.0, 2.0, size=rows)}
     if op == "gather_scale":
-        return {"table": rng.normal(size=(b, 3)), "scale": np.array(0.25)}
+        return {"table": rng.normal(size=(b, 3)), "scale": np.array(0.25),
+                "other": rng.normal(size=(b, 3))}
     arrays = {k: np.array(rng.normal() * 50.0) for k in COMPONENTS}
     arrays.update(lambda_intra=np.array(0.5), lambda_cal=np.array(10.0),
                   lambda_ent=np.array(0.2))
@@ -522,12 +526,14 @@ class TestFusedLossAdjoints:
         assert np.max(np.abs(g["u"])) > 0.0
 
     def test_gather_accumulates_duplicates(self):
+        # repeated rows within a group, and one table and scale read by two
         t = Var(np.arange(12, dtype=float).reshape(4, 3))
         scale = Var(np.array(2.0))
-        out = ref.reduce_sum(_gather_scaled(t, np.array([0, 2, 2, 2]), scale))
+        rows = [np.array([0, 2, 2, 2]), np.array([1, 2, 3, 3])]
+        out = ref.reduce_sum(_gather_scaled([(t, rows[0], scale), (t, rows[1], scale)]))
         g = ad.gradients(out, {"t": t, "scale": scale})
-        np.testing.assert_array_equal(g["t"][:, 0], [2.0, 0.0, 6.0, 0.0])
-        assert g["scale"] == np.sum(t.value[[0, 2, 2, 2]])
+        np.testing.assert_array_equal(g["t"][:, 0], [2.0, 2.0, 8.0, 4.0])
+        assert g["scale"] == np.sum(t.value[rows[0]]) + np.sum(t.value[rows[1]])
 
     @pytest.mark.parametrize("alpha", (ALPHA, 0.0))
     def test_hinge_boundary_takes_subgradient_zero(self, alpha):

@@ -1,26 +1,31 @@
-"""Fuzzing ``hypalign eval``'s input files.
+"""Fuzzing the input files of ``hypalign eval`` and ``export``.
 
-A valid 8x2 corpus file, or a taxonomy file for it, gets one mutation and is
-handed to ``eval`` in-process through ``cli.main``, with a checkpoint
-trained on the corpus: a line dropped, duplicated or truncated; a JSON value
-swapped for one of another type; a character of a string (a base64 view, an
+A valid 8x2 corpus file, a taxonomy file for it, or a checkpoint trained on
+it gets one mutation and is handed to ``eval`` in-process through
+``cli.main`` with the other two files (a mutated checkpoint to ``export``
+as well): a line dropped, duplicated or truncated; a JSON value swapped for
+one of another type; a character of a string (a base64 view or array, an
 id, a label) flipped to a base64 character; or ``NaN``, ``Infinity``,
 ``-1``, ``0``, ``1e308`` or a huge integer put into a field.  Whatever the
-file then holds, the command exits 0, or exits 1 with exactly one
-``error kind=contract`` line whose message names the file; any exception
-escaping ``main`` fails the test.
+file then holds, the command exits 0 having written only finite numbers,
+or exits 1 with exactly one ``error kind=contract`` line whose message
+names the file; any exception escaping ``main`` fails the test.
 """
 
 import contextlib
 import copy
+import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hypalign.cli import main
 from hypalign.synthdata import load
+
+from _checkpoint_data import decode, encode
 
 _BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
 _OTHER_TYPES = [None, True, 1, 1.5, "x", [], {}]
@@ -28,7 +33,9 @@ _OTHER_TYPES = [None, True, 1, 1.5, "x", [], {}]
 # int-from-text digit limit
 _TOKENS = ["NaN", "Infinity", "-1", "0", "1e308", "1" + "0" * 400, "9" * 5000]
 _PLACEHOLDER = "\x00token\x00"
-KINDS = ["corpus", "taxonomy"]          # the mutated file
+KINDS = ["corpus", "taxonomy", "checkpoint"]    # the mutated file
+# the commands each kind of file is handed to
+COMMANDS = {"corpus": ["eval"], "taxonomy": ["eval"], "checkpoint": ["eval", "export"]}
 
 
 def _corpus_docs(path):
@@ -109,30 +116,49 @@ def files(tmp_path_factory):
         parents[c.id] = c.parent or "root"
     taxonomy = root / "taxonomy.json"
     taxonomy.write_text(_dump_indented([{"parent": parents}]))
-    return {"root": root, "checkpoint": run / "checkpoint_final.json",
+    checkpoint = run / "checkpoint_final.json"
+    return {"root": root,
             "corpus": (corpus, _corpus_docs(corpus), _dump_corpus),
-            "taxonomy": (taxonomy, [{"parent": parents}], _dump_indented)}
+            "taxonomy": (taxonomy, [{"parent": parents}], _dump_indented),
+            "checkpoint": (checkpoint, [json.loads(checkpoint.read_text())], _dump_indented)}
 
 
-def _eval(files, kind, text):
-    """Run ``eval`` with file ``kind`` holding ``text``; (exit code, stderr,
-    the mutated file's path)."""
-    paths = {"checkpoint": files["checkpoint"],
-             **{name: files[name][0] for name in KINDS}}
+def _run(files, command, kind, text):
+    """Run ``command`` with file ``kind`` holding ``text``; (exit code,
+    stderr, the mutated file's path, the output's path)."""
+    names = KINDS if command == "eval" else ["corpus", "checkpoint"]
+    paths = {name: files[name][0] for name in names}
     paths[kind] = files["root"] / f"mutated_{kind}"
     paths[kind].write_text(text)
+    out = files["root"] / f"{command}.out"
+    out.unlink(missing_ok=True)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["eval", *(f"--{name}={path}" for name, path in paths.items()),
-                     "--out", str(files["root"] / "report.json")])
-    return code, err.getvalue(), paths[kind]
+        code = main([command, *(f"--{name}={path}" for name, path in paths.items()),
+                     "--out", str(out)])
+    return code, err.getvalue(), paths[kind], out
 
 
-def _assert_accepted_or_named(code, err, path):
+def _refuse(token):
+    raise AssertionError(f"report holds {token}")
+
+
+def _assert_finite_output(out):
+    """The written report or CSV holds only finite numbers."""
+    text = out.read_text()
+    if out.name == "eval.out":
+        json.loads(text, parse_constant=_refuse)
+        return
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        assert np.all(np.isfinite(np.array(row[3:], dtype=float))), row[0]
+
+
+def _assert_accepted_or_named(code, err, path, out):
     errors = [line for line in err.splitlines() if line.startswith("error ")]
     assert "Traceback" not in err
     if code == 0:
         assert errors == []
+        _assert_finite_output(out)
         return
     assert code == 1, err
     assert len(errors) == 1 and errors[0].startswith("error kind=contract message="), err
@@ -142,20 +168,27 @@ def _assert_accepted_or_named(code, err, path):
 @pytest.mark.parametrize("kind", KINDS)
 def test_unmutated_files_evaluate(files, kind):
     _, docs, dump = files[kind]
-    assert _eval(files, kind, dump(docs))[0] == 0
+    for command in COMMANDS[kind]:
+        assert _run(files, command, kind, dump(docs))[0] == 0
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 def test_mutated_file(files, kind, data):
     _, docs, dump = files[kind]
-    _assert_accepted_or_named(*_eval(files, kind, data.draw(_mutated(docs, dump))))
+    text = data.draw(_mutated(docs, dump))
+    for command in COMMANDS[kind]:
+        _assert_accepted_or_named(*_run(files, command, kind, text))
 
 
 def _special_fields(kind, docs):
     """(document, key path) of each field that gets every special value."""
     if kind == "corpus":        # every field of the header, a scene and a part
         return [(line, (key,)) for line in (0, 1, -1) for key in docs[line]]
+    if kind == "checkpoint":    # every field, and a table's and a scalar's record
+        return [(0, (key,)) for key in docs[0]] + [
+            (0, ("params", name, key)) for name in ("table_part_img", "kappa")
+            for key in ("shape", "data")]
     return [(0, ("parent",)), (0, ("parent", "s000"))]
 
 
@@ -167,4 +200,19 @@ def test_special_values_in_chosen_fields(files, kind):
             mutated = copy.deepcopy(docs)
             _at(mutated[line], outer)[key] = _PLACEHOLDER
             text = dump(mutated).replace(json.dumps(_PLACEHOLDER), token)
-            _assert_accepted_or_named(*_eval(files, kind, text))
+            for command in COMMANDS[kind]:
+                _assert_accepted_or_named(*_run(files, command, kind, text))
+
+
+@pytest.mark.parametrize("name", ["table_part_img", "kappa", "c_img", "tau_gl"])
+def test_special_values_in_checkpoint_arrays(files, name):
+    # a value no training run leaves behind, in the first entry of an array
+    _, docs, dump = files["checkpoint"]
+    for value in (np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-320, 3e3, 1e308):
+        mutated = copy.deepcopy(docs)
+        record = mutated[0]["params"][name]
+        entries = decode(record["data"])
+        entries[0] = value
+        record["data"] = encode(entries)
+        for command in COMMANDS["checkpoint"]:
+            _assert_accepted_or_named(*_run(files, command, "checkpoint", dump(mutated)))

@@ -153,6 +153,28 @@ class TestFiniteDiffCheck:
         apart = {r.param: r for r in results if r.loss == "apart"}["stopped"]
         assert apart.max_tape_abs == 0.0 and apart.max_fd_abs == 0.0
 
+    def test_zero_tape_for_a_graph_ancestor_behind_the_stop(self):
+        # one node reads both parameters, as the batch's gather reads every
+        # table, so "whole" is a graph ancestor of the root; its value
+        # reaches the root only through the stopped value, which the frozen
+        # differences show as exact zeros
+        store = ParameterStore()
+        store.register("whole", np.array([0.8, -1.2]))
+        store.register("part", np.array([1.5, 0.4]))
+
+        def f(s, frozen):
+            both = ref.stack([s["whole"], s["part"]])
+            stopped = ref.square(ad.pick(both, 0))
+            weighted = ref.mul(held(stopped, frozen), ref.square(ad.pick(both, 1)))
+            return {"weighted": ref.reduce_sum(weighted)}, stopped
+
+        root, _ = f(store, None)
+        assert id(store["whole"]) in {id(node) for node in ad._toposort(root["weighted"])}
+        by_name = {r.param: r for r in finite_diff_check(f, store)}
+        assert by_name["whole"].mode == "zero_tape" and by_name["whole"].passed
+        assert by_name["whole"].max_tape_abs == 0.0 and by_name["whole"].max_fd_abs > 1e-3
+        assert by_name["part"].mode == "match" and by_name["part"].passed
+
     def test_geodesic_kink_guard(self):
         # the check configuration builder rejects coincident-point setups
         store, idx, cfg = build_check_problem(seed=1)
@@ -204,6 +226,24 @@ class TestFullSweep:
                         ("calibration", "table_scene_txt"),
                         ("calibration", "kappa")}
         assert modes[("total_loss", "kappa")] == "match"
+
+    def test_seed_1_keeps_its_zero_tape_rows_and_evaluations(self, monkeypatch):
+        # the gather makes every table a graph ancestor of calibration; the
+        # frozen differences still find the three pairs behind the stop, at
+        # the same evaluation count
+        calls = 0
+        total_loss = gradcheck.total_loss
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "total_loss", counted)
+        results, passed = run_check_grads(seed=1)
+        assert passed
+        assert sum(r.mode == "zero_tape" for r in results) == 3
+        assert calls == 591
 
     def test_no_per_term_builder_called(self, monkeypatch):
         def refuse(*args, **kwargs):

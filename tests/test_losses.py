@@ -34,20 +34,16 @@ import _oracles as orc
 import _reference_ops as ref
 
 
+GROUP_NAMES = ("whole_image", "whole_text", "part_image", "part_text")
+
+
 def random_batch(rng, b, n, scale=1.2):
-    return Batch(
-        whole_image=rng.normal(size=(b, n)) * scale,
-        whole_text=rng.normal(size=(b, n)) * scale,
-        part_image=rng.normal(size=(b, n)) * scale,
-        part_text=rng.normal(size=(b, n)) * scale,
-    )
+    # the four groups drawn one after another, in GROUPS order
+    return Batch(rng.normal(size=(4, b, n)) * scale)
 
 
 def batch_lists(batch):
-    return tuple(
-        [list(row) for row in value_of(getattr(batch, name))]
-        for name in ("whole_image", "whole_text", "part_image", "part_text")
-    )
+    return tuple([list(row) for row in group] for group in value_of(batch.groups))
 
 
 class TestContrastive:
@@ -156,23 +152,20 @@ class TestContrastiveTotal:
         # all parts at identical norm -> identical uncertainty u0
         directions = rng.normal(size=(2, b, 4))
         directions /= np.linalg.norm(directions, axis=2, keepdims=True)
-        batch = Batch(
-            whole_image=rng.normal(size=(b, 4)),
-            whole_text=rng.normal(size=(b, 4)),
-            part_image=directions[0] * 1.3,
-            part_text=directions[1] * 1.3,
-        )
+        wi, wt = rng.normal(size=(b, 4)), rng.normal(size=(b, 4))
+        pi, pt = directions[0] * 1.3, directions[1] * 1.3
+        batch = Batch(np.stack([wi, wt, pi, pt]))
         temps = TemperatureSet()
-        u0 = orc.uncertainty_scalar(list(batch.part_image[0]))
+        u0 = orc.uncertainty_scalar(list(pi[0]))
         scaled = math.exp(u0 / 2) * temps.tau_global_local
         total = float(value_of(contrastive_total(batch, temps, m)))
         expected = (
-            float(value_of(contrastive(batch.part_image, batch.whole_text, scaled, m)))
-            + float(value_of(contrastive(batch.part_text, batch.whole_image, scaled, m)))
-            + float(value_of(contrastive(batch.whole_image, batch.whole_text, temps.tau_global, m)))
-            + float(value_of(contrastive(batch.whole_text, batch.whole_image, temps.tau_global, m)))
-            + float(value_of(contrastive(batch.part_image, batch.part_text, temps.tau_local, m)))
-            + float(value_of(contrastive(batch.part_text, batch.part_image, temps.tau_local, m)))
+            float(value_of(contrastive(pi, wt, scaled, m)))
+            + float(value_of(contrastive(pt, wi, scaled, m)))
+            + float(value_of(contrastive(wi, wt, temps.tau_global, m)))
+            + float(value_of(contrastive(wt, wi, temps.tau_global, m)))
+            + float(value_of(contrastive(pi, pt, temps.tau_local, m)))
+            + float(value_of(contrastive(pt, pi, temps.tau_local, m)))
         )
         assert total == pytest.approx(expected, rel=1e-12)
 
@@ -194,12 +187,7 @@ class TestContrastiveTotal:
         m = Manifold(1.0)
         batch = random_batch(rng, 6, 5)
         perm = rng.permutation(6)
-        permuted = Batch(
-            whole_image=value_of(batch.whole_image)[perm],
-            whole_text=value_of(batch.whole_text)[perm],
-            part_image=value_of(batch.part_image)[perm],
-            part_text=value_of(batch.part_text)[perm],
-        )
+        permuted = Batch(batch.groups[:, perm])
         temps = TemperatureSet()
         a = float(value_of(contrastive_total(batch, temps, m)))
         b = float(value_of(contrastive_total(permuted, temps, m)))
@@ -210,12 +198,7 @@ class TestContrastiveTotal:
         m = Manifold(1.0)
         batch = random_batch(rng, 6, 5)
         perm = rng.permutation(6)
-        permuted = Batch(
-            whole_image=value_of(batch.whole_image)[perm],
-            whole_text=value_of(batch.whole_text)[perm],
-            part_image=value_of(batch.part_image)[perm],
-            part_text=value_of(batch.part_text)[perm],
-        )
+        permuted = Batch(batch.groups[:, perm])
         cfg = LossConfig()
         assert float(value_of(entailment_total(batch, cfg, m))) == pytest.approx(
             float(value_of(entailment_total(permuted, cfg, m))), rel=1e-12
@@ -339,10 +322,11 @@ class TestEntailmentTotal:
         cfg = LossConfig(lambda_intra=0.0, lambda_cal=0.0)
         total = float(value_of(entailment_total(batch, cfg, m)))
         cone = cfg.cone
+        wi, wt, pi, pt = batch.groups
         inter = float(value_of(ref.reduce_sum(entail_leaky(
-            lift(batch.part_text, m), lift(batch.part_image, m),
+            lift(pt, m), lift(pi, m),
             cone.eta_inter, cone, cfg.alpha, m)))) + float(value_of(ref.reduce_sum(
-                entail_leaky(lift(batch.whole_text, m), lift(batch.whole_image, m),
+                entail_leaky(lift(wt, m), lift(wi, m),
                              cone.eta_inter, cone, cfg.alpha, m))))
         assert total == pytest.approx(inter, rel=1e-12)
 
@@ -367,8 +351,7 @@ class TestEntailmentTotal:
         b = 4
         pt = rng.normal(size=(b, 5))
         pi = pt * 1.001  # parts near each other on their own rays
-        batch = Batch(whole_image=2.0 * pi, whole_text=2.0 * pt,
-                      part_image=pi, part_text=pt)
+        batch = Batch(np.stack([2.0 * pi, 2.0 * pt, pi, pt]))
         cfg = LossConfig()
         # inter pairs (pt -> pi) are not collinear; zero out everything except
         # the calibration term to isolate the floor
@@ -395,13 +378,12 @@ class TestEntailmentTotal:
         # phi = 0 there, so the pair adds no inter term and no gradient
         rng = np.random.default_rng(23)
         store = ParameterStore()
-        for name in ("whole_image", "whole_text", "part_image", "part_text"):
+        for name in GROUP_NAMES:
             store.register(name, rng.normal(size=(4, 5)) * 0.8)
         store["whole_text"].value[1] = store["whole_image"].value[1]
         store.register("kappa", 1.0)
         m = Manifold(store["kappa"])
-        batch = Batch(whole_image=store["whole_image"], whole_text=store["whole_text"],
-                      part_image=store["part_image"], part_text=store["part_text"])
+        batch = Batch(ref.stack([store[name] for name in GROUP_NAMES]))
         cfg = LossConfig()
         rep = total_loss(batch, cfg, m)
         grads = ad.gradients(rep.total, store.as_dict())
@@ -454,8 +436,7 @@ class TestTotalLoss:
         frozen = value_of(base.leak).copy()
         assert frozen.shape == (4, 5)
         assert total_loss(batch, cfg, m, frozen_leak=frozen).to_floats() == base.to_floats()
-        moved = Batch(whole_image=1.3 * batch.whole_image, whole_text=1.3 * batch.whole_text,
-                      part_image=batch.part_image, part_text=batch.part_text)
+        moved = Batch(batch.groups * np.array([1.3, 1.3, 1.0, 1.0])[:, None, None])
         live = total_loss(moved, cfg, m).to_floats()
         pinned = total_loss(moved, cfg, m, frozen_leak=frozen).to_floats()
         assert pinned["calibration"] == base.to_floats()["calibration"]
@@ -505,17 +486,17 @@ class TestTotalLoss:
         assert val == pytest.approx(379.5059330935385, rel=1e-12)
 
     def test_batch_validation(self):
-        with pytest.raises(ContractViolationError):
-            Batch(whole_image=np.zeros((2, 3)), whole_text=np.zeros((2, 4)),
-                  part_image=np.zeros((2, 3)), part_text=np.zeros((2, 3)))
-        with pytest.raises(ContractViolationError):
-            Batch(whole_image=np.zeros((1, 3)), whole_text=np.zeros((1, 3)),
-                  part_image=np.zeros((1, 3)), part_text=np.zeros((1, 3)))
-        nan = np.zeros((2, 3))
-        nan[0, 0] = np.nan
-        with pytest.raises(ContractViolationError):
-            Batch(whole_image=nan, whole_text=np.zeros((2, 3)),
-                  part_image=np.zeros((2, 3)), part_text=np.zeros((2, 3)))
+        for shape in ((3, 2, 3), (4, 2), (5, 2, 3)):
+            with pytest.raises(ContractViolationError, match="shape"):
+                Batch(np.zeros(shape))
+        with pytest.raises(ContractViolationError, match=">= 2"):
+            Batch(np.zeros((4, 1, 3)))
+        for k, name in enumerate(GROUP_NAMES):
+            nan = np.zeros((4, 2, 3))
+            nan[k, 1, 2] = np.nan
+            nan[3, 0, 0] = np.inf
+            with pytest.raises(ContractViolationError, match=f"non-finite entries in {name}"):
+                Batch(nan)
 
 
 def tape_census(root):
@@ -537,7 +518,7 @@ def tape_census(root):
 # registries, every name a tape of the package can build
 # (``test_tape_vocabulary.py``)
 GRAPH_NODE_NAMES = {
-    "stack", "lift_time", "lift_space", "uncertainty", "uncertainty_from_radius",
+    "lift_time", "lift_space", "uncertainty", "uncertainty_from_radius",
     "pairwise_distance", "exterior_angle", "aperture", "leaky", "stop_gradient",
     "info_nce", "tempered", "sum_pair", "calibration", "weighted_total",
 }
@@ -546,15 +527,14 @@ GRAPH_NODE_NAMES = {
 REFERENCE_NODE_NAMES = {
     "add", "mul", "neg", "sub", "div", "square", "exp", "log", "log1p", "sqrt", "acosh", "asinhc_sqrt",
     "sum", "reshape", "softmax", "acos", "asin", "cosh_sqrt", "sinhc_sqrt", "relu",
+    "stack",
 }
 
 
 class TestGraphBudget:
     def setup_method(self):
         rng = np.random.default_rng(31)
-        groups = {name: Var(rng.normal(size=(32, 16)) * 0.3, name=name)
-                  for name in ("whole_image", "whole_text", "part_image", "part_text")}
-        self.batch = Batch(**groups)
+        self.batch = Batch(Var(rng.normal(size=(4, 32, 16)) * 0.3, name="groups"))
         self.m = Manifold(Var(1.0, name="kappa"))
         self.cfg = LossConfig(temps=TemperatureSet(
             tau_global=Var(0.07, name="tau_g"), tau_local=Var(0.07, name="tau_l"),
@@ -563,9 +543,9 @@ class TestGraphBudget:
 
     def test_one_lift_per_group(self):
         counts = tape_census(total_loss(self.batch, self.cfg, self.m).total)
-        # the four groups are stacked and lifted as one; the two part
-        # groups are stacked once more for their uncertainty
-        assert counts["stack"] == 2
+        # the batch's stack is lifted as one, and its two part groups are
+        # picked for their uncertainty: no node stacks them
+        assert "stack" not in counts
         assert counts["lift_time"] == counts["lift_space"] == 1
         assert counts["uncertainty"] == 1
         # each matrix reads its pair of groups out of the lifted stack, and
@@ -588,16 +568,18 @@ class TestGraphBudget:
         # the geometry and the loss arithmetic, the block sums among it, run
         # inside the fused nodes
         assert not REFERENCE_NODE_NAMES & set(counts)
-        # 21 built nodes and the 8 leaves (the four groups, kappa, three taus)
-        assert sum(counts.values()) == 29
+        # 19 built nodes and the 5 leaves (the groups, kappa, three taus)
+        assert counts["leaf"] == 5
+        assert sum(counts.values()) == 24
 
     def test_radius_ablation_is_one_node(self):
         counts = tape_census(total_loss(self.batch, LossConfig(uncertainty_from_radius=True),
                                         self.m).total)
         assert counts["uncertainty_from_radius"] == 1 and "uncertainty" not in counts
         assert not REFERENCE_NODE_NAMES & set(counts)
-        # 21 built nodes and the 5 leaves (the four groups, kappa)
-        assert sum(counts.values()) == 26
+        # 19 built nodes and the 2 leaves (the groups, kappa)
+        assert counts["leaf"] == 2
+        assert sum(counts.values()) == 21
 
     def test_graphs_build_the_listed_names(self):
         # the objective in both uncertainty forms
@@ -619,6 +601,20 @@ class TestGraphBudget:
         total_loss(self.batch, self.cfg, self.m)
         assert calls == {"lift": 1, "pairwise_distance": 4, "exterior_angle": 1,
                          "aperture": 1, "uncertainty": 1}
+
+    def test_training_step_gathers_the_batch_in_one_node(self):
+        # materialize_batch writes the batch's stack with one gather over
+        # the four tables and their scales: the objective's 19 nodes plus
+        # the gather, over the store's 10 leaves
+        cfg = TrainConfig()
+        corpus = generate()
+        store = init_parameters(corpus, cfg)
+        batch = materialize_batch(store, sample_batch(corpus, cfg.batch_size, [cfg.seed, 0]))
+        counts = tape_census(total_loss(batch, loss_config_with_vars(cfg.loss, store),
+                                        Manifold(store["kappa"])).total)
+        assert counts["gather_scale"] == 1 and "stack" not in counts
+        assert counts["leaf"] == 10
+        assert sum(counts.values()) - counts["leaf"] == 20
 
     def test_default_step_backward_needs_no_unbroadcast(self, monkeypatch):
         # every node's VJP returns its adjoints in its inputs' shapes,
@@ -656,7 +652,7 @@ class TestLossGradients:
     def test_total_loss_gradients_match_fd(self, b, n, seed):
         rng = np.random.default_rng(seed)
         store = ParameterStore()
-        for name in ("whole_image", "whole_text", "part_image", "part_text"):
+        for name in GROUP_NAMES:
             store.register(name, rng.normal(size=(b, n)) * 1.2)
         store.register("kappa", 1.2)
         store.register("tau_g", 0.07)
@@ -668,8 +664,7 @@ class TestLossGradients:
                 tau_global=s["tau_g"], tau_local=s["tau_l"],
                 tau_global_local=s["tau_gl"],
             ))
-            batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
-                          part_image=s["part_image"], part_text=s["part_text"])
+            batch = Batch(ref.stack([s[name] for name in GROUP_NAMES]))
             report = total_loss(batch, cfg, Manifold(s["kappa"]), frozen_leak=frozen)
             return {"loss": report.total}, report.leak
 
@@ -682,15 +677,14 @@ class TestLossGradients:
         # differentiable and correct
         rng = np.random.default_rng(107)
         store = ParameterStore()
-        for name in ("whole_image", "whole_text", "part_image", "part_text"):
+        for name in GROUP_NAMES:
             store.register(name, rng.normal(size=(4, 6)) * 1.2)
         store.register("kappa", 1.1)
 
         def f(s, frozen):
             cfg = LossConfig(uncertainty_from_radius=True, entropy_sign=-1.0,
                              include_positive=True)
-            batch = Batch(whole_image=s["whole_image"], whole_text=s["whole_text"],
-                          part_image=s["part_image"], part_text=s["part_text"])
+            batch = Batch(ref.stack([s[name] for name in GROUP_NAMES]))
             report = total_loss(batch, cfg, Manifold(s["kappa"]), frozen_leak=frozen)
             return {"loss": report.total}, report.leak
 

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from hypalign.autodiff import value_of
-from hypalign.errors import ContractViolationError
+from hypalign.errors import ContractViolationError, NumericalConsistencyError
 from hypalign.evalmetrics import scaled_tables
 from hypalign.losses import LAYOUT, Batch, LossConfig, TemperatureSet, total_loss
 from hypalign.manifold import Manifold
 from hypalign.synthdata import generate, sample_batch
 from hypalign.trainer import (
     _EVAL_STREAM_TAG,
+    _as_array,
     DECAY_EXCLUDE,
     AdamW,
     TrainConfig,
@@ -187,8 +188,10 @@ class TestScheduleAndOptimizer:
         opt = AdamW(store, cfg)
         store["table_scene_img"].value[0, 0] = np.nan
         idx = sample_batch(small_corpus, cfg.batch_size, [5, 0])
-        with pytest.raises(ContractViolationError):
-            # NaN entries are caught by the batch contract before the loss
+        with pytest.raises(NumericalConsistencyError,
+                           match="non-finite entries in whole_image read from the store"):
+            # a non-finite table entry is a state training reached: caught
+            # as the batch is read from the store, before the loss
             materialize_batch(store, idx)
 
 
@@ -257,29 +260,25 @@ class TestTrainLoop:
         assert temps != cfg.loss.temps   # the temperatures were trained
         tables = scaled_tables(store)
         idx = sample_batch(small_corpus, cfg.batch_size, [cfg.seed, _EVAL_STREAM_TAG])
-        batch = Batch(whole_image=tables["whole_image"][idx.scene_rows],
-                      whole_text=tables["whole_text"][idx.scene_rows],
-                      part_image=tables["part_image"][idx.part_rows],
-                      part_text=tables["part_text"][idx.part_rows])
+        batch = Batch(np.stack([tables[group][idx.rows(src.level)]
+                                for group, src in LAYOUT.items()]))
         report = total_loss(batch, replace(cfg.loss, temps=temps),
                             Manifold(float(value_of(store["kappa"]))))
         for name, value in report.to_floats().items():
             assert rec[f"loss_{name}"] == value, name
 
     def test_plain_materialized_batch_equals_scaled_table_rows(self, small_corpus):
-        # the eval batch reads scaled_tables rows; training gathers and scales
-        # per batch: over plain arrays the two agree bit for bit
+        # export and the radii read scaled_tables; the batches gather and
+        # scale per batch: over plain arrays the two agree bit for bit
         cfg = small_config()
         store = init_parameters(small_corpus, cfg)
         store["c_txt"].value[...] = 0.3711   # the two scales differ
         idx = sample_batch(small_corpus, cfg.batch_size, [5, 3])
         batch = materialize_batch({n: value_of(v) for n, v in store.items()}, idx)
         tables = scaled_tables(store)
-        for group, rows in (("whole_image", idx.scene_rows), ("whole_text", idx.scene_rows),
-                            ("part_image", idx.part_rows), ("part_text", idx.part_rows)):
-            got = getattr(batch, group)
-            assert type(got) is np.ndarray, group
-            assert got.tobytes() == tables[group][rows].tobytes(), group
+        assert type(batch.groups) is np.ndarray
+        for got, (group, src) in zip(batch.groups, LAYOUT.items()):
+            assert got.tobytes() == tables[group][idx.rows(src.level)].tobytes(), group
 
     def test_checkpoint_roundtrip_bitwise(self, small_corpus, tmp_path):
         cfg = small_config(steps=4)
@@ -300,8 +299,10 @@ class TestTrainLoop:
         assert opt2.t == opt.t
 
     def test_checkpoint_roundtrip_special_values_bitwise(self, small_corpus, tmp_path):
-        # every array keeps its exact bits through save, load and restore:
-        # signed zero, subnormals, infinities, NaNs with payloads, extremes
+        # every array keeps its exact bits through save and load: signed
+        # zero, subnormals, infinities, NaNs with payloads, extremes; a store
+        # is built, and a run restored, only from parameters a run can leave
+        # behind, which here hold the finite small specials
         cfg = small_config(steps=4)
         store = init_parameters(small_corpus, cfg)
         opt = AdamW(store, cfg)
@@ -314,6 +315,18 @@ class TestTrainLoop:
                 view[...] = np.resize(np.roll(special, shift), view.shape)
         opt.t = 3
         path = tmp_path / "ck.json"
+        save_checkpoint(path, 2, store, opt, cfg)
+        payload = load_checkpoint(path)
+        for name, var in store.items():
+            data = payload["params"][name]["data"]
+            assert _as_array(data, var.value.shape).tobytes() == var.value.tobytes(), name
+        with pytest.raises(ContractViolationError, match="'table_scene_img' holds a non-finite"):
+            store_from_payload(payload, path)
+        small = special[np.isfinite(special) & (np.abs(special) < 1.0)]
+        for name, var in store.items():
+            if name != "kappa":
+                var.value[...] = np.resize(small, var.value.shape)
+        store["kappa"].value[...] = 1.0
         save_checkpoint(path, 2, store, opt, cfg)
         loaded = store_from_payload(load_checkpoint(path), path)
         store2 = init_parameters(small_corpus, cfg)
@@ -367,13 +380,15 @@ class TestTrainLoop:
         return dump
 
     def test_nonfinite_loss_writes_diagnostic_dump(self, small_corpus, tmp_path):
-        # one table row at 1e200 overflows the forward pass
-        from hypalign.errors import NumericalConsistencyError
-
+        # every whole row lifted to radius 400, inside the float range the
+        # checkpoint is held to, so a whole-image and whole-text pair's
+        # inner product (about e^800 / 4) overflows the forward pass
         def poison(params):
-            data = decode(params["table_scene_img"]["data"])
-            data[0] = 1e200
-            params["table_scene_img"]["data"] = encode(data)
+            sqrt_k = np.sqrt(decode(params["kappa"]["data"])[0])
+            for table, scale in (("table_scene_img", "c_img"), ("table_scene_txt", "c_txt")):
+                data = decode(params[table]["data"]).reshape(8, 16)
+                data[:, 0] = 400.0 / (sqrt_k * decode(params[scale]["data"])[0])
+                params[table]["data"] = encode(data.ravel())
 
         dump = self._resume_poisoned(small_corpus, tmp_path, poison,
                                      NumericalConsistencyError)
