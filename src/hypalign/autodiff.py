@@ -118,19 +118,8 @@ def value_of(x) -> Array:
 
 def sum_all(a: Array) -> Array:
     """Sum over every axis; an op's VJP sums the adjoint of a scalar input
-    (``kappa``) with it, the reduction :func:`_unbroadcast` would apply."""
+    (``kappa``) with it, so that adjoint has the input's shape."""
     return a.sum(axis=tuple(range(a.ndim)))
-
-
-def _unbroadcast(grad: Array, shape: tuple) -> Array:
-    """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> Var:
@@ -139,12 +128,13 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
     ``value`` is returned.
 
     ``value`` is the op's numpy result.  ``vjp(g)`` returns one adjoint per
-    entry of ``inputs``, each shaped like ``value`` or like its input; the
-    node keeps only the adjoints of inputs that are on the tape.  Each
-    :class:`Var` input is a parent entry of its own (a Var listed twice, as
-    ``info_nce`` lists a matrix it reads along both axes, gets two, which
-    the sweep adds), its adjoint summed down to the Var's shape if needed.
-    The :class:`Pick` inputs of one base Var share one parent entry, whose
+    entry of ``inputs``, each shaped like its input (a scalar's summed with
+    :func:`sum_all`): the sweep adds adjoints as they come, so a wrongly
+    shaped one would broadcast silently.  The node keeps only the adjoints
+    of inputs that are on the tape.  Each :class:`Var` input is a parent
+    entry of its own (a Var listed twice, as ``info_nce`` lists a matrix it
+    reads along both axes, gets two, which the sweep adds).  The
+    :class:`Pick` inputs of one base Var share one parent entry, whose
     adjoint is a dict from each picked group to the sum of the node's
     adjoints for it, added in route order; :func:`_sweep` adds those sums
     into the base's adjoint, so no node allocates an array of the stack.
@@ -164,7 +154,6 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
                 k = bases[id(x.base)] = len(parents)
                 parents.append(x.base)
             routes.append((i, k, x.index))
-    shapes = [p.value.shape for p in parents]
 
     def node_vjp(g):
         adj = vjp(g)
@@ -172,7 +161,7 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
         for i, k, index in routes:
             a = adj[i]
             if index is None:
-                out[k] = a if a.shape == shapes[k] else _unbroadcast(a, shapes[k])
+                out[k] = a
                 continue
             sums = out[k]
             if sums is None:
@@ -188,21 +177,16 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
 # numeric kernels the fused nodes share (plain numpy, no tape)
 # ---------------------------------------------------------------------------
 
-def _check_acosh_drift(xv: Array) -> None:
-    """Raise when an acosh argument in ``xv`` lies below ``1 - DRIFT_TOL``."""
-    low = np.min(xv) if xv.size else 1.0
-    if low < 1.0 - DRIFT_TOL:
-        raise NumericalConsistencyError(
-            f"acosh argument {low!r} below 1 by more than {DRIFT_TOL}"
-        )
-
-
 def _acosh_clamp(xv: Array) -> Array:
     """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises.
 
     Values in [1 - DRIFT_TOL, 1) are floating-point drift at a
     coincident-point kink, where the subgradient 0 is used."""
-    _check_acosh_drift(xv)
+    low = np.min(xv) if xv.size else 1.0
+    if low < 1.0 - DRIFT_TOL:
+        raise NumericalConsistencyError(
+            f"acosh argument {low!r} below 1 by more than {DRIFT_TOL}"
+        )
     return np.maximum(xv, 1.0)
 
 

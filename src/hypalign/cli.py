@@ -273,7 +273,8 @@ def _cmd_export(args) -> int:
     # ended by "\r\n", each float as its repr
     lines = [",".join(["id", "view", "level", "radius", "uncertainty",
                        *(f"v{i}" for i in range(dim))])]
-    # scene rows before part rows, image before text within each
+    # scene rows before part rows, image before text within each; the
+    # radius is the eval report's (evalmetrics.radius_distributions)
     for group, src in LAYOUT.items():
         embs = tables[group]
         values = np.column_stack([hyperbolic_radius(embs, m), uncertainty(embs), embs])

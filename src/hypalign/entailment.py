@@ -98,8 +98,8 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     cancellation-free form, and raises only if it stays there.  A coincident
     pair (``q = p``, where the angle is undefined) takes the subgradient-0
     convention: ``phi = 0`` with a zero adjoint, so its hinge and leak
-    vanish.  One tape node, with adjoints for
-    both points and ``kappa``.
+    vanish.  ``p`` may be one apex ``(n,)`` against a batch of members.
+    One tape node, with adjoints for both points and ``kappa``.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
@@ -140,10 +140,12 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
         d_beta = d_num * pt + d_den * p_norm * beta / root
         d_inner = d_beta * kv
         d_inner_col = np.expand_dims(d_inner, -1)
-        return (d_num * beta - d_inner * qt,
-                np.expand_dims(d_den * root / p_norm, -1) * ps + d_inner_col * qs,
-                d_num - d_inner * pt,
-                d_inner_col * ps,
+        d_pt = d_num * beta - d_inner * qt
+        d_ps = np.expand_dims(d_den * root / p_norm, -1) * ps + d_inner_col * qs
+        if ps.ndim < qs.ndim:       # one apex against the members: summed over them
+            lead = tuple(range(qs.ndim - ps.ndim))
+            d_pt, d_ps = d_pt.sum(axis=lead), d_ps.sum(axis=lead)
+        return (d_pt, d_ps, d_num - d_inner * pt, d_inner_col * ps,
                 ad.sum_all(d_beta * inner))
 
     return ad.fused(phi, "exterior_angle", inputs, vjp)

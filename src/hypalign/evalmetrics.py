@@ -13,8 +13,8 @@ import numpy as np
 from .autodiff import ParameterStore, value_of
 from .errors import ContractViolationError, NumericalConsistencyError
 from .losses import LAYOUT, MODALITIES
-from .manifold import (Manifold, hyperbolic_radius, lift, pairwise_distance,
-                       pairwise_distance_at)
+from .manifold import (LorentzPoint, Manifold, geodesic_distance, hyperbolic_radius, lift,
+                       pairwise_distance)
 from .synthdata import Corpus
 from .uncertainty import uncertainty
 
@@ -377,6 +377,24 @@ def scaled_tables(store: ParameterStore) -> dict[str, np.ndarray]:
             for group, src in LAYOUT.items()}
 
 
+def radius_distributions(tables: dict, m: Manifold) -> dict:
+    """Per modality, the mean part and whole radius and the (W1, W2, MMD)
+    between the two radius samples, from the scaled tables keyed by group.
+    A row's radius is :func:`hyperbolic_radius` of the tangent row ``v``,
+    ``asinh(sqrt(kappa)|v|)/sqrt(kappa)``, not the lifted point's ``|v|``."""
+    out = {}
+    for modality in MODALITIES:
+        radii_p = hyperbolic_radius(tables[f"part_{modality}"], m)
+        radii_w = hyperbolic_radius(tables[f"whole_{modality}"], m)
+        w1, w2, mmd = distribution_distances(radii_p, radii_w)
+        out[modality] = {
+            "mean_part_radius": float(np.mean(radii_p)),
+            "mean_whole_radius": float(np.mean(radii_w)),
+            "w1": w1, "w2": w2, "mmd": mmd,
+        }
+    return out
+
+
 @dataclass(frozen=True)
 class CorrelationReport:
     pearson_similarity: float      # part uncertainty vs part-to-whole similarity
@@ -416,8 +434,9 @@ def uncertainty_correlation(corpus: Corpus, store: ParameterStore, m: Manifold,
     its own whole (negative geodesic distance) and (b) the corpus
     ground-truth ``1 - representativeness`` (rank correlation).
 
-    Each part's distance is read alone (:func:`pairwise_distance_at`), with
-    the bits of its entry in the full parts-by-wholes distance matrix."""
+    Only each part's distance to its own whole is formed
+    (:func:`geodesic_distance`), so only those pairs can raise the acosh
+    drift error."""
     if modality not in MODALITIES:
         raise ContractViolationError("modality must be 'image' or 'text'")
     tables = scaled_tables(store)
@@ -435,8 +454,9 @@ def _correlation(corpus: Corpus, tables: dict, points: dict, m: Manifold,
     scene_idx = corpus.scene_index()
     whole_rows = np.array([scene_idx[p.parent] for p in corpus.parts], dtype=np.intp)
     u = uncertainty(tables[f"part_{modality}"])
-    sims = -pairwise_distance_at(points[f"part_{modality}"], points[f"whole_{modality}"],
-                                 whole_rows, m)
+    wholes = points[f"whole_{modality}"]
+    own = LorentzPoint(time=wholes.time[whole_rows], space=wholes.space[whole_rows])
+    sims = -geodesic_distance(points[f"part_{modality}"], own, m)
     pearson, degenerate = _pearson(u, sims)
     anti_rep = np.array([1.0 - p.representativeness for p in corpus.parts])
     if _degenerate(u) or _degenerate(anti_rep):
@@ -499,16 +519,7 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     out["retrieval"] = {f"{direction}_r{k}": r for direction, rs in recalls.items()
                         for k, r in zip((1, 5), rs)}
 
-    out["radius_distributions"] = {}
-    for modality in MODALITIES:
-        radii_p = hyperbolic_radius(tables[f"part_{modality}"], m)
-        radii_w = hyperbolic_radius(tables[f"whole_{modality}"], m)
-        w1, w2, mmd = distribution_distances(radii_p, radii_w)
-        out["radius_distributions"][modality] = {
-            "mean_part_radius": float(np.mean(radii_p)),
-            "mean_whole_radius": float(np.mean(radii_w)),
-            "w1": w1, "w2": w2, "mmd": mmd,
-        }
+    out["radius_distributions"] = radius_distributions(tables, m)
 
     out["uncertainty_correlation"] = {}
     for modality in MODALITIES:

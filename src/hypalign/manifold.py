@@ -41,7 +41,6 @@ from .errors import ContractViolationError
 
 KAPPA_MIN = 0.1
 KAPPA_MAX = 10.0
-_ROW_BLOCK = 1 << 17     # matrix entries per block: 1 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
     if (ad.is_var(p.space) or ad.is_var(q.space)) and (ps.ndim != 2 or qs.ndim != 2):
         raise ContractViolationError("pairwise_distance takes 2-D point batches")
-    # a single point is a batch of one; the adjoints sum back to its shape
+    # a single plain point is a batch of one; the tape takes 2-D batches only
     pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
     inner = ps @ qs.T - np.outer(pt, qt)
     zc = ad._acosh_clamp(-(kv * inner))
@@ -175,39 +174,15 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     return ad.fused(dist, "pairwise_distance", inputs, vjp)
 
 
-def pairwise_distance_at(p: LorentzPoint, q: LorentzPoint, cols, m: Manifold) -> np.ndarray:
-    """``pairwise_distance(p, q, m)[i, cols[i]]`` for every row ``i`` of the
-    batch ``p``, bit for bit, as a plain array.
-
-    The full inner-product matmul is still formed (a row dot can differ in
-    its last bits from the matching matmul entry), and the drift check
-    still reads every entry, so this raises where :func:`pairwise_distance`
-    raises, with the same message.  The rest of the acosh argument is
-    formed in place, in row blocks of at most ``_ROW_BLOCK`` entries; the
-    clamp and the acosh run on the read entries only.
-    """
-    pt, ps, qt, qs = (np.asarray(x, dtype=float) for x in (p.time, p.space, q.time, q.space))
-    kv = value_of(m.kappa)
-    z = ps @ qs.T
-    step = max(1, _ROW_BLOCK // max(1, z.shape[1]))
-    lows = []
-    for start in range(0, z.shape[0], step):
-        block = z[start:start + step]
-        block -= np.outer(pt[start:start + step], qt)
-        block *= -kv   # -(kv * inner): rounding to nearest is symmetric in sign
-        lows.append(block.min())
-    ad._check_acosh_drift(np.array(lows))     # the least of the block minima
-    zc = np.maximum(z[np.arange(z.shape[0]), cols], 1.0)
-    return np.arccosh(zc) / np.sqrt(kv)
-
-
 def hyperbolic_radius(x, m: Manifold):
     """Distance from the origin of the hyperboloid point whose space
     component is ``x``: ``(1/sqrt(kappa)) acosh(sqrt(1 + kappa |x|^2))``,
     evaluated as ``asinhc(kappa |x|^2) |x|``.
 
     Grows like ``|x|`` for small norms and like ``log(2 sqrt(kappa) |x|) /
-    sqrt(kappa)`` for large ones; strictly increasing in ``|x|``.
+    sqrt(kappa)`` for large ones; strictly increasing in ``|x|``.  The
+    metrics, eval, export and radius uncertainty apply it to a tangent row
+    ``v``, where it reads ``asinh(sqrt(kappa)|v|)/sqrt(kappa)``, not ``|v|``.
     """
     xv = np.asarray(x, dtype=float)
     s = np.sum(xv * xv, axis=-1)

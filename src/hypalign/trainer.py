@@ -15,7 +15,6 @@ checkpoint replays the uninterrupted run exactly.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
@@ -31,8 +30,10 @@ from .errors import (ContractViolationError, HypalignError, NumericalConsistency
                      check_domains)
 from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, TAU_FLOOR, Batch, LossConfig,
                      LossReport, TemperatureSet, nonfinite_group, total_loss)
-from .manifold import KAPPA_MAX, KAPPA_MIN, Manifold, hyperbolic_radius
-from .evalmetrics import distribution_distances, scaled_tables
+# hyperbolic_radius and distribution_distances are not called here; the
+# benchmark's tracer (perfbench/tracer.py) wraps them in this module
+from .manifold import KAPPA_MAX, KAPPA_MIN, Manifold, hyperbolic_radius  # noqa: F401
+from .evalmetrics import distribution_distances, radius_distributions, scaled_tables  # noqa: F401
 from .synthdata import BatchIndices, Corpus, sample_batch
 from .uncertainty import uncertainty
 
@@ -294,8 +295,9 @@ def _eval_indices(corpus: Corpus, cfg: TrainConfig) -> BatchIndices:
 def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
                    step: int) -> dict:
     """One metrics record: losses on the fixed eval batch at the learned
-    temperatures, plus corpus-wide radius/uncertainty statistics and
-    part-vs-whole radius distribution distances (per modality)."""
+    temperatures, plus corpus-wide mean radius and uncertainty per group
+    and part-vs-whole radius distribution distances per modality, the
+    radii as :func:`evalmetrics.radius_distributions` computes them."""
     kappa = float(value_of(store["kappa"]))
     manifold = Manifold(kappa)
     plain = {name: value_of(var) for name, var in store.items()}   # plain values: no tape node
@@ -305,16 +307,14 @@ def corpus_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
     record = {"step": step, "lr": learning_rate(step, cfg)}
     record.update({f"loss_{k}": v for k, v in report.to_floats().items()})
     tables = scaled_tables(store)
-    radii = {name: hyperbolic_radius(emb, manifold) for name, emb in tables.items()}
-    for name in GROUPS:
-        record[f"mean_radius_{name}"] = float(np.mean(radii[name]))
+    radii = radius_distributions(tables, manifold)
+    for name, src in LAYOUT.items():
+        level = name.split("_")[0]      # "whole" or "part"
+        record[f"mean_radius_{name}"] = radii[src.modality][f"mean_{level}_radius"]
         record[f"mean_uncertainty_{name}"] = float(np.mean(uncertainty(tables[name])))
     for modality in MODALITIES:
-        w1, w2, mmd = distribution_distances(radii[f"part_{modality}"],
-                                             radii[f"whole_{modality}"])
-        record[f"radius_w1_{modality}"] = w1
-        record[f"radius_w2_{modality}"] = w2
-        record[f"radius_mmd_{modality}"] = mmd
+        for stat in ("w1", "w2", "mmd"):
+            record[f"radius_{stat}_{modality}"] = radii[modality][stat]
     record["kappa"] = kappa
     for name in (*TEMPERATURE_PARAMS.values(), *SCALES):
         record[name] = float(value_of(store[name]))
@@ -503,37 +503,6 @@ def _checked_metrics(store: ParameterStore, corpus: Corpus, cfg: TrainConfig,
         raise
 
 
-# glibc's mallopt parameters (malloc.h) and the values train() fixes them at
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20     # glibc's ceiling for its dynamic mmap threshold
-_TRIM_THRESHOLD = 64 << 20     # twice it, as glibc's dynamic rule sets it
-
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds for the rest of the process; a
-    no-op under any other C library.
-
-    glibc starts with a 128 KiB mmap threshold and raises it (and the trim
-    threshold) only when a block it had mapped is freed.  So whether the
-    wide step's MiB-sized transients reuse heap pages or are mapped afresh,
-    each page faulting on first touch, depends on what the process freed
-    before: about 3500 minor faults per step at ``train_wide``'s shapes in a
-    process that has freed no large block yet, and none after a checkpoint
-    write and read.  Fixed thresholds take that history out of the step.
-    """
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):     # no confstr, or not this name
-        return
-    if not libc or not libc.startswith("glibc"):
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
 def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     """Run the loop, writing ``metrics.jsonl`` and checkpoints under
     ``out_dir``; returns a summary with final paths and metrics.
@@ -543,10 +512,7 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     final step.  Checkpoints land at every checkpoint interval and at the
     end (``checkpoint_final.json``).  A package error in a training step or
     in the metrics leaves ``failure_dump.json`` behind before it propagates.
-    Under glibc it first fixes the process's malloc thresholds
-    (:func:`_pin_malloc_thresholds`).
     """
-    _pin_malloc_thresholds()
     os.makedirs(out_dir, exist_ok=True)
     store = init_parameters(corpus, cfg)
     opt = AdamW(store, cfg)
@@ -559,9 +525,11 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
             )
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    metrics_fh = open(metrics_path, "a" if resume is not None else "w")
     last_record = None
-    try:
+    # numpy's warnings stay off stderr: the finiteness checks on the batch
+    # read, the loss and the backward name an overflow
+    with open(metrics_path, "a" if resume is not None else "w") as metrics_fh, \
+            np.errstate(all="ignore"):
         for step in range(start, cfg.steps):
             if step % cfg.eval_interval == 0:
                 last_record = _checked_metrics(store, corpus, cfg, step, out_dir)
@@ -581,8 +549,6 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
                 )
         last_record = _checked_metrics(store, corpus, cfg, cfg.steps, out_dir)
         metrics_fh.write(json.dumps(last_record) + "\n")
-    finally:
-        metrics_fh.close()
     final_path = os.path.join(out_dir, "checkpoint_final.json")
     save_checkpoint(final_path, cfg.steps, store, opt, cfg)
     return {

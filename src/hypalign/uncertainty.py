@@ -1,15 +1,15 @@
 """Geometric uncertainty of an embedding and its batch normalization.
 
-Uncertainty is ``softplus(-|x|_2)``: highest (ln 2) at the origin, falling
-monotonically toward 0 as the embedding moves outward.  Because the
-hyperbolic radius is itself strictly increasing in the Euclidean norm of
-the tangent parameterization, this is a smooth, strictly decreasing
-function of the radius.  An explicit-radius variant (softplus of the
-negative hyperbolic radius, the paper's form of the uncertainty) is kept for
-the ablation comparison.  Both are one tape node each and work row by row
-over any leading axes, so one call serves a batch ``(B, n)`` or a stack of
-groups ``(G, B, n)``.  :func:`normalize_uncertainty` and :func:`entropy`
-are plain numpy; calibration reads them inside its own node.
+Uncertainty is ``softplus(-|x|_2)`` of a tangent vector ``x``: ``|x|`` is
+the lifted point's geodesic distance from the origin, so it is ln 2 there
+and falls toward 0 outward.  The ablation variant applies
+:func:`hyperbolic_radius`, defined on a hyperboloid point's space
+component, to ``x`` itself: ``asinh(sqrt(kappa)|x|)/sqrt(kappa)``, a
+monotone, ``kappa``-dependent compression of that radius.  Both are one tape
+node each and work row by row over any leading axes, so one call serves a
+batch ``(B, n)`` or a stack of groups ``(G, B, n)``.
+:func:`normalize_uncertainty` and :func:`entropy` are plain numpy;
+calibration reads them inside its own node.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ def uncertainty(x):
 
 
 def uncertainty_from_radius(x, m: Manifold):
-    """Ablation variant: ``softplus(-r)`` of the hyperbolic radius ``r =
-    asinhc(kappa |x|^2) |x|`` per row (:func:`hyperbolic_radius`); one tape
+    """Ablation variant: ``softplus(-r)`` per row with ``r =
+    asinhc(kappa |x|^2) |x|``, :func:`hyperbolic_radius` of the tangent
+    vector ``x`` itself (the lifted point's radius is ``|x|``); one tape
     node, with adjoints for ``x`` and ``kappa`` (through ``asinhc``'s series
     and direct forms) and the subgradient 0 at the zero vector."""
     xv, kv = value_of(x), value_of(m.kappa)

@@ -267,6 +267,7 @@ def fused_reference(value, name, inputs, vjp):
     returns a zero array of the whole stack with each pick added into its
     groups."""
     from hypalign import autodiff as ad
+    import _reference_ops as ref
 
     live, aligned = False, True
     for x in inputs:
@@ -299,7 +300,7 @@ def fused_reference(value, name, inputs, vjp):
         for i, k, index in routes:
             a = adj[i]
             if index is None:
-                out[k] = a if a.shape == shapes[k] else ad._unbroadcast(a, shapes[k])
+                out[k] = a if a.shape == shapes[k] else ref.unbroadcast(a, shapes[k])
                 continue
             acc = out[k]
             if acc is None:

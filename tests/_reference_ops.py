@@ -18,13 +18,33 @@ from hypalign.autodiff import fused, value_of
 # arithmetic
 # ---------------------------------------------------------------------------
 
+def unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def binary(value, name, a, b, vjp):
+    """A node over operands that numpy broadcasts against each other: each
+    adjoint of ``vjp`` is summed down to its operand's shape, since
+    ``autodiff.fused`` takes adjoints shaped like their inputs."""
+    shapes = (np.shape(value_of(a)), np.shape(value_of(b)))
+    return fused(value, name, (a, b), lambda g: tuple(
+        x if x.shape == s else unbroadcast(x, s) for x, s in zip(vjp(g), shapes)))
+
+
 def add(a, b):
-    return fused(value_of(a) + value_of(b), "add", (a, b), lambda g: (g, g))
+    return binary(value_of(a) + value_of(b), "add", a, b, lambda g: (g, g))
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    return fused(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
+    return binary(av * bv, "mul", a, b, lambda g: (g * bv, g * av))
 
 
 def neg(a):
@@ -32,12 +52,12 @@ def neg(a):
 
 
 def sub(a, b):
-    return fused(value_of(a) - value_of(b), "sub", (a, b), lambda g: (g, -g))
+    return binary(value_of(a) - value_of(b), "sub", a, b, lambda g: (g, -g))
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
-    return fused(av / bv, "div", (a, b), lambda g: (g / bv, -g * av / (bv * bv)))
+    return binary(av / bv, "div", a, b, lambda g: (g / bv, -g * av / (bv * bv)))
 
 
 def square(a):

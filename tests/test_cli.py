@@ -3,11 +3,15 @@ codes, and machine-parsable errors."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
+import hypalign
 from hypalign.autodiff import value_of
 from hypalign.cli import CONFIG_SCHEMA, build_train_config, main, parse_config_file
 from hypalign.evalmetrics import scaled_tables
@@ -447,6 +451,34 @@ class TestTrainingBlowsUp:
         dump = json.loads((out / "failure_dump.json").read_text())
         assert dump["kind"] == "numerical" and dump["batch"] == "train"
         assert dump["step"] == 1 and "read from the store" in dump["message"]
+
+
+    @pytest.mark.parametrize("scenes,config,flags", [
+        ("8", "", ["--lr", "1e300", "--warmup", "0", "--steps", "5", "--batch-size", "4"]),
+        # without decay the step-42 state overflows the cone angle's forward
+        # and, on the checking re-sweep, its VJP
+        ("16", "weight_decay = 0\nwarmup_steps = 0\n",
+         ["--lr", "2", "--batch-size", "8", "--steps", "400"]),
+    ], ids=["lr-1e300", "lr-2-no-decay"])
+    def test_stderr_holds_only_the_config_and_the_error(self, tmp_path, scenes, config, flags):
+        # numpy's floating-point warnings go to the real stderr, which only a
+        # separate process shows as a user sees it
+        corpus, cfg = tmp_path / "corpus.txt", tmp_path / "train.cfg"
+        assert main(["generate", "--scenes", scenes, "--parts", "2", "--seed", "5",
+                     "--out", str(corpus)]) == 0
+        cfg.write_text(config)
+        src = os.path.dirname(os.path.dirname(hypalign.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "hypalign.cli", "train", "--corpus", str(corpus),
+             "--out", str(tmp_path / "run"), "--config", str(cfg), *flags],
+            env=env, capture_output=True, text=True, timeout=120)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 2, done.stderr
+        assert len(lines) == 2, done.stderr
+        assert lines[0].startswith("resolved-config ")
+        assert lines[1].startswith("error kind=numerical message="), done.stderr
 
 
 class TestMalformedInputFiles:

@@ -3,6 +3,7 @@ explicit ancestor sets, exhaustive-sort retrieval, exact small-sample
 transport, and scipy's rank correlation."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -30,7 +31,7 @@ from hypalign.evalmetrics import (
     tie,
     uncertainty_correlation,
 )
-from hypalign.manifold import Manifold, lift, pairwise_distance
+from hypalign.manifold import Manifold, geodesic_distance, lift, pairwise_distance
 from hypalign.synthdata import generate
 from hypalign.trainer import TrainConfig, init_parameters
 from hypalign.uncertainty import uncertainty
@@ -630,26 +631,28 @@ class TestUncertaintyCorrelation:
             assert not rep.degenerate
             assert rep.spearman_ground_truth == float(spearmanr(u, anti_rep).statistic)
 
-    def test_drift_in_an_unread_pair_raises_as_the_full_matrix(self):
-        # part 0 nearly coincides, far out, with a whole image it does not
-        # belong to; the part-whole distances read only each part's own whole
+    @pytest.mark.parametrize("read", [True, False], ids=["read", "unread"])
+    def test_drift_raises_only_in_a_pair_eval_reads(self, read):
+        # part 0 nearly coincides, far out, with a whole image: its own
+        # whole, whose distance eval reads, or another, whose it never forms
         corpus = generate(num_scenes=3, parts_per_scene=2, seed=15)
         rng = np.random.default_rng(3)
         m = Manifold(1.0)
         own = corpus.scene_index()[corpus.parts[0].parent]
-        other = (own + 1) % 3
+        whole = own if read else (own + 1) % 3
         scenes, parts = rng.normal(size=(3, 16)), rng.normal(size=(6, 16))
         for _ in range(200):
             direction = rng.normal(size=16)
-            scenes[other] = direction / np.linalg.norm(direction) * rng.uniform(11.5, 14.0)
-            parts[0] = scenes[other] + rng.normal(size=16) * 1e-9
+            scenes[whole] = direction / np.linalg.norm(direction) * rng.uniform(11.5, 14.0)
+            parts[0] = scenes[whole] + rng.normal(size=16) * 1e-9
             try:
-                pairwise_distance(lift(parts, m), lift(scenes, m), m)
+                geodesic_distance(lift(parts[:1], m), lift(scenes[whole:whole + 1], m), m)
             except NumericalConsistencyError as err:
                 want = str(err)
                 break
         else:
             pytest.fail("no drifting pair found")
+        assert re.fullmatch(r"acosh argument \S+ below 1 by more than 1e-06", want)
         store = ParameterStore()
         store.register("table_scene_img", scenes)
         store.register("table_part_img", parts)
@@ -660,9 +663,12 @@ class TestUncertaintyCorrelation:
             store.register(name, v)
         for run in (lambda: uncertainty_correlation(corpus, store, m),
                     lambda: evaluate(corpus, store, m)):
-            with pytest.raises(NumericalConsistencyError) as got:
+            if read:
+                with pytest.raises(NumericalConsistencyError) as got:
+                    run()
+                assert str(got.value) == want
+            else:
                 run()
-            assert str(got.value) == want
 
     def test_too_few_parts_rejected(self):
         corpus = generate(num_scenes=2, parts_per_scene=1, seed=14)

@@ -12,7 +12,7 @@ import hypalign.losses as losses
 from hypalign.autodiff import ParameterStore, Var, value_of
 from hypalign.entailment import ConeParams
 from hypalign.errors import ContractViolationError
-from hypalign.gradcheck import finite_diff_check
+from hypalign.gradcheck import build_check_problem, finite_diff_check
 from hypalign.losses import (
     Batch,
     LossConfig,
@@ -531,6 +531,28 @@ REFERENCE_NODE_NAMES = {
 }
 
 
+def _training_step_graph(graph):
+    """The parameter store and the loss root of one training step: the
+    default 32x16 step, ``train_wide``'s 256x64 step, the default step under
+    one loss option, or check-grads' 6x8 problem (seed 1)."""
+    if graph == "check_grads":
+        store, idx, loss_cfg = build_check_problem(1)
+    else:
+        options = {"include_positive": {"include_positive": True},
+                   "uncertainty_from_radius": {"uncertainty_from_radius": True},
+                   "negative_entropy": {"entropy_sign": -1.0}}.get(graph, {})
+        if graph == "wide":
+            corpus = generate(num_scenes=512, parts_per_scene=4, latent_dim=64, seed=7)
+            cfg = TrainConfig(table_dim=64, batch_size=256)
+        else:
+            corpus, cfg = generate(), TrainConfig(loss=LossConfig(**options))
+        store, loss_cfg = init_parameters(corpus, cfg), cfg.loss
+        idx = sample_batch(corpus, cfg.batch_size, [cfg.seed, 0])
+    batch = materialize_batch(store, idx)
+    return store, total_loss(batch, loss_config_with_vars(loss_cfg, store),
+                             Manifold(store["kappa"])).total
+
+
 class TestGraphBudget:
     def setup_method(self):
         rng = np.random.default_rng(31)
@@ -616,21 +638,26 @@ class TestGraphBudget:
         assert counts["leaf"] == 10
         assert sum(counts.values()) - counts["leaf"] == 20
 
-    def test_default_step_backward_needs_no_unbroadcast(self, monkeypatch):
-        # every node's VJP returns its adjoints in its inputs' shapes,
-        # kappa's summed to a scalar, so no adjoint takes the generic path
-        cfg = TrainConfig()
-        corpus = generate()
-        store = init_parameters(corpus, cfg)
-        batch = materialize_batch(store, sample_batch(corpus, cfg.batch_size, [cfg.seed, 0]))
-        report = total_loss(batch, loss_config_with_vars(cfg.loss, store),
-                            Manifold(store["kappa"]))
-        calls = []
-        unbroadcast = ad._unbroadcast
-        monkeypatch.setattr(ad, "_unbroadcast",
-                            lambda *a: calls.append(a[1]) or unbroadcast(*a))
-        grads = ad.gradients(report.total, store.as_dict())
-        assert calls == []
+    @pytest.mark.parametrize("graph", ["default", "wide", "include_positive",
+                                       "uncertainty_from_radius", "negative_entropy",
+                                       "check_grads"])
+    def test_every_adjoint_has_its_parents_shape(self, graph):
+        # fused hands each VJP's adjoints to the sweep as they are, and the
+        # sweep adds them as they come: a wrongly shaped one would broadcast
+        # silently.  A picked group's adjoint has the group's shape.
+        store, root = _training_step_graph(graph)
+        with np.errstate(all="ignore"):
+            for node in ad._toposort(root):
+                if not node._parents:
+                    continue
+                for parent, adj in zip(node._parents, node._vjp(np.ones_like(node.value))):
+                    if isinstance(adj, dict):
+                        for group, ga in adj.items():
+                            assert ga.shape == parent.value.shape[1:], \
+                                (node.name, parent.name, group)
+                    else:
+                        assert adj.shape == parent.value.shape, (node.name, parent.name)
+        grads = ad.gradients(root, store.as_dict())
         assert all(np.any(g != 0.0) for g in grads.values())
 
     def test_block_totals_are_the_report_sums(self):

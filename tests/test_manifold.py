@@ -17,7 +17,6 @@ from hypalign.manifold import (
     log_origin,
     lorentz_inner,
     pairwise_distance,
-    pairwise_distance_at,
 )
 
 import _oracles as orc
@@ -195,26 +194,6 @@ class TestGeodesicDistance:
                 assert matrix[i, j] == pytest.approx(
                     float(ad.value_of(geodesic_distance(pi, qj, m))), rel=1e-12
                 )
-
-
-class TestPairwiseDistanceAt:
-    """One distance per row of ``p``, with the bits of its entry in the
-    full distance matrix."""
-
-    @pytest.mark.parametrize("dim", [2, 16, 64])
-    @pytest.mark.parametrize("per_whole", [1, 4, 8])
-    def test_bit_equal_to_matrix_entries(self, dim, per_whole):
-        rng = np.random.default_rng(100 * dim + per_whole)
-        m = Manifold(float(rng.uniform(0.5, 2.0)))
-        wholes = random_tangents(rng, 512, dim)
-        cols = rng.permutation(np.repeat(np.arange(512), per_whole))
-        parts = random_tangents(rng, cols.size, dim)
-        # every fifth part coincides with its whole: the clamp at 1 is read
-        parts[::5] = wholes[cols[::5]]
-        p, q = lift(parts, m), lift(wholes, m)
-        got = pairwise_distance_at(p, q, cols, m)
-        want = ad.value_of(pairwise_distance(p, q, m))[np.arange(cols.size), cols]
-        assert got.tobytes() == want.tobytes()
 
 
 class TestHyperbolicRadius:

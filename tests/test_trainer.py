@@ -432,11 +432,13 @@ class TestTrainLoop:
 
     @pytest.mark.skipif(not (getattr(os, "confstr", None)
                              and os.confstr_names.get("CS_GNU_LIBC_VERSION")),
-                        reason="the malloc thresholds are glibc's")
+                        reason="the fault counts are glibc's")
     def test_wide_step_takes_no_page_faults(self, tmp_path):
-        # a fresh process that has freed no large block: left to glibc's
-        # dynamic thresholds, each wide step maps its MiB-sized transients
-        # afresh (about 3500 minor faults per step)
+        # a fresh process that has freed no large block: glibc maps the wide
+        # step's MiB-sized transients afresh (about 2900 minor faults in
+        # step 0) until freeing one raises its dynamic mmap threshold; from
+        # then on the steps reuse heap pages, with no thresholds set by the
+        # package
         script = f"""
 import json, resource
 from hypalign import synthdata, trainer
