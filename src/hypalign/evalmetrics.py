@@ -404,7 +404,9 @@ class CorrelationReport:
 
 
 def _degenerate(x: np.ndarray) -> bool:
-    return np.std(x) <= 1e-12 * max(1.0, float(np.abs(np.mean(x))))
+    # a spread past the float range reads inf, which is not degenerate
+    with np.errstate(over="ignore"):
+        return np.std(x) <= 1e-12 * max(1.0, float(np.abs(np.mean(x))))
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:

@@ -122,21 +122,32 @@ def generate(**settings) -> Corpus:
     bit for bit.
 
     Scene latents are unit vectors kept at least ``min_separation`` apart by
-    rejection (generation fails if 10^4 consecutive rejections occur).  Each
-    part latent displaces its scene latent orthogonally by
-    ``(1 - representativeness) * spread``, so the part-to-scene cosine is a
-    strictly decreasing function of the displacement before view noise.
+    rejection (generation fails once more than 10^4 candidates in total have
+    been rejected).  Each part latent displaces its scene latent orthogonally
+    by ``(1 - representativeness) * spread``, so the part-to-scene cosine is
+    a strictly decreasing function of the displacement before view noise.
     """
     p = GeneratorParams(**settings)
     rng = np.random.default_rng(p.seed)
 
-    scene_latents = []
-    rejects = 0
-    while len(scene_latents) < p.num_scenes:
+    # A placement is decided by the 1-D norm of each difference (a BLAS dot).
+    # The row-wise norm sums the same squares in another order.  Any order
+    # is within gamma_n = n*u/(1 - n*u) of the exact sum (n = latent_dim,
+    # u = eps/2), give or take n * 2^-1075 where squares underflow, and the
+    # square root adds u; so the two norms differ by less than
+    # `rel * d + floor`.  A row-wise minimum that close to `min_separation`
+    # is decided by the 1-D norms.
+    rel = (p.latent_dim + 2) * np.finfo(float).eps
+    floor = 2 * np.sqrt(p.latent_dim * np.finfo(float).smallest_subnormal)
+    scene_latents = np.empty((p.num_scenes, p.latent_dim))
+    placed = rejects = 0
+    while placed < p.num_scenes:
         cand = rng.normal(size=p.latent_dim)
         cand /= np.linalg.norm(cand)
-        if scene_latents:
-            dmin = min(np.linalg.norm(cand - z) for z in scene_latents)
+        if placed:
+            dmin = np.linalg.norm(cand - scene_latents[:placed], axis=1).min()
+            if abs(dmin - p.min_separation) <= rel * dmin + floor:
+                dmin = min(np.linalg.norm(cand - z) for z in scene_latents[:placed])
             if dmin < p.min_separation:
                 rejects += 1
                 if rejects > _MAX_REJECTS:
@@ -145,7 +156,8 @@ def generate(**settings) -> Corpus:
                         f">= {p.min_separation} after {_MAX_REJECTS} rejections"
                     )
                 continue
-        scene_latents.append(cand)
+        scene_latents[placed] = cand
+        placed += 1
 
     def views(latent):
         img = latent + p.noise_scale * rng.normal(size=p.latent_dim)

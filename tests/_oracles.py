@@ -240,6 +240,55 @@ def export_csv_reference(path, rows):
                              for cell in row])
 
 
+def generate_reference(**settings):
+    """``synthdata.generate`` as first written: each candidate scene is
+    compared with every placed scene by one 1-D ``np.linalg.norm`` apiece."""
+    from hypalign.errors import GenerationError
+    from hypalign.synthdata import _MAX_REJECTS, Concept, Corpus, GeneratorParams
+    p = GeneratorParams(**settings)
+    rng = np.random.default_rng(p.seed)
+
+    scene_latents = []
+    rejects = 0
+    while len(scene_latents) < p.num_scenes:
+        cand = rng.normal(size=p.latent_dim)
+        cand /= np.linalg.norm(cand)
+        if scene_latents:
+            dmin = min(np.linalg.norm(cand - z) for z in scene_latents)
+            if dmin < p.min_separation:
+                rejects += 1
+                if rejects > _MAX_REJECTS:
+                    raise GenerationError(
+                        f"could not place {p.num_scenes} scenes at separation "
+                        f">= {p.min_separation} after {_MAX_REJECTS} rejections"
+                    )
+                continue
+        scene_latents.append(cand)
+
+    def views(latent):
+        img = latent + p.noise_scale * rng.normal(size=p.latent_dim)
+        txt = latent + p.noise_scale * rng.normal(size=p.latent_dim)
+        return img, txt
+
+    scenes, parts = [], []
+    for si, z in enumerate(scene_latents):
+        sid = f"s{si:03d}"
+        img, txt = views(z)
+        scenes.append(Concept(id=sid, level="scene", latent=z,
+                              image_view=img, text_view=txt))
+        for pi in range(p.parts_per_scene):
+            rep = float(rng.uniform(0.2, 1.0))
+            direction = rng.normal(size=p.latent_dim)
+            direction -= (direction @ z) * z
+            direction /= np.linalg.norm(direction)
+            latent = z + (1.0 - rep) * p.spread * direction
+            img, txt = views(latent)
+            parts.append(Concept(id=f"{sid}.p{pi}", level="part", latent=latent,
+                                 image_view=img, text_view=txt, parent=sid,
+                                 representativeness=rep))
+    return Corpus(params=p, scenes=scenes, parts=parts)
+
+
 # ---------------------------------------------------------------------------
 # the train step as first written (per-parameter AdamW, whole-stack pick
 # adjoints, the info_nce kernel, the scatter-add gather), kept as bit-exact

@@ -30,6 +30,17 @@ def _resolved_config(err: str) -> dict:
     return json.loads(line.partition(" ")[2])
 
 
+def _cli_process(*args) -> subprocess.CompletedProcess:
+    """Run ``hypalign.cli`` in a separate process: numpy's floating-point
+    warnings go to the real stderr, which only a separate process shows as
+    a user sees it."""
+    src = os.path.dirname(os.path.dirname(hypalign.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "hypalign.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture()
 def corpus_path(tmp_path):
     path = tmp_path / "corpus.txt"
@@ -347,6 +358,27 @@ class TestTrainEvalExport:
         views = {r[1] for r in rows[1:]}
         assert levels == {"scene", "part"} and views == {"image", "text"}
 
+    def test_eval_of_a_huge_representativeness_writes_only_the_config(self, tmp_path):
+        # the ground truth's spread overflows float's range in the degeneracy
+        # test; the report is still written and stderr holds no numpy warning
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "run"
+        assert main(["generate", "--scenes", "8", "--parts", "2", "--seed", "5",
+                     "--out", str(corpus)]) == 0
+        assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                     "--steps", "3", "--batch-size", "4"]) == 0
+        lines = corpus.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["representativeness"] = 1e308
+        lines[-1] = json.dumps(record)
+        corpus.write_text("\n".join(lines) + "\n")
+        done = _cli_process("eval", "--checkpoint", out / "checkpoint_final.json",
+                            "--corpus", corpus, "--out", tmp_path / "eval.json")
+        assert done.returncode == 0, done.stderr
+        line, = done.stderr.splitlines()
+        assert line.startswith("resolved-config ")
+        report = json.loads((tmp_path / "eval.json").read_text())
+        assert report["checkpoint_step"] == 3
+
     def test_eval_and_export_idempotent_bytes(self, corpus_path, tmp_path):
         out = tmp_path / "run"
         main(["train", "--corpus", str(corpus_path), "--out", str(out),
@@ -461,19 +493,12 @@ class TestTrainingBlowsUp:
          ["--lr", "2", "--batch-size", "8", "--steps", "400"]),
     ], ids=["lr-1e300", "lr-2-no-decay"])
     def test_stderr_holds_only_the_config_and_the_error(self, tmp_path, scenes, config, flags):
-        # numpy's floating-point warnings go to the real stderr, which only a
-        # separate process shows as a user sees it
         corpus, cfg = tmp_path / "corpus.txt", tmp_path / "train.cfg"
         assert main(["generate", "--scenes", scenes, "--parts", "2", "--seed", "5",
                      "--out", str(corpus)]) == 0
         cfg.write_text(config)
-        src = os.path.dirname(os.path.dirname(hypalign.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run(
-            [sys.executable, "-m", "hypalign.cli", "train", "--corpus", str(corpus),
-             "--out", str(tmp_path / "run"), "--config", str(cfg), *flags],
-            env=env, capture_output=True, text=True, timeout=120)
+        done = _cli_process("train", "--corpus", corpus, "--out", tmp_path / "run",
+                            "--config", cfg, *flags)
         lines = done.stderr.splitlines()
         assert done.returncode == 2, done.stderr
         assert len(lines) == 2, done.stderr

@@ -11,6 +11,7 @@ from scipy import stats
 from hypalign.errors import ContractViolationError, GenerationError
 from hypalign.synthdata import GeneratorParams, generate, load, sample_batch, save
 
+import _oracles as orc
 from _checkpoint_data import encode
 
 # the views of a 2-dimensional record: one float64 pair as corpus text (a
@@ -67,6 +68,43 @@ class TestGenerate:
         d = np.linalg.norm(latents[:, None] - latents[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
         assert d.min() >= 0.8
+
+    @pytest.mark.parametrize("settings", [
+        dict(seed=7),
+        dict(num_scenes=512, parts_per_scene=4, latent_dim=64, seed=4712),
+        dict(num_scenes=200, latent_dim=3, min_separation=0.2),     # rejection-heavy
+        dict(num_scenes=40, latent_dim=2, min_separation=0.15),     # raises on both sides
+        dict(num_scenes=16, min_separation=-0.5),
+    ], ids=["default", "train_wide", "rejections", "jammed", "negative_separation"])
+    def test_corpus_bytes_match_the_reference(self, tmp_path, settings):
+        assert self._outcome(generate, settings, tmp_path) == self._outcome(
+            orc.generate_reference, settings, tmp_path)
+
+    def test_separation_tie_is_decided_by_the_1d_norm(self, tmp_path):
+        # seed 2's first two candidates at exactly their 1-D distance: the
+        # check is `distance < min_separation`, so the second one is placed,
+        # though the row-wise norm reads that distance 1 ulp lower
+        rng = np.random.default_rng(2)
+        c0, c1 = (c / np.linalg.norm(c) for c in rng.normal(size=(2, 16)))
+        tie = float(np.linalg.norm(c1 - c0))
+        assert np.linalg.norm(c1 - c0[None], axis=1)[0] < tie
+        settings = dict(num_scenes=4, parts_per_scene=1, latent_dim=16, seed=2,
+                        min_separation=tie)
+        corpus = generate(**settings)
+        assert corpus.scenes[1].latent.tobytes() == c1.tobytes()
+        assert self._outcome(generate, settings, tmp_path) == self._outcome(
+            orc.generate_reference, settings, tmp_path)
+
+    @staticmethod
+    def _outcome(generator, settings, tmp_path):
+        """The saved corpus's bytes, or the message of the generation error."""
+        try:
+            corpus = generator(**settings)
+        except GenerationError as err:
+            return str(err)
+        path = tmp_path / "outcome.txt"
+        save(corpus, path)
+        return path.read_bytes()
 
     def test_infeasible_separation_fails(self):
         with pytest.raises(GenerationError):
