@@ -25,7 +25,8 @@ from .autodiff import value_of
 from .entailment import ConeParams
 from .errors import ContractViolationError, DomainError, HypalignError
 from .evalmetrics import Taxonomy, evaluate, scaled_tables
-from .gradcheck import format_results, run_check_grads
+from .gradcheck import (DEFAULT_MAX_COORDS, DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TOLERANCE,
+                        format_results, run_check_grads)
 from .losses import GROUPS, LAYOUT, LossConfig, TemperatureSet
 from .manifold import Manifold, hyperbolic_radius
 from .synthdata import GeneratorParams, generate, load as load_corpus, save as save_corpus
@@ -172,9 +173,9 @@ def _build_parser() -> _Parser:
 
     cg = sub.add_parser("check-grads", help="finite-difference gradient verification")
     cg.add_argument("--seed", type=int, default=None)
-    cg.add_argument("--step", type=float, default=1e-5)
-    cg.add_argument("--tolerance", type=float, default=1e-4)
-    cg.add_argument("--max-coords", type=int, default=200)
+    cg.add_argument("--step", type=float, default=DEFAULT_STEP)
+    cg.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    cg.add_argument("--max-coords", type=int, default=DEFAULT_MAX_COORDS)
 
     ex = sub.add_parser("export", help="dump embeddings with radii/uncertainties as CSV")
     ex.add_argument("--checkpoint", required=True)
@@ -217,7 +218,7 @@ def _load_run(args) -> tuple:
     store = store_from_payload(payload, args.checkpoint)
     corpus = load_corpus(args.corpus)
     for src in LAYOUT.values():
-        rows, concepts = len(value_of(store[src.table])), len(corpus.concepts(src.level))
+        rows, concepts = len(value_of(store[src.table])), len(corpus.ids[src.level])
         if rows != concepts:
             raise ContractViolationError(
                 f"{args.checkpoint}: parameter {src.table!r} has {rows} rows but "
@@ -230,7 +231,7 @@ def _cmd_eval(args) -> int:
                          "taxonomy": args.taxonomy, "out": args.out})
     payload, store, corpus = _load_run(args)
     # the classification reads the taxonomy at scene labels only
-    taxonomy = (Taxonomy.from_file(args.taxonomy, [s.id for s in corpus.scenes])
+    taxonomy = (Taxonomy.from_file(args.taxonomy, corpus.ids["scene"])
                 if args.taxonomy else None)
     m = Manifold(float(value_of(store["kappa"])))
     report = evaluate(corpus, store, m, taxonomy)
@@ -242,13 +243,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_grads(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed(1)
-    _log_config("check-grads", {"seed": seed, "step": args.step,
-                                "tolerance": args.tolerance,
-                                "max_coords": args.max_coords})
-    results, passed = run_check_grads(
-        seed, step=args.step, tolerance=args.tolerance, max_coords=args.max_coords
-    )
+    seed = args.seed if args.seed is not None else _env_seed(DEFAULT_SEED)
+    settings = {"step": args.step, "tolerance": args.tolerance, "max_coords": args.max_coords}
+    _log_config("check-grads", {"seed": seed, **settings})
+    results, passed = run_check_grads(seed, **settings)
     print(format_results(results))
     print(f"check-grads {'passed' if passed else 'FAILED'}")
     return 0 if passed else 3
@@ -278,9 +276,9 @@ def _cmd_export(args) -> int:
     for group, src in LAYOUT.items():
         embs = tables[group]
         values = np.column_stack([hyperbolic_radius(embs, m), uncertainty(embs), embs])
-        lines += [f"{_csv_field(concept.id)},{src.modality},{src.level},"
+        lines += [f"{_csv_field(cid)},{src.modality},{src.level},"
                   + ",".join(map(repr, row.tolist()))
-                  for concept, row in zip(corpus.concepts(src.level), values)]
+                  for cid, row in zip(corpus.ids[src.level], values)]
     with open(args.out, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
     return 0

@@ -7,6 +7,7 @@ is reported as data, not an exception).
 
 import functools
 import numbers
+import sys
 
 
 class HypalignError(Exception):
@@ -55,13 +56,13 @@ def _bounds(interval: str) -> tuple:
 def check_domains(config, domains: dict) -> None:
     """Raise a :class:`DomainError` naming the first field of ``config``
     outside its domain.  ``domains`` maps field names to intervals written
-    like ``"[0, 1)"`` or ``"(0, inf)"``; an open infinite end refuses that
-    infinity, every bound refuses ``nan``, and a value that is not a real
-    number lies outside every domain."""
+    like ``"[0, 1)"`` or ``"(0, inf)"``.  A value that is not a real
+    number, ``nan``, an infinity or an integer past float's range (which
+    float arithmetic on it would overflow) lies outside every domain."""
     for name, interval in domains.items():
         value = getattr(config, name)
         low, closed_low, high, closed_high = _bounds(interval)
-        if not (isinstance(value, numbers.Real)
+        if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
                 and (low <= value if closed_low else low < value)
                 and (value <= high if closed_high else value < high)):
             raise DomainError(name, f"{value!r} outside its domain {interval}")

@@ -51,12 +51,14 @@ class Taxonomy:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "Taxonomy":
-        parent: dict[str, str | None] = {"root": None}
-        for s in corpus.scenes:
-            parent[s.id] = "root"
-        for p in corpus.parts:
-            parent[p.id] = p.parent
-        return cls(parent)
+        """Each part under its scene and every scene under one root, whose
+        label is ``"root"`` primed until it is no corpus id."""
+        scenes = corpus.ids["scene"]
+        parts = dict(zip(corpus.ids["part"], [scenes[row] for row in corpus.parent_rows.tolist()]))
+        root = "root"
+        while root in parts or root in scenes:
+            root += "'"
+        return cls({root: None, **dict.fromkeys(scenes, root), **parts})
 
     @classmethod
     def from_file(cls, path, labels=()) -> "Taxonomy":
@@ -451,16 +453,15 @@ def _correlation(corpus: Corpus, tables: dict, points: dict, m: Manifold,
                  modality: str) -> CorrelationReport:
     """:func:`uncertainty_correlation` from the scaled tables and their
     lifts, keyed by group."""
-    if len(corpus.parts) < 3:
+    whole_rows = corpus.parent_rows
+    if len(whole_rows) < 3:
         raise ContractViolationError("need at least 3 parts for a correlation")
-    scene_idx = corpus.scene_index()
-    whole_rows = np.array([scene_idx[p.parent] for p in corpus.parts], dtype=np.intp)
     u = uncertainty(tables[f"part_{modality}"])
     wholes = points[f"whole_{modality}"]
     own = LorentzPoint(time=wholes.time[whole_rows], space=wholes.space[whole_rows])
     sims = -geodesic_distance(points[f"part_{modality}"], own, m)
     pearson, degenerate = _pearson(u, sims)
-    anti_rep = np.array([1.0 - p.representativeness for p in corpus.parts])
+    anti_rep = 1.0 - corpus.representativeness
     if _degenerate(u) or _degenerate(anti_rep):
         spearman = 0.0
         degenerate = True
@@ -493,18 +494,15 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     images, texts = points["whole_image"], points["whole_text"]
     sims = -value_of(pairwise_distance(images, texts, m))
     pred_rows = np.argmax(sims, axis=1)
-    ties, jacs, precs, recs = [], [], [], []
-    for i, s in enumerate(corpus.scenes):
-        pred = corpus.scenes[pred_rows[i]].id
-        ties.append(tie(pred, s.id, taxonomy))
-        j, p, r = hierarchical_set_metrics(pred, s.id, taxonomy)
-        jacs.append(j)
-        precs.append(p)
-        recs.append(r)
+    scene_ids = corpus.ids["scene"]
+    pairs = [(scene_ids[row], truth) for row, truth in zip(pred_rows.tolist(), scene_ids)]
+    ties = [tie(pred, truth, taxonomy) for pred, truth in pairs]
+    jacs, precs, recs = zip(*(hierarchical_set_metrics(pred, truth, taxonomy)
+                              for pred, truth in pairs))
     # under the taxonomy's unit weights the LCA error is the tree error
     tree_error = float(np.mean(ties))
     out["classification"] = {
-        "accuracy": float(np.mean(pred_rows == np.arange(len(corpus.scenes)))),
+        "accuracy": float(np.mean(pred_rows == np.arange(corpus.num_scenes))),
         "tie": tree_error,
         "lca_error": tree_error,
         "jaccard": float(np.mean(jacs)),
@@ -512,7 +510,7 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
         "hierarchical_recall": float(np.mean(recs)),
     }
 
-    identity = {i: {i} for i in range(len(corpus.scenes))}
+    identity = {i: {i} for i in range(corpus.num_scenes)}
     recalls = {
         "image_to_text": _recalls(sims, identity, (1, 5)),
         "text_to_image": _recalls(-value_of(pairwise_distance(texts, images, m)),

@@ -36,6 +36,8 @@ from .trainer import loss_config_with_vars, materialize_batch, parameter_store
 
 GUARD_BAND = 1e-3
 _REL_FLOOR = 1e-6
+# check-grads' defaults, which the command line's flags share
+DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TOLERANCE, DEFAULT_MAX_COORDS = 1, 1e-5, 1e-4, 200
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ class CheckResult:
     passed: bool
 
 
-def finite_diff_check(f, store: ParameterStore, *, step: float = 1e-5,
-                      tolerance: float = 1e-4, max_coords: int = 200,
+def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
+                      tolerance: float = DEFAULT_TOLERANCE, max_coords: int = DEFAULT_MAX_COORDS,
                       seed: int = 0) -> list[CheckResult]:
     """Compare the tape gradients of the named scalar roots ``f`` builds
     against central finite differences, sub-sampling at most ``max_coords``
@@ -155,7 +157,7 @@ def _behind_stop(roots: dict, stopped, params: dict) -> set:
 # the seeded check problem
 # ---------------------------------------------------------------------------
 
-def build_check_problem(seed: int = 1):
+def build_check_problem(seed: int = DEFAULT_SEED):
     """Seeded store, batch indices and loss config for gradient checking
     (6 rows of dimension 8); raises if the configuration lands within the
     kink guard band."""
@@ -205,8 +207,8 @@ def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
         )
 
 
-def run_check_grads(seed: int = 1, *, step: float = 1e-5,
-                    tolerance: float = 1e-4, max_coords: int = 200):
+def run_check_grads(seed: int = DEFAULT_SEED, *, step: float = DEFAULT_STEP,
+                    tolerance: float = DEFAULT_TOLERANCE, max_coords: int = DEFAULT_MAX_COORDS):
     """Check every component of the ``total_loss`` report, and the total,
     for every parameter, as roots of the one graph training differentiates;
     returns (results, all_passed)."""

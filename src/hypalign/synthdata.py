@@ -9,6 +9,12 @@ independent per-modality noise); these views are the stand-in for encoder
 outputs and retain the representativeness signal that evaluation correlates
 against.
 
+A :class:`Corpus` holds its concepts as tables, the way its readers index
+them by row: per level (``"scene"``, ``"part"``) the ids in record order
+and one ``(N, latent_dim)`` float64 table per view (``"latent"``,
+``"image"``, ``"text"``), and per part its scene's row and its
+representativeness, each one array.
+
 Serialization is JSON-lines (format ``hypalign-corpus-v2``): one header
 object, then one object per concept, scenes first.  Each view vector is the
 base64 text of its ``latent_dim`` little-endian float64 values (the
@@ -21,7 +27,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -32,18 +38,10 @@ from .errors import ContractViolationError, DomainError, GenerationError, check_
 _FORMAT = "hypalign-corpus-v2"
 _MAX_REJECTS = 10_000
 
-
-@dataclass(frozen=True)
-class Concept:
-    """One scene or part: latent semantic position plus two noisy views."""
-
-    id: str
-    level: str                      # "scene" | "part"
-    latent: np.ndarray
-    image_view: np.ndarray
-    text_view: np.ndarray
-    parent: str | None = None      # scene id, parts only
-    representativeness: float | None = None  # in [0.2, 1], parts only
+LEVELS = ("scene", "part")
+# each view's field in a corpus record, in record order
+_FIELDS = {"latent": "latent", "image": "image_view", "text": "text_view"}
+VIEWS = tuple(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -71,28 +69,29 @@ class GeneratorParams:
 
 @dataclass(frozen=True)
 class Corpus:
+    """The corpus's tables.  ``ids[level]`` lists a level's ids in record
+    order, and row ``i`` of ``views[level, view]``, a ``(len(ids[level]),
+    latent_dim)`` float64 table, is view ``view`` of ``ids[level][i]``.  Part
+    ``i``'s scene is scene row ``parent_rows[i]`` and its ground truth is
+    ``representativeness[i]`` (float64, in [0.2, 1] as generated)."""
+
     params: GeneratorParams
-    scenes: list[Concept] = field(default_factory=list)
-    parts: list[Concept] = field(default_factory=list)
+    ids: dict[str, list[str]]
+    views: dict[tuple[str, str], np.ndarray]
+    parent_rows: np.ndarray
+    representativeness: np.ndarray
 
     @property
     def num_scenes(self) -> int:
-        return len(self.scenes)
+        return len(self.ids["scene"])
 
     @cached_property
     def _part_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Part rows grouped by scene (corpus order within a scene), and per
         scene its group's start in that order and its part count."""
-        scene = self.scene_index()
-        owner = np.array([scene[p.parent] for p in self.parts], dtype=np.intp)
-        counts = np.bincount(owner, minlength=self.num_scenes)
-        return np.argsort(owner, kind="stable"), np.cumsum(counts) - counts, counts
-
-    def scene_index(self) -> dict[str, int]:
-        return {s.id: i for i, s in enumerate(self.scenes)}
-
-    def concepts(self, level: str) -> list[Concept]:
-        return self.scenes if level == "scene" else self.parts
+        counts = np.bincount(self.parent_rows, minlength=self.num_scenes)
+        return (np.argsort(self.parent_rows, kind="stable"), np.cumsum(counts) - counts,
+                counts)
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,9 @@ def generate(**settings) -> Corpus:
     """
     p = GeneratorParams(**settings)
     rng = np.random.default_rng(p.seed)
+    reps = np.empty(p.num_scenes * p.parts_per_scene)
+    views = {(level, view): np.empty((n, p.latent_dim))
+             for level, n in zip(LEVELS, (p.num_scenes, len(reps))) for view in VIEWS}
 
     # A placement is decided by the 1-D norm of each difference (a BLAS dot).
     # The row-wise norm sums the same squares in another order.  Any order
@@ -139,7 +141,7 @@ def generate(**settings) -> Corpus:
     # is decided by the 1-D norms.
     rel = (p.latent_dim + 2) * np.finfo(float).eps
     floor = 2 * np.sqrt(p.latent_dim * np.finfo(float).smallest_subnormal)
-    scene_latents = np.empty((p.num_scenes, p.latent_dim))
+    scene_latents = views["scene", "latent"]
     placed = rejects = 0
     while placed < p.num_scenes:
         cand = rng.normal(size=p.latent_dim)
@@ -159,28 +161,25 @@ def generate(**settings) -> Corpus:
         scene_latents[placed] = cand
         placed += 1
 
-    def views(latent):
-        img = latent + p.noise_scale * rng.normal(size=p.latent_dim)
-        txt = latent + p.noise_scale * rng.normal(size=p.latent_dim)
-        return img, txt
+    def noisy_views(level, row):
+        latent = views[level, "latent"][row]
+        views[level, "image"][row] = latent + p.noise_scale * rng.normal(size=p.latent_dim)
+        views[level, "text"][row] = latent + p.noise_scale * rng.normal(size=p.latent_dim)
 
-    scenes, parts = [], []
     for si, z in enumerate(scene_latents):
-        sid = f"s{si:03d}"
-        img, txt = views(z)
-        scenes.append(Concept(id=sid, level="scene", latent=z,
-                              image_view=img, text_view=txt))
-        for pi in range(p.parts_per_scene):
-            rep = float(rng.uniform(0.2, 1.0))
+        noisy_views("scene", si)
+        for row in range(si * p.parts_per_scene, (si + 1) * p.parts_per_scene):
+            reps[row] = rep = rng.uniform(0.2, 1.0)
             direction = rng.normal(size=p.latent_dim)
             direction -= (direction @ z) * z      # orthogonal to the scene
             direction /= np.linalg.norm(direction)
-            latent = z + (1.0 - rep) * p.spread * direction
-            img, txt = views(latent)
-            parts.append(Concept(id=f"{sid}.p{pi}", level="part", latent=latent,
-                                 image_view=img, text_view=txt, parent=sid,
-                                 representativeness=rep))
-    return Corpus(params=p, scenes=scenes, parts=parts)
+            views["part", "latent"][row] = z + (1.0 - rep) * p.spread * direction
+            noisy_views("part", row)
+    scene_ids = [f"s{si:03d}" for si in range(p.num_scenes)]
+    part_ids = [f"{sid}.p{pi}" for sid in scene_ids for pi in range(p.parts_per_scene)]
+    return Corpus(params=p, ids={"scene": scene_ids, "part": part_ids}, views=views,
+                  parent_rows=np.repeat(np.arange(p.num_scenes), p.parts_per_scene),
+                  representativeness=reps)
 
 
 def sample_batch(corpus: Corpus, batch_size: int, seed_stream) -> BatchIndices:
@@ -205,37 +204,35 @@ def sample_batch(corpus: Corpus, batch_size: int, seed_stream) -> BatchIndices:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _record(c: Concept) -> dict:
-    """One concept's corpus record; a part's adds its parent and its
-    representativeness after the id."""
-    rec = {"kind": c.level, "id": c.id}
-    if c.level == "part":
-        rec.update(parent=c.parent, representativeness=c.representativeness)
-    rec.update(latent=floatbytes.encode(c.latent), image_view=floatbytes.encode(c.image_view),
-               text_view=floatbytes.encode(c.text_view))
-    return rec
-
-
 def save(corpus: Corpus, path) -> None:
     """Write the JSONL corpus file (header line, then one line per concept,
-    scenes first)."""
+    scenes first); a part's record adds its parent and its
+    representativeness after the id."""
+    scene_ids = corpus.ids["scene"]
+    records = [{"kind": "scene", "id": sid} for sid in scene_ids]
+    records += [{"kind": "part", "id": pid, "parent": scene_ids[row], "representativeness": rep}
+                for pid, row, rep in zip(corpus.ids["part"], corpus.parent_rows.tolist(),
+                                         corpus.representativeness.tolist())]
+    rows = (row for level in LEVELS for row in zip(*(corpus.views[level, v] for v in VIEWS)))
     lines = [json.dumps({"format": _FORMAT, **asdict(corpus.params)})]
-    lines += [json.dumps(_record(c)) for c in (*corpus.scenes, *corpus.parts)]
+    for rec, views in zip(records, rows):
+        rec.update(zip(_FIELDS.values(), map(floatbytes.encode, views)))
+        lines.append(json.dumps(rec))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-_VIEWS = ("latent", "image_view", "text_view")
-_RECORD_FIELDS = {"scene": frozenset(("kind", "id", *_VIEWS)),
-                  "part": frozenset(("kind", "id", "parent", "representativeness", *_VIEWS))}
+_RECORD_FIELDS = {"scene": frozenset(("kind", "id", *_FIELDS.values()))}
+_RECORD_FIELDS["part"] = _RECORD_FIELDS["scene"] | {"parent", "representativeness"}
 
 
 def load(path) -> Corpus:
     """Read a corpus file written by :func:`save`.
 
-    Each view field becomes one ``(N, latent_dim)`` array whose rows the
-    concepts hold.  A malformed file raises ``ContractViolationError``
-    naming the file, and for a bad record its 1-based line and field.
+    Each record's view bytes join its level's tables as the file is read,
+    and each part's parent becomes its scene's row.  A malformed file
+    raises ``ContractViolationError`` naming the file, and for a bad record
+    its 1-based line and field; so does a scene that no part names.
     """
     with open(path) as fh:
         try:
@@ -270,19 +267,21 @@ def load(path) -> Corpus:
     except DomainError as err:
         raise ContractViolationError(f"{path}: corpus header's {err}") from None
     dim = params.latent_dim
-    # per record: its line, parent and representativeness in flat lists, its
-    # id and kind in `kind_of`, and per view its raw bytes (which the garbage
-    # collector does not track); nothing else made per record outlives its line
-    linenos, parents, reps = [], [], []
-    chunks = {name: [] for name in _VIEWS}
-    kind_of = {}                # id -> kind, in file order
+    # per level its records' ids and lines, and per view their raw bytes
+    # (which the garbage collector does not track); per part its parent and
+    # representativeness.  Nothing else made per record outlives its line.
+    ids = {level: [] for level in LEVELS}
+    linenos = {level: [] for level in LEVELS}
+    chunks = {(level, view): [] for level in LEVELS for view in VIEWS}
+    parents, reps = [], []
+    seen = set()                # every id of the file
     for lineno, line in lines:
         where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
         except ValueError as err:  # not JSON, or an integer past the digit limit
             raise ContractViolationError(f"{where}: corpus record is not JSON: {err}") from None
-        if not isinstance(rec, dict) or rec.get("kind") not in ("scene", "part"):
+        if not isinstance(rec, dict) or rec.get("kind") not in LEVELS:
             raise ContractViolationError(
                 f"{where}: corpus record needs a 'kind' of 'scene' or 'part'")
         kind = rec["kind"]
@@ -292,47 +291,52 @@ def load(path) -> Corpus:
         cid = rec["id"]
         if not isinstance(cid, str):
             raise ContractViolationError(f"{where}: corpus record's 'id' is not a string")
-        if cid in kind_of:
+        if cid in seen:
             raise ContractViolationError(
                 f"{where}: corpus record's 'id' {cid!r} is not unique in the file")
-        kind_of[cid] = kind
-        parent = rep = None
+        seen.add(cid)
         if kind == "part":
-            parent, rep = rec["parent"], rec["representativeness"]
+            rep = rec["representativeness"]
             # compared, not converted: an integer past float's range is refused too
             if type(rep) not in (int, float) or not abs(rep) <= sys.float_info.max:
                 raise ContractViolationError(
                     f"{where}: corpus record's 'representativeness' is not a finite number")
-        for name in _VIEWS:
+            parents.append(rec["parent"])
+            reps.append(rep)
+        for view, name in _FIELDS.items():
             raw = floatbytes.decode(rec[name], dim)
             if raw is None:
                 raise ContractViolationError(
                     f"{where}: corpus record's {name!r} is not the base64 bytes of "
                     f"{dim} float64 values")
-            chunks[name].append(raw)
-        linenos.append(lineno)
-        parents.append(parent)
-        reps.append(rep)
-    for lineno, kind, parent in zip(linenos, kind_of.values(), parents):
-        if kind == "part" and not (isinstance(parent, str) and kind_of.get(parent) == "scene"):
+            chunks[kind, view].append(raw)
+        ids[kind].append(cid)
+        linenos[kind].append(lineno)
+    scene_rows = {sid: row for row, sid in enumerate(ids["scene"])}
+    parent_rows = np.array([scene_rows.get(parent, -1) if isinstance(parent, str) else -1
+                            for parent in parents], dtype=np.intp)
+    if (parent_rows < 0).any():
+        i = int(np.argmin(parent_rows))
+        raise ContractViolationError(
+            f"{path}:{linenos['part'][i]}: corpus record's 'parent' {parents[i]!r} "
+            "names no scene of the file")
+    views = {key: np.frombuffer(bytearray().join(chunk), "<f8").reshape(-1, dim)
+             for key, chunk in chunks.items()}
+    for view, name in _FIELDS.items():
+        # per level, the line of its first row holding a non-finite value
+        bad = [linenos[level][row] for level in LEVELS
+               for row in np.flatnonzero(~np.isfinite(views[level, view]).all(axis=1))[:1]]
+        if bad:
             raise ContractViolationError(
-                f"{path}:{lineno}: corpus record's 'parent' {parent!r} names no scene of the file")
-    views = {}
-    for name, chunk in chunks.items():
-        table = np.frombuffer(bytearray().join(chunk), "<f8").reshape(len(linenos), dim)
-        finite = np.isfinite(table).all(axis=1)
-        if not finite.all():
-            raise ContractViolationError(
-                f"{path}:{linenos[int(np.argmin(finite))]}: corpus record's {name!r} "
-                "holds a non-finite value")
-        views[name] = table
-    scenes, parts = [], []
-    for (cid, kind), latent, image_view, text_view, parent, rep in zip(
-            kind_of.items(), views["latent"], views["image_view"], views["text_view"],
-            parents, reps):
-        concept = Concept(id=cid, level=kind, latent=latent, image_view=image_view,
-                          text_view=text_view, parent=parent, representativeness=rep)
-        (scenes if kind == "scene" else parts).append(concept)
-    if len(scenes) != params.num_scenes or len(parts) != params.num_scenes * params.parts_per_scene:
+                f"{path}:{min(bad)}: corpus record's {name!r} holds a non-finite value")
+    if (len(ids["scene"]) != params.num_scenes
+            or len(ids["part"]) != params.num_scenes * params.parts_per_scene):
         raise ContractViolationError(f"{path}: corpus file record count mismatch")
-    return Corpus(params=params, scenes=scenes, parts=parts)
+    counts = np.bincount(parent_rows, minlength=params.num_scenes)
+    if not counts.all():
+        row = int(np.argmin(counts))
+        raise ContractViolationError(
+            f"{path}:{linenos['scene'][row]}: corpus scene {ids['scene'][row]!r} "
+            "is the parent of no part")
+    return Corpus(params=params, ids=ids, views=views, parent_rows=parent_rows,
+                  representativeness=np.array(reps, dtype=np.float64))

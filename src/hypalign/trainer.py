@@ -102,18 +102,14 @@ def init_parameters(corpus: Corpus, cfg: TrainConfig) -> ParameterStore:
     geometry carries the corpus semantics; a seeded random projection adapts
     dimensions when ``table_dim != latent_dim``.
     """
-    n = cfg.table_dim
-    latent_dim = corpus.params.latent_dim
-    if latent_dim == n:
-        project = lambda v: v
-    else:
+    n, latent_dim = cfg.table_dim, corpus.params.latent_dim
+    views = {group: corpus.views[src.level, src.modality] for group, src in LAYOUT.items()}
+    if latent_dim != n:
         rng = np.random.default_rng([cfg.seed, 0x9E37])
         proj = rng.normal(size=(latent_dim, n)) / math.sqrt(n)
-        project = lambda v: v @ proj
-    tables = {group: cfg.init_scale * project(np.stack(
-                  [getattr(c, f"{src.modality}_view") for c in corpus.concepts(src.level)]))
-              for group, src in LAYOUT.items()}
-    return parameter_store(tables, 1.0, cfg.loss.temps)
+        views = {group: view @ proj for group, view in views.items()}
+    return parameter_store({group: cfg.init_scale * view for group, view in views.items()},
+                           1.0, cfg.loss.temps)
 
 
 def parameter_store(tables: dict, kappa: float, temps: TemperatureSet) -> ParameterStore:

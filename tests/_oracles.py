@@ -244,7 +244,7 @@ def generate_reference(**settings):
     """``synthdata.generate`` as first written: each candidate scene is
     compared with every placed scene by one 1-D ``np.linalg.norm`` apiece."""
     from hypalign.errors import GenerationError
-    from hypalign.synthdata import _MAX_REJECTS, Concept, Corpus, GeneratorParams
+    from hypalign.synthdata import _MAX_REJECTS, Corpus, GeneratorParams
     p = GeneratorParams(**settings)
     rng = np.random.default_rng(p.seed)
 
@@ -270,12 +270,15 @@ def generate_reference(**settings):
         txt = latent + p.noise_scale * rng.normal(size=p.latent_dim)
         return img, txt
 
-    scenes, parts = [], []
+    ids = {"scene": [], "part": []}
+    rows = {(level, view): [] for level in ids for view in ("latent", "image", "text")}
+    parent_rows, reps = [], []
     for si, z in enumerate(scene_latents):
         sid = f"s{si:03d}"
         img, txt = views(z)
-        scenes.append(Concept(id=sid, level="scene", latent=z,
-                              image_view=img, text_view=txt))
+        ids["scene"].append(sid)
+        for view, row in zip(("latent", "image", "text"), (z, img, txt)):
+            rows["scene", view].append(row)
         for pi in range(p.parts_per_scene):
             rep = float(rng.uniform(0.2, 1.0))
             direction = rng.normal(size=p.latent_dim)
@@ -283,10 +286,14 @@ def generate_reference(**settings):
             direction /= np.linalg.norm(direction)
             latent = z + (1.0 - rep) * p.spread * direction
             img, txt = views(latent)
-            parts.append(Concept(id=f"{sid}.p{pi}", level="part", latent=latent,
-                                 image_view=img, text_view=txt, parent=sid,
-                                 representativeness=rep))
-    return Corpus(params=p, scenes=scenes, parts=parts)
+            ids["part"].append(f"{sid}.p{pi}")
+            parent_rows.append(si)
+            reps.append(rep)
+            for view, row in zip(("latent", "image", "text"), (latent, img, txt)):
+                rows["part", view].append(row)
+    return Corpus(params=p, ids=ids, views={key: np.stack(r) for key, r in rows.items()},
+                  parent_rows=np.array(parent_rows, dtype=np.intp),
+                  representativeness=np.array(reps))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ class TestGenerate:
         header, record = (json.loads(line) for line in a.read_text().splitlines()[:2])
         assert header["format"] == "hypalign-corpus-v2"
         assert decode(record["latent"]).tobytes() == generate(
-            num_scenes=8, parts_per_scene=2, seed=3).scenes[0].latent.tobytes()
+            num_scenes=8, parts_per_scene=2, seed=3).views["scene", "latent"][0].tobytes()
 
     def test_empty_env_seed_means_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNCHA_SEED", "")
@@ -379,6 +379,27 @@ class TestTrainEvalExport:
         report = json.loads((tmp_path / "eval.json").read_text())
         assert report["checkpoint_step"] == 3
 
+    @pytest.mark.parametrize("renamed", ["s000", "s003.p1"], ids=["scene", "part"])
+    def test_a_concept_named_root_keeps_the_report(self, corpus_path, tmp_path, renamed):
+        # eval's implicit taxonomy has a root of its own, whatever the ids
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(corpus_path), "--out", str(out),
+                     "--steps", "3", "--batch-size", "4", "--seed", "7"]) == 0
+        records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+        for rec in records[1:]:
+            for field in ("id", "parent"):
+                if rec.get(field) == renamed:
+                    rec[field] = "root"
+        rooted = tmp_path / "rooted.txt"
+        rooted.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        reports = []
+        for corpus in (corpus_path, rooted):
+            reports.append(tmp_path / f"eval_{corpus.stem}.json")
+            assert main(["eval", "--checkpoint", str(out / "checkpoint_final.json"),
+                         "--corpus", str(corpus), "--out", str(reports[-1])]) == 0
+        assert '"id": "root"' in rooted.read_text()
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
     def test_eval_and_export_idempotent_bytes(self, corpus_path, tmp_path):
         out = tmp_path / "run"
         main(["train", "--corpus", str(corpus_path), "--out", str(out),
@@ -401,10 +422,10 @@ class TestTrainEvalExport:
               "--steps", "2", "--batch-size", "4", "--seed", "7"])
         corpus = load(corpus_path)
         parent = {"root": None}
-        for s in corpus.scenes:
-            parent[s.id] = "root"
-        for p in corpus.parts:
-            parent[p.id] = p.parent
+        for sid in corpus.ids["scene"]:
+            parent[sid] = "root"
+        for pid, row in zip(corpus.ids["part"], corpus.parent_rows):
+            parent[pid] = corpus.ids["scene"][row]
         tax_path = tmp_path / "tax.json"
         tax_path.write_text(json.dumps({"parent": parent}))
         report_path = tmp_path / "eval.json"
@@ -421,11 +442,9 @@ class TestTrainEvalExport:
         if ids is not None:
             # each id verbatim once, then variants that keep ids unique
             names = iter(ids + [f"{name}/{k}" for k, name in enumerate(ids * 2)])
-            renamed = {c.id: next(names) for c in corpus.scenes}
-            scenes = [replace(c, id=renamed[c.id]) for c in corpus.scenes]
-            parts = [replace(c, id=next(names), parent=renamed[c.parent])
-                     for c in corpus.parts]
-            corpus = replace(corpus, scenes=scenes, parts=parts)
+            # a part's parent is its scene's row, so it follows the scene's name
+            corpus = replace(corpus, ids={level: [next(names) for _ in level_ids]
+                                          for level, level_ids in corpus.ids.items()})
             save(corpus, corpus_path)
         out = tmp_path / "run"
         assert main(["train", "--corpus", str(corpus_path), "--out", str(out),
@@ -443,8 +462,8 @@ class TestTrainEvalExport:
         for group, src in LAYOUT.items():
             embs = tables[group]
             radii, uncs = hyperbolic_radius(embs, m), uncertainty(embs)
-            rows += [[c.id, src.modality, src.level, radii[r], uncs[r], *embs[r]]
-                     for r, c in enumerate(corpus.concepts(src.level))]
+            rows += [[cid, src.modality, src.level, radii[r], uncs[r], *embs[r]]
+                     for r, cid in enumerate(corpus.ids[src.level])]
         want = tmp_path / "want.csv"
         orc.export_csv_reference(want, rows)
         assert csv_path.read_bytes() == want.read_bytes()
@@ -628,6 +647,16 @@ class TestMalformedInputFiles:
         self._edit_corpus(run, edit)
         message = self._refused(self._argv(run, tmp_path, command), capsys)
         assert message.startswith(f"{run['corpus']}:{line}: corpus record's '{field}'")
+
+    def test_scene_without_parts(self, tmp_path, capsys):
+        # the total part count still matches: s000's two parts belong to s001
+        corpus = tmp_path / "corpus.txt"
+        assert main(["generate", "--scenes", "8", "--parts", "2", "--seed", "5",
+                     "--out", str(corpus)]) == 0
+        corpus.write_text(corpus.read_text().replace('"parent": "s000"', '"parent": "s001"'))
+        message = self._refused(["train", "--corpus", str(corpus), "--out", str(tmp_path / "r"),
+                                 "--steps", "3", "--batch-size", "8"], capsys)
+        assert message == f"{corpus}:2: corpus scene 's000' is the parent of no part"
 
     def test_truncated_checkpoint(self, run, capsys):
         text = run["checkpoint"].read_text()

@@ -576,10 +576,9 @@ class TestUncertaintyCorrelation:
         directions = np.eye(n)[:4]
         scene = 8.0 * directions
         parts = np.zeros((12, n))
-        sidx = {s.id: i for i, s in enumerate(corpus.scenes)}
         offsets = {0: 1.0, 1: 3.5, 2: 6.0}
-        for i, p in enumerate(corpus.parts):
-            parts[i] = offsets[i % 3] * directions[sidx[p.parent]]
+        for i, row in enumerate(corpus.parent_rows):
+            parts[i] = offsets[i % 3] * directions[row]
         store.register("table_scene_img", scene / 0.25)
         store.register("table_scene_txt", scene / 0.25)
         store.register("table_part_img", parts / 0.25)
@@ -614,8 +613,7 @@ class TestUncertaintyCorrelation:
 
     def test_degenerate_constant_representativeness(self):
         corpus = generate(num_scenes=4, parts_per_scene=2, seed=13)
-        corpus = replace(corpus, parts=[replace(p, representativeness=0.5)
-                                        for p in corpus.parts])
+        corpus = replace(corpus, representativeness=np.full(len(corpus.ids["part"]), 0.5))
         store = init_parameters(corpus, TrainConfig(batch_size=4, table_dim=16))
         rep = uncertainty_correlation(corpus, store, Manifold(1.0))
         assert rep.degenerate
@@ -627,7 +625,7 @@ class TestUncertaintyCorrelation:
         for modality, part in (("image", "part_image"), ("text", "part_text")):
             rep = uncertainty_correlation(corpus, store, Manifold(1.0), modality)
             u = uncertainty(scaled_tables(store)[part])
-            anti_rep = [1.0 - p.representativeness for p in corpus.parts]
+            anti_rep = [1.0 - rep for rep in corpus.representativeness.tolist()]
             assert not rep.degenerate
             assert rep.spearman_ground_truth == float(spearmanr(u, anti_rep).statistic)
 
@@ -638,7 +636,7 @@ class TestUncertaintyCorrelation:
         corpus = generate(num_scenes=3, parts_per_scene=2, seed=15)
         rng = np.random.default_rng(3)
         m = Manifold(1.0)
-        own = corpus.scene_index()[corpus.parts[0].parent]
+        own = corpus.parent_rows[0]
         whole = own if read else (own + 1) % 3
         scenes, parts = rng.normal(size=(3, 16)), rng.normal(size=(6, 16))
         for _ in range(200):
@@ -698,14 +696,15 @@ class TestEvaluate:
         texts[:6] = texts[:6][::-1].copy()    # half the scenes lose their text
         m = Manifold(1.0)
         taxonomy = Taxonomy({"root": None, "a": "root", "b": "a",
-                             **{s.id: ("a", "b", "root")[i % 3]
-                                for i, s in enumerate(corpus.scenes)}})
+                             **{s: ("a", "b", "root")[i % 3]
+                                for i, s in enumerate(corpus.ids["scene"])}})
         classification = evaluate(corpus, store, m, taxonomy)["classification"]
         tables = scaled_tables(store)
         sims = -value_of(pairwise_distance(lift(tables["whole_image"], m),
                                            lift(tables["whole_text"], m), m))
-        want = np.mean([lca_error(corpus.scenes[row].id, s.id, taxonomy)
-                        for row, s in zip(np.argmax(sims, axis=1), corpus.scenes)])
+        scene_ids = corpus.ids["scene"]
+        want = np.mean([lca_error(scene_ids[row], s, taxonomy)
+                        for row, s in zip(np.argmax(sims, axis=1), scene_ids)])
         assert want > 0.0
         assert classification["lca_error"] == classification["tie"] == float(want)
 

@@ -111,9 +111,10 @@ def files(tmp_path_factory):
     assert main(["train", "--corpus", str(corpus), "--out", str(run), "--steps", "2",
                  "--batch-size", "4", "--seed", "7"]) == 0
     loaded = load(corpus)
-    parents = {"root": None}
-    for c in (*loaded.scenes, *loaded.parts):
-        parents[c.id] = c.parent or "root"
+    scene_ids = loaded.ids["scene"]
+    parents = {"root": None, **dict.fromkeys(scene_ids, "root")}
+    for pid, row in zip(loaded.ids["part"], loaded.parent_rows):
+        parents[pid] = scene_ids[row]
     taxonomy = root / "taxonomy.json"
     taxonomy.write_text(_dump_indented([{"parent": parents}]))
     checkpoint = run / "checkpoint_final.json"
