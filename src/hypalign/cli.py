@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except HypalignError as err:
         print(f"error kind={err.kind} message={json.dumps(str(err))}", file=sys.stderr)
         return err.exit_code
-    except OSError as err:
+    except (OSError, MemoryError) as err:
         print(f"error kind=contract message={json.dumps(str(err))}", file=sys.stderr)
         return 1
 

@@ -7,11 +7,14 @@ root of that one graph: central differences are compared against the tape
 gradient of every root for every parameter class, on a seeded
 configuration verified to sit away from the documented kinks (coincident
 points for acosh, the hinge boundary, and aperture saturation) by a 1e-3
-guard band.  The differences are taken on the surrogate the tape
-differentiates: calibration's stopped leak is held at its base-point value,
-handed to ``total_loss`` as an explicit input.  A parameter that reaches a
-root only through that stopped leak is asserted the other way around: the
-tape gradient must be exactly zero while the finite difference is not.
+guard band.  Only the base evaluation builds a tape graph; each perturbed
+coordinate is one forward on the store's plain values.  The differences
+are taken on the surrogate the tape differentiates: that forward's report
+is finished again with calibration's stopped leak held at its base-point
+value (``LossReport.with_leak``).  A parameter that reaches a root only
+through that stopped leak is asserted the other way around, from the same
+forward's own report: the tape gradient must be exactly zero while the
+finite difference is not.
 """
 
 from __future__ import annotations
@@ -59,21 +62,24 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
     against central finite differences, sub-sampling at most ``max_coords``
     coordinates per parameter; one result per root and parameter.
 
-    ``f(store, frozen)`` returns ``(roots, stopped)``: a mapping of name to
-    root, and the Var the roots read behind a stop-gradient (or None), in
-    whose place ``f`` reads ``frozen`` when that is an array.  One forward
-    with ``frozen=None`` gives every root's tape gradient and the base
-    stopped value.  Each perturbed evaluation, of every root at once, is
-    handed that base value: the differences are those of the surrogate the
-    tape differentiates, where the stopped factor contributes its value but
-    no derivative.  Relative error uses the floor ``max(|fd|, |tape|,
-    1e-6)`` so agreeing near-zero gradients pass.  A parameter that reaches
-    a root only through the stopped value is checked the other way around
-    for that root: an exactly-zero tape gradient alongside a nonzero raw
-    difference (``frozen=None``: the value moves, the gradient must not),
-    which costs that parameter one more evaluation per perturbation.  Such
-    a pair is one of :func:`_behind_stop`'s whose frozen differences are
-    exactly zero at every sampled coordinate.
+    ``f(params)`` reads each parameter from ``params`` and returns
+    ``(roots, stopped, finish)``: a mapping of name to root, the value the
+    roots read behind a stop-gradient (or None), and ``finish(stand_in)``,
+    which gives the roots again with ``stand_in`` in the stopped value's
+    place (None when nothing is stopped).  The base evaluation is handed the
+    store's Vars: its graph gives every root's tape gradient and the base
+    stopped value.  Every perturbed evaluation is handed the store's values
+    as plain arrays, views of its buffer, and builds no graph; each one is
+    finished with the base stopped value, so the differences are those of
+    the surrogate the tape differentiates, where the stopped factor
+    contributes its value but no derivative.  Relative error uses the floor
+    ``max(|fd|, |tape|, 1e-6)`` so agreeing near-zero gradients pass.  A
+    parameter that reaches a root only through the stopped value is checked
+    the other way around for that root: an exactly-zero tape gradient
+    alongside a nonzero difference of the root as evaluated (the value
+    moves, the gradient must not).  Such a pair is one of
+    :func:`_behind_stop`'s whose surrogate differences are exactly zero at
+    every sampled coordinate.
     """
     if not (1e-7 <= step <= 1e-3):
         raise ContractViolationError(f"finite-difference step {step} out of range")
@@ -82,40 +88,41 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
     if max_coords < 1:
         raise ContractViolationError(f"max_coords {max_coords} must be at least 1")
     params = store.as_dict()
-    roots, stopped = f(store, None)
+    roots, stopped, _ = f(params)
     names = list(roots)
     tapes = {r: ad.gradients(roots[r], params) for r in names}
     base = None if stopped is None else value_of(stopped).copy()
     candidates = _behind_stop(roots, stopped, params)
+    values = {name: var.value for name, var in params.items()}
     rng = np.random.default_rng(seed)
 
-    def evaluate(frozen) -> np.ndarray:
-        out, _ = f(store, frozen)
-        return np.array([float(value_of(out[r])) for r in names])
+    def evaluate() -> np.ndarray:
+        # every root of the surrogate, then of the objective as evaluated
+        live, _, finish = f(values)
+        held = live if finish is None else finish(base)
+        return np.array([[float(value_of(rs[r])) for r in names] for rs in (held, live)])
 
-    def central(flat: np.ndarray, c, frozen) -> np.ndarray:
+    def central(flat: np.ndarray, c) -> np.ndarray:
         original = flat[c]
         flat[c] = original + step
-        f_plus = evaluate(frozen)
+        f_plus = evaluate()
         flat[c] = original - step
-        f_minus = evaluate(frozen)
+        f_minus = evaluate()
         flat[c] = original
         return (f_plus - f_minus) / (2.0 * step)
 
     sweeps = {}
-    for name, var in params.items():
-        flat = var.value.ravel()
+    for name, value in values.items():
+        flat = value.ravel()
         size = flat.size
         if size <= max_coords:
             coords = np.arange(size)
         else:
             coords = rng.choice(size, size=max_coords, replace=False)
-        shape = (len(coords), len(names))
-        frozen = np.array([central(flat, c, base) for c in coords]).reshape(shape)
+        diffs = np.array([central(flat, c) for c in coords]).reshape(len(coords), 2, len(names))
+        frozen, raw = diffs[:, 0], diffs[:, 1]
         zero = {r for j, r in enumerate(names)
                 if (r, name) in candidates and np.all(frozen[:, j] == 0.0)}
-        raw = (np.array([central(flat, c, None) for c in coords]).reshape(shape)
-               if zero else None)
         sweeps[name] = (coords, frozen, raw, zero)
 
     results = []
@@ -214,10 +221,13 @@ def run_check_grads(seed: int = DEFAULT_SEED, *, step: float = DEFAULT_STEP,
     returns (results, all_passed)."""
     store, idx, cfg = build_check_problem(seed)
 
-    def roots(s: ParameterStore, frozen):
-        report = total_loss(materialize_batch(s, idx), loss_config_with_vars(cfg, s),
-                            Manifold(s["kappa"]), frozen_leak=frozen)
-        return {**report.components, "total_loss": report.total}, report.leak
+    def named(report) -> dict:
+        return {**report.components, "total_loss": report.total}
+
+    def roots(params: dict):
+        report = total_loss(materialize_batch(params, idx), loss_config_with_vars(cfg, params),
+                            Manifold(params["kappa"]))
+        return named(report), report.leak, lambda leak: named(report.with_leak(leak))
 
     results = finite_diff_check(roots, store, step=step, tolerance=tolerance,
                                 max_coords=max_coords, seed=seed)

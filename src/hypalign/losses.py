@@ -139,8 +139,10 @@ def nonfinite_group(groups):
 
 @dataclass
 class LossReport:
-    """Scalar total plus its named decomposition, and the live leak stack
-    whose intra rows calibration reads behind a stop-gradient.
+    """Scalar total plus its named decomposition, and what calibration and
+    the total are finished from: the leak stack ``(4, B)`` whose intra rows
+    calibration reads behind a stop-gradient, the part uncertainty stack
+    ``(2, B)`` (image, text) it weighs, and the config.
 
     The components are stored unweighted; the total recombines them as
     ``(c_glob + c_loc + c_globloc)
@@ -150,10 +152,20 @@ class LossReport:
     total: object
     components: dict
     leak: object
+    u: object
+    cfg: LossConfig
 
     def to_floats(self) -> dict[str, float]:
         return {"total": float(value_of(self.total)),
                 **{name: float(value_of(v)) for name, v in self.components.items()}}
+
+    def with_leak(self, leak) -> "LossReport":
+        """This report finished again with ``leak``, a ``(4, B)`` stack, in
+        place of the stopped one: calibration and the total are recomputed
+        from this forward's part uncertainty, the other components kept.
+        Given a base point's leak value, the report of the surrogate whose
+        gradient the tape computes there, which ``gradcheck`` differences."""
+        return _finish(self.components, self.u, leak, self.cfg)
 
 
 def _uncertainty(x, m: Manifold, use_radius: bool):
@@ -395,25 +407,37 @@ def _sum_pair(a, b):
                     lambda g: (np.full(av.shape, g), np.full(bv.shape, g)))
 
 
-def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold, frozen_leak=None):
+def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold):
     """Inter and intra leaky entailment over the stack of the four terms,
-    and the leak stack; calibration re-weights the intra leaks of that
-    stack, or of ``frozen_leak`` when given (under a stop-gradient), rather
-    than rebuilding them, as one node over both part groups, text first."""
+    and the leak stack, whose intra leaks calibration re-weights rather
+    than rebuilding them."""
     cone = cfg.cone
     apex = s.points.groups(APEXES)
     # the angle first: its origin guard fires before the aperture's
     phi = exterior_angle(apex, s.points.groups(MEMBERS), m)
     omega = aperture(apex, cone.aperture_k, m)
     leak = _leaky(phi, omega, entailment_etas(cone), cfg.alpha)
-    stopped = leak if frozen_leak is None else frozen_leak
     return {
         "entail_inter": _sum_pair(ad.pick(leak, INTER_PARTS), ad.pick(leak, INTER_WHOLES)),
         "entail_intra": _sum_pair(ad.pick(leak, INTRA_TEXT), ad.pick(leak, INTRA_IMAGE)),
-        "calibration": _calibrate(ad.pick(s.u, (U_TEXT, U_IMAGE)),
-                                  ad.pick(stopped, (INTRA_TEXT, INTRA_IMAGE)),
-                                  cfg.entropy_sign),
     }, leak
+
+
+def _with_calibration(terms: dict, u, leak, entropy_sign: float) -> dict:
+    """``terms`` with calibration of the part uncertainty stack ``u`` against
+    the intra leaks of ``leak`` (under a stop-gradient), one node over both
+    part groups, text first."""
+    return {**terms, "calibration": _calibrate(ad.pick(u, (U_TEXT, U_IMAGE)),
+                                                ad.pick(leak, (INTRA_TEXT, INTRA_IMAGE)),
+                                                entropy_sign)}
+
+
+def _finish(terms: dict, u, leak, cfg: LossConfig) -> LossReport:
+    """The report over the contrastive and entailment ``terms``, calibrated
+    against ``leak`` and weighted into the total."""
+    components = _with_calibration(terms, u, leak, cfg.entropy_sign)
+    total = _weighted_total(components, cfg.lambda_intra, cfg.lambda_cal, cfg.lambda_ent)
+    return LossReport(total=total, components=components, leak=leak, u=u, cfg=cfg)
 
 
 def _contrastive_sum(v: dict):
@@ -454,24 +478,18 @@ def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold) -> float
 def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold) -> float:
     """Inter-modal entailment plus weighted intra-modal entailment and
     calibration, summed over batch rows."""
-    e, _ = _entailment_terms(_lift_batch(batch, m, cfg.uncertainty_from_radius), cfg, m)
+    s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
+    e, leak = _entailment_terms(s, cfg, m)
+    e = _with_calibration(e, s.u, leak, cfg.entropy_sign)
     return float(_entailment_sum({name: value_of(x) for name, x in e.items()},
                                  cfg.lambda_intra, cfg.lambda_cal))
 
 
-def total_loss(batch: Batch, cfg: LossConfig, m: Manifold, *,
-               frozen_leak=None) -> LossReport:
+def total_loss(batch: Batch, cfg: LossConfig, m: Manifold) -> LossReport:
     """Full objective: contrastive block plus ``lambda_ent`` times the
-    entailment block, with the component decomposition and the live leak
-    stack attached.
-
-    ``frozen_leak``, a ``(4, B)`` array, stands in for the leak stack that
-    calibration stops: given a base point's ``report.leak`` value, the
-    objective is the surrogate whose gradient the tape computes there, which
-    ``gradcheck`` differences.  Training passes nothing."""
+    entailment block, with the component decomposition and what
+    :meth:`LossReport.with_leak` finishes it again from."""
     s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
     con = _contrastive_terms(s, cfg.temps, m, cfg.include_positive)
-    ent, leak = _entailment_terms(s, cfg, m, frozen_leak)
-    components = {**con, **ent}
-    total = _weighted_total(components, cfg.lambda_intra, cfg.lambda_cal, cfg.lambda_ent)
-    return LossReport(total=total, components=components, leak=leak)
+    ent, leak = _entailment_terms(s, cfg, m)
+    return _finish({**con, **ent}, s.u, leak, cfg)

@@ -26,8 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from . import floatbytes
 from .autodiff import ParameterStore, value_of
-from .errors import (ContractViolationError, HypalignError, NumericalConsistencyError,
-                     check_domains)
+from .errors import (ContractViolationError, DomainError, HypalignError,
+                     NumericalConsistencyError, check_domains)
 from .losses import (GROUPS, LAYOUT, MODALITIES, SCALES, TAU_FLOOR, Batch, LossConfig,
                      LossReport, TemperatureSet, nonfinite_group, total_loss)
 # hyperbolic_radius and distribution_distances are not called here; the
@@ -70,6 +70,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_domains(self, _TRAIN_DOMAINS)
+        # a row out of the batch for k steps moves by (beta1/sqrt(beta2))**k
+        # times its last update, which grows without bound past this
+        if self.beta1**2 > self.beta2:
+            raise DomainError("beta2", f"{self.beta2!r} below beta1**2 = {self.beta1**2!r}")
         # once here: the loss config is rebuilt every step around the live
         # temperatures, where a value training drives non-finite is numerical
         check_domains(self.loss.temps, dict.fromkeys(TEMPERATURE_PARAMS, "(-inf, inf)"))

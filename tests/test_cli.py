@@ -159,6 +159,20 @@ class TestValuesOutsideTheirDomain:
         assert message == f"{cfg}:4: {key} {detail}"
         assert not out.exists()
 
+    def test_beta2_below_beta1_squared(self, tmp_path, capsys):
+        # at beta2 = 0 a row out of the batch has v = 0 and m != 0, so this
+        # 3-step run moved a part-table entry by lr * m_hat / adam_eps at
+        # step 1 and read a nan loss at step 2; the config is refused instead
+        corpus, cfg, out = tmp_path / "corpus.txt", tmp_path / "cfg.txt", tmp_path / "run"
+        assert main(["generate", "--scenes", "8", "--parts", "2", "--seed", "3",
+                     "--out", str(corpus)]) == 0
+        cfg.write_text("batch_size = 4\nbeta2 = 0\n")
+        message = self._refused(capsys, ["train", "--corpus", str(corpus), "--out", str(out),
+                                         "--steps", "3", "--seed", "3", "--config", str(cfg)],
+                                f"{cfg}:2:")
+        assert message == f"{cfg}:2: beta2 0.0 below beta1**2 = 0.81"
+        assert not out.exists()
+
     def test_flag_value_keeps_the_field_message(self, corpus_path, tmp_path, capsys):
         # the file's own value is valid, and the flag that overrides it is not
         cfg, out = tmp_path / "cfg.txt", tmp_path / "run"
@@ -194,6 +208,25 @@ class TestValuesOutsideTheirDomain:
     def test_negative_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("UNCHA_SEED", "-4")
         self._refused(capsys, ["check-grads"], "seed")
+
+
+class TestOutOfMemory:
+    def test_memory_error_is_one_contract_line(self, corpus_path, tmp_path, capsys,
+                                               monkeypatch):
+        # numpy's failed allocation is a MemoryError; the parameter tables'
+        # allocation site raises one here, so nothing is allocated
+        def refuse(corpus, cfg):
+            raise MemoryError("Unable to allocate 119. GiB for an array with shape "
+                              "(16, 1000000000) and data type float64")
+
+        monkeypatch.setattr(hypalign.trainer, "init_parameters", refuse)
+        code = main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "run"),
+                     "--steps", "3", "--batch-size", "4"])
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error ")]
+        assert code == 1 and "Traceback" not in err
+        assert errors == ['error kind=contract message="Unable to allocate 119. GiB for an '
+                          'array with shape (16, 1000000000) and data type float64"']
 
 
 class TestConfigFile:

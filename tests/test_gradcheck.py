@@ -2,6 +2,8 @@
 semantics, kink guards, and the full sweep over the training graph's
 report components and total."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,14 @@ from hypalign.uncertainty import uncertainty
 import _reference_ops as ref
 
 
-def held(value, frozen):
-    """``value`` behind a stop-gradient, or the harness's ``frozen`` value in
-    its place: the stopped input of the ``f(store, frozen)`` protocol."""
-    return ad.stop_gradient(value if frozen is None else frozen)
+def held(build, stopped):
+    """The ``(roots, stopped, finish)`` of the ``f(params)`` protocol for the
+    roots ``build`` makes from the stopped value, which it reads behind a
+    stop-gradient: ``finish`` hands ``build`` a stand-in instead."""
+    def finish(stand_in):
+        return build(ad.stop_gradient(stand_in))
+
+    return finish(stopped), stopped, finish
 
 
 class TestFiniteDiffCheck:
@@ -35,12 +41,12 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         x = store.register("x", np.array([0.7, -1.1, 0.4]))
 
-        def f(s, frozen):
-            return {"loss": uncertainty(s["x"])}, None
+        def f(s):
+            return {"loss": uncertainty(s["x"])}, None, None
 
         results = finite_diff_check(f, store, step=1e-5, tolerance=1e-6)
         assert all(r.passed for r in results)
-        grads = ad.gradients(f(store, None)[0]["loss"], store.as_dict())
+        grads = ad.gradients(f(store.as_dict())[0]["loss"], store.as_dict())
         norm = np.linalg.norm(x.value)
         sig = np.exp(-norm) / (1.0 + np.exp(-norm))
         analytic = -sig * x.value / norm
@@ -54,11 +60,10 @@ class TestFiniteDiffCheck:
         store.register("live", np.array([0.5, 1.0]))
         store.register("stopped", np.array([2.0, -1.0]))
 
-        def f(s, frozen):
-            stopped = ref.square(s["stopped"])
-            return {"loss": ref.reduce_sum(
-                ref.mul(held(stopped, frozen), ref.square(s["live"]))
-            )}, stopped
+        def f(s):
+            live = ref.square(s["live"])
+            return held(lambda stopped: {"loss": ref.reduce_sum(ref.mul(stopped, live))},
+                        ref.square(s["stopped"]))
 
         results = finite_diff_check(f, store)
         by_name = {r.param: r for r in results}
@@ -72,20 +77,21 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("x", np.array([1.3]))
 
-        def f(s, frozen):
-            return {"loss": ref.reduce_sum(ref.mul(held(s["x"], frozen), s["x"]))}, s["x"]
+        def f(s):
+            return held(lambda stopped: {"loss": ref.reduce_sum(ref.mul(stopped, s["x"]))},
+                        s["x"])
 
         results = finite_diff_check(f, store)
         assert results[0].mode == "match" and results[0].passed
         # raw FD would see d(x^2)/dx = 2x while the tape reports x
-        g = ad.gradients(f(store, None)[0]["loss"], store.as_dict())["x"]
+        g = ad.gradients(f(store.as_dict())[0]["loss"], store.as_dict())["x"]
         np.testing.assert_allclose(g, [1.3])
 
     def test_step_bounds_enforced(self):
         store = ParameterStore()
         store.register("x", np.ones(2))
         with pytest.raises(ContractViolationError):
-            finite_diff_check(lambda s, frozen: ({"loss": ref.reduce_sum(s["x"])}, None),
+            finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"])}, None, None),
                               store, step=1e-2)
 
     @pytest.mark.parametrize("options", [
@@ -96,32 +102,32 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("x", np.ones(2))
         with pytest.raises(ContractViolationError):
-            finite_diff_check(lambda s, frozen: ({"loss": ref.reduce_sum(s["x"])}, None),
+            finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"])}, None, None),
                               store, **options)
 
     @pytest.mark.parametrize("max_coords,coords", [(200, 7), (1, 3)])
     def test_one_forward_per_evaluation_for_every_root(self, max_coords, coords):
-        # one base forward, one surrogate evaluation per perturbation for
-        # both roots, and one raw evaluation more for the parameter that
-        # reaches a root only through the stopped value
+        # one base forward, and one evaluation per perturbation that gives
+        # both roots of the surrogate and of the function as evaluated, so
+        # the parameter that reaches a root only through the stopped value
+        # costs no evaluation more
         store = ParameterStore()
         store.register("live", np.array([0.5, 1.0]))
         store.register("stopped", np.array([2.0, -1.0]))
         store.register("other", np.array([0.3, -0.7, 1.1]))
         calls = 0
 
-        def f(s, frozen):
+        def f(s):
             nonlocal calls
             calls += 1
-            live, stopped = ref.square(s["live"]), ref.square(s["stopped"])
-            return {
-                "plain": ref.add(ref.reduce_sum(live), ref.reduce_sum(ref.square(s["other"]))),
-                "weighted": ref.reduce_sum(ref.mul(held(stopped, frozen), live)),
-            }, stopped
+            live = ref.square(s["live"])
+            plain = ref.add(ref.reduce_sum(live), ref.reduce_sum(ref.square(s["other"])))
+            return held(lambda stopped: {
+                "plain": plain, "weighted": ref.reduce_sum(ref.mul(stopped, live)),
+            }, ref.square(s["stopped"]))
 
         results = finite_diff_check(f, store, max_coords=max_coords)
-        stopped_coords = min(2, max_coords)
-        assert calls == 1 + 2 * coords + 2 * stopped_coords
+        assert calls == 1 + 2 * coords
         assert [(r.loss, r.param) for r in results] == [
             (root, p) for root in ("plain", "weighted") for p in ("live", "stopped", "other")]
         assert all(r.passed for r in results)
@@ -139,11 +145,12 @@ class TestFiniteDiffCheck:
         store.register("stopped", np.array([2.0, -1.0]))
         store.register("mixed", np.array([1.5, 0.7]))
 
-        def f(s, frozen):
-            stopped = ref.mul(s["stopped"], s["mixed"])
-            weighted = ref.mul(ref.mul(held(stopped, frozen), s["live"]), s["mixed"])
-            return {"weighted": ref.reduce_sum(weighted),
-                    "apart": ref.reduce_sum(ref.square(s["live"]))}, stopped
+        def f(s):
+            apart = ref.reduce_sum(ref.square(s["live"]))
+            return held(lambda stopped: {
+                "weighted": ref.reduce_sum(ref.mul(ref.mul(stopped, s["live"]), s["mixed"])),
+                "apart": apart,
+            }, ref.mul(s["stopped"], s["mixed"]))
 
         results = finite_diff_check(f, store)
         assert all(r.passed for r in results)
@@ -162,13 +169,13 @@ class TestFiniteDiffCheck:
         store.register("whole", np.array([0.8, -1.2]))
         store.register("part", np.array([1.5, 0.4]))
 
-        def f(s, frozen):
+        def f(s):
             both = ref.stack([s["whole"], s["part"]])
-            stopped = ref.square(ad.pick(both, 0))
-            weighted = ref.mul(held(stopped, frozen), ref.square(ad.pick(both, 1)))
-            return {"weighted": ref.reduce_sum(weighted)}, stopped
+            part = ref.square(ad.pick(both, 1))
+            return held(lambda stopped: {"weighted": ref.reduce_sum(ref.mul(stopped, part))},
+                        ref.square(ad.pick(both, 0)))
 
-        root, _ = f(store, None)
+        root, _, _ = f(store.as_dict())
         assert id(store["whole"]) in {id(node) for node in ad._toposort(root["weighted"])}
         by_name = {r.param: r for r in finite_diff_check(f, store)}
         assert by_name["whole"].mode == "zero_tape" and by_name["whole"].passed
@@ -198,7 +205,7 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("big", np.random.default_rng(0).normal(size=(30, 30)))
         results = finite_diff_check(
-            lambda s, frozen: ({"loss": ref.reduce_sum(ref.square(s["big"]))}, None), store,
+            lambda s: ({"loss": ref.reduce_sum(ref.square(s["big"]))}, None, None), store,
             max_coords=17
         )
         assert results[0].n_coords == 17
@@ -229,21 +236,35 @@ class TestFullSweep:
 
     def test_seed_1_keeps_its_zero_tape_rows_and_evaluations(self, monkeypatch):
         # the gather makes every table a graph ancestor of calibration; the
-        # frozen differences still find the three pairs behind the stop, at
-        # the same evaluation count
-        calls = 0
+        # frozen differences still find the three pairs behind the stop.
+        # One base forward on the tape, then one plain forward per
+        # perturbation: 1 + 2 * 198 coordinates
+        calls, graphs = 0, 0
         total_loss = gradcheck.total_loss
 
-        def counted(*args, **kwargs):
-            nonlocal calls
+        def counted(batch, *args, **kwargs):
+            nonlocal calls, graphs
             calls += 1
-            return total_loss(*args, **kwargs)
+            graphs += ad.is_var(batch.groups)
+            return total_loss(batch, *args, **kwargs)
 
         monkeypatch.setattr(gradcheck, "total_loss", counted)
         results, passed = run_check_grads(seed=1)
         assert passed
         assert sum(r.mode == "zero_tape" for r in results) == 3
-        assert calls == 591
+        assert calls == 397 == 1 + 2 * sum({r.param: r.n_coords for r in results}.values())
+        assert graphs == 1
+
+    # SHA-256 of repr(results) at the default settings, as the check made
+    # them before each perturbed coordinate became one plain forward
+    @pytest.mark.parametrize("seed, sha256", [
+        (1, "3987da31492e4a3cc790e9b5e6d2862ee696db86b3e0c57a46cfea5161562596"),
+        (2, "0ac927230387f3ec2e3f1739aebb5f0117d2d83a6a869be48d086710a3cd0bca"),
+        (3, "cf499b26d84a12744a9021ef94e6fff386c7ffee1747a3b5e562da3c48b9189e"),
+    ])
+    def test_results_are_pinned(self, seed, sha256):
+        results, _ = run_check_grads(seed)
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == sha256
 
     def test_no_per_term_builder_called(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -424,21 +424,22 @@ class TestTotalLoss:
         assert float(value_of(rep.total)) == pytest.approx(recombined, rel=1e-10)
 
     def test_frozen_leak_pins_calibration(self):
-        # the base point's own leak changes no bit; the wholes reach
-        # calibration only through the leak, so after they move a frozen
-        # leak keeps calibration while the live one follows them, and the
-        # other components do not see the frozen leak
+        # a report finished again with the base point's own leak changes no
+        # bit; the wholes reach calibration only through the leak, so after
+        # they move, the moved report finished with the frozen leak keeps
+        # calibration while the live one follows them, and the other
+        # components do not see the frozen leak
         rng = np.random.default_rng(22)
         m = Manifold(1.0)
         batch = random_batch(rng, 5, 4)
         cfg = LossConfig()
         base = total_loss(batch, cfg, m)
         frozen = value_of(base.leak).copy()
-        assert frozen.shape == (4, 5)
-        assert total_loss(batch, cfg, m, frozen_leak=frozen).to_floats() == base.to_floats()
+        assert frozen.shape == (4, 5) and value_of(base.u).shape == (2, 5)
+        assert base.with_leak(frozen).to_floats() == base.to_floats()
         moved = Batch(batch.groups * np.array([1.3, 1.3, 1.0, 1.0])[:, None, None])
-        live = total_loss(moved, cfg, m).to_floats()
-        pinned = total_loss(moved, cfg, m, frozen_leak=frozen).to_floats()
+        report = total_loss(moved, cfg, m)
+        live, pinned = report.to_floats(), report.with_leak(frozen).to_floats()
         assert pinned["calibration"] == base.to_floats()["calibration"]
         assert live["calibration"] != pinned["calibration"]
         for name in ("calibration", "total"):
@@ -674,6 +675,13 @@ class TestGraphBudget:
             + self.cfg.lambda_cal * c["calibration"])
 
 
+def total_loss_roots(report):
+    """The report's total as the one root of ``finite_diff_check``'s
+    ``f(params)`` protocol, with the leak calibration stops."""
+    return ({"loss": report.total}, report.leak,
+            lambda leak: {"loss": report.with_leak(leak).total})
+
+
 class TestLossGradients:
     @pytest.mark.parametrize("b,n,seed", [(2, 3, 101), (4, 16, 103), (8, 16, 105)])
     def test_total_loss_gradients_match_fd(self, b, n, seed):
@@ -686,14 +694,13 @@ class TestLossGradients:
         store.register("tau_l", 0.07)
         store.register("tau_gl", 0.06)
 
-        def f(s, frozen):
+        def f(s):
             cfg = LossConfig(temps=TemperatureSet(
                 tau_global=s["tau_g"], tau_local=s["tau_l"],
                 tau_global_local=s["tau_gl"],
             ))
             batch = Batch(ref.stack([s[name] for name in GROUP_NAMES]))
-            report = total_loss(batch, cfg, Manifold(s["kappa"]), frozen_leak=frozen)
-            return {"loss": report.total}, report.leak
+            return total_loss_roots(total_loss(batch, cfg, Manifold(s["kappa"])))
 
         results = finite_diff_check(f, store, max_coords=12, seed=seed)
         worst = max(r.max_rel_err for r in results)
@@ -708,12 +715,11 @@ class TestLossGradients:
             store.register(name, rng.normal(size=(4, 6)) * 1.2)
         store.register("kappa", 1.1)
 
-        def f(s, frozen):
+        def f(s):
             cfg = LossConfig(uncertainty_from_radius=True, entropy_sign=-1.0,
                              include_positive=True)
             batch = Batch(ref.stack([s[name] for name in GROUP_NAMES]))
-            report = total_loss(batch, cfg, Manifold(s["kappa"]), frozen_leak=frozen)
-            return {"loss": report.total}, report.leak
+            return total_loss_roots(total_loss(batch, cfg, Manifold(s["kappa"])))
 
         results = finite_diff_check(f, store, max_coords=10, seed=107)
         worst = max(r.max_rel_err for r in results)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hypalign.autodiff import value_of
-from hypalign.errors import ContractViolationError, NumericalConsistencyError
+from hypalign.errors import ContractViolationError, DomainError, NumericalConsistencyError
 from hypalign.evalmetrics import scaled_tables
 from hypalign.losses import LAYOUT, Batch, LossConfig, TemperatureSet, total_loss
 from hypalign.manifold import Manifold
@@ -94,6 +94,14 @@ class TestScheduleAndOptimizer:
         assert learning_rate(100, cfg) == pytest.approx(cfg.lr / 2)
         assert learning_rate(4999, cfg) <= 1e-2 * cfg.lr
         assert learning_rate(5000, cfg) == pytest.approx(0.0, abs=1e-12)
+
+    def test_betas_need_beta1_squared_at_most_beta2(self):
+        # past the rule an idle row's update grows like (beta1/sqrt(beta2))**k
+        TrainConfig(beta1=0.5, beta2=0.25)
+        TrainConfig(beta1=0.0, beta2=0.0)
+        with pytest.raises(DomainError, match=r"^beta2 0\.2 below beta1\*\*2 = 0\.25$") as err:
+            TrainConfig(beta1=0.5, beta2=0.2)
+        assert err.value.field == "beta2"
 
     def test_zero_lr_leaves_parameters_unchanged(self, small_corpus):
         cfg = small_config()
