@@ -177,8 +177,9 @@ def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> 
 # numeric kernels the fused nodes share (plain numpy, no tape)
 # ---------------------------------------------------------------------------
 
-def _acosh_clamp(xv: Array) -> Array:
-    """``xv`` clamped to [1, inf); drift below ``1 - DRIFT_TOL`` raises.
+def _acosh_clamp(xv: Array, out: Array | None = None) -> Array:
+    """``xv`` clamped to [1, inf), written into ``out`` if given (which may
+    be ``xv`` itself); drift below ``1 - DRIFT_TOL`` raises.
 
     Values in [1 - DRIFT_TOL, 1) are floating-point drift at a
     coincident-point kink, where the subgradient 0 is used."""
@@ -187,14 +188,19 @@ def _acosh_clamp(xv: Array) -> Array:
         raise NumericalConsistencyError(
             f"acosh argument {low!r} below 1 by more than {DRIFT_TOL}"
         )
-    return np.maximum(xv, 1.0)
+    return np.maximum(xv, 1.0, out=out)
 
 
 def _acosh_deriv(xc: Array) -> Array:
-    """acosh' at clamped arguments; the subgradient 0 at 1."""
-    denom_sq = xc * xc - 1.0
-    safe = denom_sq > 0.0
-    return np.where(safe, 1.0 / np.sqrt(np.where(safe, denom_sq, 1.0)), 0.0)
+    """acosh' ``1/sqrt(xc^2 - 1)`` at clamped arguments, the subgradient 0
+    at 1, built in place in one array."""
+    d = xc * xc
+    d -= 1.0
+    safe = d > 0.0
+    np.sqrt(d, out=d, where=safe)
+    np.divide(1.0, d, out=d, where=safe)
+    d[~safe] = 0.0
+    return d
 
 
 # smooth composites of sqrt: entire functions of y = x**2, so they stay

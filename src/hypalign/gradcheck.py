@@ -7,14 +7,18 @@ root of that one graph: central differences are compared against the tape
 gradient of every root for every parameter class, on a seeded
 configuration verified to sit away from the documented kinks (coincident
 points for acosh, the hinge boundary, and aperture saturation) by a 1e-3
-guard band.  Only the base evaluation builds a tape graph; each perturbed
-coordinate is one forward on the store's plain values.  The differences
-are taken on the surrogate the tape differentiates: that forward's report
-is finished again with calibration's stopped leak held at its base-point
-value (``LossReport.with_leak``).  A parameter that reaches a root only
-through that stopped leak is asserted the other way around, from the same
-forward's own report: the tape gradient must be exactly zero while the
-finite difference is not.
+guard band.  Only the base evaluation builds a tape graph; the perturbed
+forwards run on plain values.  All perturbations of one table go through
+one forward, stacked along a new axis after the batch's group axis
+(``(4, K, B, n)``), whose roots come back with one value per perturbation,
+bit for bit those of that perturbation's own forward; each 0-d parameter's
+perturbation is a forward of its own.  A default check makes 17 forwards.
+The differences are taken on the surrogate the tape differentiates: each
+forward's report is finished again with calibration's stopped leak held at
+its base-point value (``LossReport.with_leak``).  A parameter that reaches
+a root only through that stopped leak is asserted the other way around,
+from the same forward's own report: the tape gradient must be exactly zero
+while the finite difference is not.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import ContractViolationError, NumericalConsistencyError
 from .losses import (APEXES, DISTANCE_PAIRS, GROUPS, MEMBERS, LossConfig, calibration,
                      contrastive, contrastive_total, entail_hinge, entail_leaky,
                      entailment_etas, entailment_total, total_loss)
-from .manifold import Manifold, lift
+from .manifold import Manifold, acosh_argument, lift
 from .synthdata import BatchIndices
 from .trainer import loss_config_with_vars, materialize_batch, parameter_store
 
@@ -68,11 +72,18 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
     which gives the roots again with ``stand_in`` in the stopped value's
     place (None when nothing is stopped).  The base evaluation is handed the
     store's Vars: its graph gives every root's tape gradient and the base
-    stopped value.  Every perturbed evaluation is handed the store's values
-    as plain arrays, views of its buffer, and builds no graph; each one is
-    finished with the base stopped value, so the differences are those of
-    the surrogate the tape differentiates, where the stopped factor
-    contributes its value but no derivative.  Relative error uses the floor
+    stopped value.  Every perturbed evaluation is handed plain arrays and
+    builds no graph.  An array parameter's perturbations (each sampled
+    coordinate at +step, then each at -step) go to ``f`` at once, as one
+    stack along a new leading axis of that parameter, with the others at
+    their values; ``f`` must then give each root (and the stand-in's roots)
+    with that axis, one value per perturbation, each as ``f`` would give it
+    for that perturbation alone, or as one value if the root does not read
+    the parameter.  A 0-d parameter's perturbations are evaluated one at a
+    time.  Each perturbed evaluation is finished with the base stopped
+    value, so the differences are those of the surrogate the tape
+    differentiates, where the stopped factor contributes its value but no
+    derivative.  Relative error uses the floor
     ``max(|fd|, |tape|, 1e-6)`` so agreeing near-zero gradients pass.  A
     parameter that reaches a root only through the stopped value is checked
     the other way around for that root: an exactly-zero tape gradient
@@ -96,20 +107,17 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
     values = {name: var.value for name, var in params.items()}
     rng = np.random.default_rng(seed)
 
-    def evaluate() -> np.ndarray:
-        # every root of the surrogate, then of the objective as evaluated
-        live, _, finish = f(values)
+    def evaluate(name: str, perturbed, shape: tuple = ()) -> np.ndarray:
+        # every root of the surrogate, then of the objective as evaluated,
+        # each of the perturbations' shape: (2, roots, *shape)
+        live, _, finish = f({**values, name: perturbed})
         held = live if finish is None else finish(base)
-        return np.array([[float(value_of(rs[r])) for r in names] for rs in (held, live)])
-
-    def central(flat: np.ndarray, c) -> np.ndarray:
-        original = flat[c]
-        flat[c] = original + step
-        f_plus = evaluate()
-        flat[c] = original - step
-        f_minus = evaluate()
-        flat[c] = original
-        return (f_plus - f_minus) / (2.0 * step)
+        try:
+            return np.array([[np.broadcast_to(value_of(rs[r]), shape) for r in names]
+                             for rs in (held, live)])
+        except ValueError:
+            raise ContractViolationError(
+                f"f gave a root that is not one value per perturbation of '{name}'") from None
 
     sweeps = {}
     for name, value in values.items():
@@ -119,10 +127,20 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
             coords = np.arange(size)
         else:
             coords = rng.choice(size, size=max_coords, replace=False)
-        diffs = np.array([central(flat, c) for c in coords]).reshape(len(coords), 2, len(names))
-        frozen, raw = diffs[:, 0], diffs[:, 1]
+        n = len(coords)
+        if value.ndim:
+            stack = np.repeat(flat[None], 2 * n, axis=0)
+            stack[np.arange(n), coords] = flat[coords] + step
+            stack[np.arange(n, 2 * n), coords] = flat[coords] - step
+            both = evaluate(name, stack.reshape(2 * n, *value.shape), (2 * n,))
+            f_plus, f_minus = both[..., :n], both[..., n:]
+        else:
+            f_plus = evaluate(name, value + step)[..., None]
+            f_minus = evaluate(name, value - step)[..., None]
+        # (surrogate or as evaluated, root, coordinate)
+        frozen, raw = (f_plus - f_minus) / (2.0 * step)
         zero = {r for j, r in enumerate(names)
-                if (r, name) in candidates and np.all(frozen[:, j] == 0.0)}
+                if (r, name) in candidates and np.all(frozen[j] == 0.0)}
         sweeps[name] = (coords, frozen, raw, zero)
 
     results = []
@@ -131,12 +149,12 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
             tape_flat = tapes[root][name].ravel()
             max_tape = float(np.max(np.abs(tape_flat), initial=0.0))
             if root in zero:
-                max_fd = float(np.max(np.abs(raw[:, j]), initial=0.0))
+                max_fd = float(np.max(np.abs(raw[j]), initial=0.0))
                 results.append(CheckResult(root, name, "zero_tape", float("nan"),
                                            max_tape, max_fd, len(coords),
                                            max_tape == 0.0 and max_fd > 1e-8))
                 continue
-            fd, tape = frozen[:, j], tape_flat[coords]
+            fd, tape = frozen[j], tape_flat[coords]
             rel = np.abs(fd - tape) / np.maximum(np.maximum(np.abs(fd), np.abs(tape)),
                                                  _REL_FLOOR)
             max_rel = float(np.max(rel, initial=0.0))
@@ -203,9 +221,8 @@ def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
     # coincident-point (acosh) margin for every distance matrix
     for a, b in DISTANCE_PAIRS:
         pa, pb = points.groups(a), points.groups(b)
-        inner = (value_of(pa.space) @ value_of(pb.space).T
-                 - np.outer(value_of(pa.time), value_of(pb.time)))
-        margins.append(-kappa * inner - 1.0)
+        _, z = acosh_argument(pa.time, pa.space, pb.time, pb.space, kappa)
+        margins.append(z - 1.0)
     margin = min(np.min(x) for x in margins)
     if margin < GUARD_BAND:
         raise NumericalConsistencyError(

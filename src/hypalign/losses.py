@@ -22,6 +22,13 @@ out of the lifted stack and stays its own node: the ``(B, B)`` matrices and
 their adjoints are never stacked, which keeps them in cache at large batch
 sizes.
 
+On plain values the objective also takes ``K`` batches at once, stacked
+after the group axis as ``(4, K, B, n)``: every reduction runs per row over
+the last axis, so each report component and the total come back with shape
+``(K,)``, each entry bit for bit the value of that batch alone.
+``gradcheck`` evaluates a table's perturbations that way; the tape takes
+one batch.
+
 Each of the six report components is one tape node with a hand-derived
 vector-Jacobian product, built through ``autodiff.fused``: ``info_nce``
 (the sum of a contrastive component's two directions; the global and local
@@ -116,15 +123,18 @@ MODALITIES = tuple(dict.fromkeys(src.modality for src in LAYOUT.values()))
 class Batch:
     """Aligned quadruple of tangent-embedding groups, one ``(4, B, n)`` stack
     in ``GROUPS`` order; row ``i`` of the parts belongs to row ``i`` of the
-    wholes."""
+    wholes.  A plain stack may carry a stack axis after the group axis,
+    ``(4, K, B, n)``: ``K`` batches, each checked as one, which the
+    objective evaluates at once (every root then has shape ``(K,)``)."""
 
     groups: object
 
     def __post_init__(self):
         shape = value_of(self.groups).shape
-        if len(shape) != 3 or shape[0] != len(GROUPS):
-            raise ContractViolationError(f"batch groups need shape (4, B, n), not {shape}")
-        if shape[1] < 2:
+        if len(shape) not in (3, 4) or shape[0] != len(GROUPS):
+            raise ContractViolationError(
+                f"batch groups need shape (4, B, n) or (4, K, B, n), not {shape}")
+        if shape[-2] < 2:
             raise ContractViolationError("batch size must be >= 2")
         bad = nonfinite_group(self.groups)
         if bad is not None:
@@ -132,8 +142,10 @@ class Batch:
 
 
 def nonfinite_group(groups):
-    """The first group of a ``(4, B, n)`` stack with a non-finite entry, or None."""
-    finite = np.isfinite(value_of(groups)).all(axis=(1, 2))
+    """The first group of a ``(4, B, n)`` (or ``(4, K, B, n)``) stack with a
+    non-finite entry, or None."""
+    gv = value_of(groups)
+    finite = np.isfinite(gv).all(axis=tuple(range(1, gv.ndim)))
     return None if finite.all() else GROUPS[int(np.argmin(finite))]
 
 
@@ -164,7 +176,11 @@ class LossReport:
         place of the stopped one: calibration and the total are recomputed
         from this forward's part uncertainty, the other components kept.
         Given a base point's leak value, the report of the surrogate whose
-        gradient the tape computes there, which ``gradcheck`` differences."""
+        gradient the tape computes there, which ``gradcheck`` differences.
+        For a stacked forward (part uncertainty ``(2, K, B)``) the one leak
+        is broadcast to every batch of the stack."""
+        if value_of(self.u).ndim > value_of(leak).ndim:
+            leak = value_of(leak)[:, None]
         return _finish(self.components, self.u, leak, self.cfg)
 
 
@@ -176,31 +192,33 @@ def _nce(dists, tau, include_positive: bool, transposed: bool):
     """One contrastive direction over a ``(B, B)`` distance matrix whose
     diagonal holds the positive pairs, on plain arrays: the loss and its VJP
     ``g -> (distances' adjoint, tau's adjoint)``; ``transposed`` reads the
-    matrix's columns as the anchor rows.
+    matrix's columns as the anchor rows.  A plain ``(K, B, B)`` stack of
+    matrices gives a ``(K,)`` loss (the VJP takes one matrix).
 
-    ``tau`` is a scalar or a per-anchor-row vector.  Per row, the adjoint of
-    the logits ``-d/tau`` is the softmax over its denominator minus the
-    one-hot of its positive; the distances' adjoint is that over ``-tau``.
-    The logits become the exponentials in place, and the adjoint is built
-    in one array; the row sums read the masked logits C-ordered and the
-    unmasked ones in ``d``'s own order, the layouts that fix their bits.
+    ``tau`` is a scalar or a per-anchor-row vector (``(K, B)`` against a
+    stack).  Per row, the adjoint of the logits ``-d/tau`` is the softmax
+    over its denominator minus the one-hot of its positive; the distances'
+    adjoint is that over ``-tau``.  The logits become the exponentials in
+    place, and the adjoint is built in one array; the row sums read the
+    masked logits C-ordered and the unmasked ones in ``d``'s own order, the
+    layouts that fix their bits.
     """
     dv, tv = value_of(dists), value_of(tau)
-    d = dv.T if transposed else dv
-    b = d.shape[0]
-    t = tv.reshape(b, 1) if tv.ndim == 1 else tv
+    d = np.swapaxes(dv, -1, -2) if transposed else dv
+    b = d.shape[-1]
+    rows = np.arange(b)
+    t = tv[..., None] if tv.ndim else tv
     e = np.divide(d, -t, order="K" if include_positive else "C")    # the logits
-    positives = np.diagonal(e).copy()
+    positives = e[..., rows, rows]
     if not include_positive:
-        np.fill_diagonal(e, -np.inf)
-    top = np.max(e, axis=1, keepdims=True)
+        e[..., rows, rows] = -np.inf
+    top = np.max(e, axis=-1, keepdims=True)
     e -= top
     np.exp(e, out=e)
-    total = np.sum(e, axis=1, keepdims=True)
-    denom = np.squeeze(top, axis=1) + np.log(np.squeeze(total, axis=1))
+    total = np.sum(e, axis=-1, keepdims=True)
+    denom = np.squeeze(top, axis=-1) + np.log(np.squeeze(total, axis=-1))
 
     def vjp(g):
-        rows = np.arange(b)
         g_logits = np.divide(e, total, order="C")
         g_logits *= g
         g_logits[rows, rows] -= g                       # softmax - one-hot
@@ -210,7 +228,7 @@ def _nce(dists, tau, include_positive: bool, transposed: bool):
         return (g_logits.T if transposed else g_logits,
                 g_t.sum(axis=1) if tv.ndim else g_t.sum(axis=(0, 1)))
 
-    return np.sum(denom - positives), vjp
+    return np.sum(denom - positives, axis=-1), vjp
 
 
 def _info_nce(terms, include_positive: bool):
@@ -269,10 +287,12 @@ def entail_hinge(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
 def _leaky(phi, omega, eta, alpha: float):
     """``max(0, phi - eta * omega) + alpha * phi`` per row, one tape node;
     the hinge takes the subgradient 0 at its boundary.  ``eta`` is a scalar,
-    or for a stack of terms ``(G, B)`` a column ``(G, 1)`` of one scaling
-    per term."""
+    or for a stack of terms ``(G, B)`` (or ``(G, K, B)``) a column ``(G, 1)``
+    of one scaling per term."""
     eta, alpha = np.asarray(eta, dtype=np.float64), float(alpha)
     pv = value_of(phi)
+    if eta.ndim:
+        eta = eta.reshape(-1, *(1,) * (pv.ndim - 1))
     excess = pv - eta * value_of(omega)
 
     def vjp(g):
@@ -293,16 +313,16 @@ def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
 
 def _calibrate(u, leak, entropy_sign: float):
     """``sum_i [sg(leak_i) exp(-u_i) + u_i] + sign * H(softmax(u))`` summed
-    over the rows of ``u`` in order, as one tape node over ``u`` and the
-    stopped leak; the stop-gradient stays its own parentless node, which
-    marks the graph of a root that reads it."""
+    over the groups of ``u`` (its leading axis) in order, as one tape node
+    over ``u`` and the stopped leak; the stop-gradient stays its own
+    parentless node, which marks the graph of a root that reads it.  Plain
+    groups ``(G, K, B)`` give one value per batch of the stack."""
     stopped = ad.stop_gradient(leak)
     uv, lv = value_of(u), value_of(stopped)
     sign = float(entropy_sign)
     decay = np.exp(-uv)
     w = normalize_uncertainty(uv)
-    rows = [np.sum(core) + sign * entropy(wk)
-            for core, wk in zip(np.atleast_2d(lv * decay + uv), np.atleast_2d(w))]
+    rows = np.atleast_1d(np.sum(lv * decay + uv, axis=-1) + sign * entropy(w))
 
     def vjp(g):
         g_rows = np.full(w.shape, g)
@@ -401,9 +421,9 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
 
 
 def _sum_pair(a, b):
-    """``sum(a) + sum(b)``, one tape node."""
+    """``sum(a) + sum(b)`` over the last axis, one tape node."""
     av, bv = value_of(a), value_of(b)
-    return ad.fused(np.sum(av) + np.sum(bv), "sum_pair", (a, b),
+    return ad.fused(np.sum(av, axis=-1) + np.sum(bv, axis=-1), "sum_pair", (a, b),
                     lambda g: (np.full(av.shape, g), np.full(bv.shape, g)))
 
 

@@ -19,7 +19,10 @@ read by value).  Single points use shape ``(n,)`` and batches ``(B, n)``;
 :func:`lift` and :func:`log_origin` also take a stack of groups
 ``(G, B, n)``, and :meth:`LorentzPoint.groups` reads groups back out of the
 lifted stack for the ops that take points (the entailment ops run over the
-same stack; :func:`pairwise_distance` reads one group per side).
+same stack; :func:`pairwise_distance` reads one group per side).  On plain
+values any leading axes work the same way, ``(..., B, n)``: each row is
+computed as alone, and :func:`pairwise_distance` gives one ``(Bp, Bq)``
+matrix per leading index.
 
 Double precision keeps the exp/log round trip accurate to ~1e-9 for radii
 up to ~45.  The distance is not: ``acosh(-kappa <p,q>_L)`` of a
@@ -144,32 +147,57 @@ def geodesic_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     return np.arccosh(ad._acosh_clamp(-(kv * lorentz_inner(p, q)))) / np.sqrt(kv)
 
 
+def acosh_argument(pt, ps, qt, qs, kappa):
+    """The Lorentz inner products ``<p_i, q_j>_L`` of every pair of rows of
+    two plain point batches, and the unclamped acosh argument ``-kappa
+    <p_i, q_j>_L`` of their distances: one matmul and one outer product,
+    over any leading stack axes the batches share (``ps`` ``(..., Bp, n)``,
+    ``pt`` ``(..., Bp)``)."""
+    inner = ps @ np.swapaxes(qs, -1, -2)
+    inner -= pt[..., :, None] * qt[..., None, :]
+    z = np.multiply(kappa, inner)
+    np.negative(z, out=z)
+    return inner, z
+
+
 def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     """All-pairs geodesic distance matrix of shape ``(Bp, Bq)``.
 
-    One matmul and one outer product give the inner products; the acosh
-    argument follows :func:`geodesic_distance`'s clamp.  On the tape this is
-    one node, with adjoints for both point batches and ``kappa``.  Each side
-    is one batch, which may be one group of a lifted stack
-    (:meth:`LorentzPoint.groups`): the matrices of different pairs are never
-    stacked, so each ``(Bp, Bq)`` array stays small enough for the cache.
+    The acosh argument is :func:`acosh_argument`'s, clamped as in
+    :func:`geodesic_distance`.  On the tape this is one node, with adjoints
+    for both point batches and ``kappa``.  Each side is one batch, which may
+    be one group of a lifted stack (:meth:`LorentzPoint.groups`): the
+    matrices of different pairs are never stacked, so each ``(Bp, Bq)``
+    array stays small enough for the cache.  Plain batches may carry
+    leading stack axes, ``(..., Bp, n)`` against ``(..., Bq, n)``, for a
+    ``(..., Bp, Bq)`` stack of matrices, each entry computed as alone; the
+    tape takes 2-D batches only.  The forward and the VJP each work in a
+    few arrays of the matrix's shape, updated in place.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
     if (ad.is_var(p.space) or ad.is_var(q.space)) and (ps.ndim != 2 or qs.ndim != 2):
         raise ContractViolationError("pairwise_distance takes 2-D point batches")
-    # a single plain point is a batch of one; the tape takes 2-D batches only
+    # a single plain point is a batch of one
     pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
-    inner = ps @ qs.T - np.outer(pt, qt)
-    zc = ad._acosh_clamp(-(kv * inner))
+    inner, zc = acosh_argument(pt, ps, qt, qs, kv)
+    ad._acosh_clamp(zc, out=zc)
     sqrt_k = np.sqrt(kv)
-    dist = np.arccosh(zc) / sqrt_k
+    dist = np.arccosh(zc)
+    dist /= sqrt_k
 
     def vjp(g):
-        d_z = g * ad._acosh_deriv(zc) / sqrt_k
+        d_z = ad._acosh_deriv(zc)
+        d_z *= g
+        d_z /= sqrt_k
         d_inner = -kv * d_z
+        d_kappa = np.negative(g)
+        d_kappa *= dist
+        d_kappa /= 2.0 * kv
+        d_z *= inner            # d_inner is taken, so d_z's buffer is free
+        d_kappa -= d_z
         return (-(d_inner @ qt), d_inner @ qs, -(d_inner.T @ pt), d_inner.T @ ps,
-                ad.sum_all(-g * dist / (2.0 * kv) - d_z * inner))
+                ad.sum_all(d_kappa))
 
     return ad.fused(dist, "pairwise_distance", inputs, vjp)
 

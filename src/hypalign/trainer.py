@@ -137,10 +137,12 @@ def _gather_scaled(sources):
     """``scale * table[rows]`` for each ``(table, rows, scale)`` of
     ``sources``, stacked along a leading group axis, as one tape node; a
     table's adjoint assigns distinct rows (every training batch's) and
-    scatter-adds repeated ones."""
+    scatter-adds repeated ones.  A plain table may carry a leading stack
+    axis, ``(K, rows, n)``: the group then reads ``K`` tables, and every
+    group is broadcast to that stack."""
     values = [(value_of(t), rows, value_of(c)) for t, rows, c in sources]
-    picked = [tv[rows] for tv, rows, _ in values]
-    out = np.empty((len(picked), *picked[0].shape))
+    picked = [tv[..., rows, :] for tv, rows, _ in values]
+    out = np.empty((len(picked), *np.broadcast_shapes(*(p.shape for p in picked))))
     for (_, _, cv), p, o in zip(values, picked, out):
         np.multiply(cv, p, out=o)
 

@@ -7,8 +7,9 @@ and falls toward 0 outward.  The ablation variant applies
 component, to ``x`` itself: ``asinh(sqrt(kappa)|x|)/sqrt(kappa)``, a
 monotone, ``kappa``-dependent compression of that radius.  Both are one tape
 node each and work row by row over any leading axes, so one call serves a
-batch ``(B, n)`` or a stack of groups ``(G, B, n)``.
-:func:`normalize_uncertainty` and :func:`entropy` are plain numpy;
+batch ``(B, n)`` or a stack of groups ``(G, B, n)``, stacked batches
+``(G, K, B, n)`` included.  :func:`normalize_uncertainty` and
+:func:`entropy` are plain numpy and work per row over the last axis;
 calibration reads them inside its own node.
 """
 
@@ -80,13 +81,13 @@ def normalize_uncertainty(u):
     return ad._softmax_val(uv, -1)
 
 
-def entropy(w) -> float:
+def entropy(w):
     """Shannon entropy ``-sum w_i log w_i`` with ``0 log 0 := 0`` of a plain
-    weight vector, validated as normalized."""
+    weight vector, validated as normalized; of each row of a stack of them
+    (over the last axis, each row validated on its own)."""
     wv = np.asarray(w, dtype=np.float64)
     if wv.size == 0:
         raise ContractViolationError("entropy of an empty weight vector")
-    if np.any(wv < 0.0) or abs(float(np.sum(wv)) - 1.0) > 1e-9:
+    if np.any(wv < 0.0) or np.any(np.abs(np.sum(wv, axis=-1) - 1.0) > 1e-9):
         raise ContractViolationError("entropy input is not a normalized weight vector")
-    pos = wv > 0.0
-    return float(-np.sum(wv[pos] * np.log(wv[pos])))
+    return -np.sum(wv * np.log(np.where(wv > 0.0, wv, 1.0)), axis=-1)

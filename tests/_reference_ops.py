@@ -137,8 +137,11 @@ def reduce_sum(a, axis=None):
 
 def stack(xs):
     """Equally shaped arrays stacked along a new leading (group) axis; the
-    batch's stack as the package built it before one gather wrote it."""
-    return fused(np.stack([value_of(x) for x in xs]), "stack", tuple(xs), lambda g: tuple(g))
+    batch's stack as the package built it before one gather wrote it.
+    Plain arrays are broadcast against each other first, as the gather
+    broadcasts a stack of one table's perturbations."""
+    values = np.broadcast_arrays(*(value_of(x) for x in xs))
+    return fused(np.stack(values), "stack", tuple(xs), lambda g: tuple(g))
 
 
 def reshape(a, shape):

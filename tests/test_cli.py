@@ -2,6 +2,7 @@
 codes, and machine-parsable errors."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -889,6 +890,28 @@ class TestMalformedInputFiles:
 
 
 class TestCheckGrads:
+    # SHA-256 of check-grads' stdout at the default settings, and its exit
+    # code, as the check gave them with one forward per perturbed
+    # coordinate; seeds 6 and 6225 fail on the finite differences' rounding
+    # floor (exit 3) and keep those bytes too
+    @pytest.mark.parametrize("seed, sha256, code", [
+        (1, "b8c115bb76b947381f872ef0f061e1d757e652e095aec2ac2f5bd8d274027ad3", 0),
+        (2, "169929443df8cbf7df92471e154f94e7b80c5a67f6613fc212a9097cf0b11610", 0),
+        (3, "2cd7dd60b12de2903edf12660f2df1f5da1d4824d95c38aeb2f4820c78e87f69", 0),
+        (4, "56dad5e71fc759cb1ce68fa89bed8735e6f1008dbf79f046f5dad35cbd7f4ae0", 0),
+        (5, "0e98227e3a47ea3295d801a41e507aeebbafe9209a108c8fa76b935456f55947", 0),
+        (6, "c2b7593c87b68cac7d81e07727842dc209be07443ad04fa3f27fb967b7aeddc5", 3),
+        (7, "dffbd85b6a18a114774e929fa479d93e6415ec4427749f876b635ec02bd9f7c0", 0),
+        (8, "f1f64dc14ffba17b8bf142859e4251652fb6d497de052808ebfa59d61d4488a4", 0),
+        (9, "70c22e0db9851ca79b7a0eb97057296beefc5e412c98083c6968e7b9225c553f", 0),
+        (10, "57057328521a99860787c9f889a41d3c0b1e79cbc7b2d22677f3a1235e61c4b4", 0),
+        (208, "efdd503767e0d5b7c9742628ccd22700bc42e901e3401aa4b4979939514e61e1", 0),
+        (6225, "fa45e61d37cc671c1c77867c183c87e3750cac293b2334f3e629f7f52745a160", 3),
+    ])
+    def test_output_is_pinned(self, capsys, seed, sha256, code):
+        assert main(["check-grads", "--seed", str(seed)]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
     def test_passes_with_exit_zero(self, capsys):
         assert main(["check-grads", "--seed", "1", "--max-coords", "4"]) == 0
         out = capsys.readouterr().out

@@ -19,7 +19,11 @@ from hypalign.gradcheck import (
     format_results,
     run_check_grads,
 )
+from hypalign.losses import Batch, LossConfig, total_loss
 from hypalign.manifold import Manifold, geodesic_distance, lift
+from hypalign.synthdata import generate, sample_batch
+from hypalign.trainer import (TrainConfig, init_parameters, loss_config_with_vars,
+                              materialize_batch)
 from hypalign.uncertainty import uncertainty
 
 import _reference_ops as ref
@@ -62,7 +66,7 @@ class TestFiniteDiffCheck:
 
         def f(s):
             live = ref.square(s["live"])
-            return held(lambda stopped: {"loss": ref.reduce_sum(ref.mul(stopped, live))},
+            return held(lambda stopped: {"loss": ref.reduce_sum(ref.mul(stopped, live), -1)},
                         ref.square(s["stopped"]))
 
         results = finite_diff_check(f, store)
@@ -78,7 +82,7 @@ class TestFiniteDiffCheck:
         store.register("x", np.array([1.3]))
 
         def f(s):
-            return held(lambda stopped: {"loss": ref.reduce_sum(ref.mul(stopped, s["x"]))},
+            return held(lambda stopped: {"loss": ref.reduce_sum(ref.mul(stopped, s["x"]), -1)},
                         s["x"])
 
         results = finite_diff_check(f, store)
@@ -91,7 +95,7 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("x", np.ones(2))
         with pytest.raises(ContractViolationError):
-            finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"])}, None, None),
+            finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"], -1)}, None, None),
                               store, step=1e-2)
 
     @pytest.mark.parametrize("options", [
@@ -102,34 +106,47 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("x", np.ones(2))
         with pytest.raises(ContractViolationError):
-            finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"])}, None, None),
+            finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"], -1)}, None, None),
                               store, **options)
 
-    @pytest.mark.parametrize("max_coords,coords", [(200, 7), (1, 3)])
+    def test_root_without_one_value_per_perturbation_refused(self):
+        # a sum over the leading axis gives a stack of perturbations of x
+        # back as x's shape, not one value per perturbation
+        store = ParameterStore()
+        store.register("x", np.ones(3))
+        with pytest.raises(ContractViolationError, match="one value per perturbation of 'x'"):
+            finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"], 0)}, None, None), store)
+
+    @pytest.mark.parametrize("max_coords,coords", [(200, 8), (1, 4)])
     def test_one_forward_per_evaluation_for_every_root(self, max_coords, coords):
-        # one base forward, and one evaluation per perturbation that gives
-        # both roots of the surrogate and of the function as evaluated, so
-        # the parameter that reaches a root only through the stopped value
+        # one base forward, one stacked evaluation per array parameter, and
+        # one evaluation per perturbation of the 0-d one; each gives both
+        # roots of the surrogate and of the function as evaluated, so the
+        # parameter that reaches a root only through the stopped value
         # costs no evaluation more
         store = ParameterStore()
         store.register("live", np.array([0.5, 1.0]))
         store.register("stopped", np.array([2.0, -1.0]))
         store.register("other", np.array([0.3, -0.7, 1.1]))
+        store.register("scale", 0.8)
         calls = 0
 
         def f(s):
             nonlocal calls
             calls += 1
             live = ref.square(s["live"])
-            plain = ref.add(ref.reduce_sum(live), ref.reduce_sum(ref.square(s["other"])))
+            other = ref.mul(s["scale"], ref.square(s["other"]))
+            plain = ref.add(ref.reduce_sum(live, -1), ref.reduce_sum(other, -1))
             return held(lambda stopped: {
-                "plain": plain, "weighted": ref.reduce_sum(ref.mul(stopped, live)),
+                "plain": plain, "weighted": ref.reduce_sum(ref.mul(stopped, live), -1),
             }, ref.square(s["stopped"]))
 
         results = finite_diff_check(f, store, max_coords=max_coords)
-        assert calls == 1 + 2 * coords
+        assert sum(r.n_coords for r in results) == 2 * coords
+        assert calls == 1 + 3 + 2
         assert [(r.loss, r.param) for r in results] == [
-            (root, p) for root in ("plain", "weighted") for p in ("live", "stopped", "other")]
+            (root, p) for root in ("plain", "weighted")
+            for p in ("live", "stopped", "other", "scale")]
         assert all(r.passed for r in results)
         modes = {(r.loss, r.param): r.mode for r in results}
         assert modes.pop(("weighted", "stopped")) == "zero_tape"
@@ -146,9 +163,9 @@ class TestFiniteDiffCheck:
         store.register("mixed", np.array([1.5, 0.7]))
 
         def f(s):
-            apart = ref.reduce_sum(ref.square(s["live"]))
+            apart = ref.reduce_sum(ref.square(s["live"]), -1)
             return held(lambda stopped: {
-                "weighted": ref.reduce_sum(ref.mul(ref.mul(stopped, s["live"]), s["mixed"])),
+                "weighted": ref.reduce_sum(ref.mul(ref.mul(stopped, s["live"]), s["mixed"]), -1),
                 "apart": apart,
             }, ref.mul(s["stopped"], s["mixed"]))
 
@@ -172,7 +189,7 @@ class TestFiniteDiffCheck:
         def f(s):
             both = ref.stack([s["whole"], s["part"]])
             part = ref.square(ad.pick(both, 1))
-            return held(lambda stopped: {"weighted": ref.reduce_sum(ref.mul(stopped, part))},
+            return held(lambda stopped: {"weighted": ref.reduce_sum(ref.mul(stopped, part), -1)},
                         ref.square(ad.pick(both, 0)))
 
         root, _, _ = f(store.as_dict())
@@ -205,8 +222,8 @@ class TestFiniteDiffCheck:
         store = ParameterStore()
         store.register("big", np.random.default_rng(0).normal(size=(30, 30)))
         results = finite_diff_check(
-            lambda s: ({"loss": ref.reduce_sum(ref.square(s["big"]))}, None, None), store,
-            max_coords=17
+            lambda s: ({"loss": ref.reduce_sum(ref.square(s["big"]), (-2, -1))}, None, None),
+            store, max_coords=17
         )
         assert results[0].n_coords == 17
         assert results[0].passed
@@ -237,8 +254,9 @@ class TestFullSweep:
     def test_seed_1_keeps_its_zero_tape_rows_and_evaluations(self, monkeypatch):
         # the gather makes every table a graph ancestor of calibration; the
         # frozen differences still find the three pairs behind the stop.
-        # One base forward on the tape, then one plain forward per
-        # perturbation: 1 + 2 * 198 coordinates
+        # One base forward on the tape, then plain forwards: one stack of
+        # its 2 * 48 perturbations per table, and one forward per
+        # perturbation of each of the six 0-d parameters
         calls, graphs = 0, 0
         total_loss = gradcheck.total_loss
 
@@ -252,7 +270,9 @@ class TestFullSweep:
         results, passed = run_check_grads(seed=1)
         assert passed
         assert sum(r.mode == "zero_tape" for r in results) == 3
-        assert calls == 397 == 1 + 2 * sum({r.param: r.n_coords for r in results}.values())
+        coords = {r.param: r.n_coords for r in results}
+        assert sum(coords.values()) == 198 == 4 * 48 + 6
+        assert calls == 17 == 1 + 4 + 2 * 6
         assert graphs == 1
 
     # SHA-256 of repr(results) at the default settings, as the check made
@@ -293,3 +313,74 @@ class TestFullSweep:
         for r, row in zip(results, rows):
             assert row[:offset].rstrip() == r.loss
             assert row[offset:].startswith("kappa ")
+
+
+def _roots(report, leak) -> np.ndarray:
+    """The report's components and total as evaluated, then finished with
+    ``leak`` in calibration's stopped leak: ``(2, 7)``, or ``(2, 7, K)``
+    for a stacked forward."""
+    return np.array([[value_of(x) for x in (*r.components.values(), r.total)]
+                     for r in (report, report.with_leak(leak))])
+
+
+def _assert_stack_matches(evaluate, stack, entries, leak):
+    stacked = _roots(evaluate(stack), leak)
+    alone = np.stack([_roots(evaluate(x), leak) for x in entries], axis=-1)
+    assert stacked.shape == alone.shape == (2, 7, len(entries))
+    assert stacked.tobytes() == alone.tobytes()
+
+
+class TestStackedForward:
+    """A stack of inputs evaluated in one forward gives every root of each
+    entry bit for bit as that entry's own forward does."""
+
+    @staticmethod
+    def _table_stacks(seed, cfg=None):
+        # each table's perturbations as finite_diff_check stacks them: every
+        # coordinate at +step, then every one at -step
+        store, idx, check_cfg = build_check_problem(seed)
+        cfg = cfg or check_cfg
+        values = {name: var.value for name, var in store.items()}
+
+        def evaluate(tables):
+            params = {**values, **tables}
+            return total_loss(materialize_batch(params, idx), loss_config_with_vars(cfg, params),
+                              Manifold(params["kappa"]))
+
+        leak = evaluate({}).leak
+        for table in PARAMS[:4]:
+            flat = values[table].ravel()
+            k = np.arange(flat.size)
+            stack = np.repeat(flat[None], 2 * flat.size, axis=0)
+            stack[k, k] = flat + gradcheck.DEFAULT_STEP
+            stack[k + flat.size, k] = flat - gradcheck.DEFAULT_STEP
+            stack = stack.reshape(-1, *values[table].shape)
+            yield lambda x, table=table: evaluate({table: x}), stack, list(stack), leak
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_check_problem_table_stacks(self, seed):
+        for case in self._table_stacks(seed):
+            _assert_stack_matches(*case)
+
+    def test_flag_variants_table_stacks(self):
+        cfg = LossConfig(include_positive=True, uncertainty_from_radius=True,
+                         entropy_sign=-1.0)
+        for case in self._table_stacks(1, cfg):
+            _assert_stack_matches(*case)
+
+    def test_training_batches_stack(self):
+        # three sampled batches at the default training shape, as (4, 3, 32, 16)
+        corpus, cfg = generate(), TrainConfig()
+        store = init_parameters(corpus, cfg)
+        values = {name: var.value for name, var in store.items()}
+        groups = [materialize_batch(values, sample_batch(corpus, cfg.batch_size,
+                                                         [cfg.seed, step])).groups
+                  for step in range(3)]
+        m = Manifold(values["kappa"])
+
+        def evaluate(x):
+            return total_loss(Batch(x), cfg.loss, m)
+
+        stack = np.stack(groups, axis=1)
+        assert stack.shape == (4, 3, 32, 16)
+        _assert_stack_matches(evaluate, stack, groups, evaluate(groups[0]).leak)
