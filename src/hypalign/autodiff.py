@@ -1,23 +1,24 @@
 """Reverse-mode gradient engine over numpy arrays.
 
 The engine is the tape and no more: :class:`Var` nodes, :func:`fused`,
-:func:`pick`, :func:`stop_gradient`, the backward sweep and the parameter
-store; it keeps no module-level state.  Its node vocabulary is what
-training builds.  Every op computes its numpy value and a hand-derived
-vector-Jacobian product and becomes one node through :func:`fused`: the
-geometry modules build the lift, the distance matrix, the cone angle and
-aperture and the uncertainty that way, and the losses and the trainer
-build each report component, the temperatures, the leaks, the weighted
-total and the batch's gather (one node writing the stack of its four
-groups) as one node too.  The plain-numpy kernels those nodes share (the
-sqrt composites with their series forms, the acosh clamp, softmax) sit here
-as well.  :func:`fused` dispatches on the inputs: if no argument is on the
-tape, the plain numpy result is returned, so the same numeric code serves
-both the differentiable training path and fast tape-free evaluation.  An
-op may read groups of a stacked Var's leading axis through :func:`pick`,
-which builds no node of its own: the op's node hands the sweep one adjoint
-per picked group, which the sweep adds into those groups of the stack's
-adjoint.
+:func:`pick`, the backward sweep and the parameter store; it keeps no
+module-level state.  Its node vocabulary is what training builds.  A value
+held behind a stop-gradient is read off the tape with :func:`value_of`, so
+it enters its op as a constant and builds no node.  Every op computes its
+numpy value and a hand-derived vector-Jacobian product and becomes one node
+through :func:`fused`: the geometry modules build the lift, the distance
+matrix, the cone angle and aperture and the uncertainty that way, and the
+losses and the trainer build each report component, the temperatures, the
+leaks, the weighted total and the batch's gather (one node writing the
+stack of its four groups) as one node too.  The plain-numpy kernels those
+nodes share (the sqrt composites with their series forms, the acosh clamp,
+softmax) sit here as well.  :func:`fused` dispatches on the inputs: if no
+argument is on the tape, the plain numpy result is returned, so the same
+numeric code serves both the differentiable training path and fast
+tape-free evaluation.  An op may read groups of a stacked Var's leading
+axis through :func:`pick`, which builds no node of its own: the op's node
+hands the sweep one adjoint per picked group, which the sweep adds into
+those groups of the stack's adjoint.
 
 Conventions
 -----------
@@ -259,12 +260,6 @@ def _softmax_val(x: Array, axis) -> Array:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def stop_gradient(a):
-    """Forward the value, block the adjoint: a parentless ``stop_gradient``
-    node when ``a`` is on the tape, else the plain value."""
-    return Var(a.value, "stop_gradient") if is_var(a) else value_of(a)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -352,12 +347,11 @@ def _sweep(order: list[Var], root: Var, check: bool) -> dict[int, Array]:
 def backward(root: Var) -> dict[int, Array]:
     """Reverse-mode sweep from a scalar root.
 
-    Returns the adjoints of the graph's parentless nodes (the leaves and
-    the stop-gradients), keyed by node ``id``.  Raises if any adjoint turns
-    non-finite, naming the offending node.  A non-finite adjoint reaches
-    some parentless node, so one check of those after the sweep covers the
-    graph; only when it fails is the sweep re-run with a check at every node
-    to find the first offender.
+    Returns the adjoints of the graph's parentless nodes (its leaves),
+    keyed by node ``id``.  Raises if any adjoint turns non-finite, naming
+    the offending node.  A non-finite adjoint reaches some leaf, so one
+    check of those after the sweep covers the graph; only when it fails is
+    the sweep re-run with a check at every node to find the first offender.
     """
     if not isinstance(root, Var):
         raise ContractViolationError("backward requires a Var root")

@@ -33,8 +33,9 @@ Each of the six report components is one tape node with a hand-derived
 vector-Jacobian product, built through ``autodiff.fused``: ``info_nce``
 (the sum of a contrastive component's two directions; the global and local
 components read their matrix along both axes), ``sum_pair`` (an entailment
-component's two row sums) and ``calibration`` (both part groups, behind one
-``stop_gradient`` node).  ``tempered`` and ``leaky`` give their per-row
+component's two row sums) and ``calibration`` (both part groups; it reads
+the intra leaks by value, which is its stop-gradient, so the leaks' nodes
+get no adjoint from it).  ``tempered`` and ``leaky`` give their per-row
 temperatures and leaks, and ``weighted_total`` weighs the six; the block
 sums are plain arithmetic.  The nodes keep the arithmetic of the op-by-op
 composition they replaced, so forward values are bit-identical to it
@@ -314,11 +315,9 @@ def entail_leaky(p: LorentzPoint, q: LorentzPoint, eta: float, cp: ConeParams,
 def _calibrate(u, leak, entropy_sign: float):
     """``sum_i [sg(leak_i) exp(-u_i) + u_i] + sign * H(softmax(u))`` summed
     over the groups of ``u`` (its leading axis) in order, as one tape node
-    over ``u`` and the stopped leak; the stop-gradient stays its own
-    parentless node, which marks the graph of a root that reads it.  Plain
-    groups ``(G, K, B)`` give one value per batch of the stack."""
-    stopped = ad.stop_gradient(leak)
-    uv, lv = value_of(u), value_of(stopped)
+    over ``u``: the stopped leak is read by value, so no adjoint reaches it.
+    Plain groups ``(G, K, B)`` give one value per batch of the stack."""
+    uv, lv = value_of(u), value_of(leak)
     sign = float(entropy_sign)
     decay = np.exp(-uv)
     w = normalize_uncertainty(uv)
@@ -330,11 +329,11 @@ def _calibrate(u, leak, entropy_sign: float):
         g_ent = np.full(w.shape, -(g * sign))
         g_w = g_ent * np.log(w) + g_ent * w * (1.0 / w)
         g_soft = w * (g_w - np.sum(g_w * w, axis=-1, keepdims=True))
-        return (g_rows * decay, g_rows, -(g_rows * lv * decay), g_soft)
+        return (g_rows, -(g_rows * lv * decay), g_soft)
 
     # u's three adjoint terms (the core's two and the entropy's) go to the
     # sweep one at a time, which adds them to u's adjoint in that order
-    return ad.fused(sum(rows[1:], rows[0]), "calibration", (stopped, u, u, u), vjp)
+    return ad.fused(sum(rows[1:], rows[0]), "calibration", (u, u, u), vjp)
 
 
 def calibration(p_parts, q_wholes, eta: float, cp: ConeParams, alpha: float,
@@ -445,8 +444,8 @@ def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold):
 
 def _with_calibration(terms: dict, u, leak, entropy_sign: float) -> dict:
     """``terms`` with calibration of the part uncertainty stack ``u`` against
-    the intra leaks of ``leak`` (under a stop-gradient), one node over both
-    part groups, text first."""
+    the intra leaks of ``leak`` (read by value, behind a stop-gradient), one
+    node over both part groups, text first."""
     return {**terms, "calibration": _calibrate(ad.pick(u, (U_TEXT, U_IMAGE)),
                                                 ad.pick(leak, (INTRA_TEXT, INTRA_IMAGE)),
                                                 entropy_sign)}

@@ -41,6 +41,10 @@ CHECKPOINT_FORMAT_VERSION = 2
 # learnable temperatures: TemperatureSet field -> parameter name
 TEMPERATURE_PARAMS = {"tau_global": "tau_g", "tau_local": "tau_l",
                       "tau_global_local": "tau_gl"}
+# the range each clamped scalar parameter is projected back into after a
+# step, so the range a checkpoint's value must lie in
+_CLAMPED = {"kappa": (KAPPA_MIN, KAPPA_MAX),
+            **dict.fromkeys(TEMPERATURE_PARAMS.values(), (TAU_FLOOR, math.inf))}
 # the scalar parameters, which AdamW does not decay
 DECAY_EXCLUDE = ("kappa", *TEMPERATURE_PARAMS.values(), *SCALES)
 TABLES = tuple(src.table for src in LAYOUT.values())
@@ -252,9 +256,8 @@ class AdamW:
 def project_parameters(store: ParameterStore) -> None:
     """Clamp curvature and temperatures back into their valid ranges, in
     place (projected-gradient semantics: gradients are taken pre-clamp)."""
-    np.clip(store["kappa"].value, KAPPA_MIN, KAPPA_MAX, out=store["kappa"].value)
-    for name in TEMPERATURE_PARAMS.values():
-        np.maximum(store[name].value, TAU_FLOOR, out=store[name].value)
+    for name, (low, high) in _CLAMPED.items():
+        np.clip(store[name].value, low, high, out=store[name].value)
 
 
 def learning_rate(step: int, cfg: TrainConfig) -> float:
@@ -353,7 +356,8 @@ _CHECKPOINT_FIELDS = {"config_hash": str, "step": int, "opt_t": int,
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint file; a file that is not one raises
+    """Read a checkpoint file; a file that is not one, or whose ``step`` or
+    ``opt_t`` is not the non-negative integer a run writes, raises
     ``ContractViolationError`` naming it."""
     with open(path) as fh:
         try:
@@ -370,6 +374,11 @@ def load_checkpoint(path) -> dict:
              if not isinstance(payload[name], kind)]
     if wrong:
         raise ContractViolationError(f"{path}: checkpoint field(s) {wrong} of the wrong type")
+    bad = {name: payload[name] for name in ("step", "opt_t")
+           if type(payload[name]) is not int or payload[name] < 0}
+    if bad:
+        raise ContractViolationError(
+            f"{path}: checkpoint counter(s) {bad} not the non-negative integer a run writes")
     return payload
 
 
@@ -382,13 +391,13 @@ def _as_array(data, shape):
 
 def _valid_shape(name: str, shape, width) -> bool:
     """Whether ``shape`` is a list of non-negative ints fit for parameter
-    ``name``: ``[rows, width]`` for a table (any width when ``width`` is
-    None), ``[]`` for a scalar."""
+    ``name``: ``[rows, width]`` for a table (any positive width when
+    ``width`` is None), ``[]`` for a scalar."""
     if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
         return False
     if name not in TABLES:
         return shape == []
-    return len(shape) == 2 and width in (None, shape[1])
+    return len(shape) == 2 and shape[1] > 0 and width in (None, shape[1])
 
 
 def store_from_payload(payload: dict, path) -> ParameterStore:
@@ -396,7 +405,8 @@ def store_from_payload(payload: dict, path) -> ParameterStore:
     (for eval/export), registered in the order every store keeps; a missing,
     unknown or malformed parameter raises naming both, as does a value no
     training run leaves behind: a non-finite entry, a curvature outside
-    ``[KAPPA_MIN, KAPPA_MAX]``, or a table row whose lift overflows."""
+    ``[KAPPA_MIN, KAPPA_MAX]``, a temperature below ``TAU_FLOOR``, or a
+    table row whose lift overflows."""
     params, names = payload["params"], (*TABLES, *DECAY_EXCLUDE)
     unknown = sorted(set(params).difference(names))
     if unknown:
@@ -410,7 +420,7 @@ def store_from_payload(payload: dict, path) -> ParameterStore:
         if not _valid_shape(name, shape, width):
             raise ContractViolationError(
                 f"{path}: checkpoint parameter {name!r} has 'shape' {shape!r}; tables need "
-                "[rows, width] of one common width, scalars []")
+                "[rows, width] of one common positive width, scalars []")
         value = _as_array(rec.get("data"), shape)
         if value is None:
             raise ContractViolationError(
@@ -419,10 +429,12 @@ def store_from_payload(payload: dict, path) -> ParameterStore:
         if not np.all(np.isfinite(value)):
             raise ContractViolationError(
                 f"{path}: checkpoint parameter {name!r} holds a non-finite entry")
-        if name == "kappa" and not KAPPA_MIN <= value <= KAPPA_MAX:
-            raise ContractViolationError(
-                f"{path}: checkpoint parameter 'kappa' {float(value)!r} outside "
-                f"[{KAPPA_MIN}, {KAPPA_MAX}]")
+        if name in _CLAMPED:
+            low, high = _CLAMPED[name]
+            if not low <= value <= high:
+                raise ContractViolationError(
+                    f"{path}: checkpoint parameter {name!r} {float(value)!r} outside "
+                    f"[{low}, {high}]")
         store.register(name, value)
         if name in TABLES:
             width = shape[1]

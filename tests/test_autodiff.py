@@ -1,5 +1,5 @@
-"""Engine-level checks: the backward pass contracts, stop-gradient
-semantics and the parameter store, and every elementary reference op
+"""Engine-level checks: the backward pass contracts, group stacks and the
+parameter store, and every elementary reference op
 (``_reference_ops.py``) against finite differences.  The fused geometry
 nodes have their own file, ``test_fused_ops.py``, and the fused loss nodes
 ``test_fused_loss_ops.py``; the lift's two nodes also run through the
@@ -305,26 +305,6 @@ class TestGroupStacks:
         g = ad.gradients(out, {"a": a, "b": b})
         np.testing.assert_array_equal(g["a"], [1.0, 2.0])
         np.testing.assert_array_equal(g["b"], [3.0, 4.0])
-
-    def test_stop_gradient_of_a_pick_is_a_parentless_node(self):
-        x = Var(np.array([[1.0, 2.0], [3.0, 4.0]]), name="x")
-        stopped = ad.stop_gradient(ad.pick(ref.square(x), 1))
-        assert stopped.name == "stop_gradient" and stopped._parents == ()
-        root = ref.reduce_sum(stopped)
-        assert value_of(root) == 25.0
-        assert np.all(ad.gradients(root, {"x": x})["x"] == 0.0)
-
-
-class TestStopGradient:
-    def test_blocks_flow_but_passes_value(self):
-        v = Var(np.array([1.5, -0.5]))
-        out = ref.reduce_sum(ref.mul(ad.stop_gradient(ref.square(v)), v))
-        np.testing.assert_allclose(value_of(out), np.sum(v.value**2 * v.value))
-        g = ad.gradients(out, {"v": v})["v"]
-        np.testing.assert_allclose(g, v.value**2)  # only the live factor
-
-    def test_off_the_tape_passes_the_value(self):
-        assert float(value_of(ad.stop_gradient(np.array(5.0)))) == 5.0
 
 
 class TestParameterStore:

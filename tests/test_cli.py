@@ -722,6 +722,22 @@ class TestMalformedInputFiles:
         message = self._eval(run, capsys)
         assert message.startswith(f"{run['checkpoint']}:") and f"'{field}'" in message
 
+    @pytest.mark.parametrize("command", ["eval", "export", "train"])
+    @pytest.mark.parametrize("field, value", [
+        ("step", -1), ("opt_t", -3), ("step", True), ("opt_t", False),
+    ])
+    def test_checkpoint_counter_no_run_writes(self, run, capsys, tmp_path, command,
+                                              field, value):
+        payload = json.loads(run["checkpoint"].read_text())
+        payload[field] = value
+        run["checkpoint"].write_text(json.dumps(payload))
+        argv = self._argv(run, tmp_path, command)
+        if command == "train":
+            argv += ["--resume", str(run["checkpoint"])]
+        message = self._refused(argv, capsys)
+        assert message == (f"{run['checkpoint']}: checkpoint counter(s) "
+                           f"{ {field: value} } not the non-negative integer a run writes")
+
     def test_unsupported_checkpoint_format(self, run, capsys):
         payload = json.loads(run["checkpoint"].read_text())
         payload["format_version"] = -1
@@ -753,6 +769,8 @@ class TestMalformedInputFiles:
         lambda rec: rec.update(shape=[128]),
         lambda rec: rec.update(shape=[8.0, 16.0]),
         lambda rec: rec.update(shape=[True, 128]),
+        # a table of width 0, which no run trains
+        lambda rec: rec.update(shape=[rec["shape"][0], 0], data=encode([])),
     ])
     def test_malformed_parameter(self, run, capsys, edit):
         payload = json.loads(run["checkpoint"].read_text())
@@ -844,6 +862,9 @@ class TestMalformedInputFiles:
         ("c_txt", 0, -np.inf, "holds a non-finite entry"),
         ("kappa", 0, 0.05, "'kappa' 0.05 outside [0.1, 10.0]"),
         ("kappa", 0, 10.5, "'kappa' 10.5 outside [0.1, 10.0]"),
+        # training clamps every temperature back to the 0.01 floor
+        ("tau_g", 0, -1.0, "'tau_g' -1.0 outside [0.01, inf]"),
+        ("tau_gl", 0, 0.005, "'tau_gl' 0.005 outside [0.01, inf]"),
         # finite, but cosh of the row's lift overflows: 3000 * c_txt = 750
         ("table_scene_txt", 21, 3000.0, "'table_scene_txt' row 1 lifts past the float range"),
     ])

@@ -149,7 +149,7 @@ def unfused_calibrate(u, leak, sign):
         # a stack of part groups: one calibration per group, summed in order
         return ref.add(unfused_calibrate(ad.pick(u, 0), ad.pick(leak, 0), sign),
                        unfused_calibrate(ad.pick(u, 1), ad.pick(leak, 1), sign))
-    core = ref.reduce_sum(ref.add(ref.mul(ad.stop_gradient(leak), ref.exp(ref.neg(u))), u))
+    core = ref.reduce_sum(ref.add(ref.mul(value_of(leak), ref.exp(ref.neg(u))), u))
     w = ref.softmax(u, axis=-1)
     ent = ref.neg(ref.reduce_sum(ref.mul(w, ref.log(w))))
     return ref.add(core, ref.mul(float(sign), ent))
@@ -222,9 +222,9 @@ def unfused_total_loss(batch, cfg, m):
 def parent_graph_total_loss(batch, cfg, m):
     """The objective's graph as it was before each report component became
     one node: two single-direction ``info_nce`` nodes and an ``add`` per
-    contrastive component, and one ``calibration`` node (behind its own
-    ``stop_gradient``) per part group and an ``add``, on today's stacked
-    geometry and loss nodes; returns the total and the components."""
+    contrastive component, and one ``calibration`` node per part group and
+    an ``add``, on today's stacked geometry and loss nodes; returns the
+    total and the components."""
     s = losses._lift_batch(batch, m, cfg.uncertainty_from_radius)
     temps, cone = cfg.temps, cfg.cone
 
@@ -415,14 +415,6 @@ class TestFusedLossValues:
             t, _ = _nce(arrays["d"], arrays["tau"], pos, True)
             assert t == pytest.approx(_nce(arrays["d"].T.copy(), arrays["tau"], pos, False)[0],
                                       rel=1e-14)
-
-    def test_calibration_keeps_the_stop_gradient_node(self):
-        u, leak = Var(np.array([0.2, 0.4])), Var(np.array([0.3, 0.0]))
-        node = _calibrate(u, leak, 1.0)
-        stopped, *us = node._parents
-        assert stopped.name == "stop_gradient" and stopped._parents == ()
-        # u's three adjoint terms reach the sweep one by one
-        assert all(x is u for x in us) and len(us) == 3
 
 
 class TestFusedLossAdjoints:

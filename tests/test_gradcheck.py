@@ -31,10 +31,10 @@ import _reference_ops as ref
 
 def held(build, stopped):
     """The ``(roots, stopped, finish)`` of the ``f(params)`` protocol for the
-    roots ``build`` makes from the stopped value, which it reads behind a
-    stop-gradient: ``finish`` hands ``build`` a stand-in instead."""
+    roots ``build`` makes from the stopped value, which it reads by value
+    (behind a stop-gradient): ``finish`` hands ``build`` a stand-in instead."""
     def finish(stand_in):
-        return build(ad.stop_gradient(stand_in))
+        return build(value_of(stand_in))
 
     return finish(stopped), stopped, finish
 
@@ -154,9 +154,9 @@ class TestFiniteDiffCheck:
 
     def test_zero_tape_only_where_the_root_reads_the_stop(self):
         # "stopped" reaches "weighted" only through the stop, "mixed" reaches
-        # it live as well, and "apart" reads no stop: the stopped value's
-        # graph reaches "stopped" and "apart"'s does not, yet that pair is an
-        # ordinary match (zero tape, zero difference)
+        # it live as well, and "apart" reads no stop: "apart"'s differences
+        # in "stopped" are zero both as evaluated and on the surrogate, so
+        # that pair is an ordinary match (zero tape, zero difference)
         store = ParameterStore()
         store.register("live", np.array([0.5, 1.0]))
         store.register("stopped", np.array([2.0, -1.0]))
@@ -198,6 +198,48 @@ class TestFiniteDiffCheck:
         assert by_name["whole"].mode == "zero_tape" and by_name["whole"].passed
         assert by_name["whole"].max_tape_abs == 0.0 and by_name["whole"].max_fd_abs > 1e-3
         assert by_name["part"].mode == "match" and by_name["part"].passed
+
+    def test_flat_stopped_path_is_a_passing_match(self):
+        # "flat" reaches the root only through the stop, but the stopped
+        # value does not move at the point: its differences are zero both
+        # as evaluated and on the surrogate, so the pair is a match of zero
+        # tape and zero difference, not a zero_tape failure
+        store = ParameterStore()
+        store.register("live", np.array([0.5, 1.0]))
+        store.register("flat", np.array([2.0, -1.0]))
+
+        def f(s):
+            live = ref.square(s["live"])
+            return held(lambda stopped: {
+                "loss": ref.reduce_sum(ref.add(ref.mul(stopped, live), live), -1),
+            }, ref.mul(0.0, ref.square(s["flat"])))
+
+        by_name = {r.param: r for r in finite_diff_check(f, store)}
+        flat = by_name["flat"]
+        assert flat.mode == "match" and flat.passed
+        assert flat.max_tape_abs == 0.0 and flat.max_fd_abs == 0.0
+        assert by_name["live"].mode == "match" and by_name["live"].passed
+
+    @pytest.mark.parametrize("slope, passed", [(1e-12, True), (1e-9, False)])
+    def test_gradient_leaking_through_a_flat_stop_fails_the_match(self, slope, passed):
+        # a finish that forgets the stop hands the tape the stopped value's
+        # slope, 2 * slope * x; the value 1e8 + slope * x^2 moves by under
+        # half an ulp, so every difference is exactly zero and the pair is a
+        # match, which fails once the leaked gradient is above about 1e-10
+        store = ParameterStore()
+        store.register("x", np.array([1.0, -0.5]))
+
+        def build(stopped):
+            return {"loss": ref.reduce_sum(stopped, -1)}
+
+        def f(s):
+            stopped = ref.add(1e8, ref.mul(slope, ref.square(s["x"])))
+            return build(stopped), stopped, build
+
+        (result,) = finite_diff_check(f, store)
+        assert result.mode == "match" and result.max_fd_abs == 0.0
+        assert result.max_tape_abs == 2.0 * slope
+        assert result.passed is passed
 
     def test_geodesic_kink_guard(self):
         # the check configuration builder rejects coincident-point setups

@@ -506,7 +506,7 @@ def tape_census(root):
     counts, seen, stack = {}, {id(root)}, [root]
     while stack:
         node = stack.pop()
-        op = node.name if node._parents or node.name == "stop_gradient" else "leaf"
+        op = node.name if node._parents else "leaf"
         counts[op] = counts.get(op, 0) + 1
         for parent in node._parents:
             if id(parent) not in seen:
@@ -520,7 +520,7 @@ def tape_census(root):
 # (``test_tape_vocabulary.py``)
 GRAPH_NODE_NAMES = {
     "lift_time", "lift_space", "uncertainty", "uncertainty_from_radius",
-    "pairwise_distance", "exterior_angle", "aperture", "leaky", "stop_gradient",
+    "pairwise_distance", "exterior_angle", "aperture", "leaky",
     "info_nce", "tempered", "sum_pair", "calibration", "weighted_total",
 }
 # the elementary ops of the tests' reference compositions and the other
@@ -579,11 +579,11 @@ class TestGraphBudget:
         assert counts["exterior_angle"] == counts["aperture"] == counts["leaky"] == 1
         # each report component is one node: a contrastive component sums
         # its two directions, the global and local ones reading their matrix
-        # along both axes, and calibration covers both part groups behind
-        # one stop-gradient
+        # along both axes, and calibration covers both part groups, reading
+        # their intra leaks by value
         assert counts["info_nce"] == 3
         assert counts["sum_pair"] == 2
-        assert counts["calibration"] == counts["stop_gradient"] == 1
+        assert counts["calibration"] == 1
         assert counts["tempered"] == 1
         assert counts["weighted_total"] == 1
         # the rows are aligned, so no gather
@@ -591,18 +591,18 @@ class TestGraphBudget:
         # the geometry and the loss arithmetic, the block sums among it, run
         # inside the fused nodes
         assert not REFERENCE_NODE_NAMES & set(counts)
-        # 19 built nodes and the 5 leaves (the groups, kappa, three taus)
+        # 18 built nodes and the 5 leaves (the groups, kappa, three taus)
         assert counts["leaf"] == 5
-        assert sum(counts.values()) == 24
+        assert sum(counts.values()) == 23
 
     def test_radius_ablation_is_one_node(self):
         counts = tape_census(total_loss(self.batch, LossConfig(uncertainty_from_radius=True),
                                         self.m).total)
         assert counts["uncertainty_from_radius"] == 1 and "uncertainty" not in counts
         assert not REFERENCE_NODE_NAMES & set(counts)
-        # 19 built nodes and the 2 leaves (the groups, kappa)
+        # 18 built nodes and the 2 leaves (the groups, kappa)
         assert counts["leaf"] == 2
-        assert sum(counts.values()) == 21
+        assert sum(counts.values()) == 20
 
     def test_graphs_build_the_listed_names(self):
         # the objective in both uncertainty forms
@@ -627,7 +627,7 @@ class TestGraphBudget:
 
     def test_training_step_gathers_the_batch_in_one_node(self):
         # materialize_batch writes the batch's stack with one gather over
-        # the four tables and their scales: the objective's 19 nodes plus
+        # the four tables and their scales: the objective's 18 nodes plus
         # the gather, over the store's 10 leaves
         cfg = TrainConfig()
         corpus = generate()
@@ -637,7 +637,17 @@ class TestGraphBudget:
                                         Manifold(store["kappa"])).total)
         assert counts["gather_scale"] == 1 and "stack" not in counts
         assert counts["leaf"] == 10
-        assert sum(counts.values()) - counts["leaf"] == 20
+        assert sum(counts.values()) - counts["leaf"] == 19
+
+    @pytest.mark.parametrize("graph", ["default", "wide", "check_grads"])
+    def test_only_parentless_nodes_are_the_parameters(self, graph):
+        # a stopped value is read by value, so it is no node of its own:
+        # every parentless node a step reaches is a registered parameter
+        store, root = _training_step_graph(graph)
+        params = {id(var): name for name, var in store.items()}
+        parentless = [node for node in ad._toposort(root) if not node._parents]
+        assert sorted(params.get(id(node), node.name) for node in parentless) \
+            == sorted(params.values())
 
     @pytest.mark.parametrize("graph", ["default", "wide", "include_positive",
                                        "uncertainty_from_radius", "negative_entropy",

@@ -1,9 +1,9 @@
 """The tape's vocabulary is what training builds, and each word is checked.
 
 The package's modules are read with ``ast``: every node name passed as a
-literal to ``fused(...)`` or to ``Var(...)`` (the stop-gradient node) must be
-a name that ``test_losses.TestGraphBudget`` finds in the objective's graphs
-or that the fused-op tests build and compare against their references.  An
+literal to ``fused(...)`` or to ``Var(...)`` must be a name that
+``test_losses.TestGraphBudget`` finds in the objective's graphs or that the
+fused-op tests build and compare against their references.  An
 elementary op added back to the package, or a new node name, fails here
 until a test covers it.
 """
@@ -65,8 +65,8 @@ def test_every_built_name_is_covered():
     uncovered = {name: where for name, where in names.items() if name not in covered}
     assert not uncovered
     assert not REFERENCE_NODE_NAMES & set(names)
-    # the stop-gradient node is built through Var, not fused
-    assert "stop_gradient" in names
+    # a stopped value is read by value: no node stands for the stop
+    assert "stop_gradient" not in names
 
 
 def test_no_elementary_op_defined_or_called():

@@ -15,13 +15,14 @@ import pytest
 from hypalign.autodiff import value_of
 from hypalign.errors import ContractViolationError, DomainError, NumericalConsistencyError
 from hypalign.evalmetrics import scaled_tables
-from hypalign.losses import LAYOUT, Batch, LossConfig, TemperatureSet, total_loss
+from hypalign.losses import LAYOUT, TAU_FLOOR, Batch, LossConfig, TemperatureSet, total_loss
 from hypalign.manifold import Manifold
 from hypalign.synthdata import generate, sample_batch
 from hypalign.trainer import (
     _EVAL_STREAM_TAG,
     _as_array,
     DECAY_EXCLUDE,
+    TEMPERATURE_PARAMS,
     AdamW,
     TrainConfig,
     config_hash,
@@ -310,7 +311,8 @@ class TestTrainLoop:
         # every array keeps its exact bits through save and load: signed
         # zero, subnormals, infinities, NaNs with payloads, extremes; a store
         # is built, and a run restored, only from parameters a run can leave
-        # behind, which here hold the finite small specials
+        # behind, which here hold the finite small specials (the curvature
+        # and the temperatures hold values inside the ranges training keeps)
         cfg = small_config(steps=4)
         store = init_parameters(small_corpus, cfg)
         opt = AdamW(store, cfg)
@@ -335,6 +337,8 @@ class TestTrainLoop:
             if name != "kappa":
                 var.value[...] = np.resize(small, var.value.shape)
         store["kappa"].value[...] = 1.0
+        for name in TEMPERATURE_PARAMS.values():
+            store[name].value[...] = TAU_FLOOR
         save_checkpoint(path, 2, store, opt, cfg)
         loaded = store_from_payload(load_checkpoint(path), path)
         store2 = init_parameters(small_corpus, cfg)
