@@ -18,7 +18,9 @@ numeric code serves both the differentiable training path and fast
 tape-free evaluation.  An op may read groups of a stacked Var's leading
 axis through :func:`pick`, which builds no node of its own: the op's node
 hands the sweep one adjoint per picked group, which the sweep adds into
-those groups of the stack's adjoint.
+those groups of the stack's adjoint.  On plain values a scalar operand may
+carry a run axis, ``(K,)``, which :func:`per_run` shapes against the
+operand's runs: the convention is written there once for every op.
 
 Conventions
 -----------
@@ -115,6 +117,40 @@ def is_var(x) -> bool:
 def value_of(x) -> Array:
     """Raw float64 array behind ``x`` (Var, Pick or array-like)."""
     return x.value if isinstance(x, (Var, Pick)) else np.asarray(x, dtype=np.float64)
+
+
+def per_run(x, shape: tuple, rows: int) -> Array:
+    """The value of a scalar ``x`` (curvature, a temperature, a modality
+    scale) shaped to meet an operand of ``shape``.
+
+    A 0-d scalar comes back as its value.  On plain values a scalar may
+    carry a run axis, ``(K,)``: K runs of the op, run ``j`` reading entry
+    ``j`` (as check-grads stacks the scalars' perturbations).  It meets the
+    operand's run axis, the axis just before its ``rows`` per-row axes, and
+    comes back as ``(K, 1, ..., 1)``: ``(K, 1)`` against per-row values
+    ``(..., K, B)`` (``rows=1``), ``(K, 1, 1)`` against a distance matrix
+    ``(K, B, B)`` or a batch ``(..., K, B, n)`` (``rows=2``).  An operand
+    without that axis raises rather than broadcast the runs over another
+    axis of length K, and so does a stacked Var: the tape stays 2-D.
+    """
+    v = value_of(x)
+    if not v.ndim:
+        return v
+    if is_var(x):
+        raise ContractViolationError(f"a scalar stacked over runs {v.shape} cannot be on the tape")
+    if v.ndim != 1 or len(shape) <= rows or shape[-1 - rows] != v.shape[0]:
+        raise ContractViolationError(
+            f"a scalar stacked over runs {v.shape} needs an operand with a run axis of that "
+            f"length before its {rows} per-row axes, not {tuple(shape)}")
+    return v.reshape(-1, *(1,) * rows)
+
+
+def run_values(x) -> list:
+    """Each run's value of a scalar, as floats: one for a 0-d scalar, K
+    for a run stack ``(K,)`` (see :func:`per_run`), so a range check covers
+    every run."""
+    v = value_of(x)
+    return v.ravel().tolist() if v.ndim else [float(v)]
 
 
 def sum_all(a: Array) -> Array:

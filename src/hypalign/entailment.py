@@ -9,7 +9,9 @@ outward, so abstract concepts near the origin entail wide regions.
 The ops work row by row over any leading axes: one apex/member pair of
 batches ``(B, n)``, or a stack of ``G`` such pairs ``(G, B, n)`` (read out
 of one lifted stack with ``LorentzPoint.groups``), which the training
-objective evaluates as one tape node per op.
+objective evaluates as one tape node per op.  On plain values a stack may
+carry a run axis, ``(G, K, B, n)``, against a ``(K,)`` curvature, one per
+run (``autodiff.per_run``).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def aperture(p: LorentzPoint, k: float, m: Manifold):
     """
     ps = value_of(p.space)
     norm = _nonzero_norm(ps, "cone aperture undefined at the origin")
-    kv = value_of(m.kappa)
+    kv = ad.per_run(m.kappa, norm.shape, 1)
     arg = 2.0 * float(k) / (np.sqrt(kv) * norm)
     clipped = np.clip(arg, 0.0, 1.0)
     omega = np.arcsin(clipped)
@@ -102,9 +104,10 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     One tape node, with adjoints for both points and ``kappa``.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
-    pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
+    pt, ps, qt, qs = (value_of(x) for x in inputs[:4])
     p_norm = _nonzero_norm(ps, "exterior angle undefined at the origin")
     inner = np.sum(ps * qs, axis=-1) - pt * qt
+    kv = ad.per_run(m.kappa, inner.shape, 1)
     beta = kv * inner
     coincident, root, den, cos_phi = _cos_angle(qt + pt * beta, beta * beta - 1.0, p_norm)
     worst = np.max(np.abs(cos_phi)) if cos_phi.size else 0.0

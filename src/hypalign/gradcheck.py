@@ -11,8 +11,11 @@ guard band.  Only the base evaluation builds a tape graph; the perturbed
 forwards run on plain values.  All perturbations of one table go through
 one forward, stacked along a new axis after the batch's group axis
 (``(4, K, B, n)``), whose roots come back with one value per perturbation,
-bit for bit those of that perturbation's own forward; each 0-d parameter's
-perturbation is a forward of its own.  A default check makes 17 forwards.
+bit for bit those of that perturbation's own forward.  The six 0-d
+parameters' perturbations go through one forward together: each scalar
+carries a run axis ``(12,)`` (``autodiff.per_run``), and the gather's
+stacked scales give the batch that run axis.  A default check makes 6
+forwards: the base, four table stacks and the scalar stack.
 The differences are taken on the surrogate the tape differentiates: each
 forward's report is finished again with calibration's stopped leak held at
 its base-point value (``LossReport.with_leak``).  A pair whose surrogate
@@ -74,15 +77,18 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
     place (None when nothing is stopped).  The base evaluation is handed the
     store's Vars: its graph gives every root's tape gradient and the base
     stopped value.  Every perturbed evaluation is handed plain arrays and
-    builds no graph.  An array parameter's perturbations (each sampled
-    coordinate at +step, then each at -step) go to ``f`` at once, as one
-    stack along a new leading axis of that parameter, with the others at
-    their values; ``f`` must then give each root (and the stand-in's roots)
-    with that axis, one value per perturbation, each as ``f`` would give it
-    for that perturbation alone, or as one value if the root does not read
-    the parameter.  A 0-d parameter's perturbations are evaluated one at a
-    time.  Each perturbed evaluation is finished with the base stopped
-    value, so the differences are those of the surrogate the tape
+    builds no graph.  A stack is a set of parameters perturbed together:
+    each array parameter alone, and the 0-d parameters together.  A stack's
+    perturbations (each sampled coordinate at +step, then each at -step)
+    go to ``f`` at once, along a new leading axis of each of its
+    parameters (a 0-d parameter becomes ``(K,)``): run ``j`` moves one
+    sampled coordinate of one of them and leaves every other value as it
+    is.  ``f`` must then give each root (and the stand-in's roots) with
+    that axis, one value per perturbation, each as ``f`` would give it for
+    that perturbation alone, or as one value if the root does not read the
+    stack's parameters; a root of any other shape is refused, naming the
+    stack's parameters.  Each perturbed evaluation is finished with the
+    base stopped value, so the differences are those of the surrogate the tape
     differentiates, where the stopped factor contributes its value but no
     derivative.  Relative error uses the floor
     ``max(|fd|, |tape|, 1e-6)`` so agreeing near-zero gradients pass.  A
@@ -105,61 +111,71 @@ def finite_diff_check(f, store: ParameterStore, *, step: float = DEFAULT_STEP,
     base = None if stopped is None else value_of(stopped).copy()
     values = {name: var.value for name, var in params.items()}
     rng = np.random.default_rng(seed)
+    coords = {name: np.arange(v.size) if v.size <= max_coords
+              else rng.choice(v.size, size=max_coords, replace=False)
+              for name, v in values.items()}
 
-    def evaluate(name: str, perturbed, shape: tuple = ()) -> np.ndarray:
+    def evaluate(perturbed: dict, k: int) -> np.ndarray:
         # every root of the surrogate, then of the objective as evaluated,
-        # each of the perturbations' shape: (2, roots, *shape)
-        live, _, finish = f({**values, name: perturbed})
+        # one value per run of the stack: (2, roots, k)
+        live, _, finish = f({**values, **perturbed})
         held = live if finish is None else finish(base)
         try:
-            return np.array([[np.broadcast_to(value_of(rs[r]), shape) for r in names]
+            return np.array([[np.broadcast_to(value_of(rs[r]), (k,)) for r in names]
                              for rs in (held, live)])
         except ValueError:
+            stacked = ", ".join(f"'{name}'" for name in perturbed)
             raise ContractViolationError(
-                f"f gave a root that is not one value per perturbation of '{name}'") from None
+                f"f gave a root that is not one value per perturbation of {stacked}") from None
 
-    sweeps = {}
-    for name, value in values.items():
-        flat = value.ravel()
-        size = flat.size
-        if size <= max_coords:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=max_coords, replace=False)
-        n = len(coords)
-        if value.ndim:
-            stack = np.repeat(flat[None], 2 * n, axis=0)
-            stack[np.arange(n), coords] = flat[coords] + step
-            stack[np.arange(n, 2 * n), coords] = flat[coords] - step
-            both = evaluate(name, stack.reshape(2 * n, *value.shape), (2 * n,))
-            f_plus, f_minus = both[..., :n], both[..., n:]
-        else:
-            f_plus = evaluate(name, value + step)[..., None]
-            f_minus = evaluate(name, value - step)[..., None]
-        # (surrogate or as evaluated, root, coordinate)
-        frozen, raw = (f_plus - f_minus) / (2.0 * step)
-        zero = {r for j, r in enumerate(names)
-                if np.all(frozen[j] == 0.0) and np.any(raw[j] != 0.0)}
-        sweeps[name] = (coords, frozen, raw, zero)
+    # (surrogate or as evaluated, root, coordinate) differences per parameter
+    diffs = {}
+    stacks = [[name] for name, v in values.items() if v.ndim]
+    scalars = [name for name, v in values.items() if not v.ndim]
+    if scalars:
+        stacks.append(scalars)
+    for stack in stacks:
+        # the stack's parameters as one vector; run j < n moves its j-th
+        # sampled coordinate by +step, run n + j by -step
+        offsets = np.cumsum([0, *(values[name].size for name in stack)])
+        flat = np.concatenate([values[name].ravel() for name in stack])
+        at = np.concatenate([coords[name] + o for name, o in zip(stack, offsets)])
+        n = len(at)
+        runs = np.repeat(flat[None], 2 * n, axis=0)
+        runs[np.arange(n), at] = flat[at] + step
+        runs[np.arange(n, 2 * n), at] = flat[at] - step
+        both = evaluate({name: runs[:, lo:hi].reshape(2 * n, *values[name].shape)
+                         for name, lo, hi in zip(stack, offsets, offsets[1:])}, 2 * n)
+        frozen, raw = (both[..., :n] - both[..., n:]) / (2.0 * step)
+        cols = np.cumsum([0, *(len(coords[name]) for name in stack)])
+        for name, lo, hi in zip(stack, cols, cols[1:]):
+            diffs[name] = frozen[:, lo:hi], raw[:, lo:hi]
+
+    # each parameter's statistics, one reduction over its (root, coordinate)
+    # arrays each, as one list per statistic with an entry per root
+    stats = {}
+    for name, (frozen, raw) in diffs.items():
+        tape = np.array([tapes[r][name].ravel() for r in names])
+        sampled = tape[:, coords[name]]
+        rel = np.abs(frozen - sampled) / np.maximum(
+            np.maximum(np.abs(frozen), np.abs(sampled)), _REL_FLOOR)
+        zero = np.all(frozen == 0.0, axis=1) & np.any(raw != 0.0, axis=1)
+        stats[name] = (zero.tolist(), np.max(rel, axis=1, initial=0.0).tolist(),
+                       np.max(np.abs(tape), axis=1, initial=0.0).tolist(),
+                       np.max(np.abs(np.where(zero[:, None], raw, frozen)), axis=1,
+                              initial=0.0).tolist())
 
     results = []
     for j, root in enumerate(names):
-        for name, (coords, frozen, raw, zero) in sweeps.items():
-            tape_flat = tapes[root][name].ravel()
-            max_tape = float(np.max(np.abs(tape_flat), initial=0.0))
-            if root in zero:
-                max_fd = float(np.max(np.abs(raw[j]), initial=0.0))
-                results.append(CheckResult(root, name, "zero_tape", float("nan"),
-                                           max_tape, max_fd, len(coords),
-                                           max_tape == 0.0 and max_fd > 1e-8))
-                continue
-            fd, tape = frozen[j], tape_flat[coords]
-            rel = np.abs(fd - tape) / np.maximum(np.maximum(np.abs(fd), np.abs(tape)),
-                                                 _REL_FLOOR)
-            max_rel = float(np.max(rel, initial=0.0))
-            results.append(CheckResult(root, name, "match", max_rel, max_tape,
-                                       float(np.max(np.abs(fd), initial=0.0)),
-                                       len(coords), max_rel < tolerance))
+        for name in values:
+            zero, max_rel, max_tape, max_fd = (stat[j] for stat in stats[name])
+            n = len(coords[name])
+            if zero:
+                results.append(CheckResult(root, name, "zero_tape", float("nan"), max_tape,
+                                           max_fd, n, max_tape == 0.0 and max_fd > 1e-8))
+            else:
+                results.append(CheckResult(root, name, "match", max_rel, max_tape, max_fd, n,
+                                           max_rel < tolerance))
     return results
 
 

@@ -25,9 +25,12 @@ sizes.
 On plain values the objective also takes ``K`` batches at once, stacked
 after the group axis as ``(4, K, B, n)``: every reduction runs per row over
 the last axis, so each report component and the total come back with shape
-``(K,)``, each entry bit for bit the value of that batch alone.
-``gradcheck`` evaluates a table's perturbations that way; the tape takes
-one batch.
+``(K,)``, each entry bit for bit the value of that batch alone.  The
+curvature and the temperatures may then be ``(K,)`` too, one per batch of
+the stack (``autodiff.per_run``); :func:`total_loss` refuses such a scalar
+against a batch without that run axis.  ``gradcheck`` evaluates a table's
+perturbations that way, and the scalars' perturbations together; the tape
+takes one batch and 0-d scalars.
 
 Each of the six report components is one tape node with a hand-derived
 vector-Jacobian product, built through ``autodiff.fused``: ``info_nce``
@@ -68,7 +71,9 @@ TAU_FLOOR = 0.01        # the trainer clamps each learned temperature back to it
 @dataclass(frozen=True)
 class TemperatureSet:
     """Logit scales for the global, local, and global-local contrastive
-    terms; each is clamped to >= ``TAU_FLOOR`` by the trainer."""
+    terms; each is clamped to >= ``TAU_FLOOR`` by the trainer.  A plain
+    ``(K,)`` array is one temperature per run of a stacked forward
+    (``autodiff.per_run``), each run held to the floor."""
 
     tau_global: object = 0.07
     tau_local: object = 0.07
@@ -76,7 +81,7 @@ class TemperatureSet:
 
     def __post_init__(self):
         for f in fields(self):
-            if float(value_of(getattr(self, f.name))) < TAU_FLOOR:
+            if any(tau < TAU_FLOOR for tau in ad.run_values(getattr(self, f.name))):
                 raise DomainError(f.name, f"below the {TAU_FLOOR} floor")
 
 
@@ -197,12 +202,13 @@ def _nce(dists, tau, include_positive: bool, transposed: bool):
     matrices gives a ``(K,)`` loss (the VJP takes one matrix).
 
     ``tau`` is a scalar or a per-anchor-row vector (``(K, B)`` against a
-    stack).  Per row, the adjoint of the logits ``-d/tau`` is the softmax
-    over its denominator minus the one-hot of its positive; the distances'
-    adjoint is that over ``-tau``.  The logits become the exponentials in
-    place, and the adjoint is built in one array; the row sums read the
-    masked logits C-ordered and the unmasked ones in ``d``'s own order, the
-    layouts that fix their bits.
+    stack, or ``(K, 1)`` for a scalar's runs, which a ``(K,)`` tau here
+    could not be told from).  Per row, the adjoint of the logits ``-d/tau``
+    is the softmax over its denominator minus the one-hot of its positive;
+    the distances' adjoint is that over ``-tau``.  The logits become the
+    exponentials in place, and the adjoint is built in one array; the row
+    sums read the masked logits C-ordered and the unmasked ones in ``d``'s
+    own order, the layouts that fix their bits.
     """
     dv, tv = value_of(dists), value_of(tau)
     d = np.swapaxes(dv, -1, -2) if transposed else dv
@@ -264,7 +270,7 @@ def _tempered(u, tau_global_local):
     """``exp(u/2) * tau_gl`` per row (of one group or a stack), one tape
     node."""
     half = np.exp(value_of(u) / 2.0)
-    tau = value_of(tau_global_local)
+    tau = ad.per_run(tau_global_local, half.shape, 1)
     return ad.fused(half * tau, "tempered", (u, tau_global_local),
                     lambda g: (g * tau * half / 2.0, np.sum(g * half)))
 
@@ -399,6 +405,14 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
     def nce(*terms):
         return _info_nce(terms, include_positive)
 
+    def scalar_tau(tau, d):
+        # _nce cannot tell a scalar's runs (K,) from per-row temperatures
+        # (B,), so a run stack goes there as per-row (K, 1), which it reads
+        # as (K, 1, 1) against the matrices; a 0-d tau (a Var on the tape)
+        # goes as it is
+        runs = ad.per_run(tau, value_of(d).shape, 2)
+        return runs[..., 0] if runs.ndim else tau
+
     def dist(pair):
         # off the tape a matrix read by one term is freed once that term is
         # built, so at most three are alive at a time
@@ -407,15 +421,15 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
 
     d_glob = dist(GLOBAL)
     d_loc = dist(LOCAL)
+    tau_g = scalar_tau(temps.tau_global, d_glob)
+    tau_l = scalar_tau(temps.tau_local, d_loc)
     tau_rows = _tempered(s.u, temps.tau_global_local)
     return {
         "contrastive_globallocal": nce(
             (dist(GLOBAL_LOCAL_IMAGE), ad.pick(tau_rows, U_IMAGE), False),
             (dist(GLOBAL_LOCAL_TEXT), ad.pick(tau_rows, U_TEXT), False)),
-        "contrastive_global": nce((d_glob, temps.tau_global, False),
-                                  (d_glob, temps.tau_global, True)),
-        "contrastive_local": nce((d_loc, temps.tau_local, False),
-                                 (d_loc, temps.tau_local, True)),
+        "contrastive_global": nce((d_glob, tau_g, False), (d_glob, tau_g, True)),
+        "contrastive_local": nce((d_loc, tau_l, False), (d_loc, tau_l, True)),
     }
 
 
@@ -504,10 +518,22 @@ def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold) -> float:
                                  cfg.lambda_intra, cfg.lambda_cal))
 
 
+def _check_runs(batch: Batch, scalars) -> None:
+    """Raise unless every scalar stacked over runs, ``(K,)``, meets a batch
+    stacked over as many, ``(4, K, B, n)``.  The group axis leads the batch,
+    so one group's shape shows its run axis, which an op's per-row operand
+    cannot tell apart from the group axis when K is the group count."""
+    group = value_of(batch.groups).shape[1:]
+    for x in scalars:
+        ad.per_run(x, group, 2)
+
+
 def total_loss(batch: Batch, cfg: LossConfig, m: Manifold) -> LossReport:
     """Full objective: contrastive block plus ``lambda_ent`` times the
     entailment block, with the component decomposition and what
     :meth:`LossReport.with_leak` finishes it again from."""
+    temps = cfg.temps
+    _check_runs(batch, (m.kappa, temps.tau_global, temps.tau_local, temps.tau_global_local))
     s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
     con = _contrastive_terms(s, cfg.temps, m, cfg.include_positive)
     ent, leak = _entailment_terms(s, cfg, m)

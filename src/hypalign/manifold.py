@@ -22,7 +22,12 @@ lifted stack for the ops that take points (the entailment ops run over the
 same stack; :func:`pairwise_distance` reads one group per side).  On plain
 values any leading axes work the same way, ``(..., B, n)``: each row is
 computed as alone, and :func:`pairwise_distance` gives one ``(Bp, Bq)``
-matrix per leading index.
+matrix per leading index.  There a plain ``kappa`` may also carry a run
+axis, ``(K,)``: one curvature per run of a stack ``(..., K, B, n)``, which
+:func:`lift`, :func:`pairwise_distance` and :func:`hyperbolic_radius` read
+through ``autodiff.per_run``, each run computed as alone with its own
+curvature (check-grads perturbs ``kappa`` that way); an operand without that
+run axis raises.
 
 Double precision keeps the exp/log round trip accurate to ~1e-9 for radii
 up to ~45.  The distance is not: ``acosh(-kappa <p,q>_L)`` of a
@@ -51,17 +56,19 @@ class Manifold:
     """Curvature parameter; immutable once constructed.
 
     ``kappa`` may be a plain float or a learnable ``Var``; its value must lie
-    in [0.1, 10] (the trainer re-projects after every update).
+    in [0.1, 10] (the trainer re-projects after every update).  A plain
+    ``(K,)`` array is K curvatures, one per run of a stacked forward
+    (``autodiff.per_run``), each checked against that range.
     """
 
     kappa: float | Var
 
     def __post_init__(self):
-        k = float(value_of(self.kappa))
-        if not (KAPPA_MIN <= k <= KAPPA_MAX):
-            raise ContractViolationError(
-                f"curvature {k} outside [{KAPPA_MIN}, {KAPPA_MAX}]"
-            )
+        for k in ad.run_values(self.kappa):
+            if not (KAPPA_MIN <= k <= KAPPA_MAX):
+                raise ContractViolationError(
+                    f"curvature {k} outside [{KAPPA_MIN}, {KAPPA_MAX}]"
+                )
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,14 @@ def lift(v, m: Manifold) -> LorentzPoint:
     written in terms of ``y = kappa |v|^2`` so the zero vector maps exactly
     to the origin with smooth gradients.  ``v`` is one point ``(n,)``, a
     batch ``(B, n)`` or a stack of groups ``(G, B, n)``; each row is lifted
-    on its own.  On the tape the time and space components are one node
-    each, with adjoints for ``v`` and ``kappa``.
+    on its own.  A plain ``(K,)`` curvature lifts the runs of a stacked
+    ``(..., K, B, n)`` each with its own (``autodiff.per_run``).  On the
+    tape the time and space components are one node each, with adjoints for
+    ``v`` and ``kappa``.
     """
-    vv, kv = value_of(v), value_of(m.kappa)
+    vv = value_of(v)
     s = np.sum(vv * vv, axis=-1)
+    kv = ad.per_run(m.kappa, s.shape, 1)
     y = kv * s
     sqrt_k = np.sqrt(kv)
     time = ad._cosh_sqrt_val(y) / sqrt_k
@@ -152,7 +162,8 @@ def acosh_argument(pt, ps, qt, qs, kappa):
     two plain point batches, and the unclamped acosh argument ``-kappa
     <p_i, q_j>_L`` of their distances: one matmul and one outer product,
     over any leading stack axes the batches share (``ps`` ``(..., Bp, n)``,
-    ``pt`` ``(..., Bp)``)."""
+    ``pt`` ``(..., Bp)``).  ``kappa`` is a value, or one per stacked batch
+    as :func:`autodiff.per_run` shapes it, ``(K, 1, 1)``."""
     inner = ps @ np.swapaxes(qs, -1, -2)
     inner -= pt[..., :, None] * qt[..., None, :]
     z = np.multiply(kappa, inner)
@@ -170,16 +181,18 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     matrices of different pairs are never stacked, so each ``(Bp, Bq)``
     array stays small enough for the cache.  Plain batches may carry
     leading stack axes, ``(..., Bp, n)`` against ``(..., Bq, n)``, for a
-    ``(..., Bp, Bq)`` stack of matrices, each entry computed as alone; the
-    tape takes 2-D batches only.  The forward and the VJP each work in a
-    few arrays of the matrix's shape, updated in place.
+    ``(..., Bp, Bq)`` stack of matrices, each entry computed as alone, and
+    a plain ``(K,)`` curvature then gives matrix ``k`` of a ``(K, Bp, Bq)``
+    stack its own; the tape takes 2-D batches only.  The forward and the
+    VJP each work in a few arrays of the matrix's shape, updated in place.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
-    pt, ps, qt, qs, kv = (value_of(x) for x in inputs)
+    pt, ps, qt, qs = (value_of(x) for x in inputs[:4])
     if (ad.is_var(p.space) or ad.is_var(q.space)) and (ps.ndim != 2 or qs.ndim != 2):
         raise ContractViolationError("pairwise_distance takes 2-D point batches")
     # a single plain point is a batch of one
     pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
+    kv = ad.per_run(m.kappa, ps.shape, 2)
     inner, zc = acosh_argument(pt, ps, qt, qs, kv)
     ad._acosh_clamp(zc, out=zc)
     sqrt_k = np.sqrt(kv)
@@ -211,10 +224,11 @@ def hyperbolic_radius(x, m: Manifold):
     sqrt(kappa)`` for large ones; strictly increasing in ``|x|``.  The
     metrics, eval, export and radius uncertainty apply it to a tangent row
     ``v``, where it reads ``asinh(sqrt(kappa)|v|)/sqrt(kappa)``, not ``|v|``.
+    A plain ``(K,)`` curvature meets the runs of ``(..., K, B, n)``.
     """
     xv = np.asarray(x, dtype=float)
     s = np.sum(xv * xv, axis=-1)
-    return ad._asinhc_sqrt_val(value_of(m.kappa) * s) * np.sqrt(s)
+    return ad._asinhc_sqrt_val(ad.per_run(m.kappa, s.shape, 1) * s) * np.sqrt(s)
 
 
 def from_space(x, m: Manifold) -> LorentzPoint:

@@ -143,16 +143,25 @@ def _gather_scaled(sources):
     table's adjoint assigns distinct rows (every training batch's) and
     scatter-adds repeated ones.  A plain table may carry a leading stack
     axis, ``(K, rows, n)``: the group then reads ``K`` tables, and every
-    group is broadcast to that stack."""
-    values = [(value_of(t), rows, value_of(c)) for t, rows, c in sources]
-    picked = [tv[..., rows, :] for tv, rows, _ in values]
+    group is broadcast to that stack.  A plain scale may carry a run axis,
+    ``(K,)`` (``autodiff.per_run``): its group reads the table's rows once
+    per run, or the rows of a stacked table's ``K`` runs."""
+    values, picked, scales = [], [], []
+    for t, rows, c in sources:
+        tv, cv = value_of(t), value_of(c)
+        p = tv[..., rows, :]
+        if cv.ndim and p.ndim == 2:
+            p = np.broadcast_to(p, (cv.size, *p.shape))
+        values.append((tv, rows))
+        picked.append(p)
+        scales.append(ad.per_run(c, p.shape, 2))
     out = np.empty((len(picked), *np.broadcast_shapes(*(p.shape for p in picked))))
-    for (_, _, cv), p, o in zip(values, picked, out):
+    for cv, p, o in zip(scales, picked, out):
         np.multiply(cv, p, out=o)
 
     def vjp(g):
         adj = []
-        for (tv, rows, cv), p, gk in zip(values, picked, g):
+        for (tv, rows), cv, p, gk in zip(values, scales, picked, g):
             acc = np.zeros(tv.shape)
             if np.unique(rows).size == len(rows):
                 acc[rows] = gk * cv
@@ -465,12 +474,21 @@ def _check_lift_range(store: ParameterStore, path) -> None:
 
 def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
     """Load the checkpoint file ``path`` into live state; returns the step
-    to resume from.  The configuration hash must match exactly."""
+    to resume from.  The configuration hash must match exactly, and each
+    table must have this run's shape (the hash does not cover the corpus,
+    which sets the rows)."""
     payload = load_checkpoint(path)
     if payload["config_hash"] != config_hash(cfg):
         raise ContractViolationError(
             f"{path}: checkpoint was produced with a different configuration")
-    store.load(store_from_payload(payload, path).snapshot())
+    loaded = store_from_payload(payload, path)
+    for name in TABLES:
+        have, want = loaded[name].value.shape, store[name].value.shape
+        if have != want:
+            raise ContractViolationError(
+                f"{path}: checkpoint parameter {name!r} has shape {have}, but this run's "
+                f"table has shape {want}")
+    store.load(loaded.snapshot())
     for name in opt.m:
         shape = store[name].value.shape
         for field, moments in (("opt_m", opt.m), ("opt_v", opt.v)):

@@ -856,6 +856,24 @@ class TestMalformedInputFiles:
         message = json.loads(errors[0].partition("message=")[2])
         assert message.startswith(f"{run['checkpoint']}:") and f"{field}['kappa']" in message
 
+    def test_resume_on_a_corpus_of_another_size(self, run, capsys, tmp_path):
+        # the checkpoint was trained on 8 scenes of 2 parts; the same
+        # configuration on 16 scenes hashes alike, and only the tables' rows
+        # differ: the first table, in store order, is named
+        other = tmp_path / "other.txt"
+        assert main(["generate", "--scenes", "16", "--parts", "2", "--seed", "7",
+                     "--latent-dim", "16", "--out", str(other)]) == 0
+        code = main(["train", "--corpus", str(other), "--out", str(tmp_path / "r2"),
+                     "--steps", "2", "--batch-size", "4", "--seed", "7",
+                     "--resume", str(run["checkpoint"])])
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1 and len(errors) == 1
+        assert errors[0].startswith("error kind=contract message=")
+        assert json.loads(errors[0].partition("message=")[2]) == (
+            f"{run['checkpoint']}: checkpoint parameter 'table_scene_img' has shape (8, 16), "
+            "but this run's table has shape (16, 16)")
+
     @pytest.mark.parametrize("command", ["eval", "export", "train"])
     @pytest.mark.parametrize("name, entry, value, detail", [
         ("table_part_img", 0, np.nan, "holds a non-finite entry"),

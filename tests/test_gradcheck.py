@@ -11,7 +11,7 @@ import hypalign.autodiff as ad
 from hypalign.autodiff import ParameterStore, value_of
 import hypalign.gradcheck as gradcheck
 import hypalign.losses as losses
-from hypalign.errors import ContractViolationError, NumericalConsistencyError
+from hypalign.errors import ContractViolationError, DomainError, NumericalConsistencyError
 from hypalign.gradcheck import (
     CheckResult,
     build_check_problem,
@@ -19,8 +19,8 @@ from hypalign.gradcheck import (
     format_results,
     run_check_grads,
 )
-from hypalign.losses import Batch, LossConfig, total_loss
-from hypalign.manifold import Manifold, geodesic_distance, lift
+from hypalign.losses import Batch, LossConfig, TemperatureSet, total_loss
+from hypalign.manifold import Manifold, geodesic_distance, lift, pairwise_distance
 from hypalign.synthdata import generate, sample_batch
 from hypalign.trainer import (TrainConfig, init_parameters, loss_config_with_vars,
                               materialize_batch)
@@ -117,13 +117,31 @@ class TestFiniteDiffCheck:
         with pytest.raises(ContractViolationError, match="one value per perturbation of 'x'"):
             finite_diff_check(lambda s: ({"loss": ref.reduce_sum(s["x"], 0)}, None, None), store)
 
+    def test_root_without_one_value_per_run_of_the_scalar_stack_refused(self):
+        # the 0-d parameters go to f as one stack of runs (K,) = (4,): a sum
+        # over the last axis of the pair (a, b) gives a pair of 0-d values
+        # one value, but a pair of run stacks (2, 4) two values, not one per run
+        store = ParameterStore()
+        store.register("x", np.ones(3))
+        store.register("a", 0.5)
+        store.register("b", 2.0)
+
+        def f(s):
+            pair = ref.reduce_sum(ref.stack([s["a"], s["b"]]), -1)
+            return {"loss": ref.add(ref.reduce_sum(s["x"], -1), pair)}, None, None
+
+        with pytest.raises(ContractViolationError,
+                           match="one value per perturbation of 'a', 'b'$"):
+            finite_diff_check(f, store)
+
     @pytest.mark.parametrize("max_coords,coords", [(200, 8), (1, 4)])
     def test_one_forward_per_evaluation_for_every_root(self, max_coords, coords):
         # one base forward, one stacked evaluation per array parameter, and
-        # one evaluation per perturbation of the 0-d one; each gives both
-        # roots of the surrogate and of the function as evaluated, so the
-        # parameter that reaches a root only through the stopped value
-        # costs no evaluation more
+        # one for the 0-d one's perturbations, a run axis (2,) which f
+        # applies to the sum it scales; each gives both roots of the
+        # surrogate and of the function as evaluated, so the parameter that
+        # reaches a root only through the stopped value costs no evaluation
+        # more
         store = ParameterStore()
         store.register("live", np.array([0.5, 1.0]))
         store.register("stopped", np.array([2.0, -1.0]))
@@ -135,15 +153,15 @@ class TestFiniteDiffCheck:
             nonlocal calls
             calls += 1
             live = ref.square(s["live"])
-            other = ref.mul(s["scale"], ref.square(s["other"]))
-            plain = ref.add(ref.reduce_sum(live, -1), ref.reduce_sum(other, -1))
+            other = ref.mul(s["scale"], ref.reduce_sum(ref.square(s["other"]), -1))
+            plain = ref.add(ref.reduce_sum(live, -1), other)
             return held(lambda stopped: {
                 "plain": plain, "weighted": ref.reduce_sum(ref.mul(stopped, live), -1),
             }, ref.square(s["stopped"]))
 
         results = finite_diff_check(f, store, max_coords=max_coords)
         assert sum(r.n_coords for r in results) == 2 * coords
-        assert calls == 1 + 3 + 2
+        assert calls == 1 + 3 + 1
         assert [(r.loss, r.param) for r in results] == [
             (root, p) for root in ("plain", "weighted")
             for p in ("live", "stopped", "other", "scale")]
@@ -297,8 +315,8 @@ class TestFullSweep:
         # the gather makes every table a graph ancestor of calibration; the
         # frozen differences still find the three pairs behind the stop.
         # One base forward on the tape, then plain forwards: one stack of
-        # its 2 * 48 perturbations per table, and one forward per
-        # perturbation of each of the six 0-d parameters
+        # its 2 * 48 perturbations per table, and one stack of the 2 * 6
+        # perturbations of the six 0-d parameters together
         calls, graphs = 0, 0
         total_loss = gradcheck.total_loss
 
@@ -314,7 +332,7 @@ class TestFullSweep:
         assert sum(r.mode == "zero_tape" for r in results) == 3
         coords = {r.param: r.n_coords for r in results}
         assert sum(coords.values()) == 198 == 4 * 48 + 6
-        assert calls == 17 == 1 + 4 + 2 * 6
+        assert calls == 6 == 1 + 4 + 1
         assert graphs == 1
 
     # SHA-256 of repr(results) at the default settings, as the check made
@@ -410,6 +428,47 @@ class TestStackedForward:
         for case in self._table_stacks(1, cfg):
             _assert_stack_matches(*case)
 
+    @staticmethod
+    def _scalar_stack(store, idx, cfg):
+        # the 0-d parameters' perturbations as finite_diff_check stacks
+        # them: run j moves scalar j by +step, run 6 + j by -step, and each
+        # scalar goes to the objective as its column of the runs, (12,)
+        values = {name: var.value for name, var in store.items()}
+        names = [name for name, v in values.items() if not v.ndim]
+        assert names == PARAMS[4:]
+        n = len(names)
+        runs = np.repeat(np.array([values[name] for name in names])[None], 2 * n, axis=0)
+        runs[np.arange(n), np.arange(n)] += gradcheck.DEFAULT_STEP
+        runs[np.arange(n, 2 * n), np.arange(n)] -= gradcheck.DEFAULT_STEP
+
+        def evaluate(scalars):
+            params = {**values, **scalars}
+            return total_loss(materialize_batch(params, idx), loss_config_with_vars(cfg, params),
+                              Manifold(params["kappa"]))
+
+        return (evaluate, dict(zip(names, runs.T)), [dict(zip(names, run)) for run in runs],
+                evaluate({}).leak)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_check_problem_scalar_stack(self, seed):
+        store, idx, cfg = build_check_problem(seed)
+        _assert_stack_matches(*self._scalar_stack(store, idx, cfg))
+
+    def test_flag_variants_scalar_stack(self):
+        store, idx, _ = build_check_problem(1)
+        cfg = LossConfig(include_positive=True, uncertainty_from_radius=True,
+                         entropy_sign=-1.0)
+        _assert_stack_matches(*self._scalar_stack(store, idx, cfg))
+
+    def test_wide_training_batch_scalar_stack(self):
+        # the scalar stack on a training batch at train_wide's shape: 512
+        # scenes, dimension 64, batch 256, so the runs are (4, 12, 256, 64)
+        corpus = generate(num_scenes=512, parts_per_scene=4, latent_dim=64)
+        cfg = TrainConfig(table_dim=64, batch_size=256)
+        store = init_parameters(corpus, cfg)
+        idx = sample_batch(corpus, cfg.batch_size, [cfg.seed, 0])
+        _assert_stack_matches(*self._scalar_stack(store, idx, cfg.loss))
+
     def test_training_batches_stack(self):
         # three sampled batches at the default training shape, as (4, 3, 32, 16)
         corpus, cfg = generate(), TrainConfig()
@@ -426,3 +485,55 @@ class TestStackedForward:
         stack = np.stack(groups, axis=1)
         assert stack.shape == (4, 3, 32, 16)
         _assert_stack_matches(evaluate, stack, groups, evaluate(groups[0]).leak)
+
+
+class TestScalarRuns:
+    """A scalar stacked over runs, ``(K,)``, meets only an operand that
+    carries a run axis of that length, stays off the tape, and has every
+    run range-checked."""
+
+    B, N = 6, 3
+
+    def _groups(self, *runs):
+        return np.random.default_rng(5).normal(size=(4, *runs, self.B, self.N)) * 0.5
+
+    # K = 4 is the group count and K = B the batch size: axes a silent
+    # broadcast would pair the runs with
+    @pytest.mark.parametrize("k", [2, 4, B])
+    @pytest.mark.parametrize("scalar", ["kappa", "tau_global", "tau_local",
+                                        "tau_global_local"])
+    def test_stacked_scalar_against_a_batch_without_its_runs_refused(self, k, scalar):
+        runs = np.full(k, 1.3 if scalar == "kappa" else 0.07)
+        m = Manifold(runs if scalar == "kappa" else 1.3)
+        cfg = LossConfig() if scalar == "kappa" else LossConfig(
+            temps=TemperatureSet(**{scalar: runs}))
+        for groups in (self._groups(), self._groups(k + 1)):
+            with pytest.raises(ContractViolationError, match="run axis of that length"):
+                total_loss(Batch(groups), cfg, m)
+        assert value_of(total_loss(Batch(self._groups(k)), cfg, m).total).shape == (k,)
+
+    @pytest.mark.parametrize("k", [4, B])
+    def test_ops_refuse_an_operand_without_the_runs(self, k):
+        m = Manifold(np.full(k, 1.3))
+        groups = self._groups()
+        with pytest.raises(ContractViolationError, match="run axis of that length"):
+            lift(groups[0], m)
+        points = lift(self._groups(k), m)
+        with pytest.raises(ContractViolationError, match="run axis of that length"):
+            pairwise_distance(points.groups(0), points.groups(1), Manifold(np.ones(k + 1)))
+
+    def test_stacked_var_refused_on_the_tape(self):
+        kappa = ad.Var(np.full(4, 1.3), name="kappa")
+        groups = ad.Var(self._groups(4), name="groups")
+        with pytest.raises(ContractViolationError, match="cannot be on the tape"):
+            total_loss(Batch(groups), LossConfig(), Manifold(kappa))
+        with pytest.raises(ContractViolationError, match="cannot be on the tape"):
+            lift(ad.Var(self._groups()[0]), Manifold(ad.Var(np.full(self.B, 1.3))))
+
+    def test_every_run_range_checked(self):
+        with pytest.raises(ContractViolationError, match="curvature 20.0 outside"):
+            Manifold(np.array([1.0, 20.0, 1.0]))
+        with pytest.raises(DomainError, match="tau_local"):
+            TemperatureSet(tau_local=np.array([0.07, 0.001]))
+        Manifold(np.array([0.1, 10.0]))
+        TemperatureSet(tau_global=np.array([0.01, 5.0]))

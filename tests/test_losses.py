@@ -692,6 +692,18 @@ def total_loss_roots(report):
             lambda leak: {"loss": report.with_leak(leak).total})
 
 
+def check_batch(s):
+    """The batch of the four groups in ``s`` for ``finite_diff_check``'s
+    ``f``: with the 0-d parameters stacked over runs ``(K,)``, the groups
+    are broadcast over that run axis, ``(4, K, B, n)``, which the
+    objective requires of a stacked curvature."""
+    groups = ref.stack([s[name] for name in GROUP_NAMES])
+    runs = np.shape(value_of(s["kappa"]))
+    if runs:
+        groups = np.broadcast_to(groups[:, None], (len(GROUP_NAMES), *runs, *groups.shape[1:]))
+    return Batch(groups)
+
+
 class TestLossGradients:
     @pytest.mark.parametrize("b,n,seed", [(2, 3, 101), (4, 16, 103), (8, 16, 105)])
     def test_total_loss_gradients_match_fd(self, b, n, seed):
@@ -709,8 +721,7 @@ class TestLossGradients:
                 tau_global=s["tau_g"], tau_local=s["tau_l"],
                 tau_global_local=s["tau_gl"],
             ))
-            batch = Batch(ref.stack([s[name] for name in GROUP_NAMES]))
-            return total_loss_roots(total_loss(batch, cfg, Manifold(s["kappa"])))
+            return total_loss_roots(total_loss(check_batch(s), cfg, Manifold(s["kappa"])))
 
         results = finite_diff_check(f, store, max_coords=12, seed=seed)
         worst = max(r.max_rel_err for r in results)
@@ -728,8 +739,7 @@ class TestLossGradients:
         def f(s):
             cfg = LossConfig(uncertainty_from_radius=True, entropy_sign=-1.0,
                              include_positive=True)
-            batch = Batch(ref.stack([s[name] for name in GROUP_NAMES]))
-            return total_loss_roots(total_loss(batch, cfg, Manifold(s["kappa"])))
+            return total_loss_roots(total_loss(check_batch(s), cfg, Manifold(s["kappa"])))
 
         results = finite_diff_check(f, store, max_coords=10, seed=107)
         worst = max(r.max_rel_err for r in results)
