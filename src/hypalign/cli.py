@@ -211,11 +211,13 @@ def _cmd_train(args) -> int:
 
 
 def _load_run(args) -> tuple:
-    """The checkpoint payload, its parameter store and the corpus of an
-    eval or export; each table must have one row per corpus concept of its
-    level."""
+    """The checkpoint's step, its parameter store and the corpus of an eval
+    or export; each table must have one row per corpus concept of its
+    level.  The checkpoint's parsed payload is dropped before the corpus is
+    read."""
     payload = load_checkpoint(args.checkpoint)
-    store = store_from_payload(payload, args.checkpoint)
+    step, store = payload["step"], store_from_payload(payload, args.checkpoint)
+    del payload
     corpus = load_corpus(args.corpus)
     for src in LAYOUT.values():
         rows, concepts = len(value_of(store[src.table])), len(corpus.ids[src.level])
@@ -223,19 +225,19 @@ def _load_run(args) -> tuple:
             raise ContractViolationError(
                 f"{args.checkpoint}: parameter {src.table!r} has {rows} rows but "
                 f"{args.corpus} holds {concepts} {src.level} concepts")
-    return payload, store, corpus
+    return step, store, corpus
 
 
 def _cmd_eval(args) -> int:
     _log_config("eval", {"checkpoint": args.checkpoint, "corpus": args.corpus,
                          "taxonomy": args.taxonomy, "out": args.out})
-    payload, store, corpus = _load_run(args)
+    step, store, corpus = _load_run(args)
     # the classification reads the taxonomy at scene labels only
     taxonomy = (Taxonomy.from_file(args.taxonomy, corpus.ids["scene"])
                 if args.taxonomy else None)
     m = Manifold(float(value_of(store["kappa"])))
     report = evaluate(corpus, store, m, taxonomy)
-    report["checkpoint_step"] = payload["step"]
+    report["checkpoint_step"] = step
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -267,20 +269,21 @@ def _cmd_export(args) -> int:
     m = Manifold(float(value_of(store["kappa"])))
     tables = scaled_tables(store)
     dim = tables[GROUPS[0]].shape[1]
-    # the rows csv.writer would write, joined directly: fields by ",", rows
-    # ended by "\r\n", each float as its repr
-    lines = [",".join(["id", "view", "level", "radius", "uncertainty",
-                       *(f"v{i}" for i in range(dim))])]
-    # scene rows before part rows, image before text within each; the
-    # radius is the eval report's (evalmetrics.radius_distributions)
-    for group, src in LAYOUT.items():
-        embs = tables[group]
-        values = np.column_stack([hyperbolic_radius(embs, m), uncertainty(embs), embs])
-        lines += [f"{_csv_field(cid)},{src.modality},{src.level},"
-                  + ",".join(map(repr, row.tolist()))
-                  for cid, row in zip(corpus.ids[src.level], values)]
+    # every group's values before the file is opened, so a failure leaves
+    # no partial CSV; the radius is the eval report's
+    # (evalmetrics.radius_distributions)
+    values = {group: np.column_stack([hyperbolic_radius(embs, m), uncertainty(embs), embs])
+              for group, embs in tables.items()}
+    # the rows csv.writer would write, one group at a time: fields by ",",
+    # rows ended by "\r\n", each float as its repr; scene rows before part
+    # rows, image before text within each
     with open(args.out, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(["id", "view", "level", "radius", "uncertainty",
+                           *(f"v{i}" for i in range(dim))]) + "\r\n")
+        for group, src in LAYOUT.items():
+            fh.writelines(f"{_csv_field(cid)},{src.modality},{src.level},"
+                          + ",".join(map(repr, row.tolist())) + "\r\n"
+                          for cid, row in zip(corpus.ids[src.level], values[group]))
     return 0
 
 

@@ -155,8 +155,14 @@ def recall_at_k(query_embs, gallery_embs, truth_map: dict[int, set[int]],
         raise ContractViolationError("empty query set")
     if k < 1:
         raise ContractViolationError("k must be >= 1")
-    sims = -value_of(pairwise_distance(lift(queries, m), lift(gallery, m), m))
-    return _recalls(sims, truth_map, (k,))[0]
+    return _recalls(_similarities(lift(queries, m), lift(gallery, m), m), truth_map, (k,))[0]
+
+
+def _similarities(p: LorentzPoint, q: LorentzPoint, m: Manifold) -> np.ndarray:
+    """Negative geodesic distance of every pair of rows of two plain point
+    batches, negated in the distance's own buffer."""
+    sims = pairwise_distance(p, q, m)
+    return np.negative(sims, out=sims)
 
 
 def _recalls(sims: np.ndarray, truth_map: dict[int, set[int]], ks) -> list[float]:
@@ -181,7 +187,8 @@ def _recalls(sims: np.ndarray, truth_map: dict[int, set[int]], ks) -> list[float
     rows, cols = rows[order], cols[order]
     best = np.unique(rows, return_index=True)[1]
     rows, cols = rows[best], cols[best]
-    cand = sims[rows]
+    # every query in order (as the identity map gives) reads sims itself
+    cand = sims if rows.size == n_queries else sims[rows]
     target = cand[np.arange(rows.size), cols][:, None]
     ranks = (np.count_nonzero(cand > target, axis=1)
              + np.count_nonzero((cand == target) & (np.arange(n_gallery) < cols[:, None]),
@@ -401,7 +408,7 @@ def radius_distributions(tables: dict, m: Manifold) -> dict:
 class CorrelationReport:
     pearson_similarity: float      # part uncertainty vs part-to-whole similarity
     spearman_ground_truth: float   # part uncertainty vs (1 - representativeness)
-    degenerate: bool               # a zero-variance input forced r := 0
+    degenerate: bool               # too few parts or a zero-variance input forced r := 0
     modality: str
 
 
@@ -440,9 +447,11 @@ def uncertainty_correlation(corpus: Corpus, store: ParameterStore, m: Manifold,
 
     Only each part's distance to its own whole is formed
     (:func:`geodesic_distance`), so only those pairs can raise the acosh
-    drift error."""
+    drift error.  A corpus of fewer than 3 parts is refused."""
     if modality not in MODALITIES:
         raise ContractViolationError("modality must be 'image' or 'text'")
+    if len(corpus.parent_rows) < 3:
+        raise ContractViolationError("need at least 3 parts for a correlation")
     tables = scaled_tables(store)
     points = {group: lift(tables[group], m)
               for group in (f"part_{modality}", f"whole_{modality}")}
@@ -452,10 +461,11 @@ def uncertainty_correlation(corpus: Corpus, store: ParameterStore, m: Manifold,
 def _correlation(corpus: Corpus, tables: dict, points: dict, m: Manifold,
                  modality: str) -> CorrelationReport:
     """:func:`uncertainty_correlation` from the scaled tables and their
-    lifts, keyed by group."""
+    lifts, keyed by group; fewer than 3 parts read as degenerate."""
     whole_rows = corpus.parent_rows
     if len(whole_rows) < 3:
-        raise ContractViolationError("need at least 3 parts for a correlation")
+        return CorrelationReport(pearson_similarity=0.0, spearman_ground_truth=0.0,
+                                 degenerate=True, modality=modality)
     u = uncertainty(tables[f"part_{modality}"])
     wholes = points[f"whole_{modality}"]
     own = LorentzPoint(time=wholes.time[whole_rows], space=wholes.space[whole_rows])
@@ -490,9 +500,10 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     out: dict = {}
 
     # classification: whole image -> nearest scene text; the image-to-text
-    # retrieval below reads the same matrix
+    # retrieval reads the same matrix, which is dropped before the
+    # text-to-image one is built
     images, texts = points["whole_image"], points["whole_text"]
-    sims = -value_of(pairwise_distance(images, texts, m))
+    sims = _similarities(images, texts, m)
     pred_rows = np.argmax(sims, axis=1)
     scene_ids = corpus.ids["scene"]
     pairs = [(scene_ids[row], truth) for row, truth in zip(pred_rows.tolist(), scene_ids)]
@@ -511,11 +522,9 @@ def evaluate(corpus: Corpus, store: ParameterStore, m: Manifold,
     }
 
     identity = {i: {i} for i in range(corpus.num_scenes)}
-    recalls = {
-        "image_to_text": _recalls(sims, identity, (1, 5)),
-        "text_to_image": _recalls(-value_of(pairwise_distance(texts, images, m)),
-                                  identity, (1, 5)),
-    }
+    recalls = {"image_to_text": _recalls(sims, identity, (1, 5))}
+    del sims
+    recalls["text_to_image"] = _recalls(_similarities(texts, images, m), identity, (1, 5))
     out["retrieval"] = {f"{direction}_r{k}": r for direction, rs in recalls.items()
                         for k, r in zip((1, 5), rs)}
 

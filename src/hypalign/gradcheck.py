@@ -41,7 +41,7 @@ from .errors import ContractViolationError, NumericalConsistencyError
 from .losses import (APEXES, DISTANCE_PAIRS, GROUPS, MEMBERS, LossConfig, calibration,
                      contrastive, contrastive_total, entail_hinge, entail_leaky,
                      entailment_etas, entailment_total, total_loss)
-from .manifold import Manifold, acosh_argument, lift
+from .manifold import Manifold, acosh_argument, lift, pairwise_inner
 from .synthdata import BatchIndices
 from .trainer import loss_config_with_vars, materialize_batch, parameter_store
 
@@ -222,8 +222,8 @@ def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
     # coincident-point (acosh) margin for every distance matrix
     for a, b in DISTANCE_PAIRS:
         pa, pb = points.groups(a), points.groups(b)
-        _, z = acosh_argument(pa.time, pa.space, pb.time, pb.space, kappa)
-        margins.append(z - 1.0)
+        inner = pairwise_inner(pa.time, pa.space, pb.time, pb.space)
+        margins.append(acosh_argument(inner, kappa, out=inner) - 1.0)
     margin = min(np.min(x) for x in margins)
     if margin < GUARD_BAND:
         raise NumericalConsistencyError(

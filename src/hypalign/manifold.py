@@ -157,18 +157,23 @@ def geodesic_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     return np.arccosh(ad._acosh_clamp(-(kv * lorentz_inner(p, q)))) / np.sqrt(kv)
 
 
-def acosh_argument(pt, ps, qt, qs, kappa):
+def pairwise_inner(pt, ps, qt, qs):
     """The Lorentz inner products ``<p_i, q_j>_L`` of every pair of rows of
-    two plain point batches, and the unclamped acosh argument ``-kappa
-    <p_i, q_j>_L`` of their distances: one matmul and one outer product,
-    over any leading stack axes the batches share (``ps`` ``(..., Bp, n)``,
-    ``pt`` ``(..., Bp)``).  ``kappa`` is a value, or one per stacked batch
-    as :func:`autodiff.per_run` shapes it, ``(K, 1, 1)``."""
+    two plain point batches: one matmul and one outer product, over any
+    leading stack axes the batches share (``ps`` ``(..., Bp, n)``, ``pt``
+    ``(..., Bp)``)."""
     inner = ps @ np.swapaxes(qs, -1, -2)
     inner -= pt[..., :, None] * qt[..., None, :]
-    z = np.multiply(kappa, inner)
-    np.negative(z, out=z)
-    return inner, z
+    return inner
+
+
+def acosh_argument(inner, kappa, out=None):
+    """The unclamped acosh argument ``-kappa <p_i, q_j>_L`` of the distances
+    whose inner products are ``inner``, written into ``out`` if given (which
+    may be ``inner`` itself).  ``kappa`` is a value, or one per stacked
+    batch as :func:`autodiff.per_run` shapes it, ``(K, 1, 1)``."""
+    z = np.multiply(kappa, inner, out=out)
+    return np.negative(z, out=z)
 
 
 def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
@@ -183,8 +188,15 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     leading stack axes, ``(..., Bp, n)`` against ``(..., Bq, n)``, for a
     ``(..., Bp, Bq)`` stack of matrices, each entry computed as alone, and
     a plain ``(K,)`` curvature then gives matrix ``k`` of a ``(K, Bp, Bq)``
-    stack its own; the tape takes 2-D batches only.  The forward and the
-    VJP each work in a few arrays of the matrix's shape, updated in place.
+    stack its own; the tape takes 2-D batches only.
+
+    Off the tape (no input a ``Var`` or a ``Pick``, the test
+    :func:`autodiff.fused` makes) the distance is built in the inner
+    products' own buffer, so the result and the outer product that builds
+    it are the only arrays of the matrix's shape.  On the tape the VJP reads
+    the inner products and the clamped argument, so the forward keeps three
+    such arrays and the VJP works in a few more, updated in place; the two
+    paths give the same bits.
     """
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs = (value_of(x) for x in inputs[:4])
@@ -193,11 +205,16 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     # a single plain point is a batch of one
     pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
     kv = ad.per_run(m.kappa, ps.shape, 2)
-    inner, zc = acosh_argument(pt, ps, qt, qs, kv)
+    inner = pairwise_inner(pt, ps, qt, qs)
+    on_tape = any(ad.is_var(x) for x in inputs)
+    # off the tape nothing reads inner or zc again: each step overwrites them
+    zc = acosh_argument(inner, kv, out=None if on_tape else inner)
     ad._acosh_clamp(zc, out=zc)
     sqrt_k = np.sqrt(kv)
-    dist = np.arccosh(zc)
+    dist = np.arccosh(zc, out=None if on_tape else zc)
     dist /= sqrt_k
+    if not on_tape:
+        return dist
 
     def vjp(g):
         d_z = ad._acosh_deriv(zc)

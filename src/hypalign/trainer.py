@@ -287,7 +287,10 @@ def train_step(store: ParameterStore, opt: AdamW, batch: Batch, cfg: TrainConfig
     """Forward, backward, optimizer update, projection.
 
     Projects once up front as well, so an externally corrupted curvature or
-    temperature is restored before it can poison the forward pass.
+    temperature is restored before it can poison the forward pass.  Returns
+    the forward's report as values, with no tape graph behind it: ``total``
+    a parentless ``Var``, the components, ``leak`` and ``u`` plain arrays.
+    A caller that keeps it pins none of the step's arrays or VJPs.
     """
     project_parameters(store)
     manifold = Manifold(store["kappa"])
@@ -296,9 +299,13 @@ def train_step(store: ParameterStore, opt: AdamW, batch: Batch, cfg: TrainConfig
     if not math.isfinite(total):
         raise NumericalConsistencyError(f"non-finite training loss {total!r}")
     grads = ad.gradients(report.total, store.as_dict())
+    values = replace(report, total=ad.Var(value_of(report.total)),
+                     components={name: value_of(c) for name, c in report.components.items()},
+                     leak=value_of(report.leak), u=value_of(report.u))
+    del report              # the graph goes before the update runs
     opt.step(grads, lr)
     project_parameters(store)
-    return report
+    return values
 
 
 def _eval_indices(corpus: Corpus, cfg: TrainConfig) -> BatchIndices:

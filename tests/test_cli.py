@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypalign.trainer import TrainConfig, load_checkpoint, store_from_payload
 from hypalign.uncertainty import uncertainty
 
 import _oracles as orc
-from _checkpoint_data import as_format_1, decode, encode, reencode_bytes
+from _checkpoint_data import as_format_1, decode, encode, reencode_bytes, write_seeded_run
 
 
 def _resolved_config(err: str) -> dict:
@@ -391,6 +392,22 @@ class TestTrainEvalExport:
         levels = {r[2] for r in rows[1:]}
         views = {r[1] for r in rows[1:]}
         assert levels == {"scene", "part"} and views == {"image", "text"}
+
+    def test_eval_of_too_few_parts_reports_degenerate_correlations(self, tmp_path):
+        # two parts carry no correlation: eval writes every other section and
+        # marks the correlations degenerate, as for a zero-variance input
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "run"
+        assert main(["generate", "--scenes", "2", "--parts", "1", "--out", str(corpus)]) == 0
+        assert main(["train", "--corpus", str(corpus), "--out", str(out),
+                     "--steps", "3", "--batch-size", "2"]) == 0
+        report_path = tmp_path / "eval.json"
+        assert main(["eval", "--checkpoint", str(out / "checkpoint_final.json"),
+                     "--corpus", str(corpus), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert {"classification", "retrieval", "radius_distributions"} <= set(report)
+        assert report["uncertainty_correlation"] == dict.fromkeys(
+            ("image", "text"),
+            {"pearson_similarity": 0.0, "spearman_ground_truth": 0.0, "degenerate": True})
 
     def test_eval_of_a_huge_representativeness_writes_only_the_config(self, tmp_path):
         # the ground truth's spread overflows float's range in the degeneracy
@@ -926,6 +943,46 @@ class TestMalformedInputFiles:
         tax = tmp_path / "tax.json"
         tax.write_text(text)
         assert self._eval(run, capsys, "--taxonomy", str(tax)).startswith(f"{tax}: {detail}")
+
+
+class TestEvalExportOfSeededTables:
+    """``eval`` and ``export`` of a generated corpus and a checkpoint of
+    seeded tables, written with no training step (``write_seeded_run``), so
+    only a change to eval, export or the input formats can move them."""
+
+    # SHA-256 of the eval report and the export CSV of a 64x4 corpus
+    def test_output_is_pinned(self, tmp_path):
+        corpus, checkpoint = write_seeded_run(tmp_path, 64, 4, 5)
+        want = {"eval": "6ad966adb3fb42997a6a81368debd73751e165b98c53aa72ad600c8790dcbfe5",
+                "export": "d23a17746c5bbb828c9d7f6ee765b86e33f22e06a8b6828ac76953a34487b906"}
+        for command, sha256 in want.items():
+            out = tmp_path / command
+            assert main([command, "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                         "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, command
+
+    @pytest.fixture(scope="class")
+    def wide_run(self, tmp_path_factory):
+        return write_seeded_run(tmp_path_factory.mktemp("wide"), 512, 4, 5)
+
+    # traced peak in (S, S) float64 matrices at S = 512: each command holds
+    # at most one similarity matrix plus the outer product that builds the
+    # next, and drops the checkpoint's parsed payload before the corpus is
+    # read (about 3.8 and 2.9; 7.0 and 5.6 when evaluate held two matrices
+    # and a copy, and the payload stayed alive)
+    @pytest.mark.parametrize("command, bound", [("eval", 5.0), ("export", 4.0)])
+    def test_peak_memory(self, wide_run, tmp_path, command, bound):
+        corpus, checkpoint = wide_run
+        argv = [command, "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                "--out", str(tmp_path / command)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrices = peak / (512 * 512 * 8)
+        assert matrices <= bound, f"peak {matrices:.2f} matrices"
 
 
 class TestCheckGrads:

@@ -37,6 +37,7 @@ from hypalign.trainer import TrainConfig, init_parameters
 from hypalign.uncertainty import uncertainty
 
 import _oracles as orc
+from _checkpoint_data import seeded_run
 
 
 def random_tree(rng, n_nodes):
@@ -725,3 +726,19 @@ class TestEvaluate:
             for k in (1, 5):
                 assert retrieval[f"{direction}_r{k}"] == recall_at_k(
                     queries, gallery, identity, k, m), (direction, k)
+
+    def test_peak_memory_is_one_matrix_and_its_temporary(self):
+        # in (S, S) float64 matrices at S = 512: evaluate holds one similarity
+        # matrix at a time plus the outer product that builds the next (about
+        # 2.9; 4.8 when both directions' matrices, a copy and the distance's
+        # separate acosh argument were alive together)
+        corpus, store, _ = seeded_run(512, 4, 5)
+        m = Manifold(float(value_of(store["kappa"])))
+        tracemalloc.start()
+        try:
+            evaluate(corpus, store, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrices = peak / (512 * 512 * 8)
+        assert matrices <= 3.5, f"peak {matrices:.2f} matrices"

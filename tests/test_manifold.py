@@ -196,6 +196,47 @@ class TestGeodesicDistance:
                 )
 
 
+class TestPairwiseDistanceOffTape:
+    """Off the tape the distance is built in the inner products' own buffer;
+    its bits are those of the taped node, whose VJP keeps the separate
+    arrays."""
+
+    @staticmethod
+    def _taped(time, space, q_time, q_space, kappa):
+        # one 2-D pair of batches on the tape, each input a leaf
+        p = LorentzPoint(ad.Var(time), ad.Var(space))
+        q = LorentzPoint(ad.Var(q_time), ad.Var(q_space))
+        d = pairwise_distance(p, q, Manifold(ad.Var(kappa)))
+        assert ad.is_var(d)
+        return ad.value_of(d)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_2d_batches_match_the_tape(self, kappa):
+        rng = np.random.default_rng(41)
+        m = Manifold(kappa)
+        p, q = lift(random_tangents(rng, 7, 5), m), lift(random_tangents(rng, 9, 5), m)
+        plain = pairwise_distance(p, q, m)
+        assert not ad.is_var(plain) and plain.shape == (7, 9)
+        assert plain.tobytes() == self._taped(p.time, p.space, q.time, q.space, kappa).tobytes()
+
+    def test_stacks_and_run_curvatures_match_the_tape(self):
+        # a (G, K, B, n) stack, with one curvature per run k
+        rng = np.random.default_rng(42)
+        kappas = np.array([0.3, 1.0, 2.5])
+        v = rng.normal(size=(2, 3, 6, 4))
+        w = rng.normal(size=(2, 3, 5, 4))
+        for m in (Manifold(1.7), Manifold(kappas)):
+            p, q = lift(v, m), lift(w, m)
+            stack = pairwise_distance(p, q, m)
+            assert stack.shape == (2, 3, 6, 5)
+            for g in range(2):
+                for k in range(3):
+                    kappa = m.kappa if np.ndim(m.kappa) == 0 else kappas[k]
+                    alone = self._taped(p.time[g, k], p.space[g, k], q.time[g, k],
+                                        q.space[g, k], kappa)
+                    assert stack[g, k].tobytes() == alone.tobytes(), (g, k)
+
+
 class TestHyperbolicRadius:
     def test_zero(self):
         m = Manifold(1.0)

@@ -142,6 +142,31 @@ class TestScheduleAndOptimizer:
             wins += loss_now() < before
         assert wins >= 15, f"descent on {wins}/20 seeds"
 
+    def test_step_report_is_values_of_the_pre_update_forward(self, small_corpus):
+        # no field keeps the step's graph alive, and each value is the
+        # forward's before the update, bit for bit
+        from hypalign.trainer import loss_config_with_vars
+        cfg = small_config()
+        store = init_parameters(small_corpus, cfg)
+        opt = AdamW(store, cfg)
+        idx = sample_batch(small_corpus, cfg.batch_size, [5, 0])
+        live = total_loss(materialize_batch(store, idx), loss_config_with_vars(cfg.loss, store),
+                          Manifold(store["kappa"]))
+        want = {"total": value_of(live.total).copy(), "leak": value_of(live.leak).copy(),
+                "u": value_of(live.u).copy(),
+                **{name: value_of(c).copy() for name, c in live.components.items()}}
+        report = train_step(store, opt, materialize_batch(store, idx), cfg, lr=1e-3)
+        assert isinstance(report.total, ad.Var) and not report.total._parents
+        got = {"total": report.total.value, "leak": report.leak, "u": report.u,
+               **report.components}
+        assert not any(ad.is_var(x) for name, x in got.items() if name != "total")
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name].tobytes() == value.tobytes(), name
+        # the report still finishes again against another leak
+        assert report.with_leak(2.0 * want["leak"]).to_floats() == \
+            live.with_leak(2.0 * want["leak"]).to_floats()
+
     def test_clamp_projection(self, small_corpus):
         cfg = small_config()
         store = init_parameters(small_corpus, cfg)
