@@ -429,7 +429,7 @@ class ParameterStore:
     Each parameter is a leaf :class:`Var` whose value is a view into
     ``flat``, one contiguous float64 vector holding the parameters in
     registration order.  Every writer (the optimizer, the trainer's
-    projection, :meth:`load`) writes into those views in place, so forward
+    projection) writes into those views in place, so forward
     graphs always read the current values and the optimizer can update the
     whole vector at once; rebinding a ``value`` detaches it from ``flat``,
     and the optimizer refuses such a store.
@@ -473,19 +473,3 @@ class ParameterStore:
 
     def as_dict(self) -> dict[str, Var]:
         return dict(self._params)
-
-    def snapshot(self) -> dict[str, Array]:
-        """Copies of all current values."""
-        return {name: var.value.copy() for name, var in self._params.items()}
-
-    def load(self, values: Mapping[str, Array]) -> None:
-        """Write ``values`` into the parameters in place."""
-        if set(values) != set(self._params):
-            raise ContractViolationError("parameter name mismatch on load")
-        for name, value in values.items():
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.shape != self._params[name].value.shape:
-                raise ContractViolationError(
-                    f"shape mismatch for parameter '{name}'"
-                )
-            self._params[name].value[...] = arr

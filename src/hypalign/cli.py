@@ -30,7 +30,8 @@ from .gradcheck import (DEFAULT_MAX_COORDS, DEFAULT_SEED, DEFAULT_STEP, DEFAULT_
 from .losses import GROUPS, LAYOUT, LossConfig, TemperatureSet
 from .manifold import Manifold, hyperbolic_radius
 from .synthdata import GeneratorParams, generate, load as load_corpus, save as save_corpus
-from .trainer import TEMPERATURE_PARAMS, TrainConfig, load_checkpoint, store_from_payload, train
+from .trainer import (TEMPERATURE_PARAMS, TrainConfig, check_fit, load_checkpoint,
+                      store_from_payload, train)
 from .uncertainty import uncertainty
 
 
@@ -212,19 +213,14 @@ def _cmd_train(args) -> int:
 
 def _load_run(args) -> tuple:
     """The checkpoint's step, its parameter store and the corpus of an eval
-    or export; each table must have one row per corpus concept of its
-    level.  The checkpoint's parsed payload is dropped before the corpus is
-    read."""
+    or export; each table must fit the corpus (:func:`trainer.check_fit`,
+    the check ``train --resume`` makes too).  The checkpoint's parsed
+    payload is dropped before the corpus is read."""
     payload = load_checkpoint(args.checkpoint)
     step, store = payload["step"], store_from_payload(payload, args.checkpoint)
     del payload
     corpus = load_corpus(args.corpus)
-    for src in LAYOUT.values():
-        rows, concepts = len(value_of(store[src.table])), len(corpus.ids[src.level])
-        if rows != concepts:
-            raise ContractViolationError(
-                f"{args.checkpoint}: parameter {src.table!r} has {rows} rows but "
-                f"{args.corpus} holds {concepts} {src.level} concepts")
+    check_fit(store, corpus, args.checkpoint, args.corpus)
     return step, store, corpus
 
 

@@ -40,9 +40,11 @@ component's two row sums) and ``calibration`` (both part groups; it reads
 the intra leaks by value, which is its stop-gradient, so the leaks' nodes
 get no adjoint from it).  ``tempered`` and ``leaky`` give their per-row
 temperatures and leaks, and ``weighted_total`` weighs the six; the block
-sums are plain arithmetic.  The nodes keep the arithmetic of the op-by-op
-composition they replaced, so forward values are bit-identical to it
-(``tests/test_fused_loss_ops.py``), and gradients agree with it to rounding.
+sums are plain arithmetic, which :func:`contrastive_total` and
+:func:`entailment_total` apply to the report :func:`total_loss` builds.
+The nodes keep the arithmetic of the op-by-op composition they replaced,
+so forward values are bit-identical to it (``tests/test_fused_loss_ops.py``),
+and gradients agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -188,10 +190,6 @@ class LossReport:
         if value_of(self.u).ndim > value_of(leak).ndim:
             leak = value_of(leak)[:, None]
         return _finish(self.components, self.u, leak, self.cfg)
-
-
-def _uncertainty(x, m: Manifold, use_radius: bool):
-    return uncertainty_from_radius(x, m) if use_radius else uncertainty(x)
 
 
 def _nce(dists, tau, include_positive: bool, transposed: bool):
@@ -383,27 +381,13 @@ def entailment_etas(cone: ConeParams) -> np.ndarray:
     return np.array([[cone.eta_intra], [cone.eta_intra], [cone.eta_inter], [cone.eta_inter]])
 
 
-@dataclass(frozen=True)
-class _Lifted:
-    """A batch's stack lifted once (``GROUPS`` order), and its part groups'
-    uncertainty stack ``(2, B)`` (image, text)."""
-
-    points: LorentzPoint
-    u: object
-
-
-def _lift_batch(batch: Batch, m: Manifold, use_radius: bool) -> _Lifted:
-    parts = ad.pick(batch.groups, (PART_IMAGE, PART_TEXT))
-    return _Lifted(points=lift(batch.groups, m), u=_uncertainty(parts, m, use_radius))
-
-
-def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
-                       include_positive: bool) -> dict:
-    """Global-local terms with uncertainty-tempered rows; the global and
-    local terms read one distance matrix along both axes."""
+def _contrastive_terms(points: LorentzPoint, u, cfg: LossConfig, m: Manifold) -> dict:
+    """The contrastive terms over the lifted stack ``points``: global-local
+    terms with rows tempered by the part uncertainty stack ``u``; the
+    global and local terms read one distance matrix along both axes."""
 
     def nce(*terms):
-        return _info_nce(terms, include_positive)
+        return _info_nce(terms, cfg.include_positive)
 
     def scalar_tau(tau, d):
         # _nce cannot tell a scalar's runs (K,) from per-row temperatures
@@ -417,13 +401,13 @@ def _contrastive_terms(s: _Lifted, temps: TemperatureSet, m: Manifold,
         # off the tape a matrix read by one term is freed once that term is
         # built, so at most three are alive at a time
         a, b = DISTANCE_PAIRS[pair]
-        return pairwise_distance(s.points.groups(a), s.points.groups(b), m)
+        return pairwise_distance(points.groups(a), points.groups(b), m)
 
     d_glob = dist(GLOBAL)
     d_loc = dist(LOCAL)
-    tau_g = scalar_tau(temps.tau_global, d_glob)
-    tau_l = scalar_tau(temps.tau_local, d_loc)
-    tau_rows = _tempered(s.u, temps.tau_global_local)
+    tau_g = scalar_tau(cfg.temps.tau_global, d_glob)
+    tau_l = scalar_tau(cfg.temps.tau_local, d_loc)
+    tau_rows = _tempered(u, cfg.temps.tau_global_local)
     return {
         "contrastive_globallocal": nce(
             (dist(GLOBAL_LOCAL_IMAGE), ad.pick(tau_rows, U_IMAGE), False),
@@ -440,14 +424,14 @@ def _sum_pair(a, b):
                     lambda g: (np.full(av.shape, g), np.full(bv.shape, g)))
 
 
-def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold):
-    """Inter and intra leaky entailment over the stack of the four terms,
-    and the leak stack, whose intra leaks calibration re-weights rather
-    than rebuilding them."""
+def _entailment_terms(points: LorentzPoint, cfg: LossConfig, m: Manifold):
+    """Inter and intra leaky entailment over the stack of the four terms
+    read out of the lifted stack ``points``, and the leak stack, whose
+    intra leaks calibration re-weights rather than rebuilding them."""
     cone = cfg.cone
-    apex = s.points.groups(APEXES)
+    apex = points.groups(APEXES)
     # the angle first: its origin guard fires before the aperture's
-    phi = exterior_angle(apex, s.points.groups(MEMBERS), m)
+    phi = exterior_angle(apex, points.groups(MEMBERS), m)
     omega = aperture(apex, cone.aperture_k, m)
     leak = _leaky(phi, omega, entailment_etas(cone), cfg.alpha)
     return {
@@ -456,19 +440,14 @@ def _entailment_terms(s: _Lifted, cfg: LossConfig, m: Manifold):
     }, leak
 
 
-def _with_calibration(terms: dict, u, leak, entropy_sign: float) -> dict:
-    """``terms`` with calibration of the part uncertainty stack ``u`` against
-    the intra leaks of ``leak`` (read by value, behind a stop-gradient), one
-    node over both part groups, text first."""
-    return {**terms, "calibration": _calibrate(ad.pick(u, (U_TEXT, U_IMAGE)),
-                                                ad.pick(leak, (INTRA_TEXT, INTRA_IMAGE)),
-                                                entropy_sign)}
-
-
 def _finish(terms: dict, u, leak, cfg: LossConfig) -> LossReport:
-    """The report over the contrastive and entailment ``terms``, calibrated
-    against ``leak`` and weighted into the total."""
-    components = _with_calibration(terms, u, leak, cfg.entropy_sign)
+    """The report over the contrastive and entailment ``terms`` and the
+    calibration of the part uncertainty stack ``u`` against the intra leaks
+    of ``leak`` (read by value, behind a stop-gradient; one node over both
+    part groups, text first), weighted into the total."""
+    calibration = _calibrate(ad.pick(u, (U_TEXT, U_IMAGE)),
+                             ad.pick(leak, (INTRA_TEXT, INTRA_IMAGE)), cfg.entropy_sign)
+    components = {**terms, "calibration": calibration}
     total = _weighted_total(components, cfg.lambda_intra, cfg.lambda_cal, cfg.lambda_ent)
     return LossReport(total=total, components=components, leak=leak, u=u, cfg=cfg)
 
@@ -502,20 +481,20 @@ def _weighted_total(c: dict, lambda_intra, lambda_cal, lambda_ent):
 
 
 def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold) -> float:
-    """Sum of the six contrastive terms: uncertainty-tempered global-local,
-    plain global, and plain local pairs."""
-    c = _contrastive_terms(_lift_batch(batch, m, use_radius=False), temps, m, False)
-    return float(_contrastive_sum({name: value_of(x) for name, x in c.items()}))
+    """Sum of the six contrastive terms (uncertainty-tempered global-local,
+    plain global, and plain local pairs): the contrastive block of
+    :func:`total_loss`'s report under a default :class:`LossConfig` at
+    ``temps``.  It raises wherever the objective raises, for example at an
+    apex at the origin."""
+    return _contrastive_sum(total_loss(batch, LossConfig(temps=temps), m).to_floats())
 
 
 def entailment_total(batch: Batch, cfg: LossConfig, m: Manifold) -> float:
     """Inter-modal entailment plus weighted intra-modal entailment and
-    calibration, summed over batch rows."""
-    s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
-    e, leak = _entailment_terms(s, cfg, m)
-    e = _with_calibration(e, s.u, leak, cfg.entropy_sign)
-    return float(_entailment_sum({name: value_of(x) for name, x in e.items()},
-                                 cfg.lambda_intra, cfg.lambda_cal))
+    calibration, summed over batch rows: the entailment block of
+    :func:`total_loss`'s report.  It raises wherever the objective raises."""
+    return _entailment_sum(total_loss(batch, cfg, m).to_floats(),
+                           cfg.lambda_intra, cfg.lambda_cal)
 
 
 def _check_runs(batch: Batch, scalars) -> None:
@@ -534,7 +513,9 @@ def total_loss(batch: Batch, cfg: LossConfig, m: Manifold) -> LossReport:
     :meth:`LossReport.with_leak` finishes it again from."""
     temps = cfg.temps
     _check_runs(batch, (m.kappa, temps.tau_global, temps.tau_local, temps.tau_global_local))
-    s = _lift_batch(batch, m, cfg.uncertainty_from_radius)
-    con = _contrastive_terms(s, cfg.temps, m, cfg.include_positive)
-    ent, leak = _entailment_terms(s, cfg, m)
-    return _finish({**con, **ent}, s.u, leak, cfg)
+    parts = ad.pick(batch.groups, (PART_IMAGE, PART_TEXT))
+    points = lift(batch.groups, m)          # the stack is lifted once
+    u = uncertainty_from_radius(parts, m) if cfg.uncertainty_from_radius else uncertainty(parts)
+    con = _contrastive_terms(points, u, cfg, m)
+    ent, leak = _entailment_terms(points, cfg, m)
+    return _finish({**con, **ent}, u, leak, cfg)

@@ -150,11 +150,11 @@ def geodesic_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     """Geodesic distance ``sqrt(1/kappa) acosh(-kappa <p,q>_L)`` of aligned
     points.
 
-    The acosh argument is clamped to [1, inf); drift below 1 beyond
-    ``autodiff.DRIFT_TOL`` raises a numerical-consistency error.
+    The acosh argument is :func:`acosh_argument`'s, clamped to [1, inf);
+    drift below 1 beyond ``autodiff.DRIFT_TOL`` raises a numerical error.
     """
     kv = value_of(m.kappa)
-    return np.arccosh(ad._acosh_clamp(-(kv * lorentz_inner(p, q)))) / np.sqrt(kv)
+    return np.arccosh(ad._acosh_clamp(acosh_argument(lorentz_inner(p, q), kv))) / np.sqrt(kv)
 
 
 def pairwise_inner(pt, ps, qt, qs):
@@ -168,12 +168,12 @@ def pairwise_inner(pt, ps, qt, qs):
 
 
 def acosh_argument(inner, kappa, out=None):
-    """The unclamped acosh argument ``-kappa <p_i, q_j>_L`` of the distances
-    whose inner products are ``inner``, written into ``out`` if given (which
-    may be ``inner`` itself).  ``kappa`` is a value, or one per stacked
-    batch as :func:`autodiff.per_run` shapes it, ``(K, 1, 1)``."""
+    """The unclamped acosh argument ``-kappa <p, q>_L`` of the distances
+    whose inner products are ``inner`` (a scalar for one pair), written into
+    ``out`` if given (which may be ``inner`` itself).  ``kappa`` is a value,
+    or one per stacked batch as :func:`autodiff.per_run` shapes it."""
     z = np.multiply(kappa, inner, out=out)
-    return np.negative(z, out=z)
+    return np.negative(z, out=z if isinstance(z, np.ndarray) else None)
 
 
 def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):

@@ -479,23 +479,34 @@ def _check_lift_range(store: ParameterStore, path) -> None:
                     f"not below {_LIFT_LIMIT:.2f}")
 
 
-def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
-    """Load the checkpoint file ``path`` into live state; returns the step
-    to resume from.  The configuration hash must match exactly, and each
-    table must have this run's shape (the hash does not cover the corpus,
-    which sets the rows)."""
+def check_fit(store: ParameterStore, corpus: Corpus, path, corpus_path="the corpus",
+              width=None) -> None:
+    """Raise naming checkpoint ``path`` and the first table of ``store``
+    without one row per concept of its level in ``corpus`` (read from
+    ``corpus_path``) or, given ``width``, that many columns."""
+    for src in LAYOUT.values():
+        (rows, cols), concepts = store[src.table].value.shape, len(corpus.ids[src.level])
+        if rows != concepts:
+            raise ContractViolationError(f"{path}: parameter {src.table!r} has {rows} rows "
+                                         f"but {corpus_path} holds {concepts} {src.level} concepts")
+        if width not in (None, cols):
+            raise ContractViolationError(f"{path}: parameter {src.table!r} has {cols} columns "
+                                         f"but this run's table_dim is {width}")
+
+
+def restore(path, corpus: Corpus, cfg: TrainConfig) -> tuple[ParameterStore, AdamW, int]:
+    """A run's state resumed from checkpoint ``path``: its store (built as
+    ``eval`` builds it), an :class:`AdamW` over it with the saved moments,
+    and the step.  The config hash must match, and each table must fit
+    ``corpus`` and ``cfg.table_dim`` (:func:`check_fit`; the hash covers
+    neither the corpus, which sets the rows, nor a hand-edited width)."""
     payload = load_checkpoint(path)
     if payload["config_hash"] != config_hash(cfg):
         raise ContractViolationError(
             f"{path}: checkpoint was produced with a different configuration")
-    loaded = store_from_payload(payload, path)
-    for name in TABLES:
-        have, want = loaded[name].value.shape, store[name].value.shape
-        if have != want:
-            raise ContractViolationError(
-                f"{path}: checkpoint parameter {name!r} has shape {have}, but this run's "
-                f"table has shape {want}")
-    store.load(loaded.snapshot())
+    store = store_from_payload(payload, path)
+    check_fit(store, corpus, path, width=cfg.table_dim)
+    opt = AdamW(store, cfg)
     for name in opt.m:
         shape = store[name].value.shape
         for field, moments in (("opt_m", opt.m), ("opt_v", opt.v)):
@@ -506,7 +517,7 @@ def restore(path, store: ParameterStore, opt: AdamW, cfg: TrainConfig) -> int:
                     f"bytes of shape {shape}")
             moments[name][...] = value
     opt.t = int(payload["opt_t"])
-    return int(payload["step"])
+    return store, opt, int(payload["step"])
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +562,14 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
     final step.  Checkpoints land at every checkpoint interval and at the
     end (``checkpoint_final.json``).  A package error in a training step or
     in the metrics leaves ``failure_dump.json`` behind before it propagates.
+    A ``resume`` checkpoint's :func:`restore` replaces the fresh state.
     """
     os.makedirs(out_dir, exist_ok=True)
-    store = init_parameters(corpus, cfg)
-    opt = AdamW(store, cfg)
-    start = 0
-    if resume is not None:
-        start = restore(resume, store, opt, cfg)
+    if resume is None:
+        store = init_parameters(corpus, cfg)
+        opt, start = AdamW(store, cfg), 0
+    else:
+        store, opt, start = restore(resume, corpus, cfg)
         if start > cfg.steps:
             raise ContractViolationError(
                 f"checkpoint step {start} beyond configured steps {cfg.steps}"

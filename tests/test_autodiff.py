@@ -314,17 +314,6 @@ class TestParameterStore:
         with pytest.raises(ContractViolationError):
             store.register("a", np.zeros(2))
 
-    def test_snapshot_load_roundtrip(self):
-        store = ParameterStore()
-        store.register("a", np.arange(4.0))
-        store.register("b", 3.0)
-        snap = store.snapshot()
-        store["a"].value[...] = 0.0
-        store.load(snap)
-        np.testing.assert_array_equal(store["a"].value, np.arange(4.0))
-        with pytest.raises(ContractViolationError):
-            store.load({"a": np.zeros(4)})  # missing name
-
     def test_plain_numpy_fast_path(self):
         # raw inputs bypass the tape entirely
         assert not isinstance(ref.exp(np.zeros(2)), Var)

@@ -876,7 +876,8 @@ class TestMalformedInputFiles:
     def test_resume_on_a_corpus_of_another_size(self, run, capsys, tmp_path):
         # the checkpoint was trained on 8 scenes of 2 parts; the same
         # configuration on 16 scenes hashes alike, and only the tables' rows
-        # differ: the first table, in store order, is named
+        # differ: the first table, in store order, is named, as eval and
+        # export name it
         other = tmp_path / "other.txt"
         assert main(["generate", "--scenes", "16", "--parts", "2", "--seed", "7",
                      "--latent-dim", "16", "--out", str(other)]) == 0
@@ -888,8 +889,28 @@ class TestMalformedInputFiles:
         assert code == 1 and len(errors) == 1
         assert errors[0].startswith("error kind=contract message=")
         assert json.loads(errors[0].partition("message=")[2]) == (
-            f"{run['checkpoint']}: checkpoint parameter 'table_scene_img' has shape (8, 16), "
-            "but this run's table has shape (16, 16)")
+            f"{run['checkpoint']}: parameter 'table_scene_img' has 8 rows but the corpus "
+            "holds 16 scene concepts")
+
+    def test_resume_from_tables_of_another_width(self, run, capsys, tmp_path):
+        # every table cut to 8 of its 16 columns: a store eval would load,
+        # under the same configuration hash, but not this run's table_dim
+        payload = json.loads(run["checkpoint"].read_text())
+        for rec in payload["params"].values():
+            if len(rec["shape"]) == 2:
+                rows = rec["shape"][0]
+                rec["data"] = encode(decode(rec["data"]).reshape(rows, 16)[:, :8].ravel())
+                rec["shape"] = [rows, 8]
+        run["checkpoint"].write_text(json.dumps(payload))
+        code = main(["train", "--corpus", str(run["corpus"]), "--out", str(tmp_path / "r2"),
+                     "--steps", "2", "--batch-size", "4", "--seed", "7",
+                     "--resume", str(run["checkpoint"])])
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1 and len(errors) == 1
+        assert json.loads(errors[0].partition("message=")[2]) == (
+            f"{run['checkpoint']}: parameter 'table_scene_img' has 8 columns but this run's "
+            "table_dim is 16")
 
     @pytest.mark.parametrize("command", ["eval", "export", "train"])
     @pytest.mark.parametrize("name, entry, value, detail", [

@@ -47,7 +47,7 @@ def test_adamw_matches_per_parameter_update_over_blocks():
     assert ADAMW_BLOCK < decayed < store.flat.size < 2 * ADAMW_BLOCK
     cfg = TrainConfig()
     opt = AdamW(store, cfg)
-    values = store.snapshot()
+    values = {name: var.value.copy() for name, var in store.items()}
     m = {name: np.zeros_like(x) for name, x in values.items()}
     v = {name: np.zeros_like(x) for name, x in values.items()}
     for t in range(1, 4):

@@ -41,13 +41,13 @@ from hypalign.losses import (
     _leaky,
     _sum_pair,
     _tempered,
-    _uncertainty,
     _weighted_total,
     total_loss,
 )
 from hypalign.manifold import Manifold, lift, pairwise_distance
 from hypalign.trainer import (TrainConfig, _gather_scaled, loss_config_with_vars,
                               materialize_batch)
+from hypalign.uncertainty import uncertainty, uncertainty_from_radius
 
 import _reference_ops as ref
 from test_flat_step import distinct_batch, random_store
@@ -168,6 +168,11 @@ def unfused_weighted_total(c, lambda_intra, lambda_cal, lambda_ent):
     return ref.add(con, ref.mul(lambda_ent, ent))
 
 
+def part_uncertainty(parts, m, cfg):
+    """The part uncertainty ``total_loss`` tempers and calibrates with."""
+    return uncertainty_from_radius(parts, m) if cfg.uncertainty_from_radius else uncertainty(parts)
+
+
 def unfused_materialize_batch(store, idx):
     """The batch as one gather per group (a ``take_rows`` and a ``mul``
     each) and a ``stack`` of the four."""
@@ -181,8 +186,7 @@ def unfused_total_loss(batch, cfg, m):
     stacked); returns the total and the components."""
     groups = {g: ad.pick(batch.groups, k) for k, g in enumerate(GROUPS)}
     s = {g: lift(x, m) for g, x in groups.items()}
-    u_image, u_text = (_uncertainty(groups[g], m, cfg.uncertainty_from_radius)
-                       for g in ("part_image", "part_text"))
+    u_image, u_text = (part_uncertainty(groups[g], m, cfg) for g in ("part_image", "part_text"))
     temps, cone, alpha = cfg.temps, cfg.cone, cfg.alpha
 
     def nce(d, tau, transposed=False):
@@ -225,7 +229,9 @@ def parent_graph_total_loss(batch, cfg, m):
     contrastive component, and one ``calibration`` node per part group and
     an ``add``, on today's stacked geometry and loss nodes; returns the
     total and the components."""
-    s = losses._lift_batch(batch, m, cfg.uncertainty_from_radius)
+    parts = ad.pick(batch.groups, (losses.PART_IMAGE, losses.PART_TEXT))
+    points = lift(batch.groups, m)
+    u = part_uncertainty(parts, m, cfg)
     temps, cone = cfg.temps, cfg.cone
 
     def nce(d, tau, transposed=False):
@@ -233,17 +239,17 @@ def parent_graph_total_loss(batch, cfg, m):
 
     def dist(pair):
         a, b = losses.DISTANCE_PAIRS[pair]
-        return pairwise_distance(s.points.groups(a), s.points.groups(b), m)
+        return pairwise_distance(points.groups(a), points.groups(b), m)
 
     d_glob, d_loc = dist(losses.GLOBAL), dist(losses.LOCAL)
-    tau_rows = _tempered(s.u, temps.tau_global_local)
-    apex = s.points.groups(losses.APEXES)
-    phi = exterior_angle(apex, s.points.groups(losses.MEMBERS), m)
+    tau_rows = _tempered(u, temps.tau_global_local)
+    apex = points.groups(losses.APEXES)
+    phi = exterior_angle(apex, points.groups(losses.MEMBERS), m)
     omega = aperture(apex, cone.aperture_k, m)
     leak = _leaky(phi, omega, losses.entailment_etas(cone), cfg.alpha)
 
-    def calibrate(u, k):
-        return _calibrate(ad.pick(s.u, u), ad.pick(leak, k), cfg.entropy_sign)
+    def calibrate(row, k):
+        return _calibrate(ad.pick(u, row), ad.pick(leak, k), cfg.entropy_sign)
 
     components = {
         "contrastive_globallocal": ref.add(

@@ -1,11 +1,15 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function and class of the package, and every method
+of its classes, has a caller.
 
-The package's modules are read with ``ast``.  A name defined at module level
-must be referenced somewhere in the package outside its own definition (a
-use, an attribute access, or an import, under any alias), unless it is
-public API that the acceptance tests import or a name the benchmark's tracer
-(``perfbench/tracer.py``) wraps.  A helper left behind when its last caller
-goes fails here.
+The package's modules are read with ``ast``.  A name defined at module level,
+or as a method of a module-level class, must be referenced somewhere in the
+package outside its own definition (a use, an attribute access, or an
+import, under any alias), unless it is public API that the acceptance tests
+import or a name the benchmark's tracer (``perfbench/tracer.py``) wraps.
+Methods are counted by name, as functions are.  Dunder methods are exempt,
+and so are overrides of a base class from outside the package (such as
+``cli._Parser.error``, which argparse calls).  A helper left behind when its
+last caller goes fails here.
 """
 
 import ast
@@ -16,6 +20,8 @@ from pathlib import Path
 import hypalign
 
 SOURCES = sorted(Path(hypalign.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -49,16 +55,34 @@ def _tracer_wrapped() -> set[str]:
     return {attr for _, attr, _ in module.WRAPPED}
 
 
-def test_every_module_level_definition_has_a_caller():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    everywhere = sum((_referenced(tree) for tree in trees.values()), Counter())
+def _callerless(definitions) -> list[str]:
+    """Each ``(module, label, node)`` of ``definitions`` whose name the
+    package references only inside the definition itself."""
+    everywhere = sum((_referenced(tree) for tree in TREES.values()), Counter())
     exempt = _acceptance_imports() | _tracer_wrapped()
-    callerless = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            own = _referenced(node)[node.name]      # recursion is not a caller
-            if everywhere[node.name] - own <= 0 and node.name not in exempt:
-                callerless.append(f"{module}:{node.lineno} {node.name}")
-    assert not callerless
+    return [f"{module}:{node.lineno} {label}" for module, label, node in definitions
+            # recursion is not a caller
+            if everywhere[node.name] - _referenced(node)[node.name] <= 0
+            and node.name not in exempt]
+
+
+def _overrides_outside(module: str, cls: str, name: str) -> bool:
+    """Whether method ``name`` of class ``cls`` overrides a base class's
+    from outside the package."""
+    owner = getattr(importlib.import_module(f"hypalign.{module.removesuffix('.py')}"), cls)
+    return any(name in vars(base) for base in owner.__mro__[1:]
+               if not base.__module__.startswith("hypalign"))
+
+
+def test_every_module_level_definition_has_a_caller():
+    assert not _callerless((module, node.name, node) for module, tree in TREES.items()
+                           for node in tree.body if isinstance(node, (*DEFS, ast.ClassDef)))
+
+
+def test_every_method_has_a_caller():
+    assert not _callerless(
+        (module, f"{cls.name}.{node.name}", node) for module, tree in TREES.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, DEFS)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _overrides_outside(module, cls.name, node.name))

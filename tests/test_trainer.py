@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hypalign.autodiff import value_of
+from hypalign.entailment import ConeParams
 from hypalign.errors import ContractViolationError, DomainError, NumericalConsistencyError
 from hypalign.evalmetrics import scaled_tables
 from hypalign.losses import LAYOUT, TAU_FLOOR, Batch, LossConfig, TemperatureSet, total_loss
@@ -104,14 +105,35 @@ class TestScheduleAndOptimizer:
             TrainConfig(beta1=0.5, beta2=0.2)
         assert err.value.field == "beta2"
 
+    @pytest.mark.parametrize("build, field, detail", [
+        (lambda: TrainConfig(steps=2.5), "steps", "2.5 is not an integer"),
+        (lambda: TrainConfig(seed=2.0), "seed", "2.0 is not an integer"),
+        (lambda: TrainConfig(eval_interval=1.5), "eval_interval", "1.5 is not an integer"),
+        (lambda: TrainConfig(batch_size=True), "batch_size", "True is not an integer"),
+        (lambda: TrainConfig(lr=True), "lr", "True is not a real number"),
+        (lambda: LossConfig(alpha=True), "alpha", "True is not a real number"),
+        (lambda: ConeParams(aperture_k=True), "aperture_k", "True is not a real number"),
+        (lambda: TrainConfig(loss=LossConfig(temps=TemperatureSet(tau_global=True))),
+         "tau_global", "True is not a real number"),
+    ])
+    def test_config_value_of_the_wrong_kind(self, build, field, detail):
+        # the Python API reaches what a config file's int and float casters
+        # cannot: an int field holds an integer, and no field a bool
+        with pytest.raises(DomainError, match=f"^{field} {detail}$") as err:
+            build()
+        assert err.value.field == field
+
+    def test_config_values_of_the_right_kind(self):
+        assert TrainConfig(lr=1, steps=np.int64(3)).steps == 3
+
     def test_zero_lr_leaves_parameters_unchanged(self, small_corpus):
         cfg = small_config()
         store = init_parameters(small_corpus, cfg)
         opt = AdamW(store, cfg)
-        before = store.snapshot()
+        before = {name: var.value.copy() for name, var in store.items()}
         idx = sample_batch(small_corpus, cfg.batch_size, [5, 0])
         train_step(store, opt, materialize_batch(store, idx), cfg, lr=0.0)
-        after = store.snapshot()
+        after = {name: var.value.copy() for name, var in store.items()}
         for name in before:
             assert np.array_equal(before[name], after[name]), name
         assert opt.t == 1
@@ -200,7 +222,7 @@ class TestScheduleAndOptimizer:
         rep = total_loss(batch, loss_config_with_vars(cfg.loss, store),
                          Manifold(store["kappa"]))
         grads = ad.gradients(rep.total, store.as_dict())
-        before = store.snapshot()
+        before = {name: var.value.copy() for name, var in store.items()}
         # exactly the scalar parameters are excluded from decay
         assert set(DECAY_EXCLUDE) == {n for n in store.names() if before[n].ndim == 0}
         opt.step(grads, lr=1e-3)
@@ -265,6 +287,20 @@ class TestTrainLoop:
             step = json.loads(line)["step"]
             assert full_recs[step] == line
 
+    def test_resume_builds_no_fresh_store(self, small_corpus, tmp_path, monkeypatch):
+        # a resumed run's state is the checkpoint's store alone
+        cfg = small_config(steps=12, checkpoint_interval=6)
+        train(small_corpus, cfg, tmp_path / "full")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init_parameters called on resume")
+
+        monkeypatch.setattr(trainer_module, "init_parameters", refuse)
+        train(small_corpus, cfg, tmp_path / "resumed",
+              resume=tmp_path / "full" / "checkpoint_000006.json")
+        assert (tmp_path / "resumed" / "checkpoint_final.json").read_bytes() == \
+            (tmp_path / "full" / "checkpoint_final.json").read_bytes()
+
     def test_resume_rejects_config_mismatch(self, small_corpus, tmp_path):
         cfg = small_config(steps=12, checkpoint_interval=6)
         train(small_corpus, cfg, tmp_path / "base")
@@ -323,9 +359,8 @@ class TestTrainLoop:
                    learning_rate(1, cfg))
         path = tmp_path / "ck.json"
         save_checkpoint(path, 1, store, opt, cfg)
-        store2 = init_parameters(small_corpus, cfg)
-        opt2 = AdamW(store2, cfg)
-        assert restore(path, store2, opt2, cfg) == 1
+        store2, opt2, step = restore(path, small_corpus, cfg)
+        assert step == 1
         for name in store.names():
             assert np.array_equal(value_of(store[name]), value_of(store2[name]))
             assert np.array_equal(opt.m[name], opt2.m[name])
@@ -366,9 +401,8 @@ class TestTrainLoop:
             store[name].value[...] = TAU_FLOOR
         save_checkpoint(path, 2, store, opt, cfg)
         loaded = store_from_payload(load_checkpoint(path), path)
-        store2 = init_parameters(small_corpus, cfg)
-        opt2 = AdamW(store2, cfg)
-        assert restore(path, store2, opt2, cfg) == 2
+        store2, opt2, step = restore(path, small_corpus, cfg)
+        assert step == 2
         for name in store.names():
             want = store[name].value.tobytes()
             assert loaded[name].value.tobytes() == want, name
