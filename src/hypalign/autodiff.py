@@ -74,14 +74,6 @@ class Var:
         self._parents = _parents
         self._vjp = _vjp
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
     def __repr__(self):
         return f"Var({self.name}, shape={self.value.shape})"
 
@@ -346,9 +338,7 @@ def _sweep(order: list[Var], root: Var, check: bool) -> dict[int, Array]:
     for node in reversed(order):
         if not node._parents:
             continue
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if check and not _finite(g):
             raise NumericalConsistencyError(
                 f"non-finite gradient flowing into node '{node.name}'"
@@ -399,8 +389,7 @@ def backward(root: Var) -> dict[int, Array]:
     for node in order:
         if node._parents:
             continue
-        g = grads.get(id(node))
-        if g is not None and not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(grads[id(node)])):
             _sweep(order, root, check=True)
             # finite adjoints whose sum overflowed at this leaf
             raise NumericalConsistencyError(

@@ -56,15 +56,20 @@ def _bounds(interval: str) -> tuple:
 def check_domains(config, domains: dict) -> None:
     """Raise a :class:`DomainError` naming the first field of ``config``
     outside its domain.  ``domains`` maps field names to intervals written
-    like ``"[0, 1)"`` or ``"(0, inf)"``.  A field annotated ``int`` must
-    hold an integer, and no field a bool.  A value that is not a real
+    like ``"[0, 1)"`` or ``"(0, inf)"``, and a field annotated ``bool`` to
+    ``None``: it must hold a bool.  A field annotated ``int`` must hold an
+    integer, and no other field a bool.  A value that is not a real
     number, ``nan``, an infinity or an integer past float's range (which
-    float arithmetic on it would overflow) lies outside every domain."""
+    float arithmetic on it would overflow) lies outside every interval."""
     kinds = type(config).__annotations__
     for name, interval in domains.items():
-        value, ints = getattr(config, name), kinds.get(name) in ("int", int)
-        if isinstance(value, bool) or (ints and not isinstance(value, numbers.Integral)):
-            raise DomainError(name, f"{value!r} is not {'an integer' if ints else 'a real number'}")
+        value, kind = getattr(config, name), kinds.get(name)
+        bools, ints = kind in ("bool", bool), kind in ("int", int)
+        if isinstance(value, bool) != bools or (ints and not isinstance(value, numbers.Integral)):
+            raise DomainError(name, f"{value!r} is not "
+                              f"{'a bool' if bools else 'an integer' if ints else 'a real number'}")
+        if bools:
+            continue
         low, closed_low, high, closed_high = _bounds(interval)
         if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
                 and (low <= value if closed_low else low < value)

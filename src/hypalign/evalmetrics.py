@@ -98,18 +98,9 @@ class Taxonomy:
         return out
 
     def lca(self, a: str, b: str) -> str:
-        self._check(a)
-        self._check(b)
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            a = self.parent[a]
-            da -= 1
-        while db > da:
-            b = self.parent[b]
-            db -= 1
-        while a != b:
-            a, b = self.parent[a], self.parent[b]
-        return a
+        """The deepest label both :meth:`ancestors` sets hold, or the root."""
+        common = self.ancestors(a) & self.ancestors(b)
+        return max(common, key=self.depth.__getitem__, default=self.root)
 
 
 def tie(pred: str, truth: str, t: Taxonomy) -> int:
@@ -447,11 +438,9 @@ def uncertainty_correlation(corpus: Corpus, store: ParameterStore, m: Manifold,
 
     Only each part's distance to its own whole is formed
     (:func:`geodesic_distance`), so only those pairs can raise the acosh
-    drift error.  A corpus of fewer than 3 parts is refused."""
+    drift error.  Fewer than 3 parts read as degenerate, as in :func:`evaluate`."""
     if modality not in MODALITIES:
         raise ContractViolationError("modality must be 'image' or 'text'")
-    if len(corpus.parent_rows) < 3:
-        raise ContractViolationError("need at least 3 parts for a correlation")
     tables = scaled_tables(store)
     points = {group: lift(tables[group], m)
               for group in (f"part_{modality}", f"whole_{modality}")}

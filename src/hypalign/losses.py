@@ -102,13 +102,15 @@ class LossConfig:
     uncertainty_from_radius: bool = False  # explicit-radius uncertainty ablation
 
     def __post_init__(self):
+        check_domains(self, _LOSS_DOMAINS)
         if self.entropy_sign not in (1.0, -1.0):
             raise DomainError("entropy_sign", "must be +1 or -1")
-        check_domains(self, _LOSS_DOMAINS)
 
 
-_LOSS_DOMAINS = dict.fromkeys(("alpha", "lambda_intra", "lambda_cal", "lambda_ent"),
-                              "[0, inf)")
+_LOSS_DOMAINS = {**dict.fromkeys(("alpha", "lambda_intra", "lambda_cal", "lambda_ent"),
+                                 "[0, inf)"),
+                 "entropy_sign": "(-inf, inf)", "include_positive": None,
+                 "uncertainty_from_radius": None}
 
 
 # the batch layout, in the order the groups are stacked and lifted: each

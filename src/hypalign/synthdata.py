@@ -248,12 +248,6 @@ def load(path) -> Corpus:
     missing = [name for name in names if name not in header]
     if missing:
         raise ContractViolationError(f"{path}: corpus header lacks generator field(s) {missing}")
-    # the sizes the records are read and counted by
-    sizes = [name for name in ("num_scenes", "parts_per_scene", "latent_dim")
-             if type(header[name]) is not int or header[name] < 1]
-    if sizes:
-        raise ContractViolationError(
-            f"{path}: corpus header field(s) {sizes} not positive integers")
     try:
         params = GeneratorParams(**{name: header[name] for name in names})
     except DomainError as err:

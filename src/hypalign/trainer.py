@@ -499,7 +499,8 @@ def restore(path, corpus: Corpus, cfg: TrainConfig) -> tuple[ParameterStore, Ada
     ``eval`` builds it), an :class:`AdamW` over it with the saved moments,
     and the step.  The config hash must match, and each table must fit
     ``corpus`` and ``cfg.table_dim`` (:func:`check_fit`; the hash covers
-    neither the corpus, which sets the rows, nor a hand-edited width)."""
+    neither the corpus, which sets the rows, nor a hand-edited width).  A moment
+    entry must be finite, and a second-moment entry not negative, as a run leaves them."""
     payload = load_checkpoint(path)
     if payload["config_hash"] != config_hash(cfg):
         raise ContractViolationError(
@@ -515,6 +516,10 @@ def restore(path, corpus: Corpus, cfg: TrainConfig) -> tuple[ParameterStore, Ada
                 raise ContractViolationError(
                     f"{path}: checkpoint {field}[{name!r}] needs the base64 float64 "
                     f"bytes of shape {shape}")
+            if not np.all(np.isfinite(value)) or (field == "opt_v" and np.any(value < 0)):
+                raise ContractViolationError(
+                    f"{path}: checkpoint {field}[{name!r}] holds a non-finite entry"
+                    f"{', or a negative one' if field == 'opt_v' else ''}")
             moments[name][...] = value
     opt.t = int(payload["opt_t"])
     return store, opt, int(payload["step"])

@@ -272,10 +272,13 @@ class TestBackward:
         g1, g2 = ad.gradients(root, params), ad.gradients(root, params)
         assert all(np.array_equal(g1[k], g2[k]) for k in params)
 
-    def test_non_scalar_root_rejected(self):
-        v = Var(np.ones(3))
-        with pytest.raises(ContractViolationError):
-            ad.backward(ref.square(v))
+    @pytest.mark.parametrize("root, message", [
+        (lambda: ref.square(Var(np.ones(3))), "backward root must be scalar"),
+        (lambda: np.ones(()), "backward requires a Var root"),
+    ])
+    def test_root_not_a_scalar_var_rejected(self, root, message):
+        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+            ad.backward(root())
 
 
 class TestGroupStacks:
@@ -308,11 +311,13 @@ class TestGroupStacks:
 
 
 class TestParameterStore:
-    def test_duplicate_name_rejected(self):
+    def test_duplicate_or_unknown_name_rejected(self):
         store = ParameterStore()
         store.register("a", np.zeros(2))
         with pytest.raises(ContractViolationError):
             store.register("a", np.zeros(2))
+        with pytest.raises(ContractViolationError, match="^unknown parameter 'b'$"):
+            store["b"]
 
     def test_plain_numpy_fast_path(self):
         # raw inputs bypass the tape entirely

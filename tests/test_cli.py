@@ -855,10 +855,15 @@ class TestMalformedInputFiles:
         ("opt_m", []), ("opt_v", ["x"]), ("opt_m", None),
         # format 2 text: no bytes, not base64, two values for a scalar
         ("opt_m", ""), ("opt_v", "not base64!"), ("opt_m", encode([0.0, 0.0])),
+        # values no run writes: a non-finite moment, a negative second moment
+        ("opt_m", encode([np.inf])), ("opt_v", encode([np.nan])), ("opt_v", encode([-1.0])),
     ])
     def test_resume_from_malformed_moment(self, run, corpus_path, tmp_path, capsys,
                                           field, value):
         payload = json.loads(run["checkpoint"].read_text())
+        # read as a step-1 checkpoint, so a resume that took the moment would
+        # run a step
+        payload["step"] = 1
         if value is None:
             del payload[field]["kappa"]
         else:
@@ -872,6 +877,7 @@ class TestMalformedInputFiles:
         assert code == 1 and len(errors) == 1
         message = json.loads(errors[0].partition("message=")[2])
         assert message.startswith(f"{run['checkpoint']}:") and f"{field}['kappa']" in message
+        assert not (tmp_path / "r2" / "failure_dump.json").exists()
 
     def test_resume_on_a_corpus_of_another_size(self, run, capsys, tmp_path):
         # the checkpoint was trained on 8 scenes of 2 parts; the same

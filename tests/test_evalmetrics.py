@@ -235,14 +235,15 @@ class TestRecallAtK:
                      for qi in range(q)}
             assert _recalls(sims, truth, ks) == orc.recalls_reference(sims, truth, ks)
 
-    @pytest.mark.parametrize("n_queries, n_gallery, message", [
-        (2, 0, "empty gallery"),
-        (0, 2, "empty query set"),
+    @pytest.mark.parametrize("n_queries, n_gallery, k, message", [
+        (2, 0, 1, "empty gallery"),
+        (0, 2, 1, "empty query set"),
+        (2, 2, 0, "k must be >= 1"),
     ])
-    def test_empty_gallery_rejected(self, n_queries, n_gallery, message):
+    def test_empty_gallery_rejected(self, n_queries, n_gallery, k, message):
         m = Manifold(1.0)
         with pytest.raises(ContractViolationError, match=message):
-            recall_at_k(np.zeros((n_queries, 3)), np.zeros((n_gallery, 3)), {}, 1, m)
+            recall_at_k(np.zeros((n_queries, 3)), np.zeros((n_gallery, 3)), {}, k, m)
 
 
 class TestDistributionDistances:
@@ -669,12 +670,26 @@ class TestUncertaintyCorrelation:
             else:
                 run()
 
-    def test_too_few_parts_rejected(self):
+    def test_too_few_parts_read_as_evaluate_reads_them(self):
+        # 2 parts have no correlation: both paths report it degenerate
         corpus = generate(num_scenes=2, parts_per_scene=1, seed=14)
         cfg = TrainConfig(batch_size=2, table_dim=16)
         store = init_parameters(corpus, cfg)
-        with pytest.raises(ContractViolationError):
-            uncertainty_correlation(corpus, store, Manifold(1.0))
+        m = Manifold(1.0)
+        section = evaluate(corpus, store, m)["uncertainty_correlation"]
+        for modality in ("image", "text"):
+            rep = uncertainty_correlation(corpus, store, m, modality)
+            assert section[modality] == {"pearson_similarity": rep.pearson_similarity,
+                                         "spearman_ground_truth": rep.spearman_ground_truth,
+                                         "degenerate": rep.degenerate}
+            assert (rep.pearson_similarity, rep.spearman_ground_truth, rep.degenerate,
+                    rep.modality) == (0.0, 0.0, True, modality)
+
+    def test_unknown_modality_rejected(self):
+        corpus = generate(num_scenes=3, parts_per_scene=1, seed=14)
+        store = init_parameters(corpus, TrainConfig(batch_size=2, table_dim=16))
+        with pytest.raises(ContractViolationError, match="^modality must be 'image' or 'text'$"):
+            uncertainty_correlation(corpus, store, Manifold(1.0), "audio")
 
 
 class TestEvaluate:

@@ -346,11 +346,14 @@ class TestSerialization:
             load(path)
         assert str(info.value) == f"{path}:4: corpus record's {message}"
 
-    @pytest.mark.parametrize("field, value", [
-        ("latent_dim", 2.0), ("latent_dim", "2"), ("latent_dim", True), ("latent_dim", 0),
-        ("num_scenes", "3"), ("parts_per_scene", [1]), ("num_scenes", -3),
+    @pytest.mark.parametrize("field, value, detail", [
+        ("latent_dim", 2.0, "is not an integer"), ("latent_dim", "2", "is not an integer"),
+        ("latent_dim", True, "is not an integer"),
+        ("latent_dim", 0, "outside its domain [2, inf)"),
+        ("num_scenes", "3", "is not an integer"), ("parts_per_scene", [1], "is not an integer"),
+        ("num_scenes", -3, "outside its domain [2, inf)"),
     ])
-    def test_header_size_not_a_positive_integer(self, tmp_path, field, value):
+    def test_header_size_not_a_positive_integer(self, tmp_path, field, value, detail):
         path = tmp_path / "c.txt"
         save(generate(num_scenes=3, parts_per_scene=1, seed=2, latent_dim=2), path)
         header, *records = path.read_text().splitlines()
@@ -359,8 +362,7 @@ class TestSerialization:
         path.write_text("\n".join([json.dumps(header), *records]) + "\n")
         with pytest.raises(ContractViolationError) as info:
             load(path)
-        assert str(info.value) == (
-            f"{path}: corpus header field(s) ['{field}'] not positive integers")
+        assert str(info.value) == f"{path}: corpus header's {field} {value!r} {detail}"
 
     @pytest.mark.parametrize("missing", [f.name for f in fields(GeneratorParams)])
     def test_missing_header_field_rejected(self, tmp_path, missing):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypalign.errors import ContractViolationError, DomainError, NumericalConsis
 from hypalign.evalmetrics import scaled_tables
 from hypalign.losses import LAYOUT, TAU_FLOOR, Batch, LossConfig, TemperatureSet, total_loss
 from hypalign.manifold import Manifold
-from hypalign.synthdata import generate, sample_batch
+from hypalign.synthdata import GeneratorParams, generate, sample_batch
 from hypalign.trainer import (
     _EVAL_STREAM_TAG,
     _as_array,
@@ -125,6 +126,20 @@ class TestScheduleAndOptimizer:
 
     def test_config_values_of_the_right_kind(self):
         assert TrainConfig(lr=1, steps=np.int64(3)).steps == 3
+
+    # every int, float and bool field of the configuration classes, given a
+    # string, and a bool field an int or a numeric field a bool
+    SCALAR_FIELDS = [(cls, name, value)
+                     for cls in (TrainConfig, LossConfig, ConeParams, GeneratorParams)
+                     for name, hint in get_type_hints(cls).items() if hint in (int, float, bool)
+                     for value in ("1", 1 if hint is bool else True)]
+
+    @pytest.mark.parametrize("cls, name, value", SCALAR_FIELDS, ids=[
+        f"{cls.__name__}-{name}-{value!r}" for cls, name, value in SCALAR_FIELDS])
+    def test_every_scalar_field_refuses_another_kind(self, cls, name, value):
+        with pytest.raises(DomainError) as err:
+            cls(**{name: value})
+        assert err.value.field == name
 
     def test_zero_lr_leaves_parameters_unchanged(self, small_corpus):
         cfg = small_config()
@@ -310,6 +325,17 @@ class TestTrainLoop:
             train(small_corpus, other, tmp_path / "bad", resume=ckpt)
         assert str(err.value).startswith(f"{ckpt}: ")
 
+    def test_resume_rejects_a_step_beyond_the_configured_steps(self, small_corpus, tmp_path):
+        cfg = small_config(steps=2)
+        train(small_corpus, cfg, tmp_path / "base")
+        ckpt = tmp_path / "base" / "checkpoint_final.json"
+        payload = json.loads(ckpt.read_text())
+        payload["step"] = 3
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(ContractViolationError,
+                           match="^checkpoint step 3 beyond configured steps 2$"):
+            train(small_corpus, cfg, tmp_path / "resumed", resume=ckpt)
+
     def test_metrics_contain_required_fields(self, small_corpus, tmp_path):
         cfg = small_config()
         train(small_corpus, cfg, tmp_path / "fields")
@@ -370,9 +396,10 @@ class TestTrainLoop:
     def test_checkpoint_roundtrip_special_values_bitwise(self, small_corpus, tmp_path):
         # every array keeps its exact bits through save and load: signed
         # zero, subnormals, infinities, NaNs with payloads, extremes; a store
-        # is built, and a run restored, only from parameters a run can leave
-        # behind, which here hold the finite small specials (the curvature
-        # and the temperatures hold values inside the ranges training keeps)
+        # is built, and a run restored, only from parameters and moments a
+        # run can leave behind, which here hold the finite small specials
+        # (the curvature and the temperatures hold values inside the ranges
+        # training keeps, and no second moment is negative)
         cfg = small_config(steps=4)
         store = init_parameters(small_corpus, cfg)
         opt = AdamW(store, cfg)
@@ -390,6 +417,9 @@ class TestTrainLoop:
         for name, var in store.items():
             data = payload["params"][name]["data"]
             assert _as_array(data, var.value.shape).tobytes() == var.value.tobytes(), name
+            for field, moments in (("opt_m", opt.m), ("opt_v", opt.v)):
+                data = payload[field][name]
+                assert _as_array(data, var.value.shape).tobytes() == moments[name].tobytes()
         with pytest.raises(ContractViolationError, match="'table_scene_img' holds a non-finite"):
             store_from_payload(payload, path)
         small = special[np.isfinite(special) & (np.abs(special) < 1.0)]
@@ -399,6 +429,13 @@ class TestTrainLoop:
         store["kappa"].value[...] = 1.0
         for name in TEMPERATURE_PARAMS.values():
             store[name].value[...] = TAU_FLOOR
+        save_checkpoint(path, 2, store, opt, cfg)
+        with pytest.raises(ContractViolationError,
+                           match=r"opt_m\['table_scene_img'\] holds a non-finite entry$"):
+            restore(path, small_corpus, cfg)
+        for name in store.names():
+            opt.m[name][...] = np.resize(small, opt.m[name].shape)
+            opt.v[name][...] = np.resize(small[small >= 0.0], opt.v[name].shape)
         save_checkpoint(path, 2, store, opt, cfg)
         loaded = store_from_payload(load_checkpoint(path), path)
         store2, opt2, step = restore(path, small_corpus, cfg)

@@ -108,6 +108,10 @@ class TestEntropy:
     def test_hand_value(self):
         assert entropy(np.array([0.25, 0.75])) == pytest.approx(0.562335, abs=1e-6)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ContractViolationError):
-            entropy(np.array([0.3, 0.3]))
+    @pytest.mark.parametrize("w, message", [
+        ([0.3, 0.3], "entropy input is not a normalized weight vector"),
+        ([], "entropy of an empty weight vector"),
+    ])
+    def test_rejects_empty_or_unnormalized(self, w, message):
+        with pytest.raises(ContractViolationError, match=f"^{message}$"):
+            entropy(np.array(w))
