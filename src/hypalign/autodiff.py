@@ -148,7 +148,7 @@ def run_values(x) -> list:
 def sum_all(a: Array) -> Array:
     """Sum over every axis; an op's VJP sums the adjoint of a scalar input
     (``kappa``) with it, so that adjoint has the input's shape."""
-    return a.sum(axis=tuple(range(a.ndim)))
+    return np.add.reduce(a, axis=None)
 
 
 def fused(value, name: str, inputs: tuple, vjp: Callable[[Array], Sequence]) -> Var:
@@ -212,7 +212,7 @@ def _acosh_clamp(xv: Array, out: Array | None = None) -> Array:
 
     Values in [1 - DRIFT_TOL, 1) are floating-point drift at a
     coincident-point kink, where the subgradient 0 is used."""
-    low = np.min(xv) if xv.size else 1.0
+    low = xv.min() if xv.size else 1.0
     if low < 1.0 - DRIFT_TOL:
         raise NumericalConsistencyError(
             f"acosh argument {low!r} below 1 by more than {DRIFT_TOL}"
@@ -233,59 +233,62 @@ def _acosh_deriv(xc: Array) -> Array:
 
 
 # smooth composites of sqrt: entire functions of y = x**2, so they stay
-# differentiable through y = 0 (the exp/log maps and the radius at the origin)
+# differentiable through y = 0 (the exp/log maps and the radius at the origin).
+# Each computes its direct form at y clamped up to the cutoff, then writes its
+# series into the entries below the cutoff, if there are any.
+
+def _with_series(y: Array, direct: Array, series: Callable[[Array], Array]) -> Array:
+    """``direct`` with each entry where ``y < _SERIES_CUTOFF`` replaced, in
+    place, by ``series`` of that entry of ``y``."""
+    small = y < _SERIES_CUTOFF
+    ys = y[small]
+    if ys.size:
+        direct = np.asarray(direct)
+        direct[small] = series(ys)
+    return direct
+
 
 def _cosh_sqrt_val(y: Array) -> Array:
-    small = y < _SERIES_CUTOFF
-    ys = np.where(small, y, 0.0)
-    series = 1.0 + ys / 2.0 + ys**2 / 24.0 + ys**3 / 720.0
-    direct = np.cosh(np.sqrt(np.where(small, 1.0, y)))
-    return np.where(small, series, direct)
+    return _with_series(y, np.cosh(np.sqrt(np.maximum(y, _SERIES_CUTOFF))),
+                        lambda ys: 1.0 + ys / 2.0 + ys**2 / 24.0 + ys**3 / 720.0)
 
 
 def _sinhc_sqrt_val(y: Array) -> Array:
-    small = y < _SERIES_CUTOFF
-    ys = np.where(small, y, 0.0)
-    series = 1.0 + ys / 6.0 + ys**2 / 120.0 + ys**3 / 5040.0
-    r = np.sqrt(np.where(small, 1.0, y))
-    direct = np.sinh(r) / r
-    return np.where(small, series, direct)
+    r = np.sqrt(np.maximum(y, _SERIES_CUTOFF))
+    return _with_series(y, np.sinh(r) / r,
+                        lambda ys: 1.0 + ys / 6.0 + ys**2 / 120.0 + ys**3 / 5040.0)
 
 
 def _asinhc_sqrt_val(y: Array) -> Array:
-    small = y < _SERIES_CUTOFF
-    ys = np.where(small, y, 0.0)
-    series = 1.0 - ys / 6.0 + 3.0 * ys**2 / 40.0 - 5.0 * ys**3 / 112.0
-    r = np.sqrt(np.where(small, 1.0, y))
-    direct = np.arcsinh(r) / r
-    return np.where(small, series, direct)
+    r = np.sqrt(np.maximum(y, _SERIES_CUTOFF))
+    return _with_series(y, np.arcsinh(r) / r,
+                        lambda ys: 1.0 - ys / 6.0 + 3.0 * ys**2 / 40.0 - 5.0 * ys**3 / 112.0)
 
 
 def _sinhc_sqrt_deriv(y: Array, out: Array) -> Array:
     """d/dy of ``sinh(sqrt(y))/sqrt(y)``, given ``out`` = its value at ``y``."""
-    small = y < _SERIES_CUTOFF
-    ys = np.where(small, y, 0.0)
-    series = 1.0 / 6.0 + ys / 60.0 + ys**2 / 1680.0
-    ysafe = np.where(small, 1.0, y)
-    direct = (_cosh_sqrt_val(ysafe) - out) / (2.0 * ysafe)
-    return np.where(small, series, direct)
+    ysafe = np.maximum(y, _SERIES_CUTOFF)
+    return _with_series(y, (np.cosh(np.sqrt(ysafe)) - out) / (2.0 * ysafe),
+                        lambda ys: 1.0 / 6.0 + ys / 60.0 + ys**2 / 1680.0)
 
 
 def _asinhc_sqrt_deriv(y: Array, out: Array) -> Array:
     """d/dy of ``asinh(sqrt(y))/sqrt(y)``, given ``out`` = its value at ``y``."""
-    small = y < _SERIES_CUTOFF
-    ys = np.where(small, y, 0.0)
-    series = -1.0 / 6.0 + 3.0 * ys / 20.0 - 15.0 * ys**2 / 112.0
-    ysafe = np.where(small, 1.0, y)
-    direct = (1.0 / np.sqrt(1.0 + ysafe) - out) / (2.0 * ysafe)
-    return np.where(small, series, direct)
+    ysafe = np.maximum(y, _SERIES_CUTOFF)
+    return _with_series(y, (1.0 / np.sqrt(1.0 + ysafe) - out) / (2.0 * ysafe),
+                        lambda ys: -1.0 / 6.0 + 3.0 * ys / 20.0 - 15.0 * ys**2 / 112.0)
+
+
+def _row_norm(x: Array) -> Array:
+    """Euclidean norm of each row of ``x`` (over its last axis), as
+    ``np.linalg.norm(x, axis=-1)`` computes it for real input."""
+    return np.sqrt((x * x).sum(-1))
 
 
 def _softmax_val(x: Array, axis) -> Array:
     """Stable softmax (max-subtracted)."""
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +318,8 @@ def _finite(adjoint) -> bool:
     """Whether an adjoint (an array, or a dict of picked groups' sums) is
     finite everywhere."""
     if isinstance(adjoint, dict):
-        return all(np.all(np.isfinite(a)) for a in adjoint.values())
-    return bool(np.all(np.isfinite(adjoint)))
+        return all(np.isfinite(a).all() for a in adjoint.values())
+    return bool(np.isfinite(adjoint).all())
 
 
 def _sweep(order: list[Var], root: Var, check: bool) -> dict[int, Array]:
@@ -389,7 +392,7 @@ def backward(root: Var) -> dict[int, Array]:
     for node in order:
         if node._parents:
             continue
-        if not np.all(np.isfinite(grads[id(node)])):
+        if not np.isfinite(grads[id(node)]).all():
             _sweep(order, root, check=True)
             # finite adjoints whose sum overflowed at this leaf
             raise NumericalConsistencyError(

@@ -42,8 +42,8 @@ class ConeParams:
 def _nonzero_norm(space, message: str):
     """Row norms of space components; a zero norm (the origin) raises
     ``message``."""
-    norm = np.linalg.norm(space, axis=-1)
-    if np.min(norm) <= 0.0:
+    norm = ad._row_norm(space)
+    if norm.min() <= 0.0:
         raise ContractViolationError(message)
     return norm
 
@@ -60,7 +60,7 @@ def aperture(p: LorentzPoint, k: float, m: Manifold):
     norm = _nonzero_norm(ps, "cone aperture undefined at the origin")
     kv = ad.per_run(m.kappa, norm.shape, 1)
     arg = 2.0 * float(k) / (np.sqrt(kv) * norm)
-    clipped = np.clip(arg, 0.0, 1.0)
+    clipped = np.minimum(arg, 1.0)          # arg > 0: the norm is positive
     omega = np.arcsin(clipped)
 
     def vjp(g):
@@ -68,7 +68,7 @@ def aperture(p: LorentzPoint, k: float, m: Manifold):
         d_arg = g * np.where(
             interior, 1.0 / np.sqrt(np.where(interior, 1.0 - clipped * clipped, 1.0)), 0.0
         )
-        return (np.expand_dims(-d_arg * arg / (norm * norm), -1) * ps,
+        return ((-d_arg * arg / (norm * norm))[..., None] * ps,
                 ad.sum_all(-d_arg * arg / (2.0 * kv)))
 
     return ad.fused(omega, "aperture", (p.space, m.kappa), vjp)
@@ -106,11 +106,11 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     inputs = (p.time, p.space, q.time, q.space, m.kappa)
     pt, ps, qt, qs = (value_of(x) for x in inputs[:4])
     p_norm = _nonzero_norm(ps, "exterior angle undefined at the origin")
-    inner = np.sum(ps * qs, axis=-1) - pt * qt
+    inner = (ps * qs).sum(-1) - pt * qt
     kv = ad.per_run(m.kappa, inner.shape, 1)
     beta = kv * inner
     coincident, root, den, cos_phi = _cos_angle(qt + pt * beta, beta * beta - 1.0, p_norm)
-    worst = np.max(np.abs(cos_phi)) if cos_phi.size else 0.0
+    worst = np.abs(cos_phi).max() if cos_phi.size else 0.0
     if worst > 1.0 + ad.DRIFT_TOL:
         # Near q = p, beta^2 - 1 and the numerator are differences of terms
         # of size t^2 and lose most of their digits.  Redo the drifted pairs
@@ -131,7 +131,7 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
             )
         coincident, root, den, cos_phi = redone
         inner = np.where(drift, beta / kv, inner)
-    clipped = np.clip(cos_phi, -1.0, 1.0)
+    clipped = np.minimum(np.maximum(cos_phi, -1.0), 1.0)
     phi = np.arccos(clipped)
     def vjp(g):
         interior = np.abs(cos_phi) < 1.0
@@ -142,9 +142,9 @@ def exterior_angle(p: LorentzPoint, q: LorentzPoint, m: Manifold):
         d_den = -d_cos * cos_phi / den
         d_beta = d_num * pt + d_den * p_norm * beta / root
         d_inner = d_beta * kv
-        d_inner_col = np.expand_dims(d_inner, -1)
+        d_inner_col = d_inner[..., None]
         d_pt = d_num * beta - d_inner * qt
-        d_ps = np.expand_dims(d_den * root / p_norm, -1) * ps + d_inner_col * qs
+        d_ps = (d_den * root / p_norm)[..., None] * ps + d_inner_col * qs
         if ps.ndim < qs.ndim:       # one apex against the members: summed over them
             lead = tuple(range(qs.ndim - ps.ndim))
             d_pt, d_ps = d_pt.sum(axis=lead), d_ps.sum(axis=lead)

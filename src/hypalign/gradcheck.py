@@ -214,7 +214,7 @@ def _assert_kink_margins(store: ParameterStore, idx: BatchIndices,
     apex = points.groups(APEXES)
     phi = value_of(exterior_angle(apex, points.groups(MEMBERS), manifold))
     omega = value_of(aperture(apex, cone.aperture_k, manifold))
-    apex_norm = np.linalg.norm(value_of(apex.space), axis=-1)
+    apex_norm = ad._row_norm(value_of(apex.space))
     asin_arg = 2.0 * cone.aperture_k / (np.sqrt(kappa) * apex_norm)
     # hinge boundary, acos endpoints, aperture saturation
     margins = [np.abs(phi - entailment_etas(cone) * omega),

@@ -83,7 +83,10 @@ class TemperatureSet:
 
     def __post_init__(self):
         for f in fields(self):
-            if any(tau < TAU_FLOOR for tau in ad.run_values(getattr(self, f.name))):
+            value = getattr(self, f.name)
+            if not (ad.is_var(value) or np.asarray(value).dtype.kind in "iuf"):
+                raise DomainError(f.name, f"{value!r} is not a real number")
+            if any(tau < TAU_FLOOR for tau in ad.run_values(value)):
                 raise DomainError(f.name, f"below the {TAU_FLOOR} floor")
 
 
@@ -211,7 +214,7 @@ def _nce(dists, tau, include_positive: bool, transposed: bool):
     own order, the layouts that fix their bits.
     """
     dv, tv = value_of(dists), value_of(tau)
-    d = np.swapaxes(dv, -1, -2) if transposed else dv
+    d = dv.swapaxes(-1, -2) if transposed else dv
     b = d.shape[-1]
     rows = np.arange(b)
     t = tv[..., None] if tv.ndim else tv
@@ -219,11 +222,11 @@ def _nce(dists, tau, include_positive: bool, transposed: bool):
     positives = e[..., rows, rows]
     if not include_positive:
         e[..., rows, rows] = -np.inf
-    top = np.max(e, axis=-1, keepdims=True)
+    top = e.max(axis=-1, keepdims=True)
     e -= top
     np.exp(e, out=e)
-    total = np.sum(e, axis=-1, keepdims=True)
-    denom = np.squeeze(top, axis=-1) + np.log(np.squeeze(total, axis=-1))
+    total = e.sum(axis=-1, keepdims=True)
+    denom = top[..., 0] + np.log(total[..., 0])
 
     def vjp(g):
         g_logits = np.divide(e, total, order="C")
@@ -235,7 +238,7 @@ def _nce(dists, tau, include_positive: bool, transposed: bool):
         return (g_logits.T if transposed else g_logits,
                 g_t.sum(axis=1) if tv.ndim else g_t.sum(axis=(0, 1)))
 
-    return np.sum(denom - positives, axis=-1), vjp
+    return (denom - positives).sum(-1), vjp
 
 
 def _info_nce(terms, include_positive: bool):
@@ -272,7 +275,7 @@ def _tempered(u, tau_global_local):
     half = np.exp(value_of(u) / 2.0)
     tau = ad.per_run(tau_global_local, half.shape, 1)
     return ad.fused(half * tau, "tempered", (u, tau_global_local),
-                    lambda g: (g * tau * half / 2.0, np.sum(g * half)))
+                    lambda g: (g * tau * half / 2.0, (g * half).sum()))
 
 
 def adaptive_temperatures(parts, tau_global_local):
@@ -327,14 +330,14 @@ def _calibrate(u, leak, entropy_sign: float):
     sign = float(entropy_sign)
     decay = np.exp(-uv)
     w = normalize_uncertainty(uv)
-    rows = np.atleast_1d(np.sum(lv * decay + uv, axis=-1) + sign * entropy(w))
+    rows = np.atleast_1d((lv * decay + uv).sum(-1) + sign * entropy(w))
 
     def vjp(g):
         g_rows = np.full(w.shape, g)
         # the entropy's adjoint reaches w through w and through log(w)
         g_ent = np.full(w.shape, -(g * sign))
         g_w = g_ent * np.log(w) + g_ent * w * (1.0 / w)
-        g_soft = w * (g_w - np.sum(g_w * w, axis=-1, keepdims=True))
+        g_soft = w * (g_w - (g_w * w).sum(-1, keepdims=True))
         return (g_rows, -(g_rows * lv * decay), g_soft)
 
     # u's three adjoint terms (the core's two and the entropy's) go to the
@@ -422,7 +425,7 @@ def _contrastive_terms(points: LorentzPoint, u, cfg: LossConfig, m: Manifold) ->
 def _sum_pair(a, b):
     """``sum(a) + sum(b)`` over the last axis, one tape node."""
     av, bv = value_of(a), value_of(b)
-    return ad.fused(np.sum(av, axis=-1) + np.sum(bv, axis=-1), "sum_pair", (a, b),
+    return ad.fused(av.sum(-1) + bv.sum(-1), "sum_pair", (a, b),
                     lambda g: (np.full(av.shape, g), np.full(bv.shape, g)))
 
 

@@ -109,23 +109,23 @@ def lift(v, m: Manifold) -> LorentzPoint:
     ``v`` and ``kappa``.
     """
     vv = value_of(v)
-    s = np.sum(vv * vv, axis=-1)
+    s = (vv * vv).sum(-1)
     kv = ad.per_run(m.kappa, s.shape, 1)
     y = kv * s
     sqrt_k = np.sqrt(kv)
     time = ad._cosh_sqrt_val(y) / sqrt_k
     sinhc_y = ad._sinhc_sqrt_val(y)
-    scale = np.expand_dims(sinhc_y, -1)
+    scale = sinhc_y[..., None]
     space = scale * vv
 
     def time_vjp(g):
         # d cosh(sqrt(y))/dy = sinhc(sqrt(y)) / 2
-        return (np.expand_dims(g * sqrt_k * sinhc_y, -1) * vv,
+        return ((g * sqrt_k * sinhc_y)[..., None] * vv,
                 ad.sum_all(g * (sinhc_y * s / (2.0 * sqrt_k) - time / (2.0 * kv))))
 
     def space_vjp(g):
-        d_scale = np.sum(g * vv, axis=-1) * ad._sinhc_sqrt_deriv(y, sinhc_y)
-        return (scale * g + np.expand_dims(2.0 * kv * d_scale, -1) * vv,
+        d_scale = (g * vv).sum(-1) * ad._sinhc_sqrt_deriv(y, sinhc_y)
+        return (scale * g + (2.0 * kv * d_scale)[..., None] * vv,
                 ad.sum_all(d_scale * s))
 
     inputs = (v, m.kappa)
@@ -162,7 +162,7 @@ def pairwise_inner(pt, ps, qt, qs):
     two plain point batches: one matmul and one outer product, over any
     leading stack axes the batches share (``ps`` ``(..., Bp, n)``, ``pt``
     ``(..., Bp)``)."""
-    inner = ps @ np.swapaxes(qs, -1, -2)
+    inner = ps @ qs.swapaxes(-1, -2)
     inner -= pt[..., :, None] * qt[..., None, :]
     return inner
 
@@ -202,8 +202,8 @@ def pairwise_distance(p: LorentzPoint, q: LorentzPoint, m: Manifold):
     pt, ps, qt, qs = (value_of(x) for x in inputs[:4])
     if (ad.is_var(p.space) or ad.is_var(q.space)) and (ps.ndim != 2 or qs.ndim != 2):
         raise ContractViolationError("pairwise_distance takes 2-D point batches")
-    # a single plain point is a batch of one
-    pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
+    if ps.ndim < 2 or qs.ndim < 2:      # a single plain point is a batch of one
+        pt, qt, ps, qs = np.atleast_1d(pt), np.atleast_1d(qt), np.atleast_2d(ps), np.atleast_2d(qs)
     kv = ad.per_run(m.kappa, ps.shape, 2)
     inner = pairwise_inner(pt, ps, qt, qs)
     on_tape = any(ad.is_var(x) for x in inputs)

@@ -167,7 +167,7 @@ def _gather_scaled(sources):
                 acc[rows] = gk * cv
             else:
                 np.add.at(acc, rows, gk * cv)
-            adj += (acc, np.sum(gk * p))
+            adj += (acc, (gk * p).sum())
         return adj
 
     return ad.fused(out, "gather_scale", tuple(x for t, _, c in sources for x in (t, c)), vjp)
@@ -187,9 +187,17 @@ def materialize_batch(store: ParameterStore, idx: BatchIndices) -> Batch:
 
 
 def loss_config_with_vars(cfg: LossConfig, store: ParameterStore) -> LossConfig:
-    """Loss config whose temperatures are ``store``'s (live Vars, or values)."""
+    """Loss config whose temperatures are ``store``'s (live Vars, or values).
+    A :class:`ParameterStore` keeps the same Vars for its whole life, so its
+    config is built once per ``cfg`` and kept on the store."""
+    kept = getattr(store, "loss_cfg", None)
+    if kept is not None and kept[0] is cfg:
+        return kept[1]
     temps = TemperatureSet(**{f: store[name] for f, name in TEMPERATURE_PARAMS.items()})
-    return replace(cfg, temps=temps)
+    out = replace(cfg, temps=temps)
+    if isinstance(store, ParameterStore):
+        store.loss_cfg = (cfg, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +274,8 @@ def project_parameters(store: ParameterStore) -> None:
     """Clamp curvature and temperatures back into their valid ranges, in
     place (projected-gradient semantics: gradients are taken pre-clamp)."""
     for name, (low, high) in _CLAMPED.items():
-        np.clip(store[name].value, low, high, out=store[name].value)
+        value = store[name].value
+        np.minimum(np.maximum(value, low, out=value), high, out=value)
 
 
 def learning_rate(step: int, cfg: TrainConfig) -> float:
@@ -469,7 +478,7 @@ def _check_lift_range(store: ParameterStore, path) -> None:
     with np.errstate(over="ignore"):
         for src in LAYOUT.values():
             scaled = value_of(store[src.scale]) * value_of(store[src.table])
-            radius = sqrt_k * np.linalg.norm(scaled, axis=-1)
+            radius = sqrt_k * ad._row_norm(scaled)
             over = radius >= _LIFT_LIMIT
             if over.any():
                 row = int(np.argmax(over))
@@ -577,7 +586,7 @@ def train(corpus: Corpus, cfg: TrainConfig, out_dir, *, resume=None) -> dict:
         store, opt, start = restore(resume, corpus, cfg)
         if start > cfg.steps:
             raise ContractViolationError(
-                f"checkpoint step {start} beyond configured steps {cfg.steps}"
+                f"{resume}: checkpoint step {start} beyond configured steps {cfg.steps}"
             )
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")

@@ -35,14 +35,14 @@ def uncertainty(x):
     One tape node; the gradient at the zero vector is the subgradient 0.
     """
     xv = value_of(x)
-    norm = np.linalg.norm(xv, axis=-1)
+    norm = ad._row_norm(xv)
     decay = np.exp(-norm)
     u = np.log1p(decay)
 
     def vjp(g):
-        safe = np.expand_dims(norm > 0.0, -1)
-        unit = np.where(safe, xv / np.where(safe, np.expand_dims(norm, -1), 1.0), 0.0)
-        return (np.expand_dims(-g * decay / (1.0 + decay), -1) * unit,)
+        safe = (norm > 0.0)[..., None]
+        unit = np.where(safe, xv / np.where(safe, norm[..., None], 1.0), 0.0)
+        return ((-g * decay / (1.0 + decay))[..., None] * unit,)
 
     return ad.fused(u, "uncertainty", (x,), vjp)
 
@@ -67,7 +67,7 @@ def uncertainty_from_radius(x, m: Manifold):
         d_y = d_r * norm * ad._asinhc_sqrt_deriv(y, asinhc)
         safe = norm > 0.0
         d_norm = np.where(safe, d_r * asinhc / np.where(safe, norm, 1.0), 0.0)
-        return (np.expand_dims(2.0 * kv * d_y + d_norm, -1) * xv, ad.sum_all(d_y * s))
+        return ((2.0 * kv * d_y + d_norm)[..., None] * xv, ad.sum_all(d_y * s))
 
     return ad.fused(u, "uncertainty_from_radius", (x, m.kappa), vjp)
 
@@ -88,6 +88,6 @@ def entropy(w):
     wv = np.asarray(w, dtype=np.float64)
     if wv.size == 0:
         raise ContractViolationError("entropy of an empty weight vector")
-    if np.any(wv < 0.0) or np.any(np.abs(np.sum(wv, axis=-1) - 1.0) > 1e-9):
+    if (wv < 0.0).any() or (np.abs(wv.sum(-1) - 1.0) > 1e-9).any():
         raise ContractViolationError("entropy input is not a normalized weight vector")
-    return -np.sum(wv * np.log(np.where(wv > 0.0, wv, 1.0)), axis=-1)
+    return -(wv * np.log(np.where(wv > 0.0, wv, 1.0))).sum(-1)

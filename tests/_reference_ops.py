@@ -103,16 +103,58 @@ def acosh_clamped(a):
 
 def asinhc_sqrt(a):
     """asinh(sqrt(y))/sqrt(y) as an entire function of y >= 0."""
+    return unary(a, "asinhc_sqrt", ad._asinhc_sqrt_val, where_asinhc_sqrt_deriv)
 
-    def dfd(y, out):
-        small = y < ad._SERIES_CUTOFF
-        ys = np.where(small, y, 0.0)
-        series = -1.0 / 6.0 + 3.0 * ys / 20.0 - 15.0 * ys**2 / 112.0
-        ysafe = np.where(small, 1.0, y)
-        direct = (1.0 / np.sqrt(1.0 + ysafe) - out) / (2.0 * ysafe)
-        return np.where(small, series, direct)
 
-    return unary(a, "asinhc_sqrt", ad._asinhc_sqrt_val, dfd)
+# ---------------------------------------------------------------------------
+# series kernels: both forms over the whole array, chosen by np.where
+# ---------------------------------------------------------------------------
+# The package's kernels write the series only into the entries below the
+# cutoff; these evaluate the series and the direct form everywhere and pick
+# per entry, the formulation the package's kernels must match bit for bit.
+
+def where_cosh_sqrt_val(y):
+    small = y < ad._SERIES_CUTOFF
+    ys = np.where(small, y, 0.0)
+    series = 1.0 + ys / 2.0 + ys**2 / 24.0 + ys**3 / 720.0
+    direct = np.cosh(np.sqrt(np.where(small, 1.0, y)))
+    return np.where(small, series, direct)
+
+
+def where_sinhc_sqrt_val(y):
+    small = y < ad._SERIES_CUTOFF
+    ys = np.where(small, y, 0.0)
+    series = 1.0 + ys / 6.0 + ys**2 / 120.0 + ys**3 / 5040.0
+    r = np.sqrt(np.where(small, 1.0, y))
+    direct = np.sinh(r) / r
+    return np.where(small, series, direct)
+
+
+def where_asinhc_sqrt_val(y):
+    small = y < ad._SERIES_CUTOFF
+    ys = np.where(small, y, 0.0)
+    series = 1.0 - ys / 6.0 + 3.0 * ys**2 / 40.0 - 5.0 * ys**3 / 112.0
+    r = np.sqrt(np.where(small, 1.0, y))
+    direct = np.arcsinh(r) / r
+    return np.where(small, series, direct)
+
+
+def where_sinhc_sqrt_deriv(y, out):
+    small = y < ad._SERIES_CUTOFF
+    ys = np.where(small, y, 0.0)
+    series = 1.0 / 6.0 + ys / 60.0 + ys**2 / 1680.0
+    ysafe = np.where(small, 1.0, y)
+    direct = (where_cosh_sqrt_val(ysafe) - out) / (2.0 * ysafe)
+    return np.where(small, series, direct)
+
+
+def where_asinhc_sqrt_deriv(y, out):
+    small = y < ad._SERIES_CUTOFF
+    ys = np.where(small, y, 0.0)
+    series = -1.0 / 6.0 + 3.0 * ys / 20.0 - 15.0 * ys**2 / 112.0
+    ysafe = np.where(small, 1.0, y)
+    direct = (1.0 / np.sqrt(1.0 + ysafe) - out) / (2.0 * ysafe)
+    return np.where(small, series, direct)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ clamps, determinism, and checkpoint resume."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from hypalign.trainer import (
     init_parameters,
     learning_rate,
     load_checkpoint,
+    loss_config_with_vars,
     materialize_batch,
     parameter_store,
     restore,
@@ -116,6 +118,11 @@ class TestScheduleAndOptimizer:
         (lambda: ConeParams(aperture_k=True), "aperture_k", "True is not a real number"),
         (lambda: TrainConfig(loss=LossConfig(temps=TemperatureSet(tau_global=True))),
          "tau_global", "True is not a real number"),
+        # TemperatureSet refuses a non-number itself, before its floor check
+        (lambda: TemperatureSet(tau_global="x"), "tau_global", "'x' is not a real number"),
+        (lambda: TemperatureSet(tau_local="0.5"), "tau_local", "'0.5' is not a real number"),
+        (lambda: TemperatureSet(tau_global_local=None), "tau_global_local",
+         "None is not a real number"),
     ])
     def test_config_value_of_the_wrong_kind(self, build, field, detail):
         # the Python API reaches what a config file's int and float casters
@@ -126,6 +133,22 @@ class TestScheduleAndOptimizer:
 
     def test_config_values_of_the_right_kind(self):
         assert TrainConfig(lr=1, steps=np.int64(3)).steps == 3
+
+    def test_loss_config_with_vars_built_once_per_config(self, small_corpus):
+        cfg = small_config()
+        store = init_parameters(small_corpus, cfg)
+        built = loss_config_with_vars(cfg.loss, store)
+        assert loss_config_with_vars(cfg.loss, store) is built
+        assert built.temps.tau_global_local is store["tau_gl"]
+        other = replace(cfg.loss, alpha=0.3)
+        assert loss_config_with_vars(other, store).alpha == 0.3
+        assert loss_config_with_vars(cfg.loss, store).alpha == cfg.loss.alpha
+        # a plain mapping of values is read afresh on every call
+        plain = {name: value_of(var).copy() for name, var in store.items()}
+        first = loss_config_with_vars(cfg.loss, plain)
+        plain["tau_g"] = np.array(0.5)
+        assert float(loss_config_with_vars(cfg.loss, plain).temps.tau_global) == 0.5
+        assert first.temps.tau_global == cfg.loss.temps.tau_global
 
     # every int, float and bool field of the configuration classes, given a
     # string, and a bool field an int or a numeric field a bool
@@ -333,7 +356,7 @@ class TestTrainLoop:
         payload["step"] = 3
         ckpt.write_text(json.dumps(payload))
         with pytest.raises(ContractViolationError,
-                           match="^checkpoint step 3 beyond configured steps 2$"):
+                           match=f"^{re.escape(str(ckpt))}: checkpoint step 3 beyond configured steps 2$"):
             train(small_corpus, cfg, tmp_path / "resumed", resume=ckpt)
 
     def test_metrics_contain_required_fields(self, small_corpus, tmp_path):
