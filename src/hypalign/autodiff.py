@@ -137,14 +137,6 @@ def per_run(x, shape: tuple, rows: int) -> Array:
     return v.reshape(-1, *(1,) * rows)
 
 
-def run_values(x) -> list:
-    """Each run's value of a scalar, as floats: one for a 0-d scalar, K
-    for a run stack ``(K,)`` (see :func:`per_run`), so a range check covers
-    every run."""
-    v = value_of(x)
-    return v.ravel().tolist() if v.ndim else [float(v)]
-
-
 def sum_all(a: Array) -> Array:
     """Sum over every axis; an op's VJP sums the adjoint of a scalar input
     (``kappa``) with it, so that adjoint has the input's shape."""
@@ -389,15 +381,15 @@ def backward(root: Var) -> dict[int, Array]:
     order = _toposort(root)
     with np.errstate(all="ignore"):
         grads = _sweep(order, root, check=False)
-    for node in order:
-        if node._parents:
-            continue
-        if not np.isfinite(grads[id(node)]).all():
-            _sweep(order, root, check=True)
-            # finite adjoints whose sum overflowed at this leaf
-            raise NumericalConsistencyError(
-                f"non-finite gradient accumulated at leaf '{node.name}'"
-            )
+        for node in order:
+            if node._parents:
+                continue
+            if not np.isfinite(grads[id(node)]).all():
+                _sweep(order, root, check=True)
+                # finite adjoints whose sum overflowed at this leaf
+                raise NumericalConsistencyError(
+                    f"non-finite gradient accumulated at leaf '{node.name}'"
+                )
     return grads
 
 

@@ -9,6 +9,8 @@ import functools
 import numbers
 import sys
 
+import numpy as np
+
 
 class HypalignError(Exception):
     """Base class for all package errors."""
@@ -58,7 +60,9 @@ def check_domains(config, domains: dict) -> None:
     outside its domain.  ``domains`` maps field names to intervals written
     like ``"[0, 1)"`` or ``"(0, inf)"``, and a field annotated ``bool`` to
     ``None``: it must hold a bool.  A field annotated ``int`` must hold an
-    integer, and no other field a bool.  A value that is not a real
+    integer, and no other field a bool.  A field of no plain kind (a scalar
+    that is learned or stacked, such as ``Manifold.kappa``) may hold a tape
+    value or a numeric array, checked run by run.  A value that is not a real
     number, ``nan``, an infinity or an integer past float's range (which
     float arithmetic on it would overflow) lies outside every interval."""
     kinds = type(config).__annotations__
@@ -71,7 +75,13 @@ def check_domains(config, domains: dict) -> None:
         if bools:
             continue
         low, closed_low, high, closed_high = _bounds(interval)
-        if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-                and (low <= value if closed_low else low < value)
-                and (value <= high if closed_high else value < high)):
-            raise DomainError(name, f"{value!r} outside its domain {interval}")
+        # in a field of no plain kind a numeric array, a tape value's too, holds
+        # one value per run (autodiff.per_run); any other value is one run
+        array = getattr(value, "value", value)
+        by_run = (kind not in ("float", float) and isinstance(array, np.ndarray)
+                  and array.dtype.kind in "iuf")
+        for run in array.ravel().tolist() if by_run else [value]:
+            if not (isinstance(run, numbers.Real) and abs(run) <= sys.float_info.max
+                    and (low <= run if closed_low else low < run)
+                    and (run <= high if closed_high else run < high)):
+                raise DomainError(name, f"{run!r} outside its domain {interval}")

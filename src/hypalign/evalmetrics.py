@@ -97,16 +97,11 @@ class Taxonomy:
             node = self.parent[node]
         return out
 
-    def lca(self, a: str, b: str) -> str:
-        """The deepest label both :meth:`ancestors` sets hold, or the root."""
-        common = self.ancestors(a) & self.ancestors(b)
-        return max(common, key=self.depth.__getitem__, default=self.root)
-
 
 def tie(pred: str, truth: str, t: Taxonomy) -> int:
-    """Tree-induced error: edge-count path length between the labels."""
-    anc = t.lca(pred, truth)
-    return (t.depth[pred] - t.depth[anc]) + (t.depth[truth] - t.depth[anc])
+    """Tree-induced error: edge-count path length between the labels, which is
+    the number of labels just one of their :meth:`Taxonomy.ancestors` holds."""
+    return len(t.ancestors(pred) ^ t.ancestors(truth))
 
 
 def lca_error(pred: str, truth: str, t: Taxonomy) -> float:

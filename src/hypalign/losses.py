@@ -50,7 +50,7 @@ and gradients agree with it to rounding.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,21 +73,17 @@ TAU_FLOOR = 0.01        # the trainer clamps each learned temperature back to it
 @dataclass(frozen=True)
 class TemperatureSet:
     """Logit scales for the global, local, and global-local contrastive
-    terms; each is clamped to >= ``TAU_FLOOR`` by the trainer.  A plain
-    ``(K,)`` array is one temperature per run of a stacked forward
-    (``autodiff.per_run``), each run held to the floor."""
+    terms: real numbers or learnable ``Var``s in ``[TAU_FLOOR, inf)`` (the
+    trainer clamps each back to the floor), or plain ``(K,)`` arrays, one
+    temperature per run of a stacked forward (``autodiff.per_run``);
+    ``errors.check_domains`` checks each run."""
 
     tau_global: object = 0.07
     tau_local: object = 0.07
     tau_global_local: object = 0.06
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (ad.is_var(value) or np.asarray(value).dtype.kind in "iuf"):
-                raise DomainError(f.name, f"{value!r} is not a real number")
-            if any(tau < TAU_FLOOR for tau in ad.run_values(value)):
-                raise DomainError(f.name, f"below the {TAU_FLOOR} floor")
+        check_domains(self, dict.fromkeys(vars(self), f"[{TAU_FLOOR}, inf)"))
 
 
 @dataclass(frozen=True)
@@ -466,23 +462,21 @@ def _entailment_sum(v: dict, lambda_intra, lambda_cal):
                                 + lambda_cal * v["calibration"])
 
 
-def _weighted_total(c: dict, lambda_intra, lambda_cal, lambda_ent):
+def _weighted_total(c: dict, lambda_intra: float, lambda_cal: float, lambda_ent: float):
     """``contrastive sum + lambda_ent * entailment sum`` of the report's
-    components, as one tape node over the six components and the three
-    weights; the block sums are plain arithmetic on their values."""
+    components, as one tape node over the six; the weights are plain floats,
+    and the block sums plain arithmetic on the components' values."""
     v = {name: value_of(x) for name, x in c.items()}
-    li, lc, le = value_of(lambda_intra), value_of(lambda_cal), value_of(lambda_ent)
-    ent = _entailment_sum(v, li, lc)
+    ent = _entailment_sum(v, lambda_intra, lambda_cal)
 
     def vjp(g):
-        ge = g * le
-        return (g, g, g, ge, ge * li, ge * lc,
-                ge * v["entail_intra"], ge * v["calibration"], g * ent)
+        ge = g * lambda_ent
+        return g, g, g, ge, ge * lambda_intra, ge * lambda_cal
 
-    return ad.fused(_contrastive_sum(v) + le * ent, "weighted_total",
+    return ad.fused(_contrastive_sum(v) + lambda_ent * ent, "weighted_total",
                     (c["contrastive_globallocal"], c["contrastive_global"],
                      c["contrastive_local"], c["entail_inter"], c["entail_intra"],
-                     c["calibration"], lambda_intra, lambda_cal, lambda_ent), vjp)
+                     c["calibration"]), vjp)
 
 
 def contrastive_total(batch: Batch, temps: TemperatureSet, m: Manifold) -> float:

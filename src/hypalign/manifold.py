@@ -45,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, value_of
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_domains
 
 KAPPA_MIN = 0.1
 KAPPA_MAX = 10.0
@@ -55,20 +55,16 @@ KAPPA_MAX = 10.0
 class Manifold:
     """Curvature parameter; immutable once constructed.
 
-    ``kappa`` may be a plain float or a learnable ``Var``; its value must lie
-    in [0.1, 10] (the trainer re-projects after every update).  A plain
-    ``(K,)`` array is K curvatures, one per run of a stacked forward
-    (``autodiff.per_run``), each checked against that range.
+    ``kappa`` may be a real number or a learnable ``Var`` in [0.1, 10] (the
+    trainer re-projects after every update), or a plain ``(K,)`` array of K
+    curvatures, one per run of a stacked forward (``autodiff.per_run``);
+    ``errors.check_domains`` checks each run.
     """
 
     kappa: float | Var
 
     def __post_init__(self):
-        for k in ad.run_values(self.kappa):
-            if not (KAPPA_MIN <= k <= KAPPA_MAX):
-                raise ContractViolationError(
-                    f"curvature {k} outside [{KAPPA_MIN}, {KAPPA_MAX}]"
-                )
+        check_domains(self, {"kappa": f"[{KAPPA_MIN}, {KAPPA_MAX}]"})
 
 
 @dataclass(frozen=True)

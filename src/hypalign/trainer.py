@@ -78,9 +78,6 @@ class TrainConfig:
         # times its last update, which grows without bound past this
         if self.beta1**2 > self.beta2:
             raise DomainError("beta2", f"{self.beta2!r} below beta1**2 = {self.beta1**2!r}")
-        # once here: the loss config is rebuilt every step around the live
-        # temperatures, where a value training drives non-finite is numerical
-        check_domains(self.loss.temps, dict.fromkeys(TEMPERATURE_PARAMS, "(-inf, inf)"))
 
 
 _TRAIN_DOMAINS = {
@@ -476,8 +473,8 @@ def _check_lift_range(store: ParameterStore, path) -> None:
     modality scale."""
     sqrt_k = np.sqrt(value_of(store["kappa"]))
     with np.errstate(over="ignore"):
-        for src in LAYOUT.values():
-            scaled = value_of(store[src.scale]) * value_of(store[src.table])
+        for group, scaled in scaled_tables(store).items():
+            src = LAYOUT[group]
             radius = sqrt_k * ad._row_norm(scaled)
             over = radius >= _LIFT_LIMIT
             if over.any():
@@ -508,8 +505,9 @@ def restore(path, corpus: Corpus, cfg: TrainConfig) -> tuple[ParameterStore, Ada
     ``eval`` builds it), an :class:`AdamW` over it with the saved moments,
     and the step.  The config hash must match, and each table must fit
     ``corpus`` and ``cfg.table_dim`` (:func:`check_fit`; the hash covers
-    neither the corpus, which sets the rows, nor a hand-edited width).  A moment
-    entry must be finite, and a second-moment entry not negative, as a run leaves them."""
+    neither the corpus, which sets the rows, nor a hand-edited width).  Each
+    moment entry must name a parameter and be finite, and a second-moment
+    entry not negative, as a run leaves them."""
     payload = load_checkpoint(path)
     if payload["config_hash"] != config_hash(cfg):
         raise ContractViolationError(
@@ -517,6 +515,10 @@ def restore(path, corpus: Corpus, cfg: TrainConfig) -> tuple[ParameterStore, Ada
     store = store_from_payload(payload, path)
     check_fit(store, corpus, path, width=cfg.table_dim)
     opt = AdamW(store, cfg)
+    unknown = [f"{field}[{name!r}]" for field in ("opt_m", "opt_v")
+               for name in payload[field] if name not in opt.m]
+    if unknown:
+        raise ContractViolationError(f"{path}: checkpoint {unknown[0]} names no parameter")
     for name in opt.m:
         shape = store[name].value.shape
         for field, moments in (("opt_m", opt.m), ("opt_v", opt.v)):
@@ -541,7 +543,7 @@ def restore(path, corpus: Corpus, cfg: TrainConfig) -> tuple[ParameterStore, Ada
 def _write_failure_dump(out_dir, step: int, batch: str, idx: BatchIndices,
                         store: ParameterStore, err: HypalignError) -> None:
     """``failure_dump.json``: the error, the step, which batch (``train`` or
-    ``eval``) and its rows, and the small parameters."""
+    ``eval``) and its rows, and the scalar parameters (``DECAY_EXCLUDE``)."""
     dump = {
         "step": step,
         "kind": err.kind,
@@ -549,8 +551,7 @@ def _write_failure_dump(out_dir, step: int, batch: str, idx: BatchIndices,
         "batch": batch,
         "scene_rows": idx.scene_rows.tolist(),
         "part_rows": idx.part_rows.tolist(),
-        "params": {n: value_of(v).ravel().tolist()
-                   for n, v in store.items() if value_of(v).size <= 4},
+        "params": {n: value_of(store[n]).ravel().tolist() for n in DECAY_EXCLUDE},
     }
     with open(os.path.join(out_dir, "failure_dump.json"), "w") as fh:
         json.dump(dump, fh, indent=2)

@@ -15,16 +15,12 @@ calibration reads them inside its own node.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import value_of
 from .errors import ContractViolationError
 from .manifold import Manifold, hyperbolic_radius
-
-LN2 = math.log(2.0)
 
 
 def uncertainty(x):

@@ -260,6 +260,18 @@ class TestBackward:
             with pytest.raises(NumericalConsistencyError, match="leaf 'x'"):
                 ad.gradients(root, {"x": x})
 
+    def test_overflowing_accumulation_at_an_interior_node_named(self):
+        # each adjoint is finite; their sum at node 'a' is not, and the
+        # checking re-sweep names 'a' rather than warn (this backward runs
+        # outside any errstate, where the suite turns warnings into errors)
+        x = Var(np.array([1.0]), name="x")
+        a = ad.fused(x.value, "a", (x,), lambda g: (g,))
+        with np.errstate(over="ignore"):
+            root = ref.reduce_sum(ref.add(ref.mul(a, 1e308), ref.mul(a, 1e308)))
+        with pytest.raises(NumericalConsistencyError,
+                           match="^non-finite gradient flowing into node 'a'$"):
+            ad.gradients(root, {"x": x})
+
     def test_repeated_backward_over_fused_ops_bit_identical(self):
         rng = np.random.default_rng(13)
         kappa = Var(1.2, name="kappa")

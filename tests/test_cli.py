@@ -139,8 +139,8 @@ class TestValuesOutsideTheirDomain:
         ("alpha", "nan", "nan outside its domain [0, inf)"),
         ("lambda_cal", "nan", "nan outside its domain [0, inf)"),
         ("eta_inter", "nan", "nan outside its domain (0, inf)"),
-        ("tau_gl", "nan", "nan outside its domain (-inf, inf)"),
-        ("tau_gl", "0.001", "below the 0.01 floor"),
+        ("tau_gl", "nan", "nan outside its domain [0.01, inf)"),
+        ("tau_gl", "0.001", "0.001 outside its domain [0.01, inf)"),
         ("entropy_sign", "0.5", "must be +1 or -1"),
         ("lr", "nan", "nan outside its domain (0, inf)"),
         ("beta2", "1", "1.0 outside its domain [0, 1)"),
@@ -554,6 +554,21 @@ class TestTrainingBlowsUp:
         assert dump["kind"] == "numerical" and dump["batch"] == "train"
         assert dump["step"] == 1 and "read from the store" in dump["message"]
 
+    def test_dump_holds_the_scalars_of_a_tiny_table_run(self, tmp_path, capsys):
+        # every table of this run has at most four entries, as a scalar has
+        # one; the dump names the six scalar parameters and no table
+        corpus, cfg, out = tmp_path / "corpus.txt", tmp_path / "cfg.txt", tmp_path / "run"
+        assert main(["generate", "--scenes", "2", "--parts", "1", "--latent-dim", "2",
+                     "--seed", "5", "--out", str(corpus)]) == 0
+        cfg.write_text("table_dim = 2\n")
+        code = main(["train", "--corpus", str(corpus), "--out", str(out), "--lr", "1e308",
+                     "--warmup", "0", "--batch-size", "2", "--config", str(cfg)])
+        capsys.readouterr()
+        dump = json.loads((out / "failure_dump.json").read_text())
+        assert code == 2 and dump["step"] == 1
+        assert list(dump["params"]) == ["kappa", "tau_g", "tau_l", "tau_gl", "c_img", "c_txt"]
+        assert all(len(v) == 1 for v in dump["params"].values())
+
 
     @pytest.mark.parametrize("scenes,config,flags", [
         ("8", "", ["--lr", "1e300", "--warmup", "0", "--steps", "5", "--batch-size", "4"]),
@@ -878,6 +893,22 @@ class TestMalformedInputFiles:
         message = json.loads(errors[0].partition("message=")[2])
         assert message.startswith(f"{run['checkpoint']}:") and f"{field}['kappa']" in message
         assert not (tmp_path / "r2" / "failure_dump.json").exists()
+
+    def test_resume_from_moments_naming_no_parameter(self, run, corpus_path, tmp_path, capsys):
+        # a parameter of an unknown name is refused, and so is a moment entry
+        payload = json.loads(run["checkpoint"].read_text())
+        payload["step"] = 1
+        payload["opt_m"]["bogus"] = encode([0.0])
+        payload["opt_v"]["table_nope"] = "zzz"
+        run["checkpoint"].write_text(json.dumps(payload))
+        code = main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "r2"),
+                     "--steps", "2", "--batch-size", "4", "--seed", "7",
+                     "--resume", str(run["checkpoint"])])
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert code == 1 and errors == ["error kind=contract message=" + json.dumps(
+            f"{run['checkpoint']}: checkpoint opt_m['bogus'] names no parameter")]
+        assert not (tmp_path / "r2" / "metrics.jsonl").exists()
 
     def test_resume_on_a_corpus_of_another_size(self, run, capsys, tmp_path):
         # the checkpoint was trained on 8 scenes of 2 parts; the same

@@ -60,7 +60,9 @@ ROWS = np.array([0, 2, 2, 4, 1])          # a gather with a duplicate row
 ROWS_DISTINCT = np.array([3, 0, 1, 4, 2])
 COMPONENTS = ("contrastive_globallocal", "contrastive_global", "contrastive_local",
               "entail_inter", "entail_intra", "calibration")
-WEIGHTS = ("lambda_intra", "lambda_cal", "lambda_ent")
+# lambda_intra, lambda_cal, lambda_ent: plain floats, as LossConfig holds them,
+# so no input of the weighted total's node
+WEIGHTS = (0.5, 10.0, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +288,7 @@ def _impls(nce, tempered, leaky, sum_pair, calibrate, gather, total):
         # two tables sharing a scale, one gather with a repeated row
         "gather_scale": lambda a, v: gather([(a["table"], ROWS, a["scale"]),
                                              (a["other"], ROWS_DISTINCT, a["scale"])]),
-        "weighted_total": lambda a, v: total({k: a[k] for k in COMPONENTS},
-                                             *(a[k] for k in WEIGHTS)),
+        "weighted_total": lambda a, v: total({k: a[k] for k in COMPONENTS}, *WEIGHTS),
     }
 
 
@@ -340,10 +341,7 @@ def make_inputs(op, variant, seed=0):
     if op == "gather_scale":
         return {"table": rng.normal(size=(b, 3)), "scale": np.array(0.25),
                 "other": rng.normal(size=(b, 3))}
-    arrays = {k: np.array(rng.normal() * 50.0) for k in COMPONENTS}
-    arrays.update(lambda_intra=np.array(0.5), lambda_cal=np.array(10.0),
-                  lambda_ent=np.array(0.2))
-    return arrays
+    return {k: np.array(rng.normal() * 50.0) for k in COMPONENTS}
 
 
 def _live(op, arrays):

@@ -531,7 +531,7 @@ class TestScalarRuns:
             lift(ad.Var(self._groups()[0]), Manifold(ad.Var(np.full(self.B, 1.3))))
 
     def test_every_run_range_checked(self):
-        with pytest.raises(ContractViolationError, match="curvature 20.0 outside"):
+        with pytest.raises(ContractViolationError, match="kappa 20.0 outside its domain"):
             Manifold(np.array([1.0, 20.0, 1.0]))
         with pytest.raises(DomainError, match="tau_local"):
             TemperatureSet(tau_local=np.array([0.07, 0.001]))

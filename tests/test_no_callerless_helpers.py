@@ -1,15 +1,17 @@
-"""Every module-level function and class of the package, and every method
-of its classes, has a caller.
+"""Every module-level function, class and constant of the package, and
+every method of its classes, has a caller.
 
-The package's modules are read with ``ast``.  A name defined at module level,
-or as a method of a module-level class, must be referenced somewhere in the
-package outside its own definition (a use, an attribute access, or an
-import, under any alias), unless it is public API that the acceptance tests
-import or a name the benchmark's tracer (``perfbench/tracer.py``) wraps.
-Methods are counted by name, as functions are.  Dunder methods are exempt,
-and so are overrides of a base class from outside the package (such as
-``cli._Parser.error``, which argparse calls).  A helper left behind when its
-last caller goes fails here.
+The package's modules are read with ``ast``.  A name defined at module level
+(by ``def``, ``class`` or an assignment), or as a method of a module-level
+class, must be referenced somewhere in the package outside its own
+definition (a use, an attribute access, or an import, under any alias),
+unless it is public API that the acceptance tests import or a name the
+benchmark's tracer (``perfbench/tracer.py``) wraps.  Methods are counted by
+name, as functions are.  Dunder names are exempt (methods, and module
+constants such as ``__version__``), and so are overrides of a base class
+from outside the package (such as ``cli._Parser.error``, which argparse
+calls).  A helper or constant left behind when its last reader goes fails
+here.
 """
 
 import ast
@@ -56,14 +58,19 @@ def _tracer_wrapped() -> set[str]:
 
 
 def _callerless(definitions) -> list[str]:
-    """Each ``(module, label, node)`` of ``definitions`` whose name the
-    package references only inside the definition itself."""
+    """Each ``(module, label, node)`` of ``definitions`` whose name (the
+    label's last dotted part) the package references only inside the
+    definition itself."""
     everywhere = sum((_referenced(tree) for tree in TREES.values()), Counter())
     exempt = _acceptance_imports() | _tracer_wrapped()
     return [f"{module}:{node.lineno} {label}" for module, label, node in definitions
-            # recursion is not a caller
-            if everywhere[node.name] - _referenced(node)[node.name] <= 0
-            and node.name not in exempt]
+            # recursion, or the assignment's own target, is not a caller
+            if everywhere[name := label.rpartition(".")[2]] - _referenced(node)[name] <= 0
+            and name not in exempt]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _overrides_outside(module: str, cls: str, name: str) -> bool:
@@ -79,10 +86,23 @@ def test_every_module_level_definition_has_a_caller():
                            for node in tree.body if isinstance(node, (*DEFS, ast.ClassDef)))
 
 
+def _assigned(node) -> list[str]:
+    """The names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
+def test_every_module_level_constant_has_a_reader():
+    assert not _callerless(
+        (module, name, node) for module, tree in TREES.items()
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for name in _assigned(node) if not _dunder(name))
+
+
 def test_every_method_has_a_caller():
     assert not _callerless(
         (module, f"{cls.name}.{node.name}", node) for module, tree in TREES.items()
         for cls in tree.body if isinstance(cls, ast.ClassDef)
-        for node in cls.body if isinstance(node, DEFS)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        for node in cls.body if isinstance(node, DEFS) and not _dunder(node.name)
         and not _overrides_outside(module, cls.name, node.name))

@@ -41,7 +41,7 @@ from hypalign.trainer import (
     train,
     train_step,
 )
-from hypalign.uncertainty import LN2, uncertainty
+from hypalign.uncertainty import uncertainty
 import hypalign.autodiff as ad
 import hypalign.trainer as trainer_module
 
@@ -77,7 +77,7 @@ class TestInit:
         store = init_parameters(small_corpus, small_config())
         c = float(value_of(store["c_img"]))
         u = value_of(uncertainty(c * value_of(store["table_part_img"])))
-        assert np.all(np.abs(u - LN2) < 0.02)
+        assert np.all(np.abs(u - math.log(2.0)) < 0.02)
 
     def test_same_seed_identical(self, small_corpus):
         a = init_parameters(small_corpus, small_config())
@@ -118,21 +118,49 @@ class TestScheduleAndOptimizer:
         (lambda: ConeParams(aperture_k=True), "aperture_k", "True is not a real number"),
         (lambda: TrainConfig(loss=LossConfig(temps=TemperatureSet(tau_global=True))),
          "tau_global", "True is not a real number"),
-        # TemperatureSet refuses a non-number itself, before its floor check
-        (lambda: TemperatureSet(tau_global="x"), "tau_global", "'x' is not a real number"),
-        (lambda: TemperatureSet(tau_local="0.5"), "tau_local", "'0.5' is not a real number"),
+        # a temperature that is no real number lies outside its domain, as
+        # for every real field
+        (lambda: TemperatureSet(tau_global="x"), "tau_global",
+         "'x' outside its domain [0.01, inf)"),
+        (lambda: TemperatureSet(tau_local="0.5"), "tau_local",
+         "'0.5' outside its domain [0.01, inf)"),
         (lambda: TemperatureSet(tau_global_local=None), "tau_global_local",
-         "None is not a real number"),
+         "None outside its domain [0.01, inf)"),
+        # the curvature and the temperatures take the same check, a stack of
+        # runs and a tape value run by run
+        (lambda: Manifold("1.0"), "kappa", "'1.0' outside its domain [0.1, 10.0]"),
+        (lambda: Manifold(True), "kappa", "True is not a real number"),
+        (lambda: Manifold(math.nan), "kappa", "nan outside its domain [0.1, 10.0]"),
+        (lambda: Manifold(math.inf), "kappa", "inf outside its domain [0.1, 10.0]"),
+        (lambda: Manifold(np.array([1.0, 20.0, 1.0])), "kappa",
+         "20.0 outside its domain [0.1, 10.0]"),
+        (lambda: Manifold(ad.Var(0.05)), "kappa", "0.05 outside its domain [0.1, 10.0]"),
+        (lambda: TemperatureSet(tau_global=math.nan), "tau_global",
+         "nan outside its domain [0.01, inf)"),
+        (lambda: TemperatureSet(tau_local=math.inf), "tau_local",
+         "inf outside its domain [0.01, inf)"),
+        (lambda: TemperatureSet(tau_global=np.array([0.07, math.nan])), "tau_global",
+         "nan outside its domain [0.01, inf)"),
+        (lambda: TemperatureSet(tau_local=np.array([True, False])), "tau_local",
+         "array([ True, False]) outside its domain [0.01, inf)"),
+        # a field annotated float holds one real number, not runs
+        (lambda: LossConfig(lambda_cal=np.array([1.0, 2.0])), "lambda_cal",
+         "array([1., 2.]) outside its domain [0, inf)"),
     ])
     def test_config_value_of_the_wrong_kind(self, build, field, detail):
         # the Python API reaches what a config file's int and float casters
         # cannot: an int field holds an integer, and no field a bool
-        with pytest.raises(DomainError, match=f"^{field} {detail}$") as err:
+        with pytest.raises(DomainError, match=f"^{field} {re.escape(detail)}$") as err:
             build()
         assert err.value.field == field
 
     def test_config_values_of_the_right_kind(self):
         assert TrainConfig(lr=1, steps=np.int64(3)).steps == 3
+        # a plain integer is checked as itself: no float conversion overflows
+        assert TrainConfig(seed=2**70).seed == 2**70
+        assert Manifold(np.array([0.1, 10.0])).kappa.shape == (2,)
+        assert float(value_of(Manifold(ad.Var(10.0)).kappa)) == 10.0
+        assert TemperatureSet(tau_global=np.array([0.01, 5.0]), tau_local=1).tau_local == 1
 
     def test_loss_config_with_vars_built_once_per_config(self, small_corpus):
         cfg = small_config()

@@ -9,7 +9,6 @@ import hypalign.autodiff as ad
 from hypalign.errors import ContractViolationError
 from hypalign.manifold import Manifold, hyperbolic_radius
 from hypalign.uncertainty import (
-    LN2,
     entropy,
     normalize_uncertainty,
     uncertainty,
@@ -17,6 +16,8 @@ from hypalign.uncertainty import (
 )
 
 import _oracles as orc
+
+LN2 = math.log(2.0)
 
 
 class TestUncertainty:
